@@ -28,7 +28,6 @@ from .gates import (
     QuantumCheckMatrix,
     SlidingWindowRule,
     apply_gate,
-    column_poly_to_cnots,
     synthesize_infinite_depth,
     time_reversed_rule,
 )

@@ -41,7 +41,7 @@ from .gates import (
     Circuit,
     Gate,
     QuantumCheckMatrix,
-    apply_gate,
+    apply_in_place,
     cnot,
     format_gate,
     hadamard,
@@ -49,7 +49,7 @@ from .gates import (
     swap,
 )
 from .poly import LaurentPoly, RationalPoly, divmod_shifted, gcd
-from .polymat import PolyMatrix, SmithEngine, SmithHooks, smith_form
+from .polymat import MatrixHooks, PolyMatrix, SmithEngine, SmithHooks, smith_form
 
 CLASS1 = "class1"
 CLASS2 = "class2"
@@ -124,7 +124,6 @@ class _Reduction:
         self.z = [list(r) for r in h1.entries] + [[_R0] * self.n for _ in range(h2.rows)]
         self.x = [[_R0] * self.n for _ in range(top)] + [list(r) for r in h2.entries]
         self.gates: list[Gate] = []
-        self.row_op_log: list = []
         self.row_ids = list(range(self.rows))
         self.row_scales: dict[int, int] = {}
         self.want_trace = want_trace
@@ -139,9 +138,7 @@ class _Reduction:
             self.trace.append(TraceStep(label, self.state()))
 
     def gate(self, g: Gate):
-        out = apply_gate(self.state(), g)
-        self.z = out.z.to_lists()
-        self.x = out.x.to_lists()
+        apply_in_place(g, zip(self.z, self.x), self.n)
         self.gates.append(g)
         self._snapshot(format_gate(g))
 
@@ -149,7 +146,6 @@ class _Reduction:
         fr = RationalPoly(f)
         self.z[dst] = [a + fr * b for a, b in zip(self.z[dst], self.z[src])]
         self.x[dst] = [a + fr * b for a, b in zip(self.x[dst], self.x[src])]
-        self.row_op_log.append(("add", src, dst, f))
         self._snapshot(f"row {dst + 1} += ({f}) * row {src + 1}")
 
     def row_swap(self, i: int, j: int):
@@ -158,7 +154,6 @@ class _Reduction:
         self.z[i], self.z[j] = self.z[j], self.z[i]
         self.x[i], self.x[j] = self.x[j], self.x[i]
         self.row_ids[i], self.row_ids[j] = self.row_ids[j], self.row_ids[i]
-        self.row_op_log.append(("swap", i, j))
         self._snapshot(f"swap rows {i + 1}, {j + 1}")
 
     def row_scale(self, pos: int, k: int):
@@ -169,7 +164,6 @@ class _Reduction:
         self.x[pos] = [fr * a for a in self.x[pos]]
         rid = self.row_ids[pos]
         self.row_scales[rid] = self.row_scales.get(rid, 0) + k
-        self.row_op_log.append(("scale", pos, k))
         self._snapshot(f"row {pos + 1} *= D^{k}")
 
     # column operation helpers realized as gates ------------------------------
@@ -238,6 +232,23 @@ class _ZBlockHooks(SmithHooks):
             self.red.col_swap(self.gamma_f_col0 + i, self.gamma_f_col0 + j, note=self.note)
 
 
+class _TopRowHooks(MatrixHooks):
+    """Smith of the top block: row ops also act on the reduction, while the
+    column ops stay on the scratch grid (they are never realized as gates)."""
+
+    def __init__(self, red, m: PolyMatrix):
+        super().__init__(m)
+        self.red = red
+
+    def row_add(self, src, dst, f):
+        super().row_add(src, dst, f)
+        self.red.row_add(src, dst, f)
+
+    def row_swap(self, i, j):
+        super().row_swap(i, j)
+        self.red.row_swap(i, j)
+
+
 class _XBlockHooks(SmithHooks):
     """Smith of an X-side block: column ops are plain CNOTs, row ops mental."""
 
@@ -288,37 +299,13 @@ class DecompositionRecord:
     def k(self) -> int:
         return self.k1 + self.k2 - self.n + self.c
 
-    @property
-    def col_op_gates(self) -> tuple:
-        return tuple(self.reduction.gates) if self.reduction else ()
-
-    @property
-    def row_op_log(self) -> tuple:
-        return tuple(self.reduction.row_op_log) if self.reduction else ()
-
-    def block_matrix(self, name: str) -> PolyMatrix:
-        """A recorded block as a matrix (diagonal blocks are stored as entry lists)."""
-        val = self.blocks[name]
-        if isinstance(val, PolyMatrix):
-            return val
-        size = len(val)
-        return PolyMatrix(
-            [[RationalPoly(val[i]) if i == j else _R0 for j in range(size)] for i in range(size)],
-            cols=size,
-        )
-
 
 def _standard_form_stage(red: _Reduction):
     """Row-reduce the top block, then column-reduce the bottom block to [I 0]."""
     n, k1, k2 = red.n, red.k1, red.k2
     # mental row operations bringing the top block to its Smith row basis
-    scratch = smith_form(PolyMatrix([red.z[i] for i in range(n - k1)]))
-    for op in scratch.op_log:
-        name = type(op).__name__
-        if name == "RowAdd":
-            red.row_add(op.src, op.dst, op.f)
-        elif name == "RowSwap":
-            red.row_swap(op.i, op.j)
+    top = PolyMatrix(red.z[: n - k1])
+    SmithEngine((top.rows, top.cols), _TopRowHooks(red, top)).run()
     # in-place Smith of the bottom block's X side; column ops become gates
     SmithEngine((n - k2, n), _XBlockHooks(red, n - k1, 0, note="standard-form"), enforce_chain=False).run()
     for p in range(n - k2):
@@ -549,14 +536,6 @@ def _bare_state(n, c, ebit_cols, anc_a, anc_b, logical_cols):
     return QuantumCheckMatrix(
         matrix(rows, 0), matrix(rows, 1), bob_cols=c, row_labels=tuple(labels), info=info
     )
-
-
-def _apply_with_trace(state, gates, trace, want_trace):
-    for g in gates:
-        state = apply_gate(state, g)
-        if want_trace:
-            trace.append(TraceStep(format_gate(g), state))
-    return state
 
 
 def _scale_rows(qcm: QuantumCheckMatrix, scale_by_row) -> QuantumCheckMatrix:
@@ -930,8 +909,12 @@ def _assemble(record, bare, pair, encoder, decoder, info_fix, logical_cols, deco
     red = record.reduction
     want_trace = red.want_trace
 
+    def recorder(trace):
+        """A Circuit.apply observer adding one trace step per gate, when tracing."""
+        return (lambda g, state: trace.append(TraceStep(format_gate(g), state))) if want_trace else None
+
     encode_trace = [TraceStep("unencoded stream", bare)] if want_trace else []
-    evolved = _apply_with_trace(bare, encoder.gates, encode_trace, want_trace)
+    evolved = encoder.apply(bare, recorder(encode_trace))
 
     # undo the mental row scalings recorded during the reduction
     unscale = {}
@@ -950,7 +933,7 @@ def _assemble(record, bare, pair, encoder, decoder, info_fix, logical_cols, deco
     decoded = _scale_rows(final, rescale) if rescale else final
     if want_trace and rescale:
         decode_trace.append(TraceStep("reduction row scalings reapplied", decoded))
-    decoded = _apply_with_trace(decoded, decoder.gates, decode_trace, want_trace)
+    decoded = decoder.apply(decoded, recorder(decode_trace))
     if info_fix is not None and decoded.info is not None:
         fixed = info_fix(decoded, decoded.info)
         decoded = QuantumCheckMatrix(decoded.z, decoded.x, decoded.bob_cols, decoded.row_labels, fixed)

@@ -11,6 +11,11 @@ control a, target b and frame delay k:
   InfDepth    X col a *= 1/f(D);         Z col a *= f(D^-1)
   InfDepth'   X col a *= 1/f(D^-1);      Z col a *= f(D)    (time-reversed)
 
+`apply_in_place` is the only implementation of these operations.  It
+mutates row lists and touches just the addressed columns: the code
+construction runs it on its working grids, and `Circuit.apply` on one copy
+of a check matrix per circuit.
+
 Gate qubit indices address the sender's (Alice's) columns; the receiver-side
 columns sit to the left of them and only gates flagged full_frame (used by
 decoding circuits, where the receiver holds every qubit) may address those.
@@ -24,7 +29,7 @@ expansion on the X side and f(D^-1) on the Z side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import DimensionMismatch, PolyParseError
 from .poly import LaurentPoly, RationalPoly, format_poly, parse_poly
@@ -163,62 +168,67 @@ class QuantumCheckMatrix:
         return self.z.is_polynomial() and self.x.is_polynomial()
 
 
-def apply_gate(qcm: QuantumCheckMatrix, g: Gate) -> QuantumCheckMatrix:
-    """Exact column-operation semantics on the stabilizer and info matrices."""
+def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0) -> None:
+    """Apply g's column operation to mutable (Z row, X row) list pairs.
 
-    def resolve(idx):
+    Only columns a (and b) change; a row whose source entry is zero is skipped.
+    """
+
+    def col(idx):
         if g.full_frame:
-            if not 0 <= idx < qcm.cols:
+            if not 0 <= idx < cols:
                 raise IndexError(f"gate qubit {idx} outside the frame")
             return idx
-        if not 0 <= idx < qcm.alice_cols:
+        if not 0 <= idx < cols - bob_cols:
             raise IndexError(f"gate addressed outside the sender's qubits (index {idx})")
-        return qcm.bob_cols + idx
+        return bob_cols + idx
 
-    a = resolve(g.i)
-    b = resolve(g.j) if g.j is not None else None
+    a = col(g.i)
+    b = col(g.j) if g.j is not None else None
+    if g.kind == "CNOT":
+        dk = RationalPoly(LaurentPoly.term(g.delay))
+        dki = RationalPoly(LaurentPoly.term(-g.delay))
+        for z, x in rows:
+            if x[a]:
+                x[b] = x[b] + dk * x[a]
+            if z[b]:
+                z[a] = z[a] + dki * z[b]
+    elif g.kind == "H":
+        for z, x in rows:
+            z[a], x[a] = x[a], z[a]
+    elif g.kind == "P":
+        for z, x in rows:
+            if x[a]:
+                z[a] = z[a] + x[a]
+    elif g.kind == "CPHASE":
+        dk = RationalPoly(LaurentPoly.term(g.delay))
+        dki = RationalPoly(LaurentPoly.term(-g.delay))
+        for z, x in rows:
+            if x[a]:
+                z[b] = z[b] + dk * x[a]
+            if x[b]:
+                z[a] = z[a] + dki * x[b]
+    elif g.kind == "CPHASE_SELF":
+        w = RationalPoly(LaurentPoly.term(g.delay) + LaurentPoly.term(-g.delay))
+        for z, x in rows:
+            if x[a]:
+                z[a] = z[a] + w * x[a]
+    elif g.kind == "INF":
+        fwd = g.f.reverse() if g.time_reversed else g.f
+        xmul = RationalPoly(LaurentPoly.one(), fwd)
+        zmul = RationalPoly(fwd.reverse())
+        for z, x in rows:
+            if x[a]:
+                x[a] = x[a] * xmul
+            if z[a]:
+                z[a] = z[a] * zmul
+    else:  # pragma: no cover
+        raise ValueError(g.kind)
 
-    def act(m: QuantumCheckMatrix) -> QuantumCheckMatrix:
-        z = m.z.to_lists()
-        x = m.x.to_lists()
-        if g.kind == "CNOT":
-            dk = RationalPoly(LaurentPoly.term(g.delay))
-            dki = RationalPoly(LaurentPoly.term(-g.delay))
-            for r in range(m.rows):
-                x[r][b] = x[r][b] + dk * x[r][a]
-                z[r][a] = z[r][a] + dki * z[r][b]
-        elif g.kind == "H":
-            for r in range(m.rows):
-                z[r][a], x[r][a] = x[r][a], z[r][a]
-        elif g.kind == "P":
-            for r in range(m.rows):
-                z[r][a] = z[r][a] + x[r][a]
-        elif g.kind == "CPHASE":
-            dk = RationalPoly(LaurentPoly.term(g.delay))
-            dki = RationalPoly(LaurentPoly.term(-g.delay))
-            for r in range(m.rows):
-                zb = z[r][b] + dk * x[r][a]
-                za = z[r][a] + dki * x[r][b]
-                z[r][a], z[r][b] = za, zb
-        elif g.kind == "CPHASE_SELF":
-            w = RationalPoly(LaurentPoly.term(g.delay) + LaurentPoly.term(-g.delay))
-            for r in range(m.rows):
-                z[r][a] = z[r][a] + w * x[r][a]
-        elif g.kind == "INF":
-            fwd = g.f.reverse() if g.time_reversed else g.f
-            xmul = RationalPoly(LaurentPoly.one(), fwd)
-            zmul = RationalPoly(fwd.reverse())
-            for r in range(m.rows):
-                x[r][a] = x[r][a] * xmul
-                z[r][a] = z[r][a] * zmul
-        else:  # pragma: no cover
-            raise ValueError(g.kind)
-        return replace(m, z=PolyMatrix(z, cols=m.cols), x=PolyMatrix(x, cols=m.cols))
 
-    out = act(qcm)
-    if qcm.info is not None:
-        out = replace(out, info=act(qcm.info))
-    return out
+def apply_gate(qcm: QuantumCheckMatrix, g: Gate) -> QuantumCheckMatrix:
+    """qcm after g, on the stabilizer and info matrices; qcm itself is unchanged."""
+    return Circuit((g,)).apply(qcm)
 
 
 # -- circuits -------------------------------------------------------------------
@@ -228,7 +238,6 @@ def apply_gate(qcm: QuantumCheckMatrix, g: Gate) -> QuantumCheckMatrix:
 class Circuit:
     gates: tuple[Gate, ...] = ()
     direction: str = "encode"
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -244,17 +253,26 @@ class Circuit:
             raise ValueError("cannot invert a circuit with infinite-depth operations")
         return Circuit(tuple(g.inverse() for g in reversed(self.gates)), direction="decode")
 
-    def apply(self, qcm: QuantumCheckMatrix) -> QuantumCheckMatrix:
+    def apply(self, qcm: QuantumCheckMatrix, observe=None) -> QuantumCheckMatrix:
+        """Run every gate on one mutable copy of qcm and return it frozen.
+
+        observe(gate, state), when given, sees the frozen state after each gate.
+        """
+        z, x = qcm.z.to_lists(), qcm.x.to_lists()
+        iz, ix = (qcm.info.z.to_lists(), qcm.info.x.to_lists()) if qcm.info is not None else ([], [])
+        rows = list(zip(z, x)) + list(zip(iz, ix))
+
+        def freeze():
+            info = qcm.info
+            if info is not None:
+                info = replace(info, z=PolyMatrix(iz, cols=qcm.cols), x=PolyMatrix(ix, cols=qcm.cols))
+            return replace(qcm, z=PolyMatrix(z, cols=qcm.cols), x=PolyMatrix(x, cols=qcm.cols), info=info)
+
         for g in self.gates:
-            qcm = apply_gate(qcm, g)
-        return qcm
-
-
-def column_poly_to_cnots(f: LaurentPoly, i: int, j: int, **kw) -> list[Gate]:
-    """One CNOT(i -> j, delay e) per term D^e of f; equals the column op X_j += f X_i."""
-    if f.is_zero():
-        raise ValueError("zero polynomial has no CNOT realization")
-    return [cnot(i, j, e, **kw) for e in f.exponents()]
+            apply_in_place(g, rows, qcm.cols, qcm.bob_cols)
+            if observe is not None:
+                observe(g, freeze())
+        return freeze()
 
 
 def format_gate(g: Gate) -> str:
@@ -290,39 +308,45 @@ def _parse_qubit(tok: str) -> tuple[int, bool]:
     return idx, full
 
 
+_ARITY = {"CNOT": (3, 4), "CPHASE": (3, 4), "H": (2,), "P": (2,), "CPHASE_SELF": (2, 3), "INF": (3, 4)}
+
+
+def _parse_delay(tok: str, line: str) -> int:
+    if tok.startswith("delay="):
+        try:
+            return int(tok[6:])
+        except ValueError:
+            pass
+    raise PolyParseError(f"bad delay in {line!r}")
+
+
 def parse_gate(line: str) -> Gate:
     toks = line.split()
     if not toks:
         raise PolyParseError("empty gate line")
     kind = toks[0].upper()
+    if kind not in _ARITY:
+        raise PolyParseError(f"unknown gate {toks[0]!r}")
+    if len(toks) not in _ARITY[kind]:
+        raise PolyParseError(f"bad {kind} line {line!r}")
+    i, full = _parse_qubit(toks[1])
+    j, delay, f, rev = None, 0, None, False
     if kind in ("CNOT", "CPHASE"):
-        if len(toks) not in (3, 4):
-            raise PolyParseError(f"bad {kind} line {line!r}")
-        i, fi = _parse_qubit(toks[1])
         j, fj = _parse_qubit(toks[2])
-        delay = 0
+        full = full or fj
         if len(toks) == 4:
-            if not toks[3].startswith("delay="):
-                raise PolyParseError(f"bad delay in {line!r}")
-            delay = int(toks[3][6:])
-        return Gate(kind, i, j, delay, full_frame=fi or fj)
-    if kind in ("H", "P"):
-        if len(toks) != 2:
-            raise PolyParseError(f"bad {kind} line {line!r}")
-        i, fi = _parse_qubit(toks[1])
-        return Gate(kind, i, full_frame=fi)
-    if kind == "CPHASE_SELF":
-        i, fi = _parse_qubit(toks[1])
-        delay = int(toks[2][6:]) if len(toks) > 2 else 0
-        return Gate(kind, i, delay=delay, full_frame=fi)
-    if kind == "INF":
-        if len(toks) < 3 or not toks[2].startswith("f="):
+            delay = _parse_delay(toks[3], line)
+    elif kind == "CPHASE_SELF" and len(toks) == 3:
+        delay = _parse_delay(toks[2], line)
+    elif kind == "INF":
+        if not toks[2].startswith("f=") or toks[3:] not in ([], ["reversed"]):
             raise PolyParseError(f"bad INF line {line!r}")
-        i, fi = _parse_qubit(toks[1])
         f = parse_poly(toks[2][2:])
-        rev = len(toks) > 3 and toks[3] == "reversed"
-        return Gate(kind, i, f=f, time_reversed=rev, full_frame=fi)
-    raise PolyParseError(f"unknown gate {toks[0]!r}")
+        rev = len(toks) == 4
+    try:
+        return Gate(kind, i, j, delay, f=f, time_reversed=rev, full_frame=full)
+    except ValueError as exc:
+        raise PolyParseError(f"{exc} in {line!r}") from None
 
 
 def parse_circuit(text: str, direction: str = "encode") -> Circuit:

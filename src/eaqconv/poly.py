@@ -95,13 +95,6 @@ class LaurentPoly:
         """The monomial D^k."""
         return cls(1, k)
 
-    @classmethod
-    def from_exponents(cls, exps) -> LaurentPoly:
-        p = cls.zero()
-        for k in exps:
-            p = p + cls.term(k)
-        return p
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -245,14 +238,6 @@ def divides(a: LaurentPoly, b: LaurentPoly) -> bool:
     return _bits_divmod(b.bits, a.bits)[1] == 0
 
 
-def deg(a: LaurentPoly) -> int:
-    return a.deg
-
-
-def dell(a: LaurentPoly) -> int:
-    return a.dell
-
-
 class RationalPoly:
     """A rational function num/den of binary Laurent polynomials."""
 
@@ -380,21 +365,6 @@ def series_expand(r: RationalPoly, lo: int, hi: int) -> LaurentPoly:
         if lo <= k <= hi:
             out |= 1 << (k - lo)
     return LaurentPoly(out, lo)
-
-
-def series_period(f: LaurentPoly, probe: int = 4096) -> int:
-    """Period of the eventually periodic expansion of 1/f, by direct search."""
-    if f.is_zero():
-        raise ZeroDivisionError("1/0 has no expansion")
-    df, _ = f.delay_free()
-    if df == ONE:
-        return 1
-    coeffs = series_expand(RationalPoly(ONE, df), 0, probe)
-    bits = [coeffs.coeff(k) for k in range(probe + 1)]
-    for period in range(1, probe // 2):
-        if all(bits[t] == bits[t + period] for t in range(probe - period)):
-            return period
-    raise ValueError(f"no period below {probe // 2} for 1/({f})")
 
 
 # -- text grammar ----------------------------------------------------------

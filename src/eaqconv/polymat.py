@@ -7,8 +7,12 @@ matrices must have their denominators cleared row by row first.
 The Smith engine is deliberately deterministic: among nonzero entries of the
 working block it always pivots on the one with minimal (deg - del), ties
 broken row-major, and divides with the common-shift polynomial division from
-the poly module.  Every elementary operation is pushed through caller hooks,
-which lets the code construction replay column operations as circuit gates.
+the poly module.  The engine keeps no matrix and no record of its own: every
+elementary operation goes straight to a SmithHooks object.  `smith_form`
+uses MatrixHooks, which applies the operations to a scratch grid and its
+unimodular witnesses; the code construction uses hooks that turn column
+operations into circuit gates and row operations into row operations on its
+working check matrix.
 """
 
 from __future__ import annotations
@@ -61,10 +65,6 @@ class PolyMatrix:
     def identity(cls, n: int) -> PolyMatrix:
         return cls([[_RONE if i == j else _RZERO for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_rows(cls, rows) -> PolyMatrix:
-        return cls(rows)
-
     def to_lists(self) -> list[list[RationalPoly]]:
         return [list(row) for row in self.entries]
 
@@ -94,11 +94,6 @@ class PolyMatrix:
             raise DimensionMismatch("row counts differ")
         return PolyMatrix([list(a) + list(b) for a, b in zip(self.entries, other.entries)])
 
-    def vstack(self, other: PolyMatrix) -> PolyMatrix:
-        if self.cols != other.cols:
-            raise DimensionMismatch("column counts differ")
-        return PolyMatrix(list(self.entries) + list(other.entries))
-
     def __add__(self, other: PolyMatrix) -> PolyMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
@@ -120,9 +115,6 @@ class PolyMatrix:
             out.append(row)
         return PolyMatrix(out)
 
-    def scale(self, f: RationalPoly) -> PolyMatrix:
-        return PolyMatrix([[e * f for e in row] for row in self.entries])
-
     def transpose(self) -> PolyMatrix:
         return PolyMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
@@ -136,127 +128,6 @@ class PolyMatrix:
 
     def __repr__(self) -> str:
         return f"PolyMatrix({format_matrix(self)!r})"
-
-
-def mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return a * b
-
-
-def transpose_reverse(m: PolyMatrix) -> PolyMatrix:
-    return m.transpose_reverse()
-
-
-# -- elementary operations ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RowAdd:
-    """Type-1 row op: row dst += f * row src, f a Laurent polynomial."""
-
-    src: int
-    dst: int
-    f: LaurentPoly
-
-
-@dataclass(frozen=True)
-class RowScale:
-    """Type-2 row op: multiply a row by D^k."""
-
-    row: int
-    k: int
-
-
-@dataclass(frozen=True)
-class RowScalePoly:
-    """Type-3 row op: multiply a row by an arbitrary nonzero polynomial.
-
-    Only legitimate when the receiver reduces generators before measurement.
-    """
-
-    measurement_stage_only = True
-
-    row: int
-    f: LaurentPoly
-
-
-@dataclass(frozen=True)
-class RowSwap:
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class ColAdd:
-    """Type-1 column op: col dst += f * col src."""
-
-    src: int
-    dst: int
-    f: LaurentPoly
-
-
-@dataclass(frozen=True)
-class ColScale:
-    """Type-2 column op: multiply a column by D^k (delay the qubit k frames)."""
-
-    col: int
-    k: int
-
-
-@dataclass(frozen=True)
-class ColSwap:
-    i: int
-    j: int
-
-
-def _check_index(n, *idx):
-    for i in idx:
-        if not 0 <= i < n:
-            raise IndexError(f"index {i} out of range for size {n}")
-
-
-def apply_row_op(m: PolyMatrix, op) -> PolyMatrix:
-    rows = m.to_lists()
-    if isinstance(op, RowAdd):
-        _check_index(m.rows, op.src, op.dst)
-        f = RationalPoly(op.f)
-        rows[op.dst] = [a + f * b for a, b in zip(rows[op.dst], rows[op.src])]
-    elif isinstance(op, RowScale):
-        _check_index(m.rows, op.row)
-        f = RationalPoly(LaurentPoly.term(op.k))
-        rows[op.row] = [f * a for a in rows[op.row]]
-    elif isinstance(op, RowScalePoly):
-        _check_index(m.rows, op.row)
-        if op.f.is_zero():
-            raise ValueError("zero multiplier in row scaling")
-        f = RationalPoly(op.f)
-        rows[op.row] = [f * a for a in rows[op.row]]
-    elif isinstance(op, RowSwap):
-        _check_index(m.rows, op.i, op.j)
-        rows[op.i], rows[op.j] = rows[op.j], rows[op.i]
-    else:
-        raise TypeError(f"not a row operation: {op!r}")
-    return PolyMatrix(rows)
-
-
-def apply_col_op(m: PolyMatrix, op) -> PolyMatrix:
-    rows = m.to_lists()
-    if isinstance(op, ColAdd):
-        _check_index(m.cols, op.src, op.dst)
-        f = RationalPoly(op.f)
-        for r in rows:
-            r[op.dst] = r[op.dst] + f * r[op.src]
-    elif isinstance(op, ColScale):
-        _check_index(m.cols, op.col)
-        f = RationalPoly(LaurentPoly.term(op.k))
-        for r in rows:
-            r[op.col] = f * r[op.col]
-    elif isinstance(op, ColSwap):
-        _check_index(m.cols, op.i, op.j)
-        for r in rows:
-            r[op.i], r[op.j] = r[op.j], r[op.i]
-    else:
-        raise TypeError(f"not a column operation: {op!r}")
-    return PolyMatrix(rows)
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -417,38 +288,37 @@ class SmithEngine:
             i = 0
 
 
-class _MatrixHooks(SmithHooks):
-    """Smith hooks over plain grids, accumulating unimodular witnesses."""
+class MatrixHooks(SmithHooks):
+    """Smith hooks over a plain grid, accumulating unimodular witnesses.
+
+    Subclasses that extend the row operations can mirror them elsewhere while
+    the column operations stay on this grid.
+    """
 
     def __init__(self, m: PolyMatrix):
         self.w = [[e.as_poly() for e in row] for row in m.entries]
         self.a = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(m.rows)] for i in range(m.rows)]
         self.b = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(m.cols)] for i in range(m.cols)]
-        self.log = []
 
     def entry(self, i, j):
         return self.w[i][j]
 
     def row_add(self, src, dst, f):
-        self.log.append(RowAdd(src, dst, f))
         self.w[dst] = [a + f * b for a, b in zip(self.w[dst], self.w[src])]
         for r in self.a:  # A := A * T^-1, i.e. A col src += f * A col dst
             r[src] = r[src] + f * r[dst]
 
     def row_swap(self, i, j):
-        self.log.append(RowSwap(i, j))
         self.w[i], self.w[j] = self.w[j], self.w[i]
         for r in self.a:
             r[i], r[j] = r[j], r[i]
 
     def col_add(self, src, dst, f):
-        self.log.append(ColAdd(src, dst, f))
         for r in self.w:
             r[dst] = r[dst] + f * r[src]
         self.b[src] = [a + f * b for a, b in zip(self.b[src], self.b[dst])]
 
     def col_swap(self, i, j):
-        self.log.append(ColSwap(i, j))
         for r in self.w:
             r[i], r[j] = r[j], r[i]
         self.b[i], self.b[j] = self.b[j], self.b[i]
@@ -470,7 +340,6 @@ class SmithDecomposition:
     gamma: tuple[LaurentPoly, ...]
     unit_exps: tuple[int, ...]
     b: PolyMatrix
-    op_log: tuple
 
     @property
     def rank(self) -> int:
@@ -495,7 +364,7 @@ def smith_form(m: PolyMatrix) -> SmithDecomposition:
     """
     if not m.is_polynomial():
         raise ValueError("smith_form requires Laurent polynomial entries; clear denominators first")
-    hooks = _MatrixHooks(m)
+    hooks = MatrixHooks(m)
     rank = SmithEngine((m.rows, m.cols), hooks).run()
     gamma = []
     units = []
@@ -509,7 +378,6 @@ def smith_form(m: PolyMatrix) -> SmithDecomposition:
         gamma=tuple(gamma),
         unit_exps=tuple(units),
         b=PolyMatrix(hooks.b),
-        op_log=tuple(hooks.log),
     )
 
 

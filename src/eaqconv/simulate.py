@@ -352,19 +352,7 @@ def syndrome(win: BinarySymplecticWindow, error: ErrorPattern) -> tuple[int, ...
     return tuple(bits)
 
 
-# -- circuit spread and the cross-module oracle -------------------------------------
-
-
-def circuit_spread(circuit: Circuit) -> int:
-    """Worst-case frame spread a circuit can introduce at a window boundary."""
-    spread = 0
-    for g in circuit:
-        if g.kind in ("CNOT", "CPHASE", "CPHASE_SELF"):
-            spread += abs(g.delay)
-        elif g.kind == "INF":
-            f0, d = g.f.delay_free()
-            spread += f0.width + abs(d) + 1
-    return spread
+# -- verification ----------------------------------------------------------------
 
 
 def default_scratch(circuit: Circuit) -> int:
@@ -407,11 +395,12 @@ class VerificationReport:
         }
 
 
-def _check_decode(spec) -> tuple[bool, str]:
-    """Re-derive the decode from the circuits and test the logical operators.
+def _check_decode(spec, evolved: QuantumCheckMatrix) -> tuple[bool, str]:
+    """Decode the re-encoded state and test the logical operators.
 
-    Runs the encoder and decoder afresh (so a corrupted circuit is caught),
-    then requires: every decoded logical commutes with the decoded
+    `evolved` is the encoder replayed afresh on the bare stream; running the
+    decoder on it (rather than on stored results) catches a corrupted
+    circuit.  Requires: every decoded logical commutes with the decoded
     stabilizer; the X/Z pairing is a unit D^k exactly on matching qubits;
     and modulo the decoded stabilizer each logical localizes to its
     designated column.
@@ -419,7 +408,7 @@ def _check_decode(spec) -> tuple[bool, str]:
     from .pauli import shifted_symplectic
     from .polymat import rref
 
-    decoded = spec.decoder.apply(spec.encoder.apply(spec.bare))
+    decoded = spec.decoder.apply(evolved)
     if decoded.info is None or spec.k == 0:
         return True, "no information qubits"
     for i in range(decoded.info.rows):
@@ -511,8 +500,8 @@ def verify_code(spec, window: int = 32, scratch: int | None = None) -> Verificat
     )
     alice = spec.final_stabilizer.alice_part().zx_concat()
     ok_stored = row_space_equal(alice, target)
-    evolved_alice = spec.encoder.apply(spec.bare).alice_part().zx_concat()
-    ok_evolved = row_space_equal(evolved_alice, target)
+    evolved = spec.encoder.apply(spec.bare)
+    ok_evolved = row_space_equal(evolved.alice_part().zx_concat(), target)
     checks.append(CheckResult(
         "row-space equivalence",
         ok_stored and ok_evolved,
@@ -521,13 +510,12 @@ def verify_code(spec, window: int = 32, scratch: int | None = None) -> Verificat
         + " sender-side stabilizer spans a different space than the check matrices",
     ))
 
-    ok_dec, detail = _check_decode(spec)
+    ok_dec, detail = _check_decode(spec, evolved)
     checks.append(CheckResult("decoded logical operators", ok_dec, detail))
 
     try:
         win0 = expand(spec.bare, window, scratch)
         win_sim = run_circuit(win0, spec.encoder)
-        evolved = spec.encoder.apply(spec.bare)
         win_alg = expand(evolved, window, scratch)
         compared, mismatches = _interior_match(win_sim, win_alg)
         ok_sim = compared > 0 and not mismatches

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eaqconv.errors import PolyParseError
 from eaqconv.gates import (
     Circuit,
     Gate,
@@ -14,13 +15,13 @@ from eaqconv.gates import (
     SlidingWindowRule,
     apply_gate,
     cnot,
-    column_poly_to_cnots,
     cphase,
     cphase_self,
     format_circuit,
     hadamard,
     inf_depth,
     parse_circuit,
+    parse_gate,
     phase,
     swap,
     synthesize_infinite_depth,
@@ -133,14 +134,9 @@ def test_swap_is_three_cnots():
 
 
 def test_column_poly_to_cnots():
-    gs = column_poly_to_cnots(P("D+D^2"), 0, 1)
-    assert [(g.i, g.j, g.delay) for g in gs] == [(0, 1, 1), (0, 1, 2)]
-    assert [(g.i, g.j, g.delay) for g in column_poly_to_cnots(P("1"), 0, 1)] == [(0, 1, 0)]
-    assert [g.delay for g in column_poly_to_cnots(P("1+D^3"), 0, 1)] == [0, 3]
-    with pytest.raises(ValueError):
-        column_poly_to_cnots(LaurentPoly.zero(), 0, 1)
+    # one CNOT(0 -> 1, delay e) per term D^e of f equals the column op X_1 += f X_0
     m = qcm("0, 0", "1, 0")
-    for g in gs:
+    for g in [cnot(0, 1, 1), cnot(0, 1, 2)]:
         m = apply_gate(m, g)
     assert m.x == parse_matrix("1, D+D^2")
 
@@ -288,3 +284,21 @@ def test_circuit_text_round_trip():
     assert "CNOT *1 *3 delay=0" in text
     parsed = parse_circuit(text)
     assert parsed.gates == circ.gates
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "CNOT 1 2 delay=x",
+        "CPHASE_SELF",
+        "CPHASE_SELF 1 foo=3",
+        "CNOT 1 1",
+        "INF 1 f=1+D extra",
+        "INF 1 f=0",
+        "H 1 2",
+        "SWAP 1 2",
+    ],
+)
+def test_parse_gate_rejects_malformed_lines(line):
+    with pytest.raises(PolyParseError):
+        parse_gate(line)

@@ -19,7 +19,6 @@ from eaqconv.poly import (
     parse_poly,
     parse_rational,
     series_expand,
-    series_period,
 )
 from eaqconv.errors import PolyParseError
 
@@ -200,28 +199,6 @@ def test_series_division_check_window(num, den):
     top = hi - r.den.deg
     for k in diff.exponents():
         assert not (lo <= k <= top), f"residual term D^{k} inside checked window"
-
-
-def test_series_period_divides_order():
-    # order of D mod 1+D+D^3 is 7 (it divides 2^3-1 and the expansion repeats with period 7)
-    assert series_period(P("1+D+D^3")) == 7
-
-
-@given(st.builds(LaurentPoly, st.integers(min_value=1, max_value=0x3F), st.integers(min_value=-3, max_value=3)))
-@settings(max_examples=60)
-def test_series_eventually_periodic(f):
-    period = series_period(f, probe=1024)
-    df, _ = f.delay_free()
-    if df == ONE:
-        assert period == 1
-        return
-    # the detected period divides the multiplicative order of D modulo the delay-free part
-    acc = RationalPoly(LaurentPoly.term(period) + ONE, df)
-    # D^period = 1 mod df  <=>  df | D^period + 1 whenever gcd(D, df)=1; the period found
-    # this way is the order itself for irreducible df and a divisor of it in general.
-    _, rem = divmod_shifted(LaurentPoly.term(period) + ONE, df)
-    assert rem.is_zero()
-    del acc
 
 
 # -- text grammar -------------------------------------------------------------

@@ -11,16 +11,7 @@ from hypothesis import given, settings, strategies as st
 from eaqconv.errors import DimensionMismatch
 from eaqconv.poly import LaurentPoly, RationalPoly, divides, gcd, parse_poly
 from eaqconv.polymat import (
-    ColAdd,
-    ColScale,
-    ColSwap,
     PolyMatrix,
-    RowAdd,
-    RowScale,
-    RowScalePoly,
-    RowSwap,
-    apply_col_op,
-    apply_row_op,
     det,
     format_matrix,
     parse_matrix,
@@ -47,6 +38,24 @@ def _random_laurent(rng, maxdeg=3, lowrange=(0, 0)):
 
 def _random_matrix(rng, rows, cols, lowrange=(0, 0)):
     return PolyMatrix([[RationalPoly(_random_laurent(rng, lowrange=lowrange)) for _ in range(cols)] for _ in range(rows)])
+
+
+def _elementary(n, i, j, f):
+    """The n x n identity with entry (i, j) set to f.
+
+    On the left it adds f * row j to row i (i != j) or scales row i by f
+    (i == j); on the right it does the same to columns j and i.
+    """
+    grid = PolyMatrix.identity(n).to_lists()
+    grid[i][j] = RationalPoly(f)
+    return PolyMatrix(grid)
+
+
+def _permutation(n, i, j):
+    """The n x n identity with rows i and j swapped."""
+    grid = PolyMatrix.identity(n).to_lists()
+    grid[i], grid[j] = grid[j], grid[i]
+    return PolyMatrix(grid)
 
 
 def _minor_divisors(m):
@@ -142,12 +151,13 @@ def _random_unimodular(rng, n):
             kind = 2
         if kind == 0:
             i, j = rng.sample(range(n), 2)
-            m = apply_row_op(m, RowAdd(i, j, _random_laurent(rng, lowrange=(-1, 1))))
+            m = _elementary(n, j, i, _random_laurent(rng, lowrange=(-1, 1))) * m
         elif kind == 1:
             i, j = rng.sample(range(n), 2)
-            m = apply_row_op(m, RowSwap(i, j))
+            m = _permutation(n, i, j) * m
         else:
-            m = apply_row_op(m, RowScale(rng.randrange(n), rng.randint(-2, 2)))
+            i = rng.randrange(n)
+            m = _elementary(n, i, i, LaurentPoly.term(rng.randint(-2, 2))) * m
     return m
 
 
@@ -203,11 +213,11 @@ def test_rank_invariance(seed):
     r = rank(m)
     assert rank(m.transpose_reverse()) == r
     i, j = rng.sample(range(rows), 2)
-    assert rank(apply_row_op(m, RowAdd(i, j, _random_laurent(rng)))) == r
-    assert rank(apply_row_op(m, RowScale(i, rng.randint(-2, 2)))) == r
+    assert rank(_elementary(rows, j, i, _random_laurent(rng)) * m) == r
+    assert rank(_elementary(rows, i, i, LaurentPoly.term(rng.randint(-2, 2))) * m) == r
     ci, cj = rng.sample(range(cols), 2)
-    assert rank(apply_col_op(m, ColAdd(ci, cj, _random_laurent(rng)))) == r
-    assert rank(apply_col_op(m, ColSwap(ci, cj))) == r
+    assert rank(m * _elementary(cols, ci, cj, _random_laurent(rng))) == r
+    assert rank(m * _permutation(cols, ci, cj)) == r
 
 
 # -- mul / transpose_reverse ----------------------------------------------------
@@ -232,43 +242,6 @@ def test_mul_identity_and_golden():
 def test_mul_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         M("1, D") * M("1, D")
-
-
-# -- row/col ops -----------------------------------------------------------------
-
-
-def test_row_add_golden():
-    m = M("1\n0")
-    assert apply_row_op(m, RowAdd(0, 1, P("D"))) == M("1\nD")
-
-
-def test_row_scale_type2_golden():
-    m = M("D^-1+1")
-    assert apply_row_op(m, RowScale(0, 1)) == M("1+D")
-
-
-def test_row_scale_type3_golden():
-    m = PolyMatrix([[RationalPoly(P("1"), P("1+D+D^2"))]])
-    out = apply_row_op(m, RowScalePoly(0, P("1+D+D^2")))
-    assert out == M("1")
-    assert RowScalePoly.measurement_stage_only
-
-
-def test_op_errors():
-    m = M("1, D")
-    with pytest.raises(IndexError):
-        apply_row_op(m, RowAdd(0, 5, P("1")))
-    with pytest.raises(ValueError):
-        apply_row_op(m, RowScalePoly(0, LaurentPoly.zero()))
-    with pytest.raises(IndexError):
-        apply_col_op(m, ColSwap(0, 7))
-
-
-def test_col_ops():
-    m = M("1, 0\nD, 1")
-    assert apply_col_op(m, ColAdd(0, 1, P("D"))) == M("1, D\nD, 1+D^2")
-    assert apply_col_op(m, ColScale(0, 2)) == M("D^2, 0\nD^3, 1")
-    assert apply_col_op(m, ColSwap(0, 1)) == M("0, 1\n1, D")
 
 
 # -- row spaces and text format ----------------------------------------------------
