@@ -10,7 +10,7 @@ Subcommands:
 Check matrices are given with --h1/--h2 as either a file path or an inline
 matrix (rows separated by ';', entries by ',', polynomial grammar for the
 entries).  Exit codes: 0 success, 2 parse error, 3 validation error, 4
-verification failure.
+verification failure, 5 internal error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 import sys
 
 from .construct import build_code, code_params
-from .errors import EaqconvError, PolyParseError, ValidationError
+from .errors import EaqconvError, InternalError, PolyParseError, ValidationError
 from .gates import format_gate
 from .polymat import format_matrix, parse_matrix
 from .simulate import verify_code
@@ -243,6 +243,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
     except EaqconvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

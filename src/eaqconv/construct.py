@@ -33,6 +33,7 @@ from fractions import Fraction
 from .errors import (
     CatastrophicInput,
     ClassMismatch,
+    InternalError,
     NotDelayFree,
     RankDeficient,
     ValidationError,
@@ -49,7 +50,7 @@ from .gates import (
     swap,
 )
 from .poly import LaurentPoly, RationalPoly, divmod_shifted, gcd
-from .polymat import MatrixHooks, PolyMatrix, SmithEngine, SmithHooks, smith_form
+from .polymat import PolyMatrix, SmithDecomposition, SmithEngine, SmithHooks, smith_form
 
 CLASS1 = "class1"
 CLASS2 = "class2"
@@ -57,16 +58,22 @@ CLASS2_SPECIAL = "class2_special"
 
 _R0 = RationalPoly.zero()
 _R1 = RationalPoly.one()
+_L0 = LaurentPoly.zero()
 _L1 = LaurentPoly.one()
 
 
 # -- validation ---------------------------------------------------------------
 
 
-def validate_inputs(h1: PolyMatrix, h2: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
-    """Admit a pair of check matrices for noncatastrophic delay-free encoders."""
+def validate_inputs(h1: PolyMatrix, h2: PolyMatrix) -> SmithDecomposition:
+    """Admit a pair of check matrices for noncatastrophic delay-free encoders.
+
+    Returns H1's Smith decomposition H1 = A [I 0] B: the first rows(H1) rows
+    of B are A^-1 H1, a row basis of H1 reached by unimodular row operations.
+    """
     if h1.cols != h2.cols:
         raise ValidationError(f"column counts differ: {h1.cols} vs {h2.cols}")
+    decompositions = []
     for which, h in (("H1", h1), ("H2", h2)):
         if h.rows == 0 or h.rows >= h.cols:
             raise ValidationError(f"{which} must have 1 <= rows < cols, got {h.rows}x{h.cols}")
@@ -84,7 +91,8 @@ def validate_inputs(h1: PolyMatrix, h2: PolyMatrix) -> tuple[PolyMatrix, PolyMat
                 raise CatastrophicInput(which, g.shift(k))
             if k != 0:
                 raise NotDelayFree(which, g.shift(k))
-    return h1, h2
+        decompositions.append(s)
+    return decompositions[0]
 
 
 def _product_factors(product: PolyMatrix):
@@ -92,8 +100,8 @@ def _product_factors(product: PolyMatrix):
     rows = []
     for row in product.entries:
         exps = [e.num.dell for e in row if not e.is_zero()]
-        shift = RationalPoly(LaurentPoly.term(-min(exps))) if exps and min(exps) < 0 else _R1
-        rows.append([shift * e for e in row])
+        shift = -min(exps) if exps and min(exps) < 0 else 0
+        rows.append([e.shift(shift) for e in row])
     s = smith_form(PolyMatrix(rows))
     return list(s.gamma), list(s.unit_exps)
 
@@ -113,16 +121,23 @@ class TraceStep:
 
 
 class _Reduction:
-    """Mutable quantum check matrix with a gate log and mental row operations."""
+    """Mutable quantum check matrix with a gate log and mental row operations.
 
-    def __init__(self, h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False):
+    The grids hold LaurentPoly entries: the reduction issues no INF gate.
+    """
+
+    def __init__(self, h1: PolyMatrix, h2: PolyMatrix, h1_smith: SmithDecomposition, want_trace: bool = False):
         self.n = h1.cols
         self.k1 = self.n - h1.rows
         self.k2 = self.n - h2.rows
         top = h1.rows
         self.rows = top + h2.rows
-        self.z = [list(r) for r in h1.entries] + [[_R0] * self.n for _ in range(h2.rows)]
-        self.x = [[_R0] * self.n for _ in range(top)] + [list(r) for r in h2.entries]
+
+        def laurent(rows):
+            return [[e.as_poly() for e in row] for row in rows]
+        self.z = laurent(h1.entries) + [[_L0] * self.n for _ in range(h2.rows)]
+        self.x = [[_L0] * self.n for _ in range(top)] + laurent(h2.entries)
+        self.h1_basis = laurent(h1_smith.b.entries[:top])  # the top block after its row operations
         self.gates: list[Gate] = []
         self.row_ids = list(range(self.rows))
         self.row_scales: dict[int, int] = {}
@@ -143,9 +158,8 @@ class _Reduction:
         self._snapshot(format_gate(g))
 
     def row_add(self, src: int, dst: int, f: LaurentPoly):
-        fr = RationalPoly(f)
-        self.z[dst] = [a + fr * b for a, b in zip(self.z[dst], self.z[src])]
-        self.x[dst] = [a + fr * b for a, b in zip(self.x[dst], self.x[src])]
+        self.z[dst] = [a + f * b for a, b in zip(self.z[dst], self.z[src])]
+        self.x[dst] = [a + f * b for a, b in zip(self.x[dst], self.x[src])]
         self._snapshot(f"row {dst + 1} += ({f}) * row {src + 1}")
 
     def row_swap(self, i: int, j: int):
@@ -159,9 +173,8 @@ class _Reduction:
     def row_scale(self, pos: int, k: int):
         if k == 0:
             return
-        fr = RationalPoly(LaurentPoly.term(k))
-        self.z[pos] = [fr * a for a in self.z[pos]]
-        self.x[pos] = [fr * a for a in self.x[pos]]
+        self.z[pos] = [a.shift(k) for a in self.z[pos]]
+        self.x[pos] = [a.shift(k) for a in self.x[pos]]
         rid = self.row_ids[pos]
         self.row_scales[rid] = self.row_scales.get(rid, 0) + k
         self._snapshot(f"row {pos + 1} *= D^{k}")
@@ -201,7 +214,7 @@ class _ZBlockHooks(SmithHooks):
         self.note = note
 
     def entry(self, i, j):
-        return self.red.z[self.row0 + i][self.col0 + j].as_poly()
+        return self.red.z[self.row0 + i][self.col0 + j]
 
     def col_add(self, src, dst, f):
         self.red.z_coladd(self.col0 + src, self.col0 + dst, f, note=self.note)
@@ -215,9 +228,9 @@ class _ZBlockHooks(SmithHooks):
             self.identity_rows[i], self.identity_rows[j] = self.identity_rows[j], self.identity_rows[i]
 
     def _gamma_exp(self, p):
-        poly = self.red.z[self.row0 + p][self.gamma_f_col0 + p].as_poly()
+        poly = self.red.z[self.row0 + p][self.gamma_f_col0 + p]
         if poly.weight() != 1:
-            raise RuntimeError("F-block diagonal lost its power-of-D form")
+            raise InternalError("F-block diagonal lost its power-of-D form")
         return poly.dell
 
     def row_add(self, src, dst, f):
@@ -232,23 +245,6 @@ class _ZBlockHooks(SmithHooks):
             self.red.col_swap(self.gamma_f_col0 + i, self.gamma_f_col0 + j, note=self.note)
 
 
-class _TopRowHooks(MatrixHooks):
-    """Smith of the top block: row ops also act on the reduction, while the
-    column ops stay on the scratch grid (they are never realized as gates)."""
-
-    def __init__(self, red, m: PolyMatrix):
-        super().__init__(m)
-        self.red = red
-
-    def row_add(self, src, dst, f):
-        super().row_add(src, dst, f)
-        self.red.row_add(src, dst, f)
-
-    def row_swap(self, i, j):
-        super().row_swap(i, j)
-        self.red.row_swap(i, j)
-
-
 class _XBlockHooks(SmithHooks):
     """Smith of an X-side block: column ops are plain CNOTs, row ops mental."""
 
@@ -259,7 +255,7 @@ class _XBlockHooks(SmithHooks):
         self.note = note
 
     def entry(self, i, j):
-        return self.red.x[self.row0 + i][self.col0 + j].as_poly()
+        return self.red.x[self.row0 + i][self.col0 + j]
 
     def col_add(self, src, dst, f):
         self.red.x_coladd(self.col0 + src, self.col0 + dst, f, note=self.note)
@@ -303,13 +299,12 @@ class DecompositionRecord:
 def _standard_form_stage(red: _Reduction):
     """Row-reduce the top block, then column-reduce the bottom block to [I 0]."""
     n, k1, k2 = red.n, red.k1, red.k2
-    # mental row operations bringing the top block to its Smith row basis
-    top = PolyMatrix(red.z[: n - k1])
-    SmithEngine((top.rows, top.cols), _TopRowHooks(red, top)).run()
+    # mental row operations bring the top block to H1's Smith row basis
+    red.z[: n - k1] = red.h1_basis
     # in-place Smith of the bottom block's X side; column ops become gates
     SmithEngine((n - k2, n), _XBlockHooks(red, n - k1, 0, note="standard-form"), enforce_chain=False).run()
     for p in range(n - k2):
-        pivot = red.x[n - k1 + p][p].as_poly()
+        pivot = red.x[n - k1 + p][p]
         if pivot.is_zero():
             raise RankDeficient("H2", p, n - k2)
         df, k = pivot.delay_free()
@@ -340,16 +335,16 @@ def _plan_massage(red: _Reduction):
                         continue
                     if any(not work[r][m].is_zero() for r in range(top) if r != i):
                         continue  # impure column: the reduction would corrupt other rows
-                    q, r = divmod_shifted(phi.as_poly(), pivot.as_poly())
-                    if q.is_zero() or (not r.is_zero() and r.width >= phi.as_poly().width):
+                    q, r = divmod_shifted(phi, pivot)
+                    if q.is_zero() or (not r.is_zero() and r.width >= phi.width):
                         continue
                     plan.append((m, j, q))
-                    work[i][j] = RationalPoly(r)
+                    work[i][j] = r
                     changed = True
                     break
     scalings = []
     for i in range(top):
-        exps = [e.as_poly().dell for e in work[i] if not e.is_zero()]
+        exps = [e.dell for e in work[i] if not e.is_zero()]
         if exps and min(exps) != 0:
             scalings.append((i, -min(exps)))
     return plan, scalings
@@ -389,7 +384,7 @@ def _special_condition(f: PolyMatrix) -> bool:
 
 def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) -> DecompositionRecord:
     """Validate, reduce to the standard form, classify, and record everything."""
-    validate_inputs(h1, h2)
+    h1_smith = validate_inputs(h1, h2)
     n = h1.cols
     k1, k2 = n - h1.rows, n - h2.rows
     gammas, units = _product_factors(h1 * h2.transpose_reverse())
@@ -398,7 +393,7 @@ def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) 
     # k = k1+k2-n+c >= 0 always: Sylvester's inequality gives
     # c = rank(H1 H2~) >= (n-k1) + (n-k2) - n
 
-    red = _Reduction(h1, h2, want_trace=want_trace)
+    red = _Reduction(h1, h2, h1_smith, want_trace=want_trace)
     _standard_form_stage(red)
     e_mat = _e_block(red)
     f_mat = _f_block(red)
@@ -542,9 +537,8 @@ def _scale_rows(qcm: QuantumCheckMatrix, scale_by_row) -> QuantumCheckMatrix:
     z = qcm.z.to_lists()
     x = qcm.x.to_lists()
     for r, kexp in scale_by_row.items():
-        f = RationalPoly(LaurentPoly.term(kexp))
-        z[r] = [f * e for e in z[r]]
-        x[r] = [f * e for e in x[r]]
+        z[r] = [e.shift(kexp) for e in z[r]]
+        x[r] = [e.shift(kexp) for e in x[r]]
     return QuantumCheckMatrix(
         PolyMatrix(z, cols=qcm.cols), PolyMatrix(x, cols=qcm.cols), qcm.bob_cols, qcm.row_labels, qcm.info
     )
@@ -611,7 +605,7 @@ def _finish_class1(record: DecompositionRecord):
     ).run()
     gamma = []
     for t in range(c):
-        pivot = red.z[t][t].as_poly()
+        pivot = red.z[t][t]
         df, _ = pivot.delay_free()
         if df != _L1:
             raise ClassMismatch(f"invariant factor {pivot} of E is not a power of D")
@@ -623,7 +617,7 @@ def _finish_class1(record: DecompositionRecord):
     for i in range(c):
         a = gamma[i].dell
         for j in range(n - k2, n):
-            phi = red.x[i][j].as_poly()
+            phi = red.x[i][j]
             if not phi.is_zero():
                 red.x_coladd(i, j, phi.shift(-a), note="clear-F1")
     red._snapshot("ebit cross entries cleared")
@@ -633,11 +627,11 @@ def _finish_class1(record: DecompositionRecord):
     if r2 > 0:
         got = SmithEngine((r2, k2), _XBlockHooks(red, c, n - k2, note="F2-block"), enforce_chain=False).run()
         if got < r2:
-            raise RuntimeError("ancilla cross block lost rank; the input should have been rejected")
+            raise InternalError("ancilla cross block lost rank; the input should have been rejected")
         for t in range(r2):
-            pivot = red.x[c + t][n - k2 + t].as_poly()
+            pivot = red.x[c + t][n - k2 + t]
             if pivot.weight() != 1:
-                raise RuntimeError(f"ancilla cross factor {pivot} is not a power of D")
+                raise InternalError(f"ancilla cross factor {pivot} is not a power of D")
             gamma_f.append(pivot)
         for t in range(r2):
             red.gate(hadamard(n - k2 + t, note="frame-swap"))
@@ -691,7 +685,7 @@ def _finish_class2(record: DecompositionRecord):
         if got < n - k1:
             raise ClassMismatch("special-case cross block lost full row rank")
         for t in range(n - k1):
-            if red.z[t][n - k2 + t].as_poly().weight() != 1:
+            if red.z[t][n - k2 + t].weight() != 1:
                 raise ClassMismatch("special-case cross factor is not a power of D")
         red._snapshot("F diagonalized")
         hooks = _ZBlockHooks(red, 0, 0, identity_rows=identity_rows, gamma_f_col0=n - k2, note="E-block")
@@ -701,7 +695,7 @@ def _finish_class2(record: DecompositionRecord):
 
     gamma1, gamma2 = [], []
     for t in range(c):
-        pivot = red.z[t][t].as_poly()
+        pivot = red.z[t][t]
         df, kexp = pivot.delay_free()
         if df == _L1:
             gamma1.append(pivot)
@@ -710,14 +704,14 @@ def _finish_class2(record: DecompositionRecord):
                 red.row_scale(t, -kexp)
             gamma2.append(df)
     if len(gamma1) != s:
-        raise RuntimeError(f"unit-factor count {len(gamma1)} disagrees with s={s}")
+        raise InternalError(f"unit-factor count {len(gamma1)} disagrees with s={s}")
     red._snapshot("E diagonalized")
     blocks = {"Gamma1": gamma1, "Gamma2": gamma2}
 
     if special:
         gp = []
         for t in range(n - k1):
-            e = red.z[t][n - k2 + t].as_poly()
+            e = red.z[t][n - k2 + t]
             if e.weight() != 1:
                 raise ClassMismatch("special-case F diagonal lost its power-of-D form")
             gp.append(e)
@@ -735,15 +729,15 @@ def _finish_class2(record: DecompositionRecord):
                 (r3, k2), _ZBlockHooks(red, c, n - k2, note="F3-block"), enforce_chain=False
             ).run()
             if got < r3:
-                raise RuntimeError("ancilla cross block lost rank; the input should have been rejected")
+                raise InternalError("ancilla cross block lost rank; the input should have been rejected")
             for t in range(r3):
-                pivot = red.z[c + t][n - k2 + t].as_poly()
+                pivot = red.z[c + t][n - k2 + t]
                 if pivot.weight() != 1:
-                    raise RuntimeError(f"ancilla cross factor {pivot} is not a power of D")
+                    raise InternalError(f"ancilla cross factor {pivot} is not a power of D")
                 gamma_f3.append(pivot)
             for r in range(c):
                 for j in range(r3):
-                    phi = red.z[r][n - k2 + j].as_poly()
+                    phi = red.z[r][n - k2 + j]
                     if not phi.is_zero():
                         red.row_add(c + j, r, phi.shift(-gamma_f3[j].dell))
             red._snapshot("ancilla cross block cleared")
@@ -751,7 +745,7 @@ def _finish_class2(record: DecompositionRecord):
         for i in range(s):
             a = gamma1[i].dell
             for j in range(r3, k2):
-                phi = red.z[i][n - k2 + j].as_poly()
+                phi = red.z[i][n - k2 + j]
                 if not phi.is_zero():
                     red.z_coladd(i, n - k2 + j, phi.shift(-a), note="clear-F1b")
         # column-only triangularization of the remaining cross rows
@@ -766,7 +760,7 @@ def _finish_class2(record: DecompositionRecord):
         for i in range(c - s):
             for j in range(i + 1, c - s):
                 if not lmat[i][j].is_zero():
-                    raise RuntimeError("column-only reduction failed to reach lower-triangular form")
+                    raise InternalError("column-only reduction failed to reach lower-triangular form")
         blocks["L"] = PolyMatrix(lmat) if lmat else PolyMatrix.zero(0, 0)
         red._snapshot("cross rows triangularized")
 
@@ -884,9 +878,9 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
             for j in range(cs):
                 xrow = 2 * logical_cols.index(last_cols[j])
                 srow = s + j  # the reduced-position index survives the final row ordering
-                co = RationalPoly(LaurentPoly.term(-g2p[j].dell))
-                iz[xrow] = [a + co * b for a, b in zip(iz[xrow], stab.z.entries[srow])]
-                ix[xrow] = [a + co * b for a, b in zip(ix[xrow], stab.x.entries[srow])]
+                shift = -g2p[j].dell
+                iz[xrow] = [a + b.shift(shift) for a, b in zip(iz[xrow], stab.z.entries[srow])]
+                ix[xrow] = [a + b.shift(shift) for a, b in zip(ix[xrow], stab.x.entries[srow])]
         else:
             lmat = blocks["L"]
             for i in range(cs):

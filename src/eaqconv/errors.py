@@ -57,3 +57,7 @@ class ClassMismatch(EaqconvError):
 
 class WindowTooSmall(EaqconvError):
     """The simulation window cannot hold the requested supports."""
+
+
+class InternalError(EaqconvError):
+    """An internal invariant of the construction failed on admitted input."""

@@ -172,6 +172,8 @@ def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0) -> None:
     """Apply g's column operation to mutable (Z row, X row) list pairs.
 
     Only columns a (and b) change; a row whose source entry is zero is skipped.
+    Finite-depth gates only add shifted entries, so the rows may hold
+    LaurentPoly or RationalPoly entries; INF needs RationalPoly rows.
     """
 
     def col(idx):
@@ -186,13 +188,11 @@ def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0) -> None:
     a = col(g.i)
     b = col(g.j) if g.j is not None else None
     if g.kind == "CNOT":
-        dk = RationalPoly(LaurentPoly.term(g.delay))
-        dki = RationalPoly(LaurentPoly.term(-g.delay))
         for z, x in rows:
             if x[a]:
-                x[b] = x[b] + dk * x[a]
+                x[b] = x[b] + x[a].shift(g.delay)
             if z[b]:
-                z[a] = z[a] + dki * z[b]
+                z[a] = z[a] + z[b].shift(-g.delay)
     elif g.kind == "H":
         for z, x in rows:
             z[a], x[a] = x[a], z[a]
@@ -201,18 +201,15 @@ def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0) -> None:
             if x[a]:
                 z[a] = z[a] + x[a]
     elif g.kind == "CPHASE":
-        dk = RationalPoly(LaurentPoly.term(g.delay))
-        dki = RationalPoly(LaurentPoly.term(-g.delay))
         for z, x in rows:
             if x[a]:
-                z[b] = z[b] + dk * x[a]
+                z[b] = z[b] + x[a].shift(g.delay)
             if x[b]:
-                z[a] = z[a] + dki * x[b]
+                z[a] = z[a] + x[b].shift(-g.delay)
     elif g.kind == "CPHASE_SELF":
-        w = RationalPoly(LaurentPoly.term(g.delay) + LaurentPoly.term(-g.delay))
         for z, x in rows:
             if x[a]:
-                z[a] = z[a] + w * x[a]
+                z[a] = z[a] + x[a].shift(g.delay) + x[a].shift(-g.delay)
     elif g.kind == "INF":
         fwd = g.f.reverse() if g.time_reversed else g.f
         xmul = RationalPoly(LaurentPoly.one(), fwd)

@@ -305,6 +305,10 @@ class RationalPoly:
     def __truediv__(self, other: RationalPoly) -> RationalPoly:
         return self * other.inverse()
 
+    def shift(self, k: int) -> RationalPoly:
+        """Multiply by D^k."""
+        return RationalPoly(self.num.shift(k), self.den)
+
     def reverse(self) -> RationalPoly:
         return RationalPoly(self.num.reverse(), self.den.reverse())
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, PolyParseError
+from .errors import DimensionMismatch, InternalError, PolyParseError
 from .poly import (
     divmod_width,
     LaurentPoly,
@@ -170,7 +170,7 @@ class SmithEngine:
     def _tick(self):
         self._budget -= 1
         if self._budget <= 0:
-            raise RuntimeError("Smith reduction exceeded its operation budget")
+            raise InternalError("Smith reduction exceeded its operation budget")
 
     def _pick_pivot(self, t):
         best = None
@@ -289,11 +289,7 @@ class SmithEngine:
 
 
 class MatrixHooks(SmithHooks):
-    """Smith hooks over a plain grid, accumulating unimodular witnesses.
-
-    Subclasses that extend the row operations can mirror them elsewhere while
-    the column operations stay on this grid.
-    """
+    """Smith hooks over a plain grid, accumulating unimodular witnesses."""
 
     def __init__(self, m: PolyMatrix):
         self.w = [[e.as_poly() for e in row] for row in m.entries]

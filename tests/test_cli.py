@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from eaqconv import polymat
 from eaqconv.cli import main
+from eaqconv.construct import build_code
+from eaqconv.errors import InternalError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -56,6 +59,16 @@ def test_validation_error_names_factor(capsys):
     assert code == 3
     assert "catastrophic" in err
     assert "1+D" in err
+
+
+def test_internal_error_is_typed_and_exits_5(capsys, monkeypatch):
+    monkeypatch.setattr(polymat, "_SMITH_CAP", 1)
+    h = polymat.parse_matrix("1+D^2, 1+D+D^2")
+    with pytest.raises(InternalError, match="operation budget"):
+        build_code(h, h)
+    code, _, err = run(capsys, "build", "--h1", "1+D^2, 1+D+D^2", "--h2", "1+D^2, 1+D+D^2")
+    assert code == 5
+    assert err.startswith("internal error: Smith reduction exceeded its operation budget")
 
 
 def test_verify_pass(capsys):

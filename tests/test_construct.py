@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +30,7 @@ from eaqconv.construct import (
 )
 from eaqconv.gates import format_circuit
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly
-from eaqconv.polymat import PolyMatrix, parse_matrix, row_space_equal
+from eaqconv.polymat import PolyMatrix, parse_matrix, row_space_equal, smith_form
 
 H_EX1 = parse_matrix("1+D^2, 1+D+D^2")
 H_EX2 = parse_matrix("1, 1+D")
@@ -74,6 +76,26 @@ def test_validate_rejects_bad_shapes():
         validate_inputs(parse_matrix("1, D"), parse_matrix("1, 0, 0"))
     with pytest.raises(ValidationError):
         validate_inputs(parse_matrix("1, 0\n0, 1"), parse_matrix("1, 0"))
+
+
+def _admitted_pairs():
+    with open(Path(__file__).parent / "golden" / "random_codes.json", encoding="utf-8") as fh:
+        codes = json.load(fh)["codes"]
+    pairs = [(c["h1"], c["h2"]) for c in codes]
+    return pairs + [("1+D^2, 1+D+D^2", "1+D^2, 1+D+D^2"), ("1, 1+D", "1, 1+D")]
+
+
+@pytest.mark.parametrize("h1_text, h2_text", _admitted_pairs())
+def test_validate_returns_a_row_basis_of_h1(h1_text, h2_text):
+    """The construction starts its top block from these rows of B instead of reducing H1 again."""
+    h1, h2 = (parse_matrix(t.replace(";", "\n")) for t in (h1_text, h2_text))
+    s = validate_inputs(h1, h2)
+    assert s.reconstruct(h1.rows, h1.cols) == h1
+    basis = s.b.submatrix(range(h1.rows), range(h1.cols))
+    assert row_space_equal(basis, h1)
+    factors = smith_form(basis)
+    assert factors.gamma == (LaurentPoly.one(),) * h1.rows
+    assert factors.unit_exps == (0,) * h1.rows
 
 
 # -- ebit count --------------------------------------------------------------------

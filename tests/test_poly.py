@@ -159,6 +159,12 @@ def test_rational_field_ops(an, ad, bn, bd):
         assert a * a.inverse() == RationalPoly.one()
 
 
+@given(laurents, nonzero_laurents, st.integers(min_value=-8, max_value=8))
+def test_rational_shift_is_multiplication_by_unit(num, den, k):
+    r = RationalPoly(num, den)
+    assert r.shift(k) == RationalPoly(LaurentPoly.term(k)) * r
+
+
 # -- series expansion ---------------------------------------------------------
 
 
