@@ -665,8 +665,8 @@ def build_class1(record: DecompositionRecord) -> CodeSpec:
     for j in range(n - k2 - c):
         pair[n - k1 + c + j] = c + len(anc_a) + c + j
 
-    encoder = Circuit(tuple(g.inverse() for g in reversed(red.gates)), direction="encode")
-    decoder = Circuit(tuple(red.gates), direction="decode")
+    encoder = Circuit(tuple(g.inverse() for g in reversed(red.gates)))
+    decoder = Circuit(tuple(red.gates))
     return _assemble(record, bare, pair, encoder, decoder, info_fix=None,
                      logical_cols=logical_cols, decoded_cols=logical_cols)
 
@@ -839,7 +839,7 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
         for i in range(cs):
             sub.append(inf_depth(mid_cols[i], gamma2[i], time_reversed=True, note="ebit-stage"))
 
-    encoder = Circuit(tuple(sub) + tuple(g.inverse() for g in reversed(red.gates)), direction="encode")
+    encoder = Circuit(tuple(sub) + tuple(g.inverse() for g in reversed(red.gates)))
 
     # decoding: undo the finite-depth part, then unravel the infinite-depth stage
     tail = []
@@ -867,7 +867,7 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
                         tail.append(cnot(s + i, c + last_cols[j], exp, full_frame=True, note="ebit-unstage"))
         tail.extend(sandwich)
 
-    decoder = Circuit(tuple(red.gates) + tuple(tail), direction="decode")
+    decoder = Circuit(tuple(red.gates) + tuple(tail))
 
     # decode-time logical fix-ups: add stabilizer rows to logical rows
     def info_fix(stab: QuantumCheckMatrix, info: QuantumCheckMatrix) -> QuantumCheckMatrix:

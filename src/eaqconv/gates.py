@@ -168,12 +168,11 @@ class QuantumCheckMatrix:
         return self.z.is_polynomial() and self.x.is_polynomial()
 
 
-def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0) -> None:
-    """Apply g's column operation to mutable (Z row, X row) list pairs.
+def gate_columns(g: Gate, cols: int, bob_cols: int) -> tuple[int, int | None]:
+    """The frame columns (a, b) that g addresses; b is None for one-qubit gates.
 
-    Only columns a (and b) change; a row whose source entry is zero is skipped.
-    Finite-depth gates only add shifted entries, so the rows may hold
-    LaurentPoly or RationalPoly entries; INF needs RationalPoly rows.
+    Raises IndexError when a qubit lies outside the sender's columns, or
+    outside the frame for a full_frame gate.
     """
 
     def col(idx):
@@ -185,8 +184,17 @@ def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0) -> None:
             raise IndexError(f"gate addressed outside the sender's qubits (index {idx})")
         return bob_cols + idx
 
-    a = col(g.i)
-    b = col(g.j) if g.j is not None else None
+    return col(g.i), (col(g.j) if g.j is not None else None)
+
+
+def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0) -> None:
+    """Apply g's column operation to mutable (Z row, X row) list pairs.
+
+    Only columns a (and b) change; a row whose source entry is zero is skipped.
+    Finite-depth gates only add shifted entries, so the rows may hold
+    LaurentPoly or RationalPoly entries; INF needs RationalPoly rows.
+    """
+    a, b = gate_columns(g, cols, bob_cols)
     if g.kind == "CNOT":
         for z, x in rows:
             if x[a]:
@@ -234,7 +242,6 @@ def apply_gate(qcm: QuantumCheckMatrix, g: Gate) -> QuantumCheckMatrix:
 @dataclass(frozen=True)
 class Circuit:
     gates: tuple[Gate, ...] = ()
-    direction: str = "encode"
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -248,7 +255,7 @@ class Circuit:
     def inverse(self) -> Circuit:
         if not self.is_finite_depth():
             raise ValueError("cannot invert a circuit with infinite-depth operations")
-        return Circuit(tuple(g.inverse() for g in reversed(self.gates)), direction="decode")
+        return Circuit(tuple(g.inverse() for g in reversed(self.gates)))
 
     def apply(self, qcm: QuantumCheckMatrix, observe=None) -> QuantumCheckMatrix:
         """Run every gate on one mutable copy of qcm and return it frozen.
@@ -346,13 +353,13 @@ def parse_gate(line: str) -> Gate:
         raise PolyParseError(f"{exc} in {line!r}") from None
 
 
-def parse_circuit(text: str, direction: str = "encode") -> Circuit:
+def parse_circuit(text: str) -> Circuit:
     gates = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             gates.append(parse_gate(line))
-    return Circuit(tuple(gates), direction=direction)
+    return Circuit(tuple(gates))
 
 
 # -- infinite-depth synthesis ----------------------------------------------------

@@ -2,25 +2,31 @@
 
 The window holds W frames of m = (receiver + sender) qubits each.  A row is
 a pair of bitmasks (z | x) over the W*m qubit slots, bit index
-frame * m + qubit.  Expanding a polynomial check matrix places every frame
-shift of every generator whose support fits inside the window; rational
-entries are expanded as ascending series and truncated at the window edge.
+frame * m + qubit, so qubit q's track is the stride-m bit plane of bits
+q, m + q, 2m + q, ...  Expanding a polynomial check matrix places every
+frame shift of every generator whose support fits inside the window;
+rational entries are expanded as ascending series and truncated at the
+window edge.
 
-Circuits act frame by frame exactly as their column-operation semantics
+Circuits act on whole bit planes exactly as their column-operation semantics
 dictate, so running a circuit here is an independent check of the algebraic
-pipeline.  Infinite-depth operations run as their sliding-window CNOT rules;
-ascending application order makes the target-frame updates feed back (the
-1/f expansion on the X side) while source-frame updates do not (the plain
-f(D^-1) product on the Z side).
+pipeline: every gate masks a track, moves it k frames onto a track (one
+shift by k*m plus the change of qubit) and XORs it in.  Infinite-depth
+operations run as their sliding-window CNOT rules: ascending application
+order makes the target-frame updates feed back (the 1/f expansion on the X
+side) while source-frame updates do not (the plain f(D^-1) product on the Z
+side).
 
 Truncation bookkeeping: every row carries, per qubit track, the frame
 interval on which its window bits provably equal the ideal infinite stream,
 plus flags recording that the ideal stream extends past the head or tail of
-the window.  Gates that move bits between frames shrink the target track's
-interval by the shifted image of the source track's unreliable region, and
-an infinite-depth operation on a track with head trouble invalidates the
-track outright (its feedback would need the missing history).  Comparisons
-against the exact algebra then use only the provably-exact bits.
+the window.  One rule sets the flags: a move that carries bits off the head
+or tail flags the destination track (`_spill`).  Gates that move bits
+between frames shrink the target track's interval by the shifted image of
+the source track's unreliable region, and an infinite-depth operation on a
+track with head trouble invalidates the track outright (its feedback would
+need the missing history).  Comparisons against the exact algebra then use
+only the provably-exact bits.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import WindowTooSmall
-from .gates import Circuit, Gate, QuantumCheckMatrix, SlidingWindowRule, synthesize_infinite_depth, time_reversed_rule
-from .poly import RationalPoly, series_expand
+from .gates import Circuit, QuantumCheckMatrix, SlidingWindowRule, gate_columns, synthesize_infinite_depth, time_reversed_rule
+from .poly import LaurentPoly, RationalPoly, series_expand
 from .polymat import PolyMatrix, row_space_equal
 
 
@@ -74,12 +80,8 @@ class WindowRow:
             d.tail_lost |= s.tail_lost
 
     def valid_mask(self, win, head=0, tail=0) -> int:
-        mask = 0
-        m, w = win.n_per_frame, win.window
-        for q, tr in enumerate(self.tracks):
-            for t in range(max(tr.vf, head), min(tr.vu, w - tail)):
-                mask |= 1 << (t * m + q)
-        return mask
+        w = win.window
+        return sum(_frames(win, q, max(tr.vf, head), min(tr.vu, w - tail)) for q, tr in enumerate(self.tracks))
 
 
 @dataclass
@@ -146,130 +148,88 @@ def expand(qcm: QuantumCheckMatrix, window: int, scratch: int = 0) -> BinarySymp
     m = qcm.cols
     win = BinarySymplecticWindow(n_per_frame=m, window=window, scratch=scratch, bob_cols=qcm.bob_cols)
     labels = qcm.row_labels or tuple(f"row{r + 1}" for r in range(qcm.rows))
+    full = (1 << window * m) - 1
     for r in range(qcm.rows):
         lo, hi, rational = _row_support(qcm, r)
         if lo is None:
             continue
-        placed_any = False
-        for shift in range(-scratch - lo, window):
-            start = scratch + shift + lo
-            if start < 0:
-                continue
-            if not rational:
-                end = scratch + shift + hi
-                if end >= window:
-                    continue
-            if start >= window:
-                break
-            zbits = xbits = 0
-            span_lo = -scratch - shift
-            span_hi = window - 1 - scratch - shift
-            tracks = []
-            for q in range(m):
-                clipped = False
-                for entry, is_z in ((qcm.z.entries[r][q], True), (qcm.x.entries[r][q], False)):
-                    if entry.is_zero():
-                        continue
-                    if not entry.is_polynomial():
-                        clipped = True
-                    poly = series_expand(entry, span_lo, span_hi)
-                    for e in poly.exponents():
-                        b = win.bit(scratch + shift + e, q)
-                        if is_z:
-                            zbits |= b
-                        else:
-                            xbits |= b
-                tracks.append(TrackState(0, window, tail_lost=clipped))
-            win.rows.append(WindowRow(zbits, xbits, r, shift, labels[r], truncated=rational, tracks=tracks))
-            placed_any = True
-        if not placed_any:
+        # the row's Z and X planes with exponent lo at frame 0
+        planes = [0, 0]
+        clipped = []
+        for q in range(m):
+            entries = (qcm.z.entries[r][q], qcm.x.entries[r][q])
+            for side, entry in enumerate(entries):
+                if not entry.is_zero():
+                    for e in series_expand(entry, lo, lo + window - 1).exponents():
+                        planes[side] |= 1 << ((e - lo) * m + q)
+            clipped.append(any(not e.is_polynomial() for e in entries))
+        # copy `start` begins at frame start and is the frame shift start - scratch - lo
+        last = min(window - 1 if rational else window - 1 - (hi - lo), window + scratch + lo - 1)
+        if last < 0:
             raise WindowTooSmall(f"row {labels[r]} does not fit in a {window}-frame window")
+        for start in range(last + 1):
+            win.rows.append(WindowRow(
+                (planes[0] << start * m) & full, (planes[1] << start * m) & full, r, start - scratch - lo,
+                labels[r], truncated=rational, tracks=[TrackState(0, window, tail_lost=c) for c in clipped],
+            ))
     return win
 
 
-def _gate_qubits(win: BinarySymplecticWindow, g: Gate):
-    if g.full_frame:
-        return g.i, g.j
-    off = win.bob_cols
-    return off + g.i, (off + g.j if g.j is not None else None)
+def _frames(win: BinarySymplecticWindow, q: int, lo: int, hi: int) -> int:
+    """The mask of track q on frames [lo, hi), clipped to the window."""
+    m = win.n_per_frame
+    lo, hi = max(lo, 0), min(hi, win.window)
+    if lo >= hi:
+        return 0
+    return ((1 << (hi - lo) * m) - 1) // ((1 << m) - 1) << (lo * m + q)
 
 
-def _apply_cnot(win, rows, a, b, delay):
-    w = win.window
-    for row in rows:
-        z, x = row.z, row.x
-        nz, nx = z, x
-        for t in range(w):
-            tb = t + delay
-            if not 0 <= tb < w:
-                if x & win.bit(t, a):  # the X write would land off the window
-                    row.tracks[b].head_lost |= tb < 0
-                    row.tracks[b].tail_lost |= tb >= w
-                continue
-            if x & win.bit(t, a):
-                nx ^= win.bit(tb, b)
-            if z & win.bit(tb, b):
-                nz ^= win.bit(t, a)
-        # Z writes whose target frame falls off the window while the read
-        # frame is inside: the ideal stream grows bits the window cannot hold
-        for t in list(range(-abs(delay), 0)) + list(range(w, w + abs(delay))):
-            tb = t + delay
-            if 0 <= tb < w and z & win.bit(tb, b):
-                row.tracks[a].head_lost |= t < 0
-                row.tracks[a].tail_lost |= t >= w
-        row.z, row.x = nz, nx
-        row.damage(a, b, delay, w)  # X side: track a feeds track b
-        row.damage(b, a, delay, w)  # Z side: track b feeds track a
-    return rows
+def _move(bits: int, k: int, src: int, dst: int, m: int) -> int:
+    """Track-src bits moved k frames later onto track dst.
+
+    Bits that would land before frame 0 are dropped; bits past the last
+    frame are not, so callers mask the result with the destination track.
+    """
+    s = k * m + dst - src
+    return bits << s if s >= 0 else bits >> -s
 
 
-def _apply_inf(win, rows, track, rule: SlidingWindowRule):
-    w = win.window
-    exps = sorted(rule.window - a for a, _ in rule.cnot_pattern)
-    shift = rule.scratch_frames
-    width = rule.window - 1
-    for row in rows:
+def _spill(win: BinarySymplecticWindow, bits: int, q: int, k: int, track: TrackState) -> None:
+    """Flag `track` when moving the track-q bits by k frames carries any off the window."""
+    if k < 0 and bits & _frames(win, q, 0, -k):
+        track.head_lost = True
+    elif k > 0 and bits & _frames(win, q, win.window - k, win.window):
+        track.tail_lost = True
+
+
+def _apply_inf(win: BinarySymplecticWindow, track: int, rule: SlidingWindowRule) -> None:
+    m, w = win.n_per_frame, win.window
+    mask = _frames(win, track, 0, w)
+    f = [0] + [rule.window - a for a, _ in rule.cnot_pattern]  # exponents of the delay-free f
+    inverse = series_expand(RationalPoly(LaurentPoly.one(), LaurentPoly(sum(1 << e for e in f))), 0, w - 1)
+    shift, width = rule.scratch_frames, rule.window - 1
+    for row in win.rows:
         tr = row.tracks[track]
-        zbits = [1 if row.z & win.bit(t, track) else 0 for t in range(w)]
-        xbits = [1 if row.x & win.bit(t, track) else 0 for t in range(w)]
+        z, x = row.z & mask, row.x & mask
         if shift:
-            if any(zbits[t] or xbits[t] for t in range(w) if not 0 <= t + shift < w):
-                tr.head_lost |= shift < 0
-                tr.tail_lost |= shift > 0
-            zbits = _shift_bits(zbits, shift)
-            xbits = _shift_bits(xbits, shift)
+            _spill(win, z | x, track, shift, tr)
+            z, x = _move(z, shift, track, track, m) & mask, _move(x, shift, track, track, m) & mask
             row.damage(track, track, shift, w)
-        for j in range(w):
-            for e in exps:
-                if j - e >= 0:
-                    xbits[j] ^= xbits[j - e]  # feedback: the 1/f expansion
-                    if zbits[j]:
-                        zbits[j - e] ^= 1  # feed-forward: multiplication by f(D^-1)
-                elif zbits[j]:
-                    tr.head_lost = True  # the f(D^-1) product reaches past the head
+        nz = nx = 0
+        for e in f:  # feed-forward: multiplication by f(D^-1)
+            _spill(win, z, track, -e, tr)
+            nz ^= _move(z, -e, track, track, m)
+        for e in inverse.exponents():  # feedback: the 1/f expansion
+            nx ^= _move(x, e, track, track, m)
         # feedback needs the full history: head trouble invalidates the track
         if tr.head_lost or tr.vf > 0:
             tr.vf = w
         if width and (tr.tail_lost or tr.vu < w):
             tr.vu = max(0, tr.vu - width)
         tr.tail_lost = True  # the expansion continues past the window
-        z, x = row.z, row.x
-        for t in range(w):
-            b = win.bit(t, track)
-            z = (z & ~b) | (b if zbits[t] else 0)
-            x = (x & ~b) | (b if xbits[t] else 0)
-        row.z, row.x = z, x
+        row.z = (row.z & ~mask) | nz
+        row.x = (row.x & ~mask) | (nx & mask)
         row.truncated = True
-    return rows
-
-
-def _shift_bits(bits, k):
-    w = len(bits)
-    out = [0] * w
-    for t, v in enumerate(bits):
-        if v and 0 <= t + k < w:
-            out[t + k] = 1
-    return out
 
 
 def run_circuit(win: BinarySymplecticWindow, circuit: Circuit) -> BinarySymplecticWindow:
@@ -277,68 +237,40 @@ def run_circuit(win: BinarySymplecticWindow, circuit: Circuit) -> BinarySymplect
     out = BinarySymplecticWindow(
         win.n_per_frame, win.window, win.scratch, win.bob_cols, [r.copy() for r in win.rows]
     )
-    w = win.window
+    m, w = win.n_per_frame, win.window
     for g in circuit:
-        a, b = _gate_qubits(out, g)
-        if g.kind == "CNOT":
-            _apply_cnot(out, out.rows, a, b, g.delay)
-        elif g.kind == "H":
-            for row in out.rows:
-                za = xa = 0
-                for t in range(w):
-                    bit = out.bit(t, a)
-                    if row.z & bit:
-                        za |= bit
-                    if row.x & bit:
-                        xa |= bit
-                row.z ^= za ^ xa
-                row.x ^= xa ^ za
-        elif g.kind == "P":
-            for row in out.rows:
-                for t in range(w):
-                    bit = out.bit(t, a)
-                    if row.x & bit:
-                        row.z ^= bit
-        elif g.kind == "CPHASE":
-            for row in out.rows:
-                nz = row.z
-                for t in range(w):
-                    tb = t + g.delay
-                    if 0 <= tb < w:
-                        if row.x & out.bit(t, a):
-                            nz ^= out.bit(tb, b)
-                        if row.x & out.bit(tb, b):
-                            nz ^= out.bit(t, a)
-                    elif row.x & out.bit(t, a):
-                        row.tracks[b].head_lost |= tb < 0
-                        row.tracks[b].tail_lost |= tb >= w
-                for t in list(range(-abs(g.delay), 0)) + list(range(w, w + abs(g.delay))):
-                    tb = t + g.delay
-                    if 0 <= tb < w and row.x & out.bit(tb, b):
-                        row.tracks[a].head_lost |= t < 0
-                        row.tracks[a].tail_lost |= t >= w
-                row.z = nz
-                row.damage(a, b, g.delay, w)
-                row.damage(b, a, g.delay, w)
-        elif g.kind == "CPHASE_SELF":
-            for row in out.rows:
-                nz = row.z
-                for t in range(w):
-                    if g.delay == 0 or not row.x & out.bit(t, a):
-                        continue
-                    for tb in (t + g.delay, t - g.delay):
-                        if 0 <= tb < w:
-                            nz ^= out.bit(tb, a)
-                        else:
-                            row.tracks[a].head_lost |= tb < 0
-                            row.tracks[a].tail_lost |= tb >= w
-                row.z = nz
-                row.damage(a, a, g.delay, w)
-        elif g.kind == "INF":
-            rule = time_reversed_rule(g.f) if g.time_reversed else synthesize_infinite_depth(g.f)
-            _apply_inf(out, out.rows, a, rule)
-        else:  # pragma: no cover
-            raise ValueError(g.kind)
+        a, b = gate_columns(g, m, win.bob_cols)
+        if g.kind == "INF":
+            _apply_inf(out, a, time_reversed_rule(g.f) if g.time_reversed else synthesize_infinite_depth(g.f))
+            continue
+        ma, mb, k = _frames(out, a, 0, w), (0 if b is None else _frames(out, b, 0, w)), g.delay
+        for row in out.rows:
+            z, x = row.z, row.x
+            if g.kind == "CNOT":
+                _spill(out, x & ma, a, k, row.tracks[b])
+                _spill(out, z & mb, b, -k, row.tracks[a])
+                row.x ^= _move(x & ma, k, a, b, m) & mb
+                row.z ^= _move(z & mb, -k, b, a, m) & ma
+                row.damage(a, b, k, w)  # X side: track a feeds track b
+                row.damage(b, a, k, w)  # Z side: track b feeds track a
+            elif g.kind == "CPHASE":
+                _spill(out, x & ma, a, k, row.tracks[b])
+                _spill(out, x & mb, b, -k, row.tracks[a])
+                row.z ^= (_move(x & ma, k, a, b, m) & mb) ^ (_move(x & mb, -k, b, a, m) & ma)
+                row.damage(a, b, k, w)
+                row.damage(b, a, k, w)
+            elif g.kind == "CPHASE_SELF":
+                _spill(out, x & ma, a, k, row.tracks[a])
+                _spill(out, x & ma, a, -k, row.tracks[a])
+                row.z ^= (_move(x & ma, k, a, a, m) ^ _move(x & ma, -k, a, a, m)) & ma
+                row.damage(a, a, k, w)
+            elif g.kind == "P":
+                row.z ^= x & ma
+            elif g.kind == "H":
+                row.z ^= (z ^ x) & ma
+                row.x ^= (z ^ x) & ma
+            else:  # pragma: no cover
+                raise ValueError(g.kind)
     return out
 
 

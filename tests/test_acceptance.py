@@ -313,7 +313,7 @@ def test_criterion_7_negative_controls():
     assert str(err.value.factor) == "1+D"
     spec = build_code(H_EX1, H_EX1)
     spoiled = copy.copy(spec)
-    spoiled.encoder = Circuit(spec.encoder.gates[:4] + spec.encoder.gates[5:], "encode")
+    spoiled.encoder = Circuit(spec.encoder.gates[:4] + spec.encoder.gates[5:])
     report = verify_code(spoiled, window=16)
     decode_check = next(c for c in report.checks if c.name == "decoded logical operators")
     assert not decode_check.passed

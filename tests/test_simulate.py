@@ -15,6 +15,8 @@ from eaqconv.gates import (
     QuantumCheckMatrix,
     apply_gate,
     cnot,
+    cphase,
+    cphase_self,
     hadamard,
     inf_depth,
     phase,
@@ -82,6 +84,17 @@ def test_run_circuit_empty_is_identity():
     win = expand(RATE_THIRD, window=6)
     out = run_circuit(win, Circuit(()))
     assert [(r.z, r.x) for r in out.rows] == [(r.z, r.x) for r in win.rows]
+
+
+def test_run_circuit_rejects_gates_outside_the_frame():
+    # one receiver column and one sender column: neither gate may reach the next frame
+    state = qcm("1, D", "D, 1", bob_cols=1)
+    win = expand(state, window=4)
+    for g in (hadamard(1), hadamard(2, full_frame=True)):
+        with pytest.raises(IndexError):
+            Circuit((g,)).apply(state)
+        with pytest.raises(IndexError):
+            run_circuit(win, Circuit((g,)))
 
 
 def test_inf_depth_rule_reproduces_long_division():
@@ -193,10 +206,12 @@ def _random_state(rng, rows, cols):
 
 
 def _random_finite_gate(rng, cols):
-    kind = rng.choice(["CNOT", "H", "P", "CNOT"])
-    if kind == "CNOT" and cols >= 2:
+    kind = rng.choice(["CNOT", "H", "P", "CNOT", "CPHASE", "CPHASE_SELF"])
+    if kind in ("CNOT", "CPHASE") and cols >= 2:
         i, j = rng.sample(range(cols), 2)
-        return cnot(i, j, rng.randint(-2, 2))
+        return (cnot if kind == "CNOT" else cphase)(i, j, rng.randint(-2, 2))
+    if kind == "CPHASE_SELF":
+        return cphase_self(rng.randrange(cols), rng.randint(-2, 2))
     if kind == "P":
         return phase(rng.randrange(cols))
     return hadamard(rng.randrange(cols))
@@ -326,7 +341,7 @@ def test_verify_catches_deleted_gate():
     spec = build_code(h, h)
     for i in range(len(spec.encoder.gates)):
         spoiled = copy.copy(spec)
-        spoiled.encoder = Circuit(spec.encoder.gates[:i] + spec.encoder.gates[i + 1 :], "encode")
+        spoiled.encoder = Circuit(spec.encoder.gates[:i] + spec.encoder.gates[i + 1 :])
         report = verify_code(spoiled, window=16)
         decode_check = next(c for c in report.checks if c.name == "decoded logical operators")
         assert not decode_check.passed, f"deleting gate {i} went unnoticed"
