@@ -1,0 +1,104 @@
+"""The per-bit GF(2)[D] arithmetic, kept as the reference for `eaqconv.poly`.
+
+This is the arithmetic `poly.py` used before its word-level division and its
+`RationalPoly` fast paths: `bits_divmod` steps through every bit position of
+the dividend, `bits_gcd` runs the Euclidean algorithm with no shortcut,
+`reverse` and `exponents` visit every coefficient position, and
+`RationalPoly` normalises every result from scratch (push the denominator's
+unit into the numerator, then cancel the gcd).  It reuses `LaurentPoly` for
+storage, addition, multiplication and shifts, which the differential test
+does not replace.
+"""
+
+from __future__ import annotations
+
+from eaqconv.poly import LaurentPoly
+
+
+def bits_divmod(a: int, b: int) -> tuple[int, int]:
+    """Ordinary GF(2)[D] division of coefficient masks, b != 0."""
+    if b == 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    m = a.bit_length() - 1
+    n = b.bit_length() - 1
+    if m < n:
+        return 0, a
+    q = 0
+    b <<= m - n
+    for i in range(m - n + 1):
+        q <<= 1
+        if (a >> (m - i)) & 1:
+            a ^= b
+            q ^= 1
+        b >>= 1
+    return q, a
+
+
+def bits_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, bits_divmod(a, b)[1]
+    return a
+
+
+def exponents(p: LaurentPoly) -> list[int]:
+    return [p.low + i for i in range(p.bits.bit_length()) if (p.bits >> i) & 1]
+
+
+def reverse(p: LaurentPoly) -> LaurentPoly:
+    """Substitute D^-1 for D (time reversal)."""
+    if p.bits == 0:
+        return p
+    n = p.bits.bit_length()
+    rev = 0
+    b = p.bits
+    for _ in range(n):
+        rev = (rev << 1) | (b & 1)
+        b >>= 1
+    return LaurentPoly(rev, -(p.low + n - 1))
+
+
+class RationalPoly:
+    """num/den normalised on every construction, as `eaqconv.poly` once did."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = LaurentPoly.one()):
+        if den.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num.is_zero():
+            num, den = LaurentPoly.zero(), LaurentPoly.one()
+        else:
+            # push the denominator's unit into the numerator, then cancel
+            den_df, dk = den.delay_free()
+            num = num.shift(-dk)
+            g = bits_gcd(num.bits, den_df.bits)
+            if g != 1:
+                num = LaurentPoly(bits_divmod(num.bits, g)[0], num.low)
+                den_df = LaurentPoly(bits_divmod(den_df.bits, g)[0], 0)
+            den = den_df
+        self.num = num
+        self.den = den
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __add__(self, other: RationalPoly) -> RationalPoly:
+        return RationalPoly(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other: RationalPoly) -> RationalPoly:
+        return RationalPoly(self.num * other.num, self.den * other.den)
+
+    def inverse(self) -> RationalPoly:
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        return RationalPoly(self.den, self.num)
+
+    def __truediv__(self, other: RationalPoly) -> RationalPoly:
+        return self * other.inverse()
+
+    def shift(self, k: int) -> RationalPoly:
+        """Multiply by D^k."""
+        return RationalPoly(self.num.shift(k), self.den)
+
+    def reverse(self) -> RationalPoly:
+        return RationalPoly(reverse(self.num), reverse(self.den))

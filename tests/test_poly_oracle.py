@@ -1,0 +1,146 @@
+"""Differential test: GF(2)(D) arithmetic against its per-bit reference.
+
+`tests/poly_oracle.py` keeps the per-bit division, gcd, `reverse` and
+`exponents` and the `RationalPoly` that normalises every result.  Seeded
+random masks up to 512 bits (and pairs with a planted common factor) go
+through both divisions and gcds; seeded rational operands of four kinds
+(zero, denominator 1, a shared denominator, distinct denominators, all with
+negative `low` allowed) go through `+`, `*`, `/`, `shift` and `reverse`.
+Every result must equal the reference exactly and be in canonical form.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import poly_oracle as oracle
+from eaqconv import poly
+from eaqconv.poly import LaurentPoly, RationalPoly
+
+CASES = 400
+KINDS = ("zero", "den1", "shared", "distinct")
+
+
+def _mask(rng, max_bits=512):
+    return rng.getrandbits(rng.randint(0, max_bits))
+
+
+def _laurent(rng, max_bits=40):
+    return LaurentPoly(_mask(rng, max_bits), rng.randint(-12, 12))
+
+
+def _denominator(rng):
+    return LaurentPoly(_mask(rng, 8) << 1 | 1, rng.randint(-4, 4))  # nonzero; unit pushed out on construction
+
+
+def _assert_canonical(r):
+    assert type(r) is RationalPoly
+    num, den = r.num, r.den
+    assert num.bits & 1 or (num.bits, num.low) == (0, 0)
+    assert den.bits & 1 and den.low == 0
+    if num.is_zero():
+        assert den.bits == 1
+    else:
+        assert oracle.bits_gcd(num.bits, den.bits) == 1
+    assert r.is_polynomial() == (den == LaurentPoly.one())
+
+
+def _pair(rng, kind):
+    """(num, den) inputs for two operands of the given kind."""
+    if kind == "zero":
+        return (LaurentPoly.zero(), _denominator(rng)), (_laurent(rng), _denominator(rng))
+    if kind == "den1":
+        return (_laurent(rng), LaurentPoly.one()), (_laurent(rng), LaurentPoly.one())
+    if kind == "shared":
+        d = _denominator(rng)
+        return (_laurent(rng), d), (_laurent(rng), d)
+    return (_laurent(rng), _denominator(rng)), (_laurent(rng), _denominator(rng))
+
+
+def _both(num, den):
+    fast, ref = RationalPoly(num, den), oracle.RationalPoly(num, den)
+    assert (fast.num, fast.den) == (ref.num, ref.den)
+    _assert_canonical(fast)
+    return fast, ref
+
+
+def _same(fast_op, ref_op):
+    """Run both; they must raise the same exception or agree on a canonical result."""
+    try:
+        ref = ref_op()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            fast_op()
+        return
+    fast = fast_op()
+    assert (fast.num, fast.den) == (ref.num, ref.den)
+    _assert_canonical(fast)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_divmod_and_gcd_match_per_bit_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(CASES):
+        a, b = _mask(rng), _mask(rng) or 1
+        assert poly._bits_divmod(a, b) == oracle.bits_divmod(a, b)
+        assert poly._bits_gcd(a, b) == oracle.bits_gcd(a, b)
+        assert poly._bits_gcd(b, a) == oracle.bits_gcd(b, a)
+        g = _mask(rng, 64) | 1
+        x, y = poly._bits_mul(a, g), poly._bits_mul(b, g)
+        assert poly._bits_gcd(x, y) == oracle.bits_gcd(x, y)
+        assert poly._bits_divmod(x, g) == (a, 0)
+    for a in (0, 1, 2, 3, (1 << 511) | 1):
+        assert poly._bits_gcd(a, 1) == poly._bits_gcd(1, a) == 1
+        assert poly._bits_divmod(a, 1) == (a, 0)
+    with pytest.raises(ZeroDivisionError):
+        poly._bits_divmod(5, 0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_laurent_division_helpers_match_reference(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(CASES):
+        a, b = _laurent(rng, 200), _laurent(rng, 200)
+        if not b.is_zero():
+            v = min(a.low, b.low) if a else 0
+            qb, rb = oracle.bits_divmod(a.bits << (a.low - v), b.bits << (b.low - v)) if a else (0, 0)
+            assert poly.divmod_shifted(a, b) == (LaurentPoly(qb, 0), LaurentPoly(rb, v))
+        if a or b:
+            assert poly.gcd(a, b) == LaurentPoly(oracle.bits_gcd(a.bits, b.bits), 0)
+        if a:
+            assert poly.divides(a, b) == (oracle.bits_divmod(b.bits, a.bits)[1] == 0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reverse_and_exponents_match_reference(seed):
+    rng = random.Random(200 + seed)
+    for _ in range(CASES):
+        p = LaurentPoly(_mask(rng), rng.randint(-600, 600))
+        assert p.reverse() == oracle.reverse(p)
+        assert p.exponents() == oracle.exponents(p)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", range(2))
+def test_rational_ops_match_normalising_reference(kind, seed):
+    rng = random.Random(f"{kind}-{seed}")
+    shared = 0
+    for _ in range(CASES):
+        (an, ad), (bn, bd) = _pair(rng, kind)
+        if rng.random() < 0.5:
+            an, ad, bn, bd = bn, bd, an, ad
+        a, ra = _both(an, ad)
+        b, rb = _both(bn, bd)
+        shared += a.den == b.den != LaurentPoly.one()
+        for x, rx, y, ry in ((a, ra, b, rb), (a, ra, a, ra)):
+            _same(lambda: x + y, lambda: rx + ry)
+            _same(lambda: x * y, lambda: rx * ry)
+            _same(lambda: x / y, lambda: rx / ry)
+        k = rng.randint(-20, 20)
+        _same(lambda: a.shift(k), lambda: ra.shift(k))
+        _same(lambda: a.reverse(), lambda: ra.reverse())
+        _same(lambda: a.inverse(), lambda: ra.inverse())
+    if kind == "shared":
+        assert shared >= CASES // 5  # a/d + b/d with d != 1 after cancelling
