@@ -10,7 +10,8 @@ Subcommands:
 Check matrices are given with --h1/--h2 as either a file path or an inline
 matrix (rows separated by ';', entries by ',', polynomial grammar for the
 entries).  Exit codes: 0 success, 2 parse error, 3 validation error, 4
-verification failure, 5 internal error.
+verification failure, 5 internal error (stderr also repeats --h1/--h2 as
+given, so the failing input can be reported).
 """
 
 from __future__ import annotations
@@ -245,6 +246,8 @@ def main(argv=None) -> int:
         return 3
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        if "h1" in vars(args):
+            print(f"input: --h1 {args.h1!r} --h2 {args.h2!r}", file=sys.stderr)
         return 5
     except EaqconvError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,11 @@ A rational function is a pair num/den of Laurent polynomials with den != 0,
 gcd(num, den) = 1 and den normalized to lowest exponent 0 with nonzero
 constant term; every unit D^k is pushed into the numerator.  This keeps
 denominators inside GF(2)[D] so the Euclidean algorithm stays ordinary.
+The form is unique, and two facts about it let arithmetic skip the gcd: a
+canonical denominator with ``bits == 1`` is exactly 1 (so a sum or product
+of two polynomials is already canonical), and multiplying the numerator by
+a unit D^k keeps gcd(num, den) = 1 (so ``shift`` is too).  A sum over one
+shared denominator, a/d + b/d, still cancels, but only (a+b) against d.
 
 Text grammar: terms joined by '+', each term '1', 'D' or 'D^k' with integer
 k (negative allowed), e.g. '1+D^2' or 'D^-1+1+D'.  Parsing and printing
@@ -36,25 +41,20 @@ def _bits_mul(a: int, b: int) -> int:
 
 
 def _bits_divmod(a: int, b: int) -> tuple[int, int]:
-    """Ordinary GF(2)[D] division of coefficient masks, b != 0."""
+    """Ordinary GF(2)[D] division of coefficient masks, b != 0; one shift-and-XOR per quotient term."""
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
-    m = a.bit_length() - 1
-    n = b.bit_length() - 1
-    if m < n:
-        return 0, a
+    n = b.bit_length()
     q = 0
-    b <<= m - n
-    for i in range(m - n + 1):
-        q <<= 1
-        if (a >> (m - i)) & 1:
-            a ^= b
-            q ^= 1
-        b >>= 1
+    while (s := a.bit_length() - n) >= 0:
+        a ^= b << s
+        q |= 1 << s
     return q, a
 
 
 def _bits_gcd(a: int, b: int) -> int:
+    if a == 1 or b == 1:
+        return 1
     while b:
         a, b = b, _bits_divmod(a, b)[1]
     return a
@@ -130,7 +130,11 @@ class LaurentPoly:
         return (self.bits >> (k - self.low)) & 1
 
     def exponents(self) -> list[int]:
-        return [self.low + i for i in range(self.bits.bit_length()) if (self.bits >> i) & 1]
+        out, b = [], self.bits
+        while b:
+            out.append(self.low + (b & -b).bit_length() - 1)
+            b &= b - 1
+        return out
 
     def weight(self) -> int:
         return bin(self.bits).count("1")
@@ -167,12 +171,7 @@ class LaurentPoly:
         if self.bits == 0:
             return self
         n = self.bits.bit_length()
-        rev = 0
-        b = self.bits
-        for _ in range(n):
-            rev = (rev << 1) | (b & 1)
-            b >>= 1
-        return LaurentPoly(rev, -(self.low + n - 1))
+        return LaurentPoly(int(bin(self.bits)[:1:-1], 2), -(self.low + n - 1))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.bits == other.bits and self.low == other.low
@@ -260,6 +259,14 @@ class RationalPoly:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    @classmethod
+    def _canonical(cls, num: LaurentPoly, den: LaurentPoly) -> RationalPoly:
+        """Wrap a pair already in canonical form, skipping normalisation."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "num", num)
+        object.__setattr__(r, "den", den)
+        return r
+
     def __setattr__(self, name, value):
         raise AttributeError("RationalPoly is immutable")
 
@@ -284,7 +291,7 @@ class RationalPoly:
         return not self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den == LaurentPoly.one()
+        return self.den.bits == 1
 
     def as_poly(self) -> LaurentPoly:
         if not self.is_polynomial():
@@ -292,9 +299,16 @@ class RationalPoly:
         return self.num
 
     def __add__(self, other: RationalPoly) -> RationalPoly:
-        return RationalPoly(self.num * other.den + other.num * self.den, self.den * other.den)
+        den = self.den
+        if den == other.den:
+            if den.bits == 1:
+                return RationalPoly._canonical(self.num + other.num, den)
+            return RationalPoly(self.num + other.num, den)
+        return RationalPoly(self.num * other.den + other.num * den, den * other.den)
 
     def __mul__(self, other: RationalPoly) -> RationalPoly:
+        if self.den.bits == 1 and other.den.bits == 1:
+            return RationalPoly._canonical(self.num * other.num, self.den)
         return RationalPoly(self.num * other.num, self.den * other.den)
 
     def inverse(self) -> RationalPoly:
@@ -307,7 +321,7 @@ class RationalPoly:
 
     def shift(self, k: int) -> RationalPoly:
         """Multiply by D^k."""
-        return RationalPoly(self.num.shift(k), self.den)
+        return RationalPoly._canonical(self.num.shift(k), self.den)
 
     def reverse(self) -> RationalPoly:
         return RationalPoly(self.num.reverse(), self.den.reverse())

@@ -66,9 +66,10 @@ def test_internal_error_is_typed_and_exits_5(capsys, monkeypatch):
     h = polymat.parse_matrix("1+D^2, 1+D+D^2")
     with pytest.raises(InternalError, match="operation budget"):
         build_code(h, h)
-    code, _, err = run(capsys, "build", "--h1", "1+D^2, 1+D+D^2", "--h2", "1+D^2, 1+D+D^2")
+    code, _, err = run(capsys, "build", "--h1", "1+D^2, 1+D+D^2", "--h2", "D, 1+D")
     assert code == 5
     assert err.startswith("internal error: Smith reduction exceeded its operation budget")
+    assert "--h1 '1+D^2, 1+D+D^2' --h2 'D, 1+D'" in err
 
 
 def test_verify_pass(capsys):
