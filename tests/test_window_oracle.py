@@ -5,8 +5,10 @@ check matrices (zero, Laurent and rational entries, receiver columns) and
 circuits of every gate kind run through both; the placed rows, the rows
 after the circuit (bits, labels and every track's interval and spill
 flags), their `valid_mask` at two margin pairs, and the type and message of
-any exception must agree exactly.  The encoders of both worked examples are
-compared at W=32.
+any exception must agree exactly.  A second seeded set aims at a window that
+stacks its rows: four to six source rows, windows of 1-40 frames, delays of up
+to two windows and infinite-depth factors wider than the window.  The encoders
+of both worked examples are compared at W=32.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from eaqconv.polymat import PolyMatrix, parse_matrix
 
 MARGINS = ((0, 0), (2, 3))
 CASES = 500
+STACKED_CASES = 150
 
 
 def _laurent(rng):
@@ -109,3 +112,35 @@ def test_worked_example_encoders_match_the_per_bit_simulator(name):
     new, old = _both(spec.bare, spec.encoder, 32, simulate.default_scratch(spec.encoder))
     assert isinstance(new[0], list) and new[1]
     assert new == old
+
+
+def _stacked_case(seed):
+    """Aimed at a window that stacks its rows: several source rows, delays
+    of up to two windows (a move can carry a whole row past either edge)
+    and infinite-depth factors wider than the window."""
+    rng = random.Random(seed)
+    rows, cols = rng.randint(4, 6), rng.randint(1, 4)
+    bob_cols = rng.randrange(cols)
+    window = rng.randint(1, 40)
+    state = QuantumCheckMatrix(
+        PolyMatrix([[_entry(rng) for _ in range(cols)] for _ in range(rows)], cols=cols),
+        PolyMatrix([[_entry(rng) for _ in range(cols)] for _ in range(rows)], cols=cols),
+        bob_cols=bob_cols,
+    )
+    gates = []
+    for _ in range(rng.randint(1, 10)):
+        g = _gate(rng, cols, bob_cols)
+        if g.kind in ("CNOT", "CPHASE", "CPHASE_SELF"):
+            g = Gate(g.kind, g.i, g.j, rng.randint(-2 * window, 2 * window), full_frame=g.full_frame)
+        elif g.kind == "INF" and rng.random() < 0.5:
+            width = window + rng.randint(1, 8)
+            f = LaurentPoly(1 | rng.randrange(1 << width) | 1 << width, rng.randint(-2, 2))
+            g = Gate("INF", g.i, f=f, time_reversed=g.time_reversed, full_frame=g.full_frame)
+        gates.append(g)
+    return state, Circuit(tuple(gates)), window, rng.randint(0, 6)
+
+
+def test_stacked_windows_match_the_per_bit_simulator():
+    for seed in range(STACKED_CASES):
+        new, old = _both(*_stacked_case(seed))
+        assert new == old, f"seed {seed}"
