@@ -9,7 +9,8 @@ Subcommands:
 
 Check matrices are given with --h1/--h2 as either a file path or an inline
 matrix (rows separated by ';', entries by ',', polynomial grammar for the
-entries).  Exit codes: 0 success, 2 parse error, 3 validation error, 4
+entries).  Exit codes: 0 success, 2 parse or usage error (including a
+--window below 1 or a --scratch below 0), 3 validation error, 4
 verification failure, 5 internal error (stderr also repeats --h1/--h2 as
 given, so the failing input can be reported).
 """
@@ -197,6 +198,19 @@ def cmd_examples(args) -> int:
     return 0
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum` (else a usage error, exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eaqconv",
@@ -220,14 +234,15 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="construct and verify the code")
     add_common(p_verify)
-    p_verify.add_argument("--window", type=int, default=32, help="simulation window in frames")
-    p_verify.add_argument("--scratch", type=int, default=None, help="leading scratch frames")
+    window, scratch = _int_at_least(1), _int_at_least(0)
+    p_verify.add_argument("--window", type=window, default=32, help="simulation window in frames")
+    p_verify.add_argument("--scratch", type=scratch, default=None, help="leading scratch frames")
     p_verify.set_defaults(func=cmd_verify)
 
     p_ex = sub.add_parser("examples", help="run the bundled examples end to end")
     p_ex.add_argument("--format", choices=("text", "json"), default="text")
-    p_ex.add_argument("--window", type=int, default=32)
-    p_ex.add_argument("--scratch", type=int, default=None)
+    p_ex.add_argument("--window", type=window, default=32)
+    p_ex.add_argument("--scratch", type=scratch, default=None)
     p_ex.set_defaults(func=cmd_examples)
 
     return parser

@@ -1,37 +1,52 @@
 """Truncated-window binary symplectic simulation.
 
-The window holds W frames of m = (receiver + sender) qubits each.  A row is
-a pair of bitmasks (z | x) over the W*m qubit slots, bit index
-frame * m + qubit, so qubit q's track is the stride-m bit plane of bits
-q, m + q, 2m + q, ...  Expanding a polynomial check matrix places every
-frame shift of every generator whose support fits inside the window;
-rational entries are expanded as ascending series and truncated at the
+The window holds W frames of m = (receiver + sender) qubits each and one row
+per placed copy of a generator.  It is stored as bit planes: one integer per
+qubit track and side, `z[q]` and `x[q]`, with every row stacked.  Row i's
+frames 0..W-1 of track q are bits i*(W+1) ... i*(W+1)+W-1, and the guard bit
+i*(W+1)+W after them is always clear.  Expanding a polynomial check matrix
+places every frame shift of every generator whose support fits inside the
+window; the copies of one generator form one contiguous block of rows.
+Rational entries are expanded as ascending series and truncated at the
 window edge.
 
-Circuits act on whole bit planes exactly as their column-operation semantics
+Circuits act on whole planes exactly as their column-operation semantics
 dictate, so running a circuit here is an independent check of the algebraic
-pipeline: every gate masks a track, moves it k frames onto a track (one
-shift by k*m plus the change of qubit) and XORs it in.  Infinite-depth
-operations run as their sliding-window CNOT rules: ascending application
-order makes the target-frame updates feed back (the 1/f expansion on the X
-side) while source-frame updates do not (the plain f(D^-1) product on the Z
-side).
+pipeline: a gate masks its source track to the frames that stay inside the
+window, shifts it by the delay k and XORs it onto its target track, for
+every row at once.  Moves never cross a row: the mask drops the bits that
+would leave their row before the shift, so no bit lands in another row or
+on a guard bit.  Infinite-depth operations run as their sliding-window CNOT
+rules: ascending application order makes the target-frame updates feed back
+(the 1/f expansion on the X side) while source-frame updates do not (the
+plain f(D^-1) product on the Z side).
 
-Truncation bookkeeping: every row carries, per qubit track, the frame
-interval on which its window bits provably equal the ideal infinite stream,
-plus flags recording that the ideal stream extends past the head or tail of
-the window.  One rule sets the flags: a move that carries bits off the head
-or tail flags the destination track (`_spill`).  Gates that move bits
-between frames shrink the target track's interval by the shifted image of
-the source track's unreliable region, and an infinite-depth operation on a
-track with head trouble invalidates the track outright (its feedback would
-need the missing history).  Comparisons against the exact algebra then use
-only the provably-exact bits.
+Truncation bookkeeping uses the same layout.  Every row has, per track, the
+frame interval [vf, vu) on which its window bits provably equal the ideal
+infinite stream, plus flags recording that the ideal stream extends past the
+head or tail of the window.  `prefix[q]` (P) holds the head-invalid frames
+[0, vf) of every row, `suffix[q]` (U) the tail-invalid frames [vu, W), and
+`head_lost[q]` (HL) and `tail_lost[q]` (TL) the spill flags, at each row's
+frame 0.  One rule sets the flags: a move that carries bits off the head or
+tail flags the destination track of those rows.  "Any bit in this row" is
+((bits + window mask) >> W) & frame-0 bits, the guard bit catching the
+carry, and a flag covers its row as (flags << W) - flags.  Gates that move
+bits between frames shrink the target track's interval by the shifted image
+of the source track's unreliable region, and an infinite-depth operation on
+a track with head trouble invalidates the track outright (its feedback
+would need the missing history).  Comparisons against the exact algebra
+then use only the provably-exact bits.
+
+`BinarySymplecticWindow.rows` unpacks the planes, on first access, into one
+`WindowRow` per copy (bit frame*m + qubit of its z and x masks, and one
+`TrackState` per track).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import WindowTooSmall
 from .gates import Circuit, QuantumCheckMatrix, SlidingWindowRule, gate_columns, synthesize_infinite_depth, time_reversed_rule
@@ -50,12 +65,11 @@ class TrackState:
         self.head_lost = head_lost
         self.tail_lost = tail_lost
 
-    def copy(self):
-        return TrackState(self.vf, self.vu, self.head_lost, self.tail_lost)
-
 
 @dataclass
 class WindowRow:
+    """One placed copy, unpacked: bit frame * m + qubit of z and x."""
+
     z: int
     x: int
     source: int
@@ -64,33 +78,55 @@ class WindowRow:
     truncated: bool = False
     tracks: list = field(default_factory=list)
 
-    def copy(self):
-        return WindowRow(self.z, self.x, self.source, self.shift, self.label,
-                         self.truncated, [t.copy() for t in self.tracks])
-
-    def damage(self, src: int, dst: int, k: int, w: int):
-        """Bits moved from track src to track dst across |k| frames."""
-        s, d = self.tracks[src], self.tracks[dst]
-        k = abs(k)
-        if s.head_lost or s.vf > 0:
-            d.vf = max(d.vf, min(w, s.vf + k))
-            d.head_lost |= s.head_lost
-        if s.tail_lost or s.vu < w:
-            d.vu = min(d.vu, max(0, s.vu - k))
-            d.tail_lost |= s.tail_lost
-
     def valid_mask(self, win, head=0, tail=0) -> int:
-        w = win.window
-        return sum(_frames(win, q, max(tr.vf, head), min(tr.vu, w - tail)) for q, tr in enumerate(self.tracks))
+        m, w = win.n_per_frame, win.window
+        mask = 0
+        for q, tr in enumerate(self.tracks):
+            lo, hi = max(tr.vf, head, 0), min(tr.vu, w - tail, w)
+            if lo < hi:
+                mask |= ((1 << (hi - lo) * m) - 1) // ((1 << m) - 1) << (lo * m + q)
+        return mask
+
+
+class Block(NamedTuple):
+    """The copies of one generator: rows first .. first+count-1, frame shifts shift .. shift+count-1."""
+
+    source: int
+    label: str
+    first: int
+    count: int
+    shift: int
+
+
+def _repeat(count: int, stride: int) -> int:
+    """Bit 0 of each of `count` consecutive stride-bit slots."""
+    return ((1 << count * stride) - 1) // ((1 << stride) - 1)
 
 
 @dataclass
 class BinarySymplecticWindow:
+    """The stacked track planes of a window (layout in the module docstring)."""
+
     n_per_frame: int
     window: int
     scratch: int
     bob_cols: int
-    rows: list[WindowRow] = field(default_factory=list)
+    blocks: tuple[Block, ...]
+    z: list[int]
+    x: list[int]
+    prefix: list[int]
+    suffix: list[int]
+    head_lost: list[int]
+    tail_lost: list[int]
+    truncated: int  # frame-0 flags of the rows that hold a truncated series
+
+    def __post_init__(self):
+        last = self.blocks[-1] if self.blocks else None
+        self.count = last.first + last.count if last else 0
+        self._base = _repeat(self.count, self.window + 1)  # frame 0 of every row
+        self._full = (self._base << self.window) - self._base  # every frame of every row
+        self._masks = {}
+        self.rows = _Rows(self)
 
     def bit(self, frame: int, qubit: int) -> int:
         return 1 << (frame * self.n_per_frame + qubit)
@@ -101,24 +137,105 @@ class BinarySymplecticWindow:
         x = 1 if row.x & b else 0
         return {(0, 0): "I", (0, 1): "X", (1, 1): "Y", (1, 0): "Z"}[(z, x)]
 
+    # -- whole-window operations on planes ----------------------------------------
 
-@dataclass(frozen=True)
-class ErrorPattern:
-    """Sparse Pauli error: (frame, qubit, letter) triples inside the window."""
+    def _span(self, lo: int, hi: int) -> int:
+        """Frames [lo, hi) of every row, clipped to the window."""
+        lo, hi = max(lo, 0), min(hi, self.window)
+        if lo >= hi:
+            return 0
+        mask = self._masks.get((lo, hi))
+        if mask is None:
+            mask = self._masks[lo, hi] = (self._base << hi) - (self._base << lo)
+        return mask
 
-    terms: tuple[tuple[int, int, str], ...]
+    def _shifted(self, bits: int, k: int) -> int:
+        """Every row's bits moved k frames later; bits that would leave their row are dropped."""
+        if k >= 0:
+            return (bits & self._span(0, self.window - k)) << k
+        return (bits & self._span(-k, self.window)) >> -k
 
-    def masks(self, win: BinarySymplecticWindow) -> tuple[int, int]:
-        z = x = 0
-        for frame, qubit, letter in self.terms:
-            if not (0 <= frame < win.window and 0 <= qubit < win.n_per_frame):
-                raise WindowTooSmall(f"error at frame {frame}, qubit {qubit} lies outside the window")
-            b = win.bit(frame, qubit)
-            if letter in ("Z", "Y"):
-                z |= b
-            if letter in ("X", "Y"):
-                x |= b
-        return z, x
+    def _rows_holding(self, bits: int) -> int:
+        """The frame-0 flag of every row with a bit in `bits` (bits inside the window only)."""
+        return ((bits + self._full) >> self.window) & self._base
+
+    def _widen(self, flags: int) -> int:
+        """Frame-0 flags spread over every frame of their rows."""
+        return (flags << self.window) - flags
+
+    def _flag_spill(self, bits: int, k: int, dst: int) -> None:
+        """Flag track dst of the rows whose `bits` leave the window when moved k frames."""
+        if k < 0:
+            self.head_lost[dst] |= self._rows_holding(bits & self._span(0, -k))
+        elif k > 0:
+            self.tail_lost[dst] |= self._rows_holding(bits & self._span(self.window - k, self.window))
+
+    def _damage(self, src: int, dst: int, k: int) -> None:
+        """Bits moved from track src to track dst across |k| frames."""
+        k, w = abs(k), self.window
+        rows = self._widen(self.head_lost[src] | (self.prefix[src] & self._base))
+        if rows:
+            self.prefix[dst] |= (self._shifted(self.prefix[src], k) | self._span(0, k)) & rows
+            self.head_lost[dst] |= self.head_lost[src]
+        rows = self._widen(self.tail_lost[src] | ((self.suffix[src] >> w - 1) & self._base))
+        if rows:
+            self.suffix[dst] |= (self._shifted(self.suffix[src], -k) | self._span(w - k, w)) & rows
+            self.tail_lost[dst] |= self.tail_lost[src]
+
+
+class _Rows(Sequence):
+    """The window's rows as `WindowRow`s; unpacked on first access, while len() stays cheap."""
+
+    def __init__(self, win: BinarySymplecticWindow):
+        self._win = win
+        self._list = None
+
+    def __len__(self) -> int:
+        return self._win.count
+
+    def _unpacked(self) -> list[WindowRow]:
+        if self._list is None:
+            self._list = _unpack(self._win)
+        return self._list
+
+    def __getitem__(self, i):
+        return self._unpacked()[i]
+
+    def __iter__(self):
+        return iter(self._unpacked())
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and self._unpacked() == list(other)
+
+
+def _unpack(win: BinarySymplecticWindow) -> list[WindowRow]:
+    if not win.count:
+        return []
+    w, stride = win.window, win.window + 1
+    width = win.count * stride
+
+    def lsb_first(planes):
+        return [format(p, f"0{width}b")[::-1] for p in planes]
+
+    z, x, prefix, suffix = (lsb_first(p) for p in (win.z, win.x, win.prefix, win.suffix))
+    head_lost, tail_lost = lsb_first(win.head_lost), lsb_first(win.tail_lost)
+    (truncated,) = lsb_first([win.truncated])
+
+    def interleave(planes, lo):  # frame t of track q to bit t * m + q
+        return int("".join(map("".join, zip(*(p[lo:lo + w] for p in planes))))[::-1], 2)
+
+    rows = []
+    for blk in win.blocks:
+        for j in range(blk.count):
+            lo = (blk.first + j) * stride
+            tracks = [
+                TrackState(prefix[q][lo:lo + w].count("1"), w - suffix[q][lo:lo + w].count("1"),
+                           head_lost[q][lo] == "1", tail_lost[q][lo] == "1")
+                for q in range(win.n_per_frame)
+            ]
+            rows.append(WindowRow(interleave(z, lo), interleave(x, lo), blk.source, blk.shift + j,
+                                  blk.label, truncated[lo] == "1", tracks))
+    return rows
 
 
 def _row_support(qcm: QuantumCheckMatrix, r: int):
@@ -145,143 +262,105 @@ def expand(qcm: QuantumCheckMatrix, window: int, scratch: int = 0) -> BinarySymp
     """
     if window < 1:
         raise WindowTooSmall("window must hold at least one frame")
-    m = qcm.cols
-    win = BinarySymplecticWindow(n_per_frame=m, window=window, scratch=scratch, bob_cols=qcm.bob_cols)
+    m, w, stride = qcm.cols, window, window + 1
     labels = qcm.row_labels or tuple(f"row{r + 1}" for r in range(qcm.rows))
-    full = (1 << window * m) - 1
+    z, x, tail_lost = [0] * m, [0] * m, [0] * m
+    truncated = 0
+    blocks = []
+    first = 0
     for r in range(qcm.rows):
         lo, hi, rational = _row_support(qcm, r)
         if lo is None:
             continue
-        # the row's Z and X planes with exponent lo at frame 0
-        planes = [0, 0]
-        clipped = []
-        for q in range(m):
-            entries = (qcm.z.entries[r][q], qcm.x.entries[r][q])
-            for side, entry in enumerate(entries):
-                if not entry.is_zero():
-                    for e in series_expand(entry, lo, lo + window - 1).exponents():
-                        planes[side] |= 1 << ((e - lo) * m + q)
-            clipped.append(any(not e.is_polynomial() for e in entries))
-        # copy `start` begins at frame start and is the frame shift start - scratch - lo
+        # copy j begins at frame j and is the frame shift j - scratch - lo
         last = min(window - 1 if rational else window - 1 - (hi - lo), window + scratch + lo - 1)
         if last < 0:
             raise WindowTooSmall(f"row {labels[r]} does not fit in a {window}-frame window")
-        for start in range(last + 1):
-            win.rows.append(WindowRow(
-                (planes[0] << start * m) & full, (planes[1] << start * m) & full, r, start - scratch - lo,
-                labels[r], truncated=rational, tracks=[TrackState(0, window, tail_lost=c) for c in clipped],
-            ))
-    return win
+        count = last + 1
+        base = _repeat(count, stride)
+        # a track's W bits times `stair` sit at frame j of row j; the frames
+        # before j receive what row j - 1 carried past its end, and are cleared
+        stair = _repeat(count, stride + 1)
+        keep = (base << w) - stair
+        at = first * stride
+        for q in range(m):
+            entries = (qcm.z.entries[r][q], qcm.x.entries[r][q])
+            for planes, entry in zip((z, x), entries):
+                series = series_expand(entry, lo, lo + w - 1) if not entry.is_zero() else LaurentPoly.zero()
+                if series.bits:
+                    planes[q] |= ((series.bits << series.low - lo) * stair & keep) << at
+            if any(not e.is_polynomial() for e in entries):
+                tail_lost[q] |= base << at
+        if rational:
+            truncated |= base << at
+        blocks.append(Block(r, labels[r], first, count, -scratch - lo))
+        first += count
+    return BinarySymplecticWindow(m, w, scratch, qcm.bob_cols, tuple(blocks), z, x,
+                                  [0] * m, [0] * m, [0] * m, tail_lost, truncated)
 
 
-def _frames(win: BinarySymplecticWindow, q: int, lo: int, hi: int) -> int:
-    """The mask of track q on frames [lo, hi), clipped to the window."""
-    m = win.n_per_frame
-    lo, hi = max(lo, 0), min(hi, win.window)
-    if lo >= hi:
-        return 0
-    return ((1 << (hi - lo) * m) - 1) // ((1 << m) - 1) << (lo * m + q)
-
-
-def _move(bits: int, k: int, src: int, dst: int, m: int) -> int:
-    """Track-src bits moved k frames later onto track dst.
-
-    Bits that would land before frame 0 are dropped; bits past the last
-    frame are not, so callers mask the result with the destination track.
-    """
-    s = k * m + dst - src
-    return bits << s if s >= 0 else bits >> -s
-
-
-def _spill(win: BinarySymplecticWindow, bits: int, q: int, k: int, track: TrackState) -> None:
-    """Flag `track` when moving the track-q bits by k frames carries any off the window."""
-    if k < 0 and bits & _frames(win, q, 0, -k):
-        track.head_lost = True
-    elif k > 0 and bits & _frames(win, q, win.window - k, win.window):
-        track.tail_lost = True
-
-
-def _apply_inf(win: BinarySymplecticWindow, track: int, rule: SlidingWindowRule) -> None:
-    m, w = win.n_per_frame, win.window
-    mask = _frames(win, track, 0, w)
+def _apply_inf(win: BinarySymplecticWindow, q: int, rule: SlidingWindowRule) -> None:
+    w = win.window
     f = [0] + [rule.window - a for a, _ in rule.cnot_pattern]  # exponents of the delay-free f
     inverse = series_expand(RationalPoly(LaurentPoly.one(), LaurentPoly(sum(1 << e for e in f))), 0, w - 1)
     shift, width = rule.scratch_frames, rule.window - 1
-    for row in win.rows:
-        tr = row.tracks[track]
-        z, x = row.z & mask, row.x & mask
-        if shift:
-            _spill(win, z | x, track, shift, tr)
-            z, x = _move(z, shift, track, track, m) & mask, _move(x, shift, track, track, m) & mask
-            row.damage(track, track, shift, w)
-        nz = nx = 0
-        for e in f:  # feed-forward: multiplication by f(D^-1)
-            _spill(win, z, track, -e, tr)
-            nz ^= _move(z, -e, track, track, m)
-        for e in inverse.exponents():  # feedback: the 1/f expansion
-            nx ^= _move(x, e, track, track, m)
-        # feedback needs the full history: head trouble invalidates the track
-        if tr.head_lost or tr.vf > 0:
-            tr.vf = w
-        if width and (tr.tail_lost or tr.vu < w):
-            tr.vu = max(0, tr.vu - width)
-        tr.tail_lost = True  # the expansion continues past the window
-        row.z = (row.z & ~mask) | nz
-        row.x = (row.x & ~mask) | (nx & mask)
-        row.truncated = True
+    z, x = win.z[q], win.x[q]
+    if shift:
+        win._flag_spill(z | x, shift, q)
+        z, x = win._shifted(z, shift), win._shifted(x, shift)
+        win._damage(q, q, shift)
+    nz = nx = 0
+    for e in f:  # feed-forward: multiplication by f(D^-1)
+        win._flag_spill(z, -e, q)
+        nz ^= win._shifted(z, -e)
+    for e in inverse.exponents():  # feedback: the 1/f expansion
+        nx ^= win._shifted(x, e)
+    # feedback needs the full history: head trouble invalidates the track
+    win.prefix[q] |= win._widen(win.head_lost[q] | (win.prefix[q] & win._base))
+    if width:
+        rows = win._widen(win.tail_lost[q] | ((win.suffix[q] >> w - 1) & win._base))
+        win.suffix[q] |= (win._shifted(win.suffix[q], -width) | win._span(w - width, w)) & rows
+    win.tail_lost[q] = win._base  # the expansion continues past the window
+    win.z[q], win.x[q] = nz, nx
+    win.truncated = win._base
 
 
 def run_circuit(win: BinarySymplecticWindow, circuit: Circuit) -> BinarySymplecticWindow:
-    """Apply the shift-invariant circuit to every row of the window."""
-    out = BinarySymplecticWindow(
-        win.n_per_frame, win.window, win.scratch, win.bob_cols, [r.copy() for r in win.rows]
-    )
-    m, w = win.n_per_frame, win.window
+    """Apply the shift-invariant circuit to every row of the window at once."""
+    out = replace(win, z=list(win.z), x=list(win.x), prefix=list(win.prefix), suffix=list(win.suffix),
+                  head_lost=list(win.head_lost), tail_lost=list(win.tail_lost))
+    z, x = out.z, out.x
     for g in circuit:
-        a, b = gate_columns(g, m, win.bob_cols)
+        a, b = gate_columns(g, win.n_per_frame, win.bob_cols)
+        k = g.delay
         if g.kind == "INF":
             _apply_inf(out, a, time_reversed_rule(g.f) if g.time_reversed else synthesize_infinite_depth(g.f))
-            continue
-        ma, mb, k = _frames(out, a, 0, w), (0 if b is None else _frames(out, b, 0, w)), g.delay
-        for row in out.rows:
-            z, x = row.z, row.x
-            if g.kind == "CNOT":
-                _spill(out, x & ma, a, k, row.tracks[b])
-                _spill(out, z & mb, b, -k, row.tracks[a])
-                row.x ^= _move(x & ma, k, a, b, m) & mb
-                row.z ^= _move(z & mb, -k, b, a, m) & ma
-                row.damage(a, b, k, w)  # X side: track a feeds track b
-                row.damage(b, a, k, w)  # Z side: track b feeds track a
-            elif g.kind == "CPHASE":
-                _spill(out, x & ma, a, k, row.tracks[b])
-                _spill(out, x & mb, b, -k, row.tracks[a])
-                row.z ^= (_move(x & ma, k, a, b, m) & mb) ^ (_move(x & mb, -k, b, a, m) & ma)
-                row.damage(a, b, k, w)
-                row.damage(b, a, k, w)
-            elif g.kind == "CPHASE_SELF":
-                _spill(out, x & ma, a, k, row.tracks[a])
-                _spill(out, x & ma, a, -k, row.tracks[a])
-                row.z ^= (_move(x & ma, k, a, a, m) ^ _move(x & ma, -k, a, a, m)) & ma
-                row.damage(a, a, k, w)
-            elif g.kind == "P":
-                row.z ^= x & ma
-            elif g.kind == "H":
-                row.z ^= (z ^ x) & ma
-                row.x ^= (z ^ x) & ma
-            else:  # pragma: no cover
-                raise ValueError(g.kind)
+        elif g.kind == "CNOT":
+            out._flag_spill(x[a], k, b)
+            out._flag_spill(z[b], -k, a)
+            x[b] ^= out._shifted(x[a], k)
+            z[a] ^= out._shifted(z[b], -k)
+            out._damage(a, b, k)  # X side: track a feeds track b
+            out._damage(b, a, k)  # Z side: track b feeds track a
+        elif g.kind == "CPHASE":
+            out._flag_spill(x[a], k, b)
+            out._flag_spill(x[b], -k, a)
+            z[b] ^= out._shifted(x[a], k)
+            z[a] ^= out._shifted(x[b], -k)
+            out._damage(a, b, k)
+            out._damage(b, a, k)
+        elif g.kind == "CPHASE_SELF":
+            out._flag_spill(x[a], k, a)
+            out._flag_spill(x[a], -k, a)
+            z[a] ^= out._shifted(x[a], k) ^ out._shifted(x[a], -k)
+            out._damage(a, a, k)
+        elif g.kind == "P":
+            z[a] ^= x[a]
+        elif g.kind == "H":
+            z[a], x[a] = x[a], z[a]
+        else:  # pragma: no cover
+            raise ValueError(g.kind)
     return out
-
-
-def syndrome(win: BinarySymplecticWindow, error: ErrorPattern) -> tuple[int, ...]:
-    """One symplectic-product bit per stabilizer row of the window."""
-    ez, ex = error.masks(win)
-    bits = []
-    for row in win.rows:
-        parity = (bin(ez & row.x).count("1") + bin(ex & row.z).count("1")) % 2
-        bits.append(parity)
-    return tuple(bits)
 
 
 # -- verification ----------------------------------------------------------------
@@ -377,29 +456,40 @@ def _check_decode(spec, evolved: QuantumCheckMatrix) -> tuple[bool, str]:
     return True, ""
 
 
-def _interior_match(win_sim, win_alg, head=0, tail=0):
-    """Compare simulated rows against algebraically expanded rows per (source, shift).
+def _interior_match(win_sim, win_alg):
+    """Compare simulated copies against algebraically expanded ones per (source, shift).
 
-    Each simulated copy is compared only on the frames where its tracks are
-    provably exact, further trimmed by the optional head/tail margins; copies
-    with nothing provable left are skipped.
+    Each source's block of simulated copies is aligned with its block in the
+    algebraic window.  A copy is compared only on the frames where its
+    tracks are provably exact; copies with nothing provable left are skipped.
     """
-    w = win_sim.window
-    if head >= w - tail:
-        raise WindowTooSmall(f"no interior left between head={head} and tail={tail}")
-    alg = {(r.source, r.shift): r for r in win_alg.rows}
-    compared = 0
-    mismatches = []
-    for row in win_sim.rows:
-        other = alg.get((row.source, row.shift))
+    w, stride = win_sim.window, win_sim.window + 1
+    alg = {blk.source: blk for blk in win_alg.blocks}
+    compared, mismatches = 0, []
+    for blk in win_sim.blocks:
+        other = alg.get(blk.source)
         if other is None:
             continue
-        mask = row.valid_mask(win_sim, head, tail)
-        if not mask:
+        lo = max(blk.shift, other.shift)
+        count = min(blk.shift + blk.count, other.shift + other.count) - lo
+        if count <= 0:
             continue
-        compared += 1
-        if (row.z ^ other.z) & mask or (row.x ^ other.x) & mask:
-            mismatches.append((row.label, row.shift))
+        at_sim = (blk.first + lo - blk.shift) * stride
+        at_alg = (other.first + lo - other.shift) * stride
+        base = _repeat(count, stride)
+        full = (base << w) - base
+        exact_any = wrong_any = 0
+        for q in range(win_sim.n_per_frame):
+            exact = ~((win_sim.prefix[q] | win_sim.suffix[q]) >> at_sim) & full
+            wrong = ((win_sim.z[q] >> at_sim) ^ (win_alg.z[q] >> at_alg)) | ((win_sim.x[q] >> at_sim) ^ (win_alg.x[q] >> at_alg))
+            exact_any |= exact
+            wrong_any |= wrong & exact
+        compared += (((exact_any + full) >> w) & base).bit_count()
+        bad = ((wrong_any + full) >> w) & base
+        while bad:
+            low = bad & -bad
+            mismatches.append((blk.label, lo + (low.bit_length() - 1) // stride))
+            bad ^= low
     return compared, mismatches
 
 

@@ -31,7 +31,8 @@ from eaqconv.gates import (
 from eaqconv.pauli import commute_oracle, p2b, parse_stream, shifted_symplectic
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly, series_expand
 from eaqconv.polymat import PolyMatrix, det, parse_matrix, rank, smith_form
-from eaqconv.simulate import ErrorPattern, expand, run_circuit, syndrome, verify_code
+from eaqconv.simulate import expand, run_circuit, verify_code
+from syndrome import ErrorPattern, syndrome
 
 H_EX1 = parse_matrix("1+D^2, 1+D+D^2")
 H_EX2 = parse_matrix("1, 1+D")

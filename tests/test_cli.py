@@ -84,6 +84,18 @@ def test_verify_window_too_small(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("command", ["verify", "examples"])
+@pytest.mark.parametrize("option, value", [("--window", "0"), ("--window", "-3"), ("--scratch", "-100")])
+def test_window_and_scratch_out_of_range_are_usage_errors(capsys, command, option, value):
+    matrices = ["--h1", "1+D^2, 1+D+D^2", "--h2", "1+D^2, 1+D+D^2"] if command == "verify" else []
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *matrices, option, value])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert f"argument {option}: must be at least" in captured.err
+    assert "FAIL" not in captured.out
+
+
 def test_matrix_file_input(tmp_path, capsys):
     path = tmp_path / "h.mat"
     path.write_text("# one generator per frame\n1+D^2, 1+D+D^2\n", encoding="utf-8")

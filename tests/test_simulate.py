@@ -24,12 +24,11 @@ from eaqconv.gates import (
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly, series_expand
 from eaqconv.polymat import PolyMatrix, parse_matrix
 from eaqconv.simulate import (
-    ErrorPattern,
     expand,
     run_circuit,
-    syndrome,
     verify_code,
 )
+from syndrome import ErrorPattern, syndrome
 
 
 def qcm(ztext, xtext, bob_cols=0):

@@ -1,19 +1,59 @@
 """The per-bit window simulator, kept as the reference for `eaqconv.simulate`.
 
 This is the frame-by-frame implementation that `simulate.py` used before it
-moved to whole-window bit-plane operations: `expand`, `run_circuit` and
-`valid_mask` test one bit per call to `win.bit`.  It reuses the unchanged
-`TrackState`, `WindowRow` (for `damage`) and `BinarySymplecticWindow`, so a
-differential test against it checks only the bit movement and the spill
-flags.  `valid_mask` is a function here, taking the row first.
+moved to bit-plane operations: `expand`, `run_circuit` and `valid_mask` test
+one bit per call to `win.bit`, one row at a time.  It keeps its own
+row-list window and the per-row `damage` and `copy` that the stacked
+simulator no longer has, verbatim; its rows carry the same fields as the
+`WindowRow`s that `simulate` unpacks, so a differential test compares the
+two field by field.  `valid_mask` is a function here, taking the row first.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
+from eaqconv import simulate
 from eaqconv.errors import WindowTooSmall
 from eaqconv.gates import Circuit, Gate, QuantumCheckMatrix, SlidingWindowRule, synthesize_infinite_depth, time_reversed_rule
 from eaqconv.poly import series_expand
-from eaqconv.simulate import BinarySymplecticWindow, TrackState, WindowRow
+
+
+class TrackState(simulate.TrackState):
+    __slots__ = ()
+
+    def copy(self):
+        return TrackState(self.vf, self.vu, self.head_lost, self.tail_lost)
+
+
+@dataclass
+class WindowRow(simulate.WindowRow):
+    def copy(self):
+        return WindowRow(self.z, self.x, self.source, self.shift, self.label,
+                         self.truncated, [t.copy() for t in self.tracks])
+
+    def damage(self, src: int, dst: int, k: int, w: int):
+        """Bits moved from track src to track dst across |k| frames."""
+        s, d = self.tracks[src], self.tracks[dst]
+        k = abs(k)
+        if s.head_lost or s.vf > 0:
+            d.vf = max(d.vf, min(w, s.vf + k))
+            d.head_lost |= s.head_lost
+        if s.tail_lost or s.vu < w:
+            d.vu = min(d.vu, max(0, s.vu - k))
+            d.tail_lost |= s.tail_lost
+
+
+@dataclass
+class BinarySymplecticWindow:
+    n_per_frame: int
+    window: int
+    scratch: int
+    bob_cols: int
+    rows: list[WindowRow] = field(default_factory=list)
+
+    def bit(self, frame: int, qubit: int) -> int:
+        return 1 << (frame * self.n_per_frame + qubit)
 
 
 def valid_mask(row, win, head=0, tail=0) -> int:
