@@ -8,7 +8,9 @@ flags), their `valid_mask` at two margin pairs, and the type and message of
 any exception must agree exactly.  A second seeded set aims at a window that
 stacks its rows: four to six source rows, windows of 1-40 frames, delays of up
 to two windows and infinite-depth factors wider than the window.  The encoders
-of both worked examples are compared at W=32.
+of both worked examples are compared at W=32, and the block-aligned
+comparison that `verify_code` runs is checked against a row-by-row one,
+with and without mismatches.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 import window_oracle as oracle
 from eaqconv import simulate
 from eaqconv.cli import EXAMPLES
+from eaqconv.errors import WindowTooSmall
 from eaqconv.construct import build_code
 from eaqconv.gates import Circuit, Gate, QuantumCheckMatrix
 from eaqconv.poly import LaurentPoly, RationalPoly
@@ -28,6 +31,7 @@ from eaqconv.polymat import PolyMatrix, parse_matrix
 MARGINS = ((0, 0), (2, 3))
 CASES = 500
 STACKED_CASES = 150
+MATCH_CASES = 200
 
 
 def _laurent(rng):
@@ -144,3 +148,22 @@ def test_stacked_windows_match_the_per_bit_simulator():
     for seed in range(STACKED_CASES):
         new, old = _both(*_stacked_case(seed))
         assert new == old, f"seed {seed}"
+
+
+def test_interior_match_agrees_with_the_row_by_row_comparison():
+    """The block-aligned plane comparison of `verify_code` against the
+    row-by-row one, on the algebra of the whole circuit (mostly agreeing)
+    and of the circuit without its last gate (mostly not)."""
+    outcomes = set()
+    for seed in range(MATCH_CASES):
+        state, circuit, window, scratch = (_case if seed % 2 else _stacked_case)(seed)
+        for gates in (circuit.gates, circuit.gates[:-1]):
+            try:
+                sim = simulate.run_circuit(simulate.expand(state, window, scratch), circuit)
+                alg = simulate.expand(Circuit(gates).apply(state), window, scratch)
+            except (IndexError, WindowTooSmall):
+                continue
+            got = simulate._interior_match(sim, alg)
+            assert got == oracle.interior_match(sim, alg), f"seed {seed}"
+            outcomes.add((got[0] > 0, bool(got[1])))
+    assert outcomes == {(False, False), (True, False), (True, True)}

@@ -286,3 +286,21 @@ def run_circuit(win: BinarySymplecticWindow, circuit: Circuit) -> BinarySymplect
         else:  # pragma: no cover
             raise ValueError(g.kind)
     return out
+
+
+def interior_match(win_sim, win_alg):
+    """Compare simulated rows against algebraically expanded rows per (source, shift), row by row."""
+    alg = {(r.source, r.shift): r for r in win_alg.rows}
+    compared = 0
+    mismatches = []
+    for row in win_sim.rows:
+        other = alg.get((row.source, row.shift))
+        if other is None:
+            continue
+        mask = valid_mask(row, win_sim)
+        if not mask:
+            continue
+        compared += 1
+        if (row.z ^ other.z) & mask or (row.x ^ other.x) & mask:
+            mismatches.append((row.label, row.shift))
+    return compared, mismatches
