@@ -1,0 +1,83 @@
+"""The rational-row circuit replay, kept as the reference for `eaqconv.gates`.
+
+This is the `Circuit.apply` and `apply_in_place` that `gates.py` used while
+every row entry was a normalised `RationalPoly`: each gate adds or multiplies
+canonical rational functions, so every addition into a rational entry runs
+a gcd, and INF multiplies column a by `1/f` and `f(D^-1)` as `RationalPoly`
+multipliers.  They are copied verbatim; `apply` is the method body, taking
+the circuit first.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from eaqconv.gates import gate_columns
+from eaqconv.poly import LaurentPoly, RationalPoly
+from eaqconv.polymat import PolyMatrix
+
+
+def apply_in_place(g, rows, cols: int, bob_cols: int = 0) -> None:
+    """Apply g's column operation to mutable (Z row, X row) list pairs.
+
+    Only columns a (and b) change; a row whose source entry is zero is skipped.
+    Finite-depth gates only add shifted entries, so the rows may hold
+    LaurentPoly or RationalPoly entries; INF needs RationalPoly rows.
+    """
+    a, b = gate_columns(g, cols, bob_cols)
+    if g.kind == "CNOT":
+        for z, x in rows:
+            if x[a]:
+                x[b] = x[b] + x[a].shift(g.delay)
+            if z[b]:
+                z[a] = z[a] + z[b].shift(-g.delay)
+    elif g.kind == "H":
+        for z, x in rows:
+            z[a], x[a] = x[a], z[a]
+    elif g.kind == "P":
+        for z, x in rows:
+            if x[a]:
+                z[a] = z[a] + x[a]
+    elif g.kind == "CPHASE":
+        for z, x in rows:
+            if x[a]:
+                z[b] = z[b] + x[a].shift(g.delay)
+            if x[b]:
+                z[a] = z[a] + x[b].shift(-g.delay)
+    elif g.kind == "CPHASE_SELF":
+        for z, x in rows:
+            if x[a]:
+                z[a] = z[a] + x[a].shift(g.delay) + x[a].shift(-g.delay)
+    elif g.kind == "INF":
+        fwd = g.f.reverse() if g.time_reversed else g.f
+        xmul = RationalPoly(LaurentPoly.one(), fwd)
+        zmul = RationalPoly(fwd.reverse())
+        for z, x in rows:
+            if x[a]:
+                x[a] = x[a] * xmul
+            if z[a]:
+                z[a] = z[a] * zmul
+    else:  # pragma: no cover
+        raise ValueError(g.kind)
+
+
+def apply(circuit, qcm, observe=None):
+    """Run every gate on one mutable copy of qcm and return it frozen.
+
+    observe(gate, state), when given, sees the frozen state after each gate.
+    """
+    z, x = qcm.z.to_lists(), qcm.x.to_lists()
+    iz, ix = (qcm.info.z.to_lists(), qcm.info.x.to_lists()) if qcm.info is not None else ([], [])
+    rows = list(zip(z, x)) + list(zip(iz, ix))
+
+    def freeze():
+        info = qcm.info
+        if info is not None:
+            info = replace(info, z=PolyMatrix(iz, cols=qcm.cols), x=PolyMatrix(ix, cols=qcm.cols))
+        return replace(qcm, z=PolyMatrix(z, cols=qcm.cols), x=PolyMatrix(x, cols=qcm.cols), info=info)
+
+    for g in circuit.gates:
+        apply_in_place(g, rows, qcm.cols, qcm.bob_cols)
+        if observe is not None:
+            observe(g, freeze())
+    return freeze()

@@ -10,7 +10,10 @@ stacks its rows: four to six source rows, windows of 1-40 frames, delays of up
 to two windows and infinite-depth factors wider than the window.  The encoders
 of both worked examples are compared at W=32, and the block-aligned
 comparison that `verify_code` runs is checked against a row-by-row one,
-with and without mismatches.
+with and without mismatches.  Finally, after every gate of the seeded cases
+and of the encoders of the golden codes at W=64 and W=128, a track's
+head-invalid (tail-invalid) frames must come with its head (tail) spill
+flag, which lets the simulator decide damage from the flags alone.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import random
 
 import pytest
 
+import test_window_golden as golden
 import window_oracle as oracle
 from eaqconv import simulate
 from eaqconv.cli import EXAMPLES
@@ -167,3 +171,42 @@ def test_interior_match_agrees_with_the_row_by_row_comparison():
             assert got == oracle.interior_match(sim, alg), f"seed {seed}"
             outcomes.add((got[0] > 0, bool(got[1])))
     assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def _assert_flags_cover_invalid_frames(win):
+    """A row with a head-invalid (tail-invalid) frame on a track has that
+    track's head (tail) spill flag."""
+    for q in range(win.n_per_frame):
+        assert not win._rows_holding(win.prefix[q]) & ~win.head_lost[q], f"track {q}"
+        assert not win._rows_holding(win.suffix[q]) & ~win.tail_lost[q], f"track {q}"
+
+
+def _assert_flags_cover_invalid_frames_after_every_gate(state, circuit, window, scratch):
+    try:
+        win = simulate.expand(state, window, scratch)
+    except WindowTooSmall:
+        return 0
+    _assert_flags_cover_invalid_frames(win)
+    for g in circuit:
+        try:
+            win = simulate.run_circuit(win, Circuit((g,)))
+        except IndexError:
+            break
+        _assert_flags_cover_invalid_frames(win)
+    return max(win.prefix + win.suffix)
+
+
+def test_spill_flags_cover_invalid_frames_on_seeded_cases():
+    damaged = 0
+    for seed in range(STACKED_CASES):
+        for case in (_case, _stacked_case):
+            damaged += bool(_assert_flags_cover_invalid_frames_after_every_gate(*case(seed)))
+    assert damaged > STACKED_CASES // 4
+
+
+@pytest.mark.parametrize("window", golden.WINDOWS)
+def test_spill_flags_cover_invalid_frames_on_golden_codes(window):
+    for name, h1, h2 in golden._pairs():
+        spec = build_code(*(parse_matrix(t.replace(";", "\n")) for t in (h1, h2)))
+        scratch = min(simulate.default_scratch(spec.encoder), window // 3)
+        assert _assert_flags_cover_invalid_frames_after_every_gate(spec.bare, spec.encoder, window, scratch), name
