@@ -49,7 +49,7 @@ from .gates import (
     inf_depth,
     swap,
 )
-from .poly import LaurentPoly, RationalPoly, divmod_shifted, gcd
+from .poly import LaurentPoly, RationalPoly, common_denominator, divmod_shifted
 from .polymat import PolyMatrix, SmithDecomposition, SmithEngine, SmithHooks, smith_form
 
 CLASS1 = "class1"
@@ -557,16 +557,10 @@ def _measurable(qcm: QuantumCheckMatrix):
     z = qcm.z.to_lists()
     x = qcm.x.to_lists()
     for r in range(qcm.rows):
-        m = _L1
-        for e in z[r] + x[r]:
-            if e.den != _L1:
-                g = gcd(m, e.den)
-                q, _ = divmod_shifted(m, g)
-                m = q * e.den
+        m, nums = common_denominator(z[r] + x[r])
         if m != _L1:
-            fr = RationalPoly(m)
-            z[r] = [fr * e for e in z[r]]
-            x[r] = [fr * e for e in x[r]]
+            z[r] = [RationalPoly(p) for p in nums[:qcm.cols]]
+            x[r] = [RationalPoly(p) for p in nums[qcm.cols:]]
         mults.append(m)
     out = QuantumCheckMatrix(PolyMatrix(z, cols=qcm.cols), PolyMatrix(x, cols=qcm.cols), qcm.bob_cols, qcm.row_labels)
     return out, tuple(mults)

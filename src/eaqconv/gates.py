@@ -13,8 +13,14 @@ control a, target b and frame delay k:
 
 `apply_in_place` is the only implementation of these operations.  It
 mutates row lists and touches just the addressed columns: the code
-construction runs it on its working grids, and `Circuit.apply` on one copy
-of a check matrix per circuit.
+construction runs it on its Laurent grids, and `Circuit.apply` on one copy
+of a check matrix per circuit, each row held as Laurent numerators over one
+GF(2)[D] row denominator.  Two facts make that exact.  Finite-depth gates
+only add shifted entries within a row, so they never change its
+denominator and run on the numerators with no gcd; only InfDepth updates
+it.  And the canonical form of a rational function is unique, so dividing
+back once when the state is frozen gives the entries that a replay on
+normalised `RationalPoly` entries gives.
 
 Gate qubit indices address the sender's (Alice's) columns; the receiver-side
 columns sit to the left of them and only gates flagged full_frame (used by
@@ -32,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import DimensionMismatch, PolyParseError
-from .poly import LaurentPoly, RationalPoly, format_poly, parse_poly
+from .poly import LaurentPoly, RationalPoly, common_denominator, format_poly, parse_poly
 from .polymat import PolyMatrix
 
 _KINDS = ("CNOT", "H", "P", "CPHASE", "CPHASE_SELF", "INF")
@@ -187,12 +193,17 @@ def gate_columns(g: Gate, cols: int, bob_cols: int) -> tuple[int, int | None]:
     return col(g.i), (col(g.j) if g.j is not None else None)
 
 
-def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0) -> None:
+def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0, dens=None) -> None:
     """Apply g's column operation to mutable (Z row, X row) list pairs.
 
-    Only columns a (and b) change; a row whose source entry is zero is skipped.
-    Finite-depth gates only add shifted entries, so the rows may hold
-    LaurentPoly or RationalPoly entries; INF needs RationalPoly rows.
+    Finite-depth gates change only columns a (and b) and skip a row whose
+    source entry is zero.  They only add shifted entries within a row, so
+    the rows may hold LaurentPoly or RationalPoly entries, and rows of
+    numerators over a common row denominator keep it.  INF needs the rows as
+    LaurentPoly numerators over `dens`, one GF(2)[D] denominator per row,
+    and updates them: with f = f0 D^k and f0 delay-free, a row with
+    x[a] != 0 moves to denominator den*f0, its other entries take the
+    factor f0 and x[a] the factor D^-k; z[a] takes the factor f(D^-1).
     """
     a, b = gate_columns(g, cols, bob_cols)
     if g.kind == "CNOT":
@@ -220,11 +231,15 @@ def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0) -> None:
                 z[a] = z[a] + x[a].shift(g.delay) + x[a].shift(-g.delay)
     elif g.kind == "INF":
         fwd = g.f.reverse() if g.time_reversed else g.f
-        xmul = RationalPoly(LaurentPoly.one(), fwd)
-        zmul = RationalPoly(fwd.reverse())
-        for z, x in rows:
+        f0, k = fwd.delay_free()
+        zmul = fwd.reverse()
+        for r, (z, x) in enumerate(rows):
             if x[a]:
-                x[a] = x[a] * xmul
+                xa = x[a].shift(-k)
+                z[:] = [e * f0 for e in z]
+                x[:] = [e * f0 for e in x]
+                x[a] = xa
+                dens[r] = dens[r] * f0
             if z[a]:
                 z[a] = z[a] * zmul
     else:  # pragma: no cover
@@ -260,23 +275,48 @@ class Circuit:
     def apply(self, qcm: QuantumCheckMatrix, observe=None) -> QuantumCheckMatrix:
         """Run every gate on one mutable copy of qcm and return it frozen.
 
-        observe(gate, state), when given, sees the frozen state after each gate.
+        The stabilizer and info rows are held as Laurent numerators over one
+        GF(2)[D] denominator per row, the lcm of the row's denominators on
+        the way in.  Gates run on them with `apply_in_place`; finite-depth
+        gates never change a row's denominator, so only freezing divides,
+        back into the canonical `RationalPoly` entries, which are unique.
+        Freezing divides again only the entries whose numerator or row
+        denominator changed.  observe(gate, state), when given, sees the
+        frozen state after each gate.
         """
-        z, x = qcm.z.to_lists(), qcm.x.to_lists()
-        iz, ix = (qcm.info.z.to_lists(), qcm.info.x.to_lists()) if qcm.info is not None else ([], [])
-        rows = list(zip(z, x)) + list(zip(iz, ix))
+        cols, split = qcm.cols, qcm.rows
+        mats = (qcm,) if qcm.info is None else (qcm, qcm.info)
+        rows, dens = [], []
+        for m in mats:
+            for zr, xr in zip(m.z.entries, m.x.entries):
+                den, nums = common_denominator(zr + xr)
+                rows.append((nums[:cols], nums[cols:]))
+                dens.append(den)
+        fz = [list(zr) for m in mats for zr in m.z.entries]
+        fx = [list(xr) for m in mats for xr in m.x.entries]
+        made = [(list(z), list(x), den) for (z, x), den in zip(rows, dens)]  # what fz, fx were divided from
 
-        def freeze():
+        def freeze(touched):
+            for r, ((z, x), den) in enumerate(zip(rows, dens)):
+                mz, mx, mden = made[r]
+                new_den = den is not mden
+                if new_den:
+                    made[r] = mz, mx, den
+                for c in range(cols) if new_den else touched:
+                    if new_den or z[c] is not mz[c]:
+                        mz[c], fz[r][c] = z[c], RationalPoly(z[c], den)
+                    if new_den or x[c] is not mx[c]:
+                        mx[c], fx[r][c] = x[c], RationalPoly(x[c], den)
             info = qcm.info
             if info is not None:
-                info = replace(info, z=PolyMatrix(iz, cols=qcm.cols), x=PolyMatrix(ix, cols=qcm.cols))
-            return replace(qcm, z=PolyMatrix(z, cols=qcm.cols), x=PolyMatrix(x, cols=qcm.cols), info=info)
+                info = replace(info, z=PolyMatrix(fz[split:], cols=cols), x=PolyMatrix(fx[split:], cols=cols))
+            return replace(qcm, z=PolyMatrix(fz[:split], cols=cols), x=PolyMatrix(fx[:split], cols=cols), info=info)
 
         for g in self.gates:
-            apply_in_place(g, rows, qcm.cols, qcm.bob_cols)
+            apply_in_place(g, rows, cols, qcm.bob_cols, dens)
             if observe is not None:
-                observe(g, freeze())
-        return freeze()
+                observe(g, freeze([c for c in gate_columns(g, cols, qcm.bob_cols) if c is not None]))
+        return freeze(range(cols))
 
 
 def format_gate(g: Gate) -> str:

@@ -13,9 +13,10 @@ constant term; every unit D^k is pushed into the numerator.  This keeps
 denominators inside GF(2)[D] so the Euclidean algorithm stays ordinary.
 The form is unique, and two facts about it let arithmetic skip the gcd: a
 canonical denominator with ``bits == 1`` is exactly 1 (so a sum or product
-of two polynomials is already canonical), and multiplying the numerator by
-a unit D^k keeps gcd(num, den) = 1 (so ``shift`` is too).  A sum over one
-shared denominator, a/d + b/d, still cancels, but only (a+b) against d.
+of two polynomials is already canonical, and so is num/D^k once D^k moves
+up), and multiplying the numerator by a unit D^k keeps gcd(num, den) = 1
+(so ``shift`` is too).  A sum over one shared denominator, a/d + b/d,
+still cancels, but only (a+b) against d.
 
 Text grammar: terms joined by '+', each term '1', 'D' or 'D^k' with integer
 k (negative allowed), e.g. '1+D^2' or 'D^-1+1+D'.  Parsing and printing
@@ -228,6 +229,23 @@ def gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(_bits_gcd(a.bits, b.bits), 0)
 
 
+def common_denominator(entries) -> tuple[LaurentPoly, list[LaurentPoly]]:
+    """Write rational entries over one denominator: (m, nums) with e = nums[i]/m.
+
+    m is the lcm of the entries' canonical denominators, so it lies in GF(2)[D]
+    and is the least m that makes every m*e a Laurent polynomial.
+    """
+    m = ONE
+    for e in entries:
+        if e.den != ONE:
+            g = gcd(m, e.den)
+            q, _ = divmod_shifted(m, g)
+            m = q * e.den
+    if m == ONE:
+        return m, [e.num for e in entries]
+    return m, [e.num * divmod_shifted(m, e.den)[0] for e in entries]
+
+
 def divides(a: LaurentPoly, b: LaurentPoly) -> bool:
     """a | b over the Laurent ring (powers of D are units)."""
     if a.is_zero():
@@ -245,7 +263,10 @@ class RationalPoly:
     def __init__(self, num: LaurentPoly, den: LaurentPoly = LaurentPoly.one()):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
+        if den.bits == 1:  # a unit D^k: nothing to cancel
+            if den.low:
+                num, den = num.shift(-den.low), LaurentPoly.one()
+        elif num.is_zero():
             num, den = LaurentPoly.zero(), LaurentPoly.one()
         else:
             # push the denominator's unit into the numerator, then cancel

@@ -173,11 +173,13 @@ class BinarySymplecticWindow:
     def _damage(self, src: int, dst: int, k: int) -> None:
         """Bits moved from track src to track dst across |k| frames."""
         k, w = abs(k), self.window
-        rows = self._widen(self.head_lost[src] | (self.prefix[src] & self._base))
+        # a row's invalid head (tail) frames come only with its head (tail)
+        # flag, so the flags alone say which rows carry damage
+        rows = self._widen(self.head_lost[src])
         if rows:
             self.prefix[dst] |= (self._shifted(self.prefix[src], k) | self._span(0, k)) & rows
             self.head_lost[dst] |= self.head_lost[src]
-        rows = self._widen(self.tail_lost[src] | ((self.suffix[src] >> w - 1) & self._base))
+        rows = self._widen(self.tail_lost[src])
         if rows:
             self.suffix[dst] |= (self._shifted(self.suffix[src], -k) | self._span(w - k, w)) & rows
             self.tail_lost[dst] |= self.tail_lost[src]
@@ -316,9 +318,9 @@ def _apply_inf(win: BinarySymplecticWindow, q: int, rule: SlidingWindowRule) -> 
     for e in inverse.exponents():  # feedback: the 1/f expansion
         nx ^= win._shifted(x, e)
     # feedback needs the full history: head trouble invalidates the track
-    win.prefix[q] |= win._widen(win.head_lost[q] | (win.prefix[q] & win._base))
+    win.prefix[q] |= win._widen(win.head_lost[q])
     if width:
-        rows = win._widen(win.tail_lost[q] | ((win.suffix[q] >> w - 1) & win._base))
+        rows = win._widen(win.tail_lost[q])
         win.suffix[q] |= (win._shifted(win.suffix[q], -width) | win._span(w - width, w)) & rows
     win.tail_lost[q] = win._base  # the expansion continues past the window
     win.z[q], win.x[q] = nz, nx
