@@ -33,7 +33,7 @@ from .gates import (
 )
 from .pauli import CheckRow, PauliFrameStream, b2p, commute_oracle, p2b, shifted_symplectic
 from .poly import LaurentPoly, RationalPoly, parse_poly, parse_rational, series_expand
-from .polymat import PolyMatrix, SmithDecomposition, parse_matrix, rank, smith_form
+from .polymat import PolyMatrix, SmithDecomposition, parse_matrix, smith_form
 from .simulate import BinarySymplecticWindow, expand, run_circuit, verify_code
 
 __all__ = [name for name in dir() if not name.startswith("_")]

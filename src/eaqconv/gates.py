@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import DimensionMismatch, PolyParseError
-from .poly import LaurentPoly, RationalPoly, common_denominator, format_poly, parse_poly
+from .poly import ZERO, LaurentPoly, RationalPoly, common_denominator, format_poly, parse_poly
 from .polymat import PolyMatrix
 
 _KINDS = ("CNOT", "H", "P", "CPHASE", "CPHASE_SELF", "INF")
@@ -147,15 +147,28 @@ class QuantumCheckMatrix:
 
         return CheckRow(self.z.entries[i], self.x.entries[i])
 
+    def symplectic_numerators(self) -> tuple[list[LaurentPoly], list[list[LaurentPoly]]]:
+        """(dens, N): the product of rows i and j is N[i][j] / (dens[i](D^-1) dens[j](D)).
+
+        Each row is taken as Laurent numerators over its row denominator.
+        Only i <= j is multiplied out; N[j][i] is N[i][j](D^-1).
+        """
+        from .pauli import symplectic_numerator
+
+        rows = [common_denominator(z + x) for z, x in zip(self.z.entries, self.x.entries)]
+        num = [[ZERO] * len(rows) for _ in rows]
+        for i, (_, a) in enumerate(rows):
+            for j in range(i, len(rows)):
+                num[i][j] = symplectic_numerator(a, rows[j][1])
+                num[j][i] = num[i][j].reverse()
+        return [d for d, _ in rows], num
+
     def symplectic_gram(self) -> PolyMatrix:
         """All pairwise shifted symplectic products, over every column."""
-        from .pauli import shifted_symplectic
-
-        rows = [self.row(i) for i in range(self.rows)]
-        return PolyMatrix([[shifted_symplectic(a, b) for b in rows] for a in rows]) if rows else PolyMatrix.zero(0, 0)
-
-    def is_commuting(self) -> bool:
-        return all(e.is_zero() for row in self.symplectic_gram().entries for e in row)
+        dens, num = self.symplectic_numerators()
+        if not dens:
+            return PolyMatrix.zero(0, 0)
+        return PolyMatrix([[RationalPoly(n, di.reverse() * dj) for n, dj in zip(row, dens)] for row, di in zip(num, dens)])
 
     def alice_part(self) -> QuantumCheckMatrix:
         cols = range(self.bob_cols, self.cols)

@@ -11,7 +11,9 @@ The shifted symplectic product of two rows,
     (h1 (.) h2)(D) = z1(D^-1) . x2(D) + x1(D^-1) . z2(D),
 
 vanishes exactly when the two Pauli sequences commute under every n-qubit
-shift.  `commute_oracle` re-derives that fact by brute force on the letter
+shift.  With each row written as Laurent numerators over one GF(2)[D] row
+denominator, the product is N(D) / (d1(D^-1) d2(D)); `symplectic_numerator`
+computes N alone, and the product vanishes exactly when N does.  `commute_oracle` re-derives that fact by brute force on the letter
 streams and is the independent check for the algebra.
 
 Text form: frames separated by '|', letters IXYZ, e.g. 'XXX|XZY'.
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, PolyParseError
-from .poly import LaurentPoly, RationalPoly, series_expand
+from .poly import ZERO, LaurentPoly, RationalPoly, common_denominator, series_expand
 
 _LETTERS = "IXYZ"
 _TO_BITS = {"I": (0, 0), "X": (0, 1), "Y": (1, 1), "Z": (1, 0)}
@@ -147,14 +149,29 @@ def b2p(row: CheckRow, lo: int, hi: int) -> PauliFrameStream:
     return PauliFrameStream(row.n, tuple(frames), lo)
 
 
+def symplectic_numerator(a: list[LaurentPoly], b: list[LaurentPoly]) -> LaurentPoly:
+    """The Laurent numerator N of the shifted symplectic product of two rows.
+
+    a and b are (Z half, then X half) Laurent numerator rows over row
+    denominators d_a and d_b.  Then (a (.) b)(D) = N(D) / (d_a(D^-1) d_b(D)),
+    with N = z_a(D^-1).x_b(D) + x_a(D^-1).z_b(D), so the product vanishes
+    exactly when N does.  Swapping the rows reverses N.
+    """
+    n = len(a) // 2
+    acc = ZERO
+    for p, q in zip(a, b[n:] + b[:n]):
+        if p and q:
+            acc = acc + p.reverse() * q
+    return acc
+
+
 def shifted_symplectic(h1: CheckRow, h2: CheckRow) -> RationalPoly:
     """(h1 (.) h2)(D) = z1(D^-1).x2(D) + x1(D^-1).z2(D)."""
     if h1.n != h2.n:
         raise DimensionMismatch(f"rows over {h1.n} and {h2.n} qubits")
-    acc = RationalPoly.zero()
-    for q in range(h1.n):
-        acc = acc + h1.z[q].reverse() * h2.x[q] + h1.x[q].reverse() * h2.z[q]
-    return acc
+    d1, a = common_denominator(h1.z + h1.x)
+    d2, b = common_denominator(h2.z + h2.x)
+    return RationalPoly(symplectic_numerator(a, b), d1.reverse() * d2)
 
 
 def _anticommute(a: str, b: str) -> bool:

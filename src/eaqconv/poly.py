@@ -246,6 +246,24 @@ def common_denominator(entries) -> tuple[LaurentPoly, list[LaurentPoly]]:
     return m, [e.num * divmod_shifted(m, e.den)[0] for e in entries]
 
 
+def primitive_part(entries: list[LaurentPoly]) -> list[LaurentPoly]:
+    """Laurent entries divided by their gcd in the Laurent ring.
+
+    The gcd is the GF(2)[D] gcd of the delay-free parts times D^l, l the
+    lowest exponent, so the result has lowest exponent 0 and coprime
+    entries.  Two rows that differ by a nonzero rational factor have the
+    same primitive part (Gauss's lemma).  A zero row is returned as it is.
+    """
+    g, low = 0, None
+    for e in entries:
+        if e.bits:
+            g = _bits_gcd(g, e.bits)
+            low = e.low if low is None else min(low, e.low)
+    if low is None or (g == 1 and low == 0):
+        return entries
+    return [LaurentPoly(_bits_divmod(e.bits, g)[0], e.low - low) if e.bits else e for e in entries]
+
+
 def divides(a: LaurentPoly, b: LaurentPoly) -> bool:
     """a | b over the Laurent ring (powers of D are units)."""
     if a.is_zero():

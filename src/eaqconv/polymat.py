@@ -13,6 +13,15 @@ uses MatrixHooks, which applies the operations to a scratch grid and its
 unimodular witnesses; the code construction uses hooks that turn column
 operations into circuit gates and row operations into row operations on its
 working check matrix.
+
+Row spaces over GF(2)(D) are computed on Laurent numerators, with no
+rational arithmetic.  Each row is written over one GF(2)[D] row denominator
+(`common_denominator`) and the denominator is dropped, because scaling a
+row by a nonzero polynomial does not change the row space.  `echelon` is a
+fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) that
+keeps every row a primitive part.  A fully reduced echelon form is unique up
+to row scaling, so its primitive rows are unique: `row_space_equal`
+compares them, and `rref` divides each row by its pivot once at the end.
 """
 
 from __future__ import annotations
@@ -24,10 +33,12 @@ from .poly import (
     divmod_width,
     LaurentPoly,
     RationalPoly,
+    common_denominator,
     divides,
     divmod_shifted,
     format_rational,
     parse_rational,
+    primitive_part,
 )
 
 _RZERO = RationalPoly.zero()
@@ -377,65 +388,81 @@ def smith_form(m: PolyMatrix) -> SmithDecomposition:
     )
 
 
-# -- rank and row spaces over GF(2)(D) ---------------------------------------
+# -- row spaces over GF(2)(D) ----------------------------------------------------
+
+
+def echelon(rows: list[list[LaurentPoly]]) -> tuple[list[list[LaurentPoly]], tuple[int, ...]]:
+    """The fully reduced echelon form of Laurent rows over GF(2)(D), fraction free.
+
+    Returns the nonzero echelon rows, each a primitive part, and their pivot
+    columns.  Each column pivots on its narrowest candidate entry, and
+    clearing column c of row i against pivot row r is
+    row_i <- piv*row_i + row_i[c]*row_r with piv = row_r[c]; dividing the
+    new row by the gcd of its entries keeps the degrees bounded.  Each row
+    is then the primitive part of the matching row of the reduced row
+    echelon form, so two matrices span the same row space exactly when
+    their pivots and echelon rows are equal.
+    """
+    rows = [primitive_part(row) for row in rows]
+    cols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == len(rows):
+            break
+        live = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not live:
+            continue
+        p = min(live, key=lambda i: rows[i][c].width)
+        rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        piv = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = primitive_part([piv * a + f * b for a, b in zip(row, prow)])
+        pivots.append(c)
+        r += 1
+    return rows[:r], tuple(pivots)
+
+
+def residue(vec: list[LaurentPoly], rows: list[list[LaurentPoly]], pivots: tuple[int, ...]) -> list[LaurentPoly]:
+    """vec reduced modulo `echelon` rows: zero on every pivot column.
+
+    Fraction free, so the result is a nonzero multiple of the reduction
+    over GF(2)(D), with the same support; it is zero exactly when vec lies
+    in the row space.
+    """
+    for row, c in zip(rows, pivots):
+        f = vec[c]
+        if f:
+            piv = row[c]
+            vec = [piv * a + f * b for a, b in zip(vec, row)]
+    return vec
+
+
+def _numerator_rows(m: PolyMatrix) -> list[list[LaurentPoly]]:
+    """Each row of m as Laurent numerators over its row denominator, which a row space ignores."""
+    return [common_denominator(row)[1] for row in m.entries]
 
 
 def rref(m: PolyMatrix) -> tuple[PolyMatrix, tuple[int, ...]]:
     """Reduced row echelon form over the rational function field GF(2)(D)."""
-    rows = m.to_lists()
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = next((i for i in range(r, m.rows) if not rows[i][c].is_zero()), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(m.rows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a + f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return PolyMatrix(rows), tuple(pivots)
+    rows, pivots = echelon(_numerator_rows(m))
+    out = [[RationalPoly(e, row[c]) for e in row] for row, c in zip(rows, pivots)]
+    out += [[_RZERO] * m.cols for _ in range(m.rows - len(rows))]
+    return PolyMatrix(out), pivots
 
 
-def rank(m: PolyMatrix) -> int:
-    """Rank over GF(2)(D); equals the number of nonzero invariant factors."""
-    return len(rref(m)[1])
+def row_space_equal(a: PolyMatrix, *others: PolyMatrix) -> bool:
+    """Whether every matrix of `others` spans the same row space over GF(2)(D) as a.
 
-
-def row_space_equal(a: PolyMatrix, b: PolyMatrix) -> bool:
-    """Whether two matrices span the same row space over GF(2)(D)."""
-    if a.cols != b.cols:
+    a is eliminated once, however many matrices it is compared with.
+    """
+    if any(b.cols != a.cols for b in others):
         return False
-    ra, pa = rref(a)
-    rb, pb = rref(b)
-    if pa != pb:
-        return False
-    return all(ra.entries[i] == rb.entries[i] for i in range(len(pa)))
-
-
-def det(m: PolyMatrix) -> RationalPoly:
-    """Determinant by cofactor expansion; intended for small witness checks."""
-    if m.rows != m.cols:
-        raise DimensionMismatch("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return _RONE
-    if n == 1:
-        return m[0, 0]
-    acc = _RZERO
-    rest = list(range(1, n))
-    for j in range(n):
-        if m[0, j].is_zero():
-            continue
-        minor = m.submatrix(rest, [c for c in range(n) if c != j])
-        acc = acc + m[0, j] * det(minor)
-    return acc
+    ea = echelon(_numerator_rows(a))
+    return all(echelon(_numerator_rows(b)) == ea for b in others)
 
 
 # -- text format --------------------------------------------------------------

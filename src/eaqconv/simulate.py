@@ -50,8 +50,9 @@ from typing import NamedTuple
 
 from .errors import WindowTooSmall
 from .gates import Circuit, QuantumCheckMatrix, SlidingWindowRule, gate_columns, synthesize_infinite_depth, time_reversed_rule
-from .poly import LaurentPoly, RationalPoly, series_expand
-from .polymat import PolyMatrix, row_space_equal
+from .pauli import symplectic_numerator
+from .poly import LaurentPoly, RationalPoly, common_denominator, series_expand
+from .polymat import PolyMatrix, echelon, residue, row_space_equal
 
 
 class TrackState:
@@ -417,42 +418,41 @@ def _check_decode(spec, evolved: QuantumCheckMatrix) -> tuple[bool, str]:
     stabilizer; the X/Z pairing is a unit D^k exactly on matching qubits;
     and modulo the decoded stabilizer each logical localizes to its
     designated column.
-    """
-    from .pauli import shifted_symplectic
-    from .polymat import rref
 
+    Rows are Laurent numerators over one GF(2)[D] denominator each.  A
+    product is N / (d_a(D^-1) d_b(D)), so it vanishes exactly when N does
+    and is a unit D^k exactly when N has the coefficient bits of
+    d_a(D^-1) d_b(D).  Localization reads the support of each logical row's
+    residue modulo the stabilizer's echelon form, which row scaling keeps.
+    """
     decoded = spec.decoder.apply(evolved)
     if decoded.info is None or spec.k == 0:
         return True, "no information qubits"
-    for i in range(decoded.info.rows):
-        for j in range(decoded.rows):
-            if not shifted_symplectic(decoded.info.row(i), decoded.row(j)).is_zero():
-                return False, f"decoded logical row {i + 1} fails to commute with the stabilizer"
+    stab = [common_denominator(z + x)[1] for z, x in zip(decoded.z.entries, decoded.x.entries)]
+    info = [common_denominator(z + x) for z, x in zip(decoded.info.z.entries, decoded.info.x.entries)]
+    for i, (_, a) in enumerate(info):
+        if any(symplectic_numerator(a, b) for b in stab):
+            return False, f"decoded logical row {i + 1} fails to commute with the stabilizer"
     for qa in range(spec.k):
         for qb in range(spec.k):
-            prod = shifted_symplectic(decoded.info.row(2 * qa), decoded.info.row(2 * qb + 1))
+            (dx, xa), (dz, zb) = info[2 * qa], info[2 * qb + 1]
+            prod = symplectic_numerator(xa, zb)
             if qa != qb:
-                if not prod.is_zero():
+                if prod:
                     return False, f"logical qubits {qa + 1} and {qb + 1} fail to be independent"
-            elif prod.is_zero() or not prod.is_polynomial() or prod.num.weight() != 1:
-                return False, f"logical pair {qa + 1} has pairing {prod} instead of a unit"
-            xa, xb = decoded.info.row(2 * qa), decoded.info.row(2 * qb)
-            za, zb = decoded.info.row(2 * qa + 1), decoded.info.row(2 * qb + 1)
+            elif prod.bits != (unit := dx.reverse() * dz).bits:
+                return False, f"logical pair {qa + 1} has pairing {RationalPoly(prod, unit)} instead of a unit"
             if qa < qb:
-                if not shifted_symplectic(xa, xb).is_zero() or not shifted_symplectic(za, zb).is_zero():
+                za, xb = info[2 * qa + 1][1], info[2 * qb][1]
+                if symplectic_numerator(xa, xb) or symplectic_numerator(za, zb):
                     return False, f"same-type logicals {qa + 1}, {qb + 1} anticommute"
     # localization modulo the decoded stabilizer row space
-    stab_rref, pivots = rref(decoded.zx_concat())
+    rows, pivots = echelon(stab)
     total = decoded.cols
     for q in range(spec.k):
         col = decoded.bob_cols + spec.decoded_cols[q]
         for rrow, allowed, kind in ((2 * q, {total + col}, "X"), (2 * q + 1, {col}, "Z")):
-            vec = list(decoded.info.z.entries[rrow]) + list(decoded.info.x.entries[rrow])
-            for p, pc in enumerate(pivots):
-                if not vec[pc].is_zero():
-                    coeff = vec[pc]
-                    vec = [a + coeff * b for a, b in zip(vec, stab_rref.entries[p])]
-            support = {j for j, e in enumerate(vec) if not e.is_zero()}
+            support = {j for j, e in enumerate(residue(info[rrow][1], rows, pivots)) if e}
             if support != allowed:
                 return False, f"logical {kind}{q + 1} does not localize to column {spec.decoded_cols[q] + 1}"
     return True, ""
@@ -503,14 +503,23 @@ def verify_code(spec, window: int = 32, scratch: int | None = None) -> Verificat
         the input check matrices; (c) decoding restores each logical pair to
         its designated column; (d) the gate-by-gate window simulation of the
         encoder agrees with the algebraic stabilizer inside the window.
+
+    Checks (a)-(c) run on Laurent numerator rows, one GF(2)[D] denominator
+    per row, with no rational arithmetic.  Three facts keep them exact: a
+    row space over GF(2)(D) does not change when a row is scaled by a
+    nonzero polynomial; a shifted symplectic product is
+    N(D) / (d_i(D^-1) d_j(D)), so it vanishes exactly when its numerator N
+    does; and a fully reduced echelon form is unique up to row scaling.
+    The input check matrices are eliminated once, for both the stored and
+    the re-encoded stabilizer.
     """
     if scratch is None:
         scratch = default_scratch(spec.encoder)
     scratch = min(scratch, window // 3)  # keep an interior even for wide factors
     checks = []
 
-    gram = spec.final_stabilizer.symplectic_gram()
-    bad = [(i, j) for i in range(gram.rows) for j in range(gram.cols) if not gram[i, j].is_zero()]
+    num = spec.final_stabilizer.symplectic_numerators()[1]
+    bad = [(i, j) for i, row in enumerate(num) for j, e in enumerate(row) if e]
     checks.append(CheckResult(
         "commutation",
         not bad,
@@ -523,14 +532,13 @@ def verify_code(spec, window: int = 32, scratch: int | None = None) -> Verificat
         [list(r) + zero for r in spec.h1.entries] + [zero + list(r) for r in spec.h2.entries]
     )
     alice = spec.final_stabilizer.alice_part().zx_concat()
-    ok_stored = row_space_equal(alice, target)
     evolved = spec.encoder.apply(spec.bare)
-    ok_evolved = row_space_equal(evolved.alice_part().zx_concat(), target)
+    ok_span = row_space_equal(target, alice, evolved.alice_part().zx_concat())
     checks.append(CheckResult(
         "row-space equivalence",
-        ok_stored and ok_evolved,
-        "" if ok_stored and ok_evolved
-        else ("stored" if not ok_stored else "re-encoded")
+        ok_span,
+        "" if ok_span
+        else ("stored" if not row_space_equal(target, alice) else "re-encoded")
         + " sender-side stabilizer spans a different space than the check matrices",
     ))
 

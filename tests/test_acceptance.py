@@ -30,9 +30,10 @@ from eaqconv.gates import (
 )
 from eaqconv.pauli import commute_oracle, p2b, parse_stream, shifted_symplectic
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly, series_expand
-from eaqconv.polymat import PolyMatrix, det, parse_matrix, rank, smith_form
+from eaqconv.polymat import PolyMatrix, parse_matrix, smith_form
 from eaqconv.simulate import expand, run_circuit, verify_code
 from syndrome import ErrorPattern, syndrome
+from verify_oracle import det, rank
 
 H_EX1 = parse_matrix("1+D^2, 1+D+D^2")
 H_EX2 = parse_matrix("1, 1+D")

@@ -31,6 +31,7 @@ from eaqconv.construct import (
 from eaqconv.gates import format_circuit
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly
 from eaqconv.polymat import PolyMatrix, parse_matrix, row_space_equal, smith_form
+from verify_oracle import is_commuting, rank
 
 H_EX1 = parse_matrix("1+D^2, 1+D+D^2")
 H_EX2 = parse_matrix("1, 1+D")
@@ -162,11 +163,9 @@ def test_decompose_orthogonal_pair():
 
 
 def test_rank_of_cross_block_equals_ebit_count():
-    import eaqconv.polymat as pm
-
     for h1, h2 in ((H_EX1, H_EX1), (H_EX2, H_EX2), (H_GEN2, H_GEN2)):
         record = decompose_general(h1, h2)
-        assert pm.rank(record.e_mat) == record.c
+        assert rank(record.e_mat) == record.c
 
 
 # -- first worked example, display by display -------------------------------------------
@@ -212,7 +211,7 @@ def test_example1_parameters_and_rates():
 
 def test_example1_commutes_and_matches_input_row_space():
     spec = build_code(H_EX1, H_EX1)
-    assert spec.final_stabilizer.is_commuting()
+    assert is_commuting(spec.final_stabilizer)
     assert row_space_equal(spec.final_stabilizer.alice_part().zx_concat(), stacked(H_EX1, H_EX1))
 
 
@@ -306,7 +305,7 @@ def test_example2_measurable_stabilizer():
 
 def test_example2_commutes_and_matches_input_row_space():
     spec = build_code(H_EX2, H_EX2)
-    assert spec.final_stabilizer.is_commuting()
+    assert is_commuting(spec.final_stabilizer)
     assert row_space_equal(spec.final_stabilizer.alice_part().zx_concat(), stacked(H_EX2, H_EX2))
 
 
@@ -318,7 +317,7 @@ def test_orthogonal_pair_builds_plain_css():
     assert spec.class_tag == CLASS1
     assert (spec.n, spec.k, spec.c) == (2, 0, 0)
     assert spec.final_stabilizer.bob_cols == 0
-    assert spec.final_stabilizer.is_commuting()
+    assert is_commuting(spec.final_stabilizer)
     assert str(spec.rates.catalytic) == "0"
 
 
@@ -330,7 +329,7 @@ def test_general_class2_build():
     assert spec.decoder.is_finite_depth()
     infs = [g for g in spec.encoder.gates if g.kind == "INF"]
     assert len(infs) == 1 and infs[0].time_reversed
-    assert spec.final_stabilizer.is_commuting()
+    assert is_commuting(spec.final_stabilizer)
     assert row_space_equal(spec.final_stabilizer.alice_part().zx_concat(), stacked(H_GEN2, H_GEN2))
     assert None not in spec.decoded_offsets
 
@@ -362,7 +361,7 @@ def test_parameter_law_random_pairs():
         assert spec.k == k1 + k2 - n + c
         assert spec.k >= 0  # guaranteed by the rank inequality
         assert len(spec.logical_cols) == spec.k
-        assert spec.final_stabilizer.is_commuting()
+        assert is_commuting(spec.final_stabilizer)
         assert row_space_equal(spec.final_stabilizer.alice_part().zx_concat(), stacked(h1, h2))
         if spec.class_tag == CLASS1:
             assert spec.encoder.is_finite_depth()

@@ -147,7 +147,10 @@ def test_rref_and_row_spaces_match_the_rational_elimination():
             assert row_space_equal(m, other) == verdict, seed
             assert row_space_equal(other, m) == oracle.row_space_equal(other, m), seed
             verdicts.add(verdict)
-        assert oracle.row_space_equal(m, _same_space(rng, m)), seed
+        same, perturbed = _same_space(rng, m), _perturbed(rng, m)
+        assert oracle.row_space_equal(m, same), seed
+        assert row_space_equal(m, same, _same_space(rng, m)), seed
+        assert row_space_equal(m, same, perturbed) == oracle.row_space_equal(m, perturbed), seed
     assert covered == {
         "zero row", "no denominator", "shared denominator", "distinct denominators",
         "duplicate rows", "full rank", "rank deficient",

@@ -7,6 +7,10 @@ shifted symplectic product summed entry by entry (`shifted_symplectic`), the
 full pairwise gram (`symplectic_gram`, the method body taking the check
 matrix first), `_check_decode`, and checks (a)-(c) of `verify_code` as
 `algebra_checks`.  They are copied verbatim; only the imports differ.
+
+`rank`, `det` and `is_commuting` (the `QuantumCheckMatrix` method, taking
+the check matrix first) had no caller in the package and serve the tests
+as independent oracles.
 """
 
 from __future__ import annotations
@@ -54,6 +58,30 @@ def row_space_equal(a: PolyMatrix, b: PolyMatrix) -> bool:
     return all(ra.entries[i] == rb.entries[i] for i in range(len(pa)))
 
 
+def rank(m: PolyMatrix) -> int:
+    """Rank over GF(2)(D); equals the number of nonzero invariant factors."""
+    return len(rref(m)[1])
+
+
+def det(m: PolyMatrix) -> RationalPoly:
+    """Determinant by cofactor expansion; intended for small witness checks."""
+    if m.rows != m.cols:
+        raise DimensionMismatch("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return _RONE
+    if n == 1:
+        return m[0, 0]
+    acc = _RZERO
+    rest = list(range(1, n))
+    for j in range(n):
+        if m[0, j].is_zero():
+            continue
+        minor = m.submatrix(rest, [c for c in range(n) if c != j])
+        acc = acc + m[0, j] * det(minor)
+    return acc
+
+
 def shifted_symplectic(h1, h2) -> RationalPoly:
     """(h1 (.) h2)(D) = z1(D^-1).x2(D) + x1(D^-1).z2(D)."""
     if h1.n != h2.n:
@@ -68,6 +96,10 @@ def symplectic_gram(qcm) -> PolyMatrix:
     """All pairwise shifted symplectic products, over every column."""
     rows = [qcm.row(i) for i in range(qcm.rows)]
     return PolyMatrix([[shifted_symplectic(a, b) for b in rows] for a in rows]) if rows else PolyMatrix.zero(0, 0)
+
+
+def is_commuting(qcm) -> bool:
+    return all(e.is_zero() for row in symplectic_gram(qcm).entries for e in row)
 
 
 def _check_decode(spec, evolved) -> tuple[bool, str]:
