@@ -11,10 +11,11 @@ The shifted symplectic product of two rows,
     (h1 (.) h2)(D) = z1(D^-1) . x2(D) + x1(D^-1) . z2(D),
 
 vanishes exactly when the two Pauli sequences commute under every n-qubit
-shift.  With each row written as Laurent numerators over one GF(2)[D] row
-denominator, the product is N(D) / (d1(D^-1) d2(D)); `symplectic_numerator`
-computes N alone, and the product vanishes exactly when N does.  `commute_oracle` re-derives that fact by brute force on the letter
-streams and is the independent check for the algebra.
+shift.  `commute_oracle` re-derives that fact by brute force on the letter
+streams and is the independent check for the algebra.  With each row
+written as Laurent numerators over one GF(2)[D] row denominator, the
+product is N(D) / (d1(D^-1) d2(D)); `symplectic_numerator` computes N
+alone, and the product vanishes exactly when N does.
 
 Text form: frames separated by '|', letters IXYZ, e.g. 'XXX|XZY'.
 """
