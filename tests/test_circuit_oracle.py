@@ -7,9 +7,12 @@ rows whose entries have no denominator, one shared denominator other than
 of all six gate kinds with delays from -5 to 5, `full_frame` gates, and INF
 in both orientations with delayed factors and pure units D^k.  The returned
 `z`, `x` and `info`, and every state an observer sees, in order, must be
-equal exactly.  Every encoder and decoder replay of the 12 pairs of
-tests/golden/random_codes.json and of both worked examples is compared the
-same way.
+equal exactly.  A second seeded family stresses the storage layout: 0 to 6
+rows (a zero-row matrix included), all-zero columns, up to 60 gates with
+delays up to +-400 and INF gates between the finite ones, so entries grow
+far past any fixed padding.  Every encoder and decoder replay of the 12
+pairs of tests/golden/random_codes.json and of both worked examples is
+compared the same way.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from eaqconv.poly import LaurentPoly, RationalPoly
 from eaqconv.polymat import PolyMatrix, parse_matrix
 
 CASES = 400
+STRESS_CASES = 300
 ROW_KINDS = ("none", "shared", "distinct")
 
 
@@ -54,8 +58,11 @@ def _row(rng, cols, kind):
     return [entry() for _ in range(cols)], [entry() for _ in range(cols)]
 
 
-def _matrix(rng, rows, cols, bob_cols):
+def _matrix(rng, rows, cols, bob_cols, zero_cols=()):
     pairs = [_row(rng, cols, rng.choice(ROW_KINDS)) for _ in range(rows)]
+    for z, x in pairs:
+        for c in zero_cols:
+            z[c] = x[c] = RationalPoly.zero()
     return QuantumCheckMatrix(
         PolyMatrix([z for z, _ in pairs], cols=cols), PolyMatrix([x for _, x in pairs], cols=cols), bob_cols=bob_cols
     )
@@ -67,11 +74,11 @@ def _inf_factor(rng):
     return LaurentPoly(rng.randrange(1, 32) << 1 | 1, rng.randint(-3, 3))
 
 
-def _gate(rng, cols, bob_cols):
+def _gate(rng, cols, bob_cols, max_delay=5):
     full = rng.random() < 0.25
     n = cols if full else cols - bob_cols
     kind = rng.choice(("CNOT", "H", "P", "CPHASE", "CPHASE_SELF", "INF", "INF"))
-    delay = rng.randint(-5, 5)
+    delay = rng.randint(-max_delay, max_delay)
     if kind in ("CNOT", "CPHASE"):
         if n < 2:
             return Gate("INF", rng.randrange(n), f=_inf_factor(rng), full_frame=full)
@@ -95,8 +102,31 @@ def _case(seed):
     return state, circuit
 
 
+def _stress_case(seed):
+    """Long delays, long circuits, zero rows and all-zero columns."""
+    rng = random.Random(f"stress/{seed}")
+    rows, cols = rng.randint(0, 6), rng.randint(1, 4)
+    bob_cols = rng.randrange(cols)
+    zero_cols = [c for c in range(cols) if rng.random() < 0.2]
+    state = _matrix(rng, rows, cols, bob_cols, zero_cols)
+    if rng.random() < 0.5:
+        info = _matrix(rng, rng.randint(0, 3), cols, bob_cols, zero_cols)
+        state = QuantumCheckMatrix(state.z, state.x, bob_cols, info=info)
+    max_delay = rng.choice((5, 70, 400))
+    gates = []
+    for _ in range(rng.randint(1, 60)):
+        g = _gate(rng, cols, bob_cols, max_delay)
+        while g.kind == "INF" and rng.random() < 0.7:  # keep INF between runs of finite gates
+            g = _gate(rng, cols, bob_cols, max_delay)
+        gates.append(g)
+    return state, Circuit(tuple(gates))
+
+
 def assert_same_replay(circuit, state):
-    """Both replays agree on the result and on every observed state, in order."""
+    """Both replays agree on the result and on every observed state, in order.
+
+    Returns the state before each gate, then the final state.
+    """
     seen = []
     out = circuit.apply(state, lambda g, s: seen.append((g, s)))
     ref_seen = []
@@ -107,11 +137,17 @@ def assert_same_replay(circuit, state):
     for step, (got, want) in enumerate(zip(seen, ref_seen)):
         assert got == want, f"after gate {step}"
     assert circuit.apply(state) == ref
+    return [state] + [s for _, s in ref_seen]
 
 
-def _features(state, circuit):
+def _features(states, circuit):
     """The covered shapes of one case, for the coverage check."""
+    state = states[0]
     out = set()
+    if state.rows == 0:
+        out.add("zero rows")
+    if any(not any(r[c] for r in state.z.entries + state.x.entries) for c in range(state.cols)):
+        out.add("all-zero column")
     for m in (state, state.info) if state.info is not None else (state,):
         for z, x in zip(m.z.entries, m.x.entries):
             dens = {e.den for e in z + x if not e.is_zero()}
@@ -121,21 +157,28 @@ def _features(state, circuit):
         out.add("info")
     if state.bob_cols:
         out.add("receiver columns")
-    for g in circuit:
+    for g, before in zip(circuit, states):
         out.add(g.kind)
         if g.full_frame:
             out.add("full_frame")
+        if abs(g.delay) > 64:
+            out.add("delay beyond 64")
         if g.kind == "INF":
             out.add("reversed INF" if g.time_reversed else "INF")
             if g.f.weight() == 1:
                 out.add("unit INF")
             elif g.f.low:
                 out.add("delayed INF")
-    first = circuit.gates[0]
-    if first.kind == "INF":
-        a = first.i + (0 if first.full_frame else state.bob_cols)
-        if any(not x[a] and z[a] for z, x in zip(state.z.entries, state.x.entries)):
-            out.add("INF on x[a] = 0, z[a] != 0")
+            a = g.i + (0 if g.full_frame else state.bob_cols)
+            rows = list(zip(before.z.entries, before.x.entries))
+            if any(not x[a] and z[a] for z, x in rows):
+                out.add("INF on x[a] = 0, z[a] != 0")
+            if any(not x[a] and not z[a] for z, x in rows) and any(x[a] or z[a] for z, x in rows):
+                out.add("INF on a column zero in some rows")
+            if g is not circuit.gates[0] and g is not circuit.gates[-1]:
+                out.add("INF between gates")
+    if len(circuit) >= 40:
+        out.add("40+ gates")
     return out
 
 
@@ -143,12 +186,20 @@ def test_random_replays_match_the_rational_rows():
     covered = set()
     for seed in range(CASES):
         state, circuit = _case(seed)
-        assert_same_replay(circuit, state)
-        covered |= _features(state, circuit)
+        covered |= _features(assert_same_replay(circuit, state), circuit)
     assert covered == {
         "no denominator", "shared denominator", "distinct denominators", "info", "receiver columns",
-        "CNOT", "H", "P", "CPHASE", "CPHASE_SELF", "INF", "full_frame",
-        "reversed INF", "unit INF", "delayed INF", "INF on x[a] = 0, z[a] != 0",
+        "CNOT", "H", "P", "CPHASE", "CPHASE_SELF", "INF", "full_frame", "INF between gates",
+        "reversed INF", "unit INF", "delayed INF", "INF on x[a] = 0, z[a] != 0", "INF on a column zero in some rows",
+        "all-zero column",
+    }
+    covered = set()
+    for seed in range(STRESS_CASES):
+        state, circuit = _stress_case(seed)
+        covered |= _features(assert_same_replay(circuit, state), circuit)
+    assert covered >= {
+        "zero rows", "all-zero column", "delay beyond 64", "40+ gates", "INF between gates",
+        "INF on a column zero in some rows", "info", "full_frame", "CNOT", "CPHASE", "CPHASE_SELF", "H", "P",
     }
 
 
