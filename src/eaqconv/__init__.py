@@ -19,7 +19,6 @@ from .construct import (
     classify,
     code_params,
     decompose_general,
-    ebit_count,
     validate_inputs,
 )
 from .gates import (

@@ -106,11 +106,6 @@ def _product_factors(product: PolyMatrix):
     return list(s.gamma), list(s.unit_exps)
 
 
-def ebit_count(h1: PolyMatrix, h2: PolyMatrix) -> int:
-    """c = rank of H1(D) H2^T(D^-1) over the rational function field."""
-    return len(_product_factors(h1 * h2.transpose_reverse())[0])
-
-
 # -- the working reduction state ------------------------------------------------
 
 

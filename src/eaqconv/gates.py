@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import DimensionMismatch, PolyParseError
-from .poly import ZERO, LaurentPoly, RationalPoly, common_denominator, format_poly, parse_poly
+from .errors import DimensionMismatch
+from .poly import ZERO, LaurentPoly, RationalPoly, common_denominator, format_poly
 from .polymat import PolyMatrix
 
 _KINDS = ("CNOT", "H", "P", "CPHASE", "CPHASE_SELF", "INF")
@@ -137,10 +137,6 @@ class QuantumCheckMatrix:
     @property
     def cols(self) -> int:
         return self.z.cols
-
-    @property
-    def alice_cols(self) -> int:
-        return self.cols - self.bob_cols
 
     def row(self, i: int):
         from .pauli import CheckRow
@@ -350,69 +346,6 @@ def format_gate(g: Gate) -> str:
 
 def format_circuit(c: Circuit) -> str:
     return "\n".join(format_gate(g) for g in c.gates)
-
-
-def _parse_qubit(tok: str) -> tuple[int, bool]:
-    full = tok.startswith("*")
-    if full:
-        tok = tok[1:]
-    try:
-        idx = int(tok) - 1
-    except ValueError:
-        raise PolyParseError(f"bad qubit index {tok!r}") from None
-    if idx < 0:
-        raise PolyParseError(f"qubit indices are 1-based, got {tok!r}")
-    return idx, full
-
-
-_ARITY = {"CNOT": (3, 4), "CPHASE": (3, 4), "H": (2,), "P": (2,), "CPHASE_SELF": (2, 3), "INF": (3, 4)}
-
-
-def _parse_delay(tok: str, line: str) -> int:
-    if tok.startswith("delay="):
-        try:
-            return int(tok[6:])
-        except ValueError:
-            pass
-    raise PolyParseError(f"bad delay in {line!r}")
-
-
-def parse_gate(line: str) -> Gate:
-    toks = line.split()
-    if not toks:
-        raise PolyParseError("empty gate line")
-    kind = toks[0].upper()
-    if kind not in _ARITY:
-        raise PolyParseError(f"unknown gate {toks[0]!r}")
-    if len(toks) not in _ARITY[kind]:
-        raise PolyParseError(f"bad {kind} line {line!r}")
-    i, full = _parse_qubit(toks[1])
-    j, delay, f, rev = None, 0, None, False
-    if kind in ("CNOT", "CPHASE"):
-        j, fj = _parse_qubit(toks[2])
-        full = full or fj
-        if len(toks) == 4:
-            delay = _parse_delay(toks[3], line)
-    elif kind == "CPHASE_SELF" and len(toks) == 3:
-        delay = _parse_delay(toks[2], line)
-    elif kind == "INF":
-        if not toks[2].startswith("f=") or toks[3:] not in ([], ["reversed"]):
-            raise PolyParseError(f"bad INF line {line!r}")
-        f = parse_poly(toks[2][2:])
-        rev = len(toks) == 4
-    try:
-        return Gate(kind, i, j, delay, f=f, time_reversed=rev, full_frame=full)
-    except ValueError as exc:
-        raise PolyParseError(f"{exc} in {line!r}") from None
-
-
-def parse_circuit(text: str) -> Circuit:
-    gates = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            gates.append(parse_gate(line))
-    return Circuit(tuple(gates))
 
 
 # -- infinite-depth synthesis ----------------------------------------------------

@@ -1,0 +1,88 @@
+"""API that only the tests use, kept out of the package.
+
+- `ebit_count(h1, h2)`: c = rank of H1(D) H2^T(D^-1), from the invariant
+  factors that the construction computes.
+- `alice_cols(qcm)`: the number of sender columns of a check matrix.
+- `parse_gate(line)` and `parse_circuit(text)`: read back the text that
+  `eaqconv.gates.format_gate` and `format_circuit` print.
+"""
+
+from __future__ import annotations
+
+from eaqconv.construct import _product_factors
+from eaqconv.errors import PolyParseError
+from eaqconv.gates import Circuit, Gate, QuantumCheckMatrix
+from eaqconv.poly import parse_poly
+from eaqconv.polymat import PolyMatrix
+
+
+def ebit_count(h1: PolyMatrix, h2: PolyMatrix) -> int:
+    """c = rank of H1(D) H2^T(D^-1) over the rational function field."""
+    return len(_product_factors(h1 * h2.transpose_reverse())[0])
+
+
+def alice_cols(qcm: QuantumCheckMatrix) -> int:
+    return qcm.cols - qcm.bob_cols
+
+
+def _parse_qubit(tok: str) -> tuple[int, bool]:
+    full = tok.startswith("*")
+    if full:
+        tok = tok[1:]
+    try:
+        idx = int(tok) - 1
+    except ValueError:
+        raise PolyParseError(f"bad qubit index {tok!r}") from None
+    if idx < 0:
+        raise PolyParseError(f"qubit indices are 1-based, got {tok!r}")
+    return idx, full
+
+
+_ARITY = {"CNOT": (3, 4), "CPHASE": (3, 4), "H": (2,), "P": (2,), "CPHASE_SELF": (2, 3), "INF": (3, 4)}
+
+
+def _parse_delay(tok: str, line: str) -> int:
+    if tok.startswith("delay="):
+        try:
+            return int(tok[6:])
+        except ValueError:
+            pass
+    raise PolyParseError(f"bad delay in {line!r}")
+
+
+def parse_gate(line: str) -> Gate:
+    toks = line.split()
+    if not toks:
+        raise PolyParseError("empty gate line")
+    kind = toks[0].upper()
+    if kind not in _ARITY:
+        raise PolyParseError(f"unknown gate {toks[0]!r}")
+    if len(toks) not in _ARITY[kind]:
+        raise PolyParseError(f"bad {kind} line {line!r}")
+    i, full = _parse_qubit(toks[1])
+    j, delay, f, rev = None, 0, None, False
+    if kind in ("CNOT", "CPHASE"):
+        j, fj = _parse_qubit(toks[2])
+        full = full or fj
+        if len(toks) == 4:
+            delay = _parse_delay(toks[3], line)
+    elif kind == "CPHASE_SELF" and len(toks) == 3:
+        delay = _parse_delay(toks[2], line)
+    elif kind == "INF":
+        if not toks[2].startswith("f=") or toks[3:] not in ([], ["reversed"]):
+            raise PolyParseError(f"bad INF line {line!r}")
+        f = parse_poly(toks[2][2:])
+        rev = len(toks) == 4
+    try:
+        return Gate(kind, i, j, delay, f=f, time_reversed=rev, full_frame=full)
+    except ValueError as exc:
+        raise PolyParseError(f"{exc} in {line!r}") from None
+
+
+def parse_circuit(text: str) -> Circuit:
+    gates = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            gates.append(parse_gate(line))
+    return Circuit(tuple(gates))

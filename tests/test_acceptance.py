@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from eaqconv.construct import CLASS1, CLASS2_SPECIAL, build_code, ebit_count, validate_inputs
+from eaqconv.construct import CLASS1, CLASS2_SPECIAL, build_code, validate_inputs
 from eaqconv.errors import CatastrophicInput, ValidationError
 from eaqconv.gates import (
     Circuit,
@@ -32,6 +32,7 @@ from eaqconv.pauli import commute_oracle, p2b, parse_stream, shifted_symplectic
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly, series_expand
 from eaqconv.polymat import PolyMatrix, parse_matrix, smith_form
 from eaqconv.simulate import expand, run_circuit, verify_code
+from support import ebit_count
 from syndrome import ErrorPattern, syndrome
 from verify_oracle import det, rank
 

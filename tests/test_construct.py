@@ -25,12 +25,12 @@ from eaqconv.construct import (
     classify,
     code_params,
     decompose_general,
-    ebit_count,
     validate_inputs,
 )
 from eaqconv.gates import format_circuit
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly
 from eaqconv.polymat import PolyMatrix, parse_matrix, row_space_equal, smith_form
+from support import ebit_count
 from verify_oracle import is_commuting, rank
 
 H_EX1 = parse_matrix("1+D^2, 1+D+D^2")

@@ -22,8 +22,6 @@ from eaqconv.gates import (
     format_gate,
     hadamard,
     inf_depth,
-    parse_circuit,
-    parse_gate,
     phase,
     swap,
     synthesize_infinite_depth,
@@ -31,6 +29,7 @@ from eaqconv.gates import (
 )
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly
 from eaqconv.polymat import PolyMatrix, parse_matrix
+from support import alice_cols, parse_circuit, parse_gate
 
 
 def P(text):
@@ -190,7 +189,7 @@ def test_symplectic_gram_invariant_under_gates(seed):
     rng = random.Random(seed)
     rows, cols, bob = rng.randint(1, 3), rng.randint(2, 4), rng.randint(0, 1)
     m = _random_qcm(rng, rows, cols, bob_cols=bob, rational=True)
-    g = _random_gate(rng, m.alice_cols)
+    g = _random_gate(rng, alice_cols(m))
     assert apply_gate(m, g).symplectic_gram() == m.symplectic_gram()
 
 
