@@ -11,16 +11,21 @@ control a, target b and frame delay k:
   InfDepth    X col a *= 1/f(D);         Z col a *= f(D^-1)
   InfDepth'   X col a *= 1/f(D^-1);      Z col a *= f(D)    (time-reversed)
 
-`apply_in_place` is the only implementation of these operations.  It
-mutates row lists and touches just the addressed columns: the code
-construction runs it on its Laurent grids, and `Circuit.apply` on one copy
-of a check matrix per circuit, each row held as Laurent numerators over one
-GF(2)[D] row denominator.  Two facts make that exact.  Finite-depth gates
-only add shifted entries within a row, so they never change its
-denominator and run on the numerators with no gcd; only InfDepth updates
-it.  And the canonical form of a rational function is unique, so dividing
-back once when the state is frozen gives the entries that a replay on
-normalised `RationalPoly` entries gives.
+Each finite-depth gate's column action is written once, in the move table
+`_MOVES`: moves (dst side, dst col, src side, src col, delay) that add a
+shifted source column into a destination column; H swaps the two sides of
+column a, and InfDepth has its one implementation in `apply_in_place`.  Two
+runners read the table.  `apply_in_place` mutates row lists, touching just
+the addressed columns; the code construction runs it on its Laurent grids.
+`Circuit.apply` holds each row as Laurent numerators over one GF(2)[D] row
+denominator and the numerators as column planes, one int per side and
+column with every row stacked in it, so a move is one shift and one XOR
+over all rows.  Two facts make that exact.  Finite-depth gates only add
+shifted entries within a row, so they never change its denominator and
+run on the numerators with no gcd; only InfDepth updates it.  And the
+canonical form of a rational function is unique, so dividing back once
+when the state is frozen gives the entries that a replay on normalised
+`RationalPoly` entries gives.
 
 Gate qubit indices address the sender's (Alice's) columns; the receiver-side
 columns sit to the left of them and only gates flagged full_frame (used by
@@ -202,42 +207,41 @@ def gate_columns(g: Gate, cols: int, bob_cols: int) -> tuple[int, int | None]:
     return col(g.i), (col(g.j) if g.j is not None else None)
 
 
+# A finite-depth gate's column action as moves (dst side, dst qubit, src side,
+# src qubit, delay sign): side 0 is Z and 1 is X, qubit 0 is a and 1 is b, and
+# each move adds D^(sign*delay) times the source column into the destination
+# column.  No move reads a column that another move of the same gate writes.
+_MOVES = {
+    "CNOT": ((1, 1, 1, 0, 1), (0, 0, 0, 1, -1)),
+    "P": ((0, 0, 1, 0, 0),),
+    "CPHASE": ((0, 1, 1, 0, 1), (0, 0, 1, 1, -1)),
+    "CPHASE_SELF": ((0, 0, 1, 0, 1), (0, 0, 1, 0, -1)),
+}
+
+
+def _moves(g: Gate, a: int, b: int | None) -> list[tuple[int, int, int, int, int]]:
+    """g's moves on frame columns: (dst side, dst col, src side, src col, delay)."""
+    ab = (a, b)
+    return [(ds, ab[dq], ss, ab[sq], sign * g.delay) for ds, dq, ss, sq, sign in _MOVES[g.kind]]
+
+
 def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0, dens=None) -> None:
     """Apply g's column operation to mutable (Z row, X row) list pairs.
 
-    Finite-depth gates change only columns a (and b) and skip a row whose
-    source entry is zero.  They only add shifted entries within a row, so
-    the rows may hold LaurentPoly or RationalPoly entries, and rows of
+    Finite-depth gates run their moves on columns a (and b), skipping a
+    source entry that is zero.  They only add shifted entries within a row,
+    so the rows may hold LaurentPoly or RationalPoly entries, and rows of
     numerators over a common row denominator keep it.  INF needs the rows as
     LaurentPoly numerators over `dens`, one GF(2)[D] denominator per row,
     and updates them: with f = f0 D^k and f0 delay-free, a row with
     x[a] != 0 moves to denominator den*f0, its other entries take the
     factor f0 and x[a] the factor D^-k; z[a] takes the factor f(D^-1).
+    `rows` is walked once.
     """
     a, b = gate_columns(g, cols, bob_cols)
-    if g.kind == "CNOT":
-        for z, x in rows:
-            if x[a]:
-                x[b] = x[b] + x[a].shift(g.delay)
-            if z[b]:
-                z[a] = z[a] + z[b].shift(-g.delay)
-    elif g.kind == "H":
+    if g.kind == "H":
         for z, x in rows:
             z[a], x[a] = x[a], z[a]
-    elif g.kind == "P":
-        for z, x in rows:
-            if x[a]:
-                z[a] = z[a] + x[a]
-    elif g.kind == "CPHASE":
-        for z, x in rows:
-            if x[a]:
-                z[b] = z[b] + x[a].shift(g.delay)
-            if x[b]:
-                z[a] = z[a] + x[b].shift(-g.delay)
-    elif g.kind == "CPHASE_SELF":
-        for z, x in rows:
-            if x[a]:
-                z[a] = z[a] + x[a].shift(g.delay) + x[a].shift(-g.delay)
     elif g.kind == "INF":
         fwd = g.f.reverse() if g.time_reversed else g.f
         f0, k = fwd.delay_free()
@@ -251,13 +255,89 @@ def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0, dens=None) -> No
                 dens[r] = dens[r] * f0
             if z[a]:
                 z[a] = z[a] * zmul
-    else:  # pragma: no cover
-        raise ValueError(g.kind)
+    else:
+        moves = _moves(g, a, b)
+        for row in rows:
+            for ds, dc, ss, sc, d in moves:
+                src = row[ss][sc]
+                if src:
+                    dst = row[ds]
+                    dst[dc] = dst[dc] + src.shift(d)
 
 
 def apply_gate(qcm: QuantumCheckMatrix, g: Gate) -> QuantumCheckMatrix:
     """qcm after g, on the stabilizer and info matrices; qcm itself is unchanged."""
     return Circuit((g,)).apply(qcm)
+
+
+class _Planes:
+    """Laurent numerator rows held as one int per (side, column), for whole-column gates.
+
+    bits[s][c] stacks every row's entry of side s (0 is Z, 1 is X) and column
+    c: exponent e of row r sits at bit r*stride + offset + e, so a move by d
+    is one shift and one XOR over all rows, and stays exact while every
+    exponent it writes lies in [-offset, stride - offset).  hull[s][c] is a
+    conservative (lo, hi) exponent range of the plane, None when it is zero.
+    """
+
+    __slots__ = ("nrows", "cols", "stride", "offset", "bits", "hull")
+
+    def __init__(self, rows, cols: int, reach: int = 0):
+        """Pack (Z row, X row) pairs, padded by max(64, width, 2*reach) on each side."""
+        self.nrows, self.cols = len(rows), cols
+        self.bits = [[0] * cols, [0] * cols]
+        self.hull = [[None] * cols, [None] * cols]
+        ends = [(e.low, e.deg) for row in rows for side in row for e in side if e]
+        lo = min(lo for lo, _ in ends) if ends else 0
+        hi = max(hi for _, hi in ends) if ends else 0
+        pad = max(64, hi - lo, 2 * abs(reach))
+        self.offset, self.stride = pad - lo, hi - lo + 1 + 2 * pad
+        for r, row in enumerate(rows):
+            base = r * self.stride + self.offset
+            for bits, hull, side in zip(self.bits, self.hull, row):
+                for c, e in enumerate(side):
+                    if e:
+                        bits[c] |= e.bits << (base + e.low)
+                        h = hull[c]
+                        hull[c] = (e.low, e.deg) if h is None else (min(h[0], e.low), max(h[1], e.deg))
+
+    def column(self, s: int, c: int) -> list[LaurentPoly]:
+        """Plane (s, c) as one LaurentPoly per row."""
+        v, stride = self.bits[s][c], self.stride
+        if not v:
+            return [ZERO] * self.nrows
+        mask, low = (1 << stride) - 1, -self.offset
+        return [LaurentPoly((v >> (r * stride)) & mask, low) for r in range(self.nrows)]
+
+    def rows(self) -> list[tuple[list[LaurentPoly], list[LaurentPoly]]]:
+        """The (Z row, X row) pairs."""
+        z, x = ([self.column(s, c) for c in range(self.cols)] for s in (0, 1))
+        return [([col[r] for col in z], [col[r] for col in x]) for r in range(self.nrows)]
+
+    def swap(self, c: int) -> None:
+        """Exchange the Z and X planes of column c (the Hadamard)."""
+        (z, x), (hz, hx) = self.bits, self.hull
+        z[c], x[c] = x[c], z[c]
+        hz[c], hx[c] = hx[c], hz[c]
+
+    def run(self, moves) -> _Planes:
+        """Apply moves, first laying the planes out again if one could leave its row; returns the planes."""
+        lo, hi = -self.offset, self.stride - self.offset - 1
+        for _, _, ss, sc, d in moves:
+            h = self.hull[ss][sc]
+            if h is not None and not (lo <= h[0] + d and h[1] + d <= hi):
+                return _Planes(self.rows(), self.cols, max(abs(m[4]) for m in moves)).run(moves)
+        bits, hull = self.bits, self.hull
+        for ds, dc, ss, sc, d in moves:
+            src = hull[ss][sc]
+            if src is None:
+                continue
+            v = bits[ss][sc]
+            v = bits[ds][dc] ^ (v << d if d >= 0 else v >> -d)
+            bits[ds][dc] = v
+            dst, lo, hi = hull[ds][dc], src[0] + d, src[1] + d
+            hull[ds][dc] = None if not v else (lo, hi) if dst is None else (min(dst[0], lo), max(dst[1], hi))
+        return self
 
 
 # -- circuits -------------------------------------------------------------------
@@ -282,18 +362,22 @@ class Circuit:
         return Circuit(tuple(g.inverse() for g in reversed(self.gates)))
 
     def apply(self, qcm: QuantumCheckMatrix, observe=None) -> QuantumCheckMatrix:
-        """Run every gate on one mutable copy of qcm and return it frozen.
+        """Run every gate on column planes of qcm and return the result frozen.
 
         The stabilizer and info rows are held as Laurent numerators over one
         GF(2)[D] denominator per row, the lcm of the row's denominators on
-        the way in.  Gates run on them with `apply_in_place`; finite-depth
-        gates never change a row's denominator, so only freezing divides,
-        back into the canonical `RationalPoly` entries, which are unique.
-        Freezing divides again only the entries whose numerator or row
-        denominator changed.  observe(gate, state), when given, sees the
-        frozen state after each gate.
+        the way in, and the numerators as `_Planes`: one int per side and
+        column holding every row.  A finite-depth gate is a few shift-and-XOR
+        moves on whole planes (H swaps two) and never changes a row's
+        denominator; INF unpacks the rows, runs `apply_in_place` on them and
+        their denominators, and packs them again.  Freezing divides the
+        numerators back into the canonical `RationalPoly` entries, which are
+        unique, and only where a numerator or row denominator changed.
+        observe(gate, state), when given, sees the frozen state after each
+        gate; only the gate's columns (every column of a row whose
+        denominator changed) are frozen again.
         """
-        cols, split = qcm.cols, qcm.rows
+        cols, split, bob_cols = qcm.cols, qcm.rows, qcm.bob_cols
         mats = (qcm,) if qcm.info is None else (qcm, qcm.info)
         rows, dens = [], []
         for m in mats:
@@ -301,30 +385,36 @@ class Circuit:
                 den, nums = common_denominator(zr + xr)
                 rows.append((nums[:cols], nums[cols:]))
                 dens.append(den)
-        fz = [list(zr) for m in mats for zr in m.z.entries]
-        fx = [list(xr) for m in mats for xr in m.x.entries]
-        made = [(list(z), list(x), den) for (z, x), den in zip(rows, dens)]  # what fz, fx were divided from
+        frozen = ([list(zr) for m in mats for zr in m.z.entries], [list(xr) for m in mats for xr in m.x.entries])
+        made = ([z for z, _ in rows], [x for _, x in rows], list(dens))  # what `frozen` was divided from
+        planes = _Planes(rows, cols)
 
         def freeze(touched):
-            for r, ((z, x), den) in enumerate(zip(rows, dens)):
-                mz, mx, mden = made[r]
-                new_den = den is not mden
-                if new_den:
-                    made[r] = mz, mx, den
-                for c in range(cols) if new_den else touched:
-                    if new_den or z[c] is not mz[c]:
-                        mz[c], fz[r][c] = z[c], RationalPoly(z[c], den)
-                    if new_den or x[c] is not mx[c]:
-                        mx[c], fx[r][c] = x[c], RationalPoly(x[c], den)
+            stale = [den is not mden for den, mden in zip(dens, made[2])]
+            for c in range(cols) if any(stale) else touched:
+                for s in (0, 1):
+                    for r, (e, mrow, frow) in enumerate(zip(planes.column(s, c), made[s], frozen[s])):
+                        if stale[r] or e != mrow[c]:
+                            mrow[c], frow[c] = e, RationalPoly(e, dens[r])
+            made[2][:] = dens
+            fz, fx = frozen
             info = qcm.info
             if info is not None:
                 info = replace(info, z=PolyMatrix(fz[split:], cols=cols), x=PolyMatrix(fx[split:], cols=cols))
             return replace(qcm, z=PolyMatrix(fz[:split], cols=cols), x=PolyMatrix(fx[:split], cols=cols), info=info)
 
         for g in self.gates:
-            apply_in_place(g, rows, cols, qcm.bob_cols, dens)
+            a, b = gate_columns(g, cols, bob_cols)
+            if g.kind == "INF":
+                rows = planes.rows()
+                apply_in_place(g, rows, cols, bob_cols, dens)
+                planes = _Planes(rows, cols)
+            elif g.kind == "H":
+                planes.swap(a)
+            else:
+                planes = planes.run(_moves(g, a, b))
             if observe is not None:
-                observe(g, freeze([c for c in gate_columns(g, cols, qcm.bob_cols) if c is not None]))
+                observe(g, freeze([c for c in (a, b) if c is not None]))
         return freeze(range(cols))
 
 
