@@ -18,6 +18,7 @@ given, so the failing input can be reported).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -211,7 +212,9 @@ def _int_at_least(minimum: int):
     return parse
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="eaqconv",
         description="CSS entanglement-assisted quantum convolutional codes from classical check matrices",

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from eaqconv.construct import build_code
 from eaqconv.errors import InternalError
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -94,6 +98,27 @@ def test_window_and_scratch_out_of_range_are_usage_errors(capsys, command, optio
     assert exit_.value.code == 2
     assert f"argument {option}: must be at least" in captured.err
     assert "FAIL" not in captured.out
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
+    """main builds its parser once per process; every later call, after a
+    success or a usage error, prints and exits exactly as a fresh process."""
+    calls = [
+        ["build", "--h1", "1, 1+D", "--h2", "1, 1+D"],
+        ["verify", "--h1", "1+D^2, 1+D+D^2", "--h2", "1+D^2, 1+D+D^2", "--window", "0"],
+        ["params", "--h1", "1, 1+D", "--h2", "1, 1+D", "--format", "json"],
+        ["params", "--h1", "1, 1+D"],
+        ["build", "--h1", "1, 1+D", "--h2", "1, 1+D"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "eaqconv.cli", *argv], capture_output=True, text=True, env=env)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_matrix_file_input(tmp_path, capsys):
