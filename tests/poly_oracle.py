@@ -5,9 +5,10 @@ This is the arithmetic `poly.py` used before its word-level division and its
 the dividend, `bits_gcd` runs the Euclidean algorithm with no shortcut,
 `reverse` and `exponents` visit every coefficient position, and
 `RationalPoly` normalises every result from scratch (push the denominator's
-unit into the numerator, then cancel the gcd).  It reuses `LaurentPoly` for
-storage, addition, multiplication and shifts, which the differential test
-does not replace.
+unit into the numerator, then cancel the gcd), and `divmod_width` removes
+one quotient term at a time with a `LaurentPoly` add and multiply.  It
+reuses `LaurentPoly` for storage, addition, multiplication and shifts,
+which the differential test does not replace.
 """
 
 from __future__ import annotations
@@ -102,3 +103,16 @@ class RationalPoly:
 
     def reverse(self) -> RationalPoly:
         return RationalPoly(reverse(self.num), reverse(self.den))
+
+
+def divmod_width(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Laurent division a = q*b + r with width(r) < width(b), one LaurentPoly add and multiply per quotient term."""
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    q, r = LaurentPoly.zero(), a
+    bw = b.width
+    while not r.is_zero() and r.width >= bw:
+        t = LaurentPoly.term(r.deg - b.deg)
+        q = q + t
+        r = r + t * b
+    return q, r

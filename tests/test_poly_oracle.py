@@ -1,12 +1,14 @@
 """Differential test: GF(2)(D) arithmetic against its per-bit reference.
 
 `tests/poly_oracle.py` keeps the per-bit division, gcd, `reverse` and
-`exponents` and the `RationalPoly` that normalises every result.  Seeded
-random masks up to 512 bits (and pairs with a planted common factor) go
-through both divisions and gcds; seeded rational operands of four kinds
-(zero, denominator 1, a shared denominator, distinct denominators, all with
-negative `low` allowed) go through `+`, `*`, `/`, `shift` and `reverse`.
-Every result must equal the reference exactly and be in canonical form.
+`exponents`, the per-term Laurent `divmod_width` and the `RationalPoly`
+that normalises every result.  Seeded random masks up to 512 bits (and
+pairs with a planted common factor) go through both divisions and gcds,
+seeded Laurent pairs through `divmod_width`, and seeded rational operands
+of four kinds (zero, denominator 1, a shared denominator, distinct
+denominators, all with negative `low` allowed) through `+`, `*`, `/`,
+`shift` and `reverse`.  Every result must equal the reference exactly and
+be in canonical form.
 """
 
 from __future__ import annotations
@@ -111,6 +113,20 @@ def test_laurent_division_helpers_match_reference(seed):
             assert poly.gcd(a, b) == LaurentPoly(oracle.bits_gcd(a.bits, b.bits), 0)
         if a:
             assert poly.divides(a, b) == (oracle.bits_divmod(b.bits, a.bits)[1] == 0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_divmod_width_matches_per_term_reference(seed):
+    rng = random.Random(300 + seed)
+    for _ in range(CASES):
+        a, b = LaurentPoly(_mask(rng, 200), rng.randint(-60, 60)), _laurent(rng, rng.choice((3, 12, 60)))
+        if b.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                poly.divmod_width(a, b)
+            continue
+        q, r = poly.divmod_width(a, b)
+        assert (q, r) == oracle.divmod_width(a, b)
+        assert q * b + r == a and (r.is_zero() or r.width < b.width)
 
 
 @pytest.mark.parametrize("seed", range(3))
