@@ -45,12 +45,13 @@ from .gates import (
     apply_in_place,
     cnot,
     format_gate,
+    gate_columns,
     hadamard,
     inf_depth,
     swap,
 )
 from .poly import LaurentPoly, RationalPoly, common_denominator, divmod_shifted
-from .polymat import PolyMatrix, SmithDecomposition, SmithEngine, SmithHooks, smith_form
+from .polymat import PolyMatrix, SmithDecomposition, SmithEngine, SmithHooks, invariant_factors, smith_form
 
 CLASS1 = "class1"
 CLASS2 = "class2"
@@ -70,10 +71,11 @@ def validate_inputs(h1: PolyMatrix, h2: PolyMatrix) -> SmithDecomposition:
 
     Returns H1's Smith decomposition H1 = A [I 0] B: the first rows(H1) rows
     of B are A^-1 H1, a row basis of H1 reached by unimodular row operations.
+    H2 needs only its invariant factors.
     """
     if h1.cols != h2.cols:
         raise ValidationError(f"column counts differ: {h1.cols} vs {h2.cols}")
-    decompositions = []
+    h1_smith = None
     for which, h in (("H1", h1), ("H2", h2)):
         if h.rows == 0 or h.rows >= h.cols:
             raise ValidationError(f"{which} must have 1 <= rows < cols, got {h.rows}x{h.cols}")
@@ -83,16 +85,19 @@ def validate_inputs(h1: PolyMatrix, h2: PolyMatrix) -> SmithDecomposition:
             for e in row:
                 if not e.is_zero() and e.num.dell < 0:
                     raise NotDelayFree(which, e.num)
-        s = smith_form(h)
-        if s.rank < h.rows:
-            raise RankDeficient(which, s.rank, h.rows)
-        for g, k in zip(s.gamma, s.unit_exps):
+        if which == "H1":
+            h1_smith = smith_form(h)
+            gamma, units = h1_smith.gamma, h1_smith.unit_exps
+        else:
+            gamma, units = invariant_factors(h)
+        if len(gamma) < h.rows:
+            raise RankDeficient(which, len(gamma), h.rows)
+        for g, k in zip(gamma, units):
             if g != _L1:
                 raise CatastrophicInput(which, g.shift(k))
             if k != 0:
                 raise NotDelayFree(which, g.shift(k))
-        decompositions.append(s)
-    return decompositions[0]
+    return h1_smith
 
 
 def _product_factors(product: PolyMatrix):
@@ -102,8 +107,8 @@ def _product_factors(product: PolyMatrix):
         exps = [e.num.dell for e in row if not e.is_zero()]
         shift = -min(exps) if exps and min(exps) < 0 else 0
         rows.append([e.shift(shift) for e in row])
-    s = smith_form(PolyMatrix(rows))
-    return list(s.gamma), list(s.unit_exps)
+    gamma, units = invariant_factors(PolyMatrix(rows))
+    return list(gamma), list(units)
 
 
 # -- the working reduction state ------------------------------------------------
@@ -119,6 +124,9 @@ class _Reduction:
     """Mutable quantum check matrix with a gate log and mental row operations.
 
     The grids hold LaurentPoly entries: the reduction issues no INF gate.
+    A column addition or swap logs its CNOTs and applies their joint column
+    action once; with want_trace it applies them one at a time instead, so
+    the trace holds the state after every gate.
     """
 
     def __init__(self, h1: PolyMatrix, h2: PolyMatrix, h1_smith: SmithDecomposition, want_trace: bool = False):
@@ -176,18 +184,49 @@ class _Reduction:
 
     # column operation helpers realized as gates ------------------------------
 
+    def _log(self, gates: list[Gate]) -> bool:
+        """Log gates whose joint action the caller applies; with want_trace, apply them one by one instead.
+
+        Returns whether the caller still has to apply them.
+        """
+        if self.want_trace:
+            for g in gates:
+                self.gate(g)
+            return False
+        for g in gates:
+            gate_columns(g, self.n, 0)  # raises IndexError for a gate outside the frame
+        self.gates.extend(gates)
+        return True
+
+    def _coladd(self, fwd, back, src: int, dst: int, f: LaurentPoly, gates: list[Gate]):
+        """fwd col dst += f * fwd col src and back col src += f(D^-1) * back col dst, logged as gates.
+
+        The gates are CNOTs sharing control and target, one per exponent of
+        f, so they commute and their joint action is the sum of theirs.
+        """
+        if not self._log(gates):
+            return
+        rev = f.reverse()
+        for p, q in zip(fwd, back):
+            if p[src]:
+                p[dst] = p[dst] + f * p[src]
+            if q[dst]:
+                q[src] = q[src] + rev * q[dst]
+
     def z_coladd(self, src: int, dst: int, f: LaurentPoly, note: str = ""):
         """Z col dst += f * Z col src via CNOTs (X side: col src += f(D^-1) col dst)."""
-        for e in f.exponents():
-            self.gate(cnot(dst, src, -e, note=note))
+        self._coladd(self.z, self.x, src, dst, f, [cnot(dst, src, -e, note=note) for e in f.exponents()])
 
     def x_coladd(self, src: int, dst: int, f: LaurentPoly, note: str = ""):
-        for e in f.exponents():
-            self.gate(cnot(src, dst, e, note=note))
+        """X col dst += f * X col src via CNOTs (Z side: col src += f(D^-1) col dst)."""
+        self._coladd(self.x, self.z, src, dst, f, [cnot(src, dst, e, note=note) for e in f.exponents()])
 
     def col_swap(self, i: int, j: int, note: str = ""):
-        for g in swap(i, j, note=note):
-            self.gate(g)
+        """Exchange columns i and j on both sides via three CNOTs."""
+        if self._log(swap(i, j, note=note)):
+            for z, x in zip(self.z, self.x):
+                z[i], z[j] = z[j], z[i]
+                x[i], x[j] = x[j], x[i]
 
 
 class _ZBlockHooks(SmithHooks):

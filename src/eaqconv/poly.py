@@ -207,19 +207,20 @@ def divmod_width(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPo
     """Laurent division by repeated leading-term elimination: a = q*b + r.
 
     The remainder satisfies width(r) < width(b) (or r = 0), which makes
-    (deg - del) a Euclidean function on the Laurent ring.  Terminates in at
-    most width(a) + 1 steps because each step caps the remaining span by
-    max(width(r) - 1, width(b) - 1).
+    (deg - del) a Euclidean function on the Laurent ring.  Each step XORs
+    b, aligned to the remainder's leading term, into the remainder's mask;
+    the aligned copy never reaches below the remainder's lowest term, so
+    the remainder stays on a's exponent range and the quotient's terms are
+    distinct.  At most width(a) - width(b) + 1 steps.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    q, r = LaurentPoly.zero(), a
-    bw = b.width
-    while not r.is_zero() and r.width >= bw:
-        t = LaurentPoly.term(r.deg - b.deg)
-        q = q + t
-        r = r + t * b
-    return q, r
+    bw = b.bits.bit_length() - 1
+    r, q = a.bits, 0
+    while r and (s := r.bit_length() - 1 - bw) >= (r & -r).bit_length() - 1:
+        r ^= b.bits << s
+        q |= 1 << s
+    return LaurentPoly(q, a.low - b.low), LaurentPoly(r, a.low)
 
 
 def gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

@@ -7,10 +7,12 @@ matrices must have their denominators cleared row by row first.
 The Smith engine is deliberately deterministic: among nonzero entries of the
 working block it always pivots on the one with minimal (deg - del), ties
 broken row-major, and divides with the common-shift polynomial division from
-the poly module.  The engine keeps no matrix and no record of its own: every
-elementary operation goes straight to a SmithHooks object.  `smith_form`
-uses MatrixHooks, which applies the operations to a scratch grid and its
-unimodular witnesses; the code construction uses hooks that turn column
+the poly module.  Each pass walks the block once, for the pivot and for the
+snapshot that detects a cycle.  The engine keeps no matrix and no record of
+its own: every elementary operation goes straight to a SmithHooks object.
+`invariant_factors` uses GridHooks, which applies the operations to a
+scratch grid; `smith_form` uses MatrixHooks, which also keeps the
+unimodular witnesses.  The code construction uses hooks that turn column
 operations into circuit gates and row operations into row operations on its
 working check matrix.
 
@@ -183,24 +185,26 @@ class SmithEngine:
         if self._budget <= 0:
             raise InternalError("Smith reduction exceeded its operation budget")
 
-    def _pick_pivot(self, t):
-        best = None
+    def _scan(self, t, snap):
+        """One walk of block t: its pivot, and its state as a flat tuple when snap is set.
+
+        The pivot is the nonzero entry of least width, the row-major first
+        among equals; it is None when the block is zero.
+        """
+        entry = self.hooks.entry
+        best, least = None, None
+        state = [] if snap else None
         for i in range(t, self.rows):
             for j in range(t, self.cols):
-                e = self.hooks.entry(i, j)
-                if e.is_zero():
-                    continue
-                key = (e.width, i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        return (best[1], best[2]) if best else None
-
-    def _snapshot(self, t):
-        return tuple(
-            (self.hooks.entry(i, j).bits, self.hooks.entry(i, j).low)
-            for i in range(t, self.rows)
-            for j in range(t, self.cols)
-        )
+                e = entry(i, j)
+                bits = e.bits
+                if snap:
+                    state += (bits, e.low)
+                if bits:
+                    w = bits.bit_length()
+                    if least is None or w < least:
+                        best, least = (i, j), w
+        return best, (tuple(state) if snap else None)
 
     def _quotient(self, e, pivot, wide):
         """Reduction quotient for e against pivot; zero means 'flip roles'."""
@@ -221,12 +225,11 @@ class SmithEngine:
         wide = False
         while True:
             self._tick()
+            pos, snap = self._scan(t, not wide)
             if not wide:
-                snap = self._snapshot(t)
                 if snap in seen:
                     wide = True
                 seen.add(snap)
-            pos = self._pick_pivot(t)
             if pos is None:
                 return False
             pi, pj = pos
@@ -299,35 +302,67 @@ class SmithEngine:
             i = 0
 
 
-class MatrixHooks(SmithHooks):
-    """Smith hooks over a plain grid, accumulating unimodular witnesses."""
+class GridHooks(SmithHooks):
+    """Smith hooks over a plain grid of Laurent entries, with no witnesses."""
 
     def __init__(self, m: PolyMatrix):
+        if not m.is_polynomial():
+            raise ValueError("Smith reduction requires Laurent polynomial entries; clear denominators first")
         self.w = [[e.as_poly() for e in row] for row in m.entries]
-        self.a = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(m.rows)] for i in range(m.rows)]
-        self.b = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(m.cols)] for i in range(m.cols)]
 
     def entry(self, i, j):
         return self.w[i][j]
 
     def row_add(self, src, dst, f):
-        self.w[dst] = [a + f * b for a, b in zip(self.w[dst], self.w[src])]
-        for r in self.a:  # A := A * T^-1, i.e. A col src += f * A col dst
-            r[src] = r[src] + f * r[dst]
+        self.w[dst] = [a + f * b if b else a for a, b in zip(self.w[dst], self.w[src])]
 
     def row_swap(self, i, j):
         self.w[i], self.w[j] = self.w[j], self.w[i]
-        for r in self.a:
-            r[i], r[j] = r[j], r[i]
 
     def col_add(self, src, dst, f):
         for r in self.w:
-            r[dst] = r[dst] + f * r[src]
-        self.b[src] = [a + f * b for a, b in zip(self.b[src], self.b[dst])]
+            if r[src]:
+                r[dst] = r[dst] + f * r[src]
 
     def col_swap(self, i, j):
         for r in self.w:
             r[i], r[j] = r[j], r[i]
+
+    def factors(self, rank) -> tuple[tuple[LaurentPoly, ...], tuple[int, ...]]:
+        """The first `rank` diagonal entries split as (delay-free parts, unit exponents)."""
+        split = [self.w[i][i].delay_free() for i in range(rank)]
+        return tuple(g for g, _ in split), tuple(k for _, k in split)
+
+
+class MatrixHooks(GridHooks):
+    """Grid hooks that also accumulate the unimodular witnesses A and B.
+
+    A and B start as identities and stay sparse for a while, so each update
+    skips the zero source entries.
+    """
+
+    def __init__(self, m: PolyMatrix):
+        super().__init__(m)
+        self.a = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(m.rows)] for i in range(m.rows)]
+        self.b = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(m.cols)] for i in range(m.cols)]
+
+    def row_add(self, src, dst, f):
+        super().row_add(src, dst, f)
+        for r in self.a:  # A := A * T^-1, i.e. A col src += f * A col dst
+            if r[dst]:
+                r[src] = r[src] + f * r[dst]
+
+    def row_swap(self, i, j):
+        super().row_swap(i, j)
+        for r in self.a:
+            r[i], r[j] = r[j], r[i]
+
+    def col_add(self, src, dst, f):
+        super().col_add(src, dst, f)
+        self.b[src] = [a + f * b if b else a for a, b in zip(self.b[src], self.b[dst])]
+
+    def col_swap(self, i, j):
+        super().col_swap(i, j)
         self.b[i], self.b[j] = self.b[j], self.b[i]
 
     def scale_a_col(self, i, k):
@@ -363,29 +398,24 @@ class SmithDecomposition:
         return self.a * self.diag_extended(rows, cols) * self.b
 
 
+def invariant_factors(m: PolyMatrix) -> tuple[tuple[LaurentPoly, ...], tuple[int, ...]]:
+    """(gamma, unit_exps) of `smith_form(m)`, by the same reduction without its witnesses."""
+    hooks = GridHooks(m)
+    return hooks.factors(SmithEngine((m.rows, m.cols), hooks).run())
+
+
 def smith_form(m: PolyMatrix) -> SmithDecomposition:
     """Smith normal form over GF(2)[D] with Laurent units.
 
     Rejects matrices with true rational entries; callers clear denominators
     first (row scalings do not change the invariant factors' delay-free parts).
     """
-    if not m.is_polynomial():
-        raise ValueError("smith_form requires Laurent polynomial entries; clear denominators first")
     hooks = MatrixHooks(m)
-    rank = SmithEngine((m.rows, m.cols), hooks).run()
-    gamma = []
-    units = []
-    for i in range(rank):
-        df, k = hooks.w[i][i].delay_free()
-        gamma.append(df)
-        units.append(k)
-        hooks.scale_a_col(i, k)  # fold the unit into A so gamma stays delay-free
-    return SmithDecomposition(
-        a=PolyMatrix(hooks.a),
-        gamma=tuple(gamma),
-        unit_exps=tuple(units),
-        b=PolyMatrix(hooks.b),
-    )
+    gamma, units = hooks.factors(SmithEngine((m.rows, m.cols), hooks).run())
+    for i, k in enumerate(units):
+        if k:
+            hooks.scale_a_col(i, k)  # fold the unit into A so gamma stays delay-free
+    return SmithDecomposition(a=PolyMatrix(hooks.a), gamma=gamma, unit_exps=units, b=PolyMatrix(hooks.b))
 
 
 # -- row spaces over GF(2)(D) ----------------------------------------------------

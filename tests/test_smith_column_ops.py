@@ -12,9 +12,10 @@ corpus, plus a seeded sample of tiers S and M.
 `smith_form` is pinned over 500 seeded Laurent matrices (zero rows and
 columns, rank-deficient ones, non-unit factors, D^k units; the width
 fallback fires on 22 of them) as one sha256 of its witnesses, factors and
-units.  One corpus code on which the width fallback fires has its
-reduction gate log pinned, so the engine's pivot and cycle decisions are
-held fixed where they matter most.
+units, and on each of them `invariant_factors`, the same reduction with no
+witnesses, must give the same factors and units.  One corpus code on which
+the width fallback fires has its reduction gate log pinned, so the
+engine's pivot and cycle decisions are held fixed where they matter most.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from eaqconv.cli import _spec_report_json
 from eaqconv.construct import build_code
 from eaqconv.gates import format_gate
 from eaqconv.poly import LaurentPoly, RationalPoly
-from eaqconv.polymat import PolyMatrix, format_matrix, parse_matrix, smith_form
+from eaqconv.polymat import PolyMatrix, format_matrix, invariant_factors, parse_matrix, smith_form
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "perfbench" / "corpus" / "seed-1.json"
@@ -120,6 +121,12 @@ def test_smith_form_matches_pinned_digest():
         gamma = ", ".join(str(g) for g in s.gamma)
         digest.update(f"{format_matrix(m)}\n{format_matrix(s.a)}\n{gamma}\n{s.unit_exps}\n{format_matrix(s.b)}\n".encode())
     assert digest.hexdigest() == SMITH_SHA256
+
+
+def test_witness_free_factors_match_smith_form():
+    for m in _smith_inputs():
+        s = smith_form(m)
+        assert invariant_factors(m) == (s.gamma, s.unit_exps), format_matrix(m)
 
 
 def test_width_fallback_reduction_matches_pinned_gates(monkeypatch):
