@@ -30,7 +30,7 @@ from .gates import (
     synthesize_infinite_depth,
     time_reversed_rule,
 )
-from .pauli import CheckRow, PauliFrameStream, b2p, commute_oracle, p2b, shifted_symplectic
+from .pauli import CheckRow, shifted_symplectic
 from .poly import LaurentPoly, RationalPoly, parse_poly, parse_rational, series_expand
 from .polymat import PolyMatrix, SmithDecomposition, parse_matrix, smith_form
 from .simulate import BinarySymplecticWindow, expand, run_circuit, verify_code

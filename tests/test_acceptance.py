@@ -28,10 +28,11 @@ from eaqconv.gates import (
     phase,
     synthesize_infinite_depth,
 )
-from eaqconv.pauli import commute_oracle, p2b, parse_stream, shifted_symplectic
+from eaqconv.pauli import shifted_symplectic
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly, series_expand
 from eaqconv.polymat import PolyMatrix, parse_matrix, smith_form
 from eaqconv.simulate import expand, run_circuit, verify_code
+from pauli_stream import commute_oracle, p2b, parse_stream
 from support import ebit_count
 from syndrome import ErrorPattern, syndrome
 from verify_oracle import det, rank
