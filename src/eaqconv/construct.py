@@ -185,9 +185,10 @@ class _Reduction:
     # column operation helpers realized as gates ------------------------------
 
     def _log(self, gates: list[Gate]) -> bool:
-        """Log gates whose joint action the caller applies; with want_trace, apply them one by one instead.
+        """Log gates for the caller to apply as one column action; returns whether it must.
 
-        Returns whether the caller still has to apply them.
+        With want_trace they are applied here one at a time instead, so the
+        trace holds the state after each.
         """
         if self.want_trace:
             for g in gates:
