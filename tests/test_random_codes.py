@@ -13,6 +13,14 @@ A second check pins, as one sha256, the build reports of the first 24
 tier-L pairs (n<=8, deg<=4) of the benchmark's seed-1 `build_l` stream.
 Their encoders run to 12337 gates with CNOT delays up to 2560, which no
 hand-sized case reaches.
+
+Two more sha256 pins hold the check-matrix states that the reports print
+only in part.  For the 12 golden pairs and both worked examples, built with
+`want_trace`, one digest covers every reduction, encode and decode trace
+state, the decoded state, the final and measurable stabilizers and the row
+multipliers; for the 24 tier-L pairs, built without it, one digest covers
+the decoded state.  A state is hashed as its formatted Z and X entries, its
+row labels, its receiver column count and, in the same form, its `info`.
 """
 
 from __future__ import annotations
@@ -25,13 +33,17 @@ import random
 import sys
 from pathlib import Path
 
-from eaqconv.cli import main
+from eaqconv.cli import EXAMPLES, main
+from eaqconv.construct import build_code
+from eaqconv.polymat import format_matrix, parse_matrix
 
 GOLDEN = Path(__file__).parent / "golden" / "random_codes.json"
 SEED = 7
 TIERS = ((4, 2, 8), (6, 3, 4))  # (n_max, deg_max, count)
 TIER_L_STREAM = "eaqconv-bench/1/build_l/L"
 TIER_L_SHA256 = "5631a22fb9e894fbd838e397da5f68c3ff1c3c02ae967bd1fa834a9234716792"
+TRACE_STATES_SHA256 = "524ddabcc56fc3bf7a1b4cb994d07f9356b8a6efc8f162f3d74fc50332c6dd10"
+TIER_L_DECODED_SHA256 = "362ffd83ee2f4c924455661a39e064e9fad1b06880dc55faed2eb2b6e291fefd"
 
 
 def build_json(h1: str, h2: str) -> str:
@@ -60,8 +72,6 @@ def _random_pairs(rng, n_max, deg_max, count):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
     from random_code_sweep import random_pair
 
-    from eaqconv.polymat import format_matrix
-
     return [tuple(format_matrix(h).replace("\n", "; ") for h in random_pair(rng, n_max, deg_max)) for _ in range(count)]
 
 
@@ -70,6 +80,43 @@ def test_tier_l_builds_match_pinned_digest():
     for h1, h2 in _random_pairs(random.Random(TIER_L_STREAM), 8, 4, 24):
         digest.update(f"{h1}\n{h2}\n{build_json(h1, h2)}".encode())
     assert digest.hexdigest() == TIER_L_SHA256
+
+
+def _state_text(qcm) -> str:
+    """A check matrix as text: receiver columns, row labels, Z, X, then its info the same way."""
+    if qcm is None:
+        return "no info"
+    parts = [str(qcm.bob_cols), ",".join(qcm.row_labels), format_matrix(qcm.z), format_matrix(qcm.x)]
+    return "\n".join(parts + [_state_text(qcm.info)])
+
+
+def _build(h1: str, h2: str, want_trace: bool = False):
+    return build_code(*(parse_matrix(t.replace(";", "\n")) for t in (h1, h2)), want_trace=want_trace)
+
+
+def test_traced_states_match_pinned_digest():
+    pairs = [(c["h1"], c["h2"]) for c in _cases()] + [pair for _, pair in sorted(EXAMPLES.items())]
+    digest = hashlib.sha256()
+    for h1, h2 in pairs:
+        spec = _build(h1, h2, want_trace=True)
+        steps = spec.record.reduction.trace + spec.encode_trace + spec.decode_trace
+        states = [(s.label, s.state) for s in steps] + [
+            ("decoded state", spec.decoded_state),
+            ("final stabilizer", spec.final_stabilizer),
+            ("measurable stabilizer", spec.measurable_stabilizer),
+        ]
+        digest.update(f"{h1}\n{h2}\n".encode())
+        for label, state in states:
+            digest.update(f"{label}\n{_state_text(state)}\n".encode())
+        digest.update(", ".join(map(str, spec.measurement_multipliers)).encode())
+    assert digest.hexdigest() == TRACE_STATES_SHA256
+
+
+def test_tier_l_decoded_states_match_pinned_digest():
+    digest = hashlib.sha256()
+    for h1, h2 in _random_pairs(random.Random(TIER_L_STREAM), 8, 4, 24):
+        digest.update(f"{h1}\n{h2}\n{_state_text(_build(h1, h2).decoded_state)}\n".encode())
+    assert digest.hexdigest() == TIER_L_DECODED_SHA256
 
 
 def _regenerate():
