@@ -5,15 +5,17 @@ This is the arithmetic `poly.py` used before its word-level division and its
 the dividend, `bits_gcd` runs the Euclidean algorithm with no shortcut,
 `reverse` and `exponents` visit every coefficient position, and
 `RationalPoly` normalises every result from scratch (push the denominator's
-unit into the numerator, then cancel the gcd), and `divmod_width` removes
-one quotient term at a time with a `LaurentPoly` add and multiply.  It
-reuses `LaurentPoly` for storage, addition, multiplication and shifts,
-which the differential test does not replace.
+unit into the numerator, then cancel the gcd), `divmod_width` removes
+one quotient term at a time with a `LaurentPoly` add and multiply, and
+`series_expand` builds the inverse series of the denominator one
+coefficient at a time, then multiplies and clips per exponent.  It reuses
+`LaurentPoly` for storage, addition, multiplication and shifts, and
+`_bits_mul`, which the differential test does not replace.
 """
 
 from __future__ import annotations
 
-from eaqconv.poly import LaurentPoly
+from eaqconv.poly import LaurentPoly, _bits_mul
 
 
 def bits_divmod(a: int, b: int) -> tuple[int, int]:
@@ -116,3 +118,42 @@ def divmod_width(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPo
         q = q + t
         r = r + t * b
     return q, r
+
+
+def series_expand(r: RationalPoly, lo: int, hi: int) -> LaurentPoly:
+    """Truncate the ascending formal power series of r to exponents [lo, hi].
+
+    The expansion direction is ascending powers of D (plain long division);
+    the denominator's nonzero constant term makes the series well defined.
+    """
+    if lo > hi:
+        raise ValueError(f"empty window [{lo}, {hi}]")
+    if r.is_zero():
+        return LaurentPoly.zero()
+    num, den = r.num, r.den
+    start = num.low  # series del equals del(num) since den(0) = 1
+    if start > hi:
+        return LaurentPoly.zero()
+    length = hi - start + 1
+    # inverse series of den up to `length` coefficients
+    dbits = den.bits
+    ddeg = dbits.bit_length() - 1
+    inv = [0] * length
+    for t in range(length):
+        acc = 1 if t == 0 else 0
+        for j in range(1, min(t, ddeg) + 1):
+            if (dbits >> j) & 1:
+                acc ^= inv[t - j]
+        inv[t] = acc
+    inv_bits = 0
+    for t, bit in enumerate(inv):
+        if bit:
+            inv_bits |= 1 << t
+    prod = _bits_mul(num.bits, inv_bits)
+    series = LaurentPoly(prod, start)
+    # clip to [lo, hi]
+    out = 0
+    for k in series.exponents():
+        if lo <= k <= hi:
+            out |= 1 << (k - lo)
+    return LaurentPoly(out, lo)

@@ -8,7 +8,8 @@ seeded Laurent pairs through `divmod_width`, and seeded rational operands
 of four kinds (zero, denominator 1, a shared denominator, distinct
 denominators, all with negative `low` allowed) through `+`, `*`, `/`,
 `shift` and `reverse`.  Every result must equal the reference exactly and
-be in canonical form.
+be in canonical form.  Seeded rational functions, with windows below, over
+and above the series' first exponent, go through `series_expand`.
 """
 
 from __future__ import annotations
@@ -160,3 +161,18 @@ def test_rational_ops_match_normalising_reference(kind, seed):
         _same(lambda: a.inverse(), lambda: ra.inverse())
     if kind == "shared":
         assert shared >= CASES // 5  # a/d + b/d with d != 1 after cancelling
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_series_expand_matches_per_bit_reference(seed):
+    rng = random.Random(f"series/{seed}")
+    for _ in range(CASES):
+        den = rng.choice((LaurentPoly.one(), _denominator(rng), LaurentPoly(_mask(rng, 80) << 1 | 1)))
+        r = RationalPoly(_laurent(rng, rng.choice((8, 40, 200))), den)
+        lo = rng.randint(-40, 40)
+        hi = lo + rng.randint(-2, 300)
+        if lo > hi:
+            with pytest.raises(ValueError):
+                poly.series_expand(r, lo, hi)
+            continue
+        assert poly.series_expand(r, lo, hi) == oracle.series_expand(r, lo, hi)
