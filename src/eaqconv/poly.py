@@ -386,43 +386,32 @@ RZERO = RationalPoly.zero()
 RONE = RationalPoly.one()
 
 
+def _bits_reverse(a: int, n: int) -> int:
+    """The low n coefficient bits of a in reverse order."""
+    return int(format(a & ((1 << n) - 1), f"0{n}b")[::-1], 2) if n else 0
+
+
 def series_expand(r: RationalPoly, lo: int, hi: int) -> LaurentPoly:
     """Truncate the ascending formal power series of r to exponents [lo, hi].
 
     The expansion direction is ascending powers of D (plain long division);
     the denominator's nonzero constant term makes the series well defined.
+    The series starts at the numerator's lowest exponent, and its first n
+    coefficients are s with num = s*den + D^n t, deg t < deg den = m.
+    Reversed, that is D^m rev_n(num) = rev_n(s) rev(den) + rev_m(t), so
+    rev_n(s) is a quotient of ordinary GF(2)[D] division.
     """
     if lo > hi:
         raise ValueError(f"empty window [{lo}, {hi}]")
-    if r.is_zero():
-        return LaurentPoly.zero()
     num, den = r.num, r.den
-    start = num.low  # series del equals del(num) since den(0) = 1
-    if start > hi:
+    start = num.low
+    if num.is_zero() or start > hi:
         return LaurentPoly.zero()
-    length = hi - start + 1
-    # inverse series of den up to `length` coefficients
-    dbits = den.bits
-    ddeg = dbits.bit_length() - 1
-    inv = [0] * length
-    for t in range(length):
-        acc = 1 if t == 0 else 0
-        for j in range(1, min(t, ddeg) + 1):
-            if (dbits >> j) & 1:
-                acc ^= inv[t - j]
-        inv[t] = acc
-    inv_bits = 0
-    for t, bit in enumerate(inv):
-        if bit:
-            inv_bits |= 1 << t
-    prod = _bits_mul(num.bits, inv_bits)
-    series = LaurentPoly(prod, start)
-    # clip to [lo, hi]
-    out = 0
-    for k in series.exponents():
-        if lo <= k <= hi:
-            out |= 1 << (k - lo)
-    return LaurentPoly(out, lo)
+    n = hi - start + 1
+    m = den.bits.bit_length() - 1
+    q, _ = _bits_divmod(_bits_reverse(num.bits, n) << m, _bits_reverse(den.bits, m + 1))
+    cut = max(lo - start, 0)
+    return LaurentPoly(_bits_reverse(q, n) >> cut, start + cut)
 
 
 # -- text grammar ----------------------------------------------------------
