@@ -50,15 +50,13 @@ from .gates import (
     inf_depth,
     swap,
 )
-from .poly import LaurentPoly, RationalPoly, common_denominator, divmod_shifted
+from .poly import LaurentPoly, divmod_shifted
 from .polymat import PolyMatrix, SmithDecomposition, SmithEngine, SmithHooks, invariant_factors, smith_form
 
 CLASS1 = "class1"
 CLASS2 = "class2"
 CLASS2_SPECIAL = "class2_special"
 
-_R0 = RationalPoly.zero()
-_R1 = RationalPoly.one()
 _L0 = LaurentPoly.zero()
 _L1 = LaurentPoly.one()
 
@@ -149,7 +147,7 @@ class _Reduction:
         self._snapshot("initial quantum check matrix")
 
     def state(self) -> QuantumCheckMatrix:
-        return QuantumCheckMatrix(PolyMatrix(self.z), PolyMatrix(self.x))
+        return QuantumCheckMatrix.from_rows(tuple(map(tuple, self.z)), tuple(map(tuple, self.x)), (_L1,) * self.rows, self.n)
 
     def _snapshot(self, label):
         if self.want_trace:
@@ -518,105 +516,57 @@ def _bare_state(n, c, ebit_cols, anc_a, anc_b, logical_cols):
     logical_cols carry one X/Z logical pair each.
     """
     total = c + n
-    rows, labels = [], []
+    zero = (_L0,) * total
 
-    def empty():
-        return [_R0] * total
+    def row(side, *cols):
+        """The row with 1 in `cols` of its Z (side 0) or X (side 1) half."""
+        ones = tuple(_L1 if j in cols else _L0 for j in range(total))
+        return (ones, zero) if side == 0 else (zero, ones)
 
-    for b, col in enumerate(ebit_cols):
-        z = empty()
-        z[b] = _R1
-        z[c + col] = _R1
-        rows.append((z, empty()))
-        labels.append(f"ebit-Z{b + 1}")
-    for j, col in enumerate(anc_a):
-        z = empty()
-        z[c + col] = _R1
-        rows.append((z, empty()))
-        labels.append(f"ancilla{j + 1}")
-    for b, col in enumerate(ebit_cols):
-        x = empty()
-        x[b] = _R1
-        x[c + col] = _R1
-        rows.append((empty(), x))
-        labels.append(f"ebit-X{b + 1}")
-    for j, col in enumerate(anc_b):
-        z = empty()
-        z[c + col] = _R1
-        rows.append((z, empty()))
-        labels.append(f"ancilla{len(anc_a) + j + 1}")
+    def matrix(rows, labels, info=None):
+        zn, xn = tuple(z for z, _ in rows), tuple(x for _, x in rows)
+        return QuantumCheckMatrix.from_rows(zn, xn, (_L1,) * len(rows), total, c, labels, info)
 
-    info_rows, info_labels = [], []
-    for q, col in enumerate(logical_cols):
-        x = empty()
-        x[c + col] = _R1
-        info_rows.append((empty(), x))
-        info_labels.append(f"X{q + 1}")
-        z = empty()
-        z[c + col] = _R1
-        info_rows.append((z, empty()))
-        info_labels.append(f"Z{q + 1}")
-
-    def matrix(pairs, idx):
-        return PolyMatrix([p[idx] for p in pairs], cols=total)
-
-    info = QuantumCheckMatrix(
-        matrix(info_rows, 0), matrix(info_rows, 1), bob_cols=c, row_labels=tuple(info_labels)
-    )
-    return QuantumCheckMatrix(
-        matrix(rows, 0), matrix(rows, 1), bob_cols=c, row_labels=tuple(labels), info=info
-    )
+    rows = ([row(0, b, c + col) for b, col in enumerate(ebit_cols)] + [row(0, c + col) for col in anc_a]
+            + [row(1, b, c + col) for b, col in enumerate(ebit_cols)] + [row(0, c + col) for col in anc_b])
+    labels = ([f"ebit-Z{b + 1}" for b in range(c)] + [f"ancilla{j + 1}" for j in range(len(anc_a))]
+              + [f"ebit-X{b + 1}" for b in range(c)] + [f"ancilla{len(anc_a) + j + 1}" for j in range(len(anc_b))])
+    info_rows = [r for col in logical_cols for r in (row(1, c + col), row(0, c + col))]
+    info_labels = [f"{kind}{q + 1}" for q in range(len(logical_cols)) for kind in "XZ"]
+    return matrix(rows, labels, matrix(info_rows, info_labels))
 
 
 def _scale_rows(qcm: QuantumCheckMatrix, scale_by_row) -> QuantumCheckMatrix:
-    z = qcm.z.to_lists()
-    x = qcm.x.to_lists()
+    zn, xn = list(qcm.zn), list(qcm.xn)
     for r, kexp in scale_by_row.items():
-        z[r] = [e.shift(kexp) for e in z[r]]
-        x[r] = [e.shift(kexp) for e in x[r]]
-    return QuantumCheckMatrix(
-        PolyMatrix(z, cols=qcm.cols), PolyMatrix(x, cols=qcm.cols), qcm.bob_cols, qcm.row_labels, qcm.info
-    )
+        zn[r] = tuple(e.shift(kexp) for e in zn[r])
+        xn[r] = tuple(e.shift(kexp) for e in xn[r])
+    return QuantumCheckMatrix.from_rows(tuple(zn), tuple(xn), qcm.dens, qcm.cols, qcm.bob_cols, qcm.row_labels, qcm.info)
 
 
 def _permute_rows(qcm: QuantumCheckMatrix, order) -> QuantumCheckMatrix:
-    z = [qcm.z.entries[i] for i in order]
-    x = [qcm.x.entries[i] for i in order]
-    labels = tuple(qcm.row_labels[i] for i in order) if qcm.row_labels else ()
-    return QuantumCheckMatrix(PolyMatrix(z, cols=qcm.cols), PolyMatrix(x, cols=qcm.cols), qcm.bob_cols, labels, qcm.info)
+    def pick(seq):
+        return tuple(seq[i] for i in order)
+
+    labels = pick(qcm.row_labels) if qcm.row_labels else ()
+    return QuantumCheckMatrix.from_rows(pick(qcm.zn), pick(qcm.xn), pick(qcm.dens), qcm.cols, qcm.bob_cols, labels, qcm.info)
 
 
 def _measurable(qcm: QuantumCheckMatrix):
-    """Clear denominators row by row (type-3 scalings, recorded as multipliers)."""
-    mults = []
-    z = qcm.z.to_lists()
-    x = qcm.x.to_lists()
-    for r in range(qcm.rows):
-        m, nums = common_denominator(z[r] + x[r])
-        if m != _L1:
-            z[r] = [RationalPoly(p) for p in nums[:qcm.cols]]
-            x[r] = [RationalPoly(p) for p in nums[qcm.cols:]]
-        mults.append(m)
-    out = QuantumCheckMatrix(PolyMatrix(z, cols=qcm.cols), PolyMatrix(x, cols=qcm.cols), qcm.bob_cols, qcm.row_labels)
-    return out, tuple(mults)
+    """Clear denominators row by row (type-3 scalings): the numerator rows, and the row denominators as multipliers."""
+    out = QuantumCheckMatrix.from_rows(qcm.zn, qcm.xn, (_L1,) * qcm.rows, qcm.cols, qcm.bob_cols, qcm.row_labels)
+    return out, qcm.dens
 
 
 def _monomial_offset(qcm: QuantumCheckMatrix, row: int, col: int, side: str):
     """If the row is exactly D^k at `col` on `side` (and zero elsewhere), return k."""
-    m = qcm.z if side == "z" else qcm.x
-    other = qcm.x if side == "z" else qcm.z
-    target = None
-    for j in range(qcm.cols):
-        e = m.entries[row][j]
-        if j == col:
-            if e.is_zero() or not e.is_polynomial() or e.num.weight() != 1:
-                return None
-            target = e.num.dell
-        elif not e.is_zero():
-            return None
-    if any(not e.is_zero() for e in other.entries[row]):
+    m, other = (qcm.zn, qcm.xn) if side == "z" else (qcm.xn, qcm.zn)
+    e = m[row][col]
+    if qcm.dens[row] != _L1 or e.weight() != 1:
         return None
-    return target
+    if any(m[row][j] for j in range(qcm.cols) if j != col) or any(other[row]):
+        return None
+    return e.dell
 
 
 # -- class-specific builders --------------------------------------------------------
@@ -959,7 +909,9 @@ def _assemble(record, bare, pair, encoder, decoder, info_fix, logical_cols, deco
     decoded = decoder.apply(decoded, recorder(decode_trace))
     if info_fix is not None and decoded.info is not None:
         fixed = info_fix(decoded, decoded.info)
-        decoded = QuantumCheckMatrix(decoded.z, decoded.x, decoded.bob_cols, decoded.row_labels, fixed)
+        decoded = QuantumCheckMatrix.from_rows(
+            decoded.zn, decoded.xn, decoded.dens, decoded.cols, decoded.bob_cols, decoded.row_labels, fixed
+        )
         if want_trace:
             decode_trace.append(TraceStep("logical operators reduced by stabilizer rows", decoded))
 

@@ -17,15 +17,14 @@ shifted source column into a destination column; H swaps the two sides of
 column a, and InfDepth has its one implementation in `apply_in_place`.  Two
 runners read the table.  `apply_in_place` mutates row lists, touching just
 the addressed columns; the code construction runs it on its Laurent grids.
-`Circuit.apply` holds each row as Laurent numerators over one GF(2)[D] row
-denominator and the numerators as column planes, one int per side and
-column with every row stacked in it, so a move is one shift and one XOR
-over all rows.  Two facts make that exact.  Finite-depth gates only add
-shifted entries within a row, so they never change its denominator and
-run on the numerators with no gcd; only InfDepth updates it.  And the
-canonical form of a rational function is unique, so dividing back once
-when the state is frozen gives the entries that a replay on normalised
-`RationalPoly` entries gives.
+`Circuit.apply` runs on the rows a `QuantumCheckMatrix` stores, Laurent
+numerators over one GF(2)[D] row denominator in lowest terms, and holds
+the numerators as column planes, one int per side and column with every
+row stacked in it, so a move is one shift and one XOR over all rows.
+Finite-depth gates act on a row's numerators by a column operation that
+is invertible over the Laurent ring, so a row stays in lowest terms and
+keeps its denominator; only InfDepth changes a denominator, and it
+reduces again the rows it touched.
 
 Gate qubit indices address the sender's (Alice's) columns; the receiver-side
 columns sit to the left of them and only gates flagged full_frame (used by
@@ -40,10 +39,11 @@ expansion on the X side and f(D^-1) on the Z side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionMismatch
-from .poly import ZERO, LaurentPoly, RationalPoly, common_denominator, format_poly
+from .poly import ONE, ZERO, LaurentPoly, RationalPoly, common_denominator, format_poly, lowest_terms
 from .polymat import PolyMatrix
 
 _KINDS = ("CNOT", "H", "P", "CPHASE", "CPHASE_SELF", "INF")
@@ -110,38 +110,68 @@ def swap(i: int, j: int, **kw) -> list[Gate]:
 # -- quantum check matrices ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuantumCheckMatrix:
-    """Paired (Z | X) matrices over rational functions with a column split.
+    """Paired (Z | X) rows over rational functions with a column split.
+
+    Each row is stored once, in lowest terms: Laurent numerators zn[r] and
+    xn[r] over one row denominator dens[r], a polynomial in GF(2)[D] with
+    constant term 1 that shares no factor with all of the row's
+    numerators.  dens[r] is then the lcm of the row's entry denominators,
+    the form is unique, and equality compares rows.  `z` and `x` are
+    PolyMatrix views of the canonical RationalPoly entries, formed on first
+    use.
 
     The leftmost bob_cols columns belong to the receiver (ebit halves); the
     remaining columns are the sender's.  `info` carries the parallel
     logical-operator matrix with the same column layout.
     """
 
-    z: PolyMatrix
-    x: PolyMatrix
+    zn: tuple[tuple[LaurentPoly, ...], ...]
+    xn: tuple[tuple[LaurentPoly, ...], ...]
+    dens: tuple[LaurentPoly, ...]
+    cols: int
     bob_cols: int = 0
     row_labels: tuple[str, ...] = ()
     info: QuantumCheckMatrix | None = None
 
-    def __post_init__(self):
-        if (self.z.rows, self.z.cols) != (self.x.rows, self.x.cols):
+    def __init__(self, z: PolyMatrix, x: PolyMatrix, bob_cols: int = 0, row_labels=(), info=None):
+        """The check matrix with Z entries z and X entries x; each row is written over its lcm denominator."""
+        if (z.rows, z.cols) != (x.rows, x.cols):
             raise DimensionMismatch("Z and X halves differ in shape")
-        if not 0 <= self.bob_cols <= self.z.cols:
+        rows = [common_denominator(zr + xr) for zr, xr in zip(z.entries, x.entries)]
+        cols = z.cols
+        self._fill(tuple(tuple(nums[:cols]) for _, nums in rows), tuple(tuple(nums[cols:]) for _, nums in rows),
+                   tuple(d for d, _ in rows), cols, bob_cols, row_labels, info)
+        vars(self).update(z=z, x=x)  # the given entries are the views
+
+    @classmethod
+    def from_rows(cls, zn, xn, dens, cols: int, bob_cols: int = 0, row_labels=(), info=None) -> QuantumCheckMatrix:
+        """The check matrix of rows already in lowest terms."""
+        qcm = object.__new__(cls)
+        qcm._fill(zn, xn, dens, cols, bob_cols, row_labels, info)
+        return qcm
+
+    def _fill(self, zn, xn, dens, cols, bob_cols, row_labels, info):
+        if not 0 <= bob_cols <= cols:
             raise DimensionMismatch("bob_cols out of range")
-        if self.row_labels and len(self.row_labels) != self.z.rows:
+        if row_labels and len(row_labels) != len(dens):
             raise DimensionMismatch("one label per row")
-        if self.info is not None and (self.info.z.cols != self.z.cols or self.info.bob_cols != self.bob_cols):
+        if info is not None and (info.cols != cols or info.bob_cols != bob_cols):
             raise DimensionMismatch("info matrix must share the column layout")
+        vars(self).update(zn=zn, xn=xn, dens=dens, cols=cols, bob_cols=bob_cols, row_labels=tuple(row_labels), info=info)
+
+    @cached_property
+    def z(self) -> PolyMatrix:
+        return PolyMatrix([[RationalPoly(e, d) for e in row] for row, d in zip(self.zn, self.dens)], cols=self.cols)
+
+    @cached_property
+    def x(self) -> PolyMatrix:
+        return PolyMatrix([[RationalPoly(e, d) for e in row] for row, d in zip(self.xn, self.dens)], cols=self.cols)
 
     @property
     def rows(self) -> int:
-        return self.z.rows
-
-    @property
-    def cols(self) -> int:
-        return self.z.cols
+        return len(self.dens)
 
     def row(self, i: int):
         from .pauli import CheckRow
@@ -151,18 +181,17 @@ class QuantumCheckMatrix:
     def symplectic_numerators(self) -> tuple[list[LaurentPoly], list[list[LaurentPoly]]]:
         """(dens, N): the product of rows i and j is N[i][j] / (dens[i](D^-1) dens[j](D)).
 
-        Each row is taken as Laurent numerators over its row denominator.
         Only i <= j is multiplied out; N[j][i] is N[i][j](D^-1).
         """
         from .pauli import symplectic_numerator
 
-        rows = [common_denominator(z + x) for z, x in zip(self.z.entries, self.x.entries)]
+        rows = [z + x for z, x in zip(self.zn, self.xn)]
         num = [[ZERO] * len(rows) for _ in rows]
-        for i, (_, a) in enumerate(rows):
+        for i, a in enumerate(rows):
             for j in range(i, len(rows)):
-                num[i][j] = symplectic_numerator(a, rows[j][1])
+                num[i][j] = symplectic_numerator(a, rows[j])
                 num[j][i] = num[i][j].reverse()
-        return [d for d, _ in rows], num
+        return list(self.dens), num
 
     def symplectic_gram(self) -> PolyMatrix:
         """All pairwise shifted symplectic products, over every column."""
@@ -172,12 +201,12 @@ class QuantumCheckMatrix:
         return PolyMatrix([[RationalPoly(n, di.reverse() * dj) for n, dj in zip(row, dens)] for row, di in zip(num, dens)])
 
     def alice_part(self) -> QuantumCheckMatrix:
-        cols = range(self.bob_cols, self.cols)
-        return QuantumCheckMatrix(
-            self.z.submatrix(range(self.rows), cols),
-            self.x.submatrix(range(self.rows), cols),
-            bob_cols=0,
-            row_labels=self.row_labels,
+        """The sender's columns; a row reduces again, as dropping columns can shrink its lcm."""
+        b, cols = self.bob_cols, self.cols - self.bob_cols
+        rows = [lowest_terms(d, z[b:] + x[b:]) for z, x, d in zip(self.zn, self.xn, self.dens)]
+        return QuantumCheckMatrix.from_rows(
+            tuple(tuple(nums[:cols]) for _, nums in rows), tuple(tuple(nums[cols:]) for _, nums in rows),
+            tuple(d for d, _ in rows), cols, row_labels=self.row_labels,
         )
 
     def zx_concat(self) -> PolyMatrix:
@@ -185,7 +214,7 @@ class QuantumCheckMatrix:
         return self.z.hstack(self.x)
 
     def is_polynomial(self) -> bool:
-        return self.z.is_polynomial() and self.x.is_polynomial()
+        return all(d == ONE for d in self.dens)
 
 
 def gate_columns(g: Gate, cols: int, bob_cols: int) -> tuple[int, int | None]:
@@ -236,7 +265,8 @@ def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0, dens=None) -> No
     and updates them: with f = f0 D^k and f0 delay-free, a row with
     x[a] != 0 moves to denominator den*f0, its other entries take the
     factor f0 and x[a] the factor D^-k; z[a] takes the factor f(D^-1).
-    `rows` is walked once.
+    Each row it changes is then brought to lowest terms.  `rows` is walked
+    once.
     """
     a, b = gate_columns(g, cols, bob_cols)
     if g.kind == "H":
@@ -247,6 +277,8 @@ def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0, dens=None) -> No
         f0, k = fwd.delay_free()
         zmul = fwd.reverse()
         for r, (z, x) in enumerate(rows):
+            if not (x[a] or z[a]):
+                continue
             if x[a]:
                 xa = x[a].shift(-k)
                 z[:] = [e * f0 for e in z]
@@ -255,6 +287,8 @@ def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0, dens=None) -> No
                 dens[r] = dens[r] * f0
             if z[a]:
                 z[a] = z[a] * zmul
+            dens[r], nums = lowest_terms(dens[r], z + x)
+            z[:], x[:] = nums[:cols], nums[cols:]
     else:
         moves = _moves(g, a, b)
         for row in rows:
@@ -362,46 +396,28 @@ class Circuit:
         return Circuit(tuple(g.inverse() for g in reversed(self.gates)))
 
     def apply(self, qcm: QuantumCheckMatrix, observe=None) -> QuantumCheckMatrix:
-        """Run every gate on column planes of qcm and return the result frozen.
+        """Run every gate on column planes of qcm's rows and return the rows they end as.
 
-        The stabilizer and info rows are held as Laurent numerators over one
-        GF(2)[D] denominator per row, the lcm of the row's denominators on
-        the way in, and the numerators as `_Planes`: one int per side and
-        column holding every row.  A finite-depth gate is a few shift-and-XOR
-        moves on whole planes (H swaps two) and never changes a row's
-        denominator; INF unpacks the rows, runs `apply_in_place` on them and
-        their denominators, and packs them again.  Freezing divides the
-        numerators back into the canonical `RationalPoly` entries, which are
-        unique, and only where a numerator or row denominator changed.
-        observe(gate, state), when given, sees the frozen state after each
-        gate; only the gate's columns (every column of a row whose
-        denominator changed) are frozen again.
+        The stabilizer and info numerators are held as `_Planes`: one int per
+        side and column holding every row.  A finite-depth gate is a few
+        shift-and-XOR moves on whole planes (H swaps two) and leaves every
+        denominator as it is; INF unpacks the rows, runs `apply_in_place` on
+        them and their denominators, and packs them again.  observe(gate,
+        state), when given, sees the state after each gate; only the planes
+        the gate changed are unpacked for it.
         """
         cols, split, bob_cols = qcm.cols, qcm.rows, qcm.bob_cols
         mats = (qcm,) if qcm.info is None else (qcm, qcm.info)
-        rows, dens = [], []
-        for m in mats:
-            for zr, xr in zip(m.z.entries, m.x.entries):
-                den, nums = common_denominator(zr + xr)
-                rows.append((nums[:cols], nums[cols:]))
-                dens.append(den)
-        frozen = ([list(zr) for m in mats for zr in m.z.entries], [list(xr) for m in mats for xr in m.x.entries])
-        made = ([z for z, _ in rows], [x for _, x in rows], list(dens))  # what `frozen` was divided from
+        rows = [(list(z), list(x)) for m in mats for z, x in zip(m.zn, m.xn)]
+        dens = [d for m in mats for d in m.dens]
         planes = _Planes(rows, cols)
 
-        def freeze(touched):
-            stale = [den is not mden for den, mden in zip(dens, made[2])]
-            for c in range(cols) if any(stale) else touched:
-                for s in (0, 1):
-                    for r, (e, mrow, frow) in enumerate(zip(planes.column(s, c), made[s], frozen[s])):
-                        if stale[r] or e != mrow[c]:
-                            mrow[c], frow[c] = e, RationalPoly(e, dens[r])
-            made[2][:] = dens
-            fz, fx = frozen
+        def state():
+            zn, xn, ds = tuple(tuple(z) for z, _ in rows), tuple(tuple(x) for _, x in rows), tuple(dens)
             info = qcm.info
             if info is not None:
-                info = replace(info, z=PolyMatrix(fz[split:], cols=cols), x=PolyMatrix(fx[split:], cols=cols))
-            return replace(qcm, z=PolyMatrix(fz[:split], cols=cols), x=PolyMatrix(fx[:split], cols=cols), info=info)
+                info = QuantumCheckMatrix.from_rows(zn[split:], xn[split:], ds[split:], cols, bob_cols, info.row_labels)
+            return QuantumCheckMatrix.from_rows(zn[:split], xn[:split], ds[:split], cols, bob_cols, qcm.row_labels, info)
 
         for g in self.gates:
             a, b = gate_columns(g, cols, bob_cols)
@@ -409,13 +425,21 @@ class Circuit:
                 rows = planes.rows()
                 apply_in_place(g, rows, cols, bob_cols, dens)
                 planes = _Planes(rows, cols)
+                changed = ()
             elif g.kind == "H":
                 planes.swap(a)
+                changed = ((0, a), (1, a))
             else:
-                planes = planes.run(_moves(g, a, b))
+                changed = _moves(g, a, b)
+                planes = planes.run(changed)
             if observe is not None:
-                observe(g, freeze([c for c in (a, b) if c is not None]))
-        return freeze(range(cols))
+                for s, c, *_ in changed:  # the planes the gate wrote
+                    for row, e in zip(rows, planes.column(s, c)):
+                        row[s][c] = e
+                observe(g, state())
+        if observe is None:
+            rows = planes.rows()
+        return state()
 
 
 def format_gate(g: Gate) -> str:

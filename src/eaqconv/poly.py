@@ -247,6 +247,24 @@ def common_denominator(entries) -> tuple[LaurentPoly, list[LaurentPoly]]:
     return m, [e.num * divmod_shifted(m, e.den)[0] for e in entries]
 
 
+def lowest_terms(den: LaurentPoly, nums):
+    """The row nums/den with den and every numerator divided by their common factor: (den, nums).
+
+    den lies in GF(2)[D] with constant term 1, so no power of D divides it
+    and the common factor is the GF(2)[D] gcd of den and the numerators'
+    delay-free parts.  An all-zero row ends with den 1.  nums comes back
+    as it was when nothing cancels.
+    """
+    g = den.bits
+    for e in nums:
+        if g == 1:
+            return den, nums
+        g = _bits_gcd(g, e.bits)
+    if g == 1:
+        return den, nums
+    return LaurentPoly(_bits_divmod(den.bits, g)[0]), [LaurentPoly(_bits_divmod(e.bits, g)[0], e.low) for e in nums]
+
+
 def primitive_part(entries: list[LaurentPoly]) -> list[LaurentPoly]:
     """Laurent entries divided by their gcd in the Laurent ring.
 

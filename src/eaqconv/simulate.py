@@ -51,7 +51,7 @@ from typing import NamedTuple
 from .errors import WindowTooSmall
 from .gates import Circuit, QuantumCheckMatrix, SlidingWindowRule, gate_columns, synthesize_infinite_depth, time_reversed_rule
 from .pauli import symplectic_numerator
-from .poly import LaurentPoly, RationalPoly, common_denominator, series_expand
+from .poly import ONE, LaurentPoly, RationalPoly, series_expand
 from .polymat import PolyMatrix, echelon, residue, row_space_equal
 
 
@@ -242,19 +242,16 @@ def _unpack(win: BinarySymplecticWindow) -> list[WindowRow]:
 
 
 def _row_support(qcm: QuantumCheckMatrix, r: int):
-    exps = []
-    rational = False
-    for e in list(qcm.z.entries[r]) + list(qcm.x.entries[r]):
-        if e.is_zero():
-            continue
-        if not e.is_polynomial():
-            rational = True
-            exps.append(e.num.dell)  # the series starts at the numerator's lowest exponent
-        else:
-            exps.extend((e.num.dell, e.num.deg))
-    if not exps:
-        return None, None, rational
-    return min(exps), (None if rational else max(exps)), rational
+    """(lo, hi, rational) of row r: a row in lowest terms is rational exactly when its denominator is not 1.
+
+    The series of a rational row starts at its numerators' lowest exponent
+    and has no end (hi is None); a zero row has no support at all.
+    """
+    nums = [e for e in qcm.zn[r] + qcm.xn[r] if e]
+    if not nums:
+        return None, None, False
+    rational = qcm.dens[r] != ONE
+    return min(e.low for e in nums), (None if rational else max(e.deg for e in nums)), rational
 
 
 def expand(qcm: QuantumCheckMatrix, window: int, scratch: int = 0) -> BinarySymplecticWindow:
@@ -286,8 +283,9 @@ def expand(qcm: QuantumCheckMatrix, window: int, scratch: int = 0) -> BinarySymp
         stair = _repeat(count, stride + 1)
         keep = (base << w) - stair
         at = first * stride
+        den = qcm.dens[r]
         for q in range(m):
-            entries = (qcm.z.entries[r][q], qcm.x.entries[r][q])
+            entries = (RationalPoly(qcm.zn[r][q], den), RationalPoly(qcm.xn[r][q], den))
             for planes, entry in zip((z, x), entries):
                 series = series_expand(entry, lo, lo + w - 1) if not entry.is_zero() else LaurentPoly.zero()
                 if series.bits:
@@ -419,17 +417,17 @@ def _check_decode(spec, evolved: QuantumCheckMatrix) -> tuple[bool, str]:
     and modulo the decoded stabilizer each logical localizes to its
     designated column.
 
-    Rows are Laurent numerators over one GF(2)[D] denominator each.  A
-    product is N / (d_a(D^-1) d_b(D)), so it vanishes exactly when N does
-    and is a unit D^k exactly when N has the coefficient bits of
+    The stored rows are Laurent numerators over one GF(2)[D] denominator
+    each.  A product is N / (d_a(D^-1) d_b(D)), so it vanishes exactly when
+    N does and is a unit D^k exactly when N has the coefficient bits of
     d_a(D^-1) d_b(D).  Localization reads the support of each logical row's
     residue modulo the stabilizer's echelon form, which row scaling keeps.
     """
     decoded = spec.decoder.apply(evolved)
     if decoded.info is None or spec.k == 0:
         return True, "no information qubits"
-    stab = [common_denominator(z + x)[1] for z, x in zip(decoded.z.entries, decoded.x.entries)]
-    info = [common_denominator(z + x) for z, x in zip(decoded.info.z.entries, decoded.info.x.entries)]
+    stab = [z + x for z, x in zip(decoded.zn, decoded.xn)]
+    info = [(d, z + x) for z, x, d in zip(decoded.info.zn, decoded.info.xn, decoded.info.dens)]
     for i, (_, a) in enumerate(info):
         if any(symplectic_numerator(a, b) for b in stab):
             return False, f"decoded logical row {i + 1} fails to commute with the stabilizer"
@@ -495,6 +493,12 @@ def _interior_match(win_sim, win_alg):
     return compared, mismatches
 
 
+def _sender_numerators(qcm: QuantumCheckMatrix) -> PolyMatrix:
+    """The sender-side numerator rows of qcm (Z half then X half), which span its sender-side row space."""
+    alice = qcm.alice_part()
+    return PolyMatrix([z + x for z, x in zip(alice.zn, alice.xn)], cols=2 * alice.cols)
+
+
 def verify_code(spec, window: int = 32, scratch: int | None = None) -> VerificationReport:
     """The four-part verification of a built code.
 
@@ -504,8 +508,9 @@ def verify_code(spec, window: int = 32, scratch: int | None = None) -> Verificat
         its designated column; (d) the gate-by-gate window simulation of the
         encoder agrees with the algebraic stabilizer inside the window.
 
-    Checks (a)-(c) run on Laurent numerator rows, one GF(2)[D] denominator
-    per row, with no rational arithmetic.  Three facts keep them exact: a
+    Checks (a)-(c) run on the stored rows, Laurent numerators over one
+    GF(2)[D] denominator per row, with no rational arithmetic.  Three facts
+    keep them exact: a
     row space over GF(2)(D) does not change when a row is scaled by a
     nonzero polynomial; a shifted symplectic product is
     N(D) / (d_i(D^-1) d_j(D)), so it vanishes exactly when its numerator N
@@ -531,9 +536,9 @@ def verify_code(spec, window: int = 32, scratch: int | None = None) -> Verificat
     target = PolyMatrix(
         [list(r) + zero for r in spec.h1.entries] + [zero + list(r) for r in spec.h2.entries]
     )
-    alice = spec.final_stabilizer.alice_part().zx_concat()
+    alice = _sender_numerators(spec.final_stabilizer)
     evolved = spec.encoder.apply(spec.bare)
-    ok_span = row_space_equal(target, alice, evolved.alice_part().zx_concat())
+    ok_span = row_space_equal(target, alice, _sender_numerators(evolved))
     checks.append(CheckResult(
         "row-space equivalence",
         ok_span,

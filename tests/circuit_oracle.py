@@ -5,14 +5,13 @@ every row entry was a normalised `RationalPoly`: each gate adds or multiplies
 canonical rational functions, so every addition into a rational entry runs
 a gcd, and INF multiplies column a by `1/f` and `f(D^-1)` as `RationalPoly`
 multipliers.  They are copied verbatim; `apply` is the method body, taking
-the circuit first.
+the circuit first, except that its `freeze` builds each state with the
+`QuantumCheckMatrix` constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from eaqconv.gates import gate_columns
+from eaqconv.gates import QuantumCheckMatrix, gate_columns
 from eaqconv.poly import LaurentPoly, RationalPoly
 from eaqconv.polymat import PolyMatrix
 
@@ -73,8 +72,8 @@ def apply(circuit, qcm, observe=None):
     def freeze():
         info = qcm.info
         if info is not None:
-            info = replace(info, z=PolyMatrix(iz, cols=qcm.cols), x=PolyMatrix(ix, cols=qcm.cols))
-        return replace(qcm, z=PolyMatrix(z, cols=qcm.cols), x=PolyMatrix(x, cols=qcm.cols), info=info)
+            info = QuantumCheckMatrix(PolyMatrix(iz, cols=qcm.cols), PolyMatrix(ix, cols=qcm.cols), info.bob_cols, info.row_labels)
+        return QuantumCheckMatrix(PolyMatrix(z, cols=qcm.cols), PolyMatrix(x, cols=qcm.cols), qcm.bob_cols, qcm.row_labels, info)
 
     for g in circuit.gates:
         apply_in_place(g, rows, qcm.cols, qcm.bob_cols)

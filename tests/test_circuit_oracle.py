@@ -133,6 +133,7 @@ def assert_same_replay(circuit, state):
     ref = oracle.apply(circuit, state, lambda g, s: ref_seen.append((g, s)))
     assert (out.z, out.x, out.info) == (ref.z, ref.x, ref.info)
     assert out == ref
+    assert QuantumCheckMatrix(out.z, out.x, out.bob_cols, out.row_labels, out.info) == out  # rows in lowest terms
     assert len(seen) == len(ref_seen) == len(circuit)
     for step, (got, want) in enumerate(zip(seen, ref_seen)):
         assert got == want, f"after gate {step}"

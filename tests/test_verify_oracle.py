@@ -19,7 +19,6 @@ from __future__ import annotations
 import copy
 import json
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -220,7 +219,8 @@ def test_code_checks_match_the_rational_checks(name, h1, h2):
     grid = fs.z.to_lists()
     r, c = rng.randrange(fs.rows), rng.randrange(fs.cols)
     grid[r][c] = grid[r][c] + RationalPoly(LaurentPoly.term(1))
-    checks = assert_same_checks(_spoiled(spec, final_stabilizer=replace(fs, z=PolyMatrix(grid, cols=fs.cols))))
+    spoiled = QuantumCheckMatrix(PolyMatrix(grid, cols=fs.cols), fs.x, fs.bob_cols, fs.row_labels, fs.info)
+    checks = assert_same_checks(_spoiled(spec, final_stabilizer=spoiled))
     assert not all(passed for _, passed, _ in checks)
 
     if spec.k:
@@ -232,6 +232,7 @@ def test_code_checks_match_the_rational_checks(name, h1, h2):
         f = RationalPoly(LaurentPoly(0b11))
         z, x = info.z.to_lists(), info.x.to_lists()
         z[1], x[1] = [f * e for e in z[1]], [f * e for e in x[1]]
-        info = replace(info, z=PolyMatrix(z, cols=info.cols), x=PolyMatrix(x, cols=info.cols))
-        checks = assert_same_checks(_spoiled(spec, bare=replace(spec.bare, info=info)))
+        info = QuantumCheckMatrix(PolyMatrix(z, cols=info.cols), PolyMatrix(x, cols=info.cols), info.bob_cols, info.row_labels)
+        bare = spec.bare
+        checks = assert_same_checks(_spoiled(spec, bare=QuantumCheckMatrix(bare.z, bare.x, bare.bob_cols, bare.row_labels, info)))
         assert "instead of a unit" in checks[2][2]
