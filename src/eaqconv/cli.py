@@ -10,7 +10,8 @@ Subcommands:
 Check matrices are given with --h1/--h2 as either a file path or an inline
 matrix (rows separated by ';', entries by ',', polynomial grammar for the
 entries).  Exit codes: 0 success, 2 parse or usage error (including a
---window below 1 or a --scratch below 0), 3 validation error, 4
+--window below 1, a --scratch below 0, or a matrix file that cannot be
+read as UTF-8 text), 3 validation error, 4
 verification failure, 5 internal error (stderr also repeats --h1/--h2 as
 given, so the failing input can be reported).
 """
@@ -39,8 +40,12 @@ EXAMPLES = {
 
 def _load_matrix(arg: str):
     if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            return parse_matrix(fh.read())
+        try:
+            with open(arg, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PolyParseError(f"cannot read matrix file {arg!r}: {exc}") from None
+        return parse_matrix(text)
     return parse_matrix(arg.replace(";", "\n"))
 
 

@@ -129,6 +129,17 @@ def test_matrix_file_input(tmp_path, capsys):
     assert "[[2, 1; 1]]" in out
 
 
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+def test_unreadable_matrix_file_is_a_parse_error(tmp_path, capsys, kind):
+    path = tmp_path
+    if kind == "not UTF-8":
+        path = tmp_path / "h.mat"
+        path.write_bytes(b"1+D^2, 1+D\xff\n")
+    code, out, err = run(capsys, "build", "--h1", str(path), "--h2", "1, 1+D")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: cannot read matrix file {str(path)!r}")
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "build", "--h1", "1, 1+D", "--h2", "1, 1+D")
     _, out2, _ = run(capsys, "build", "--h1", "1, 1+D", "--h2", "1, 1+D")
