@@ -147,7 +147,8 @@ class _Reduction:
         self._snapshot("initial quantum check matrix")
 
     def state(self) -> QuantumCheckMatrix:
-        return QuantumCheckMatrix.from_rows(tuple(map(tuple, self.z)), tuple(map(tuple, self.x)), (_L1,) * self.rows, self.n)
+        zn, xn = tuple(map(tuple, self.z)), tuple(map(tuple, self.x))
+        return QuantumCheckMatrix.from_rows(zn, xn, (_L1,) * self.rows, self.n)
 
     def _snapshot(self, label):
         if self.want_trace:
@@ -541,7 +542,9 @@ def _scale_rows(qcm: QuantumCheckMatrix, scale_by_row) -> QuantumCheckMatrix:
     for r, kexp in scale_by_row.items():
         zn[r] = tuple(e.shift(kexp) for e in zn[r])
         xn[r] = tuple(e.shift(kexp) for e in xn[r])
-    return QuantumCheckMatrix.from_rows(tuple(zn), tuple(xn), qcm.dens, qcm.cols, qcm.bob_cols, qcm.row_labels, qcm.info)
+    return QuantumCheckMatrix.from_rows(
+        tuple(zn), tuple(xn), qcm.dens, qcm.cols, qcm.bob_cols, qcm.row_labels, qcm.info
+    )
 
 
 def _permute_rows(qcm: QuantumCheckMatrix, order) -> QuantumCheckMatrix:
@@ -549,7 +552,9 @@ def _permute_rows(qcm: QuantumCheckMatrix, order) -> QuantumCheckMatrix:
         return tuple(seq[i] for i in order)
 
     labels = pick(qcm.row_labels) if qcm.row_labels else ()
-    return QuantumCheckMatrix.from_rows(pick(qcm.zn), pick(qcm.xn), pick(qcm.dens), qcm.cols, qcm.bob_cols, labels, qcm.info)
+    return QuantumCheckMatrix.from_rows(
+        pick(qcm.zn), pick(qcm.xn), pick(qcm.dens), qcm.cols, qcm.bob_cols, labels, qcm.info
+    )
 
 
 def _measurable(qcm: QuantumCheckMatrix):

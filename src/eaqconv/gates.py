@@ -110,6 +110,11 @@ def swap(i: int, j: int, **kw) -> list[Gate]:
 # -- quantum check matrices ---------------------------------------------------
 
 
+def _split(rows, cols: int):
+    """(zn, xn, dens) of rows given as (den, Z numerators then X numerators)."""
+    return tuple(tuple(n[:cols]) for _, n in rows), tuple(tuple(n[cols:]) for _, n in rows), tuple(d for d, _ in rows)
+
+
 @dataclass(frozen=True, init=False)
 class QuantumCheckMatrix:
     """Paired (Z | X) rows over rational functions with a column split.
@@ -140,9 +145,7 @@ class QuantumCheckMatrix:
         if (z.rows, z.cols) != (x.rows, x.cols):
             raise DimensionMismatch("Z and X halves differ in shape")
         rows = [common_denominator(zr + xr) for zr, xr in zip(z.entries, x.entries)]
-        cols = z.cols
-        self._fill(tuple(tuple(nums[:cols]) for _, nums in rows), tuple(tuple(nums[cols:]) for _, nums in rows),
-                   tuple(d for d, _ in rows), cols, bob_cols, row_labels, info)
+        self._fill(*_split(rows, z.cols), z.cols, bob_cols, row_labels, info)
         vars(self).update(z=z, x=x)  # the given entries are the views
 
     @classmethod
@@ -159,7 +162,8 @@ class QuantumCheckMatrix:
             raise DimensionMismatch("one label per row")
         if info is not None and (info.cols != cols or info.bob_cols != bob_cols):
             raise DimensionMismatch("info matrix must share the column layout")
-        vars(self).update(zn=zn, xn=xn, dens=dens, cols=cols, bob_cols=bob_cols, row_labels=tuple(row_labels), info=info)
+        row_labels = tuple(row_labels)
+        vars(self).update(zn=zn, xn=xn, dens=dens, cols=cols, bob_cols=bob_cols, row_labels=row_labels, info=info)
 
     @cached_property
     def z(self) -> PolyMatrix:
@@ -204,10 +208,7 @@ class QuantumCheckMatrix:
         """The sender's columns; a row reduces again, as dropping columns can shrink its lcm."""
         b, cols = self.bob_cols, self.cols - self.bob_cols
         rows = [lowest_terms(d, z[b:] + x[b:]) for z, x, d in zip(self.zn, self.xn, self.dens)]
-        return QuantumCheckMatrix.from_rows(
-            tuple(tuple(nums[:cols]) for _, nums in rows), tuple(tuple(nums[cols:]) for _, nums in rows),
-            tuple(d for d, _ in rows), cols, row_labels=self.row_labels,
-        )
+        return QuantumCheckMatrix.from_rows(*_split(rows, cols), cols, row_labels=self.row_labels)
 
     def zx_concat(self) -> PolyMatrix:
         """The rows as vectors over 2*cols columns (Z half then X half)."""
@@ -417,7 +418,9 @@ class Circuit:
             info = qcm.info
             if info is not None:
                 info = QuantumCheckMatrix.from_rows(zn[split:], xn[split:], ds[split:], cols, bob_cols, info.row_labels)
-            return QuantumCheckMatrix.from_rows(zn[:split], xn[:split], ds[:split], cols, bob_cols, qcm.row_labels, info)
+            return QuantumCheckMatrix.from_rows(
+                zn[:split], xn[:split], ds[:split], cols, bob_cols, qcm.row_labels, info
+            )
 
         for g in self.gates:
             a, b = gate_columns(g, cols, bob_cols)

@@ -242,11 +242,7 @@ def _unpack(win: BinarySymplecticWindow) -> list[WindowRow]:
 
 
 def _row_support(qcm: QuantumCheckMatrix, r: int):
-    """(lo, hi, rational) of row r: a row in lowest terms is rational exactly when its denominator is not 1.
-
-    The series of a rational row starts at its numerators' lowest exponent
-    and has no end (hi is None); a zero row has no support at all.
-    """
+    """(lo, hi, rational) of row r; a rational row (denominator not 1) has no last exponent, hi None."""
     nums = [e for e in qcm.zn[r] + qcm.xn[r] if e]
     if not nums:
         return None, None, False
@@ -510,9 +506,8 @@ def verify_code(spec, window: int = 32, scratch: int | None = None) -> Verificat
 
     Checks (a)-(c) run on the stored rows, Laurent numerators over one
     GF(2)[D] denominator per row, with no rational arithmetic.  Three facts
-    keep them exact: a
-    row space over GF(2)(D) does not change when a row is scaled by a
-    nonzero polynomial; a shifted symplectic product is
+    keep them exact: a row space over GF(2)(D) does not change when a row
+    is scaled by a nonzero polynomial; a shifted symplectic product is
     N(D) / (d_i(D^-1) d_j(D)), so it vanishes exactly when its numerator N
     does; and a fully reduced echelon form is unique up to row scaling.
     The input check matrices are eliminated once, for both the stored and

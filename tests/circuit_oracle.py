@@ -70,10 +70,11 @@ def apply(circuit, qcm, observe=None):
     rows = list(zip(z, x)) + list(zip(iz, ix))
 
     def freeze():
-        info = qcm.info
-        if info is not None:
-            info = QuantumCheckMatrix(PolyMatrix(iz, cols=qcm.cols), PolyMatrix(ix, cols=qcm.cols), info.bob_cols, info.row_labels)
-        return QuantumCheckMatrix(PolyMatrix(z, cols=qcm.cols), PolyMatrix(x, cols=qcm.cols), qcm.bob_cols, qcm.row_labels, info)
+        def matrix(zr, xr, like, info=None):
+            grids = PolyMatrix(zr, cols=qcm.cols), PolyMatrix(xr, cols=qcm.cols)
+            return QuantumCheckMatrix(*grids, like.bob_cols, like.row_labels, info)
+
+        return matrix(z, x, qcm, None if qcm.info is None else matrix(iz, ix, qcm.info))
 
     for g in circuit.gates:
         apply_in_place(g, rows, qcm.cols, qcm.bob_cols)
