@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +14,9 @@ import pytest
 
 from eaqconv import polymat
 from eaqconv.cli import main
-from eaqconv.construct import build_code
-from eaqconv.errors import InternalError
+from eaqconv.construct import build_code, code_params
+from eaqconv.errors import EaqconvError, InternalError, ValidationError
+from eaqconv.poly import LaurentPoly, RationalPoly
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -50,6 +53,77 @@ def test_params_subcommand(capsys):
     code, out, _ = run(capsys, "params", "--h1", "1, 1+D", "--h2", "1, 1+D")
     assert code == 0
     assert "[[2, 1; 1]] class=class2_special" in out
+
+
+# tier -> (n_max, deg_max, pairs) of the unfiltered draw below
+PARAMS_TIERS = {"S": (4, 2, 200), "M": (6, 3, 80), "L": (8, 4, 40)}
+PARAMS_SHA256 = "7a912e015bd8246a934e804c0f7a734cbf41e76a000091b06267e07dd773c653"
+
+
+def _unfiltered_pairs(tier):
+    """Seeded check-matrix pairs with no admission filter, as (h1 text, h2 text)."""
+    n_max, deg_max, count = PARAMS_TIERS[tier]
+    rng = random.Random(f"eaqconv-params/{tier}")
+    text = lambda m: polymat.format_matrix(m).replace("\n", "; ")
+    for _ in range(count):
+        n = rng.randint(2, n_max)
+        r1, r2 = rng.randint(1, n - 1), rng.randint(1, n - 1)
+        h1, h2 = (
+            polymat.PolyMatrix(
+                [[RationalPoly(LaurentPoly(rng.randrange(0, 1 << (deg_max + 1)), 0)) for _ in range(n)] for _ in range(r)]
+            )
+            for r in (r1, r2)
+        )
+        yield text(h1), text(h2)
+
+
+def _printed_params(h1, h2):
+    """{format: (exit code, stdout, stderr)} of printing code_params(build_code(h1, h2)),
+    or of its typed error, and the class or error kind."""
+    try:
+        p = code_params(build_code(polymat.parse_matrix(h1.replace(";", "\n")), polymat.parse_matrix(h2.replace(";", "\n"))))
+    except ValidationError as exc:
+        failed, kind = (3, "", f"validation error: {exc}\n"), type(exc).__name__
+    except InternalError as exc:
+        failed, kind = (5, "", f"internal error: {exc}\ninput: --h1 {h1!r} --h2 {h2!r}\n"), type(exc).__name__
+    except EaqconvError as exc:
+        failed, kind = (1, "", f"error: {exc}\n"), type(exc).__name__
+    else:
+        rates = (p["entanglement_assisted_rate"], *p["tradeoff_rate"], p["catalytic_rate"])
+        doc = {
+            "schema": 1,
+            **{key: p[key] for key in ("n", "k", "c", "s", "class")},
+            "rates": {
+                "entanglement_assisted": str(rates[0]),
+                "tradeoff": [str(rates[1]), str(rates[2])],
+                "catalytic": str(rates[3]),
+            },
+        }
+        text = (
+            f"[[{p['n']}, {p['k']}; {p['c']}]] class={p['class']}\n"
+            f"rates: entanglement-assisted {rates[0]}, trade-off ({rates[1]}, {rates[2]}), catalytic {rates[3]}\n"
+        )
+        return {"text": (0, text, ""), "json": (0, json.dumps(doc, indent=2) + "\n", "")}, p["class"]
+    return {"text": failed, "json": failed}, kind
+
+
+def test_params_matches_the_full_build(capsys):
+    """`params` prints exactly what code_params(build_code(...)) gives, or the same typed error,
+    on unfiltered tier S, M and L pairs; one sha256 pins every output."""
+    digest = hashlib.sha256()
+    outcomes = set()
+    for tier in PARAMS_TIERS:
+        for h1, h2 in _unfiltered_pairs(tier):
+            want, outcome = _printed_params(h1, h2)
+            outcomes.add(outcome)
+            for fmt in ("text", "json"):
+                got = run(capsys, "params", "--h1", h1, "--h2", h2, "--format", fmt)
+                assert got == want[fmt], (h1, h2, fmt)
+                digest.update(repr((tier, h1, h2, fmt, *got)).encode())
+    assert outcomes == {
+        "class1", "class2", "class2_special", "CatastrophicInput", "NotDelayFree", "RankDeficient"
+    }
+    assert digest.hexdigest() == PARAMS_SHA256
 
 
 def test_parse_error_exit_code(capsys):
