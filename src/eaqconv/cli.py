@@ -3,7 +3,8 @@
 Subcommands:
 
   build     construct the code from two check matrices and print the report
-  params    print just the [[n, k; c]] parameters and rates
+  params    validate and classify only, then print the [[n, k; c]]
+            parameters and rates; no circuits are synthesised
   verify    build, then run the four-part verification; exit 4 on failure
   examples  run the two bundled single-generator examples end to end
 
@@ -13,7 +14,8 @@ entries).  Exit codes: 0 success, 2 parse or usage error (including a
 --window below 1, a --scratch below 0, or a matrix file that cannot be
 read as UTF-8 text), 3 validation error, 4
 verification failure, 5 internal error (stderr also repeats --h1/--h2 as
-given, so the failing input can be reported).
+given, so the failing input can be reported; from `params` it can only come
+from the classification).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 import os
 import sys
 
-from .construct import build_code, code_params
+from .construct import build_code, classify, code_params
 from .errors import EaqconvError, InternalError, PolyParseError, ValidationError
 from .gates import format_gate
 from .polymat import format_matrix, parse_matrix
@@ -122,8 +124,8 @@ def _spec_report_json(spec):
     }
 
 
-def _params_json(spec):
-    p = code_params(spec)
+def _params_json(code):
+    p = code_params(code)
     return {
         "schema": SCHEMA_VERSION,
         "n": p["n"],
@@ -151,11 +153,11 @@ def cmd_build(args) -> int:
 
 
 def cmd_params(args) -> int:
-    spec = build_code(_load_matrix(args.h1), _load_matrix(args.h2))
+    _, record = classify(_load_matrix(args.h1), _load_matrix(args.h2))
     if args.format == "json":
-        print(json.dumps(_params_json(spec), indent=2))
+        print(json.dumps(_params_json(record), indent=2))
     else:
-        p = code_params(spec)
+        p = code_params(record)
         print(f"[[{p['n']}, {p['k']}; {p['c']}]] class={p['class']}")
         print(
             f"rates: entanglement-assisted {p['entanglement_assisted_rate']}, "
@@ -236,7 +238,9 @@ def make_parser() -> argparse.ArgumentParser:
     add_common(p_build)
     p_build.set_defaults(func=cmd_build)
 
-    p_params = sub.add_parser("params", help="print just the code parameters and rates")
+    p_params = sub.add_parser(
+        "params", help="validate and classify only, then print the code parameters and rates (no circuits)"
+    )
     add_common(p_params)
     p_params.set_defaults(func=cmd_params)
 

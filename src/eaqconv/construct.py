@@ -492,17 +492,22 @@ class CodeSpec:
         return self.record.h2
 
 
-def code_params(spec: CodeSpec) -> dict:
-    """The [[n, k; c]] parameters and the three rate interpretations."""
+def code_params(code: CodeSpec | DecompositionRecord) -> dict:
+    """The [[n, k; c]] parameters and the three rate interpretations.
+
+    Everything here is known once the code is classified, so a
+    `DecompositionRecord` answers as well as a built `CodeSpec`.
+    """
+    rates = _rates(code.n, code.k, code.c)
     return {
-        "n": spec.n,
-        "k": spec.k,
-        "c": spec.c,
-        "s": spec.s,
-        "class": spec.class_tag,
-        "entanglement_assisted_rate": spec.rates.entanglement_assisted,
-        "tradeoff_rate": spec.rates.tradeoff,
-        "catalytic_rate": spec.rates.catalytic,
+        "n": code.n,
+        "k": code.k,
+        "c": code.c,
+        "s": code.s,
+        "class": code.class_tag,
+        "entanglement_assisted_rate": rates.entanglement_assisted,
+        "tradeoff_rate": rates.tradeoff,
+        "catalytic_rate": rates.catalytic,
     }
 
 
