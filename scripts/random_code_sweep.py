@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Sweep random check-matrix pairs, build the codes, and verify each one.
 
+Each pair is also classified on its own, as `eaqconv params` does; a code
+whose (n, k, c, s, class) from the classification differs from the built
+code's counts as a failure too.
+
 Usage:
 
     python3 scripts/random_code_sweep.py [count] [--n-max N] [--deg-max d]
                                          [--window W] [--seed s]
 
 Prints one line per code and a class/rate tally at the end; exits nonzero if
-any verification fails.
+any verification or parameter comparison fails.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from eaqconv.construct import build_code, validate_inputs
+from eaqconv.construct import build_code, classify, validate_inputs
 from eaqconv.errors import ValidationError
 from eaqconv.poly import LaurentPoly, RationalPoly
 from eaqconv.polymat import PolyMatrix, format_matrix
@@ -44,6 +48,11 @@ def random_pair(rng, n_max, deg_max):
         return h1, h2
 
 
+def params(code):
+    """(n, k, c, s, class) of a built code or of a classification record."""
+    return code.n, code.k, code.c, code.s, code.class_tag
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("count", type=int, nargs="?", default=25)
@@ -61,16 +70,20 @@ def main():
         h1, h2 = random_pair(rng, args.n_max, args.deg_max)
         spec = build_code(h1, h2)
         report = verify_code(spec, window=args.window)
+        _, record = classify(h1, h2)
+        same_params = params(record) == params(spec)
         tally[spec.class_tag] += 1
-        status = "ok" if report.passed else "FAIL"
+        status = "ok" if report.passed and same_params else "FAIL"
         print(
             f"{i + 1:3d}. [[{spec.n},{spec.k};{spec.c}]] {spec.class_tag:<15} "
             f"encoder {len(spec.encoder):3d} gates  catalytic {str(spec.rates.catalytic):>5}  {status}"
         )
-        if not report.passed:
+        if status == "FAIL":
             failures += 1
             print("     H1:", format_matrix(h1).replace("\n", " ; "))
             print("     H2:", format_matrix(h2).replace("\n", " ; "))
+            if not same_params:
+                print(f"     classify gives (n, k, c, s, class) = {params(record)}, the build {params(spec)}")
             print("     " + report.to_text().replace("\n", "\n     "))
     print(f"\nclasses: {dict(tally)}  failures: {failures}  ({time.time() - t0:.1f}s)")
     return 1 if failures else 0
