@@ -210,10 +210,6 @@ class QuantumCheckMatrix:
         rows = [lowest_terms(d, z[b:] + x[b:]) for z, x, d in zip(self.zn, self.xn, self.dens)]
         return QuantumCheckMatrix.from_rows(*_split(rows, cols), cols, row_labels=self.row_labels)
 
-    def zx_concat(self) -> PolyMatrix:
-        """The rows as vectors over 2*cols columns (Z half then X half)."""
-        return self.z.hstack(self.x)
-
     def is_polynomial(self) -> bool:
         return all(d == ONE for d in self.dens)
 

@@ -99,14 +99,6 @@ class PolyMatrix:
     def is_polynomial(self) -> bool:
         return all(e.is_polynomial() for row in self.entries for e in row)
 
-    def submatrix(self, rows, cols) -> PolyMatrix:
-        return PolyMatrix([[self.entries[i][j] for j in cols] for i in rows], cols=len(list(cols)))
-
-    def hstack(self, other: PolyMatrix) -> PolyMatrix:
-        if self.rows != other.rows:
-            raise DimensionMismatch("row counts differ")
-        return PolyMatrix([list(a) + list(b) for a, b in zip(self.entries, other.entries)])
-
     def __add__(self, other: PolyMatrix) -> PolyMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")

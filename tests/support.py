@@ -3,6 +3,10 @@
 - `ebit_count(h1, h2)`: c = rank of H1(D) H2^T(D^-1), from the invariant
   factors that the construction computes.
 - `alice_cols(qcm)`: the number of sender columns of a check matrix.
+- `zx_concat(qcm)`: the rows of a check matrix as vectors over 2*cols
+  columns, Z half then X half.
+- `submatrix(m, rows, cols)`: the entries of a `PolyMatrix` at the given
+  rows and columns.
 - `parse_gate(line)` and `parse_circuit(text)`: read back the text that
   `eaqconv.gates.format_gate` and `format_circuit` print.
 """
@@ -23,6 +27,14 @@ def ebit_count(h1: PolyMatrix, h2: PolyMatrix) -> int:
 
 def alice_cols(qcm: QuantumCheckMatrix) -> int:
     return qcm.cols - qcm.bob_cols
+
+
+def zx_concat(qcm: QuantumCheckMatrix) -> PolyMatrix:
+    return PolyMatrix([list(z) + list(x) for z, x in zip(qcm.z.entries, qcm.x.entries)], cols=2 * qcm.cols)
+
+
+def submatrix(m: PolyMatrix, rows, cols) -> PolyMatrix:
+    return PolyMatrix([[m.entries[i][j] for j in cols] for i in rows], cols=len(list(cols)))
 
 
 def _parse_qubit(tok: str) -> tuple[int, bool]:

@@ -30,7 +30,7 @@ from eaqconv.construct import (
 from eaqconv.gates import format_circuit
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly
 from eaqconv.polymat import PolyMatrix, parse_matrix, row_space_equal, smith_form
-from support import ebit_count
+from support import ebit_count, submatrix, zx_concat
 from verify_oracle import is_commuting, rank
 
 H_EX1 = parse_matrix("1+D^2, 1+D+D^2")
@@ -92,7 +92,7 @@ def test_validate_returns_a_row_basis_of_h1(h1_text, h2_text):
     h1, h2 = (parse_matrix(t.replace(";", "\n")) for t in (h1_text, h2_text))
     s = validate_inputs(h1, h2)
     assert s.reconstruct(h1.rows, h1.cols) == h1
-    basis = s.b.submatrix(range(h1.rows), range(h1.cols))
+    basis = submatrix(s.b, range(h1.rows), range(h1.cols))
     assert row_space_equal(basis, h1)
     factors = smith_form(basis)
     assert factors.gamma == (LaurentPoly.one(),) * h1.rows
@@ -212,7 +212,7 @@ def test_example1_parameters_and_rates():
 def test_example1_commutes_and_matches_input_row_space():
     spec = build_code(H_EX1, H_EX1)
     assert is_commuting(spec.final_stabilizer)
-    assert row_space_equal(spec.final_stabilizer.alice_part().zx_concat(), stacked(H_EX1, H_EX1))
+    assert row_space_equal(zx_concat(spec.final_stabilizer.alice_part()), stacked(H_EX1, H_EX1))
 
 
 def test_example1_decoder_is_exact_inverse():
@@ -306,7 +306,7 @@ def test_example2_measurable_stabilizer():
 def test_example2_commutes_and_matches_input_row_space():
     spec = build_code(H_EX2, H_EX2)
     assert is_commuting(spec.final_stabilizer)
-    assert row_space_equal(spec.final_stabilizer.alice_part().zx_concat(), stacked(H_EX2, H_EX2))
+    assert row_space_equal(zx_concat(spec.final_stabilizer.alice_part()), stacked(H_EX2, H_EX2))
 
 
 # -- degenerate and general cases ---------------------------------------------------
@@ -330,7 +330,7 @@ def test_general_class2_build():
     infs = [g for g in spec.encoder.gates if g.kind == "INF"]
     assert len(infs) == 1 and infs[0].time_reversed
     assert is_commuting(spec.final_stabilizer)
-    assert row_space_equal(spec.final_stabilizer.alice_part().zx_concat(), stacked(H_GEN2, H_GEN2))
+    assert row_space_equal(zx_concat(spec.final_stabilizer.alice_part()), stacked(H_GEN2, H_GEN2))
     assert None not in spec.decoded_offsets
 
 
@@ -362,7 +362,7 @@ def test_parameter_law_random_pairs():
         assert spec.k >= 0  # guaranteed by the rank inequality
         assert len(spec.logical_cols) == spec.k
         assert is_commuting(spec.final_stabilizer)
-        assert row_space_equal(spec.final_stabilizer.alice_part().zx_concat(), stacked(h1, h2))
+        assert row_space_equal(zx_concat(spec.final_stabilizer.alice_part()), stacked(h1, h2))
         if spec.class_tag == CLASS1:
             assert spec.encoder.is_finite_depth()
         assert spec.decoder.is_finite_depth()

@@ -18,6 +18,7 @@ from eaqconv.polymat import (
     rref,
     smith_form,
 )
+from support import submatrix
 from verify_oracle import det
 
 
@@ -69,7 +70,7 @@ def _minor_divisors(m):
         acc = None
         for rows in combinations(range(m.rows), k):
             for cols in combinations(range(m.cols), k):
-                d = det(m.submatrix(rows, cols)).num
+                d = det(submatrix(m, rows, cols)).num
                 if d.is_zero():
                     continue
                 acc = LaurentPoly(d.bits, 0) if acc is None else gcd(acc, d)

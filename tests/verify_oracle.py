@@ -6,7 +6,9 @@ over GF(2)(D) with one gcd per operation (`rref`, `row_space_equal`), the
 shifted symplectic product summed entry by entry (`shifted_symplectic`), the
 full pairwise gram (`symplectic_gram`, the method body taking the check
 matrix first), `_check_decode`, and checks (a)-(c) of `verify_code` as
-`algebra_checks`.  They are copied verbatim; only the imports differ.
+`algebra_checks`.  They are copied verbatim; only the imports differ, and
+`zx_concat` and `submatrix` are called as the helper functions of
+`support`, which took them out of the package.
 
 `rank`, `det` and `is_commuting` (the `QuantumCheckMatrix` method, taking
 the check matrix first) had no caller in the package and serve the tests
@@ -19,6 +21,7 @@ from eaqconv.errors import DimensionMismatch
 from eaqconv.poly import RationalPoly
 from eaqconv.polymat import PolyMatrix
 from eaqconv.simulate import CheckResult
+from support import submatrix, zx_concat
 
 _RZERO = RationalPoly.zero()
 _RONE = RationalPoly.one()
@@ -77,7 +80,7 @@ def det(m: PolyMatrix) -> RationalPoly:
     for j in range(n):
         if m[0, j].is_zero():
             continue
-        minor = m.submatrix(rest, [c for c in range(n) if c != j])
+        minor = submatrix(m, rest, [c for c in range(n) if c != j])
         acc = acc + m[0, j] * det(minor)
     return acc
 
@@ -133,7 +136,7 @@ def _check_decode(spec, evolved) -> tuple[bool, str]:
                 if not shifted_symplectic(xa, xb).is_zero() or not shifted_symplectic(za, zb).is_zero():
                     return False, f"same-type logicals {qa + 1}, {qb + 1} anticommute"
     # localization modulo the decoded stabilizer row space
-    stab_rref, pivots = rref(decoded.zx_concat())
+    stab_rref, pivots = rref(zx_concat(decoded))
     total = decoded.cols
     for q in range(spec.k):
         col = decoded.bob_cols + spec.decoded_cols[q]
@@ -166,10 +169,10 @@ def algebra_checks(spec) -> list[CheckResult]:
     target = PolyMatrix(
         [list(r) + zero for r in spec.h1.entries] + [zero + list(r) for r in spec.h2.entries]
     )
-    alice = spec.final_stabilizer.alice_part().zx_concat()
+    alice = zx_concat(spec.final_stabilizer.alice_part())
     ok_stored = row_space_equal(alice, target)
     evolved = spec.encoder.apply(spec.bare)
-    ok_evolved = row_space_equal(evolved.alice_part().zx_concat(), target)
+    ok_evolved = row_space_equal(zx_concat(evolved.alice_part()), target)
     checks.append(CheckResult(
         "row-space equivalence",
         ok_stored and ok_evolved,
