@@ -409,9 +409,12 @@ def _bits_reverse(a: int, n: int) -> int:
     return int(format(a & ((1 << n) - 1), f"0{n}b")[::-1], 2) if n else 0
 
 
-def series_expand(r: RationalPoly, lo: int, hi: int) -> LaurentPoly:
+def series_expand(r: RationalPoly | tuple[LaurentPoly, LaurentPoly], lo: int, hi: int) -> LaurentPoly:
     """Truncate the ascending formal power series of r to exponents [lo, hi].
 
+    r is a RationalPoly or a (num, den) pair with den in GF(2)[D] and
+    constant term 1; the pair need not be in lowest terms, since the series
+    of num/den does not depend on it.
     The expansion direction is ascending powers of D (plain long division);
     the denominator's nonzero constant term makes the series well defined.
     The series starts at the numerator's lowest exponent, and its first n
@@ -421,7 +424,7 @@ def series_expand(r: RationalPoly, lo: int, hi: int) -> LaurentPoly:
     """
     if lo > hi:
         raise ValueError(f"empty window [{lo}, {hi}]")
-    num, den = r.num, r.den
+    num, den = (r.num, r.den) if isinstance(r, RationalPoly) else r
     start = num.low
     if num.is_zero() or start > hi:
         return LaurentPoly.zero()

@@ -51,7 +51,7 @@ from typing import NamedTuple
 from .errors import WindowTooSmall
 from .gates import Circuit, QuantumCheckMatrix, SlidingWindowRule, gate_columns, synthesize_infinite_depth, time_reversed_rule
 from .pauli import symplectic_numerator
-from .poly import ONE, LaurentPoly, RationalPoly, series_expand
+from .poly import ONE, LaurentPoly, RationalPoly, divides, series_expand
 from .polymat import PolyMatrix, echelon, residue, row_space_equal
 
 
@@ -281,12 +281,13 @@ def expand(qcm: QuantumCheckMatrix, window: int, scratch: int = 0) -> BinarySymp
         at = first * stride
         den = qcm.dens[r]
         for q in range(m):
-            entries = (RationalPoly(qcm.zn[r][q], den), RationalPoly(qcm.xn[r][q], den))
-            for planes, entry in zip((z, x), entries):
-                series = series_expand(entry, lo, lo + w - 1) if not entry.is_zero() else LaurentPoly.zero()
+            nums = (qcm.zn[r][q], qcm.xn[r][q])
+            for planes, num in zip((z, x), nums):
+                # num/den need not be in lowest terms: its series is the same
+                series = series_expand((num, den), lo, lo + w - 1)
                 if series.bits:
                     planes[q] |= ((series.bits << series.low - lo) * stair & keep) << at
-            if any(not e.is_polynomial() for e in entries):
+            if rational and not all(divides(den, num) for num in nums):
                 tail_lost[q] |= base << at
         if rational:
             truncated |= base << at
