@@ -238,9 +238,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_common(p_build)
     p_build.set_defaults(func=cmd_build)
 
-    p_params = sub.add_parser(
-        "params", help="validate and classify only, then print the code parameters and rates (no circuits)"
-    )
+    p_params = sub.add_parser("params", help="classify only (no circuits) and print the code parameters and rates")
     add_common(p_params)
     p_params.set_defaults(func=cmd_params)
 

@@ -493,11 +493,7 @@ class CodeSpec:
 
 
 def code_params(code: CodeSpec | DecompositionRecord) -> dict:
-    """The [[n, k; c]] parameters and the three rate interpretations.
-
-    Everything here is known once the code is classified, so a
-    `DecompositionRecord` answers as well as a built `CodeSpec`.
-    """
+    """The [[n, k; c]] parameters and the three rate interpretations, known once the code is classified."""
     rates = _rates(code.n, code.k, code.c)
     return {
         "n": code.n,

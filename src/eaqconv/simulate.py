@@ -283,7 +283,6 @@ def expand(qcm: QuantumCheckMatrix, window: int, scratch: int = 0) -> BinarySymp
         for q in range(m):
             nums = (qcm.zn[r][q], qcm.xn[r][q])
             for planes, num in zip((z, x), nums):
-                # num/den need not be in lowest terms: its series is the same
                 series = series_expand((num, den), lo, lo + w - 1)
                 if series.bits:
                     planes[q] |= ((series.bits << series.low - lo) * stair & keep) << at
