@@ -7,8 +7,8 @@ shifted symplectic product summed entry by entry (`shifted_symplectic`), the
 full pairwise gram (`symplectic_gram`, the method body taking the check
 matrix first), `_check_decode`, and checks (a)-(c) of `verify_code` as
 `algebra_checks`.  They are copied verbatim; only the imports differ, and
-`zx_concat` and `submatrix` are called as the helper functions of
-`support`, which took them out of the package.
+`zx_concat` and `submatrix` are called as functions of `support`, not as
+methods.
 
 `rank`, `det` and `is_commuting` (the `QuantumCheckMatrix` method, taking
 the check matrix first) had no caller in the package and serve the tests
