@@ -81,7 +81,7 @@ def _printed_params(h1, h2):
     """{format: (exit code, stdout, stderr)} of printing code_params(build_code(h1, h2)),
     or of its typed error, and the class or error kind."""
     try:
-        p = code_params(build_code(polymat.parse_matrix(h1.replace(";", "\n")), polymat.parse_matrix(h2.replace(";", "\n"))))
+        p = code_params(build_code(*(polymat.parse_matrix(t.replace(";", "\n")) for t in (h1, h2))))
     except ValidationError as exc:
         failed, kind = (3, "", f"validation error: {exc}\n"), type(exc).__name__
     except InternalError as exc:
