@@ -12,7 +12,11 @@ rows (a zero-row matrix included), all-zero columns, up to 60 gates with
 delays up to +-400 and INF gates between the finite ones, so entries grow
 far past any fixed padding.  Every encoder and decoder replay of the 12
 pairs of tests/golden/random_codes.json and of both worked examples is
-compared the same way.
+compared the same way.  A third family is mostly runs of 2 to 12 gates of
+one finite kind on the same qubits and frame flag, with delays that repeat
+and cancel in pairs, broken by H, by INF or by a change of `full_frame`
+alone; its wide-delay cases hold the unobserved replay to the per-gate
+observed one, the rest to the rational rows.
 """
 
 from __future__ import annotations
@@ -25,13 +29,15 @@ import pytest
 
 import circuit_oracle as oracle
 from eaqconv.cli import EXAMPLES
+from eaqconv import gates
 from eaqconv.construct import build_code
-from eaqconv.gates import Circuit, Gate, QuantumCheckMatrix
+from eaqconv.gates import Circuit, Gate, QuantumCheckMatrix, format_gate
 from eaqconv.poly import LaurentPoly, RationalPoly
 from eaqconv.polymat import PolyMatrix, parse_matrix
 
 CASES = 400
 STRESS_CASES = 300
+RUN_CASES = 200
 ROW_KINDS = ("none", "shared", "distinct")
 
 
@@ -202,6 +208,120 @@ def test_random_replays_match_the_rational_rows():
         "zero rows", "all-zero column", "delay beyond 64", "40+ gates", "INF between gates",
         "INF on a column zero in some rows", "info", "full_frame", "CNOT", "CPHASE", "CPHASE_SELF", "H", "P",
     }
+
+
+def _run_case(seed):
+    """Runs of same-qubit finite gates, broken by H, INF or a change of full_frame alone."""
+    rng = random.Random(f"runs/{seed}")
+    rows, cols = rng.randint(1, 5), rng.randint(2, 4)
+    bob_cols = rng.randrange(cols - 1)
+    zero_cols = [c for c in range(cols) if rng.random() < 0.3]
+    state = _matrix(rng, rows, cols, bob_cols, zero_cols)
+    if rng.random() < 0.4:
+        info = _matrix(rng, rng.randint(1, 3), cols, bob_cols, zero_cols)
+        state = QuantumCheckMatrix(state.z, state.x, bob_cols, info=info)
+    max_delay = rng.choice((5, 40, 400))
+    gates, key = [], None
+    for _ in range(rng.randint(1, 6)):
+        if key is None:
+            full = rng.random() < 0.3
+            n = cols if full else cols - bob_cols
+            kind = rng.choice(("CNOT", "P", "CPHASE", "CPHASE_SELF") if n >= 2 else ("P", "CPHASE_SELF"))
+            i, j = rng.sample(range(n), 2) if kind in ("CNOT", "CPHASE") else (rng.randrange(n), None)
+            key = kind, i, j, full
+        kind, i, j, full = key
+        delays = [0 if kind == "P" else rng.randint(-max_delay, max_delay) for _ in range(rng.randint(2, 12))]
+        if rng.random() < 0.5:  # repeated delays, which cancel in pairs
+            delays += rng.choices(delays, k=rng.randint(1, len(delays)))
+            rng.shuffle(delays)
+        run = [Gate(kind, i, j, d, full_frame=full) for d in delays]
+        gates += run
+        key, brk = None, rng.random()
+        if brk < 0.3 and max(i, j or 0) < cols - bob_cols:
+            key = kind, i, j, not full  # the next run differs in full_frame alone
+        elif brk < 0.45:
+            gates.append(Gate("H", rng.randrange(cols - bob_cols)))
+            gates += rng.sample(run, len(run))  # the same run again undoes it
+        elif brk < 0.7:
+            gates.append(Gate("H", rng.randrange(cols - bob_cols)))
+        elif brk < 0.85:
+            gates.append(Gate("INF", rng.randrange(cols - bob_cols), f=_inf_factor(rng), time_reversed=rng.random() < 0.5))
+    return state, Circuit(tuple(gates)), max_delay
+
+
+def _observed_with_relayouts(circuit, state, monkeypatch):
+    """The states the observed replay shows, and whether each gate laid the planes out again."""
+    seen, relaid = [], [False]
+    run = gates._Planes.run
+
+    def spy(planes, *args):
+        before = planes.stride, planes.offset
+        out = run(planes, *args)
+        relaid[0] |= (out.stride, out.offset) != before
+        return out
+
+    def observe(g, s):
+        seen.append((s, relaid[0]))
+        relaid[0] = False
+
+    monkeypatch.setattr(gates._Planes, "run", spy)
+    out = circuit.apply(state, observe)
+    monkeypatch.undo()
+    assert len(seen) == len(circuit) and out == seen[-1][0]
+    return [s for s, _ in seen], [r for _, r in seen]
+
+
+def _run_features(circuit, states, relaid):
+    """The run shapes one case covers, for the coverage check."""
+    out = set()
+    steps = [g.kind not in ("H", "INF") and (g.kind, g.i, g.j, g.full_frame) for g in circuit]
+    start = 0
+    for t in range(1, len(steps) + 1):
+        if t < len(steps) and steps[t] and steps[t] == steps[t - 1]:
+            if relaid[t]:
+                out.add("re-layout inside a run")
+            continue
+        if steps[start] and t - start >= 2:
+            run = circuit.gates[start:t]
+            out |= {"run of 2+", f"{run[0].kind} run"}
+            if len({g.delay for g in run}) < len(run):
+                out.add("cancelling delays")
+            if t < len(steps) and steps[t] and steps[t][:3] == steps[start][:3]:
+                out.add("run ended by full_frame")
+            elif t < len(steps):
+                out.add(f"run ended by {circuit.gates[t].kind}" if not steps[t] else "run ended by another run")
+        start = t
+    zero = [{(s, c) for s, side in enumerate((m.zn, m.xn)) for c in range(m.cols) if not any(r[c] for r in side)}
+            for m in states]
+    if any(p in zero[t] and p not in zero[t - 1] for t in range(1, len(zero)) for p in zero[0]):
+        out.add("plane back to zero")
+    return out
+
+
+def test_runs_of_same_qubit_gates_match_the_per_gate_replays(monkeypatch):
+    covered = set()
+    for seed in range(RUN_CASES):
+        state, circuit, max_delay = _run_case(seed)
+        states, relaid = _observed_with_relayouts(circuit, state, monkeypatch)
+        if max_delay <= 40:
+            assert_same_replay(circuit, state)
+        assert circuit.apply(state) == states[-1]
+        covered |= _run_features(circuit, states, relaid)
+    assert covered == {
+        "run of 2+", "cancelling delays", "run ended by full_frame", "re-layout inside a run",
+        "run ended by H", "run ended by INF", "run ended by another run", "plane back to zero",
+        "CNOT run", "P run", "CPHASE run", "CPHASE_SELF run",
+    }
+
+
+@pytest.mark.parametrize("observe", [None, lambda g, s: None], ids=["plain", "observed"])
+@pytest.mark.parametrize("last", [Gate("CNOT", 0, 2, 3), Gate("CPHASE", 3, 1, -2, full_frame=True)], ids=format_gate)
+def test_a_last_gate_out_of_frame_raises(observe, last):
+    """Three columns, one of them the receiver's: sender qubits 0-1, frame qubits 0-2."""
+    state = QuantumCheckMatrix(parse_matrix("1, D, 0\n0, 1, 1+D"), parse_matrix("0, 1, D\nD^2, 0, 1"), bob_cols=1)
+    run = [Gate(last.kind, 0, 1, d) for d in (1, 5, 1, -3)]
+    with pytest.raises(IndexError):
+        Circuit((*run, Gate("H", 1), last)).apply(state, observe)
 
 
 def _pairs():
