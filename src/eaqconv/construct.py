@@ -184,7 +184,7 @@ class _Reduction:
     # column operation helpers realized as gates ------------------------------
 
     def _log(self, gates: list[Gate]) -> bool:
-        """Log gates for the caller to apply as one column action; returns whether it must.
+        """Log gates on the same qubits for the caller to apply as one column action; returns whether it must.
 
         With want_trace they are applied here one at a time instead, so the
         trace holds the state after each.
@@ -193,8 +193,8 @@ class _Reduction:
             for g in gates:
                 self.gate(g)
             return False
-        for g in gates:
-            gate_columns(g, self.n, 0)  # raises IndexError for a gate outside the frame
+        if gates:
+            gate_columns(gates[0], self.n, 0)  # raises IndexError for qubits outside the frame
         self.gates.extend(gates)
         return True
 

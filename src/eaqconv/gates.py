@@ -26,6 +26,17 @@ is invertible over the Laurent ring, so a row stays in lowest terms and
 keeps its denominator; only InfDepth changes a denominator, and it
 reduces again the rows it touched.
 
+A circuit runs in steps, compiled once per `Circuit`.  A column operation by
+a polynomial f(D) is logged as one CNOT per exponent of f, so circuits are
+strings of runs: consecutive finite-depth gates with the same kind, qubits
+and frame flag.  No move of such a gate reads a column that another writes,
+so the gates of a run commute and a run is one step, its moves adding the
+source shifted by each of the run's delays.  H and InfDepth are steps of
+their own.  A plane that a step could shift out of its row is laid out
+again on the ints, each row's slice moved to the new stride and offset.
+An observer (the construction's trace) makes every gate a step, so it sees
+the state after each gate.
+
 Gate qubit indices address the sender's (Alice's) columns; the receiver-side
 columns sit to the left of them and only gates flagged full_frame (used by
 decoding circuits, where the receiver holds every qubit) may address those.
@@ -245,10 +256,22 @@ _MOVES = {
 }
 
 
-def _moves(g: Gate, a: int, b: int | None) -> list[tuple[int, int, int, int, int]]:
-    """g's moves on frame columns: (dst side, dst col, src side, src col, delay)."""
+def _run_moves(kind: str, delays: list[int]) -> tuple:
+    """A run of kind gates with these delays as moves over qubit slots.
+
+    Each is (dst side, dst qubit, src side, src qubit, delays, least delay,
+    greatest delay), its delays the run's times the move's sign.
+    """
+    pos = tuple(delays)
+    lo, hi = min(pos), max(pos)
+    signed = {1: (pos, lo, hi), -1: (tuple([-d for d in pos]), -hi, -lo), 0: ((0,) * len(pos), 0, 0)}
+    return tuple((ds, dq, ss, sq, *signed[sign]) for ds, dq, ss, sq, sign in _MOVES[kind])
+
+
+def _on_columns(moves, a: int, b: int | None) -> list[tuple]:
+    """moves with the qubit slots resolved to frame columns a and b."""
     ab = (a, b)
-    return [(ds, ab[dq], ss, ab[sq], sign * g.delay) for ds, dq, ss, sq, sign in _MOVES[g.kind]]
+    return [(ds, ab[dq], ss, ab[sq], *rest) for ds, dq, ss, sq, *rest in moves]
 
 
 def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0, dens=None) -> None:
@@ -287,9 +310,9 @@ def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0, dens=None) -> No
             dens[r], nums = lowest_terms(dens[r], z + x)
             z[:], x[:] = nums[:cols], nums[cols:]
     else:
-        moves = _moves(g, a, b)
+        moves = _on_columns(_run_moves(g.kind, [g.delay]), a, b)
         for row in rows:
-            for ds, dc, ss, sc, d in moves:
+            for ds, dc, ss, sc, (d,), _, _ in moves:
                 src = row[ss][sc]
                 if src:
                     dst = row[ds]
@@ -313,16 +336,13 @@ class _Planes:
 
     __slots__ = ("nrows", "cols", "stride", "offset", "bits", "hull")
 
-    def __init__(self, rows, cols: int, reach: int = 0):
-        """Pack (Z row, X row) pairs, padded by max(64, width, 2*reach) on each side."""
+    def __init__(self, rows, cols: int):
+        """Pack (Z row, X row) pairs."""
         self.nrows, self.cols = len(rows), cols
         self.bits = [[0] * cols, [0] * cols]
         self.hull = [[None] * cols, [None] * cols]
         ends = [(e.low, e.deg) for row in rows for side in row for e in side if e]
-        lo = min(lo for lo, _ in ends) if ends else 0
-        hi = max(hi for _, hi in ends) if ends else 0
-        pad = max(64, hi - lo, 2 * abs(reach))
-        self.offset, self.stride = pad - lo, hi - lo + 1 + 2 * pad
+        self._lay_out(min(lo for lo, _ in ends) if ends else 0, max(hi for _, hi in ends) if ends else 0)
         for r, row in enumerate(rows):
             base = r * self.stride + self.offset
             for bits, hull, side in zip(self.bits, self.hull, row):
@@ -331,6 +351,38 @@ class _Planes:
                         bits[c] |= e.bits << (base + e.low)
                         h = hull[c]
                         hull[c] = (e.low, e.deg) if h is None else (min(h[0], e.low), max(h[1], e.deg))
+
+    def _lay_out(self, lo: int, hi: int, reach: int = 0) -> None:
+        """Stride and offset for exponents in [lo, hi], padded by max(64, hi - lo, 2*reach) on each side."""
+        pad = max(64, hi - lo, 2 * reach)
+        self.offset, self.stride = pad - lo, hi - lo + 1 + 2 * pad
+
+    def _relay(self, reach: int) -> None:
+        """Lay the planes out again for moves by up to reach, with exact hulls.
+
+        Each row's slice of a plane moves straight to its new place: row r
+        shifts by r*(new stride - stride) + new offset - offset, which may
+        be negative.
+        """
+        stride, offset, nrows = self.stride, self.offset, self.nrows
+        mask = (1 << stride) - 1
+        slices, ends = {}, []
+        for s, (bits, hull) in enumerate(zip(self.bits, self.hull)):
+            for c, v in enumerate(bits):
+                if v:
+                    rows = [(v >> (r * stride)) & mask for r in range(nrows)]
+                    lows = [(w & -w).bit_length() for w in rows if w]
+                    hull[c] = (min(lows) - 1 - offset, max(w.bit_length() for w in rows) - 1 - offset)
+                    slices[s, c] = rows
+                    ends.append(hull[c])
+        self._lay_out(min(lo for lo, _ in ends), max(hi for _, hi in ends), reach)
+        moved = self.offset - offset
+        for (s, c), rows in slices.items():
+            v = 0
+            for r, w in enumerate(rows):
+                k = r * self.stride + moved
+                v |= w << k if k >= 0 else w >> -k
+            self.bits[s][c] = v
 
     def column(self, s: int, c: int) -> list[LaurentPoly]:
         """Plane (s, c) as one LaurentPoly per row."""
@@ -351,24 +403,33 @@ class _Planes:
         z[c], x[c] = x[c], z[c]
         hz[c], hx[c] = hx[c], hz[c]
 
-    def run(self, moves) -> _Planes:
-        """Apply moves, first laying the planes out again if one could leave its row; returns the planes."""
-        lo, hi = -self.offset, self.stride - self.offset - 1
-        for _, _, ss, sc, d in moves:
-            h = self.hull[ss][sc]
-            if h is not None and not (lo <= h[0] + d and h[1] + d <= hi):
-                return _Planes(self.rows(), self.cols, max(abs(m[4]) for m in moves)).run(moves)
+    def run(self, moves) -> None:
+        """Apply moves (dst side, dst col, src side, src col, delays, least, greatest delay).
+
+        Each sets dst ^= the XOR of src shifted by every delay.  No move
+        reads a plane that another move writes, so this is a run of gates
+        in any order.  The planes are first laid out again when a shift by
+        the least or greatest delay could leave a row.
+        """
         bits, hull = self.bits, self.hull
-        for ds, dc, ss, sc, d in moves:
+        for ds, dc, ss, sc, delays, dlo, dhi in moves:
             src = hull[ss][sc]
             if src is None:
                 continue
-            v = bits[ss][sc]
-            v = bits[ds][dc] ^ (v << d if d >= 0 else v >> -d)
-            bits[ds][dc] = v
-            dst, lo, hi = hull[ds][dc], src[0] + d, src[1] + d
-            hull[ds][dc] = None if not v else (lo, hi) if dst is None else (min(dst[0], lo), max(dst[1], hi))
-        return self
+            if src[0] + dlo < -self.offset or src[1] + dhi >= self.stride - self.offset:
+                self._relay(max(dhi, -dlo))
+                src = hull[ss][sc]
+            v, w = bits[ss][sc], bits[ds][dc]
+            for d in delays:
+                w ^= v << d if d >= 0 else v >> -d
+            bits[ds][dc] = w
+            dst, lo, hi = hull[ds][dc], src[0] + dlo, src[1] + dhi
+            if not w:
+                hull[ds][dc] = None
+            elif dst is None:
+                hull[ds][dc] = lo, hi
+            else:
+                hull[ds][dc] = dst[0] if dst[0] < lo else lo, dst[1] if dst[1] > hi else hi
 
 
 # -- circuits -------------------------------------------------------------------
@@ -392,16 +453,23 @@ class Circuit:
             raise ValueError("cannot invert a circuit with infinite-depth operations")
         return Circuit(tuple(g.inverse() for g in reversed(self.gates)))
 
+    @cached_property
+    def _runs(self) -> tuple:
+        """The gates as steps, each maximal run of finite-depth gates on the same qubits one step."""
+        return _steps(self.gates, join=True)
+
     def apply(self, qcm: QuantumCheckMatrix, observe=None) -> QuantumCheckMatrix:
-        """Run every gate on column planes of qcm's rows and return the rows they end as.
+        """Run the gates on column planes of qcm's rows and return the rows they end as.
 
         The stabilizer and info numerators are held as `_Planes`: one int per
-        side and column holding every row.  A finite-depth gate is a few
-        shift-and-XOR moves on whole planes (H swaps two) and leaves every
-        denominator as it is; INF unpacks the rows, runs `apply_in_place` on
-        them and their denominators, and packs them again.  observe(gate,
-        state), when given, sees the state after each gate; only the planes
-        the gate changed are unpacked for it.
+        side and column holding every row.  A run of finite-depth gates with
+        the same kind, qubits and frame flag is one step: a few whole-plane
+        moves, each XORing its source shifted by every delay of the run (H
+        swaps two planes); it leaves every denominator as it is.  INF unpacks
+        the rows, runs `apply_in_place` on them and their denominators, and
+        packs them again.  observe(gate, state), when given, makes every gate
+        a step of its own and sees the state after each; only the planes the
+        gate changed are unpacked for it.
         """
         cols, split, bob_cols = qcm.cols, qcm.rows, qcm.bob_cols
         mats = (qcm,) if qcm.info is None else (qcm, qcm.info)
@@ -418,8 +486,8 @@ class Circuit:
                 zn[:split], xn[:split], ds[:split], cols, bob_cols, qcm.row_labels, info
             )
 
-        for g in self.gates:
-            a, b = gate_columns(g, cols, bob_cols)
+        for g, moves in self._runs if observe is None else _steps(self.gates, join=False):
+            a, b = gate_columns(g, cols, bob_cols)  # the run shares g's qubits
             if g.kind == "INF":
                 rows = planes.rows()
                 apply_in_place(g, rows, cols, bob_cols, dens)
@@ -429,8 +497,8 @@ class Circuit:
                 planes.swap(a)
                 changed = ((0, a), (1, a))
             else:
-                changed = _moves(g, a, b)
-                planes = planes.run(changed)
+                changed = _on_columns(moves, a, b)
+                planes.run(changed)
             if observe is not None:
                 for s, c, *_ in changed:  # the planes the gate wrote
                     for row, e in zip(rows, planes.column(s, c)):
@@ -439,6 +507,24 @@ class Circuit:
         if observe is None:
             rows = planes.rows()
         return state()
+
+
+def _steps(gates, join: bool) -> tuple:
+    """(first gate, moves over qubit slots, None for H and INF) per step.
+
+    With join, each maximal run of finite-depth gates with the same kind,
+    qubits and frame flag is one step carrying the run's delays; without,
+    every gate is a step.
+    """
+    runs, prev = [], None
+    for g in gates:
+        if join and prev and g.kind == prev.kind and g.i == prev.i and g.j == prev.j and g.full_frame == prev.full_frame:
+            delays.append(g.delay)
+        else:
+            delays = [g.delay]
+            runs.append((g, delays))
+            prev = g.kind in _MOVES and g
+    return tuple((g, _run_moves(g.kind, delays) if g.kind in _MOVES else None) for g, delays in runs)
 
 
 def format_gate(g: Gate) -> str:

@@ -254,11 +254,10 @@ def _observed_with_relayouts(circuit, state, monkeypatch):
     seen, relaid = [], [False]
     run = gates._Planes.run
 
-    def spy(planes, *args):
+    def spy(planes, moves):
         before = planes.stride, planes.offset
-        out = run(planes, *args)
-        relaid[0] |= (out.stride, out.offset) != before
-        return out
+        run(planes, moves)
+        relaid[0] |= (planes.stride, planes.offset) != before
 
     def observe(g, s):
         seen.append((s, relaid[0]))
