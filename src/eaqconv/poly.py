@@ -25,6 +25,8 @@ round-trip exactly.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .errors import PolyParseError
 
 
@@ -131,11 +133,9 @@ class LaurentPoly:
         return (self.bits >> (k - self.low)) & 1
 
     def exponents(self) -> list[int]:
-        out, b = [], self.bits
-        while b:
-            out.append(self.low + (b & -b).bit_length() - 1)
-            b &= b - 1
-        return out
+        """The exponents of the nonzero terms, ascending: one scan of the reversed binary string."""
+        s = bin(self.bits)[:1:-1]
+        return list(compress(range(self.low, self.low + len(s)), map("1".__eq__, s)))
 
     def weight(self) -> int:
         return bin(self.bits).count("1")
@@ -463,17 +463,7 @@ def parse_poly(text: str) -> LaurentPoly:
 
 
 def format_poly(p: LaurentPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for k in p.exponents():
-        if k == 0:
-            parts.append("1")
-        elif k == 1:
-            parts.append("D")
-        else:
-            parts.append(f"D^{k}")
-    return "+".join(parts)
+    return "+".join("1" if k == 0 else "D" if k == 1 else f"D^{k}" for k in p.exponents()) or "0"
 
 
 def parse_rational(text: str) -> RationalPoly:

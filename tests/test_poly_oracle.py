@@ -1,7 +1,7 @@
 """Differential test: GF(2)(D) arithmetic against its per-bit reference.
 
 `tests/poly_oracle.py` keeps the per-bit division, gcd, `reverse` and
-`exponents`, the per-term Laurent `divmod_width` and the `RationalPoly`
+`exponents` (also read through `format_poly`), the per-term Laurent `divmod_width` and the `RationalPoly`
 that normalises every result.  Seeded random masks up to 512 bits (and
 pairs with a planted common factor) go through both divisions and gcds,
 seeded Laurent pairs through `divmod_width`, and seeded rational operands
@@ -20,7 +20,7 @@ import pytest
 
 import poly_oracle as oracle
 from eaqconv import poly
-from eaqconv.poly import LaurentPoly, RationalPoly
+from eaqconv.poly import LaurentPoly, RationalPoly, format_poly
 
 CASES = 400
 KINDS = ("zero", "den1", "shared", "distinct")
@@ -137,6 +137,8 @@ def test_reverse_and_exponents_match_reference(seed):
         p = LaurentPoly(_mask(rng), rng.randint(-600, 600))
         assert p.reverse() == oracle.reverse(p)
         assert p.exponents() == oracle.exponents(p)
+        terms = ("1" if k == 0 else "D" if k == 1 else f"D^{k}" for k in oracle.exponents(p))
+        assert format_poly(p) == ("+".join(terms) or "0")
 
 
 @pytest.mark.parametrize("kind", KINDS)
