@@ -50,7 +50,7 @@ from .gates import (
     inf_depth,
     swap,
 )
-from .poly import LaurentPoly, divmod_shifted
+from .poly import LaurentPoly, divmod_shifted, lowest_terms
 from .polymat import PolyMatrix, SmithDecomposition, SmithEngine, SmithHooks, invariant_factors, smith_form
 
 CLASS1 = "class1"
@@ -856,29 +856,21 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
 
     # decode-time logical fix-ups: add stabilizer rows to logical rows
     def info_fix(stab: QuantumCheckMatrix, info: QuantumCheckMatrix) -> QuantumCheckMatrix:
-        iz = info.z.to_lists()
-        ix = info.x.to_lists()
         if special:
             g2p = blocks["Gamma2p"]
-            for j in range(cs):
-                xrow = 2 * logical_cols.index(last_cols[j])
-                srow = s + j  # the reduced-position index survives the final row ordering
-                shift = -g2p[j].dell
-                iz[xrow] = [a + b.shift(shift) for a, b in zip(iz[xrow], stab.z.entries[srow])]
-                ix[xrow] = [a + b.shift(shift) for a, b in zip(ix[xrow], stab.x.entries[srow])]
+            # the reduced-position index s + j survives the final row ordering
+            adds = [(2 * logical_cols.index(last_cols[j]), LaurentPoly.term(-g2p[j].dell), s + j) for j in range(cs)]
         else:
             lmat = blocks["L"]
-            for i in range(cs):
-                xrow = 2 * logical_cols.index(last_cols[i])
-                for j in range(cs):
-                    e = lmat[j, i]
-                    if e.is_zero():
-                        continue
-                    coeff = e.reverse()
-                    srow = n - k1 + s + j
-                    iz[xrow] = [a + coeff * b for a, b in zip(iz[xrow], stab.z.entries[srow])]
-                    ix[xrow] = [a + coeff * b for a, b in zip(ix[xrow], stab.x.entries[srow])]
-        return QuantumCheckMatrix(PolyMatrix(iz, cols=info.cols), PolyMatrix(ix, cols=info.cols), info.bob_cols, info.row_labels)
+            adds = [(2 * logical_cols.index(last_cols[i]), lmat[j, i].num.reverse(), n - k1 + s + j)
+                    for i in range(cs) for j in range(cs) if not lmat[j, i].is_zero()]
+        zn, xn, dens = list(info.zn), list(info.xn), list(info.dens)
+        for r, f, srow in adds:  # info row r += f * stabilizer row srow, over the product of their denominators
+            di, ds = dens[r], stab.dens[srow]
+            sums = [a * ds + f * b * di for a, b in zip(zn[r] + xn[r], stab.zn[srow] + stab.xn[srow])]
+            dens[r], sums = lowest_terms(di * ds, sums)
+            zn[r], xn[r] = tuple(sums[:info.cols]), tuple(sums[info.cols:])
+        return QuantumCheckMatrix.from_rows(tuple(zn), tuple(xn), tuple(dens), info.cols, info.bob_cols, info.row_labels)
 
     return _assemble(record, bare, pair, encoder, decoder, info_fix=info_fix,
                      logical_cols=logical_cols, decoded_cols=decoded_cols)
