@@ -523,7 +523,7 @@ def _steps(gates, join: bool) -> tuple:
         else:
             delays = [g.delay]
             runs.append((g, delays))
-            prev = g.kind in _MOVES and g
+            prev = g if g.kind in _MOVES else None
     return tuple((g, _run_moves(g.kind, delays) if g.kind in _MOVES else None) for g, delays in runs)
 
 
