@@ -264,8 +264,15 @@ def _run_moves(kind: str, delays: list[int]) -> tuple:
     """
     pos = tuple(delays)
     lo, hi = min(pos), max(pos)
-    signed = {1: (pos, lo, hi), -1: (tuple([-d for d in pos]), -hi, -lo), 0: ((0,) * len(pos), 0, 0)}
-    return tuple((ds, dq, ss, sq, *signed[sign]) for ds, dq, ss, sq, sign in _MOVES[kind])
+    out = []
+    for ds, dq, ss, sq, sign in _MOVES[kind]:
+        if sign > 0:
+            out.append((ds, dq, ss, sq, pos, lo, hi))
+        elif sign < 0:
+            out.append((ds, dq, ss, sq, tuple([-d for d in pos]), -hi, -lo))
+        else:
+            out.append((ds, dq, ss, sq, (0,) * len(pos), 0, 0))
+    return tuple(out)
 
 
 def _on_columns(moves, a: int, b: int | None) -> list[tuple]:

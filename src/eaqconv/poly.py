@@ -463,7 +463,9 @@ def parse_poly(text: str) -> LaurentPoly:
 
 
 def format_poly(p: LaurentPoly) -> str:
-    return "+".join("1" if k == 0 else "D" if k == 1 else f"D^{k}" for k in p.exponents()) or "0"
+    if p.is_zero():
+        return "0"
+    return "+".join(["1" if k == 0 else "D" if k == 1 else f"D^{k}" for k in p.exponents()])
 
 
 def parse_rational(text: str) -> RationalPoly:
