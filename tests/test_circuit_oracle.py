@@ -221,7 +221,7 @@ def _run_case(seed):
         info = _matrix(rng, rng.randint(1, 3), cols, bob_cols, zero_cols)
         state = QuantumCheckMatrix(state.z, state.x, bob_cols, info=info)
     max_delay = rng.choice((5, 40, 400))
-    gates, key = [], None
+    seq, key = [], None
     for _ in range(rng.randint(1, 6)):
         if key is None:
             full = rng.random() < 0.3
@@ -235,18 +235,18 @@ def _run_case(seed):
             delays += rng.choices(delays, k=rng.randint(1, len(delays)))
             rng.shuffle(delays)
         run = [Gate(kind, i, j, d, full_frame=full) for d in delays]
-        gates += run
+        seq += run
         key, brk = None, rng.random()
         if brk < 0.3 and max(i, j or 0) < cols - bob_cols:
             key = kind, i, j, not full  # the next run differs in full_frame alone
         elif brk < 0.45:
-            gates.append(Gate("H", rng.randrange(cols - bob_cols)))
-            gates += rng.sample(run, len(run))  # the same run again undoes it
+            seq.append(Gate("H", rng.randrange(cols - bob_cols)))
+            seq += rng.sample(run, len(run))  # the same run again undoes it
         elif brk < 0.7:
-            gates.append(Gate("H", rng.randrange(cols - bob_cols)))
+            seq.append(Gate("H", rng.randrange(cols - bob_cols)))
         elif brk < 0.85:
-            gates.append(Gate("INF", rng.randrange(cols - bob_cols), f=_inf_factor(rng), time_reversed=rng.random() < 0.5))
-    return state, Circuit(tuple(gates)), max_delay
+            seq.append(Gate("INF", rng.randrange(cols - bob_cols), f=_inf_factor(rng), time_reversed=rng.random() < 0.5))
+    return state, Circuit(tuple(seq)), max_delay
 
 
 def _observed_with_relayouts(circuit, state, monkeypatch):

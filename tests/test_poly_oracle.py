@@ -1,14 +1,15 @@
 """Differential test: GF(2)(D) arithmetic against its per-bit reference.
 
 `tests/poly_oracle.py` keeps the per-bit division, gcd, `reverse` and
-`exponents` (also read through `format_poly`), the per-term Laurent `divmod_width` and the `RationalPoly`
+`exponents`, the per-term Laurent `divmod_width` and the `RationalPoly`
 that normalises every result.  Seeded random masks up to 512 bits (and
 pairs with a planted common factor) go through both divisions and gcds,
-seeded Laurent pairs through `divmod_width`, and seeded rational operands
-of four kinds (zero, denominator 1, a shared denominator, distinct
-denominators, all with negative `low` allowed) through `+`, `*`, `/`,
-`shift` and `reverse`.  Every result must equal the reference exactly and
-be in canonical form.  Seeded rational functions, with windows below, over
+Laurent polynomials on such masks through `reverse`, `exponents` and
+`format_poly`, seeded Laurent pairs through `divmod_width`, and seeded
+rational operands of four kinds (zero, denominator 1, a shared
+denominator, distinct denominators, all with negative `low` allowed)
+through `+`, `*`, `/`, `shift` and `reverse`.  Every result must equal the
+reference exactly and be in canonical form.  Seeded rational functions, with windows below, over
 and above the series' first exponent, go through `series_expand`.
 """
 
