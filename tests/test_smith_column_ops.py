@@ -1,13 +1,17 @@
 """Differential test: the Smith reduction's column operations and decisions stay the same.
 
 The construction logs every Smith column operation as CNOTs and applies
-their column action to its Z and X grids.  With `want_trace` the gates are
-applied one at a time, because the trace holds the state after every gate;
-a plain build must reach the same gate log and the same grids.  Comparing
-the grids matters: a wrong X-side action in a column addition can leave
-every report equal while the grids differ.  The codes are the first 24
-`verify_w64` and the first 16 `build_l` pairs of the benchmark's seed-1
-corpus, plus a seeded sample of tiers S and M.
+their column action to its Z and X grids.  With `want_trace` each CNOT's
+term is added on its own, because the trace holds the state after every
+gate; a plain build adds a column operation's terms at once and must reach
+the same gate log and the same grids.  Comparing the grids matters: a wrong
+X-side action in a column addition can leave every report equal while the
+grids differ.  As both builds run the same column addition, the logged
+gates are also replayed by `Circuit.apply` on the column planes from
+[H1 | 0; 0 | H2]; the rows they end as must span the same row space as the
+final grid, which the reduction reached from there by row operations.
+The codes are the first 24 `verify_w64` and the first 16 `build_l` pairs
+of the benchmark's seed-1 corpus, plus a seeded sample of tiers S and M.
 
 `smith_form` is pinned over 500 seeded Laurent matrices (zero rows and
 columns, rank-deficient ones, non-unit factors, D^k units; the width
@@ -31,9 +35,10 @@ import pytest
 from eaqconv import polymat
 from eaqconv.cli import _spec_report_json
 from eaqconv.construct import build_code
-from eaqconv.gates import format_gate
+from eaqconv.gates import Circuit, QuantumCheckMatrix, format_gate
 from eaqconv.poly import LaurentPoly, RationalPoly
-from eaqconv.polymat import PolyMatrix, format_matrix, invariant_factors, parse_matrix, smith_form
+from eaqconv.polymat import PolyMatrix, format_matrix, invariant_factors, parse_matrix, row_space_equal, smith_form
+from support import zx_concat
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "perfbench" / "corpus" / "seed-1.json"
@@ -67,16 +72,28 @@ def _sample_pairs():
 PAIRS = _corpus_pairs() + _sample_pairs()
 
 
+def _stacked(h1, h2):
+    """[H1 | 0; 0 | H2], the check matrix the reduction starts from."""
+    zero = [RationalPoly.zero()] * h1.cols
+    z = PolyMatrix([list(r) for r in h1.entries] + [zero] * h2.rows)
+    x = PolyMatrix([zero] * h1.rows + [list(r) for r in h2.entries])
+    return QuantumCheckMatrix(z, x)
+
+
 @pytest.mark.parametrize("start", range(0, len(PAIRS), 10))
 def test_traced_and_plain_reductions_agree(start):
     for h1, h2 in PAIRS[start:start + 10]:
-        traced = build_code(_matrix(h1), _matrix(h2), want_trace=True)
-        plain = build_code(_matrix(h1), _matrix(h2))
+        m1, m2 = _matrix(h1), _matrix(h2)
+        traced = build_code(m1, m2, want_trace=True)
+        plain = build_code(m1, m2)
         rt, rp = traced.record.reduction, plain.record.reduction
         assert rp.gates == rt.gates, (h1, h2)
         assert rp.z == rt.z, (h1, h2)
         assert rp.x == rt.x, (h1, h2)
         assert _spec_report_json(plain) == _spec_report_json(traced), (h1, h2)
+        replayed = Circuit(tuple(rp.gates)).apply(_stacked(m1, m2))
+        grid = PolyMatrix([[RationalPoly(e) for e in z + x] for z, x in zip(rp.z, rp.x)])
+        assert row_space_equal(zx_concat(replayed), grid), (h1, h2)
 
 
 def _laurent(rng):
