@@ -42,7 +42,6 @@ from .gates import (
     Circuit,
     Gate,
     QuantumCheckMatrix,
-    apply_in_place,
     cnot,
     format_gate,
     gate_columns,
@@ -122,9 +121,9 @@ class _Reduction:
     """Mutable quantum check matrix with a gate log and mental row operations.
 
     The grids hold LaurentPoly entries: the reduction issues no INF gate.
-    A column addition or swap logs its CNOTs and applies their joint column
-    action once; with want_trace it applies them one at a time instead, so
-    the trace holds the state after every gate.
+    A column addition logs its CNOTs and adds f times the source column at
+    once; with want_trace it adds each CNOT's term D^e on its own instead,
+    so the trace holds the state after every gate.
     """
 
     def __init__(self, h1: PolyMatrix, h2: PolyMatrix, h1_smith: SmithDecomposition, want_trace: bool = False):
@@ -154,10 +153,17 @@ class _Reduction:
         if self.want_trace:
             self.trace.append(TraceStep(label, self.state()))
 
-    def gate(self, g: Gate):
-        apply_in_place(g, zip(self.z, self.x), self.n)
-        self.gates.append(g)
-        self._snapshot(format_gate(g))
+    def _logged(self, gates):
+        """Append gates to the log; a traced reduction, which logs one at a time, takes the state after it."""
+        self.gates.extend(gates)
+        if self.want_trace:
+            self.trace.append(TraceStep(format_gate(gates[-1]), self.state()))
+
+    def hadamard(self, col: int, note: str):
+        """Exchange the Z and X entries of column col via a Hadamard."""
+        for z, x in zip(self.z, self.x):
+            z[col], x[col] = x[col], z[col]
+        self._logged([hadamard(col, note=note)])
 
     def row_add(self, src: int, dst: int, f: LaurentPoly):
         self.z[dst] = [a + f * b for a, b in zip(self.z[dst], self.z[src])]
@@ -183,35 +189,29 @@ class _Reduction:
 
     # column operation helpers realized as gates ------------------------------
 
-    def _log(self, gates: list[Gate]) -> bool:
-        """Log gates on the same qubits for the caller to apply as one column action; returns whether it must.
-
-        With want_trace they are applied here one at a time instead, so the
-        trace holds the state after each.
-        """
-        if self.want_trace:
-            for g in gates:
-                self.gate(g)
-            return False
-        if gates:
-            gate_columns(gates[0], self.n, 0)  # raises IndexError for qubits outside the frame
-        self.gates.extend(gates)
-        return True
-
     def _coladd(self, fwd, back, src: int, dst: int, f: LaurentPoly, gates: list[Gate]):
         """fwd col dst += f * fwd col src and back col src += f(D^-1) * back col dst, logged as gates.
 
-        The gates are CNOTs sharing control and target, one per exponent of
-        f, so they commute and their joint action is the sum of theirs.
+        The gates are CNOTs sharing control and target, one per exponent e
+        of f, so they commute and their joint action is the sum of theirs,
+        added at once; with want_trace each gate's term D^e is added on its
+        own and the trace takes the state after it.
         """
-        if not self._log(gates):
+        if not gates:
             return
-        rev = f.reverse()
-        for p, q in zip(fwd, back):
-            if p[src]:
-                p[dst] = p[dst] + f * p[src]
-            if q[dst]:
-                q[src] = q[src] + rev * q[dst]
+        gate_columns(gates[0], self.n, 0)  # raises IndexError for qubits outside the frame
+        if self.want_trace:
+            steps = [([g], LaurentPoly.term(e)) for g, e in zip(gates, f.exponents())]
+        else:
+            steps = [(gates, f)]
+        for logged, term in steps:
+            rev = term.reverse()
+            for p, q in zip(fwd, back):
+                if p[src]:
+                    p[dst] = p[dst] + term * p[src]
+                if q[dst]:
+                    q[src] = q[src] + rev * q[dst]
+            self._logged(logged)
 
     def z_coladd(self, src: int, dst: int, f: LaurentPoly, note: str = ""):
         """Z col dst += f * Z col src via CNOTs (X side: col src += f(D^-1) col dst)."""
@@ -222,36 +222,42 @@ class _Reduction:
         self._coladd(self.x, self.z, src, dst, f, [cnot(src, dst, e, note=note) for e in f.exponents()])
 
     def col_swap(self, i: int, j: int, note: str = ""):
-        """Exchange columns i and j on both sides via three CNOTs."""
-        if self._log(swap(i, j, note=note)):
-            for z, x in zip(self.z, self.x):
-                z[i], z[j] = z[j], z[i]
-                x[i], x[j] = x[j], x[i]
+        """Exchange columns i and j on both sides via three CNOTs, added one by one when traced."""
+        if self.want_trace:
+            for a, b in ((i, j), (j, i), (i, j)):
+                self.x_coladd(a, b, _L1, note=note)
+            return
+        gates = swap(i, j, note=note)
+        gate_columns(gates[0], self.n, 0)  # raises IndexError for qubits outside the frame
+        self._logged(gates)
+        for z, x in zip(self.z, self.x):
+            z[i], z[j] = z[j], z[i]
+            x[i], x[j] = x[j], x[i]
 
 
-class _ZBlockHooks(SmithHooks):
-    """Smith of a Z-side block: column ops become gates, row ops stay mental.
+class _BlockHooks(SmithHooks):
+    """Smith of a block of the Z (side "z") or X (side "x") grid: column ops become gates, row ops stay mental.
 
-    identity_rows maps a block column to the row position whose X side holds
-    that column's identity entry; gate side effects there are undone by row
-    operations.  gamma_f_col0, when set, keeps the F block's diagonal at
-    (row position p, F column p) intact under row operations by emitting
+    identity_rows maps a block column to the row position whose other side
+    holds that column's identity entry; gate side effects there are undone
+    by row operations.  gamma_f_col0, when set, keeps the F block's diagonal
+    at (row position p, F column p) intact under row operations by emitting
     compensating column gates.
     """
 
-    def __init__(self, red, row0, col0, identity_rows=None, gamma_f_col0=None, note=""):
+    def __init__(self, red, side, row0, col0, identity_rows=None, gamma_f_col0=None, note=""):
         self.red = red
-        self.row0 = row0
-        self.col0 = col0
+        self.grid, self.coladd = (red.z, red.z_coladd) if side == "z" else (red.x, red.x_coladd)
+        self.row0, self.col0 = row0, col0
         self.identity_rows = identity_rows
         self.gamma_f_col0 = gamma_f_col0
         self.note = note
 
     def entry(self, i, j):
-        return self.red.z[self.row0 + i][self.col0 + j]
+        return self.grid[self.row0 + i][self.col0 + j]
 
     def col_add(self, src, dst, f):
-        self.red.z_coladd(self.col0 + src, self.col0 + dst, f, note=self.note)
+        self.coladd(self.col0 + src, self.col0 + dst, f, note=self.note)
         if self.identity_rows is not None:
             self.red.row_add(self.identity_rows[src], self.identity_rows[dst], f.reverse())
 
@@ -262,7 +268,7 @@ class _ZBlockHooks(SmithHooks):
             self.identity_rows[i], self.identity_rows[j] = self.identity_rows[j], self.identity_rows[i]
 
     def _gamma_exp(self, p):
-        poly = self.red.z[self.row0 + p][self.gamma_f_col0 + p]
+        poly = self.grid[self.row0 + p][self.gamma_f_col0 + p]
         if poly.weight() != 1:
             raise InternalError("F-block diagonal lost its power-of-D form")
         return poly.dell
@@ -271,7 +277,7 @@ class _ZBlockHooks(SmithHooks):
         self.red.row_add(self.row0 + src, self.row0 + dst, f)
         if self.gamma_f_col0 is not None:
             q = f.shift(self._gamma_exp(src) - self._gamma_exp(dst))
-            self.red.z_coladd(self.gamma_f_col0 + dst, self.gamma_f_col0 + src, q, note=self.note)
+            self.coladd(self.gamma_f_col0 + dst, self.gamma_f_col0 + src, q, note=self.note)
 
     def row_swap(self, i, j):
         self.red.row_swap(self.row0 + i, self.row0 + j)
@@ -279,29 +285,13 @@ class _ZBlockHooks(SmithHooks):
             self.red.col_swap(self.gamma_f_col0 + i, self.gamma_f_col0 + j, note=self.note)
 
 
-class _XBlockHooks(SmithHooks):
-    """Smith of an X-side block: column ops are plain CNOTs, row ops mental."""
-
-    def __init__(self, red, row0, col0, note=""):
-        self.red = red
-        self.row0 = row0
-        self.col0 = col0
-        self.note = note
-
-    def entry(self, i, j):
-        return self.red.x[self.row0 + i][self.col0 + j]
-
-    def col_add(self, src, dst, f):
-        self.red.x_coladd(self.col0 + src, self.col0 + dst, f, note=self.note)
-
-    def col_swap(self, i, j):
-        self.red.col_swap(self.col0 + i, self.col0 + j, note=self.note)
-
-    def row_add(self, src, dst, f):
-        self.red.row_add(self.row0 + src, self.row0 + dst, f)
-
-    def row_swap(self, i, j):
-        self.red.row_swap(self.row0 + i, self.row0 + j)
+def _power_diagonal(grid, row0, col0, count, error, message):
+    """Entries (row0 + t, col0 + t), t < count, each a power of D; else raises error(message.format(entry))."""
+    diag = [grid[row0 + t][col0 + t] for t in range(count)]
+    for e in diag:
+        if e.weight() != 1:
+            raise error(message.format(e))
+    return diag
 
 
 # -- decomposition record ---------------------------------------------------------
@@ -336,7 +326,7 @@ def _standard_form_stage(red: _Reduction):
     # mental row operations bring the top block to H1's Smith row basis
     red.z[: n - k1] = red.h1_basis
     # in-place Smith of the bottom block's X side; column ops become gates
-    SmithEngine((n - k2, n), _XBlockHooks(red, n - k1, 0, note="standard-form"), enforce_chain=False).run()
+    SmithEngine((n - k2, n), _BlockHooks(red, "x", n - k1, 0, note="standard-form"), enforce_chain=False).run()
     for p in range(n - k2):
         pivot = red.x[n - k1 + p][p]
         if pivot.is_zero():
@@ -390,13 +380,13 @@ def _massage(red: _Reduction):
     if not plan and not scalings:
         return
     for col in range(red.n):
-        red.gate(hadamard(col, note="normalize-F"))
+        red.hadamard(col, "normalize-F")
     for src, dst, q in plan:
         red.x_coladd(src, dst, q, note="normalize-F")
     for pos, k in scalings:
         red.row_scale(pos, k)
     for col in range(red.n):
-        red.gate(hadamard(col, note="normalize-F"))
+        red.hadamard(col, "normalize-F")
     red._snapshot("normalized standard form")
 
 
@@ -575,6 +565,20 @@ def _monomial_offset(qcm: QuantumCheckMatrix, row: int, col: int, side: str):
     return e.dell
 
 
+def _row_map(red: _Reduction, c: int, x_ebits_first: bool) -> list[int]:
+    """Reduced row position -> bare row index.
+
+    The reduction's rows run [c ebit rows, ancilla A rows, c ebit rows,
+    ancilla B rows] and the bare stream's [Z-ebits, ancillas A, X-ebits,
+    ancillas B]; the first c positions take the X-ebit rows when
+    x_ebits_first, else the Z-ebit rows.
+    """
+    a = red.n - red.k1 - c
+    z_ebits, x_ebits = list(range(c)), list(range(c + a, 2 * c + a))
+    first, second = (x_ebits, z_ebits) if x_ebits_first else (z_ebits, x_ebits)
+    return first + list(range(c, c + a)) + second + list(range(2 * c + a, red.rows))
+
+
 # -- class-specific builders --------------------------------------------------------
 
 
@@ -585,20 +589,14 @@ def _finish_class1(record: DecompositionRecord):
     identity_rows = {col: n - k1 + col for col in range(n - k2)}
     SmithEngine(
         (n - k1, n - k2),
-        _ZBlockHooks(red, 0, 0, identity_rows=identity_rows, note="E-block"),
+        _BlockHooks(red, "z", 0, 0, identity_rows=identity_rows, note="E-block"),
         enforce_chain=False,
     ).run()
-    gamma = []
-    for t in range(c):
-        pivot = red.z[t][t]
-        df, _ = pivot.delay_free()
-        if df != _L1:
-            raise ClassMismatch(f"invariant factor {pivot} of E is not a power of D")
-        gamma.append(pivot)
+    gamma = _power_diagonal(red.z, 0, 0, c, ClassMismatch, "invariant factor {} of E is not a power of D")
     red._snapshot("E diagonalized")
     # swap every column to the Hadamard frame, then clear the ebit rows' F entries
     for col in range(n):
-        red.gate(hadamard(col, note="frame-swap"))
+        red.hadamard(col, "frame-swap")
     for i in range(c):
         a = gamma[i].dell
         for j in range(n - k2, n):
@@ -608,18 +606,12 @@ def _finish_class1(record: DecompositionRecord):
     red._snapshot("ebit cross entries cleared")
     # Smith of the ancilla cross block (now on the X side)
     r2 = n - k1 - c
-    gamma_f = []
-    if r2 > 0:
-        got = SmithEngine((r2, k2), _XBlockHooks(red, c, n - k2, note="F2-block"), enforce_chain=False).run()
-        if got < r2:
-            raise InternalError("ancilla cross block lost rank; the input should have been rejected")
-        for t in range(r2):
-            pivot = red.x[c + t][n - k2 + t]
-            if pivot.weight() != 1:
-                raise InternalError(f"ancilla cross factor {pivot} is not a power of D")
-            gamma_f.append(pivot)
-        for t in range(r2):
-            red.gate(hadamard(n - k2 + t, note="frame-swap"))
+    got = SmithEngine((r2, k2), _BlockHooks(red, "x", c, n - k2, note="F2-block"), enforce_chain=False).run()
+    if got < r2:
+        raise InternalError("ancilla cross block lost rank; the input should have been rejected")
+    gamma_f = _power_diagonal(red.x, c, n - k2, r2, InternalError, "ancilla cross factor {} is not a power of D")
+    for t in range(r2):
+        red.hadamard(n - k2 + t, "frame-swap")
     red._snapshot("reduced form")
     record.blocks["Gamma"] = gamma
     record.blocks["GammaF"] = gamma_f
@@ -639,20 +631,10 @@ def build_class1(record: DecompositionRecord) -> CodeSpec:
     logical_cols = [n - k + q for q in range(k)]
     bare = _bare_state(n, c, ebit_cols, anc_a, anc_b, logical_cols)
 
-    # reduced row position -> bare row index
-    pair = {}
-    for i in range(c):
-        pair[i] = c + len(anc_a) + i          # X-frame ebit rows carry the Z-check structure
-    for j in range(n - k1 - c):
-        pair[c + j] = c + j                   # ancilla-A rows
-    for i in range(c):
-        pair[n - k1 + i] = i                  # Z-frame ebit rows
-    for j in range(n - k2 - c):
-        pair[n - k1 + c + j] = c + len(anc_a) + c + j
-
     encoder = Circuit(tuple(g.inverse() for g in reversed(red.gates)))
     decoder = Circuit(tuple(red.gates))
-    return _assemble(record, bare, pair, encoder, decoder, info_fix=None,
+    # the X-frame ebit rows carry the Z-check structure
+    return _assemble(record, bare, _row_map(red, c, x_ebits_first=True), encoder, decoder, info_fix=None,
                      logical_cols=logical_cols, decoded_cols=logical_cols)
 
 
@@ -665,17 +647,14 @@ def _finish_class2(record: DecompositionRecord):
     if special:
         # Smith of the full cross block; its diagonal becomes powers of D
         got = SmithEngine(
-            (n - k1, k2), _ZBlockHooks(red, 0, n - k2, note="F-block"), enforce_chain=False
+            (n - k1, k2), _BlockHooks(red, "z", 0, n - k2, note="F-block"), enforce_chain=False
         ).run()
         if got < n - k1:
             raise ClassMismatch("special-case cross block lost full row rank")
-        for t in range(n - k1):
-            if red.z[t][n - k2 + t].weight() != 1:
-                raise ClassMismatch("special-case cross factor is not a power of D")
+        _power_diagonal(red.z, 0, n - k2, n - k1, ClassMismatch, "special-case cross factor is not a power of D")
         red._snapshot("F diagonalized")
-        hooks = _ZBlockHooks(red, 0, 0, identity_rows=identity_rows, gamma_f_col0=n - k2, note="E-block")
-    else:
-        hooks = _ZBlockHooks(red, 0, 0, identity_rows=identity_rows, note="E-block")
+    hooks = _BlockHooks(red, "z", 0, 0, identity_rows=identity_rows, gamma_f_col0=n - k2 if special else None,
+                        note="E-block")
     SmithEngine((n - k1, n - k2), hooks, enforce_chain=True).run()
 
     gamma1, gamma2 = [], []
@@ -694,12 +673,7 @@ def _finish_class2(record: DecompositionRecord):
     blocks = {"Gamma1": gamma1, "Gamma2": gamma2}
 
     if special:
-        gp = []
-        for t in range(n - k1):
-            e = red.z[t][n - k2 + t]
-            if e.weight() != 1:
-                raise ClassMismatch("special-case F diagonal lost its power-of-D form")
-            gp.append(e)
+        gp = _power_diagonal(red.z, 0, n - k2, n - k1, ClassMismatch, "special-case F diagonal lost its power-of-D form")
         blocks["Gamma1p"] = gp[:s]
         blocks["Gamma2p"] = gp[s:c]
         blocks["Gamma3p"] = gp[c:]
@@ -711,15 +685,11 @@ def _finish_class2(record: DecompositionRecord):
         gamma_f3 = []
         if r3 > 0:
             got = SmithEngine(
-                (r3, k2), _ZBlockHooks(red, c, n - k2, note="F3-block"), enforce_chain=False
+                (r3, k2), _BlockHooks(red, "z", c, n - k2, note="F3-block"), enforce_chain=False
             ).run()
             if got < r3:
                 raise InternalError("ancilla cross block lost rank; the input should have been rejected")
-            for t in range(r3):
-                pivot = red.z[c + t][n - k2 + t]
-                if pivot.weight() != 1:
-                    raise InternalError(f"ancilla cross factor {pivot} is not a power of D")
-                gamma_f3.append(pivot)
+            gamma_f3 = _power_diagonal(red.z, c, n - k2, r3, InternalError, "ancilla cross factor {} is not a power of D")
             for r in range(c):
                 for j in range(r3):
                     phi = red.z[r][n - k2 + j]
@@ -739,7 +709,7 @@ def _finish_class2(record: DecompositionRecord):
             if n - col0 <= 0:
                 break
             SmithEngine(
-                (1, n - col0), _ZBlockHooks(red, s + r, col0, note="L-block"), enforce_chain=False
+                (1, n - col0), _BlockHooks(red, "z", s + r, col0, note="L-block"), enforce_chain=False
             ).run()
         lmat = [[red.z[s + i][n - k2 + r3 + j] for j in range(c - s)] for i in range(c - s)]
         for i in range(c - s):
@@ -751,7 +721,7 @@ def _finish_class2(record: DecompositionRecord):
 
     # flip the plain-ancilla columns into the Z frame
     for col in range(c, n - k2):
-        red.gate(hadamard(col, note="frame-swap"))
+        red.hadamard(col, "frame-swap")
     red._snapshot("reduced form")
     record.blocks.update(blocks)
     return blocks
@@ -787,17 +757,6 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
     logical_cols = sorted(logical_cols)
     decoded_cols = [decoded_map[col] for col in logical_cols]
     bare = _bare_state(n, c, ebit_cols, anc_a, anc_b, logical_cols)
-
-    # reduced row position -> bare row index
-    pair = {}
-    for i in range(c):
-        pair[i] = i                            # Z-frame ebit rows (Gamma1 + Gamma2 rows)
-    for j in range(n - k1 - c):
-        pair[c + j] = c + j                    # ancilla-A rows
-    for i in range(c):
-        pair[n - k1 + i] = c + len(anc_a) + i  # X-frame ebit rows
-    for j in range(n - k2 - c):
-        pair[n - k1 + c + j] = c + len(anc_a) + c + j
 
     # the infinite-depth stage acting on the fresh ebits and information qubits
     sub = []
@@ -872,7 +831,8 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
             zn[r], xn[r] = tuple(sums[:info.cols]), tuple(sums[info.cols:])
         return QuantumCheckMatrix.from_rows(tuple(zn), tuple(xn), tuple(dens), info.cols, info.bob_cols, info.row_labels)
 
-    return _assemble(record, bare, pair, encoder, decoder, info_fix=info_fix,
+    # the Z-frame ebit rows (Gamma1 + Gamma2 rows) come first
+    return _assemble(record, bare, _row_map(red, c, x_ebits_first=False), encoder, decoder, info_fix=info_fix,
                      logical_cols=logical_cols, decoded_cols=decoded_cols)
 
 
@@ -893,8 +853,7 @@ def _assemble(record, bare, pair, encoder, decoder, info_fix, logical_cols, deco
         pos = red.row_ids.index(rid)
         unscale[pair[pos]] = -kexp
     presented = _scale_rows(evolved, unscale) if unscale else evolved
-    order = [pair[pos] for pos in range(red.rows)]
-    final = _permute_rows(presented, order)
+    final = _permute_rows(presented, pair)
     if want_trace:
         encode_trace.append(TraceStep("final stabilizer", final))
 

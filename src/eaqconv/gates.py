@@ -14,13 +14,12 @@ control a, target b and frame delay k:
 Each finite-depth gate's column action is written once, in the move table
 `_MOVES`: moves (dst side, dst col, src side, src col, delay) that add a
 shifted source column into a destination column; H swaps the two sides of
-column a, and InfDepth has its one implementation in `apply_in_place`.  Two
-runners read the table.  `apply_in_place` mutates row lists, touching just
-the addressed columns; the code construction runs it on its Laurent grids.
-`Circuit.apply` runs on the rows a `QuantumCheckMatrix` stores, Laurent
-numerators over one GF(2)[D] row denominator in lowest terms, and holds
-the numerators as column planes, one int per side and column with every
-row stacked in it, so a move is one shift and one XOR over all rows.
+column a, and InfDepth updates the rows it touches.  One runner,
+`Circuit.apply`, reads the table.  It runs on the rows a
+`QuantumCheckMatrix` stores, Laurent numerators over one GF(2)[D] row
+denominator in lowest terms, and holds the numerators as column planes,
+one int per side and column with every row stacked in it, so a move is
+one shift and one XOR over all rows.
 Finite-depth gates act on a row's numerators by a column operation that
 is invertible over the Laurent ring, so a row stays in lowest terms and
 keeps its denominator; only InfDepth changes a denominator, and it
@@ -281,49 +280,30 @@ def _on_columns(moves, a: int, b: int | None) -> list[tuple]:
     return [(ds, ab[dq], ss, ab[sq], *rest) for ds, dq, ss, sq, *rest in moves]
 
 
-def apply_in_place(g: Gate, rows, cols: int, bob_cols: int = 0, dens=None) -> None:
-    """Apply g's column operation to mutable (Z row, X row) list pairs.
+def _inf_rows(g: Gate, a: int, rows, dens, cols: int) -> None:
+    """Apply the InfDepth gate g on frame column a to (Z row, X row) numerator lists over dens.
 
-    Finite-depth gates run their moves on columns a (and b), skipping a
-    source entry that is zero.  They only add shifted entries within a row,
-    so the rows may hold LaurentPoly or RationalPoly entries, and rows of
-    numerators over a common row denominator keep it.  INF needs the rows as
-    LaurentPoly numerators over `dens`, one GF(2)[D] denominator per row,
-    and updates them: with f = f0 D^k and f0 delay-free, a row with
-    x[a] != 0 moves to denominator den*f0, its other entries take the
-    factor f0 and x[a] the factor D^-k; z[a] takes the factor f(D^-1).
-    Each row it changes is then brought to lowest terms.  `rows` is walked
-    once.
+    With f = f0 D^k and f0 delay-free, a row with x[a] != 0 moves to
+    denominator den*f0, its other entries take the factor f0 and x[a] the
+    factor D^-k; z[a] takes the factor f(D^-1).  Each row it changes is
+    then brought to lowest terms.
     """
-    a, b = gate_columns(g, cols, bob_cols)
-    if g.kind == "H":
-        for z, x in rows:
-            z[a], x[a] = x[a], z[a]
-    elif g.kind == "INF":
-        fwd = g.f.reverse() if g.time_reversed else g.f
-        f0, k = fwd.delay_free()
-        zmul = fwd.reverse()
-        for r, (z, x) in enumerate(rows):
-            if not (x[a] or z[a]):
-                continue
-            if x[a]:
-                xa = x[a].shift(-k)
-                z[:] = [e * f0 for e in z]
-                x[:] = [e * f0 for e in x]
-                x[a] = xa
-                dens[r] = dens[r] * f0
-            if z[a]:
-                z[a] = z[a] * zmul
-            dens[r], nums = lowest_terms(dens[r], z + x)
-            z[:], x[:] = nums[:cols], nums[cols:]
-    else:
-        moves = _on_columns(_run_moves(g.kind, [g.delay]), a, b)
-        for row in rows:
-            for ds, dc, ss, sc, (d,), _, _ in moves:
-                src = row[ss][sc]
-                if src:
-                    dst = row[ds]
-                    dst[dc] = dst[dc] + src.shift(d)
+    fwd = g.f.reverse() if g.time_reversed else g.f
+    f0, k = fwd.delay_free()
+    zmul = fwd.reverse()
+    for r, (z, x) in enumerate(rows):
+        if not (x[a] or z[a]):
+            continue
+        if x[a]:
+            xa = x[a].shift(-k)
+            z[:] = [e * f0 for e in z]
+            x[:] = [e * f0 for e in x]
+            x[a] = xa
+            dens[r] = dens[r] * f0
+        if z[a]:
+            z[a] = z[a] * zmul
+        dens[r], nums = lowest_terms(dens[r], z + x)
+        z[:], x[:] = nums[:cols], nums[cols:]
 
 
 def apply_gate(qcm: QuantumCheckMatrix, g: Gate) -> QuantumCheckMatrix:
@@ -473,8 +453,7 @@ class Circuit:
         the same kind, qubits and frame flag is one step: a few whole-plane
         moves, each XORing its source shifted by every delay of the run (H
         swaps two planes); it leaves every denominator as it is.  INF unpacks
-        the rows, runs `apply_in_place` on them and their denominators, and
-        packs them again.  observe(gate, state), when given, makes every gate
+        the rows, updates them and their denominators, and packs them again.  observe(gate, state), when given, makes every gate
         a step of its own and sees the state after each; only the planes the
         gate changed are unpacked for it.
         """
@@ -497,7 +476,7 @@ class Circuit:
             a, b = gate_columns(g, cols, bob_cols)  # the run shares g's qubits
             if g.kind == "INF":
                 rows = planes.rows()
-                apply_in_place(g, rows, cols, bob_cols, dens)
+                _inf_rows(g, a, rows, dens, cols)
                 planes = _Planes(rows, cols)
                 changed = ()
             elif g.kind == "H":

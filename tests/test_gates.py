@@ -14,12 +14,10 @@ from eaqconv.gates import (
     QuantumCheckMatrix,
     SlidingWindowRule,
     apply_gate,
-    apply_in_place,
     cnot,
     cphase,
     cphase_self,
     format_circuit,
-    format_gate,
     hadamard,
     inf_depth,
     phase,
@@ -216,33 +214,6 @@ def test_finite_depth_preserves_polynomials(seed):
     g = _random_gate(rng, m.cols)
     if g.kind != "INF":
         assert apply_gate(m, g).is_polynomial()
-
-
-FINITE_GATES = [
-    cnot(0, 1, 0), cnot(0, 1, 2), cnot(1, 2, -1), cnot(2, 0, -3),
-    hadamard(1), phase(2),
-    cphase(0, 2, 1), cphase(2, 1, -2),
-    cphase_self(1, 0), cphase_self(0, 2), cphase_self(2, -1),
-]
-
-
-@pytest.mark.parametrize("g", FINITE_GATES, ids=format_gate)
-def test_apply_in_place_laurent_rows_match_rational_rows(g):
-    """The reduction runs the kernel on LaurentPoly rows, Circuit.apply on RationalPoly rows."""
-    rng = random.Random(5)
-
-    def entry():
-        return LaurentPoly(rng.randrange(0, 32), rng.randint(-3, 3)) if rng.random() < 0.7 else LaurentPoly.zero()
-
-    def rational(rows):
-        return [([RationalPoly(e) for e in z], [RationalPoly(e) for e in x]) for z, x in rows]
-
-    for _ in range(25):
-        laurent = [([entry() for _ in range(3)], [entry() for _ in range(3)]) for _ in range(4)]
-        rows = rational(laurent)
-        apply_in_place(g, laurent, 3)
-        apply_in_place(g, rows, 3)
-        assert rational(laurent) == rows
 
 
 def test_inverse_rejects_infinite_depth():
