@@ -10,12 +10,13 @@ Subcommands:
 
 Check matrices are given with --h1/--h2 as either a file path or an inline
 matrix (rows separated by ';', entries by ',', polynomial grammar for the
-entries).  Exit codes: 0 success, 2 parse or usage error (including a
---window below 1, a --scratch below 0, or a matrix file that cannot be
-read as UTF-8 text), 3 validation error, 4
-verification failure, 5 internal error (stderr also repeats --h1/--h2 as
-given, so the failing input can be reported; from `params` it can only come
-from the classification).
+entries).  Exit codes: 0 success, 1 any other typed error (such as
+`ClassMismatch` from the circuit synthesis of `build`, `verify` or
+`examples`), 2 parse or usage error (including a --window below 1, a
+--scratch below 0, or a matrix file that cannot be read as UTF-8 text), 3
+validation error, 4 verification failure, 5 internal error (stderr also
+repeats --h1/--h2 as given, so the failing input can be reported; from
+`params` it can only come from the classification).
 """
 
 from __future__ import annotations
