@@ -3,7 +3,8 @@
 
 Each pair is also classified on its own, as `eaqconv params` does; a code
 whose (n, k, c, s, class) from the classification differs from the built
-code's counts as a failure too.
+code's counts as a failure too, and so does an admitted pair on which the
+build, the verification or the classification raises a typed error.
 
 Usage:
 
@@ -26,7 +27,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from eaqconv.construct import build_code, classify, validate_inputs
-from eaqconv.errors import ValidationError
+from eaqconv.errors import EaqconvError, ValidationError
 from eaqconv.poly import LaurentPoly, RationalPoly
 from eaqconv.polymat import PolyMatrix, format_matrix
 from eaqconv.simulate import verify_code
@@ -46,6 +47,11 @@ def random_pair(rng, n_max, deg_max):
         except ValidationError:
             continue
         return h1, h2
+
+
+def print_pair(h1, h2):
+    print("     H1:", format_matrix(h1).replace("\n", " ; "))
+    print("     H2:", format_matrix(h2).replace("\n", " ; "))
 
 
 def params(code):
@@ -68,9 +74,15 @@ def main():
     t0 = time.time()
     for i in range(args.count):
         h1, h2 = random_pair(rng, args.n_max, args.deg_max)
-        spec = build_code(h1, h2)
-        report = verify_code(spec, window=args.window)
-        _, record = classify(h1, h2)
+        try:
+            spec = build_code(h1, h2)
+            report = verify_code(spec, window=args.window)
+            _, record = classify(h1, h2)
+        except EaqconvError as exc:  # admitted input must give a verified code
+            failures += 1
+            print(f"{i + 1:3d}. {type(exc).__name__}: {exc}  FAIL")
+            print_pair(h1, h2)
+            continue
         same_params = params(record) == params(spec)
         tally[spec.class_tag] += 1
         status = "ok" if report.passed and same_params else "FAIL"
@@ -80,8 +92,7 @@ def main():
         )
         if status == "FAIL":
             failures += 1
-            print("     H1:", format_matrix(h1).replace("\n", " ; "))
-            print("     H2:", format_matrix(h2).replace("\n", " ; "))
+            print_pair(h1, h2)
             if not same_params:
                 print(f"     classify gives (n, k, c, s, class) = {params(record)}, the build {params(spec)}")
             print("     " + report.to_text().replace("\n", "\n     "))
