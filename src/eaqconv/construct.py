@@ -653,8 +653,7 @@ def _finish_class2(record: DecompositionRecord):
             raise ClassMismatch("special-case cross block lost full row rank")
         _power_diagonal(red.z, 0, n - k2, n - k1, ClassMismatch, "special-case cross factor is not a power of D")
         red._snapshot("F diagonalized")
-    hooks = _BlockHooks(red, "z", 0, 0, identity_rows=identity_rows, gamma_f_col0=n - k2 if special else None,
-                        note="E-block")
+    hooks = _BlockHooks(red, "z", 0, 0, identity_rows, gamma_f_col0=n - k2 if special else None, note="E-block")
     SmithEngine((n - k1, n - k2), hooks, enforce_chain=True).run()
 
     gamma1, gamma2 = [], []

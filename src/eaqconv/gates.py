@@ -453,9 +453,10 @@ class Circuit:
         the same kind, qubits and frame flag is one step: a few whole-plane
         moves, each XORing its source shifted by every delay of the run (H
         swaps two planes); it leaves every denominator as it is.  INF unpacks
-        the rows, updates them and their denominators, and packs them again.  observe(gate, state), when given, makes every gate
-        a step of its own and sees the state after each; only the planes the
-        gate changed are unpacked for it.
+        the rows, updates them and their denominators, and packs them again.
+        observe(gate, state), when given, makes every gate a step of its own
+        and sees the state after each; only the planes the gate changed are
+        unpacked for it.
         """
         cols, split, bob_cols = qcm.cols, qcm.rows, qcm.bob_cols
         mats = (qcm,) if qcm.info is None else (qcm, qcm.info)
