@@ -32,7 +32,7 @@ from .gates import (
 )
 from .pauli import CheckRow, shifted_symplectic
 from .poly import LaurentPoly, RationalPoly, parse_poly, parse_rational, series_expand
-from .polymat import PolyMatrix, SmithDecomposition, parse_matrix, smith_form
+from .polymat import PolyMatrix, parse_matrix
 from .simulate import BinarySymplecticWindow, expand, run_circuit, verify_code
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -50,7 +50,7 @@ from .gates import (
     swap,
 )
 from .poly import LaurentPoly, divmod_shifted, lowest_terms
-from .polymat import PolyMatrix, SmithDecomposition, SmithEngine, SmithHooks, invariant_factors, smith_form
+from .polymat import GridHooks, PolyMatrix, SmithEngine, SmithHooks, invariant_factors, laurent_grid
 
 CLASS1 = "class1"
 CLASS2 = "class2"
@@ -63,30 +63,45 @@ _L1 = LaurentPoly.one()
 # -- validation ---------------------------------------------------------------
 
 
-def validate_inputs(h1: PolyMatrix, h2: PolyMatrix) -> SmithDecomposition:
+class _RowBasisHooks(GridHooks):
+    """Grid hooks that also apply every row operation R to a copy of the input M: R M."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.basis = [list(row) for row in rows]
+
+    def row_add(self, src, dst, f):
+        super().row_add(src, dst, f)
+        self.basis[dst] = [a + f * b if b else a for a, b in zip(self.basis[dst], self.basis[src])]
+
+    def row_swap(self, i, j):
+        super().row_swap(i, j)
+        self.basis[i], self.basis[j] = self.basis[j], self.basis[i]
+
+
+def validate_inputs(h1: PolyMatrix, h2: PolyMatrix):
     """Admit a pair of check matrices for noncatastrophic delay-free encoders.
 
-    Returns H1's Smith decomposition H1 = A [I 0] B: the first rows(H1) rows
-    of B are A^-1 H1, a row basis of H1 reached by unimodular row operations.
+    Returns the Laurent grids of H1 and H2 and a row basis R H1 of H1,
+    with R the row operations of H1's Smith reduction R H1 C = [I 0].
+    R is unimodular, so R H1 spans H1's row space, and R H1 = [I 0] C^-1.
     H2 needs only its invariant factors.
     """
     if h1.cols != h2.cols:
         raise ValidationError(f"column counts differ: {h1.cols} vs {h2.cols}")
-    h1_smith = None
+    grids = []
     for which, h in (("H1", h1), ("H2", h2)):
         if h.rows == 0 or h.rows >= h.cols:
             raise ValidationError(f"{which} must have 1 <= rows < cols, got {h.rows}x{h.cols}")
         if not h.is_polynomial():
             raise ValidationError(f"{which} has rational entries")
-        for row in h.entries:
+        grid = laurent_grid(h)
+        for row in grid:
             for e in row:
-                if not e.is_zero() and e.num.dell < 0:
-                    raise NotDelayFree(which, e.num)
-        if which == "H1":
-            h1_smith = smith_form(h)
-            gamma, units = h1_smith.gamma, h1_smith.unit_exps
-        else:
-            gamma, units = invariant_factors(h)
+                if not e.is_zero() and e.dell < 0:
+                    raise NotDelayFree(which, e)
+        hooks = _RowBasisHooks(grid) if which == "H1" else GridHooks(grid)
+        gamma, units = hooks.reduce()
         if len(gamma) < h.rows:
             raise RankDeficient(which, len(gamma), h.rows)
         for g, k in zip(gamma, units):
@@ -94,17 +109,35 @@ def validate_inputs(h1: PolyMatrix, h2: PolyMatrix) -> SmithDecomposition:
                 raise CatastrophicInput(which, g.shift(k))
             if k != 0:
                 raise NotDelayFree(which, g.shift(k))
-    return h1_smith
+        grids.append(grid)
+        if which == "H1":
+            basis = hooks.basis
+    return grids[0], grids[1], basis
 
 
-def _product_factors(product: PolyMatrix):
-    """Normalized invariant factors of the (Laurent) product matrix."""
+def _reversed_product(a, b):
+    """a(D) b^T(D^-1) for Laurent grids a and b with equal row lengths."""
+    out = []
+    for ra in a:
+        row = []
+        for rb in b:
+            acc = _L0
+            for p, q in zip(ra, rb):
+                if p and q:
+                    acc = acc + p * q.reverse()
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _product_factors(grid):
+    """Normalized invariant factors of a Laurent grid, each row first shifted to lowest exponent >= 0."""
     rows = []
-    for row in product.entries:
-        exps = [e.num.dell for e in row if not e.is_zero()]
+    for row in grid:
+        exps = [e.dell for e in row if not e.is_zero()]
         shift = -min(exps) if exps and min(exps) < 0 else 0
         rows.append([e.shift(shift) for e in row])
-    gamma, units = invariant_factors(PolyMatrix(rows))
+    gamma, units = invariant_factors(rows)
     return list(gamma), list(units)
 
 
@@ -126,18 +159,14 @@ class _Reduction:
     so the trace holds the state after every gate.
     """
 
-    def __init__(self, h1: PolyMatrix, h2: PolyMatrix, h1_smith: SmithDecomposition, want_trace: bool = False):
-        self.n = h1.cols
-        self.k1 = self.n - h1.rows
-        self.k2 = self.n - h2.rows
-        top = h1.rows
-        self.rows = top + h2.rows
-
-        def laurent(rows):
-            return [[e.as_poly() for e in row] for row in rows]
-        self.z = laurent(h1.entries) + [[_L0] * self.n for _ in range(h2.rows)]
-        self.x = [[_L0] * self.n for _ in range(top)] + laurent(h2.entries)
-        self.h1_basis = laurent(h1_smith.b.entries[:top])  # the top block after its row operations
+    def __init__(self, h1, h2, want_trace: bool = False):
+        self.n = len(h1[0])
+        self.k1 = self.n - len(h1)
+        self.k2 = self.n - len(h2)
+        top = len(h1)
+        self.rows = top + len(h2)
+        self.z = [list(row) for row in h1] + [[_L0] * self.n for _ in h2]
+        self.x = [[_L0] * self.n for _ in range(top)] + [list(row) for row in h2]
         self.gates: list[Gate] = []
         self.row_ids = list(range(self.rows))
         self.row_scales: dict[int, int] = {}
@@ -299,8 +328,10 @@ def _power_diagonal(grid, row0, col0, count, error, message):
 
 @dataclass
 class DecompositionRecord:
-    h1: PolyMatrix
-    h2: PolyMatrix
+    """The classification of a pair; h1, h2 and the E and F blocks are Laurent grids."""
+
+    h1: list[list[LaurentPoly]]
+    h2: list[list[LaurentPoly]]
     n: int
     k1: int
     k2: int
@@ -309,9 +340,9 @@ class DecompositionRecord:
     class_tag: str
     product_factors: tuple[LaurentPoly, ...]
     product_units: tuple[int, ...]
-    e_mat: PolyMatrix
-    f_mat: PolyMatrix
-    f_massaged: PolyMatrix | None
+    e_mat: list[list[LaurentPoly]]
+    f_mat: list[list[LaurentPoly]]
+    f_massaged: list[list[LaurentPoly]] | None
     blocks: dict = field(default_factory=dict)
     reduction: _Reduction | None = None
 
@@ -320,11 +351,11 @@ class DecompositionRecord:
         return self.k1 + self.k2 - self.n + self.c
 
 
-def _standard_form_stage(red: _Reduction):
+def _standard_form_stage(red: _Reduction, h1_basis):
     """Row-reduce the top block, then column-reduce the bottom block to [I 0]."""
     n, k1, k2 = red.n, red.k1, red.k2
-    # mental row operations bring the top block to H1's Smith row basis
-    red.z[: n - k1] = red.h1_basis
+    # mental row operations bring the top block to the row basis of H1 that validation found
+    red.z[: n - k1] = h1_basis
     # in-place Smith of the bottom block's X side; column ops become gates
     SmithEngine((n - k2, n), _BlockHooks(red, "x", n - k1, 0, note="standard-form"), enforce_chain=False).run()
     for p in range(n - k2):
@@ -390,35 +421,35 @@ def _massage(red: _Reduction):
     red._snapshot("normalized standard form")
 
 
-def _e_block(red: _Reduction) -> PolyMatrix:
-    return PolyMatrix([[red.z[i][j] for j in range(red.n - red.k2)] for i in range(red.n - red.k1)])
+def _e_block(red: _Reduction):
+    return [row[: red.n - red.k2] for row in red.z[: red.n - red.k1]]
 
 
-def _f_block(red: _Reduction) -> PolyMatrix:
-    return PolyMatrix([[red.z[i][j] for j in range(red.n - red.k2, red.n)] for i in range(red.n - red.k1)])
+def _f_block(red: _Reduction):
+    return [row[red.n - red.k2:] for row in red.z[: red.n - red.k1]]
 
 
-def _special_condition(f: PolyMatrix) -> bool:
+def _special_condition(f) -> bool:
     """Full row rank with every invariant factor a power of D."""
-    if f.rows == 0 or f.is_zero():
+    if not any(e for row in f for e in row):
         return False
     gammas, _ = _product_factors(f)
-    return len(gammas) == f.rows and all(g == _L1 for g in gammas)
+    return len(gammas) == len(f) and all(g == _L1 for g in gammas)
 
 
 def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) -> DecompositionRecord:
     """Validate, reduce to the standard form, classify, and record everything."""
-    h1_smith = validate_inputs(h1, h2)
-    n = h1.cols
-    k1, k2 = n - h1.rows, n - h2.rows
-    gammas, units = _product_factors(h1 * h2.transpose_reverse())
+    h1, h2, h1_basis = validate_inputs(h1, h2)
+    n = len(h1[0])
+    k1, k2 = n - len(h1), n - len(h2)
+    gammas, units = _product_factors(_reversed_product(h1, h2))
     c = len(gammas)
     s = sum(1 for g in gammas if g == _L1)
     # k = k1+k2-n+c >= 0 always: Sylvester's inequality gives
     # c = rank(H1 H2~) >= (n-k1) + (n-k2) - n
 
-    red = _Reduction(h1, h2, h1_smith, want_trace=want_trace)
-    _standard_form_stage(red)
+    red = _Reduction(h1, h2, want_trace=want_trace)
+    _standard_form_stage(red, h1_basis)
     e_mat = _e_block(red)
     f_mat = _f_block(red)
     f_massaged = None
@@ -474,11 +505,11 @@ class CodeSpec:
     decode_trace: list = field(default_factory=list)
 
     @property
-    def h1(self) -> PolyMatrix:
+    def h1(self) -> list[list[LaurentPoly]]:
         return self.record.h1
 
     @property
-    def h2(self) -> PolyMatrix:
+    def h2(self) -> list[list[LaurentPoly]]:
         return self.record.h2
 
 
@@ -631,8 +662,8 @@ def build_class1(record: DecompositionRecord) -> CodeSpec:
     logical_cols = [n - k + q for q in range(k)]
     bare = _bare_state(n, c, ebit_cols, anc_a, anc_b, logical_cols)
 
-    encoder = Circuit(tuple(g.inverse() for g in reversed(red.gates)))
     decoder = Circuit(tuple(red.gates))
+    encoder = decoder.inverse()
     # the X-frame ebit rows carry the Z-check structure
     return _assemble(record, bare, _row_map(red, c, x_ebits_first=True), encoder, decoder, info_fix=None,
                      logical_cols=logical_cols, decoded_cols=logical_cols)
@@ -715,7 +746,7 @@ def _finish_class2(record: DecompositionRecord):
             for j in range(i + 1, c - s):
                 if not lmat[i][j].is_zero():
                     raise InternalError("column-only reduction failed to reach lower-triangular form")
-        blocks["L"] = PolyMatrix(lmat) if lmat else PolyMatrix.zero(0, 0)
+        blocks["L"] = lmat
         red._snapshot("cross rows triangularized")
 
     # flip the plain-ancilla columns into the Z frame
@@ -775,14 +806,13 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
         lmat = blocks["L"]
         for i in range(cs):
             for j in range(cs):
-                e = lmat[i, j]
-                if not e.is_zero():
-                    for exp in e.num.exponents():
-                        sub.append(cnot(last_cols[j], mid_cols[i], -exp, note="ebit-stage"))
+                for exp in lmat[i][j].exponents():
+                    sub.append(cnot(last_cols[j], mid_cols[i], -exp, note="ebit-stage"))
         for i in range(cs):
             sub.append(inf_depth(mid_cols[i], gamma2[i], time_reversed=True, note="ebit-stage"))
 
-    encoder = Circuit(tuple(sub) + tuple(g.inverse() for g in reversed(red.gates)))
+    reduction = Circuit(tuple(red.gates))
+    encoder = Circuit(tuple(sub) + reduction.inverse().gates)
 
     # decoding: undo the finite-depth part, then unravel the infinite-depth stage
     tail = []
@@ -804,13 +834,11 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
         tail.extend(sandwich)
         for i in range(cs):
             for j in range(cs):
-                e = lmat[i, j]
-                if not e.is_zero():
-                    for exp in e.num.exponents():
-                        tail.append(cnot(s + i, c + last_cols[j], exp, full_frame=True, note="ebit-unstage"))
+                for exp in lmat[i][j].exponents():
+                    tail.append(cnot(s + i, c + last_cols[j], exp, full_frame=True, note="ebit-unstage"))
         tail.extend(sandwich)
 
-    decoder = Circuit(tuple(red.gates) + tuple(tail))
+    decoder = Circuit(reduction.gates + tuple(tail))
 
     # decode-time logical fix-ups: add stabilizer rows to logical rows
     def info_fix(stab: QuantumCheckMatrix, info: QuantumCheckMatrix) -> QuantumCheckMatrix:
@@ -820,8 +848,8 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
             adds = [(2 * logical_cols.index(last_cols[j]), LaurentPoly.term(-g2p[j].dell), s + j) for j in range(cs)]
         else:
             lmat = blocks["L"]
-            adds = [(2 * logical_cols.index(last_cols[i]), lmat[j, i].num.reverse(), n - k1 + s + j)
-                    for i in range(cs) for j in range(cs) if not lmat[j, i].is_zero()]
+            adds = [(2 * logical_cols.index(last_cols[i]), lmat[j][i].reverse(), n - k1 + s + j)
+                    for i in range(cs) for j in range(cs) if lmat[j][i]]
         zn, xn, dens = list(info.zn), list(info.xn), list(info.dens)
         for r, f, srow in adds:  # info row r += f * stabilizer row srow, over the product of their denominators
             di, ds = dens[r], stab.dens[srow]

@@ -1,8 +1,9 @@
-"""Matrices over binary rational functions with Smith normal form machinery.
+"""Laurent grids, the Smith engine and row spaces; PolyMatrix for text.
 
-A PolyMatrix is a dense grid of RationalPoly entries.  Smith reduction works
-on matrices whose entries are Laurent polynomials (denominator 1); rational
-matrices must have their denominators cleared row by row first.
+The algebra works on Laurent grids: lists of rows of LaurentPoly entries.
+A PolyMatrix is an immutable grid of RationalPoly entries, the form that
+`parse_matrix` reads and `format_matrix` prints; `laurent_grid` turns a
+polynomial one into a Laurent grid on entry to the algebra.
 
 The Smith engine is deliberately deterministic: among nonzero entries of the
 working block it always pivots on the one with minimal (deg - del), ties
@@ -11,8 +12,7 @@ the poly module.  Each pass walks the block once, for the pivot and for the
 snapshot that detects a cycle.  The engine keeps no matrix and no record of
 its own: every elementary operation goes straight to a SmithHooks object.
 `invariant_factors` uses GridHooks, which applies the operations to a
-scratch grid; `smith_form` uses MatrixHooks, which also keeps the
-unimodular witnesses.  The code construction uses hooks that turn column
+scratch grid.  The code construction uses hooks that turn column
 operations into circuit gates and row operations into row operations on its
 working check matrix.
 
@@ -28,7 +28,7 @@ compares them, and `rref` divides each row by its pivot once at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DimensionMismatch, InternalError, PolyParseError
 from .poly import (
@@ -44,7 +44,6 @@ from .poly import (
 )
 
 _RZERO = RationalPoly.zero()
-_RONE = RationalPoly.one()
 
 
 class PolyMatrix:
@@ -74,18 +73,7 @@ class PolyMatrix:
     def zero(cls, rows: int, cols: int) -> PolyMatrix:
         return cls([[_RZERO] * cols for _ in range(rows)], cols=cols)
 
-    @classmethod
-    def identity(cls, n: int) -> PolyMatrix:
-        return cls([[_RONE if i == j else _RZERO for j in range(n)] for i in range(n)])
-
-    def to_lists(self) -> list[list[RationalPoly]]:
-        return [list(row) for row in self.entries]
-
     # -- basic structure ---------------------------------------------------
-
-    def __getitem__(self, ij) -> RationalPoly:
-        i, j = ij
-        return self.entries[i][j]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyMatrix) and self.entries == other.entries
@@ -93,46 +81,19 @@ class PolyMatrix:
     def __hash__(self) -> int:
         return hash(self.entries)
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
     def is_polynomial(self) -> bool:
         return all(e.is_polynomial() for row in self.entries for e in row)
 
-    def __add__(self, other: PolyMatrix) -> PolyMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in addition")
-        return PolyMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
-
-    def __mul__(self, other: PolyMatrix) -> PolyMatrix:
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = _RZERO
-                for t in range(self.cols):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
-
-    def transpose(self) -> PolyMatrix:
-        return PolyMatrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def reverse(self) -> PolyMatrix:
-        """Substitute D^-1 for D entrywise."""
-        return PolyMatrix([[e.reverse() for e in row] for row in self.entries])
-
-    def transpose_reverse(self) -> PolyMatrix:
-        """Transpose, then substitute D^-1 entrywise; an involution."""
-        return self.transpose().reverse()
-
     def __repr__(self) -> str:
         return f"PolyMatrix({format_matrix(self)!r})"
+
+
+def laurent_grid(m: PolyMatrix) -> list[list[LaurentPoly]]:
+    """The entries of a polynomial matrix as Laurent rows, the form the algebra works on.
+
+    Raises ValueError on an entry that is not a Laurent polynomial.
+    """
+    return [[e.as_poly() for e in row] for row in m.entries]
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -226,46 +187,28 @@ class SmithEngine:
                 return False
             pi, pj = pos
             # one operation per pass: reductions may shrink (or zero) the
-            # pivot itself, so re-pick after every op
-            dirty = False
-            for j in range(t, self.cols):
-                if j == pj:
-                    continue
-                e = h.entry(pi, j)
+            # pivot itself, so re-pick after every op.  The pivot's row is
+            # cleared by column operations first, then its column by row
+            # operations; each entry is read only when its turn comes.
+            along_row = ((j, h.entry(pi, j), h.col_add, pj) for j in range(t, self.cols) if j != pj)
+            along_col = ((i, h.entry(i, pj), h.row_add, pi) for i in range(t, self.rows) if i != pi)
+            for k, e, add, p in chain(along_row, along_col):
                 if e.is_zero():
                     continue
-                q = self._quotient(e, h.entry(pi, pj), wide)
+                pivot = h.entry(pi, pj)
+                q = self._quotient(e, pivot, wide)
                 if q.is_zero():
                     # the pivot cannot reduce e in the common frame; shrink the pivot instead
-                    q2 = self._quotient(h.entry(pi, pj), e, wide)
-                    h.col_add(j, pj, q2)
+                    add(k, p, self._quotient(pivot, e, wide))
                 else:
-                    h.col_add(pj, j, q)
-                dirty = True
+                    add(p, k, q)
                 break
-            if dirty:
-                continue
-            for i in range(t, self.rows):
-                if i == pi:
-                    continue
-                e = h.entry(i, pj)
-                if e.is_zero():
-                    continue
-                q = self._quotient(e, h.entry(pi, pj), wide)
-                if q.is_zero():
-                    q2 = self._quotient(h.entry(pi, pj), e, wide)
-                    h.row_add(i, pi, q2)
-                else:
-                    h.row_add(pi, i, q)
-                dirty = True
-                break
-            if dirty:
-                continue
-            if pi != t:
-                h.row_swap(t, pi)
-            if pj != t:
-                h.col_swap(t, pj)
-            return True
+            else:
+                if pi != t:
+                    h.row_swap(t, pi)
+                if pj != t:
+                    h.col_swap(t, pj)
+                return True
 
     def run(self) -> int:
         rank = 0
@@ -295,12 +238,10 @@ class SmithEngine:
 
 
 class GridHooks(SmithHooks):
-    """Smith hooks over a plain grid of Laurent entries, with no witnesses."""
+    """Smith hooks over a copy of a grid of Laurent rows."""
 
-    def __init__(self, m: PolyMatrix):
-        if not m.is_polynomial():
-            raise ValueError("Smith reduction requires Laurent polynomial entries; clear denominators first")
-        self.w = [[e.as_poly() for e in row] for row in m.entries]
+    def __init__(self, rows: list[list[LaurentPoly]]):
+        self.w = [list(row) for row in rows]
 
     def entry(self, i, j):
         return self.w[i][j]
@@ -320,94 +261,16 @@ class GridHooks(SmithHooks):
         for r in self.w:
             r[i], r[j] = r[j], r[i]
 
-    def factors(self, rank) -> tuple[tuple[LaurentPoly, ...], tuple[int, ...]]:
-        """The first `rank` diagonal entries split as (delay-free parts, unit exponents)."""
+    def reduce(self) -> tuple[tuple[LaurentPoly, ...], tuple[int, ...]]:
+        """Run the Smith engine on the grid; its nonzero diagonal split as (delay-free parts, unit exponents)."""
+        rank = SmithEngine((len(self.w), len(self.w[0]) if self.w else 0), self).run()
         split = [self.w[i][i].delay_free() for i in range(rank)]
         return tuple(g for g, _ in split), tuple(k for _, k in split)
 
 
-class MatrixHooks(GridHooks):
-    """Grid hooks that also accumulate the unimodular witnesses A and B.
-
-    A and B start as identities and stay sparse for a while, so each update
-    skips the zero source entries.
-    """
-
-    def __init__(self, m: PolyMatrix):
-        super().__init__(m)
-        self.a = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(m.rows)] for i in range(m.rows)]
-        self.b = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(m.cols)] for i in range(m.cols)]
-
-    def row_add(self, src, dst, f):
-        super().row_add(src, dst, f)
-        for r in self.a:  # A := A * T^-1, i.e. A col src += f * A col dst
-            if r[dst]:
-                r[src] = r[src] + f * r[dst]
-
-    def row_swap(self, i, j):
-        super().row_swap(i, j)
-        for r in self.a:
-            r[i], r[j] = r[j], r[i]
-
-    def col_add(self, src, dst, f):
-        super().col_add(src, dst, f)
-        self.b[src] = [a + f * b if b else a for a, b in zip(self.b[src], self.b[dst])]
-
-    def col_swap(self, i, j):
-        super().col_swap(i, j)
-        self.b[i], self.b[j] = self.b[j], self.b[i]
-
-    def scale_a_col(self, i, k):
-        for r in self.a:
-            r[i] = r[i].shift(k)
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """M = A * diag(D^unit_exps[i] * gamma[i]) * B with unimodular A, B.
-
-    gamma entries are normalized delay-free (del = 0); the pure-delay units
-    are reported separately so 'power of D' reads as 'gamma[i] == 1'.
-    """
-
-    a: PolyMatrix
-    gamma: tuple[LaurentPoly, ...]
-    unit_exps: tuple[int, ...]
-    b: PolyMatrix
-
-    @property
-    def rank(self) -> int:
-        return len(self.gamma)
-
-    def diag_extended(self, rows: int, cols: int) -> PolyMatrix:
-        """Normalized factors on the diagonal; the pure-delay units live in A."""
-        grid = [[_RZERO] * cols for _ in range(rows)]
-        for i, g in enumerate(self.gamma):
-            grid[i][i] = RationalPoly(g)
-        return PolyMatrix(grid)
-
-    def reconstruct(self, rows: int, cols: int) -> PolyMatrix:
-        return self.a * self.diag_extended(rows, cols) * self.b
-
-
-def invariant_factors(m: PolyMatrix) -> tuple[tuple[LaurentPoly, ...], tuple[int, ...]]:
-    """(gamma, unit_exps) of `smith_form(m)`, by the same reduction without its witnesses."""
-    hooks = GridHooks(m)
-    return hooks.factors(SmithEngine((m.rows, m.cols), hooks).run())
-
-
-def smith_form(m: PolyMatrix) -> SmithDecomposition:
-    """Smith normal form over GF(2)[D] with Laurent units.
-
-    Rejects matrices with true rational entries; callers clear denominators
-    first (row scalings do not change the invariant factors' delay-free parts).
-    """
-    hooks = MatrixHooks(m)
-    gamma, units = hooks.factors(SmithEngine((m.rows, m.cols), hooks).run())
-    for i, k in enumerate(units):
-        if k:
-            hooks.scale_a_col(i, k)  # fold the unit into A so gamma stays delay-free
-    return SmithDecomposition(a=PolyMatrix(hooks.a), gamma=gamma, unit_exps=units, b=PolyMatrix(hooks.b))
+def invariant_factors(rows: list[list[LaurentPoly]]) -> tuple[tuple[LaurentPoly, ...], tuple[int, ...]]:
+    """(gamma, unit_exps) of a grid of Laurent rows: delay-free invariant factors and their D^k units."""
+    return GridHooks(rows).reduce()
 
 
 # -- row spaces over GF(2)(D) ----------------------------------------------------
@@ -425,7 +288,7 @@ def echelon(rows: list[list[LaurentPoly]]) -> tuple[list[list[LaurentPoly]], tup
     echelon form, so two matrices span the same row space exactly when
     their pivots and echelon rows are equal.
     """
-    rows = [primitive_part(row) for row in rows]
+    rows = [primitive_part(list(row)) for row in rows]
     cols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
@@ -463,28 +326,30 @@ def residue(vec: list[LaurentPoly], rows: list[list[LaurentPoly]], pivots: tuple
     return vec
 
 
-def _numerator_rows(m: PolyMatrix) -> list[list[LaurentPoly]]:
-    """Each row of m as Laurent numerators over its row denominator, which a row space ignores."""
-    return [common_denominator(row)[1] for row in m.entries]
-
-
 def rref(m: PolyMatrix) -> tuple[PolyMatrix, tuple[int, ...]]:
-    """Reduced row echelon form over the rational function field GF(2)(D)."""
-    rows, pivots = echelon(_numerator_rows(m))
+    """Reduced row echelon form over the rational function field GF(2)(D).
+
+    Each row is eliminated as its numerators over its row denominator,
+    which span the same row space.
+    """
+    rows, pivots = echelon([common_denominator(row)[1] for row in m.entries])
     out = [[RationalPoly(e, row[c]) for e in row] for row, c in zip(rows, pivots)]
     out += [[_RZERO] * m.cols for _ in range(m.rows - len(rows))]
     return PolyMatrix(out), pivots
 
 
-def row_space_equal(a: PolyMatrix, *others: PolyMatrix) -> bool:
-    """Whether every matrix of `others` spans the same row space over GF(2)(D) as a.
+def row_space_equal(a: list[list[LaurentPoly]], *others: list[list[LaurentPoly]]) -> bool:
+    """Whether every grid of `others` spans the same row space over GF(2)(D) as the grid a.
 
-    a is eliminated once, however many matrices it is compared with.
+    The rows are Laurent rows, or the numerators of rational rows over
+    their row denominators, which a row space ignores.  Grids whose rows
+    differ in length never match.  a is eliminated once, however many
+    grids it is compared with.
     """
-    if any(b.cols != a.cols for b in others):
+    if len({len(row) for m in (a, *others) for row in m}) > 1:
         return False
-    ea = echelon(_numerator_rows(a))
-    return all(echelon(_numerator_rows(b)) == ea for b in others)
+    ea = echelon(a)
+    return all(echelon(b) == ea for b in others)
 
 
 # -- text format --------------------------------------------------------------

@@ -51,8 +51,8 @@ from typing import NamedTuple
 from .errors import WindowTooSmall
 from .gates import Circuit, QuantumCheckMatrix, SlidingWindowRule, gate_columns, synthesize_infinite_depth, time_reversed_rule
 from .pauli import symplectic_numerator
-from .poly import ONE, LaurentPoly, RationalPoly, divides, series_expand
-from .polymat import PolyMatrix, echelon, residue, row_space_equal
+from .poly import ONE, ZERO, LaurentPoly, RationalPoly, divides, series_expand
+from .polymat import echelon, residue, row_space_equal
 
 
 class TrackState:
@@ -299,7 +299,7 @@ def expand(qcm: QuantumCheckMatrix, window: int, scratch: int = 0) -> BinarySymp
 def _apply_inf(win: BinarySymplecticWindow, q: int, rule: SlidingWindowRule) -> None:
     w = win.window
     f = [0] + [rule.window - a for a, _ in rule.cnot_pattern]  # exponents of the delay-free f
-    inverse = series_expand(RationalPoly(LaurentPoly.one(), LaurentPoly(sum(1 << e for e in f))), 0, w - 1)
+    inverse = series_expand((ONE, LaurentPoly(sum(1 << e for e in f))), 0, w - 1)
     shift, width = rule.scratch_frames, rule.window - 1
     z, x = win.z[q], win.x[q]
     if shift:
@@ -489,10 +489,10 @@ def _interior_match(win_sim, win_alg):
     return compared, mismatches
 
 
-def _sender_numerators(qcm: QuantumCheckMatrix) -> PolyMatrix:
+def _sender_numerators(qcm: QuantumCheckMatrix) -> list[list[LaurentPoly]]:
     """The sender-side numerator rows of qcm (Z half then X half), which span its sender-side row space."""
     alice = qcm.alice_part()
-    return PolyMatrix([z + x for z, x in zip(alice.zn, alice.xn)], cols=2 * alice.cols)
+    return [list(z + x) for z, x in zip(alice.zn, alice.xn)]
 
 
 def verify_code(spec, window: int = 32, scratch: int | None = None) -> VerificationReport:
@@ -526,11 +526,8 @@ def verify_code(spec, window: int = 32, scratch: int | None = None) -> Verificat
         "" if not bad else f"rows {bad[:4]} fail the shifted symplectic product",
     ))
 
-    n = spec.n
-    zero = [RationalPoly.zero()] * n
-    target = PolyMatrix(
-        [list(r) + zero for r in spec.h1.entries] + [zero + list(r) for r in spec.h2.entries]
-    )
+    zero = [ZERO] * spec.n
+    target = [row + zero for row in spec.h1] + [zero + row for row in spec.h2]
     alice = _sender_numerators(spec.final_stabilizer)
     evolved = spec.encoder.apply(spec.bare)
     ok_span = row_space_equal(target, alice, _sender_numerators(evolved))

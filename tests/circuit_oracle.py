@@ -6,7 +6,7 @@ canonical rational functions, so every addition into a rational entry runs
 a gcd, and INF multiplies column a by `1/f` and `f(D^-1)` as `RationalPoly`
 multipliers.  They are copied verbatim; `apply` is the method body, taking
 the circuit first, except that its `freeze` builds each state with the
-`QuantumCheckMatrix` constructor.
+`QuantumCheckMatrix` constructor and it copies rows from `entries`.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ def apply(circuit, qcm, observe=None):
 
     observe(gate, state), when given, sees the frozen state after each gate.
     """
-    z, x = qcm.z.to_lists(), qcm.x.to_lists()
-    iz, ix = (qcm.info.z.to_lists(), qcm.info.x.to_lists()) if qcm.info is not None else ([], [])
+    z, x = ([list(r) for r in m.entries] for m in (qcm.z, qcm.x))
+    iz, ix = ([list(r) for r in m.entries] for m in (qcm.info.z, qcm.info.x)) if qcm.info is not None else ([], [])
     rows = list(zip(z, x)) + list(zip(iz, ix))
 
     def freeze():

@@ -2,6 +2,8 @@
 
 - `ebit_count(h1, h2)`: c = rank of H1(D) H2^T(D^-1), from the invariant
   factors that the construction computes.
+- `numerator_rows(m)`: each row of a `PolyMatrix` as its Laurent numerators
+  over its row denominator, the rows `row_space_equal` takes.
 - `alice_cols(qcm)`: the number of sender columns of a check matrix.
 - `zx_concat(qcm)`: the rows of a check matrix as vectors over 2*cols
   columns, Z half then X half.
@@ -13,16 +15,20 @@
 
 from __future__ import annotations
 
-from eaqconv.construct import _product_factors
+from eaqconv.construct import _product_factors, _reversed_product
 from eaqconv.errors import PolyParseError
 from eaqconv.gates import Circuit, Gate, QuantumCheckMatrix
-from eaqconv.poly import parse_poly
-from eaqconv.polymat import PolyMatrix
+from eaqconv.poly import common_denominator, parse_poly
+from eaqconv.polymat import PolyMatrix, laurent_grid
 
 
 def ebit_count(h1: PolyMatrix, h2: PolyMatrix) -> int:
     """c = rank of H1(D) H2^T(D^-1) over the rational function field."""
-    return len(_product_factors(h1 * h2.transpose_reverse())[0])
+    return len(_product_factors(_reversed_product(laurent_grid(h1), laurent_grid(h2)))[0])
+
+
+def numerator_rows(m: PolyMatrix) -> list:
+    return [common_denominator(row)[1] for row in m.entries]
 
 
 def alice_cols(qcm: QuantumCheckMatrix) -> int:

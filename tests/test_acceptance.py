@@ -30,9 +30,10 @@ from eaqconv.gates import (
 )
 from eaqconv.pauli import shifted_symplectic
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly, series_expand
-from eaqconv.polymat import PolyMatrix, parse_matrix, smith_form
+from eaqconv.polymat import parse_matrix
 from eaqconv.simulate import expand, run_circuit, verify_code
 from pauli_stream import commute_oracle, p2b, parse_stream
+from smith_oracle import PolyMatrix, smith_form
 from support import ebit_count
 from syndrome import ErrorPattern, syndrome
 from verify_oracle import det, rank

@@ -29,9 +29,10 @@ from eaqconv.construct import (
 )
 from eaqconv.gates import format_circuit
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly
-from eaqconv.polymat import PolyMatrix, parse_matrix, row_space_equal, smith_form
+from eaqconv.polymat import PolyMatrix, invariant_factors, laurent_grid, parse_matrix
+from smith_oracle import smith_form
 from support import ebit_count, submatrix, zx_concat
-from verify_oracle import is_commuting, rank
+from verify_oracle import is_commuting, rank, row_space_equal
 
 H_EX1 = parse_matrix("1+D^2, 1+D+D^2")
 H_EX2 = parse_matrix("1, 1+D")
@@ -88,15 +89,19 @@ def _admitted_pairs():
 
 @pytest.mark.parametrize("h1_text, h2_text", _admitted_pairs())
 def test_validate_returns_a_row_basis_of_h1(h1_text, h2_text):
-    """The construction starts its top block from these rows of B instead of reducing H1 again."""
+    """The construction starts its top block from these rows instead of reducing H1 again.
+
+    They are the first rows(H1) rows of the witness B of the Smith oracle's
+    H1 = A [I 0] B, so they span H1's row space and reduce to [I 0] again.
+    """
     h1, h2 = (parse_matrix(t.replace(";", "\n")) for t in (h1_text, h2_text))
-    s = validate_inputs(h1, h2)
+    g1, g2, basis = validate_inputs(h1, h2)
+    assert (g1, g2) == (laurent_grid(h1), laurent_grid(h2))
+    s = smith_form(h1)
     assert s.reconstruct(h1.rows, h1.cols) == h1
-    basis = submatrix(s.b, range(h1.rows), range(h1.cols))
-    assert row_space_equal(basis, h1)
-    factors = smith_form(basis)
-    assert factors.gamma == (LaurentPoly.one(),) * h1.rows
-    assert factors.unit_exps == (0,) * h1.rows
+    assert basis == laurent_grid(submatrix(s.b, range(h1.rows), range(h1.cols)))
+    assert row_space_equal(PolyMatrix(basis), h1)
+    assert invariant_factors(basis) == ((LaurentPoly.one(),) * h1.rows, (0,) * h1.rows)
 
 
 # -- ebit count --------------------------------------------------------------------
@@ -123,7 +128,7 @@ def test_classify_second_example():
     assert tag == CLASS2_SPECIAL
     assert record.c == 1 and record.s == 0
     assert [str(g) for g in record.product_factors] == ["1+D+D^2"]
-    assert record.f_massaged == parse_matrix("1")
+    assert record.f_massaged == laurent_grid(parse_matrix("1"))
 
 
 def test_classify_general_second_class():
@@ -146,26 +151,26 @@ def test_class_builders_reject_wrong_class():
 
 def test_decompose_first_example():
     record = decompose_general(H_EX1, H_EX1)
-    assert record.e_mat == parse_matrix("1")  # E carries the unit product
-    assert record.f_mat.rows == 1 and record.f_mat.cols == 1
+    assert record.e_mat == laurent_grid(parse_matrix("1"))  # E carries the unit product
+    assert len(record.f_mat) == 1 and len(record.f_mat[0]) == 1
 
 
 def test_decompose_second_example():
     record = decompose_general(H_EX2, H_EX2)
-    assert record.e_mat == parse_matrix("D^-1+1+D")
-    assert record.f_massaged == parse_matrix("1")
+    assert record.e_mat == laurent_grid(parse_matrix("D^-1+1+D"))
+    assert record.f_massaged == laurent_grid(parse_matrix("1"))
 
 
 def test_decompose_orthogonal_pair():
     record = decompose_general(parse_matrix("1, 0"), parse_matrix("0, 1"))
-    assert record.e_mat.is_zero()
+    assert not any(e for row in record.e_mat for e in row)
     assert record.c == 0
 
 
 def test_rank_of_cross_block_equals_ebit_count():
     for h1, h2 in ((H_EX1, H_EX1), (H_EX2, H_EX2), (H_GEN2, H_GEN2)):
         record = decompose_general(h1, h2)
-        assert rank(record.e_mat) == record.c
+        assert rank(PolyMatrix(record.e_mat)) == record.c
 
 
 # -- first worked example, display by display -------------------------------------------
@@ -287,7 +292,7 @@ def test_example2_decode_displays():
     # published display prints a zero row, but gates cannot annihilate a row)
     final = states[-1]
     assert final.x == _strip("0, 0, 1/(1+D+D^2)\n1, 0, 0")
-    assert final.z.is_zero()
+    assert not any(e for row in final.zn for e in row)
     assert final.info.x == _strip("0, 1, 0\n0, 0, 0")
     assert final.info.z == _strip("0, 0, 0\n0, 1, 0")
     assert spec.decoded_cols == (0,)

@@ -2,14 +2,15 @@
 
 The construction starts its top block from a row basis of H1 and classifies
 a code by the invariant factors of H1(D) H2^T(D^-1).  The reference for
-both is the rational-matrix path: the first rows(H1) rows of the witness B
-of H1's Smith decomposition H1 = A [I 0] B, and the factors of the product
-formed in `PolyMatrix` arithmetic.  The candidates are the row basis R H1,
-reached by applying the Smith engine's row operations R to a copy of H1,
-and the factors of the product formed on Laurent entries.  Admission
-requires R H1 C = [I 0], so R H1 = [I 0] C^-1 = [I 0] B exactly.  Both must
-match on every admitted pair of both benchmark corpora and on a seeded
-sample of tiers S and M.
+both is the rational-matrix path of the tests' Smith oracle: the first
+rows(H1) rows of the witness B of H1's Smith decomposition H1 = A [I 0] B,
+and the factors of the product formed in `PolyMatrix` arithmetic.  The
+candidates are the row basis R H1 that `validate_inputs` returns, reached
+by applying the Smith engine's row operations R to a copy of H1, and the
+factors of the product that the construction forms on Laurent entries.
+Admission requires R H1 C = [I 0], so R H1 = [I 0] C^-1 = [I 0] B exactly.
+Both must match on every admitted pair of both benchmark corpora and on a
+seeded sample of tiers S and M.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import random
 import sys
 from pathlib import Path
 
-from eaqconv.construct import _product_factors, validate_inputs
+from eaqconv.construct import _product_factors, _reversed_product, validate_inputs
 from eaqconv.errors import ValidationError
-from eaqconv.poly import ZERO, RationalPoly
-from eaqconv.polymat import GridHooks, PolyMatrix, SmithEngine, format_matrix, parse_matrix, smith_form
+from eaqconv.polymat import format_matrix, laurent_grid, parse_matrix
+from smith_oracle import product_factors, smith_form
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,42 +63,6 @@ def _sample_pairs():
 PAIRS = _corpus_pairs() + _sample_pairs()
 
 
-class _RowOps(GridHooks):
-    """Grid hooks that also apply every row operation to a copy of the input."""
-
-    def __init__(self, m):
-        super().__init__(m)
-        self.basis = [list(row) for row in self.w]
-
-    def row_add(self, src, dst, f):
-        super().row_add(src, dst, f)
-        self.basis[dst] = [a + f * b if b else a for a, b in zip(self.basis[dst], self.basis[src])]
-
-    def row_swap(self, i, j):
-        super().row_swap(i, j)
-        self.basis[i], self.basis[j] = self.basis[j], self.basis[i]
-
-
-def _row_basis(h1, h2):
-    hooks = _RowOps(h1)
-    SmithEngine((h1.rows, h1.cols), hooks).run()
-    return hooks.basis
-
-
-def _laurent_product_factors(h1, h2):
-    g1, g2 = ([[e.num for e in row] for row in h.entries] for h in (h1, h2))
-    product = []
-    for r1 in g1:
-        row = []
-        for r2 in g2:
-            acc = ZERO
-            for a, b in zip(r1, r2):
-                acc = acc + a * b.reverse()
-            row.append(acc)
-        product.append(row)
-    return _product_factors(PolyMatrix([[RationalPoly(e) for e in row] for row in product]))
-
-
 def test_the_pairs_cover_both_corpora():
     assert len(PAIRS) == 340 + 36
 
@@ -105,10 +70,10 @@ def test_the_pairs_cover_both_corpora():
 def test_row_basis_is_the_first_rows_of_the_smith_witness():
     for h1, h2 in PAIRS:
         b = smith_form(h1).b
-        assert _row_basis(h1, h2) == [[e.num for e in row] for row in b.entries[:h1.rows]], format_matrix(h1)
+        assert validate_inputs(h1, h2)[2] == [[e.num for e in row] for row in b.entries[:h1.rows]], format_matrix(h1)
 
 
 def test_laurent_product_factors_match_the_rational_product():
     for h1, h2 in PAIRS:
-        expected = _product_factors(h1 * h2.transpose_reverse())
-        assert _laurent_product_factors(h1, h2) == expected, (format_matrix(h1), format_matrix(h2))
+        got = _product_factors(_reversed_product(laurent_grid(h1), laurent_grid(h2)))
+        assert got == product_factors(h1, h2), (format_matrix(h1), format_matrix(h2))

@@ -13,11 +13,12 @@ final grid, which the reduction reached from there by row operations.
 The codes are the first 24 `verify_w64` and the first 16 `build_l` pairs
 of the benchmark's seed-1 corpus, plus a seeded sample of tiers S and M.
 
-`smith_form` is pinned over 500 seeded Laurent matrices (zero rows and
-columns, rank-deficient ones, non-unit factors, D^k units; the width
-fallback fires on 22 of them) as one sha256 of its witnesses, factors and
-units, and on each of them `invariant_factors`, the same reduction with no
-witnesses, must give the same factors and units.  One corpus code on which
+The Smith oracle's `smith_form`, which runs the package's Smith engine, is
+pinned over 500 seeded Laurent matrices (zero rows and columns,
+rank-deficient ones, non-unit factors, D^k units; the width fallback fires
+on 22 of them) as one sha256 of its witnesses, factors and units, and on
+each of them `invariant_factors`, the same reduction with no witnesses,
+must give the same factors and units.  One corpus code on which
 the width fallback fires has its reduction gate log pinned, so the
 engine's pivot and cycle decisions are held fixed where they matter most.
 """
@@ -37,8 +38,8 @@ from eaqconv.cli import _spec_report_json
 from eaqconv.construct import build_code
 from eaqconv.gates import Circuit, QuantumCheckMatrix, format_gate
 from eaqconv.poly import LaurentPoly, RationalPoly
-from eaqconv.polymat import PolyMatrix, format_matrix, invariant_factors, parse_matrix, row_space_equal, smith_form
-from support import zx_concat
+from eaqconv.polymat import PolyMatrix, format_matrix, invariant_factors, laurent_grid, parse_matrix, row_space_equal
+from smith_oracle import smith_form
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "perfbench" / "corpus" / "seed-1.json"
@@ -92,8 +93,8 @@ def test_traced_and_plain_reductions_agree(start):
         assert rp.x == rt.x, (h1, h2)
         assert _spec_report_json(plain) == _spec_report_json(traced), (h1, h2)
         replayed = Circuit(tuple(rp.gates)).apply(_stacked(m1, m2))
-        grid = PolyMatrix([[RationalPoly(e) for e in z + x] for z, x in zip(rp.z, rp.x)])
-        assert row_space_equal(zx_concat(replayed), grid), (h1, h2)
+        rows = [list(z + x) for z, x in zip(replayed.zn, replayed.xn)]
+        assert row_space_equal(rows, [z + x for z, x in zip(rp.z, rp.x)]), (h1, h2)
 
 
 def _laurent(rng):
@@ -143,7 +144,7 @@ def test_smith_form_matches_pinned_digest():
 def test_witness_free_factors_match_smith_form():
     for m in _smith_inputs():
         s = smith_form(m)
-        assert invariant_factors(m) == (s.gamma, s.unit_exps), format_matrix(m)
+        assert invariant_factors(laurent_grid(m)) == (s.gamma, s.unit_exps), format_matrix(m)
 
 
 def test_width_fallback_reduction_matches_pinned_gates(monkeypatch):

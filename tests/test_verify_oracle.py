@@ -2,7 +2,8 @@
 
 `tests/verify_oracle.py` keeps the row-space and symplectic routines that
 ran on normalised `RationalPoly` entries.  Seeded random matrices go through
-both `rref` and `row_space_equal`: polynomial rows, rows with one shared or
+both `rref` and `row_space_equal` (on each row's numerators over its row
+denominator): polynomial rows, rows with one shared or
 distinct denominators, zero and duplicate rows, rank-deficient and
 full-rank shapes, compared with matrices of the same row space (rows scaled
 by rational functions, mixed, permuted, duplicated) and with perturbed ones.
@@ -29,8 +30,10 @@ from eaqconv.construct import build_code
 from eaqconv.gates import Circuit, QuantumCheckMatrix
 from eaqconv.pauli import CheckRow, shifted_symplectic
 from eaqconv.poly import LaurentPoly, RationalPoly
-from eaqconv.polymat import PolyMatrix, parse_matrix, row_space_equal, rref
+from eaqconv.polymat import parse_matrix, row_space_equal, rref
 from eaqconv.simulate import verify_code
+from smith_oracle import PolyMatrix
+from support import numerator_rows
 
 CASES = 300
 ROW_KINDS = ("none", "shared", "distinct", "zero")
@@ -134,6 +137,10 @@ def _features(m):
     return out
 
 
+def _spans_equal(*ms):
+    return row_space_equal(*map(numerator_rows, ms))
+
+
 def test_rref_and_row_spaces_match_the_rational_elimination():
     covered, verdicts = set(), set()
     for seed in range(CASES):
@@ -143,13 +150,13 @@ def test_rref_and_row_spaces_match_the_rational_elimination():
         covered |= _features(m)
         for other in (_same_space(rng, m), _perturbed(rng, m), _matrix(rng)):
             verdict = oracle.row_space_equal(m, other)
-            assert row_space_equal(m, other) == verdict, seed
-            assert row_space_equal(other, m) == oracle.row_space_equal(other, m), seed
+            assert _spans_equal(m, other) == verdict, seed
+            assert _spans_equal(other, m) == oracle.row_space_equal(other, m), seed
             verdicts.add(verdict)
         same, perturbed = _same_space(rng, m), _perturbed(rng, m)
         assert oracle.row_space_equal(m, same), seed
-        assert row_space_equal(m, same, _same_space(rng, m)), seed
-        assert row_space_equal(m, same, perturbed) == oracle.row_space_equal(m, perturbed), seed
+        assert _spans_equal(m, same, _same_space(rng, m)), seed
+        assert _spans_equal(m, same, perturbed) == oracle.row_space_equal(m, perturbed), seed
     assert covered == {
         "zero row", "no denominator", "shared denominator", "distinct denominators",
         "duplicate rows", "full rank", "rank deficient",
@@ -160,8 +167,8 @@ def test_rref_and_row_spaces_match_the_rational_elimination():
 def test_empty_and_zero_matrices():
     for m in (PolyMatrix.zero(0, 3), PolyMatrix.zero(2, 3), PolyMatrix.zero(3, 0)):
         assert rref(m) == oracle.rref(m)
-        assert row_space_equal(m, PolyMatrix.zero(1, m.cols))
-    assert not row_space_equal(PolyMatrix.zero(1, 2), PolyMatrix.zero(1, 3))
+        assert _spans_equal(m, PolyMatrix.zero(1, m.cols))
+    assert not _spans_equal(PolyMatrix.zero(1, 2), PolyMatrix.zero(1, 3))
 
 
 def test_symplectic_products_match_the_rational_sums():
@@ -216,7 +223,7 @@ def test_code_checks_match_the_rational_checks(name, h1, h2):
         assert_same_checks(_spoiled(spec, encoder=Circuit(gates[:i] + gates[i + 1:])))
 
     fs = spec.final_stabilizer
-    grid = fs.z.to_lists()
+    grid = [list(row) for row in fs.z.entries]
     r, c = rng.randrange(fs.rows), rng.randrange(fs.cols)
     grid[r][c] = grid[r][c] + RationalPoly(LaurentPoly.term(1))
     spoiled = QuantumCheckMatrix(PolyMatrix(grid, cols=fs.cols), fs.x, fs.bob_cols, fs.row_labels, fs.info)
@@ -230,7 +237,7 @@ def test_code_checks_match_the_rational_checks(name, h1, h2):
 
         info = spec.bare.info  # the first Z logical scaled by 1+D: a pairing that is no unit
         f = RationalPoly(LaurentPoly(0b11))
-        z, x = info.z.to_lists(), info.x.to_lists()
+        z, x = ([list(row) for row in m.entries] for m in (info.z, info.x))
         z[1], x[1] = [f * e for e in z[1]], [f * e for e in x[1]]
         info = QuantumCheckMatrix(PolyMatrix(z, cols=info.cols), PolyMatrix(x, cols=info.cols), info.bob_cols, info.row_labels)
         bare = spec.bare

@@ -6,9 +6,11 @@ over GF(2)(D) with one gcd per operation (`rref`, `row_space_equal`), the
 shifted symplectic product summed entry by entry (`shifted_symplectic`), the
 full pairwise gram (`symplectic_gram`, the method body taking the check
 matrix first), `_check_decode`, and checks (a)-(c) of `verify_code` as
-`algebra_checks`.  They are copied verbatim; only the imports differ, and
-`zx_concat` and `submatrix` are called as functions of `support`, not as
-methods.
+`algebra_checks`.  They are copied from the package with three changes
+besides the imports: `zx_concat` and `submatrix` are called as functions
+of `support`, not as methods; entries are read from `PolyMatrix.entries`;
+and the input check matrices come as Laurent grids, as a built code
+records them.
 
 `rank`, `det` and `is_commuting` (the `QuantumCheckMatrix` method, taking
 the check matrix first) had no caller in the package and serve the tests
@@ -29,7 +31,7 @@ _RONE = RationalPoly.one()
 
 def rref(m: PolyMatrix) -> tuple[PolyMatrix, tuple[int, ...]]:
     """Reduced row echelon form over the rational function field GF(2)(D)."""
-    rows = m.to_lists()
+    rows = [list(row) for row in m.entries]
     pivots = []
     r = 0
     for c in range(m.cols):
@@ -74,14 +76,14 @@ def det(m: PolyMatrix) -> RationalPoly:
     if n == 0:
         return _RONE
     if n == 1:
-        return m[0, 0]
+        return m.entries[0][0]
     acc = _RZERO
     rest = list(range(1, n))
     for j in range(n):
-        if m[0, j].is_zero():
+        if m.entries[0][j].is_zero():
             continue
         minor = submatrix(m, rest, [c for c in range(n) if c != j])
-        acc = acc + m[0, j] * det(minor)
+        acc = acc + m.entries[0][j] * det(minor)
     return acc
 
 
@@ -157,7 +159,7 @@ def algebra_checks(spec) -> list[CheckResult]:
     checks = []
 
     gram = symplectic_gram(spec.final_stabilizer)
-    bad = [(i, j) for i in range(gram.rows) for j in range(gram.cols) if not gram[i, j].is_zero()]
+    bad = [(i, j) for i in range(gram.rows) for j in range(gram.cols) if not gram.entries[i][j].is_zero()]
     checks.append(CheckResult(
         "commutation",
         not bad,
@@ -167,7 +169,7 @@ def algebra_checks(spec) -> list[CheckResult]:
     n = spec.n
     zero = [RationalPoly.zero()] * n
     target = PolyMatrix(
-        [list(r) + zero for r in spec.h1.entries] + [zero + list(r) for r in spec.h2.entries]
+        [list(r) + zero for r in spec.h1] + [zero + list(r) for r in spec.h2]
     )
     alice = zx_concat(spec.final_stabilizer.alice_part())
     ok_stored = row_space_equal(alice, target)
