@@ -64,19 +64,42 @@ _L1 = LaurentPoly.one()
 
 
 class _RowBasisHooks(GridHooks):
-    """Grid hooks that also apply every row operation R to a copy of the input M: R M."""
+    """Grid hooks that also apply every row operation R to a copy of the input M, which ends as R M."""
 
     def __init__(self, rows):
         super().__init__(rows)
-        self.basis = [list(row) for row in rows]
+        self.copy = GridHooks(rows)
 
     def row_add(self, src, dst, f):
         super().row_add(src, dst, f)
-        self.basis[dst] = [a + f * b if b else a for a, b in zip(self.basis[dst], self.basis[src])]
+        self.copy.row_add(src, dst, f)
 
     def row_swap(self, i, j):
         super().row_swap(i, j)
-        self.basis[i], self.basis[j] = self.basis[j], self.basis[i]
+        self.copy.row_swap(i, j)
+
+
+def _admit(which: str, h: PolyMatrix, hooks_type):
+    """h's Laurent grid and its Smith hooks of type hooks_type after the reduction; raises the error that rejects h."""
+    if h.rows == 0 or h.rows >= h.cols:
+        raise ValidationError(f"{which} must have 1 <= rows < cols, got {h.rows}x{h.cols}")
+    if not h.is_polynomial():
+        raise ValidationError(f"{which} has rational entries")
+    grid = laurent_grid(h)
+    for row in grid:
+        for e in row:
+            if not e.is_zero() and e.dell < 0:
+                raise NotDelayFree(which, e)
+    hooks = hooks_type(grid)
+    gamma, units = hooks.reduce()
+    if len(gamma) < h.rows:
+        raise RankDeficient(which, len(gamma), h.rows)
+    for g, k in zip(gamma, units):
+        if g != _L1:
+            raise CatastrophicInput(which, g.shift(k))
+        if k != 0:
+            raise NotDelayFree(which, g.shift(k))
+    return grid, hooks
 
 
 def validate_inputs(h1: PolyMatrix, h2: PolyMatrix):
@@ -89,30 +112,9 @@ def validate_inputs(h1: PolyMatrix, h2: PolyMatrix):
     """
     if h1.cols != h2.cols:
         raise ValidationError(f"column counts differ: {h1.cols} vs {h2.cols}")
-    grids = []
-    for which, h in (("H1", h1), ("H2", h2)):
-        if h.rows == 0 or h.rows >= h.cols:
-            raise ValidationError(f"{which} must have 1 <= rows < cols, got {h.rows}x{h.cols}")
-        if not h.is_polynomial():
-            raise ValidationError(f"{which} has rational entries")
-        grid = laurent_grid(h)
-        for row in grid:
-            for e in row:
-                if not e.is_zero() and e.dell < 0:
-                    raise NotDelayFree(which, e)
-        hooks = _RowBasisHooks(grid) if which == "H1" else GridHooks(grid)
-        gamma, units = hooks.reduce()
-        if len(gamma) < h.rows:
-            raise RankDeficient(which, len(gamma), h.rows)
-        for g, k in zip(gamma, units):
-            if g != _L1:
-                raise CatastrophicInput(which, g.shift(k))
-            if k != 0:
-                raise NotDelayFree(which, g.shift(k))
-        grids.append(grid)
-        if which == "H1":
-            basis = hooks.basis
-    return grids[0], grids[1], basis
+    g1, reduced = _admit("H1", h1, _RowBasisHooks)
+    g2, _ = _admit("H2", h2, GridHooks)
+    return g1, g2, reduced.copy.w
 
 
 def _reversed_product(a, b):
