@@ -119,17 +119,7 @@ def validate_inputs(h1: PolyMatrix, h2: PolyMatrix):
 
 def _reversed_product(a, b):
     """a(D) b^T(D^-1) for Laurent grids a and b with equal row lengths."""
-    out = []
-    for ra in a:
-        row = []
-        for rb in b:
-            acc = _L0
-            for p, q in zip(ra, rb):
-                if p and q:
-                    acc = acc + p * q.reverse()
-            row.append(acc)
-        out.append(row)
-    return out
+    return [[sum((p * q.reverse() for p, q in zip(ra, rb)), _L0) for rb in b] for ra in a]
 
 
 def _product_factors(grid):
