@@ -4,6 +4,8 @@
   factors that the construction computes.
 - `numerator_rows(m)`: each row of a `PolyMatrix` as its Laurent numerators
   over its row denominator, the rows `row_space_equal` takes.
+- `corpus_items()`: every op of both benchmark corpora (`perfbench/corpus/`
+  seeds 1 and 2) as its JSON item: tier, H1 and H2 text, frozen outcome.
 - `alice_cols(qcm)`: the number of sender columns of a check matrix.
 - `zx_concat(qcm)`: the rows of a check matrix as vectors over 2*cols
   columns, Z half then X half.
@@ -14,6 +16,9 @@
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 from eaqconv.construct import _product_factors, _reversed_product
 from eaqconv.errors import PolyParseError
@@ -29,6 +34,15 @@ def ebit_count(h1: PolyMatrix, h2: PolyMatrix) -> int:
 
 def numerator_rows(m: PolyMatrix) -> list:
     return [common_denominator(row)[1] for row in m.entries]
+
+
+def corpus_items() -> list[dict]:
+    items = []
+    for seed in (1, 2):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / f"seed-{seed}.json"
+        with open(path, encoding="utf-8") as fh:
+            items += [it for workload in json.load(fh).values() for it in workload]
+    return items
 
 
 def alice_cols(qcm: QuantumCheckMatrix) -> int:

@@ -15,7 +15,6 @@ seeded sample of tiers S and M.
 
 from __future__ import annotations
 
-import json
 import random
 import sys
 from pathlib import Path
@@ -24,6 +23,7 @@ from eaqconv.construct import _product_factors, _reversed_product, validate_inpu
 from eaqconv.errors import ValidationError
 from eaqconv.polymat import format_matrix, laurent_grid, parse_matrix
 from smith_oracle import product_factors, smith_form
+from support import corpus_items
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,12 +44,7 @@ def _admitted(pairs):
 
 
 def _corpus_pairs():
-    pairs = []
-    for seed in (1, 2):
-        with open(ROOT / "perfbench" / "corpus" / f"seed-{seed}.json", encoding="utf-8") as fh:
-            corpus = json.load(fh)
-        pairs += [(_matrix(it["h1"]), _matrix(it["h2"])) for items in corpus.values() for it in items]
-    return _admitted(pairs)
+    return _admitted([(_matrix(it["h1"]), _matrix(it["h2"])) for it in corpus_items()])
 
 
 def _sample_pairs():

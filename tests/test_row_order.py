@@ -13,29 +13,22 @@ Every order must give the same `class_tag` and the same (n, k, c).
 
 from __future__ import annotations
 
-import json
 import random
 from itertools import permutations, product
 from math import factorial
-from pathlib import Path
 
 import pytest
 
 from eaqconv.construct import CLASS2, CLASS2_SPECIAL, classify
 from eaqconv.polymat import parse_matrix
+from support import corpus_items
 
-ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ("D+D^2, 1, 1, D^2; 1+D^2, 1, 1+D, 1+D+D^2", "D, 1, 1+D^2, 1+D; D^2, 1+D, D+D^2, D+D^2")
 SUBSET = 48
 
 
 def _class2_codes():
-    codes = []
-    for seed in (1, 2):
-        with open(ROOT / "perfbench" / "corpus" / f"seed-{seed}.json", encoding="utf-8") as fh:
-            corpus = json.load(fh)
-        codes += [(it["h1"], it["h2"]) for items in corpus.values() for it in items
-                  if it["expect"].get("class") in (CLASS2, CLASS2_SPECIAL)]
+    codes = [(it["h1"], it["h2"]) for it in corpus_items() if it["expect"].get("class") in (CLASS2, CLASS2_SPECIAL)]
     return random.Random("row-order").sample(codes, SUBSET)
 
 
