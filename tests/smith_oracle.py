@@ -3,7 +3,14 @@
 The package reduces Laurent grids and keeps only what the construction
 reads: the invariant factors (`eaqconv.polymat.invariant_factors`) and H1's
 row basis (`eaqconv.construct.validate_inputs`).  This module keeps what
-the tests check them against, on the package's own Smith engine:
+the tests check them against, on the package's own Smith engine, and a
+second engine to check that engine against:
+
+- `LaurentSmithEngine`: the Smith engine as it ran on `LaurentPoly`
+  entries, reading each entry through `LaurentHooks.entry` on every pass
+  and handing each operation to the hooks, which own the block;
+  `GridHooks` applies the operations to a copy of a Laurent grid.  It
+  takes the same pivots, quotients and cycle decisions as the package's.
 
 - `PolyMatrix`: the package's `PolyMatrix` with sums, products, transposes,
   D -> D^-1, identities, entry indexing and the zero test.
@@ -17,10 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from itertools import chain
+
 from eaqconv import polymat
-from eaqconv.errors import DimensionMismatch
-from eaqconv.poly import LaurentPoly, RationalPoly
-from eaqconv.polymat import GridHooks, laurent_grid
+from eaqconv.errors import DimensionMismatch, InternalError
+from eaqconv.poly import LaurentPoly, RationalPoly, divides, divmod_shifted, divmod_width
+from eaqconv.polymat import laurent_grid
 
 _RZERO = RationalPoly.zero()
 _RONE = RationalPoly.one()
@@ -78,7 +87,160 @@ class PolyMatrix(polymat.PolyMatrix):
         return self.transpose().reverse()
 
 
-class MatrixHooks(GridHooks):
+_SMITH_CAP = 100_000
+
+
+class LaurentHooks:
+    """Receives every elementary operation of `LaurentSmithEngine`; subclasses own the block, which `entry` reads."""
+
+    def entry(self, i: int, j: int) -> LaurentPoly:
+        raise NotImplementedError
+
+    def row_add(self, src: int, dst: int, f: LaurentPoly):
+        raise NotImplementedError
+
+    def row_swap(self, i: int, j: int):
+        raise NotImplementedError
+
+    def col_add(self, src: int, dst: int, f: LaurentPoly):
+        raise NotImplementedError
+
+    def col_swap(self, i: int, j: int):
+        raise NotImplementedError
+
+
+class LaurentSmithEngine:
+    """Drives a matrix to diagonal form through LaurentHooks callbacks.
+
+    Among nonzero entries of the working block it pivots on the one of least
+    width, the row-major first among equals, and divides with common-shift
+    division until a pass revisits a block state, then with width division.
+    """
+
+    def __init__(self, shape: tuple[int, int], hooks: LaurentHooks, enforce_chain: bool = True):
+        self.rows, self.cols = shape
+        self.hooks = hooks
+        self.enforce_chain = enforce_chain
+        self._budget = _SMITH_CAP
+
+    def _tick(self):
+        self._budget -= 1
+        if self._budget <= 0:
+            raise InternalError("Smith reduction exceeded its operation budget")
+
+    def _scan(self, t, snap):
+        """One walk of block t: its pivot, and its state as a flat tuple when snap is set."""
+        entry = self.hooks.entry
+        best, least = None, None
+        state = [] if snap else None
+        for i in range(t, self.rows):
+            for j in range(t, self.cols):
+                e = entry(i, j)
+                bits = e.bits
+                if snap:
+                    state += (bits, e.low)
+                if bits:
+                    w = bits.bit_length()
+                    if least is None or w < least:
+                        best, least = (i, j), w
+        return best, (tuple(state) if snap else None)
+
+    def _quotient(self, e, pivot, wide):
+        """Reduction quotient for e against pivot; zero means 'flip roles'."""
+        if wide:
+            return divmod_width(e, pivot)[0]
+        return divmod_shifted(e, pivot)[0]
+
+    def _stage(self, t):
+        """Diagonalize position t; returns False when the block is all zero."""
+        h = self.hooks
+        seen = set()
+        wide = False
+        while True:
+            self._tick()
+            pos, snap = self._scan(t, not wide)
+            if not wide:
+                if snap in seen:
+                    wide = True
+                seen.add(snap)
+            if pos is None:
+                return False
+            pi, pj = pos
+            along_row = ((j, h.entry(pi, j), h.col_add, pj) for j in range(t, self.cols) if j != pj)
+            along_col = ((i, h.entry(i, pj), h.row_add, pi) for i in range(t, self.rows) if i != pi)
+            for k, e, add, p in chain(along_row, along_col):
+                if e.is_zero():
+                    continue
+                pivot = h.entry(pi, pj)
+                q = self._quotient(e, pivot, wide)
+                if q.is_zero():
+                    add(k, p, self._quotient(pivot, e, wide))
+                else:
+                    add(p, k, q)
+                break
+            else:
+                if pi != t:
+                    h.row_swap(t, pi)
+                if pj != t:
+                    h.col_swap(t, pj)
+                return True
+
+    def run(self) -> int:
+        rank = 0
+        for t in range(min(self.rows, self.cols)):
+            if not self._stage(t):
+                break
+            rank += 1
+        if self.enforce_chain:
+            self._fix_chain(rank)
+        return rank
+
+    def _fix_chain(self, rank):
+        h = self.hooks
+        i = 0
+        while i < rank - 1:
+            self._tick()
+            a = h.entry(i, i)
+            b = h.entry(i + 1, i + 1)
+            if divides(a, b):
+                i += 1
+                continue
+            h.row_add(i + 1, i, LaurentPoly.one())
+            for t in range(i, rank):
+                self._stage(t)
+            i = 0
+
+
+class GridHooks(LaurentHooks):
+    """LaurentHooks over a copy of a grid of Laurent rows."""
+
+    def __init__(self, rows: list[list[LaurentPoly]]):
+        self.w = [list(row) for row in rows]
+
+    def entry(self, i, j):
+        return self.w[i][j]
+
+    def row_add(self, src, dst, f):
+        self.w[dst] = [a + f * b if b else a for a, b in zip(self.w[dst], self.w[src])]
+
+    def row_swap(self, i, j):
+        self.w[i], self.w[j] = self.w[j], self.w[i]
+
+    def col_add(self, src, dst, f):
+        for r in self.w:
+            if r[src]:
+                r[dst] = r[dst] + f * r[src]
+
+    def col_swap(self, i, j):
+        for r in self.w:
+            r[i], r[j] = r[j], r[i]
+
+    def reduce(self, enforce_chain: bool = True) -> int:
+        """Run `LaurentSmithEngine` on the grid; its rank."""
+        return LaurentSmithEngine((len(self.w), len(self.w[0]) if self.w else 0), self, enforce_chain).run()
+
+
+class MatrixHooks(polymat.GridHooks):
     """Grid hooks that also accumulate the unimodular witnesses A and B.
 
     A and B start as identities and stay sparse for a while, so each update
