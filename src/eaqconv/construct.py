@@ -50,7 +50,7 @@ from .gates import (
     swap,
 )
 from .poly import LaurentPoly, divmod_shifted, lowest_terms
-from .polymat import GridHooks, PolyMatrix, SmithEngine, SmithHooks, invariant_factors, laurent_grid
+from .polymat import PolyMatrix, SmithEngine, SmithHooks, invariant_factors, laurent_grid
 
 CLASS1 = "class1"
 CLASS2 = "class2"
@@ -63,24 +63,12 @@ _L1 = LaurentPoly.one()
 # -- validation ---------------------------------------------------------------
 
 
-class _RowBasisHooks(GridHooks):
-    """Grid hooks that also apply every row operation R to a copy of the input M, which ends as R M."""
+def _admit(which: str, h: PolyMatrix, carry: bool = False):
+    """h's Laurent grid and the Smith engine that reduced it; raises the error that rejects h.
 
-    def __init__(self, rows):
-        super().__init__(rows)
-        self.copy = GridHooks(rows)
-
-    def row_add(self, src, dst, f):
-        super().row_add(src, dst, f)
-        self.copy.row_add(src, dst, f)
-
-    def row_swap(self, i, j):
-        super().row_swap(i, j)
-        self.copy.row_swap(i, j)
-
-
-def _admit(which: str, h: PolyMatrix, hooks_type):
-    """h's Laurent grid and its Smith hooks of type hooks_type after the reduction; raises the error that rejects h."""
+    With carry set the engine carries a copy of h through its row
+    operations R, so `carried()` gives R h.
+    """
     if h.rows == 0 or h.rows >= h.cols:
         raise ValidationError(f"{which} must have 1 <= rows < cols, got {h.rows}x{h.cols}")
     if not h.is_polynomial():
@@ -90,8 +78,8 @@ def _admit(which: str, h: PolyMatrix, hooks_type):
         for e in row:
             if not e.is_zero() and e.dell < 0:
                 raise NotDelayFree(which, e)
-    hooks = hooks_type(grid)
-    gamma, units = hooks.reduce()
+    engine = SmithEngine(grid, carry=grid if carry else None)
+    gamma, units = engine.factors()
     if len(gamma) < h.rows:
         raise RankDeficient(which, len(gamma), h.rows)
     for g, k in zip(gamma, units):
@@ -99,7 +87,7 @@ def _admit(which: str, h: PolyMatrix, hooks_type):
             raise CatastrophicInput(which, g.shift(k))
         if k != 0:
             raise NotDelayFree(which, g.shift(k))
-    return grid, hooks
+    return grid, engine
 
 
 def validate_inputs(h1: PolyMatrix, h2: PolyMatrix):
@@ -112,9 +100,9 @@ def validate_inputs(h1: PolyMatrix, h2: PolyMatrix):
     """
     if h1.cols != h2.cols:
         raise ValidationError(f"column counts differ: {h1.cols} vs {h2.cols}")
-    g1, reduced = _admit("H1", h1, _RowBasisHooks)
-    g2, _ = _admit("H2", h2, GridHooks)
-    return g1, g2, reduced.copy.w
+    g1, engine = _admit("H1", h1, carry=True)
+    g2, _ = _admit("H2", h2)
+    return g1, g2, engine.carried()
 
 
 def _reversed_product(a, b):
@@ -257,13 +245,13 @@ class _Reduction:
 
 
 class _BlockHooks(SmithHooks):
-    """Smith of a block of the Z (side "z") or X (side "x") grid: column ops become gates, row ops stay mental.
+    """Hears the Smith of a block of the Z (side "z") or X (side "x") grid: column ops become gates, row ops stay mental.
 
     identity_rows maps a block column to the row position whose other side
     holds that column's identity entry; gate side effects there are undone
     by row operations.  gamma_f_col0, when set, keeps the F block's diagonal
     at (row position p, F column p) intact under row operations by emitting
-    compensating column gates.
+    compensating column gates.  No side effect reaches the block itself.
     """
 
     def __init__(self, red, side, row0, col0, identity_rows=None, gamma_f_col0=None, note=""):
@@ -273,9 +261,6 @@ class _BlockHooks(SmithHooks):
         self.identity_rows = identity_rows
         self.gamma_f_col0 = gamma_f_col0
         self.note = note
-
-    def entry(self, i, j):
-        return self.grid[self.row0 + i][self.col0 + j]
 
     def col_add(self, src, dst, f):
         self.coladd(self.col0 + src, self.col0 + dst, f, note=self.note)
@@ -304,6 +289,14 @@ class _BlockHooks(SmithHooks):
         self.red.row_swap(self.row0 + i, self.row0 + j)
         if self.gamma_f_col0 is not None:
             self.red.col_swap(self.gamma_f_col0 + i, self.gamma_f_col0 + j, note=self.note)
+
+
+def _reduce_block(red, side, row0, col0, shape, enforce_chain=False, **hooks) -> int:
+    """Smith of the shape block at (row0, col0) of red's Z or X grid, heard by _BlockHooks; its rank."""
+    listener = _BlockHooks(red, side, row0, col0, **hooks)
+    rows, cols = shape
+    block = [row[col0:col0 + cols] for row in listener.grid[row0:row0 + rows]]
+    return SmithEngine(block, listener, enforce_chain).run()
 
 
 def _power_diagonal(grid, row0, col0, count, error, message):
@@ -349,7 +342,7 @@ def _standard_form_stage(red: _Reduction, h1_basis):
     # mental row operations bring the top block to the row basis of H1 that validation found
     red.z[: n - k1] = h1_basis
     # in-place Smith of the bottom block's X side; column ops become gates
-    SmithEngine((n - k2, n), _BlockHooks(red, "x", n - k1, 0, note="standard-form"), enforce_chain=False).run()
+    _reduce_block(red, "x", n - k1, 0, (n - k2, n), note="standard-form")
     for p in range(n - k2):
         pivot = red.x[n - k1 + p][p]
         if pivot.is_zero():
@@ -610,11 +603,7 @@ def _finish_class1(record: DecompositionRecord):
     n, k1, k2, c = red.n, red.k1, red.k2, record.c
     # diagonalize the E block in place (its invariant factors are powers of D)
     identity_rows = {col: n - k1 + col for col in range(n - k2)}
-    SmithEngine(
-        (n - k1, n - k2),
-        _BlockHooks(red, "z", 0, 0, identity_rows=identity_rows, note="E-block"),
-        enforce_chain=False,
-    ).run()
+    _reduce_block(red, "z", 0, 0, (n - k1, n - k2), identity_rows=identity_rows, note="E-block")
     gamma = _power_diagonal(red.z, 0, 0, c, ClassMismatch, "invariant factor {} of E is not a power of D")
     red._snapshot("E diagonalized")
     # swap every column to the Hadamard frame, then clear the ebit rows' F entries
@@ -629,7 +618,7 @@ def _finish_class1(record: DecompositionRecord):
     red._snapshot("ebit cross entries cleared")
     # Smith of the ancilla cross block (now on the X side)
     r2 = n - k1 - c
-    got = SmithEngine((r2, k2), _BlockHooks(red, "x", c, n - k2, note="F2-block"), enforce_chain=False).run()
+    got = _reduce_block(red, "x", c, n - k2, (r2, k2), note="F2-block")
     if got < r2:
         raise InternalError("ancilla cross block lost rank; the input should have been rejected")
     gamma_f = _power_diagonal(red.x, c, n - k2, r2, InternalError, "ancilla cross factor {} is not a power of D")
@@ -669,15 +658,15 @@ def _finish_class2(record: DecompositionRecord):
 
     if special:
         # Smith of the full cross block; its diagonal becomes powers of D
-        got = SmithEngine(
-            (n - k1, k2), _BlockHooks(red, "z", 0, n - k2, note="F-block"), enforce_chain=False
-        ).run()
+        got = _reduce_block(red, "z", 0, n - k2, (n - k1, k2), note="F-block")
         if got < n - k1:
             raise ClassMismatch("special-case cross block lost full row rank")
         _power_diagonal(red.z, 0, n - k2, n - k1, ClassMismatch, "special-case cross factor is not a power of D")
         red._snapshot("F diagonalized")
-    hooks = _BlockHooks(red, "z", 0, 0, identity_rows, gamma_f_col0=n - k2 if special else None, note="E-block")
-    SmithEngine((n - k1, n - k2), hooks, enforce_chain=True).run()
+    _reduce_block(
+        red, "z", 0, 0, (n - k1, n - k2), enforce_chain=True,
+        identity_rows=identity_rows, gamma_f_col0=n - k2 if special else None, note="E-block",
+    )
 
     gamma1, gamma2 = [], []
     for t in range(c):
@@ -706,9 +695,7 @@ def _finish_class2(record: DecompositionRecord):
         r3 = n - k1 - c
         gamma_f3 = []
         if r3 > 0:
-            got = SmithEngine(
-                (r3, k2), _BlockHooks(red, "z", c, n - k2, note="F3-block"), enforce_chain=False
-            ).run()
+            got = _reduce_block(red, "z", c, n - k2, (r3, k2), note="F3-block")
             if got < r3:
                 raise InternalError("ancilla cross block lost rank; the input should have been rejected")
             gamma_f3 = _power_diagonal(red.z, c, n - k2, r3, InternalError, "ancilla cross factor {} is not a power of D")
@@ -730,9 +717,7 @@ def _finish_class2(record: DecompositionRecord):
             col0 = n - k2 + r3 + r
             if n - col0 <= 0:
                 break
-            SmithEngine(
-                (1, n - col0), _BlockHooks(red, "z", s + r, col0, note="L-block"), enforce_chain=False
-            ).run()
+            _reduce_block(red, "z", s + r, col0, (1, n - col0), note="L-block")
         lmat = [[red.z[s + i][n - k2 + r3 + j] for j in range(c - s)] for i in range(c - s)]
         for i in range(c - s):
             for j in range(i + 1, c - s):

@@ -32,12 +32,12 @@ from itertools import chain
 
 from .errors import DimensionMismatch, InternalError, PolyParseError
 from .poly import (
-    divmod_width,
     LaurentPoly,
     RationalPoly,
+    _bits_divmod,
+    _bits_mul,
     common_denominator,
-    divides,
-    divmod_shifted,
+    divmod_width,
     format_rational,
     parse_rational,
     primitive_part,
@@ -102,14 +102,11 @@ _SMITH_CAP = 100_000
 
 
 class SmithHooks:
-    """Receives every elementary operation the Smith engine performs.
+    """Listens to every elementary operation the Smith engine performs on its block.
 
-    Subclasses own the matrix state; the engine only reads entries through
-    `entry` and decides which operation comes next.
+    The engine owns the block; a listener repeats each operation elsewhere,
+    with the multiplier f as a LaurentPoly, and never changes the block.
     """
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        raise NotImplementedError
 
     def row_add(self, src: int, dst: int, f: LaurentPoly):
         raise NotImplementedError
@@ -124,13 +121,55 @@ class SmithHooks:
         raise NotImplementedError
 
 
-class SmithEngine:
-    """Drives a matrix to diagonal form through SmithHooks callbacks."""
+def _pairs(grid):
+    """A Laurent grid as its grid of coefficient masks and its grid of lowest exponents."""
+    return [[e.bits for e in row] for row in grid], [[e.low for e in row] for row in grid]
 
-    def __init__(self, shape: tuple[int, int], hooks: SmithHooks, enforce_chain: bool = True):
-        self.rows, self.cols = shape
+
+def _axpy(ab, al, fb, fl, bb, bl):
+    """(bits, low) of a + f*b for canonical (bits, low) pairs a, f and b, with f and b nonzero.
+
+    f*b is canonical (the product of two masks with bit 0 set has bit 0
+    set), and so is the sum unless both sides start at the same exponent.
+    """
+    pb, pl = _bits_mul(fb, bb), fl + bl
+    if not ab:
+        return pb, pl
+    if al < pl:
+        return ab ^ (pb << (pl - al)), al
+    if pl < al:
+        return (ab << (al - pl)) ^ pb, pl
+    x = ab ^ pb
+    if not x:
+        return 0, 0
+    shift = (x & -x).bit_length() - 1
+    return x >> shift, al + shift
+
+
+def _row_add(bits, lows, src, dst, fb, fl):
+    """Row dst += f * row src of a grid held as masks and lowest exponents."""
+    db, dl = bits[dst], lows[dst]
+    for j, (b, low) in enumerate(zip(bits[src], lows[src])):
+        if b:
+            db[j], dl[j] = _axpy(db[j], dl[j], fb, fl, b, low)
+
+
+class SmithEngine:
+    """Drives a block of Laurent rows to diagonal form on (bits, low) integer pairs.
+
+    The engine reads the block once, into a grid of coefficient masks and a
+    grid of lowest exponents, each entry kept canonical, and does every
+    operation there.  hooks, when given, hears each operation.  carry, when
+    given, is a Laurent grid with as many rows as the block that takes every
+    row operation too, so it ends as R carry for the row operations R.
+    """
+
+    def __init__(self, block, hooks: SmithHooks | None = None, enforce_chain: bool = True, carry=None):
+        self.rows, self.cols = len(block), len(block[0]) if block else 0
+        self.bits, self.lows = _pairs(block)
         self.hooks = hooks
         self.enforce_chain = enforce_chain
+        self._carry = _pairs(carry) if carry is not None else None
         self._budget = _SMITH_CAP
 
     def _tick(self):
@@ -138,32 +177,66 @@ class SmithEngine:
         if self._budget <= 0:
             raise InternalError("Smith reduction exceeded its operation budget")
 
+    def _row_add(self, src, dst, fb, fl):
+        _row_add(self.bits, self.lows, src, dst, fb, fl)
+        if self._carry is not None:
+            _row_add(*self._carry, src, dst, fb, fl)
+        if self.hooks is not None:
+            self.hooks.row_add(src, dst, LaurentPoly(fb, fl))
+
+    def _row_swap(self, i, j):
+        for grid in (self.bits, self.lows, *(self._carry or ())):
+            grid[i], grid[j] = grid[j], grid[i]
+        if self.hooks is not None:
+            self.hooks.row_swap(i, j)
+
+    def _col_add(self, src, dst, fb, fl):
+        for b, low in zip(self.bits, self.lows):
+            if b[src]:
+                b[dst], low[dst] = _axpy(b[dst], low[dst], fb, fl, b[src], low[src])
+        if self.hooks is not None:
+            self.hooks.col_add(src, dst, LaurentPoly(fb, fl))
+
+    def _col_swap(self, i, j):
+        for row in chain(self.bits, self.lows):
+            row[i], row[j] = row[j], row[i]
+        if self.hooks is not None:
+            self.hooks.col_swap(i, j)
+
     def _scan(self, t, snap):
-        """One walk of block t: its pivot, and its state as a flat tuple when snap is set.
+        """One walk of block t: its pivot, and its state as a flat tuple of ints when snap is set.
 
         The pivot is the nonzero entry of least width, the row-major first
-        among equals; it is None when the block is zero.
+        among equals; it is None when the block is zero.  The state lists
+        the masks row by row, then the lowest exponents.
         """
-        entry = self.hooks.entry
         best, least = None, None
-        state = [] if snap else None
         for i in range(t, self.rows):
+            row = self.bits[i]
             for j in range(t, self.cols):
-                e = entry(i, j)
-                bits = e.bits
-                if snap:
-                    state += (bits, e.low)
-                if bits:
-                    w = bits.bit_length()
+                b = row[j]
+                if b:
+                    w = b.bit_length()
                     if least is None or w < least:
                         best, least = (i, j), w
-        return best, (tuple(state) if snap else None)
+        if not snap:
+            return best, None
+        bits, lows = self.bits, self.lows
+        if t:
+            bits, lows = [row[t:] for row in bits[t:]], [row[t:] for row in lows[t:]]
+        return best, tuple(chain(*bits, *lows))
 
-    def _quotient(self, e, pivot, wide):
-        """Reduction quotient for e against pivot; zero means 'flip roles'."""
+    def _quotient(self, eb, el, pb, pl, wide):
+        """Reduction quotient (bits, low) for e against pivot; zero means 'flip roles'."""
         if wide:
-            return divmod_width(e, pivot)[0]
-        return divmod_shifted(e, pivot)[0]
+            q = divmod_width(LaurentPoly(eb, el), LaurentPoly(pb, pl))[0]
+            return q.bits, q.low
+        v = min(el, pl)
+        q = _bits_divmod(eb << (el - v), pb << (pl - v))[0]
+        if not q:
+            return 0, 0
+        shift = (q & -q).bit_length() - 1
+        return q >> shift, shift
 
     def _stage(self, t):
         """Diagonalize position t; returns False when the block is all zero.
@@ -173,7 +246,7 @@ class SmithEngine:
         a state it switches to width-reducing Laurent division, for which
         (deg - del) is a strictly decreasing Euclidean measure.
         """
-        h = self.hooks
+        bits, lows = self.bits, self.lows
         seen = set()
         wide = False
         while True:
@@ -189,26 +262,36 @@ class SmithEngine:
             # one operation per pass: reductions may shrink (or zero) the
             # pivot itself, so re-pick after every op.  The pivot's row is
             # cleared by column operations first, then its column by row
-            # operations; each entry is read only when its turn comes.
-            along_row = ((j, h.entry(pi, j), h.col_add, pj) for j in range(t, self.cols) if j != pj)
-            along_col = ((i, h.entry(i, pj), h.row_add, pi) for i in range(t, self.rows) if i != pi)
-            for k, e, add, p in chain(along_row, along_col):
-                if e.is_zero():
-                    continue
-                pivot = h.entry(pi, pj)
-                q = self._quotient(e, pivot, wide)
-                if q.is_zero():
-                    # the pivot cannot reduce e in the common frame; shrink the pivot instead
-                    add(k, p, self._quotient(pivot, e, wide))
-                else:
-                    add(p, k, q)
-                break
-            else:
-                if pi != t:
-                    h.row_swap(t, pi)
-                if pj != t:
-                    h.col_swap(t, pj)
-                return True
+            # operations.
+            prow = bits[pi]
+            k = next((j for j in range(t, self.cols) if prow[j] and j != pj), None)
+            if k is not None:
+                self._reduce(pi, k, pi, pj, wide)
+                continue
+            k = next((i for i in range(t, self.rows) if bits[i][pj] and i != pi), None)
+            if k is not None:
+                self._reduce(k, pj, pi, pj, wide)
+                continue
+            if pi != t:
+                self._row_swap(t, pi)
+            if pj != t:
+                self._col_swap(t, pj)
+            return True
+
+    def _reduce(self, i, j, pi, pj, wide):
+        """One operation that reduces entry (i, j) against the pivot (pi, pj), in its row or its column.
+
+        An entry of the pivot's row is reduced by a column addition, one of
+        its column by a row addition.  When the pivot cannot reduce the
+        entry in the common frame, the pivot is shrunk instead.
+        """
+        add, k, p = (self._col_add, j, pj) if i == pi else (self._row_add, i, pi)
+        eb, el, pb, pl = self.bits[i][j], self.lows[i][j], self.bits[pi][pj], self.lows[pi][pj]
+        qb, ql = self._quotient(eb, el, pb, pl, wide)
+        if qb:
+            add(p, k, qb, ql)
+        else:
+            add(k, p, *self._quotient(pb, pl, eb, el, wide))
 
     def run(self) -> int:
         rank = 0
@@ -221,56 +304,33 @@ class SmithEngine:
         return rank
 
     def _fix_chain(self, rank):
-        h = self.hooks
         i = 0
         while i < rank - 1:
             self._tick()
-            a = h.entry(i, i)
-            b = h.entry(i + 1, i + 1)
-            if divides(a, b):
+            a, b = self.bits[i][i], self.bits[i + 1][i + 1]
+            if not b or (a and not _bits_divmod(b, a)[1]):  # a | b over the Laurent ring
                 i += 1
                 continue
             # pull the successor into row i and re-diagonalize from there
-            h.row_add(i + 1, i, LaurentPoly.one())
+            self._row_add(i + 1, i, 1, 0)
             for t in range(i, rank):
                 self._stage(t)
             i = 0
 
+    def factors(self) -> tuple[tuple[LaurentPoly, ...], tuple[int, ...]]:
+        """Run the engine; its nonzero diagonal split as (delay-free parts, unit exponents)."""
+        rank = self.run()
+        return tuple(LaurentPoly(self.bits[i][i]) for i in range(rank)), tuple(self.lows[i][i] for i in range(rank))
 
-class GridHooks(SmithHooks):
-    """Smith hooks over a copy of a grid of Laurent rows."""
-
-    def __init__(self, rows: list[list[LaurentPoly]]):
-        self.w = [list(row) for row in rows]
-
-    def entry(self, i, j):
-        return self.w[i][j]
-
-    def row_add(self, src, dst, f):
-        self.w[dst] = [a + f * b if b else a for a, b in zip(self.w[dst], self.w[src])]
-
-    def row_swap(self, i, j):
-        self.w[i], self.w[j] = self.w[j], self.w[i]
-
-    def col_add(self, src, dst, f):
-        for r in self.w:
-            if r[src]:
-                r[dst] = r[dst] + f * r[src]
-
-    def col_swap(self, i, j):
-        for r in self.w:
-            r[i], r[j] = r[j], r[i]
-
-    def reduce(self) -> tuple[tuple[LaurentPoly, ...], tuple[int, ...]]:
-        """Run the Smith engine on the grid; its nonzero diagonal split as (delay-free parts, unit exponents)."""
-        rank = SmithEngine((len(self.w), len(self.w[0]) if self.w else 0), self).run()
-        split = [self.w[i][i].delay_free() for i in range(rank)]
-        return tuple(g for g, _ in split), tuple(k for _, k in split)
+    def carried(self) -> list[list[LaurentPoly]]:
+        """The carried grid as Laurent rows, after the row operations so far."""
+        bits, lows = self._carry
+        return [[LaurentPoly(b, low) for b, low in zip(*rows)] for rows in zip(bits, lows)]
 
 
 def invariant_factors(rows: list[list[LaurentPoly]]) -> tuple[tuple[LaurentPoly, ...], tuple[int, ...]]:
     """(gamma, unit_exps) of a grid of Laurent rows: delay-free invariant factors and their D^k units."""
-    return GridHooks(rows).reduce()
+    return SmithEngine(rows).factors()
 
 
 # -- row spaces over GF(2)(D) ----------------------------------------------------

@@ -6,16 +6,17 @@ row basis (`eaqconv.construct.validate_inputs`).  This module keeps what
 the tests check them against, on the package's own Smith engine, and a
 second engine to check that engine against:
 
-- `LaurentSmithEngine`: the Smith engine as it ran on `LaurentPoly`
-  entries, reading each entry through `LaurentHooks.entry` on every pass
-  and handing each operation to the hooks, which own the block;
+- `LaurentSmithEngine`: the Smith engine as it ran before the package's
+  engine came to own its block as integer pairs.  It reads each entry
+  through `LaurentHooks.entry` on every pass, divides `LaurentPoly`
+  entries, and hands each operation to the hooks, which own the block;
   `GridHooks` applies the operations to a copy of a Laurent grid.  It
   takes the same pivots, quotients and cycle decisions as the package's.
 
 - `PolyMatrix`: the package's `PolyMatrix` with sums, products, transposes,
   D -> D^-1, identities, entry indexing and the zero test.
 - `smith_form(m)`: M = A diag(D^k gamma) B with the unimodular witnesses A
-  and B, which `MatrixHooks` accumulates while the engine runs.
+  and B, which `MatrixHooks` accumulates as it hears the package's engine.
 - `product_factors(h1, h2)`: the invariant factors of H1(D) H2^T(D^-1)
   formed in `PolyMatrix` arithmetic.
 """
@@ -240,35 +241,30 @@ class GridHooks(LaurentHooks):
         return LaurentSmithEngine((len(self.w), len(self.w[0]) if self.w else 0), self, enforce_chain).run()
 
 
-class MatrixHooks(polymat.GridHooks):
-    """Grid hooks that also accumulate the unimodular witnesses A and B.
+class MatrixHooks(polymat.SmithHooks):
+    """Hears the package's Smith engine and accumulates the unimodular witnesses A and B.
 
     A and B start as identities and stay sparse for a while, so each update
     skips the zero source entries.
     """
 
-    def __init__(self, m: polymat.PolyMatrix):
-        super().__init__(laurent_grid(m))
-        self.a = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(m.rows)] for i in range(m.rows)]
-        self.b = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(m.cols)] for i in range(m.cols)]
+    def __init__(self, rows: int, cols: int):
+        self.a = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(rows)] for i in range(rows)]
+        self.b = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(cols)] for i in range(cols)]
 
     def row_add(self, src, dst, f):
-        super().row_add(src, dst, f)
         for r in self.a:  # A := A * T^-1, i.e. A col src += f * A col dst
             if r[dst]:
                 r[src] = r[src] + f * r[dst]
 
     def row_swap(self, i, j):
-        super().row_swap(i, j)
         for r in self.a:
             r[i], r[j] = r[j], r[i]
 
     def col_add(self, src, dst, f):
-        super().col_add(src, dst, f)
         self.b[src] = [a + f * b if b else a for a, b in zip(self.b[src], self.b[dst])]
 
     def col_swap(self, i, j):
-        super().col_swap(i, j)
         self.b[i], self.b[j] = self.b[j], self.b[i]
 
     def scale_a_col(self, i, k):
@@ -311,8 +307,8 @@ def smith_form(m: polymat.PolyMatrix) -> SmithDecomposition:
     denominators first (row scalings do not change the invariant factors'
     delay-free parts).
     """
-    hooks = MatrixHooks(m)
-    gamma, units = hooks.reduce()
+    hooks = MatrixHooks(m.rows, m.cols)
+    gamma, units = polymat.SmithEngine(laurent_grid(m), hooks).factors()
     for i, k in enumerate(units):
         if k:
             hooks.scale_a_col(i, k)  # fold the unit into A so gamma stays delay-free

@@ -30,49 +30,66 @@ from support import corpus_items
 RANDOM_GRIDS = 600
 
 
-class _Logged:
-    """Records every operation as (kind, i, j, f) before the next class in the MRO applies it."""
+class _Log(polymat.SmithHooks):
+    """Hears the package's engine: records every operation as (kind, i, j, f)."""
+
+    def __init__(self):
+        self.ops = []
 
     def row_add(self, src, dst, f):
         self.ops.append(("row_add", src, dst, f))
-        super().row_add(src, dst, f)
 
     def row_swap(self, i, j):
         self.ops.append(("row_swap", i, j, None))
-        super().row_swap(i, j)
 
     def col_add(self, src, dst, f):
         self.ops.append(("col_add", src, dst, f))
-        super().col_add(src, dst, f)
 
     def col_swap(self, i, j):
         self.ops.append(("col_swap", i, j, None))
+
+
+class _OracleLog(GridHooks):
+    """Grid hooks of the oracle engine that record every operation as `_Log` does before applying it."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.log = _Log()
+
+    def row_add(self, src, dst, f):
+        self.log.row_add(src, dst, f)
+        super().row_add(src, dst, f)
+
+    def row_swap(self, i, j):
+        self.log.row_swap(i, j)
+        super().row_swap(i, j)
+
+    def col_add(self, src, dst, f):
+        self.log.col_add(src, dst, f)
+        super().col_add(src, dst, f)
+
+    def col_swap(self, i, j):
+        self.log.col_swap(i, j)
         super().col_swap(i, j)
 
 
-class _OracleLog(_Logged, GridHooks):
-    def __init__(self, rows):
-        super().__init__(rows)
-        self.ops = []
-
-
-class _PackageLog(_Logged, polymat.GridHooks):
-    def __init__(self, rows):
-        super().__init__(rows)
-        self.ops = []
+def _block(engine):
+    """The package engine's block as Laurent rows."""
+    return [[LaurentPoly(b, low) for b, low in zip(*rows)] for rows in zip(engine.bits, engine.lows)]
 
 
 def _package_run(block, enforce_chain):
     """(operations, rank, final block) of the package's engine on a Laurent block."""
-    log = _PackageLog(block)
-    rank = polymat.SmithEngine((len(block), len(block[0]) if block else 0), log, enforce_chain).run()
-    return log.ops, rank, log.w
+    log = _Log()
+    engine = polymat.SmithEngine(block, log, enforce_chain)
+    rank = engine.run()
+    return log.ops, rank, _block(engine)
 
 
 def _oracle_run(block, enforce_chain):
-    log = _OracleLog(block)
-    rank = log.reduce(enforce_chain)
-    return log.ops, rank, log.w
+    hooks = _OracleLog(block)
+    rank = hooks.reduce(enforce_chain)
+    return hooks.log.ops, rank, hooks.w
 
 
 def _assert_same_run(block, enforce_chain):
@@ -140,8 +157,7 @@ def _corpus_blocks():
     run = polymat.SmithEngine.run
 
     def capturing(self):
-        block = tuple(tuple(self.hooks.entry(i, j) for j in range(self.cols)) for i in range(self.rows))
-        blocks.setdefault((block, self.enforce_chain), None)
+        blocks.setdefault((tuple(map(tuple, _block(self))), self.enforce_chain), None)
         return run(self)
 
     with pytest.MonkeyPatch.context() as mp:
