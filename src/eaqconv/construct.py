@@ -324,7 +324,6 @@ class DecompositionRecord:
     s: int
     class_tag: str
     product_factors: tuple[LaurentPoly, ...]
-    product_units: tuple[int, ...]
     e_mat: list[list[LaurentPoly]]
     f_mat: list[list[LaurentPoly]]
     f_massaged: list[list[LaurentPoly]] | None
@@ -427,7 +426,7 @@ def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) 
     h1, h2, h1_basis = validate_inputs(h1, h2)
     n = len(h1[0])
     k1, k2 = n - len(h1), n - len(h2)
-    gammas, units = _product_factors(_reversed_product(h1, h2))
+    gammas, _ = _product_factors(_reversed_product(h1, h2))
     c = len(gammas)
     s = sum(1 for g in gammas if g == _L1)
     # k = k1+k2-n+c >= 0 always: Sylvester's inequality gives
@@ -447,7 +446,7 @@ def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) 
 
     return DecompositionRecord(
         h1=h1, h2=h2, n=n, k1=k1, k2=k2, c=c, s=s, class_tag=tag,
-        product_factors=tuple(gammas), product_units=tuple(units),
+        product_factors=tuple(gammas),
         e_mat=e_mat, f_mat=f_mat, f_massaged=f_massaged, reduction=red,
     )
 
