@@ -439,27 +439,34 @@ def series_expand(r: RationalPoly | tuple[LaurentPoly, LaurentPoly], lo: int, hi
 
 
 def parse_poly(text: str) -> LaurentPoly:
-    """Parse the 'terms joined by +' grammar, e.g. '1+D^2' or 'D^-1+1+D'."""
+    """Parse the 'terms joined by +' grammar, e.g. '1+D^2' or 'D^-1+1+D'.
+
+    Each term's exponent is read in order, and the terms' bits are XORed
+    into one mask, so a repeated term cancels ('1+1' is 0).
+    """
     s = "".join(text.split())
     if not s:
         raise PolyParseError("empty polynomial")
     if s == "0":
         return LaurentPoly.zero()
-    p = LaurentPoly.zero()
+    exps = []
     for term in s.split("+"):
         if term == "1":
-            p = p + ONE
+            exps.append(0)
         elif term == "D":
-            p = p + D
+            exps.append(1)
         elif term.startswith("D^"):
             try:
-                k = int(term[2:])
+                exps.append(int(term[2:]))
             except ValueError:
                 raise PolyParseError(f"bad exponent in term {term!r}") from None
-            p = p + LaurentPoly.term(k)
         else:
             raise PolyParseError(f"bad term {term!r}")
-    return p
+    low = min(exps)
+    bits = 0
+    for k in exps:
+        bits ^= 1 << (k - low)
+    return LaurentPoly(bits, low)
 
 
 def format_poly(p: LaurentPoly) -> str:
@@ -471,6 +478,8 @@ def format_poly(p: LaurentPoly) -> str:
 def parse_rational(text: str) -> RationalPoly:
     """Parse 'f', 'f/g', or the same with parenthesized sides."""
     s = "".join(text.split())
+    if "/" not in s:
+        return RationalPoly(parse_poly(_strip_parens(s)))
     depth = 0
     slash = -1
     for i, ch in enumerate(s):

@@ -8,14 +8,17 @@ the dividend, `bits_gcd` runs the Euclidean algorithm with no shortcut,
 unit into the numerator, then cancel the gcd), `divmod_width` removes
 one quotient term at a time with a `LaurentPoly` add and multiply, and
 `series_expand` builds the inverse series of the denominator one
-coefficient at a time, then multiplies and clips per exponent.  It reuses
-`LaurentPoly` for storage, addition, multiplication and shifts, and
-`_bits_mul`, which the differential test does not replace.
+coefficient at a time, then multiplies and clips per exponent.
+`parse_poly` adds one `LaurentPoly` per term, and `parse_rational` scans
+every cell for a top-level '/'.  It reuses `LaurentPoly` for storage,
+addition, multiplication and shifts, and `_bits_mul` and `_strip_parens`,
+which the differential tests do not replace.
 """
 
 from __future__ import annotations
 
-from eaqconv.poly import LaurentPoly, _bits_mul
+from eaqconv.errors import PolyParseError
+from eaqconv.poly import LaurentPoly, _bits_mul, _strip_parens
 
 
 def bits_divmod(a: int, b: int) -> tuple[int, int]:
@@ -157,3 +160,49 @@ def series_expand(r: RationalPoly, lo: int, hi: int) -> LaurentPoly:
         if lo <= k <= hi:
             out |= 1 << (k - lo)
     return LaurentPoly(out, lo)
+
+
+def parse_poly(text: str) -> LaurentPoly:
+    """The 'terms joined by +' grammar, one LaurentPoly sum per term."""
+    s = "".join(text.split())
+    if not s:
+        raise PolyParseError("empty polynomial")
+    if s == "0":
+        return LaurentPoly.zero()
+    p = LaurentPoly.zero()
+    for term in s.split("+"):
+        if term == "1":
+            p = p + LaurentPoly.one()
+        elif term == "D":
+            p = p + LaurentPoly.term(1)
+        elif term.startswith("D^"):
+            try:
+                k = int(term[2:])
+            except ValueError:
+                raise PolyParseError(f"bad exponent in term {term!r}") from None
+            p = p + LaurentPoly.term(k)
+        else:
+            raise PolyParseError(f"bad term {term!r}")
+    return p
+
+
+def parse_rational(text: str) -> RationalPoly:
+    """'f', 'f/g', or the same with parenthesized sides; every cell is scanned for a top-level '/'."""
+    s = "".join(text.split())
+    depth = 0
+    slash = -1
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "/" and depth == 0:
+            slash = i
+            break
+    if slash < 0:
+        return RationalPoly(parse_poly(_strip_parens(s)))
+    num = parse_poly(_strip_parens(s[:slash]))
+    den = parse_poly(_strip_parens(s[slash + 1:]))
+    if den.is_zero():
+        raise PolyParseError("zero denominator")
+    return RationalPoly(num, den)

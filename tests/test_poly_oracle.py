@@ -10,7 +10,11 @@ rational operands of four kinds (zero, denominator 1, a shared
 denominator, distinct denominators, all with negative `low` allowed)
 through `+`, `*`, `/`, `shift` and `reverse`.  Every result must equal the
 reference exactly and be in canonical form.  Seeded rational functions, with windows below, over
-and above the series' first exponent, go through `series_expand`.
+and above the series' first exponent, go through `series_expand`.  Seeded
+cells, valid and malformed (empty, bad terms, bad exponents, repeated and
+negative exponents, parentheses, 'f/g' with zero denominators), go through
+`parse_poly` and `parse_rational` against the per-term parser: both must
+give the same result, or raise `PolyParseError` with the same message.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import pytest
 
 import poly_oracle as oracle
 from eaqconv import poly
+from eaqconv.errors import PolyParseError
 from eaqconv.poly import LaurentPoly, RationalPoly, format_poly
 
 CASES = 400
@@ -179,3 +184,62 @@ def test_series_expand_matches_per_bit_reference(seed):
                 poly.series_expand(r, lo, hi)
             continue
         assert poly.series_expand(r, lo, hi) == oracle.series_expand(r, lo, hi)
+
+
+_BAD_TERMS = ("Q", "D^x", "D^", "2", "0", "D^1.5", "d", "", "D^--1", "1D")
+
+
+def _sum(rng):
+    """Terms joined by '+', with spaces; repeats, negative exponents and now and then a bad term."""
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        roll = rng.random()
+        if roll < 0.06:
+            terms.append(rng.choice(_BAD_TERMS))
+        elif roll < 0.2 and terms:
+            terms.append(rng.choice(terms))
+        else:
+            k = rng.randint(-9, 9)
+            terms.append("1" if k == 0 else "D" if k == 1 and rng.random() < 0.5 else f"D^{k}")
+    if rng.random() < 0.03:
+        return rng.choice(("", "  ", "0"))
+    return rng.choice(("+", " + ", "+ ")).join(terms)
+
+
+def _cell(rng):
+    """A matrix cell: a sum, or f/g, either side in parentheses now and then."""
+    def side():
+        s = _sum(rng)
+        return f"({s})" if rng.random() < 0.3 else s
+
+    if rng.random() < 0.4:
+        return side()
+    den = rng.choice(("0", "1+1")) if rng.random() < 0.1 else side()
+    return f"{side()}/{den}"
+
+
+def _same_parse(parse, reference, text):
+    """Both parsers give equal results, or raise PolyParseError with the same message; True on an error."""
+    try:
+        want = reference(text)
+    except PolyParseError as exc:
+        with pytest.raises(PolyParseError) as got:
+            parse(text)
+        assert str(got.value) == str(exc), text
+        return True
+    got = parse(text)
+    if isinstance(want, LaurentPoly):
+        assert got == want, text
+    else:
+        assert (got.num, got.den) == (want.num, want.den), text
+    return False
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_parser_matches_per_term_reference(seed):
+    rng = random.Random(f"parse/{seed}")
+    errors = 0
+    for _ in range(CASES):
+        errors += _same_parse(poly.parse_poly, oracle.parse_poly, _sum(rng))
+        errors += _same_parse(poly.parse_rational, oracle.parse_rational, _cell(rng))
+    assert CASES // 10 <= errors <= CASES
