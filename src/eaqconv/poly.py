@@ -71,14 +71,15 @@ class LaurentPoly:
     def __init__(self, bits: int = 0, low: int = 0):
         if bits < 0:
             raise ValueError("coefficient mask must be nonnegative")
-        if bits == 0:
-            low = 0
-        else:
-            shift = (bits & -bits).bit_length() - 1
-            bits >>= shift
-            low += shift
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "low", low)
+        if not bits & 1:
+            if bits:
+                shift = (bits & -bits).bit_length() - 1
+                bits >>= shift
+                low += shift
+            else:
+                low = 0
+        _set_bits(self, bits)
+        _set_low(self, low)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -185,6 +186,11 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({format_poly(self)!r})"
+
+
+# the slots' own setters, which bypass the __setattr__ that keeps LaurentPoly immutable
+_set_bits = LaurentPoly.bits.__set__
+_set_low = LaurentPoly.low.__set__
 
 
 def divmod_shifted(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

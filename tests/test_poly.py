@@ -34,6 +34,19 @@ nonzero_laurents = laurents.filter(bool)
 # -- add / mul / reverse ----------------------------------------------------
 
 
+def test_laurent_poly_is_immutable_and_canonical():
+    p = LaurentPoly(6, 0)
+    assert p == LaurentPoly(3, 1)
+    assert (p.bits, p.low) == (3, 1)
+    for name in ("bits", "low"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 1)
+    assert (p.bits, p.low) == (3, 1)
+    assert (LaurentPoly(0, 5).bits, LaurentPoly(0, 5).low) == (0, 0)
+    with pytest.raises(ValueError):
+        LaurentPoly(-1, 0)
+
+
 def test_add_characteristic_two():
     assert P("1+D") + P("1+D") == ZERO
 
