@@ -224,7 +224,9 @@ class SmithEngine:
         bits, lows = self.bits, self.lows
         if t:
             bits, lows = [row[t:] for row in bits[t:]], [row[t:] for row in lows[t:]]
-        return best, tuple(chain(*bits, *lows))
+        # (*it,) allocates the tuple at its final size; tuple(it) would grow it
+        # by resizing, so freed snapshots would pile up in the tuple free list
+        return best, (*chain(*bits, *lows),)
 
     def _quotient(self, eb, el, pb, pl, wide):
         """Reduction quotient (bits, low) for e against pivot; zero means 'flip roles'."""
