@@ -7,12 +7,16 @@ polynomial one into a Laurent grid on entry to the algebra.
 
 The Smith engine is deliberately deterministic: among nonzero entries of the
 working block it always pivots on the one with minimal (deg - del), ties
-broken row-major, and divides with the common-shift polynomial division from
-the poly module.  Each pass walks the block once, for the pivot and for the
-snapshot that detects a cycle.  The engine keeps no matrix and no record of
-its own: every elementary operation goes straight to a SmithHooks object.
-`invariant_factors` uses GridHooks, which applies the operations to a
-scratch grid.  The code construction uses hooks that turn column
+broken row-major, and divides with common-shift GF(2)[D] division until a
+pass revisits a block state, then with `divmod_width`.  The engine owns its
+block: it reads the Laurent rows once into (bits, low) integer pairs, and
+scans, snapshots, divides and applies every operation on those ints, with
+no LaurentPoly per entry.  SmithHooks only listen: each row or column
+addition or swap reaches them after the block has taken it, with the
+multiplier built as a LaurentPoly, and nothing they do reaches the block.
+`invariant_factors` runs the engine with no listener and reads its
+diagonal; validation carries a copy of H1 through the row operations for
+its row basis.  The code construction listens with hooks that turn column
 operations into circuit gates and row operations into row operations on its
 working check matrix.
 
@@ -248,7 +252,7 @@ class SmithEngine:
         a state it switches to width-reducing Laurent division, for which
         (deg - del) is a strictly decreasing Euclidean measure.
         """
-        bits, lows = self.bits, self.lows
+        bits = self.bits
         seen = set()
         wide = False
         while True:
