@@ -24,7 +24,6 @@ second engine to check that engine against:
 from __future__ import annotations
 
 from dataclasses import dataclass
-
 from itertools import chain
 
 from eaqconv import polymat
