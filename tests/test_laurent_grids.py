@@ -1,4 +1,4 @@
-"""Differential test: H1's row basis and the invariant factors of H1 H2~ on Laurent grids.
+"""Differential test: H1's row basis and the classification's invariant factors on Laurent grids.
 
 The construction starts its top block from a row basis of H1 and classifies
 a code by the invariant factors of H1(D) H2^T(D^-1).  The reference for
@@ -7,10 +7,11 @@ rows(H1) rows of the witness B of H1's Smith decomposition H1 = A [I 0] B,
 and the factors of the product formed in `PolyMatrix` arithmetic.  The
 candidates are the row basis R H1 that `validate_inputs` returns, reached
 by applying the Smith engine's row operations R to a copy of H1, and the
-factors of the product that the construction forms on Laurent entries.
-Admission requires R H1 C = [I 0], so R H1 = [I 0] C^-1 = [I 0] B exactly.
-Both must match on every admitted pair of both benchmark corpora and on a
-seeded sample of tiers S and M.
+factors that the classification records.  Admission requires
+R H1 C = [I 0], so R H1 = [I 0] C^-1 = [I 0] B exactly.  Both must match
+on every admitted pair of both benchmark corpora and on a seeded sample of
+tiers S and M; the factors also on a larger seeded sample of tiers S, M
+and L.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import random
 import sys
 from pathlib import Path
 
-from eaqconv.construct import _product_factors, _reversed_product, validate_inputs
+from eaqconv.construct import decompose_general, validate_inputs
 from eaqconv.errors import ValidationError
-from eaqconv.polymat import format_matrix, laurent_grid, parse_matrix
+from eaqconv.polymat import format_matrix, invariant_factors, parse_matrix
 from smith_oracle import product_factors, smith_form
 from support import corpus_items
 
@@ -47,15 +48,17 @@ def _corpus_pairs():
     return _admitted([(_matrix(it["h1"]), _matrix(it["h2"])) for it in corpus_items()])
 
 
-def _sample_pairs():
+def _sample_pairs(seed, counts):
+    """Seeded admitted pairs, counts[t] of them from tier t's generator."""
     sys.path.insert(0, str(ROOT / "scripts"))
     from random_code_sweep import random_pair
 
-    rng = random.Random("laurent-grids")
-    return [random_pair(rng, 4, 2) for _ in range(24)] + [random_pair(rng, 6, 3) for _ in range(12)]
+    rng = random.Random(seed)
+    return [random_pair(rng, *TIERS[t]) for t, count in counts.items() for _ in range(count)]
 
 
-PAIRS = _corpus_pairs() + _sample_pairs()
+TIERS = {"S": (4, 2), "M": (6, 3), "L": (8, 4)}  # tier -> (n_max, deg_max), as in perfbench/corpus.py
+PAIRS = _corpus_pairs() + _sample_pairs("laurent-grids", {"S": 24, "M": 12})
 
 
 def test_the_pairs_cover_both_corpora():
@@ -69,6 +72,7 @@ def test_row_basis_is_the_first_rows_of_the_smith_witness():
 
 
 def test_laurent_product_factors_match_the_rational_product():
-    for h1, h2 in PAIRS:
-        got = _product_factors(_reversed_product(laurent_grid(h1), laurent_grid(h2)))
-        assert got == product_factors(h1, h2), (format_matrix(h1), format_matrix(h2))
+    sample = _sample_pairs("laurent-grids/classify", {"S": 280, "M": 180, "L": 100})
+    for h1, h2 in PAIRS + sample:
+        got = list(invariant_factors(decompose_general(h1, h2).e_mat)[0])
+        assert got == product_factors(h1, h2)[0], (format_matrix(h1), format_matrix(h2))
