@@ -14,7 +14,8 @@ The pipeline reduces the stacked quantum check matrix
 to a standard form by mental row operations and recorded column operations
 (gates).  The recorded gates, replayed in reverse on a bare stream of ebits,
 ancillas and information qubits, form the encoder.  Codes split into classes
-by the invariant factors of H1(D) H2^T(D^-1):
+by the invariant factors of H1(D) H2^T(D^-1), which the classification reads
+from the E block of the standard form (see `DecompositionRecord`):
 
   class 1          all factors are powers of D; encoder and decoder are
                    finite depth.
@@ -103,22 +104,6 @@ def validate_inputs(h1: PolyMatrix, h2: PolyMatrix):
     g1, engine = _admit("H1", h1, carry=True)
     g2, _ = _admit("H2", h2)
     return g1, g2, engine.carried()
-
-
-def _reversed_product(a, b):
-    """a(D) b^T(D^-1) for Laurent grids a and b with equal row lengths."""
-    return [[sum((p * q.reverse() for p, q in zip(ra, rb)), _L0) for rb in b] for ra in a]
-
-
-def _product_factors(grid):
-    """Normalized invariant factors of a Laurent grid, each row first shifted to lowest exponent >= 0."""
-    rows = []
-    for row in grid:
-        exps = [e.dell for e in row if not e.is_zero()]
-        shift = -min(exps) if exps and min(exps) < 0 else 0
-        rows.append([e.shift(shift) for e in row])
-    gamma, units = invariant_factors(rows)
-    return list(gamma), list(units)
 
 
 # -- the working reduction state ------------------------------------------------
@@ -313,7 +298,17 @@ def _power_diagonal(grid, row0, col0, count, error, message):
 
 @dataclass
 class DecompositionRecord:
-    """The classification of a pair; h1, h2 and the E and F blocks are Laurent grids."""
+    """The classification of a pair; h1, h2 and the E and F blocks are Laurent grids.
+
+    product_factors holds the delay-free invariant factors of the standard
+    form's E block, each dividing the next; c is their number and s the
+    number equal to 1.  They are the factors of H1(D) H2^T(D^-1): entry
+    (i, j) of that product is the shifted symplectic product of row i of
+    [H1 | 0] and row j of [0 | H2].  Gates keep every such product, the
+    mental row operations are unimodular, and the standard form's rows are
+    [E F | 0] over [0 | I 0], so E equals H1 H2~ up to unimodular row
+    and column operations.
+    """
 
     h1: list[list[LaurentPoly]]
     h2: list[list[LaurentPoly]]
@@ -415,27 +410,24 @@ def _f_block(red: _Reduction):
 
 def _special_condition(f) -> bool:
     """Full row rank with every invariant factor a power of D."""
-    if not any(e for row in f for e in row):
-        return False
-    gammas, _ = _product_factors(f)
+    gammas, _ = invariant_factors(f)
     return len(gammas) == len(f) and all(g == _L1 for g in gammas)
 
 
 def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) -> DecompositionRecord:
-    """Validate, reduce to the standard form, classify, and record everything."""
+    """Validate, reduce to the standard form, classify from it, and record everything."""
     h1, h2, h1_basis = validate_inputs(h1, h2)
     n = len(h1[0])
     k1, k2 = n - len(h1), n - len(h2)
-    gammas, _ = _product_factors(_reversed_product(h1, h2))
-    c = len(gammas)
-    s = sum(1 for g in gammas if g == _L1)
-    # k = k1+k2-n+c >= 0 always: Sylvester's inequality gives
-    # c = rank(H1 H2~) >= (n-k1) + (n-k2) - n
-
     red = _Reduction(h1, h2, want_trace=want_trace)
     _standard_form_stage(red, h1_basis)
     e_mat = _e_block(red)
     f_mat = _f_block(red)
+    gammas, _ = invariant_factors(e_mat)
+    c = len(gammas)
+    s = sum(1 for g in gammas if g == _L1)
+    # k = k1+k2-n+c >= 0 always: Sylvester's inequality gives
+    # c = rank(H1 H2~) >= (n-k1) + (n-k2) - n
     f_massaged = None
     if s == c:
         tag = CLASS1
@@ -446,7 +438,7 @@ def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) 
 
     return DecompositionRecord(
         h1=h1, h2=h2, n=n, k1=k1, k2=k2, c=c, s=s, class_tag=tag,
-        product_factors=tuple(gammas),
+        product_factors=gammas,
         e_mat=e_mat, f_mat=f_mat, f_massaged=f_massaged, reduction=red,
     )
 

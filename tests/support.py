@@ -1,7 +1,8 @@
 """API that only the tests use, kept out of the package.
 
-- `ebit_count(h1, h2)`: c = rank of H1(D) H2^T(D^-1), from the invariant
-  factors that the construction computes.
+- `ebit_count(h1, h2)`: c = rank of H1(D) H2^T(D^-1), the number of
+  invariant factors of the product that `smith_oracle.product_factors`
+  forms in rational matrix arithmetic.
 - `numerator_rows(m)`: each row of a `PolyMatrix` as its Laurent numerators
   over its row denominator, the rows `row_space_equal` takes.
 - `corpus_items()`: every op of both benchmark corpora (`perfbench/corpus/`
@@ -20,16 +21,16 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from eaqconv.construct import _product_factors, _reversed_product
 from eaqconv.errors import PolyParseError
 from eaqconv.gates import Circuit, Gate, QuantumCheckMatrix
 from eaqconv.poly import common_denominator, parse_poly
-from eaqconv.polymat import PolyMatrix, laurent_grid
+from eaqconv.polymat import PolyMatrix
+from smith_oracle import product_factors
 
 
 def ebit_count(h1: PolyMatrix, h2: PolyMatrix) -> int:
-    """c = rank of H1(D) H2^T(D^-1) over the rational function field."""
-    return len(_product_factors(_reversed_product(laurent_grid(h1), laurent_grid(h2)))[0])
+    """c = rank of H1(D) H2^T(D^-1) over the rational function field, from the oracle's product."""
+    return len(product_factors(h1, h2)[0])
 
 
 def numerator_rows(m: PolyMatrix) -> list:
