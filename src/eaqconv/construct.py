@@ -51,7 +51,7 @@ from .gates import (
     swap,
 )
 from .poly import LaurentPoly, divmod_shifted, lowest_terms
-from .polymat import PolyMatrix, SmithEngine, SmithHooks, invariant_factors, laurent_grid
+from .polymat import PolyMatrix, SmithEngine, SmithHooks, invariant_factors, laurent_grid, replay, row_image
 
 CLASS1 = "class1"
 CLASS2 = "class2"
@@ -64,12 +64,8 @@ _L1 = LaurentPoly.one()
 # -- validation ---------------------------------------------------------------
 
 
-def _admit(which: str, h: PolyMatrix, carry: bool = False):
-    """h's Laurent grid and the Smith engine that reduced it; raises the error that rejects h.
-
-    With carry set the engine carries a copy of h through its row
-    operations R, so `carried()` gives R h.
-    """
+def _admit(which: str, h: PolyMatrix):
+    """h's Laurent grid and the operation log of its Smith reduction; raises the error that rejects h."""
     if h.rows == 0 or h.rows >= h.cols:
         raise ValidationError(f"{which} must have 1 <= rows < cols, got {h.rows}x{h.cols}")
     if not h.is_polynomial():
@@ -79,7 +75,7 @@ def _admit(which: str, h: PolyMatrix, carry: bool = False):
         for e in row:
             if not e.is_zero() and e.dell < 0:
                 raise NotDelayFree(which, e)
-    engine = SmithEngine(grid, carry=grid if carry else None)
+    engine = SmithEngine(grid)
     gamma, units = engine.factors()
     if len(gamma) < h.rows:
         raise RankDeficient(which, len(gamma), h.rows)
@@ -88,22 +84,24 @@ def _admit(which: str, h: PolyMatrix, carry: bool = False):
             raise CatastrophicInput(which, g.shift(k))
         if k != 0:
             raise NotDelayFree(which, g.shift(k))
-    return grid, engine
+    return grid, engine.ops
 
 
 def validate_inputs(h1: PolyMatrix, h2: PolyMatrix):
     """Admit a pair of check matrices for noncatastrophic delay-free encoders.
 
-    Returns the Laurent grids of H1 and H2 and a row basis R H1 of H1,
-    with R the row operations of H1's Smith reduction R H1 C = [I 0].
-    R is unimodular, so R H1 spans H1's row space, and R H1 = [I 0] C^-1.
-    H2 needs only its invariant factors.
+    Returns the Laurent grids of H1 and H2, a row basis R H1 of H1, and
+    the operation log of H2's Smith reduction.  R is the row operations of
+    H1's Smith reduction R H1 C = [I 0], applied to H1 once both matrices
+    are admitted; R is unimodular, so R H1 spans H1's row space, and
+    R H1 = [I 0] C^-1.  H2's reduction ends in [I 0] exactly, and the
+    standard form replays its log instead of reducing H2 again.
     """
     if h1.cols != h2.cols:
         raise ValidationError(f"column counts differ: {h1.cols} vs {h2.cols}")
-    g1, engine = _admit("H1", h1, carry=True)
-    g2, _ = _admit("H2", h2)
-    return g1, g2, engine.carried()
+    g1, h1_ops = _admit("H1", h1)
+    g2, h2_ops = _admit("H2", h2)
+    return g1, g2, row_image(h1_ops, g1), h2_ops
 
 
 # -- the working reduction state ------------------------------------------------
@@ -276,12 +274,14 @@ class _BlockHooks(SmithHooks):
             self.red.col_swap(self.gamma_f_col0 + i, self.gamma_f_col0 + j, note=self.note)
 
 
-def _reduce_block(red, side, row0, col0, shape, enforce_chain=False, **hooks) -> int:
-    """Smith of the shape block at (row0, col0) of red's Z or X grid, heard by _BlockHooks; its rank."""
+def _reduce_block(red, side, row0, col0, shape, **hooks) -> int:
+    """Smith of the shape block at (row0, col0) of red's Z or X grid, replayed to _BlockHooks; its rank."""
     listener = _BlockHooks(red, side, row0, col0, **hooks)
     rows, cols = shape
-    block = [row[col0:col0 + cols] for row in listener.grid[row0:row0 + rows]]
-    return SmithEngine(block, listener, enforce_chain).run()
+    engine = SmithEngine([row[col0:col0 + cols] for row in listener.grid[row0:row0 + rows]])
+    rank = engine.run()
+    replay(engine.ops, listener)
+    return rank
 
 
 def _power_diagonal(grid, row0, col0, count, error, message):
@@ -330,22 +330,18 @@ class DecompositionRecord:
         return self.k1 + self.k2 - self.n + self.c
 
 
-def _standard_form_stage(red: _Reduction, h1_basis):
-    """Row-reduce the top block, then column-reduce the bottom block to [I 0]."""
-    n, k1, k2 = red.n, red.k1, red.k2
-    # mental row operations bring the top block to the row basis of H1 that validation found
+def _standard_form_stage(red: _Reduction, h1_basis, h2_ops):
+    """Row-reduce the top block to H1's row basis, then column-reduce the bottom block to [I 0].
+
+    Both come from validation.  The bottom X block is H2, and admission's
+    Smith reduction of H2 ended in [I 0] exactly, so replaying its log
+    through _BlockHooks turns its column operations into gates and leaves
+    that block at [I 0], with no row scaling.
+    """
+    n, k1 = red.n, red.k1
+    # mental row operations bring the top block to the row basis of H1
     red.z[: n - k1] = h1_basis
-    # in-place Smith of the bottom block's X side; column ops become gates
-    _reduce_block(red, "x", n - k1, 0, (n - k2, n), note="standard-form")
-    for p in range(n - k2):
-        pivot = red.x[n - k1 + p][p]
-        if pivot.is_zero():
-            raise RankDeficient("H2", p, n - k2)
-        df, k = pivot.delay_free()
-        if df != _L1:
-            raise CatastrophicInput("H2", pivot)
-        if k != 0:
-            red.row_scale(n - k1 + p, -k)
+    replay(h2_ops, _BlockHooks(red, "x", n - k1, 0, note="standard-form"))
     red._snapshot("standard form")
 
 
@@ -416,11 +412,11 @@ def _special_condition(f) -> bool:
 
 def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) -> DecompositionRecord:
     """Validate, reduce to the standard form, classify from it, and record everything."""
-    h1, h2, h1_basis = validate_inputs(h1, h2)
+    h1, h2, h1_basis, h2_ops = validate_inputs(h1, h2)
     n = len(h1[0])
     k1, k2 = n - len(h1), n - len(h2)
     red = _Reduction(h1, h2, want_trace=want_trace)
-    _standard_form_stage(red, h1_basis)
+    _standard_form_stage(red, h1_basis, h2_ops)
     e_mat = _e_block(red)
     f_mat = _f_block(red)
     gammas, _ = invariant_factors(e_mat)
@@ -655,7 +651,7 @@ def _finish_class2(record: DecompositionRecord):
         _power_diagonal(red.z, 0, n - k2, n - k1, ClassMismatch, "special-case cross factor is not a power of D")
         red._snapshot("F diagonalized")
     _reduce_block(
-        red, "z", 0, 0, (n - k1, n - k2), enforce_chain=True,
+        red, "z", 0, 0, (n - k1, n - k2),
         identity_rows=identity_rows, gamma_f_col0=n - k2 if special else None, note="E-block",
     )
 

@@ -8,17 +8,16 @@ polynomial one into a Laurent grid on entry to the algebra.
 The Smith engine is deliberately deterministic: among nonzero entries of the
 working block it always pivots on the one with minimal (deg - del), ties
 broken row-major, and divides with common-shift GF(2)[D] division until a
-pass revisits a block state, then with `divmod_width`.  The engine owns its
-block: it reads the Laurent rows once into (bits, low) integer pairs, and
-scans, snapshots, divides and applies every operation on those ints, with
-no LaurentPoly per entry.  SmithHooks only listen: each row or column
-addition or swap reaches them after the block has taken it, with the
-multiplier built as a LaurentPoly, and nothing they do reaches the block.
-`invariant_factors` runs the engine with no listener and reads its
-diagonal; validation carries a copy of H1 through the row operations for
-its row basis.  The code construction listens with hooks that turn column
-operations into circuit gates and row operations into row operations on its
-working check matrix.
+pass revisits a block state, then with `divmod_width`; it always ends with
+each diagonal entry dividing the next.  The engine owns its block: it reads
+the Laurent rows once into (bits, low) integer pairs, and scans, snapshots,
+divides and applies every operation on those ints, with no LaurentPoly per
+entry.  It logs each row or column addition or swap, and nothing outside
+it touches the block during the run.  `invariant_factors` runs the engine
+and reads its diagonal; validation applies the log's row operations to H1
+(`row_image`) for its row basis.  The code construction `replay`s a log
+after the run to SmithHooks that turn column operations into circuit gates
+and row operations into row operations on its working check matrix.
 
 Row spaces over GF(2)(D) are computed on Laurent numerators, with no
 rational arithmetic.  Each row is written over one GF(2)[D] row denominator
@@ -106,10 +105,10 @@ _SMITH_CAP = 100_000
 
 
 class SmithHooks:
-    """Listens to every elementary operation the Smith engine performs on its block.
+    """Listens to the elementary operations of a finished Smith run, as `replay` plays its log.
 
-    The engine owns the block; a listener repeats each operation elsewhere,
-    with the multiplier f as a LaurentPoly, and never changes the block.
+    A listener repeats each operation elsewhere, in the engine's order, with
+    the multiplier f as a LaurentPoly; the engine's block is already final.
     """
 
     def row_add(self, src: int, dst: int, f: LaurentPoly):
@@ -158,22 +157,27 @@ def _row_add(bits, lows, src, dst, fb, fl):
             db[j], dl[j] = _axpy(db[j], dl[j], fb, fl, b, low)
 
 
+def _row_swap(bits, lows, i, j):
+    """Exchange rows i and j of a grid held as masks and lowest exponents."""
+    bits[i], bits[j] = bits[j], bits[i]
+    lows[i], lows[j] = lows[j], lows[i]
+
+
 class SmithEngine:
     """Drives a block of Laurent rows to diagonal form on (bits, low) integer pairs.
 
     The engine reads the block once, into a grid of coefficient masks and a
     grid of lowest exponents, each entry kept canonical, and does every
-    operation there.  hooks, when given, hears each operation.  carry, when
-    given, is a Laurent grid with as many rows as the block that takes every
-    row operation too, so it ends as R carry for the row operations R.
+    operation there.  It logs each operation in `ops` as
+    (kind, i, j, f_bits, f_low), kind naming the `SmithHooks` method and
+    (f_bits, f_low) the multiplier of an addition (0, 0 for a swap);
+    `replay` plays the log to a listener after the run.
     """
 
-    def __init__(self, block, hooks: SmithHooks | None = None, enforce_chain: bool = True, carry=None):
+    def __init__(self, block):
         self.rows, self.cols = len(block), len(block[0]) if block else 0
         self.bits, self.lows = _pairs(block)
-        self.hooks = hooks
-        self.enforce_chain = enforce_chain
-        self._carry = _pairs(carry) if carry is not None else None
+        self.ops = []
         self._budget = _SMITH_CAP
 
     def _tick(self):
@@ -183,29 +187,22 @@ class SmithEngine:
 
     def _row_add(self, src, dst, fb, fl):
         _row_add(self.bits, self.lows, src, dst, fb, fl)
-        if self._carry is not None:
-            _row_add(*self._carry, src, dst, fb, fl)
-        if self.hooks is not None:
-            self.hooks.row_add(src, dst, LaurentPoly(fb, fl))
+        self.ops.append(("row_add", src, dst, fb, fl))
 
     def _row_swap(self, i, j):
-        for grid in (self.bits, self.lows, *(self._carry or ())):
-            grid[i], grid[j] = grid[j], grid[i]
-        if self.hooks is not None:
-            self.hooks.row_swap(i, j)
+        _row_swap(self.bits, self.lows, i, j)
+        self.ops.append(("row_swap", i, j, 0, 0))
 
     def _col_add(self, src, dst, fb, fl):
         for b, low in zip(self.bits, self.lows):
             if b[src]:
                 b[dst], low[dst] = _axpy(b[dst], low[dst], fb, fl, b[src], low[src])
-        if self.hooks is not None:
-            self.hooks.col_add(src, dst, LaurentPoly(fb, fl))
+        self.ops.append(("col_add", src, dst, fb, fl))
 
     def _col_swap(self, i, j):
         for row in chain(self.bits, self.lows):
             row[i], row[j] = row[j], row[i]
-        if self.hooks is not None:
-            self.hooks.col_swap(i, j)
+        self.ops.append(("col_swap", i, j, 0, 0))
 
     def _scan(self, t, snap):
         """One walk of block t: its pivot, and its state as a flat tuple of ints when snap is set.
@@ -305,8 +302,7 @@ class SmithEngine:
             if not self._stage(t):
                 break
             rank += 1
-        if self.enforce_chain:
-            self._fix_chain(rank)
+        self._fix_chain(rank)
         return rank
 
     def _fix_chain(self, rank):
@@ -328,10 +324,25 @@ class SmithEngine:
         rank = self.run()
         return tuple(LaurentPoly(self.bits[i][i]) for i in range(rank)), tuple(self.lows[i][i] for i in range(rank))
 
-    def carried(self) -> list[list[LaurentPoly]]:
-        """The carried grid as Laurent rows, after the row operations so far."""
-        bits, lows = self._carry
-        return [[LaurentPoly(b, low) for b, low in zip(*rows)] for rows in zip(bits, lows)]
+
+def replay(ops, hooks: SmithHooks):
+    """Play a Smith engine's operation log to a listener, in order, with each multiplier as a LaurentPoly."""
+    for kind, i, j, fb, fl in ops:
+        if kind.endswith("add"):
+            getattr(hooks, kind)(i, j, LaurentPoly(fb, fl))
+        else:
+            getattr(hooks, kind)(i, j)
+
+
+def row_image(ops, rows: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
+    """R rows for the row operations R of a Smith engine's log, on a Laurent grid with as many rows as its block."""
+    bits, lows = _pairs(rows)
+    for kind, i, j, fb, fl in ops:
+        if kind == "row_add":
+            _row_add(bits, lows, i, j, fb, fl)
+        elif kind == "row_swap":
+            _row_swap(bits, lows, i, j)
+    return [[LaurentPoly(b, low) for b, low in zip(*pair)] for pair in zip(bits, lows)]
 
 
 def invariant_factors(rows: list[list[LaurentPoly]]) -> tuple[tuple[LaurentPoly, ...], tuple[int, ...]]:

@@ -16,7 +16,8 @@ second engine to check that engine against:
 - `PolyMatrix`: the package's `PolyMatrix` with sums, products, transposes,
   D -> D^-1, identities, entry indexing and the zero test.
 - `smith_form(m)`: M = A diag(D^k gamma) B with the unimodular witnesses A
-  and B, which `MatrixHooks` accumulates as it hears the package's engine.
+  and B, which `MatrixHooks` accumulates as it hears the package engine's
+  log replayed.
 - `product_factors(h1, h2)`: the invariant factors of H1(D) H2^T(D^-1)
   formed in `PolyMatrix` arithmetic.
 """
@@ -117,10 +118,9 @@ class LaurentSmithEngine:
     division until a pass revisits a block state, then with width division.
     """
 
-    def __init__(self, shape: tuple[int, int], hooks: LaurentHooks, enforce_chain: bool = True):
+    def __init__(self, shape: tuple[int, int], hooks: LaurentHooks):
         self.rows, self.cols = shape
         self.hooks = hooks
-        self.enforce_chain = enforce_chain
         self._budget = _SMITH_CAP
 
     def _tick(self):
@@ -191,8 +191,7 @@ class LaurentSmithEngine:
             if not self._stage(t):
                 break
             rank += 1
-        if self.enforce_chain:
-            self._fix_chain(rank)
+        self._fix_chain(rank)
         return rank
 
     def _fix_chain(self, rank):
@@ -235,13 +234,13 @@ class GridHooks(LaurentHooks):
         for r in self.w:
             r[i], r[j] = r[j], r[i]
 
-    def reduce(self, enforce_chain: bool = True) -> int:
+    def reduce(self) -> int:
         """Run `LaurentSmithEngine` on the grid; its rank."""
-        return LaurentSmithEngine((len(self.w), len(self.w[0]) if self.w else 0), self, enforce_chain).run()
+        return LaurentSmithEngine((len(self.w), len(self.w[0]) if self.w else 0), self).run()
 
 
 class MatrixHooks(polymat.SmithHooks):
-    """Hears the package's Smith engine and accumulates the unimodular witnesses A and B.
+    """Hears the package's Smith log and accumulates the unimodular witnesses A and B.
 
     A and B start as identities and stay sparse for a while, so each update
     skips the zero source entries.
@@ -306,8 +305,10 @@ def smith_form(m: polymat.PolyMatrix) -> SmithDecomposition:
     denominators first (row scalings do not change the invariant factors'
     delay-free parts).
     """
+    engine = polymat.SmithEngine(laurent_grid(m))
+    gamma, units = engine.factors()
     hooks = MatrixHooks(m.rows, m.cols)
-    gamma, units = polymat.SmithEngine(laurent_grid(m), hooks).factors()
+    polymat.replay(engine.ops, hooks)
     for i, k in enumerate(units):
         if k:
             hooks.scale_a_col(i, k)  # fold the unit into A so gamma stays delay-free

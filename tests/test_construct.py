@@ -29,8 +29,8 @@ from eaqconv.construct import (
 )
 from eaqconv.gates import format_circuit
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly
-from eaqconv.polymat import PolyMatrix, invariant_factors, laurent_grid, parse_matrix
-from smith_oracle import smith_form
+from eaqconv.polymat import PolyMatrix, invariant_factors, laurent_grid, parse_matrix, replay
+from smith_oracle import GridHooks, smith_form
 from support import ebit_count, submatrix, zx_concat
 from verify_oracle import is_commuting, rank, row_space_equal
 
@@ -93,9 +93,14 @@ def test_validate_returns_a_row_basis_of_h1(h1_text, h2_text):
 
     They are the first rows(H1) rows of the witness B of the Smith oracle's
     H1 = A [I 0] B, so they span H1's row space and reduce to [I 0] again.
+    The bottom block replays H2's log, which takes H2 to [I 0] exactly.
     """
     h1, h2 = (parse_matrix(t.replace(";", "\n")) for t in (h1_text, h2_text))
-    g1, g2, basis = validate_inputs(h1, h2)
+    g1, g2, basis, h2_ops = validate_inputs(h1, h2)
+    reduced = GridHooks(g2)
+    replay(h2_ops, reduced)
+    assert reduced.w == [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(h2.cols)]
+                         for i in range(h2.rows)]
     assert (g1, g2) == (laurent_grid(h1), laurent_grid(h2))
     s = smith_form(h1)
     assert s.reconstruct(h1.rows, h1.cols) == h1

@@ -4,12 +4,12 @@
 block through a hook on every pass and did all its arithmetic on
 `LaurentPoly` entries.  Both engines run on the same blocks and must take
 the same operations, in the same order (kind, indices and multiplier f),
-reach the same rank and end with the same block.  The blocks are 600 seeded
-Laurent grids up to 5 x 5 (zero lines, dependent rows, common factors and
-D^k row units planted in some), each with and without the divisibility
-chain, on which the width-division fallback fires in some; and every block
-the package's Smith engine starts from while it builds every op of both
-benchmark corpora, or rejects it.
+reach the same rank and end with the same block; the package engine's
+operations are its log, replayed to a listener.  The blocks are 1200
+seeded Laurent grids up to 5 x 5 (zero lines, dependent rows, common
+factors and D^k row units planted in some), on which the width-division
+fallback fires in some; and every block the package's Smith engine starts
+from while it builds every op of both benchmark corpora, or rejects it.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from eaqconv.polymat import parse_matrix
 from smith_oracle import GridHooks
 from support import corpus_items
 
-RANDOM_GRIDS = 600
+RANDOM_GRIDS = 1200
 
 
 class _Log(polymat.SmithHooks):
-    """Hears the package's engine: records every operation as (kind, i, j, f)."""
+    """Hears the package engine's log: records every operation as (kind, i, j, f)."""
 
     def __init__(self):
         self.ops = []
@@ -78,23 +78,24 @@ def _block(engine):
     return [[LaurentPoly(b, low) for b, low in zip(*rows)] for rows in zip(engine.bits, engine.lows)]
 
 
-def _package_run(block, enforce_chain):
+def _package_run(block):
     """(operations, rank, final block) of the package's engine on a Laurent block."""
-    log = _Log()
-    engine = polymat.SmithEngine(block, log, enforce_chain)
+    engine = polymat.SmithEngine(block)
     rank = engine.run()
+    log = _Log()
+    polymat.replay(engine.ops, log)
     return log.ops, rank, _block(engine)
 
 
-def _oracle_run(block, enforce_chain):
+def _oracle_run(block):
     hooks = _OracleLog(block)
-    rank = hooks.reduce(enforce_chain)
+    rank = hooks.reduce()
     return hooks.log.ops, rank, hooks.w
 
 
-def _assert_same_run(block, enforce_chain):
-    ops, rank, final = _package_run(block, enforce_chain)
-    want_ops, want_rank, want_final = _oracle_run(block, enforce_chain)
+def _assert_same_run(block):
+    ops, rank, final = _package_run(block)
+    want_ops, want_rank, want_final = _oracle_run(block)
     assert ops == want_ops, block
     assert rank == want_rank, block
     assert final == want_final, block
@@ -138,11 +139,9 @@ def test_random_grids_take_the_same_operations(monkeypatch):
     rng = random.Random("smith-engine")
     fired = 0
     for _ in range(RANDOM_GRIDS):
-        grid = _random_grid(rng)
-        for enforce_chain in (True, False):
-            before = len(wide)
-            _assert_same_run(grid, enforce_chain)
-            fired += len(wide) > before
+        before = len(wide)
+        _assert_same_run(_random_grid(rng))
+        fired += len(wide) > before
     assert fired >= 50, "the width fallback no longer fires on enough of the random grids"
 
 
@@ -152,12 +151,12 @@ def _matrix(text):
 
 @functools.cache
 def _corpus_blocks():
-    """Every distinct (block, enforce_chain) the package's engine starts from on both corpora."""
+    """Every distinct block the package's engine starts from on both corpora."""
     blocks = {}
     run = polymat.SmithEngine.run
 
     def capturing(self):
-        blocks.setdefault((tuple(map(tuple, _block(self))), self.enforce_chain), None)
+        blocks.setdefault(tuple(map(tuple, _block(self))), None)
         return run(self)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -174,5 +173,5 @@ def _corpus_blocks():
 def test_corpus_blocks_take_the_same_operations(part):
     blocks = _corpus_blocks()
     assert len(blocks) > 1000
-    for block, enforce_chain in blocks[part::4]:
-        _assert_same_run([list(row) for row in block], enforce_chain)
+    for block in blocks[part::4]:
+        _assert_same_run([list(row) for row in block])
