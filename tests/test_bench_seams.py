@@ -19,9 +19,9 @@ from eaqconv import polymat
 from eaqconv.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "seed-1.json"
-SCREEN_S_RUNS, SCREEN_S_WIDE_DIVS = 947, 14
+SCREEN_S_RUNS, SCREEN_S_WIDE_DIVS = 823, 14
 VERIFY_PAIR = 19
-VERIFY_RUNS, VERIFY_WIDE_DIVS = 6, 18
+VERIFY_RUNS, VERIFY_WIDE_DIVS = 5, 18
 
 
 def _counted(monkeypatch, argvs):
