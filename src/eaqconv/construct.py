@@ -839,20 +839,15 @@ def _assemble(record, bare, pair, encoder, decoder, info_fix, logical_cols, deco
     evolved = encoder.apply(bare, recorder(encode_trace))
 
     # undo the mental row scalings recorded during the reduction
-    unscale = {}
-    for rid, kexp in red.row_scales.items():
-        pos = red.row_ids.index(rid)
-        unscale[pair[pos]] = -kexp
-    presented = _scale_rows(evolved, unscale) if unscale else evolved
-    final = _permute_rows(presented, pair)
+    unscale = {pair[red.row_ids.index(rid)]: -kexp for rid, kexp in red.row_scales.items() if kexp}
+    final = _permute_rows(_scale_rows(evolved, unscale) if unscale else evolved, pair)
     if want_trace:
         encode_trace.append(TraceStep("final stabilizer", final))
 
+    # the decoder starts from the received stream with those scalings reapplied
     decode_trace = [TraceStep("received stream", final)] if want_trace else []
-    rescale = {pos: red.row_scales[red.row_ids[pos]] for pos in range(red.rows)
-               if red.row_scales.get(red.row_ids[pos])}
-    decoded = _scale_rows(final, rescale) if rescale else final
-    if want_trace and rescale:
+    decoded = _permute_rows(evolved, pair)
+    if want_trace and unscale:
         decode_trace.append(TraceStep("reduction row scalings reapplied", decoded))
     decoded = decoder.apply(decoded, recorder(decode_trace))
     if info_fix is not None and decoded.info is not None:
