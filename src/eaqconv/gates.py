@@ -323,13 +323,20 @@ class _Planes:
 
     __slots__ = ("nrows", "cols", "stride", "offset", "bits", "hull")
 
-    def __init__(self, rows, cols: int):
-        """Pack (Z row, X row) pairs."""
+    def __init__(self, rows, cols: int, reach: int = 0):
+        """Pack (Z row, X row) pairs, with exact hulls.
+
+        The exponents [lo, hi] of all entries are padded by
+        max(64, hi - lo, 2*reach) on each side, so moves by up to reach stay
+        exact.
+        """
         self.nrows, self.cols = len(rows), cols
         self.bits = [[0] * cols, [0] * cols]
         self.hull = [[None] * cols, [None] * cols]
         ends = [(e.low, e.deg) for row in rows for side in row for e in side if e]
-        self._lay_out(min(lo for lo, _ in ends) if ends else 0, max(hi for _, hi in ends) if ends else 0)
+        lo, hi = (min(lo for lo, _ in ends), max(hi for _, hi in ends)) if ends else (0, 0)
+        pad = max(64, hi - lo, 2 * reach)
+        self.offset, self.stride = pad - lo, hi - lo + 1 + 2 * pad
         for r, row in enumerate(rows):
             base = r * self.stride + self.offset
             for bits, hull, side in zip(self.bits, self.hull, row):
@@ -339,37 +346,16 @@ class _Planes:
                         h = hull[c]
                         hull[c] = (e.low, e.deg) if h is None else (min(h[0], e.low), max(h[1], e.deg))
 
-    def _lay_out(self, lo: int, hi: int, reach: int = 0) -> None:
-        """Stride and offset for exponents in [lo, hi], padded by max(64, hi - lo, 2*reach) on each side."""
-        pad = max(64, hi - lo, 2 * reach)
-        self.offset, self.stride = pad - lo, hi - lo + 1 + 2 * pad
-
     def _relay(self, reach: int) -> None:
         """Lay the planes out again for moves by up to reach, with exact hulls.
 
-        Each row's slice of a plane moves straight to its new place: row r
-        shifts by r*(new stride - stride) + new offset - offset, which may
-        be negative.
+        The rows are packed afresh and copied into this object's lists,
+        which `run` holds.
         """
-        stride, offset, nrows = self.stride, self.offset, self.nrows
-        mask = (1 << stride) - 1
-        slices, ends = {}, []
-        for s, (bits, hull) in enumerate(zip(self.bits, self.hull)):
-            for c, v in enumerate(bits):
-                if v:
-                    rows = [(v >> (r * stride)) & mask for r in range(nrows)]
-                    lows = [(w & -w).bit_length() for w in rows if w]
-                    hull[c] = (min(lows) - 1 - offset, max(w.bit_length() for w in rows) - 1 - offset)
-                    slices[s, c] = rows
-                    ends.append(hull[c])
-        self._lay_out(min(lo for lo, _ in ends), max(hi for _, hi in ends), reach)
-        moved = self.offset - offset
-        for (s, c), rows in slices.items():
-            v = 0
-            for r, w in enumerate(rows):
-                k = r * self.stride + moved
-                v |= w << k if k >= 0 else w >> -k
-            self.bits[s][c] = v
+        planes = _Planes(self.rows(), self.cols, reach)
+        self.stride, self.offset = planes.stride, planes.offset
+        for mine, new in zip(self.bits + self.hull, planes.bits + planes.hull):
+            mine[:] = new
 
     def column(self, s: int, c: int) -> list[LaurentPoly]:
         """Plane (s, c) as one LaurentPoly per row."""
