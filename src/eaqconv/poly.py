@@ -406,8 +406,6 @@ class RationalPoly:
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
 D = LaurentPoly.term(1)
-RZERO = RationalPoly.zero()
-RONE = RationalPoly.one()
 
 
 def _bits_reverse(a: int, n: int) -> int:
