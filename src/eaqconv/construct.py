@@ -650,10 +650,8 @@ def _finish_class2(record: DecompositionRecord):
             raise ClassMismatch("special-case cross block lost full row rank")
         _power_diagonal(red.z, 0, n - k2, n - k1, ClassMismatch, "special-case cross factor is not a power of D")
         red._snapshot("F diagonalized")
-    _reduce_block(
-        red, "z", 0, 0, (n - k1, n - k2),
-        identity_rows=identity_rows, gamma_f_col0=n - k2 if special else None, note="E-block",
-    )
+    _reduce_block(red, "z", 0, 0, (n - k1, n - k2), identity_rows=identity_rows,
+                  gamma_f_col0=n - k2 if special else None, note="E-block")
 
     gamma1, gamma2 = [], []
     for t in range(c):

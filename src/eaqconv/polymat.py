@@ -157,12 +157,6 @@ def _row_add(bits, lows, src, dst, fb, fl):
             db[j], dl[j] = _axpy(db[j], dl[j], fb, fl, b, low)
 
 
-def _row_swap(bits, lows, i, j):
-    """Exchange rows i and j of a grid held as masks and lowest exponents."""
-    bits[i], bits[j] = bits[j], bits[i]
-    lows[i], lows[j] = lows[j], lows[i]
-
-
 class SmithEngine:
     """Drives a block of Laurent rows to diagonal form on (bits, low) integer pairs.
 
@@ -190,7 +184,8 @@ class SmithEngine:
         self.ops.append(("row_add", src, dst, fb, fl))
 
     def _row_swap(self, i, j):
-        _row_swap(self.bits, self.lows, i, j)
+        for grid in (self.bits, self.lows):
+            grid[i], grid[j] = grid[j], grid[i]
         self.ops.append(("row_swap", i, j, 0, 0))
 
     def _col_add(self, src, dst, fb, fl):
@@ -341,7 +336,8 @@ def row_image(ops, rows: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
         if kind == "row_add":
             _row_add(bits, lows, i, j, fb, fl)
         elif kind == "row_swap":
-            _row_swap(bits, lows, i, j)
+            for grid in (bits, lows):
+                grid[i], grid[j] = grid[j], grid[i]
     return [[LaurentPoly(b, low) for b, low in zip(*pair)] for pair in zip(bits, lows)]
 
 
