@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -29,9 +30,17 @@ from eaqconv.construct import (
 )
 from eaqconv.gates import format_circuit
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly
-from eaqconv.polymat import PolyMatrix, invariant_factors, laurent_grid, parse_matrix, replay
+from eaqconv.polymat import (
+    PolyMatrix,
+    SmithEngine,
+    format_matrix,
+    invariant_factors,
+    laurent_grid,
+    parse_matrix,
+    replay,
+)
 from smith_oracle import GridHooks, smith_form
-from support import ebit_count, submatrix, zx_concat
+from support import corpus_items, ebit_count, submatrix, zx_concat
 from verify_oracle import is_commuting, rank, row_space_equal
 
 H_EX1 = parse_matrix("1+D^2, 1+D+D^2")
@@ -176,6 +185,76 @@ def test_rank_of_cross_block_equals_ebit_count():
     for h1, h2 in ((H_EX1, H_EX1), (H_EX2, H_EX2), (H_GEN2, H_GEN2)):
         record = decompose_general(h1, h2)
         assert rank(PolyMatrix(record.e_mat)) == record.c
+
+
+@cache
+def _corpus_pairs():
+    """The distinct admitted pairs of both benchmark corpora."""
+    pairs = []
+    for texts in dict.fromkeys((it["h1"], it["h2"]) for it in corpus_items()):
+        h1, h2 = (parse_matrix(t.replace(";", "\n")) for t in texts)
+        try:
+            validate_inputs(h1, h2)
+        except ValidationError:
+            continue
+        pairs.append((h1, h2))
+    return pairs
+
+
+def _diagonal(grid):
+    """The nonzero diagonal of a grid that must be diagonal with its nonzero entries first."""
+    assert not any(e for i, row in enumerate(grid) for j, e in enumerate(row) if i != j)
+    diag = [grid[t][t] for t in range(min(len(grid), len(grid[0])))]
+    rank = sum(1 for e in diag if e)
+    assert all(diag[:rank])
+    return diag[:rank]
+
+
+def test_the_finish_starts_no_smith_run_on_a_block_the_classification_reduced(monkeypatch):
+    """The class-1 E block and the special F block are each reduced once, by the classification.
+
+    The finish replays the logs of those runs instead of starting the
+    engine on the same block again.
+    """
+    started = []
+    init = SmithEngine.__init__
+
+    def recorded(self, block):
+        started.append([list(row) for row in block])
+        init(self, block)
+
+    monkeypatch.setattr(SmithEngine, "__init__", recorded)
+    repeats = []
+    for h1, h2 in _corpus_pairs():
+        tag, record = classify(h1, h2)
+        reduced = {CLASS1: record.e_mat, CLASS2_SPECIAL: record.f_massaged}.get(tag)
+        started.clear()
+        (build_class1 if tag == CLASS1 else build_class2)(record)
+        if reduced in started:
+            repeats.append((tag, format_matrix(h1), format_matrix(h2)))
+    assert repeats == []
+
+
+def test_the_records_logs_diagonalize_the_blocks_they_reduced():
+    """Replayed on their blocks, the record's logs give the diagonals the finish relies on.
+
+    E's log leaves c nonzero diagonal entries whose delay-free parts are the
+    recorded factors, each a power of D in class 1.  The massaged F's log of
+    a special code leaves n - k1 diagonal entries, each a power of D.
+    """
+    for h1, h2 in _corpus_pairs():
+        record = decompose_general(h1, h2)
+        e = GridHooks(record.e_mat)
+        replay(record.e_ops, e)
+        diag = _diagonal(e.w)
+        assert tuple(g.delay_free()[0] for g in diag) == record.product_factors
+        if record.class_tag == CLASS1:
+            assert all(g.weight() == 1 for g in diag)
+        if record.class_tag == CLASS2_SPECIAL:
+            f = GridHooks(record.f_massaged)
+            replay(record.f_ops, f)
+            diag = _diagonal(f.w)
+            assert len(diag) == record.n - record.k1 and all(g.weight() == 1 for g in diag)
 
 
 # -- first worked example, display by display -------------------------------------------
