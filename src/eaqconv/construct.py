@@ -24,6 +24,13 @@ from the E block of the standard form (see `DecompositionRecord`):
   class 2 special  the cross block F(D) reduces to a full-row-rank matrix of
                    powers of D; the affected information qubits teleport to
                    fresh columns during decoding.
+
+A block that validation or the classification reduces is reduced once: the
+Smith run's invariant factors admit or classify, and its operation log,
+replayed through `_BlockHooks`, gives the gates.  The standard form replays
+H2's admission run, the class-1 finish the run on E, and the special finish
+the run on the massaged F.  `_reduce_block` reduces the blocks that no
+earlier run saw.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from .gates import (
     swap,
 )
 from .poly import LaurentPoly, divmod_shifted, lowest_terms
-from .polymat import PolyMatrix, SmithEngine, SmithHooks, invariant_factors, laurent_grid, replay, row_image
+from .polymat import PolyMatrix, SmithEngine, SmithHooks, laurent_grid, replay, row_image
 
 CLASS1 = "class1"
 CLASS2 = "class2"
@@ -308,6 +315,13 @@ class DecompositionRecord:
     mental row operations are unimodular, and the standard form's rows are
     [E F | 0] over [0 | I 0], so E equals H1 H2~ up to unimodular row
     and column operations.
+
+    e_ops is the operation log of the Smith run that gives those factors
+    on e_mat, and f_ops (class 2 only) the log of the run that tests
+    f_massaged for the special case.  Nothing touches the reduction
+    between the classification and the finish, and the engine is
+    deterministic, so the class-1 finish replays e_ops on E and the special
+    finish replays f_ops on F instead of reducing either block again.
     """
 
     h1: list[list[LaurentPoly]]
@@ -322,6 +336,8 @@ class DecompositionRecord:
     e_mat: list[list[LaurentPoly]]
     f_mat: list[list[LaurentPoly]]
     f_massaged: list[list[LaurentPoly]] | None
+    e_ops: list
+    f_ops: list | None
     blocks: dict = field(default_factory=dict)
     reduction: _Reduction | None = None
 
@@ -404,12 +420,6 @@ def _f_block(red: _Reduction):
     return [row[red.n - red.k2:] for row in red.z[: red.n - red.k1]]
 
 
-def _special_condition(f) -> bool:
-    """Full row rank with every invariant factor a power of D."""
-    gammas, _ = invariant_factors(f)
-    return len(gammas) == len(f) and all(g == _L1 for g in gammas)
-
-
 def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) -> DecompositionRecord:
     """Validate, reduce to the standard form, classify from it, and record everything."""
     h1, h2, h1_basis, h2_ops = validate_inputs(h1, h2)
@@ -419,23 +429,30 @@ def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) 
     _standard_form_stage(red, h1_basis, h2_ops)
     e_mat = _e_block(red)
     f_mat = _f_block(red)
-    gammas, _ = invariant_factors(e_mat)
+    e_engine = SmithEngine(e_mat)
+    gammas, _ = e_engine.factors()
     c = len(gammas)
     s = sum(1 for g in gammas if g == _L1)
     # k = k1+k2-n+c >= 0 always: Sylvester's inequality gives
     # c = rank(H1 H2~) >= (n-k1) + (n-k2) - n
-    f_massaged = None
+    f_massaged = f_ops = None
     if s == c:
         tag = CLASS1
     else:
         _massage(red)
         f_massaged = _f_block(red)
-        tag = CLASS2_SPECIAL if _special_condition(f_massaged) else CLASS2
+        f_engine = SmithEngine(f_massaged)
+        f_gammas, _ = f_engine.factors()
+        f_ops = f_engine.ops
+        # special: full row rank with every invariant factor a power of D
+        special = len(f_gammas) == n - k1 and all(g == _L1 for g in f_gammas)
+        tag = CLASS2_SPECIAL if special else CLASS2
 
     return DecompositionRecord(
         h1=h1, h2=h2, n=n, k1=k1, k2=k2, c=c, s=s, class_tag=tag,
         product_factors=gammas,
-        e_mat=e_mat, f_mat=f_mat, f_massaged=f_massaged, reduction=red,
+        e_mat=e_mat, f_mat=f_mat, f_massaged=f_massaged, e_ops=e_engine.ops, f_ops=f_ops,
+        reduction=red,
     )
 
 
@@ -589,8 +606,9 @@ def _finish_class1(record: DecompositionRecord):
     red = record.reduction
     n, k1, k2, c = red.n, red.k1, red.k2, record.c
     # diagonalize the E block in place (its invariant factors are powers of D)
+    # by replaying the classification's run on it; nothing has touched it since
     identity_rows = {col: n - k1 + col for col in range(n - k2)}
-    _reduce_block(red, "z", 0, 0, (n - k1, n - k2), identity_rows=identity_rows, note="E-block")
+    replay(record.e_ops, _BlockHooks(red, "z", 0, 0, identity_rows=identity_rows, note="E-block"))
     gamma = _power_diagonal(red.z, 0, 0, c, ClassMismatch, "invariant factor {} of E is not a power of D")
     red._snapshot("E diagonalized")
     # swap every column to the Hadamard frame, then clear the ebit rows' F entries
@@ -644,10 +662,9 @@ def _finish_class2(record: DecompositionRecord):
     identity_rows = {col: n - k1 + col for col in range(n - k2)}
 
     if special:
-        # Smith of the full cross block; its diagonal becomes powers of D
-        got = _reduce_block(red, "z", 0, n - k2, (n - k1, k2), note="F-block")
-        if got < n - k1:
-            raise ClassMismatch("special-case cross block lost full row rank")
+        # Smith of the full cross block, replayed from the classification's
+        # run on the massaged F; its diagonal becomes n - k1 powers of D
+        replay(record.f_ops, _BlockHooks(red, "z", 0, n - k2, note="F-block"))
         _power_diagonal(red.z, 0, n - k2, n - k1, ClassMismatch, "special-case cross factor is not a power of D")
         red._snapshot("F diagonalized")
     _reduce_block(red, "z", 0, 0, (n - k1, n - k2), identity_rows=identity_rows,
