@@ -21,7 +21,7 @@ from eaqconv.cli import main
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "seed-1.json"
 SCREEN_S_RUNS, SCREEN_S_WIDE_DIVS = 823, 14
 VERIFY_PAIR = 19
-VERIFY_RUNS, VERIFY_WIDE_DIVS = 5, 18
+VERIFY_RUNS, VERIFY_WIDE_DIVS = 4, 9
 
 
 def _counted(monkeypatch, argvs):
