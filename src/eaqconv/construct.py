@@ -25,12 +25,8 @@ from the E block of the standard form (see `DecompositionRecord`):
                    powers of D; the affected information qubits teleport to
                    fresh columns during decoding.
 
-A block that validation or the classification reduces is reduced once: the
-Smith run's invariant factors admit or classify, and its operation log,
-replayed through `_BlockHooks`, gives the gates.  The standard form replays
-H2's admission run, the class-1 finish the run on E, and the special finish
-the run on the massaged F.  `_reduce_block` reduces the blocks that no
-earlier run saw.
+The standard form, the class-1 finish and the special finish replay the Smith
+runs of admission (on H2) and the classification (on E, on the massaged F).
 """
 
 from __future__ import annotations
@@ -314,14 +310,8 @@ class DecompositionRecord:
     [H1 | 0] and row j of [0 | H2].  Gates keep every such product, the
     mental row operations are unimodular, and the standard form's rows are
     [E F | 0] over [0 | I 0], so E equals H1 H2~ up to unimodular row
-    and column operations.
-
-    e_ops is the operation log of the Smith run that gives those factors
-    on e_mat, and f_ops (class 2 only) the log of the run that tests
-    f_massaged for the special case.  Nothing touches the reduction
-    between the classification and the finish, and the engine is
-    deterministic, so the class-1 finish replays e_ops on E and the special
-    finish replays f_ops on F instead of reducing either block again.
+    and column operations.  e_ops and f_ops (class 2) log the Smith runs on
+    e_mat and f_massaged; the class-1 and special finishes replay them as gates.
     """
 
     h1: list[list[LaurentPoly]]
@@ -412,12 +402,9 @@ def _massage(red: _Reduction):
     red._snapshot("normalized standard form")
 
 
-def _e_block(red: _Reduction):
-    return [row[: red.n - red.k2] for row in red.z[: red.n - red.k1]]
-
-
-def _f_block(red: _Reduction):
-    return [row[red.n - red.k2:] for row in red.z[: red.n - red.k1]]
+def _blocks(red: _Reduction):
+    top, split = red.z[: red.n - red.k1], red.n - red.k2
+    return [row[:split] for row in top], [row[split:] for row in top]
 
 
 def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) -> DecompositionRecord:
@@ -427,8 +414,7 @@ def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) 
     k1, k2 = n - len(h1), n - len(h2)
     red = _Reduction(h1, h2, want_trace=want_trace)
     _standard_form_stage(red, h1_basis, h2_ops)
-    e_mat = _e_block(red)
-    f_mat = _f_block(red)
+    e_mat, f_mat = _blocks(red)
     e_engine = SmithEngine(e_mat)
     gammas, _ = e_engine.factors()
     c = len(gammas)
@@ -440,10 +426,9 @@ def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) 
         tag = CLASS1
     else:
         _massage(red)
-        f_massaged = _f_block(red)
+        f_massaged = _blocks(red)[1]
         f_engine = SmithEngine(f_massaged)
-        f_gammas, _ = f_engine.factors()
-        f_ops = f_engine.ops
+        f_gammas, f_ops = f_engine.factors()[0], f_engine.ops
         # special: full row rank with every invariant factor a power of D
         special = len(f_gammas) == n - k1 and all(g == _L1 for g in f_gammas)
         tag = CLASS2_SPECIAL if special else CLASS2
@@ -451,8 +436,7 @@ def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) 
     return DecompositionRecord(
         h1=h1, h2=h2, n=n, k1=k1, k2=k2, c=c, s=s, class_tag=tag,
         product_factors=gammas,
-        e_mat=e_mat, f_mat=f_mat, f_massaged=f_massaged, e_ops=e_engine.ops, f_ops=f_ops,
-        reduction=red,
+        e_mat=e_mat, f_mat=f_mat, f_massaged=f_massaged, e_ops=e_engine.ops, f_ops=f_ops, reduction=red,
     )
 
 
@@ -605,8 +589,7 @@ def _row_map(red: _Reduction, c: int, x_ebits_first: bool) -> list[int]:
 def _finish_class1(record: DecompositionRecord):
     red = record.reduction
     n, k1, k2, c = red.n, red.k1, red.k2, record.c
-    # diagonalize the E block in place (its invariant factors are powers of D)
-    # by replaying the classification's run on it; nothing has touched it since
+    # diagonalize the E block in place by the classification's run (its factors are powers of D)
     identity_rows = {col: n - k1 + col for col in range(n - k2)}
     replay(record.e_ops, _BlockHooks(red, "z", 0, 0, identity_rows=identity_rows, note="E-block"))
     gamma = _power_diagonal(red.z, 0, 0, c, ClassMismatch, "invariant factor {} of E is not a power of D")
@@ -662,8 +645,7 @@ def _finish_class2(record: DecompositionRecord):
     identity_rows = {col: n - k1 + col for col in range(n - k2)}
 
     if special:
-        # Smith of the full cross block, replayed from the classification's
-        # run on the massaged F; its diagonal becomes n - k1 powers of D
+        # the classification's Smith run on the cross block; its diagonal becomes powers of D
         replay(record.f_ops, _BlockHooks(red, "z", 0, n - k2, note="F-block"))
         _power_diagonal(red.z, 0, n - k2, n - k1, ClassMismatch, "special-case cross factor is not a power of D")
         red._snapshot("F diagonalized")
