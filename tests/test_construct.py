@@ -205,9 +205,9 @@ def _diagonal(grid):
     """The nonzero diagonal of a grid that must be diagonal with its nonzero entries first."""
     assert not any(e for i, row in enumerate(grid) for j, e in enumerate(row) if i != j)
     diag = [grid[t][t] for t in range(min(len(grid), len(grid[0])))]
-    rank = sum(1 for e in diag if e)
-    assert all(diag[:rank])
-    return diag[:rank]
+    nonzero = sum(1 for e in diag if e)
+    assert all(diag[:nonzero])
+    return diag[:nonzero]
 
 
 def test_the_finish_starts_no_smith_run_on_a_block_the_classification_reduced(monkeypatch):

@@ -12,9 +12,9 @@ one of those codes.
 
 - (n, k, c, s) and the printed invariant factors of H1 H2~ stay the same
   under every order and mix, and no variant is rejected.
-- The class tag does not, today (strict xfail): `_special_condition` is
-  evaluated on whichever standard form the Smith path reaches, and the row
-  basis changes that path.  On `BASELINE`, swapping the rows of both
+- The class tag does not, today (strict xfail): the special-case test of
+  `decompose_general` runs on whichever standard form the Smith path
+  reaches, and the row basis changes that path.  On `BASELINE`, swapping the rows of both
   matrices gives `class2_special` and the other three row orders give
   `class2`.
 """
