@@ -1,11 +1,15 @@
-"""The benchmark's Smith counters still see every Smith run and width division.
+"""The benchmark's Smith and window spans still see the work they name.
 
 `perfbench/spans.py` counts `polymat.smith_calls` by wrapping
 `polymat.SmithEngine.run`, and `polymat.smith_wide_divs` by wrapping
 `polymat.divmod_width`.  This test wraps the same two names while the CLI
 runs every seed-1 `screen_s` op (`params`) and `verify_w64` pair 19 (where
 the width fallback fires), and pins both counts, so a Smith engine that
-reduced or divided by width past those names would show here.
+reduced or divided by width past those names would show here.  Likewise it
+wraps `simulate.run_circuit` and `simulate.expand` by module name, as the
+traced spans do, and pins one circuit run and two expansions per
+`verify --window 64`, so `simulate.run_circuit_s` keeps timing the window
+kernel.
 """
 
 from __future__ import annotations
@@ -15,13 +19,14 @@ import io
 import json
 from pathlib import Path
 
-from eaqconv import polymat
+from eaqconv import polymat, simulate
 from eaqconv.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "seed-1.json"
 SCREEN_S_RUNS, SCREEN_S_WIDE_DIVS = 823, 14
 VERIFY_PAIR = 19
 VERIFY_RUNS, VERIFY_WIDE_DIVS = 4, 9
+WINDOW_PAIR = 0
 
 
 def _counted(monkeypatch, argvs):
@@ -50,3 +55,15 @@ def test_verify_w64_width_fallback_counts(monkeypatch):
     it = _corpus()["verify_w64"][VERIFY_PAIR]
     argv = ["verify", "--h1", it["h1"], "--h2", it["h2"], "--window", "64", "--format", "json"]
     assert _counted(monkeypatch, [argv]) == (VERIFY_RUNS, VERIFY_WIDE_DIVS)
+
+
+def test_verify_w64_window_calls(monkeypatch):
+    it = _corpus()["verify_w64"][WINDOW_PAIR]
+    calls = []
+    for name in ("run_circuit", "expand"):
+        fn = getattr(simulate, name)
+        monkeypatch.setattr(simulate, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    argv = ["verify", "--h1", it["h1"], "--h2", it["h2"], "--window", "64", "--format", "json"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    assert sorted(calls) == ["expand", "expand", "run_circuit"]

@@ -13,7 +13,8 @@ comparison that `verify_code` runs is checked against a row-by-row one,
 with and without mismatches.  Finally, after every gate of the seeded cases
 and of the encoders of the golden codes at W=64 and W=128, a track's
 head-invalid (tail-invalid) frames must come with its head (tail) spill
-flag, which lets the simulator decide damage from the flags alone.
+flag, which lets the simulator decide damage from the flags alone; the
+same holds after every run of same-qubit gates applied as one circuit.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from eaqconv.polymat import PolyMatrix, parse_matrix
 MARGINS = ((0, 0), (2, 3))
 CASES = 500
 STACKED_CASES = 150
+RUN_CASES = 300
 MATCH_CASES = 200
 
 
@@ -154,6 +156,85 @@ def test_stacked_windows_match_the_per_bit_simulator():
         assert new == old, f"seed {seed}"
 
 
+def _run_case(seed):
+    """Runs of 2-8 gates of one kind on the same qubits and frame flag, most
+    of them after an H or INF gate on one of their qubits."""
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 3), rng.randint(2, 4)
+    bob_cols = rng.randrange(cols - 1)
+    window = rng.randint(1, 64)
+    state = QuantumCheckMatrix(
+        PolyMatrix([[_entry(rng) for _ in range(cols)] for _ in range(rows)], cols=cols),
+        PolyMatrix([[_entry(rng) for _ in range(cols)] for _ in range(rows)], cols=cols),
+        bob_cols=bob_cols,
+    )
+    gates, prev = [], None
+    for _ in range(rng.randint(2, 6)):
+        full = rng.random() < 0.25
+        i, j = rng.sample(range(cols if full else cols - bob_cols), 2)
+        kind = rng.choice(("CNOT", "CNOT", "CPHASE", "CPHASE_SELF", "P"))
+        key = (kind, i, j if kind in ("CNOT", "CPHASE") else None, full)
+        if key == prev or rng.random() < 0.6:  # a separator keeps runs apart
+            q = rng.choice((i, j))
+            if rng.random() < 0.5:
+                gates.append(Gate("H", q, full_frame=full))
+            else:
+                f = LaurentPoly(rng.randrange(1, 32) | 1, rng.randint(-2, 2))
+                gates.append(Gate("INF", q, f=f, time_reversed=rng.random() < 0.5, full_frame=full))
+        for _ in range(rng.randint(2, 8)):
+            delay = 0 if kind == "P" else rng.choice((0, rng.randint(-3, 3), rng.randint(-2 * window, 2 * window)))
+            gates.append(Gate(kind, i, key[2], delay, full_frame=full))
+        prev = key
+    return state, Circuit(tuple(gates)), window, rng.randint(0, 6)
+
+
+def _run_gates(circuit):
+    """The gates of each step of `circuit._runs`, a run of same-qubit gates being one step."""
+    gates = iter(circuit.gates)
+    return [[next(gates) for _ in range(len(moves[0][4]) if moves else 1)] for _, moves in circuit._runs]
+
+
+def _flagged(win, tracks):
+    """Per row and side (head, tail): on how many of `tracks` the row is flagged."""
+    return [sum(t.tail_lost if side else t.head_lost for q, t in enumerate(r.tracks) if q in tracks)
+            for r in win.rows for side in (0, 1)]
+
+
+def _oracle_by_runs(stats):
+    """The per-bit `run_circuit`, gate by gate, tallying into stats the multi-gate
+    runs, those in which a gate after the first flags a (row, side) that no
+    earlier gate of the run flagged, and the flag counts on two-track runs' entry."""
+
+    def run(win, circuit):
+        for gates in _run_gates(circuit):
+            tracks = set(oracle._gate_qubits(win, gates[0])) - {None}
+            if len(tracks) == 2:
+                stats["entry"].update(_flagged(win, tracks))
+            late = False
+            for n, g in enumerate(gates):
+                before = _flagged(win, tracks)
+                win = oracle.run_circuit(win, Circuit((g,)))
+                late |= n > 0 and any(f and not b for f, b in zip(_flagged(win, tracks), before))
+            if len(gates) > 1:
+                stats["runs"] += 1
+                stats["late"] += late
+        return win
+
+    return run
+
+
+def test_run_heavy_windows_match_the_per_bit_simulator():
+    stats = {"runs": 0, "late": 0, "entry": set()}
+    for seed in range(RUN_CASES):
+        case = _run_case(seed)
+        new = _outcome(simulate.expand, simulate.run_circuit, simulate.WindowRow.valid_mask, *case)
+        old = _outcome(oracle.expand, _oracle_by_runs(stats), oracle.valid_mask, *case)
+        assert new == old, f"seed {seed}"
+    assert stats["runs"] > RUN_CASES
+    assert 4 * stats["late"] >= stats["runs"], stats
+    assert stats["entry"] == {0, 1, 2}
+
+
 def test_interior_match_agrees_with_the_row_by_row_comparison():
     """The block-aligned plane comparison of `verify_code` against the
     row-by-row one, on the algebra of the whole circuit (mostly agreeing)
@@ -196,12 +277,31 @@ def _assert_flags_cover_invalid_frames_after_every_gate(state, circuit, window, 
     return max(win.prefix + win.suffix)
 
 
+def _assert_flags_cover_invalid_frames_after_every_run(state, circuit, window, scratch):
+    """As after every gate, with each run of same-qubit gates applied as one circuit."""
+    try:
+        win = simulate.expand(state, window, scratch)
+    except WindowTooSmall:
+        return 0
+    for gates in _run_gates(circuit):
+        try:
+            win = simulate.run_circuit(win, Circuit(tuple(gates)))
+        except IndexError:
+            break
+        _assert_flags_cover_invalid_frames(win)
+    return max(win.prefix + win.suffix)
+
+
 def test_spill_flags_cover_invalid_frames_on_seeded_cases():
-    damaged = 0
+    damaged = damaged_by_runs = 0
     for seed in range(STACKED_CASES):
         for case in (_case, _stacked_case):
             damaged += bool(_assert_flags_cover_invalid_frames_after_every_gate(*case(seed)))
+        for case in (_case, _stacked_case, _run_case):
+            damaged_by_runs += bool(_assert_flags_cover_invalid_frames_after_every_run(*case(seed)))
+        _assert_flags_cover_invalid_frames_after_every_gate(*_run_case(seed))
     assert damaged > STACKED_CASES // 4
+    assert damaged_by_runs > STACKED_CASES // 4
 
 
 @pytest.mark.parametrize("window", golden.WINDOWS)
@@ -210,3 +310,4 @@ def test_spill_flags_cover_invalid_frames_on_golden_codes(window):
         spec = build_code(*(parse_matrix(t.replace(";", "\n")) for t in (h1, h2)))
         scratch = min(simulate.default_scratch(spec.encoder), window // 3)
         assert _assert_flags_cover_invalid_frames_after_every_gate(spec.bare, spec.encoder, window, scratch), name
+        assert _assert_flags_cover_invalid_frames_after_every_run(spec.bare, spec.encoder, window, scratch), name
