@@ -12,14 +12,19 @@ window edge.
 
 Circuits act on whole planes exactly as their column-operation semantics
 dictate, so running a circuit here is an independent check of the algebraic
-pipeline: a gate masks its source track to the frames that stay inside the
-window, shifts it by the delay k and XORs it onto its target track, for
-every row at once.  Moves never cross a row: the mask drops the bits that
-would leave their row before the shift, so no bit lands in another row or
-on a guard bit.  Infinite-depth operations run as their sliding-window CNOT
-rules: ascending application order makes the target-frame updates feed back
-(the 1/f expansion on the X side) while source-frame updates do not (the
-plain f(D^-1) product on the Z side).
+pipeline.  A circuit runs in the steps of `Circuit._runs`: each maximal run
+of CNOT, CPHASE, CPHASE_SELF or P gates on the same qubits is one step, as
+in `Circuit.apply`.  No gate of a run writes a plane that the run reads, so
+each of its moves masks its fixed source track to the frames that stay
+inside the window, shifts it by every delay k of the run and XORs the
+results onto the target track, for every row at once.  Moves never cross a
+row: the mask drops the bits that would leave their row before the shift,
+so no bit lands in another row or on a guard bit.  One mask table per
+window, H(k) for frames [0, k) of every row and T(k) = full ^ H(W - k) for
+frames [W - k, W), serves every mask.  Infinite-depth operations run as
+their sliding-window CNOT rules: ascending application order makes the
+target-frame updates feed back (the 1/f expansion on the X side) while
+source-frame updates do not (the plain f(D^-1) product on the Z side).
 
 Truncation bookkeeping uses the same layout.  Every row has, per track, the
 frame interval [vf, vu) on which its window bits provably equal the ideal
@@ -34,8 +39,18 @@ carry, and a flag covers its row as (flags << W) - flags.  Gates that move
 bits between frames shrink the target track's interval by the shifted image
 of the source track's unreliable region, and an infinite-depth operation on
 a track with head trouble invalidates the track outright (its feedback
-would need the missing history).  Comparisons against the exact algebra
-then use only the provably-exact bits.
+would need the missing history).  A run's bookkeeping is in closed form.
+Its sources are fixed, so a gate can flag new rows only when its delay is a
+new extreme of its sign.  A CNOT or CPHASE gate of |delay| K damages b
+from a, then a from b: it copies each track's flags to the other and sets
+v = max(v, u + K), then u = max(u, v + K), for a flagged row's invalid head
+u on track a and v on track b.  So after a run's first gate the flags agree
+and u >= v, and every later gate sets v = u + K and u = u + 2K (capped at
+W): the run ends at u + 2S and u + 2S - K_last, with S the sum of K after
+the first gate.  A row that a later gate first flags starts from u = 2K (a
+flagged) or K (b only).  The cap commutes with max and +, and the tail side
+is the mirror image.  Comparisons against the exact algebra then use only
+the provably-exact bits.
 
 `BinarySymplecticWindow.rows` unpacks the planes, on first access, into one
 `WindowRow` per copy (bit frame*m + qubit of its z and x masks, and one
@@ -126,7 +141,7 @@ class BinarySymplecticWindow:
         self.count = last.first + last.count if last else 0
         self._base = _repeat(self.count, self.window + 1)  # frame 0 of every row
         self._full = (self._base << self.window) - self._base  # every frame of every row
-        self._masks = {}
+        self._heads, self._tails = {}, {}
         self.rows = _Rows(self)
 
     def bit(self, frame: int, qubit: int) -> int:
@@ -140,50 +155,57 @@ class BinarySymplecticWindow:
 
     # -- whole-window operations on planes ----------------------------------------
 
-    def _span(self, lo: int, hi: int) -> int:
-        """Frames [lo, hi) of every row, clipped to the window."""
-        lo, hi = max(lo, 0), min(hi, self.window)
-        if lo >= hi:
-            return 0
-        mask = self._masks.get((lo, hi))
+    def _head(self, k: int) -> int:
+        """H(k): frames [0, k) of every row, k clipped to [0, W]; the table fills on first use."""
+        mask = self._heads.get(k)
         if mask is None:
-            mask = self._masks[lo, hi] = (self._base << hi) - (self._base << lo)
+            if 0 <= k <= self.window:
+                mask = self._heads[k] = (self._base << k) - self._base
+            else:  # an out-of-range k shares the mask of the end it clips to
+                mask = self._heads[k] = self._head(0 if k < 0 else self.window)
+        return mask
+
+    def _tail(self, k: int) -> int:
+        """T(k) = full ^ H(W - k): frames [W - k, W) of every row."""
+        mask = self._tails.get(k)
+        if mask is None:
+            if 0 <= k <= self.window:
+                mask = self._tails[k] = self._full ^ self._head(self.window - k)
+            else:
+                mask = self._tails[k] = self._tail(0 if k < 0 else self.window)
         return mask
 
     def _shifted(self, bits: int, k: int) -> int:
         """Every row's bits moved k frames later; bits that would leave their row are dropped."""
         if k >= 0:
-            return (bits & self._span(0, self.window - k)) << k
-        return (bits & self._span(-k, self.window)) >> -k
+            return (bits & self._head(self.window - k)) << k
+        return (bits & self._tail(self.window + k)) >> -k
 
     def _rows_holding(self, bits: int) -> int:
         """The frame-0 flag of every row with a bit in `bits` (bits inside the window only)."""
         return ((bits + self._full) >> self.window) & self._base
 
-    def _widen(self, flags: int) -> int:
-        """Frame-0 flags spread over every frame of their rows."""
-        return (flags << self.window) - flags
+    def _sides(self):
+        """(intervals, flags, edge, sign) of the head and of the tail side.
 
-    def _flag_spill(self, bits: int, k: int, dst: int) -> None:
-        """Flag track dst of the rows whose `bits` leave the window when moved k frames."""
-        if k < 0:
-            self.head_lost[dst] |= self._rows_holding(bits & self._span(0, -k))
-        elif k > 0:
-            self.tail_lost[dst] |= self._rows_holding(bits & self._span(self.window - k, self.window))
+        The head side's intervals are the frames [0, vf) in `prefix`, edge(k)
+        is H(k), and a move by a negative delay carries bits off it; the
+        tail side mirrors this with `suffix`, T(k) and positive delays.
+        """
+        return (self.prefix, self.head_lost, self._head, -1), (self.suffix, self.tail_lost, self._tail, 1)
 
-    def _damage(self, src: int, dst: int, k: int) -> None:
-        """Bits moved from track src to track dst across |k| frames."""
-        k, w = abs(k), self.window
-        # a row's invalid head (tail) frames come only with its head (tail)
-        # flag, so the flags alone say which rows carry damage
-        rows = self._widen(self.head_lost[src])
-        if rows:
-            self.prefix[dst] |= (self._shifted(self.prefix[src], k) | self._span(0, k)) & rows
-            self.head_lost[dst] |= self.head_lost[src]
-        rows = self._widen(self.tail_lost[src])
-        if rows:
-            self.suffix[dst] |= (self._shifted(self.suffix[src], -k) | self._span(w - k, w)) & rows
-            self.tail_lost[dst] |= self.tail_lost[src]
+    def _grow(self, ends: int, k: int, sign: int, flags: int) -> int:
+        """A side's intervals `ends`, each k frames longer (capped at W), on the rows in `flags`.
+
+        The shift needs no mask: what it carries past a row's end lands in
+        the edge(k) frames of the next row, or on a guard bit.
+        """
+        rows = (flags << self.window) - flags
+        if k >= self.window:
+            return rows
+        if sign < 0:
+            return ((ends << k) | self._head(k)) & rows
+        return ((ends >> k) | self._tail(k)) & rows
 
 
 class _Rows(Sequence):
@@ -303,60 +325,135 @@ def _apply_inf(win: BinarySymplecticWindow, q: int, rule: SlidingWindowRule) -> 
     shift, width = rule.scratch_frames, rule.window - 1
     z, x = win.z[q], win.x[q]
     if shift:
-        win._flag_spill(z | x, shift, q)
+        for ends, lost, edge, sign in win._sides():
+            if shift * sign > 0:
+                lost[q] |= win._rows_holding((z | x) & edge(abs(shift)))
+            if lost[q]:
+                ends[q] |= win._grow(ends[q], abs(shift), sign, lost[q])
         z, x = win._shifted(z, shift), win._shifted(x, shift)
-        win._damage(q, q, shift)
+    win.head_lost[q] |= win._rows_holding(z & win._head(max(f)))  # f(D^-1) reaches past the head
     nz = nx = 0
     for e in f:  # feed-forward: multiplication by f(D^-1)
-        win._flag_spill(z, -e, q)
         nz ^= win._shifted(z, -e)
     for e in inverse.exponents():  # feedback: the 1/f expansion
         nx ^= win._shifted(x, e)
     # feedback needs the full history: head trouble invalidates the track
-    win.prefix[q] |= win._widen(win.head_lost[q])
+    win.prefix[q] |= win._grow(0, w, -1, win.head_lost[q])
     if width:
-        rows = win._widen(win.tail_lost[q])
-        win.suffix[q] |= (win._shifted(win.suffix[q], -width) | win._span(w - width, w)) & rows
+        win.suffix[q] |= win._grow(win.suffix[q], width, 1, win.tail_lost[q])
     win.tail_lost[q] = win._base  # the expansion continues past the window
     win.z[q], win.x[q] = nz, nx
     win.truncated = win._base
 
 
+def _pair_bookkeeping(win: BinarySymplecticWindow, a: int, b: int, src_a: int, src_b: int, delays) -> None:
+    """Spill flags and intervals of a run of CNOT or CPHASE gates on tracks a and b.
+
+    The closed form of the module docstring.  src_b reaches track b shifted
+    by each delay k and src_a reaches track a by -k, so a delay of a side's
+    sign spills src_b onto b and the other sign src_a onto a.  The first
+    gate runs as one gate from any state.
+    """
+    ks = [abs(k) for k in delays]
+    last, twice = ks[-1], 2 * (sum(ks) - ks[0])
+    for ends, lost, edge, sign in win._sides():
+        k, reach = delays[0], [0, 0]
+        reach[k > 0] = ks[0]
+        if k * sign > 0:
+            lost[b] |= win._rows_holding(src_b & edge(ks[0]))
+        elif k:
+            lost[a] |= win._rows_holding(src_a & edge(ks[0]))
+        if lost[a]:
+            ends[b] |= win._grow(ends[a], ks[0], sign, lost[a])
+            lost[b] |= lost[a]
+        if lost[b]:
+            ends[a] |= win._grow(ends[b], ks[0], sign, lost[b])
+            lost[a] |= lost[b]
+        if len(ks) == 1:
+            continue
+        flagged, u = lost[a], ends[a]
+        if flagged:
+            ends[a] |= win._grow(u, twice, sign, flagged)
+            ends[b] |= win._grow(u, twice - last, sign, flagged)
+        rest = twice
+        for k, kk in zip(delays[1:], ks[1:]):
+            rest -= 2 * kk
+            if not k or kk <= reach[k > 0]:
+                continue
+            reach[k > 0] = kk
+            if k * sign > 0:
+                new, start = win._rows_holding(src_b & edge(kk)) & ~flagged, kk
+            else:
+                new, start = win._rows_holding(src_a & edge(kk)) & ~flagged, 2 * kk
+            if new:
+                flagged |= new
+                ends[a] |= win._grow(0, start + rest, sign, new)
+                ends[b] |= win._grow(0, start + rest - last, sign, new)
+        lost[a] = lost[b] = flagged
+
+
+def _self_bookkeeping(win: BinarySymplecticWindow, a: int, src: int, delays) -> None:
+    """Spill flags and intervals of a run of CPHASE_SELF gates on track a.
+
+    Each gate spills src off both sides and lengthens a flagged row's
+    intervals by its |delay|, so a row flagged before the run gains the sum
+    of them, and a row that gate j first flags the sum from gate j on.
+    """
+    ks = [abs(k) for k in delays]
+    total = sum(ks)
+    if not total:
+        return
+    for ends, lost, edge, sign in win._sides():
+        flagged, reach, rest = lost[a], 0, total
+        if flagged:
+            ends[a] |= win._grow(ends[a], total, sign, flagged)
+        for kk in ks:
+            if kk > reach:
+                reach = kk
+                new = win._rows_holding(src & edge(kk)) & ~flagged
+                if new:
+                    flagged |= new
+                    ends[a] |= win._grow(0, rest, sign, new)
+            rest -= kk
+        lost[a] = flagged
+
+
+def _apply_run(win: BinarySymplecticWindow, kind: str, a: int, b: int | None, moves) -> None:
+    """One step of `Circuit._runs` of CNOT, CPHASE, CPHASE_SELF or P gates on tracks a and b."""
+    planes, ab = (win.z, win.x), (a, b)
+    # the run writes no plane that it reads, so each move adds its fixed
+    # source shifted by every delay of the run
+    sources = [planes[ss][ab[sq]] for _, _, ss, sq, *_ in moves]
+    for (ds, dq, _, _, delays, _, _), src in zip(moves, sources):
+        if src:
+            acc = 0
+            for k in delays:
+                acc ^= win._shifted(src, k)
+            planes[ds][ab[dq]] ^= acc
+    delays = moves[0][4]  # the run's delays: every kind's first move has sign +1 (P's are 0)
+    if kind == "CPHASE_SELF":
+        _self_bookkeeping(win, a, sources[0], delays)
+    elif kind != "P":
+        _pair_bookkeeping(win, a, b, sources[1], sources[0], delays)
+
+
 def run_circuit(win: BinarySymplecticWindow, circuit: Circuit) -> BinarySymplecticWindow:
-    """Apply the shift-invariant circuit to every row of the window at once."""
+    """Apply the shift-invariant circuit to every row of the window at once, one step per run.
+
+    The steps are `circuit._runs`: each maximal run of CNOT, CPHASE,
+    CPHASE_SELF or P gates with the same qubits and frame flag is one step,
+    H and INF gates are steps of their own.
+    """
     out = replace(win, z=list(win.z), x=list(win.x), prefix=list(win.prefix), suffix=list(win.suffix),
                   head_lost=list(win.head_lost), tail_lost=list(win.tail_lost))
-    z, x = out.z, out.x
-    for g in circuit:
-        a, b = gate_columns(g, win.n_per_frame, win.bob_cols)
-        k = g.delay
+    for g, moves in circuit._runs:
+        a, b = gate_columns(g, win.n_per_frame, win.bob_cols)  # the run shares g's qubits
         if g.kind == "INF":
             _apply_inf(out, a, time_reversed_rule(g.f) if g.time_reversed else synthesize_infinite_depth(g.f))
-        elif g.kind == "CNOT":
-            out._flag_spill(x[a], k, b)
-            out._flag_spill(z[b], -k, a)
-            x[b] ^= out._shifted(x[a], k)
-            z[a] ^= out._shifted(z[b], -k)
-            out._damage(a, b, k)  # X side: track a feeds track b
-            out._damage(b, a, k)  # Z side: track b feeds track a
-        elif g.kind == "CPHASE":
-            out._flag_spill(x[a], k, b)
-            out._flag_spill(x[b], -k, a)
-            z[b] ^= out._shifted(x[a], k)
-            z[a] ^= out._shifted(x[b], -k)
-            out._damage(a, b, k)
-            out._damage(b, a, k)
-        elif g.kind == "CPHASE_SELF":
-            out._flag_spill(x[a], k, a)
-            out._flag_spill(x[a], -k, a)
-            z[a] ^= out._shifted(x[a], k) ^ out._shifted(x[a], -k)
-            out._damage(a, a, k)
-        elif g.kind == "P":
-            z[a] ^= x[a]
         elif g.kind == "H":
-            z[a], x[a] = x[a], z[a]
-        else:  # pragma: no cover
-            raise ValueError(g.kind)
+            out.z[a], out.x[a] = out.x[a], out.z[a]
+        else:
+            _apply_run(out, g.kind, a, b, moves)
     return out
 
 
@@ -501,7 +598,7 @@ def verify_code(spec, window: int = 32, scratch: int | None = None) -> Verificat
     (a) every pair of final stabilizer rows has a vanishing shifted
         symplectic product; (b) the sender-side rows span the same space as
         the input check matrices; (c) decoding restores each logical pair to
-        its designated column; (d) the gate-by-gate window simulation of the
+        its designated column; (d) the run-by-run window simulation of the
         encoder agrees with the algebraic stabilizer inside the window.
 
     Checks (a)-(c) run on the stored rows, Laurent numerators over one
