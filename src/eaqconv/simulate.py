@@ -157,22 +157,18 @@ class BinarySymplecticWindow:
 
     def _head(self, k: int) -> int:
         """H(k): frames [0, k) of every row, k clipped to [0, W]; the table fills on first use."""
+        k = 0 if k < 0 else k if k < self.window else self.window
         mask = self._heads.get(k)
         if mask is None:
-            if 0 <= k <= self.window:
-                mask = self._heads[k] = (self._base << k) - self._base
-            else:  # an out-of-range k shares the mask of the end it clips to
-                mask = self._heads[k] = self._head(0 if k < 0 else self.window)
+            mask = self._heads[k] = (self._base << k) - self._base
         return mask
 
     def _tail(self, k: int) -> int:
         """T(k) = full ^ H(W - k): frames [W - k, W) of every row."""
+        k = 0 if k < 0 else k if k < self.window else self.window
         mask = self._tails.get(k)
         if mask is None:
-            if 0 <= k <= self.window:
-                mask = self._tails[k] = self._full ^ self._head(self.window - k)
-            else:
-                mask = self._tails[k] = self._tail(0 if k < 0 else self.window)
+            mask = self._tails[k] = self._full ^ self._head(self.window - k)
         return mask
 
     def _shifted(self, bits: int, k: int) -> int:
@@ -186,12 +182,8 @@ class BinarySymplecticWindow:
         return ((bits + self._full) >> self.window) & self._base
 
     def _sides(self):
-        """(intervals, flags, edge, sign) of the head and of the tail side.
-
-        The head side's intervals are the frames [0, vf) in `prefix`, edge(k)
-        is H(k), and a move by a negative delay carries bits off it; the
-        tail side mirrors this with `suffix`, T(k) and positive delays.
-        """
+        """(intervals, flags, edge, sign) of the head side, then the tail side; a move
+        by a delay of the side's sign carries bits off it."""
         return (self.prefix, self.head_lost, self._head, -1), (self.suffix, self.tail_lost, self._tail, 1)
 
     def _grow(self, ends: int, k: int, sign: int, flags: int) -> int:
@@ -354,20 +346,19 @@ def _pair_bookkeeping(win: BinarySymplecticWindow, a: int, b: int, src_a: int, s
     sign spills src_b onto b and the other sign src_a onto a.  The first
     gate runs as one gate from any state.
     """
-    ks = [abs(k) for k in delays]
-    last, twice = ks[-1], 2 * (sum(ks) - ks[0])
+    ks = [abs(d) for d in delays]
+    first, last, twice = ks[0], ks[-1], 2 * (sum(ks) - ks[0])
     for ends, lost, edge, sign in win._sides():
-        k, reach = delays[0], [0, 0]
-        reach[k > 0] = ks[0]
-        if k * sign > 0:
-            lost[b] |= win._rows_holding(src_b & edge(ks[0]))
-        elif k:
-            lost[a] |= win._rows_holding(src_a & edge(ks[0]))
+        d = delays[0]
+        if d * sign > 0:
+            lost[b] |= win._rows_holding(src_b & edge(first))
+        elif d:
+            lost[a] |= win._rows_holding(src_a & edge(first))
         if lost[a]:
-            ends[b] |= win._grow(ends[a], ks[0], sign, lost[a])
+            ends[b] |= win._grow(ends[a], first, sign, lost[a])
             lost[b] |= lost[a]
         if lost[b]:
-            ends[a] |= win._grow(ends[b], ks[0], sign, lost[b])
+            ends[a] |= win._grow(ends[b], first, sign, lost[b])
             lost[a] |= lost[b]
         if len(ks) == 1:
             continue
@@ -375,16 +366,17 @@ def _pair_bookkeeping(win: BinarySymplecticWindow, a: int, b: int, src_a: int, s
         if flagged:
             ends[a] |= win._grow(u, twice, sign, flagged)
             ends[b] |= win._grow(u, twice - last, sign, flagged)
-        rest = twice
-        for k, kk in zip(delays[1:], ks[1:]):
-            rest -= 2 * kk
-            if not k or kk <= reach[k > 0]:
+        reach = [0, 0]  # the greatest |delay| so far of each sign, indexed by d > 0
+        reach[d > 0], rest = first, twice
+        for d, k in zip(delays[1:], ks[1:]):
+            rest -= 2 * k
+            if not d or k <= reach[d > 0]:
                 continue
-            reach[k > 0] = kk
-            if k * sign > 0:
-                new, start = win._rows_holding(src_b & edge(kk)) & ~flagged, kk
+            reach[d > 0] = k
+            if d * sign > 0:
+                new, start = win._rows_holding(src_b & edge(k)) & ~flagged, k
             else:
-                new, start = win._rows_holding(src_a & edge(kk)) & ~flagged, 2 * kk
+                new, start = win._rows_holding(src_a & edge(k)) & ~flagged, 2 * k
             if new:
                 flagged |= new
                 ends[a] |= win._grow(0, start + rest, sign, new)
@@ -399,7 +391,7 @@ def _self_bookkeeping(win: BinarySymplecticWindow, a: int, src: int, delays) -> 
     intervals by its |delay|, so a row flagged before the run gains the sum
     of them, and a row that gate j first flags the sum from gate j on.
     """
-    ks = [abs(k) for k in delays]
+    ks = [abs(d) for d in delays]
     total = sum(ks)
     if not total:
         return
@@ -407,14 +399,14 @@ def _self_bookkeeping(win: BinarySymplecticWindow, a: int, src: int, delays) -> 
         flagged, reach, rest = lost[a], 0, total
         if flagged:
             ends[a] |= win._grow(ends[a], total, sign, flagged)
-        for kk in ks:
-            if kk > reach:
-                reach = kk
-                new = win._rows_holding(src & edge(kk)) & ~flagged
+        for k in ks:
+            if k > reach:
+                reach = k
+                new = win._rows_holding(src & edge(k)) & ~flagged
                 if new:
                     flagged |= new
                     ends[a] |= win._grow(0, rest, sign, new)
-            rest -= kk
+            rest -= k
         lost[a] = flagged
 
 
