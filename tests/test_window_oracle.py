@@ -262,28 +262,20 @@ def _assert_flags_cover_invalid_frames(win):
         assert not win._rows_holding(win.suffix[q]) & ~win.tail_lost[q], f"track {q}"
 
 
-def _assert_flags_cover_invalid_frames_after_every_gate(state, circuit, window, scratch):
+def _gates(circuit):
+    """Every gate of `circuit` as a step of its own."""
+    return [[g] for g in circuit]
+
+
+def _assert_flags_cover_invalid_frames_after_every_step(state, circuit, window, scratch, steps):
+    """The flags cover the invalid frames after expansion and after each of
+    `steps(circuit)`, a list of gate lists, applied as one circuit."""
     try:
         win = simulate.expand(state, window, scratch)
     except WindowTooSmall:
         return 0
     _assert_flags_cover_invalid_frames(win)
-    for g in circuit:
-        try:
-            win = simulate.run_circuit(win, Circuit((g,)))
-        except IndexError:
-            break
-        _assert_flags_cover_invalid_frames(win)
-    return max(win.prefix + win.suffix)
-
-
-def _assert_flags_cover_invalid_frames_after_every_run(state, circuit, window, scratch):
-    """As after every gate, with each run of same-qubit gates applied as one circuit."""
-    try:
-        win = simulate.expand(state, window, scratch)
-    except WindowTooSmall:
-        return 0
-    for gates in _run_gates(circuit):
+    for gates in steps(circuit):
         try:
             win = simulate.run_circuit(win, Circuit(tuple(gates)))
         except IndexError:
@@ -296,10 +288,10 @@ def test_spill_flags_cover_invalid_frames_on_seeded_cases():
     damaged = damaged_by_runs = 0
     for seed in range(STACKED_CASES):
         for case in (_case, _stacked_case):
-            damaged += bool(_assert_flags_cover_invalid_frames_after_every_gate(*case(seed)))
+            damaged += bool(_assert_flags_cover_invalid_frames_after_every_step(*case(seed), _gates))
         for case in (_case, _stacked_case, _run_case):
-            damaged_by_runs += bool(_assert_flags_cover_invalid_frames_after_every_run(*case(seed)))
-        _assert_flags_cover_invalid_frames_after_every_gate(*_run_case(seed))
+            damaged_by_runs += bool(_assert_flags_cover_invalid_frames_after_every_step(*case(seed), _run_gates))
+        _assert_flags_cover_invalid_frames_after_every_step(*_run_case(seed), _gates)
     assert damaged > STACKED_CASES // 4
     assert damaged_by_runs > STACKED_CASES // 4
 
@@ -309,5 +301,5 @@ def test_spill_flags_cover_invalid_frames_on_golden_codes(window):
     for name, h1, h2 in golden._pairs():
         spec = build_code(*(parse_matrix(t.replace(";", "\n")) for t in (h1, h2)))
         scratch = min(simulate.default_scratch(spec.encoder), window // 3)
-        assert _assert_flags_cover_invalid_frames_after_every_gate(spec.bare, spec.encoder, window, scratch), name
-        assert _assert_flags_cover_invalid_frames_after_every_run(spec.bare, spec.encoder, window, scratch), name
+        for steps in (_gates, _run_gates):
+            assert _assert_flags_cover_invalid_frames_after_every_step(spec.bare, spec.encoder, window, scratch, steps), name
