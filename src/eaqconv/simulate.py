@@ -189,8 +189,10 @@ class BinarySymplecticWindow:
     def _grow(self, ends: int, k: int, sign: int, flags: int) -> int:
         """A side's intervals `ends`, each k frames longer (capped at W), on the rows in `flags`.
 
-        The shift needs no mask: what it carries past a row's end lands in
-        the edge(k) frames of the next row, or on a guard bit.
+        A row's invalid frames on a side come only with its flag there, so
+        the flags alone say which rows carry damage.  The shift needs no
+        mask: what it carries past a row's end lands in the edge(k) frames
+        of the next row, or on a guard bit.
         """
         rows = (flags << self.window) - flags
         if k >= self.window:
