@@ -14,6 +14,10 @@ tier-L pairs (n<=8, deg<=4) of the benchmark's seed-1 `build_l` stream.
 Their encoders run to 12337 gates with CNOT delays up to 2560, which no
 hand-sized case reaches.
 
+A third pins, as one sha256, the exit code, stdout and stderr of `build`
+in both text and JSON on the 12 golden pairs and both worked examples;
+only the examples' text report has a golden file of its own.
+
 Two more sha256 pins hold the check-matrix states that the reports print
 only in part.  For the 12 golden pairs and both worked examples, built with
 `want_trace`, one digest covers every reduction, encode and decode trace
@@ -44,6 +48,7 @@ TIER_L_STREAM = "eaqconv-bench/1/build_l/L"
 TIER_L_SHA256 = "5631a22fb9e894fbd838e397da5f68c3ff1c3c02ae967bd1fa834a9234716792"
 TRACE_STATES_SHA256 = "524ddabcc56fc3bf7a1b4cb994d07f9356b8a6efc8f162f3d74fc50332c6dd10"
 TIER_L_DECODED_SHA256 = "362ffd83ee2f4c924455661a39e064e9fad1b06880dc55faed2eb2b6e291fefd"
+BUILD_REPORTS_SHA256 = "885709992b12a3777968bdaac85d201a776d5df5293adb08b7be07723a5e653c"
 
 
 def build_json(h1: str, h2: str) -> str:
@@ -51,6 +56,14 @@ def build_json(h1: str, h2: str) -> str:
     with contextlib.redirect_stdout(out):
         assert main(["build", "--h1", h1, "--h2", h2, "--format", "json"]) == 0
     return out.getvalue()
+
+
+def _build_output(h1: str, h2: str, fmt: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `eaqconv build` in the given format."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["build", "--h1", h1, "--h2", h2, "--format", fmt])
+    return code, out.getvalue(), err.getvalue()
 
 
 def _cases():
@@ -80,6 +93,15 @@ def test_tier_l_builds_match_pinned_digest():
     for h1, h2 in _random_pairs(random.Random(TIER_L_STREAM), 8, 4, 24):
         digest.update(f"{h1}\n{h2}\n{build_json(h1, h2)}".encode())
     assert digest.hexdigest() == TIER_L_SHA256
+
+
+def test_build_reports_match_pinned_digest():
+    pairs = [(c["h1"], c["h2"]) for c in _cases()] + [pair for _, pair in sorted(EXAMPLES.items())]
+    digest = hashlib.sha256()
+    for h1, h2 in pairs:
+        for fmt in ("text", "json"):
+            digest.update(repr((h1, h2, fmt, *_build_output(h1, h2, fmt))).encode())
+    assert digest.hexdigest() == BUILD_REPORTS_SHA256
 
 
 def _state_text(qcm) -> str:
