@@ -397,10 +397,10 @@ class RationalPoly:
         return hash((self.num, self.den))
 
     def __str__(self) -> str:
-        return format_rational(self)
+        return format_rational(self.num, self.den)
 
     def __repr__(self) -> str:
-        return f"RationalPoly({format_rational(self)!r})"
+        return f"RationalPoly({str(self)!r})"
 
 
 ZERO = LaurentPoly.zero()
@@ -517,10 +517,13 @@ def _strip_parens(s: str) -> str:
     return s
 
 
-def format_rational(r: RationalPoly) -> str:
-    if r.is_polynomial():
-        return format_poly(r.num)
-    num = format_poly(r.num)
-    if "+" in num:
-        num = f"({num})"
-    return f"{num}/({format_poly(r.den)})"
+def format_rational(num: LaurentPoly, den: LaurentPoly) -> str:
+    """num/den as text, in lowest terms; den lies in GF(2)[D] with constant term 1."""
+    if den.bits != 1:
+        den, (num,) = lowest_terms(den, (num,))
+    text = format_poly(num)
+    if den.bits == 1:
+        return text
+    if "+" in text:
+        text = f"({text})"
+    return f"{text}/({format_poly(den)})"

@@ -1,9 +1,12 @@
-"""Laurent grids, the Smith engine and row spaces; PolyMatrix for text.
+"""Laurent grids, the Smith engine and row spaces; PolyMatrix and rows for text.
 
 The algebra works on Laurent grids: lists of rows of LaurentPoly entries.
 A PolyMatrix is an immutable grid of RationalPoly entries, the form that
 `parse_matrix` reads and `format_matrix` prints; `laurent_grid` turns a
-polynomial one into a Laurent grid on entry to the algebra.
+polynomial one into a Laurent grid on entry to the algebra.  `format_rows`
+prints rows of Laurent numerators over their row denominators, the form a
+check matrix stores, line for line as `format_matrix` prints the same
+entries.
 
 The Smith engine is deliberately deterministic: among nonzero entries of the
 working block it always pivots on the one with minimal (deg - del), ties
@@ -429,7 +432,12 @@ def row_space_equal(a: list[list[LaurentPoly]], *others: list[list[LaurentPoly]]
 
 
 def format_matrix(m: PolyMatrix) -> str:
-    return "\n".join(", ".join(format_rational(e) for e in row) for row in m.entries)
+    return "\n".join(", ".join(format_rational(e.num, e.den) for e in row) for row in m.entries)
+
+
+def format_rows(nums, dens) -> list[str]:
+    """Rows of Laurent numerators over their row denominators, one line per row as `format_matrix` prints it."""
+    return [", ".join(format_rational(e, d) for e in row) for row, d in zip(nums, dens)]
 
 
 def parse_matrix(text: str) -> PolyMatrix:

@@ -26,7 +26,7 @@ from eaqconv.gates import (
     time_reversed_rule,
 )
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly
-from eaqconv.polymat import PolyMatrix, parse_matrix
+from eaqconv.polymat import PolyMatrix, format_matrix, format_rows, parse_matrix
 from support import alice_cols, parse_circuit, parse_gate
 
 
@@ -162,6 +162,43 @@ def _random_qcm(rng, rows, cols, bob_cols=0, rational=False):
     z = PolyMatrix([[rp() for _ in range(cols)] for _ in range(rows)])
     x = PolyMatrix([[rp() for _ in range(cols)] for _ in range(rows)])
     return QuantumCheckMatrix(z, x, bob_cols=bob_cols)
+
+
+_DENS = [parse_poly(t) for t in ("1", "1", "1+D", "1+D+D^2", "1+D^2", "1+D^3", "1+D+D^3")]
+
+
+def test_format_rows_prints_the_entries_line_for_line():
+    """A check matrix's rows over their row denominators print as `format_matrix` prints its entries.
+
+    Seeded rows mix entries over a shared denominator, over distinct ones
+    (the row denominator is their lcm, and each entry reduces again),
+    polynomial rows, zero rows and negative exponents.
+    """
+    rng = random.Random("format-rows")
+    seen = dict.fromkeys(("shared", "distinct", "unit", "zero", "negative"), 0)
+    for _ in range(400):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+
+        def row():
+            """One check row, its Z and X entries together."""
+            if rng.random() < 0.15:
+                return [RationalPoly.zero()] * 2 * cols
+            dens = [rng.choice(_DENS)] if rng.random() < 0.5 else _DENS
+            return [RationalPoly(LaurentPoly(rng.randrange(0, 16), rng.randint(-2, 1)), rng.choice(dens)) for _ in range(2 * cols)]
+
+        grid = [row() for _ in range(rows)]
+        z, x = (PolyMatrix([r[half] for r in grid], cols=cols) for half in (slice(cols), slice(cols, None)))
+        m = QuantumCheckMatrix(z, x)
+        assert format_rows(m.zn, m.dens) == format_matrix(z).splitlines()
+        assert format_rows(m.xn, m.dens) == format_matrix(x).splitlines()
+        for zr, xr, d in zip(z.entries, x.entries, m.dens):
+            entry_dens = {e.den for e in zr + xr if e}
+            seen["zero"] += not entry_dens
+            seen["unit"] += d == LaurentPoly.one()
+            seen["shared"] += len(entry_dens) == 1 and d != LaurentPoly.one()
+            seen["distinct"] += len(entry_dens - {LaurentPoly.one()}) > 1
+            seen["negative"] += any(e.num.low < 0 for e in zr + xr if e)
+    assert min(seen.values()) >= 40, seen
 
 
 def _random_gate(rng, n_alice):

@@ -246,10 +246,18 @@ def test_poly_text_round_trip(p):
 @given(laurents, nonzero_laurents)
 def test_rational_text_round_trip(n, d):
     r = RationalPoly(n, d)
-    assert parse_rational(format_rational(r)) == r
+    assert parse_rational(format_rational(r.num, r.den)) == r
+    assert parse_rational(str(r)) == r
 
 
 def test_rational_format_goldens():
-    assert format_rational(RationalPoly(ONE, P("1+D+D^2"))) == "1/(1+D+D^2)"
-    assert format_rational(RationalPoly(P("1+D"), P("1+D+D^2"))) == "(1+D)/(1+D+D^2)"
-    assert format_rational(RationalPoly(P("1+D"))) == "1+D"
+    assert format_rational(ONE, P("1+D+D^2")) == "1/(1+D+D^2)"
+    assert format_rational(P("1+D"), P("1+D+D^2")) == "(1+D)/(1+D+D^2)"
+    assert format_rational(P("1+D"), ONE) == "1+D"
+    assert str(RationalPoly(P("1+D"), P("1+D+D^2"))) == "(1+D)/(1+D+D^2)"
+
+
+def test_rational_format_reduces_the_pair():
+    assert format_rational(P("1+D^2"), P("1+D^3")) == "(1+D)/(1+D+D^2)"
+    assert format_rational(P("D^-1+D"), P("1+D")) == "D^-1+1"
+    assert format_rational(ZERO, P("1+D")) == "0"
