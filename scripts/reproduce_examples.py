@@ -15,20 +15,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from eaqconv.construct import build_code
 from eaqconv.gates import format_circuit
-from eaqconv.polymat import format_matrix, parse_matrix
+from eaqconv.polymat import format_rows, parse_matrix
 from eaqconv.simulate import verify_code
 
 
 def show_state(label, state):
     print(f"  -- {label}")
-    z = format_matrix(state.z).splitlines()
-    x = format_matrix(state.x).splitlines()
-    for zr, xr in zip(z, x):
+    for zr, xr in zip(format_rows(state.zn, state.dens), format_rows(state.xn, state.dens)):
         print(f"     ( {zr} | {xr} )")
-    if state.info is not None and state.info.rows:
-        iz = format_matrix(state.info.z).splitlines()
-        ix = format_matrix(state.info.x).splitlines()
-        for zr, xr in zip(iz, ix):
+    if state.info is not None:
+        info = state.info
+        for zr, xr in zip(format_rows(info.zn, info.dens), format_rows(info.xn, info.dens)):
             print(f"     logical: ( {zr} | {xr} )")
 
 

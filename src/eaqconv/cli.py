@@ -30,7 +30,7 @@ import sys
 from .construct import build_code, classify, code_params
 from .errors import EaqconvError, InternalError, PolyParseError, ValidationError
 from .gates import format_gate
-from .polymat import format_matrix, parse_matrix
+from .polymat import format_rows, parse_matrix
 from .simulate import verify_code
 
 SCHEMA_VERSION = 1
@@ -52,77 +52,20 @@ def _load_matrix(arg: str):
     return parse_matrix(arg.replace(";", "\n"))
 
 
-def _qcm_lines(qcm):
-    zs = format_matrix(qcm.z).splitlines()
-    xs = format_matrix(qcm.x).splitlines()
-    labels = qcm.row_labels or tuple("" for _ in zs)
-    out = []
-    for z, x, lab in zip(zs, xs, labels):
-        tag = f"  [{lab}]" if lab else ""
-        out.append(f"  ( {z} | {x} ){tag}")
-    return out or ["  (empty)"]
-
-
 def _qcm_json(qcm):
     return {
         "bob_cols": qcm.bob_cols,
-        "z": format_matrix(qcm.z).splitlines(),
-        "x": format_matrix(qcm.x).splitlines(),
+        "z": format_rows(qcm.zn, qcm.dens),
+        "x": format_rows(qcm.xn, qcm.dens),
         "row_labels": list(qcm.row_labels),
     }
 
 
-def _spec_report_text(spec):
-    lines = []
-    lines.append(f"[[{spec.n}, {spec.k}; {spec.c}]] entanglement-assisted quantum convolutional code")
-    lines.append(f"class: {spec.class_tag} (unit invariant factors: {spec.s} of {spec.c})")
-    lines.append(f"invariant factors of H1*H2~: {', '.join(str(g) for g in spec.record.product_factors) or '(none)'}")
-    lines.append(
-        "rates: entanglement-assisted "
-        f"{spec.rates.entanglement_assisted}, trade-off ({spec.rates.tradeoff[0]}, {spec.rates.tradeoff[1]}), "
-        f"catalytic {spec.rates.catalytic}"
-    )
-    lines.append(f"encoder ({len(spec.encoder)} gates):")
-    lines.extend(f"  {format_gate(g)}" for g in spec.encoder)
-    lines.append(f"decoder ({len(spec.decoder)} gates):")
-    lines.extend(f"  {format_gate(g)}" for g in spec.decoder)
-    lines.append("final stabilizer (Z | X), receiver columns first:")
-    lines.extend(_qcm_lines(spec.final_stabilizer))
-    lines.append("measurable stabilizer (denominators cleared):")
-    lines.extend(_qcm_lines(spec.measurable_stabilizer))
-    lines.append(f"  row multipliers: {', '.join(str(m) for m in spec.measurement_multipliers) or '(none)'}")
-    lines.append("logical operators (unencoded):")
-    lines.extend(_qcm_lines(spec.bare.info))
-    cols = ", ".join(str(c + 1) for c in spec.logical_cols) or "(none)"
-    dcols = ", ".join(str(c + 1) for c in spec.decoded_cols) or "(none)"
-    offs = ", ".join("?" if o is None else str(o) for o in spec.decoded_offsets) or "(none)"
-    lines.append(f"information columns: {cols}; decoded to: {dcols}; frame offsets: {offs}")
-    return "\n".join(lines)
-
-
-def _spec_report_json(spec):
-    return {
-        "schema": SCHEMA_VERSION,
-        "n": spec.n,
-        "k": spec.k,
-        "c": spec.c,
-        "s": spec.s,
-        "class": spec.class_tag,
-        "invariant_factors": [str(g) for g in spec.record.product_factors],
-        "rates": {
-            "entanglement_assisted": str(spec.rates.entanglement_assisted),
-            "tradeoff": [str(spec.rates.tradeoff[0]), str(spec.rates.tradeoff[1])],
-            "catalytic": str(spec.rates.catalytic),
-        },
-        "encoder": [format_gate(g) for g in spec.encoder],
-        "decoder": [format_gate(g) for g in spec.decoder],
-        "final_stabilizer": _qcm_json(spec.final_stabilizer),
-        "measurable_stabilizer": _qcm_json(spec.measurable_stabilizer),
-        "measurement_multipliers": [str(m) for m in spec.measurement_multipliers],
-        "logical_columns": [c + 1 for c in spec.logical_cols],
-        "decoded_columns": [c + 1 for c in spec.decoded_cols],
-        "decoded_offsets": list(spec.decoded_offsets),
-    }
+def _qcm_lines(record):
+    """The text rows of a `_qcm_json` record."""
+    labels = record["row_labels"] or [""] * len(record["z"])
+    out = [f"  ( {z} | {x} )" + (f"  [{lab}]" if lab else "") for z, x, lab in zip(record["z"], record["x"], labels)]
+    return out or ["  (empty)"]
 
 
 def _params_json(code):
@@ -142,29 +85,70 @@ def _params_json(code):
     }
 
 
+def _spec_report_json(spec):
+    """The build report: the `_params_json` record, the invariant factors placed before its rates, then the code."""
+    params = _params_json(spec)
+    rates = params.pop("rates")
+    return {
+        **params,
+        "invariant_factors": [str(g) for g in spec.record.product_factors],
+        "rates": rates,
+        "encoder": [format_gate(g) for g in spec.encoder],
+        "decoder": [format_gate(g) for g in spec.decoder],
+        "final_stabilizer": _qcm_json(spec.final_stabilizer),
+        "measurable_stabilizer": _qcm_json(spec.measurable_stabilizer),
+        "measurement_multipliers": [str(m) for m in spec.measurement_multipliers],
+        "logical_columns": [c + 1 for c in spec.logical_cols],
+        "decoded_columns": [c + 1 for c in spec.decoded_cols],
+        "decoded_offsets": list(spec.decoded_offsets),
+    }
+
+
+def _rates_line(rates):
+    return (
+        f"rates: entanglement-assisted {rates['entanglement_assisted']}, "
+        f"trade-off ({rates['tradeoff'][0]}, {rates['tradeoff'][1]}), catalytic {rates['catalytic']}"
+    )
+
+
+def _spec_report_text(spec):
+    """The `_spec_report_json` record as text, with the unencoded logical operators, which JSON does not carry."""
+    rep = _spec_report_json(spec)
+    listed = lambda items: ", ".join(items) or "(none)"
+    lines = [
+        f"[[{rep['n']}, {rep['k']}; {rep['c']}]] entanglement-assisted quantum convolutional code",
+        f"class: {rep['class']} (unit invariant factors: {rep['s']} of {rep['c']})",
+        f"invariant factors of H1*H2~: {listed(rep['invariant_factors'])}",
+        _rates_line(rep["rates"]),
+        f"encoder ({len(rep['encoder'])} gates):",
+        *(f"  {g}" for g in rep["encoder"]),
+        f"decoder ({len(rep['decoder'])} gates):",
+        *(f"  {g}" for g in rep["decoder"]),
+        "final stabilizer (Z | X), receiver columns first:",
+        *_qcm_lines(rep["final_stabilizer"]),
+        "measurable stabilizer (denominators cleared):",
+        *_qcm_lines(rep["measurable_stabilizer"]),
+        f"  row multipliers: {listed(rep['measurement_multipliers'])}",
+        "logical operators (unencoded):",
+        *_qcm_lines(_qcm_json(spec.bare.info)),
+        f"information columns: {listed(map(str, rep['logical_columns']))}; "
+        f"decoded to: {listed(map(str, rep['decoded_columns']))}; "
+        f"frame offsets: {listed('?' if o is None else str(o) for o in rep['decoded_offsets'])}",
+    ]
+    return "\n".join(lines)
+
+
 def cmd_build(args) -> int:
-    h1 = _load_matrix(args.h1)
-    h2 = _load_matrix(args.h2)
-    spec = build_code(h1, h2)
-    if args.format == "json":
-        print(json.dumps(_spec_report_json(spec), indent=2))
-    else:
-        print(_spec_report_text(spec))
+    spec = build_code(_load_matrix(args.h1), _load_matrix(args.h2))
+    print(json.dumps(_spec_report_json(spec), indent=2) if args.format == "json" else _spec_report_text(spec))
     return 0
 
 
 def cmd_params(args) -> int:
     _, record = classify(_load_matrix(args.h1), _load_matrix(args.h2))
-    if args.format == "json":
-        print(json.dumps(_params_json(record), indent=2))
-    else:
-        p = code_params(record)
-        print(f"[[{p['n']}, {p['k']}; {p['c']}]] class={p['class']}")
-        print(
-            f"rates: entanglement-assisted {p['entanglement_assisted_rate']}, "
-            f"trade-off ({p['tradeoff_rate'][0]}, {p['tradeoff_rate'][1]}), "
-            f"catalytic {p['catalytic_rate']}"
-        )
+    doc = _params_json(record)
+    text = f"[[{doc['n']}, {doc['k']}; {doc['c']}]] class={doc['class']}\n{_rates_line(doc['rates'])}"
+    print(json.dumps(doc, indent=2) if args.format == "json" else text)
     return 0
 
 

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from eaqconv import polymat
-from eaqconv.cli import main
+from eaqconv import gates, polymat
+from eaqconv.cli import EXAMPLES, main
 from eaqconv.construct import build_code, code_params
 from eaqconv.errors import EaqconvError, InternalError, ValidationError
 from eaqconv.poly import LaurentPoly, RationalPoly
@@ -137,6 +137,24 @@ def test_validation_error_names_factor(capsys):
     assert code == 3
     assert "catastrophic" in err
     assert "1+D" in err
+
+
+def test_reports_print_rows_not_views(capsys, monkeypatch):
+    """Every subcommand prints check matrices from their stored rows: with the
+    `QuantumCheckMatrix.z` and `.x` views raising, each output is unchanged."""
+    class2 = ("1+D^2, D^2", "D, 1+D+D^2")  # seed-1 verify_w64 op 4: rational stabilizer rows
+    calls = [[cmd, "--h1", h1, "--h2", h2] for cmd in ("build", "params", "verify") for h1, h2 in (*EXAMPLES.values(), class2)]
+    calls = [[*argv, "--format", fmt] for argv in [*calls, ["examples"]] for fmt in ("text", "json")]
+    want = [run(capsys, *argv) for argv in calls]
+    assert {code for code, _, _ in want} == {0}
+    assert "/(1+D^2+D^3)" in want[calls.index(["build", "--h1", class2[0], "--h2", class2[1], "--format", "text"])][1]
+
+    def view(self):
+        raise AssertionError("a report formed a PolyMatrix view")
+
+    for name in ("z", "x"):
+        monkeypatch.setattr(gates.QuantumCheckMatrix, name, property(view))
+    assert [run(capsys, *argv) for argv in calls] == want
 
 
 def test_internal_error_is_typed_and_exits_5(capsys, monkeypatch):
