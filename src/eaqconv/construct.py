@@ -77,7 +77,7 @@ def _admit(which: str, h: PolyMatrix):
     for row in grid:
         for e in row:
             if not e.is_zero() and e.dell < 0:
-                raise NotDelayFree(which, e)
+                raise NotDelayFree(which, entry=e)
     engine = SmithEngine(grid)
     gamma, units = engine.factors()
     if len(gamma) < h.rows:

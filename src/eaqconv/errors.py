@@ -35,12 +35,12 @@ class CatastrophicInput(ValidationError):
 
 
 class NotDelayFree(ValidationError):
-    """The check matrix carries a pure-delay unit factor D^k with k != 0."""
+    """The check matrix has an entry with a negative exponent (entry) or a pure-delay unit factor D^k, k != 0 (factor)."""
 
-    def __init__(self, which, factor):
-        self.which = which
-        self.factor = factor
-        super().__init__(f"{which} is not delay-free: invariant factor {factor} is a proper delay")
+    def __init__(self, which, factor=None, entry=None):
+        self.which, self.factor, self.entry = which, factor, entry
+        why = f"entry {entry} has a negative exponent" if entry else f"invariant factor {factor} is a proper delay"
+        super().__init__(f"{which} is not delay-free: {why}")
 
 
 class RankDeficient(ValidationError):

@@ -139,6 +139,12 @@ def test_validation_error_names_factor(capsys):
     assert "1+D" in err
 
 
+def test_negative_exponent_is_named_as_an_entry(capsys):
+    code, out, err = run(capsys, "params", "--h1", "1, D^-1", "--h2", "1, 1")
+    assert (code, out) == (3, "")
+    assert err == "validation error: H1 is not delay-free: entry D^-1 has a negative exponent\n"
+
+
 def test_reports_print_rows_not_views(capsys, monkeypatch):
     """Every subcommand prints check matrices from their stored rows: with the
     `QuantumCheckMatrix.z` and `.x` views raising, each output is unchanged."""
