@@ -16,9 +16,9 @@ each diagonal entry dividing the next.  The engine owns its block: it reads
 the Laurent rows once into (bits, low) integer pairs, and scans, snapshots,
 divides and applies every operation on those ints, with no LaurentPoly per
 entry.  It logs each row or column addition or swap, and nothing outside
-it touches the block during the run.  `invariant_factors` runs the engine
-and reads its diagonal; validation applies the log's row operations to H1
-(`row_image`) for its row basis.  The code construction `replay`s a log
+it touches the block during the run.  `SmithEngine.factors` runs the
+engine and reads its diagonal; validation applies the log's row operations
+to H1 (`row_image`) for its row basis.  The code construction `replay`s a log
 after the run to SmithHooks that turn column operations into circuit gates
 and row operations into row operations on its working check matrix.
 
@@ -342,11 +342,6 @@ def row_image(ops, rows: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
             for grid in (bits, lows):
                 grid[i], grid[j] = grid[j], grid[i]
     return [[LaurentPoly(b, low) for b, low in zip(*pair)] for pair in zip(bits, lows)]
-
-
-def invariant_factors(rows: list[list[LaurentPoly]]) -> tuple[tuple[LaurentPoly, ...], tuple[int, ...]]:
-    """(gamma, unit_exps) of a grid of Laurent rows: delay-free invariant factors and their D^k units."""
-    return SmithEngine(rows).factors()
 
 
 # -- row spaces over GF(2)(D) ----------------------------------------------------

@@ -1,9 +1,9 @@
 """The Smith decomposition with its witnesses, and rational matrix arithmetic, as a test oracle.
 
 The package reduces Laurent grids and keeps only what the construction
-reads: the invariant factors (`eaqconv.polymat.invariant_factors`) and H1's
-row basis (`eaqconv.construct.validate_inputs`).  This module keeps what
-the tests check them against, on the package's own Smith engine, and a
+reads: the invariant factors (`eaqconv.polymat.SmithEngine.factors`) and
+H1's row basis (`eaqconv.construct.validate_inputs`).  This module keeps
+what the tests check them against, on the package's own Smith engine, and a
 second engine to check that engine against:
 
 - `LaurentSmithEngine`: the Smith engine as it ran before the package's
@@ -15,6 +15,8 @@ second engine to check that engine against:
 
 - `PolyMatrix`: the package's `PolyMatrix` with sums, products, transposes,
   D -> D^-1, identities, entry indexing and the zero test.
+- `invariant_factors(rows)`: the engine's factors of a Laurent grid, with
+  no witnesses.
 - `smith_form(m)`: M = A diag(D^k gamma) B with the unimodular witnesses A
   and B, which `MatrixHooks` accumulates as it hears the package engine's
   log replayed.
@@ -296,6 +298,11 @@ class SmithDecomposition:
 
     def reconstruct(self, rows: int, cols: int) -> PolyMatrix:
         return self.a * self.diag_extended(rows, cols) * self.b
+
+
+def invariant_factors(rows: list[list[LaurentPoly]]) -> tuple[tuple[LaurentPoly, ...], tuple[int, ...]]:
+    """(gamma, unit_exps) of a grid of Laurent rows: delay-free invariant factors and their D^k units."""
+    return polymat.SmithEngine(rows).factors()
 
 
 def smith_form(m: polymat.PolyMatrix) -> SmithDecomposition:

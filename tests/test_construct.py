@@ -34,12 +34,11 @@ from eaqconv.polymat import (
     PolyMatrix,
     SmithEngine,
     format_matrix,
-    invariant_factors,
     laurent_grid,
     parse_matrix,
     replay,
 )
-from smith_oracle import GridHooks, smith_form
+from smith_oracle import GridHooks, invariant_factors, smith_form
 from support import corpus_items, ebit_count, submatrix, zx_concat
 from verify_oracle import is_commuting, rank, row_space_equal
 

@@ -38,8 +38,8 @@ from eaqconv.cli import _spec_report_json
 from eaqconv.construct import build_code
 from eaqconv.gates import Circuit, QuantumCheckMatrix, format_gate
 from eaqconv.poly import LaurentPoly, RationalPoly
-from eaqconv.polymat import PolyMatrix, format_matrix, invariant_factors, laurent_grid, parse_matrix, row_space_equal
-from smith_oracle import smith_form
+from eaqconv.polymat import PolyMatrix, format_matrix, laurent_grid, parse_matrix, row_space_equal
+from smith_oracle import invariant_factors, smith_form
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "perfbench" / "corpus" / "seed-1.json"
