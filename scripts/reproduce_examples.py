@@ -21,12 +21,10 @@ from eaqconv.simulate import verify_code
 
 def show_state(label, state):
     print(f"  -- {label}")
-    for zr, xr in zip(format_rows(state.zn, state.dens), format_rows(state.xn, state.dens)):
-        print(f"     ( {zr} | {xr} )")
-    if state.info is not None:
-        info = state.info
-        for zr, xr in zip(format_rows(info.zn, info.dens), format_rows(info.xn, info.dens)):
-            print(f"     logical: ( {zr} | {xr} )")
+    for qcm, tag in ((state, ""), (state.info, "logical: ")):
+        if qcm is not None:
+            for zr, xr in zip(format_rows(qcm.zn, qcm.dens), format_rows(qcm.xn, qcm.dens)):
+                print(f"     {tag}( {zr} | {xr} )")
 
 
 def run(name, h_text):
