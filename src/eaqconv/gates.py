@@ -135,7 +135,8 @@ class QuantumCheckMatrix:
     numerators.  dens[r] is then the lcm of the row's entry denominators,
     the form is unique, and equality compares rows.  `z` and `x` are
     PolyMatrix views of the canonical RationalPoly entries, formed on first
-    use.
+    use by `row` and the tests; the reports print the rows themselves
+    (`polymat.format_rows`).
 
     The leftmost bob_cols columns belong to the receiver (ebit halves); the
     remaining columns are the sender's.  `info` carries the parallel
