@@ -35,7 +35,7 @@ class CatastrophicInput(ValidationError):
 
 
 class NotDelayFree(ValidationError):
-    """The check matrix has an entry with a negative exponent (entry) or a pure-delay unit factor D^k, k != 0 (factor)."""
+    """The check matrix has an entry with a negative exponent, or a pure-delay unit factor D^k with k != 0."""
 
     def __init__(self, which, factor=None, entry=None):
         self.which, self.factor, self.entry = which, factor, entry

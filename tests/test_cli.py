@@ -149,7 +149,8 @@ def test_reports_print_rows_not_views(capsys, monkeypatch):
     """Every subcommand prints check matrices from their stored rows: with the
     `QuantumCheckMatrix.z` and `.x` views raising, each output is unchanged."""
     class2 = ("1+D^2, D^2", "D, 1+D+D^2")  # seed-1 verify_w64 op 4: rational stabilizer rows
-    calls = [[cmd, "--h1", h1, "--h2", h2] for cmd in ("build", "params", "verify") for h1, h2 in (*EXAMPLES.values(), class2)]
+    pairs = (*EXAMPLES.values(), class2)
+    calls = [[cmd, "--h1", h1, "--h2", h2] for cmd in ("build", "params", "verify") for h1, h2 in pairs]
     calls = [[*argv, "--format", fmt] for argv in [*calls, ["examples"]] for fmt in ("text", "json")]
     want = [run(capsys, *argv) for argv in calls]
     assert {code for code, _, _ in want} == {0}

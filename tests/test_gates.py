@@ -184,7 +184,8 @@ def test_format_rows_prints_the_entries_line_for_line():
             if rng.random() < 0.15:
                 return [RationalPoly.zero()] * 2 * cols
             dens = [rng.choice(_DENS)] if rng.random() < 0.5 else _DENS
-            return [RationalPoly(LaurentPoly(rng.randrange(0, 16), rng.randint(-2, 1)), rng.choice(dens)) for _ in range(2 * cols)]
+            num = lambda: LaurentPoly(rng.randrange(0, 16), rng.randint(-2, 1))
+            return [RationalPoly(num(), rng.choice(dens)) for _ in range(2 * cols)]
 
         grid = [row() for _ in range(rows)]
         z, x = (PolyMatrix([r[half] for r in grid], cols=cols) for half in (slice(cols), slice(cols, None)))

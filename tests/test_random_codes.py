@@ -51,13 +51,6 @@ TIER_L_DECODED_SHA256 = "362ffd83ee2f4c924455661a39e064e9fad1b06880dc55faed2eb2b
 BUILD_REPORTS_SHA256 = "885709992b12a3777968bdaac85d201a776d5df5293adb08b7be07723a5e653c"
 
 
-def build_json(h1: str, h2: str) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["build", "--h1", h1, "--h2", h2, "--format", "json"]) == 0
-    return out.getvalue()
-
-
 def _build_output(h1: str, h2: str, fmt: str) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of `eaqconv build` in the given format."""
     out, err = io.StringIO(), io.StringIO()
@@ -66,9 +59,19 @@ def _build_output(h1: str, h2: str, fmt: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def build_json(h1: str, h2: str) -> str:
+    code, out, _ = _build_output(h1, h2, "json")
+    assert code == 0
+    return out
+
+
 def _cases():
     with open(GOLDEN, encoding="utf-8") as fh:
         return json.load(fh)["codes"]
+
+
+def _golden_and_example_pairs():
+    return [(c["h1"], c["h2"]) for c in _cases()] + [pair for _, pair in sorted(EXAMPLES.items())]
 
 
 def test_build_matches_golden():
@@ -96,9 +99,8 @@ def test_tier_l_builds_match_pinned_digest():
 
 
 def test_build_reports_match_pinned_digest():
-    pairs = [(c["h1"], c["h2"]) for c in _cases()] + [pair for _, pair in sorted(EXAMPLES.items())]
     digest = hashlib.sha256()
-    for h1, h2 in pairs:
+    for h1, h2 in _golden_and_example_pairs():
         for fmt in ("text", "json"):
             digest.update(repr((h1, h2, fmt, *_build_output(h1, h2, fmt))).encode())
     assert digest.hexdigest() == BUILD_REPORTS_SHA256
@@ -117,9 +119,8 @@ def _build(h1: str, h2: str, want_trace: bool = False):
 
 
 def test_traced_states_match_pinned_digest():
-    pairs = [(c["h1"], c["h2"]) for c in _cases()] + [pair for _, pair in sorted(EXAMPLES.items())]
     digest = hashlib.sha256()
-    for h1, h2 in pairs:
+    for h1, h2 in _golden_and_example_pairs():
         spec = _build(h1, h2, want_trace=True)
         steps = spec.record.reduction.trace + spec.encode_trace + spec.decode_trace
         states = [(s.label, s.state) for s in steps] + [
