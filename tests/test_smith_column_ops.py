@@ -4,7 +4,8 @@ The construction logs every Smith column operation as CNOTs and applies
 their column action to its Z and X grids.  With `want_trace` each CNOT's
 term is added on its own, because the trace holds the state after every
 gate; a plain build adds a column operation's terms at once and must reach
-the same gate log and the same grids.  Comparing the grids matters: a wrong
+the same gate log and the same grids, and the trace must take one step per
+logged gate, labelled as `format_gate` prints it.  Comparing the grids matters: a wrong
 X-side action in a column addition can leave every report equal while the
 grids differ.  As both builds run the same column addition, the logged
 gates are also replayed by `Circuit.apply` on the column planes from
@@ -89,6 +90,8 @@ def test_traced_and_plain_reductions_agree(start):
         plain = build_code(m1, m2)
         rt, rp = traced.record.reduction, plain.record.reduction
         assert rp.gates == rt.gates, (h1, h2)
+        steps = [s.label for s in rt.trace if s.label.startswith(("CNOT ", "H "))]
+        assert steps == [format_gate(g) for g in rp.gates], (h1, h2)  # one trace step per logged gate
         assert rp.z == rt.z, (h1, h2)
         assert rp.x == rt.x, (h1, h2)
         assert _spec_report_json(plain) == _spec_report_json(traced), (h1, h2)

@@ -15,11 +15,16 @@ and of the encoders of the golden codes at W=64 and W=128, a track's
 head-invalid (tail-invalid) frames must come with its head (tail) spill
 flag, which lets the simulator decide damage from the flags alone; the
 same holds after every run of same-qubit gates applied as one circuit.
+In the run-heavy family, a quarter of the multi-gate runs of each of CNOT,
+CPHASE and CPHASE_SELF must meet a late flag: a gate after the first flags
+a (row, side) that no earlier gate of its run flagged, the case a run's
+bookkeeping must get right.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -201,9 +206,10 @@ def _flagged(win, tracks):
 
 
 def _oracle_by_runs(stats):
-    """The per-bit `run_circuit`, gate by gate, tallying into stats the multi-gate
-    runs, those in which a gate after the first flags a (row, side) that no
-    earlier gate of the run flagged, and the flag counts on two-track runs' entry."""
+    """The per-bit `run_circuit`, gate by gate, tallying into stats, per gate kind,
+    the multi-gate runs and those in which a gate after the first flags a
+    (row, side) that no earlier gate of the run flagged, and the flag counts
+    on two-track runs' entry."""
 
     def run(win, circuit):
         for gates in _run_gates(circuit):
@@ -216,22 +222,23 @@ def _oracle_by_runs(stats):
                 win = oracle.run_circuit(win, Circuit((g,)))
                 late |= n > 0 and any(f and not b for f, b in zip(_flagged(win, tracks), before))
             if len(gates) > 1:
-                stats["runs"] += 1
-                stats["late"] += late
+                stats["runs"][gates[0].kind] += 1
+                stats["late"][gates[0].kind] += late
         return win
 
     return run
 
 
 def test_run_heavy_windows_match_the_per_bit_simulator():
-    stats = {"runs": 0, "late": 0, "entry": set()}
+    stats = {"runs": Counter(), "late": Counter(), "entry": set()}
     for seed in range(RUN_CASES):
         case = _run_case(seed)
         new = _outcome(simulate.expand, simulate.run_circuit, simulate.WindowRow.valid_mask, *case)
         old = _outcome(oracle.expand, _oracle_by_runs(stats), oracle.valid_mask, *case)
         assert new == old, f"seed {seed}"
-    assert stats["runs"] > RUN_CASES
-    assert 4 * stats["late"] >= stats["runs"], stats
+    assert stats["runs"].total() > RUN_CASES
+    for kind in ("CNOT", "CPHASE", "CPHASE_SELF"):  # each kind's run rule meets late flags
+        assert 4 * stats["late"][kind] >= stats["runs"][kind] > 0, (kind, stats)
     assert stats["entry"] == {0, 1, 2}
 
 
