@@ -53,15 +53,12 @@ from .gates import (
     inf_depth,
     swap,
 )
-from .poly import LaurentPoly, divmod_shifted, lowest_terms
+from .poly import ONE, ZERO, LaurentPoly, divmod_shifted, lowest_terms
 from .polymat import PolyMatrix, SmithEngine, SmithHooks, laurent_grid, replay, row_image
 
 CLASS1 = "class1"
 CLASS2 = "class2"
 CLASS2_SPECIAL = "class2_special"
-
-_L0 = LaurentPoly.zero()
-_L1 = LaurentPoly.one()
 
 
 # -- validation ---------------------------------------------------------------
@@ -83,7 +80,7 @@ def _admit(which: str, h: PolyMatrix):
     if len(gamma) < h.rows:
         raise RankDeficient(which, len(gamma), h.rows)
     for g, k in zip(gamma, units):
-        if g != _L1:
+        if g != ONE:
             raise CatastrophicInput(which, g.shift(k))
         if k != 0:
             raise NotDelayFree(which, g.shift(k))
@@ -116,13 +113,19 @@ class TraceStep:
     state: QuantumCheckMatrix
 
 
+def _recorder(trace):
+    """A Circuit.apply observer adding one trace step per gate."""
+    return lambda g, state: trace.append(TraceStep(format_gate(g), state))
+
+
 class _Reduction:
     """Mutable quantum check matrix with a gate log and mental row operations.
 
     The grids hold LaurentPoly entries: the reduction issues no INF gate.
     A column addition logs its CNOTs and adds f times the source column at
-    once; with want_trace it adds each CNOT's term D^e on its own instead,
-    so the trace holds the state after every gate.
+    once.  With want_trace, each batch of logged gates is also replayed by
+    Circuit.apply from the state before it, so the trace holds the state
+    after every gate while the grids change as in a plain reduction.
     """
 
     def __init__(self, h1, h2, want_trace: bool = False):
@@ -131,8 +134,8 @@ class _Reduction:
         self.k2 = self.n - len(h2)
         top = len(h1)
         self.rows = top + len(h2)
-        self.z = [list(row) for row in h1] + [[_L0] * self.n for _ in h2]
-        self.x = [[_L0] * self.n for _ in range(top)] + [list(row) for row in h2]
+        self.z = [list(row) for row in h1] + [[ZERO] * self.n for _ in h2]
+        self.x = [[ZERO] * self.n for _ in range(top)] + [list(row) for row in h2]
         self.gates: list[Gate] = []
         self.row_ids = list(range(self.rows))
         self.row_scales: dict[int, int] = {}
@@ -142,23 +145,28 @@ class _Reduction:
 
     def state(self) -> QuantumCheckMatrix:
         zn, xn = tuple(map(tuple, self.z)), tuple(map(tuple, self.x))
-        return QuantumCheckMatrix.from_rows(zn, xn, (_L1,) * self.rows, self.n)
+        return QuantumCheckMatrix.from_rows(zn, xn, (ONE,) * self.rows, self.n)
 
     def _snapshot(self, label):
         if self.want_trace:
             self.trace.append(TraceStep(label, self.state()))
 
     def _logged(self, gates):
-        """Append gates to the log; a traced reduction, which logs one at a time, takes the state after it."""
-        self.gates.extend(gates)
+        """Append gates to the log, before the grids take their action.
+
+        Raises IndexError for qubits outside the frame.  A traced reduction
+        replays the gates from the current state, one trace step per gate.
+        """
+        gate_columns(gates[0], self.n, 0)
         if self.want_trace:
-            self.trace.append(TraceStep(format_gate(gates[-1]), self.state()))
+            Circuit(tuple(gates)).apply(self.state(), _recorder(self.trace))
+        self.gates.extend(gates)
 
     def hadamard(self, col: int, note: str):
         """Exchange the Z and X entries of column col via a Hadamard."""
+        self._logged([hadamard(col, note=note)])
         for z, x in zip(self.z, self.x):
             z[col], x[col] = x[col], z[col]
-        self._logged([hadamard(col, note=note)])
 
     def row_add(self, src: int, dst: int, f: LaurentPoly):
         self.z[dst] = [a + f * b for a, b in zip(self.z[dst], self.z[src])]
@@ -189,24 +197,17 @@ class _Reduction:
 
         The gates are CNOTs sharing control and target, one per exponent e
         of f, so they commute and their joint action is the sum of theirs,
-        added at once; with want_trace each gate's term D^e is added on its
-        own and the trace takes the state after it.
+        added at once.
         """
         if not gates:
             return
-        gate_columns(gates[0], self.n, 0)  # raises IndexError for qubits outside the frame
-        if self.want_trace:
-            steps = [([g], LaurentPoly.term(e)) for g, e in zip(gates, f.exponents())]
-        else:
-            steps = [(gates, f)]
-        for logged, term in steps:
-            rev = term.reverse()
-            for p, q in zip(fwd, back):
-                if p[src]:
-                    p[dst] = p[dst] + term * p[src]
-                if q[dst]:
-                    q[src] = q[src] + rev * q[dst]
-            self._logged(logged)
+        self._logged(gates)
+        rev = f.reverse()
+        for p, q in zip(fwd, back):
+            if p[src]:
+                p[dst] = p[dst] + f * p[src]
+            if q[dst]:
+                q[src] = q[src] + rev * q[dst]
 
     def z_coladd(self, src: int, dst: int, f: LaurentPoly, note: str = ""):
         """Z col dst += f * Z col src via CNOTs (X side: col src += f(D^-1) col dst)."""
@@ -217,14 +218,8 @@ class _Reduction:
         self._coladd(self.x, self.z, src, dst, f, [cnot(src, dst, e, note=note) for e in f.exponents()])
 
     def col_swap(self, i: int, j: int, note: str = ""):
-        """Exchange columns i and j on both sides via three CNOTs, added one by one when traced."""
-        if self.want_trace:
-            for a, b in ((i, j), (j, i), (i, j)):
-                self.x_coladd(a, b, _L1, note=note)
-            return
-        gates = swap(i, j, note=note)
-        gate_columns(gates[0], self.n, 0)  # raises IndexError for qubits outside the frame
-        self._logged(gates)
+        """Exchange columns i and j on both sides via three CNOTs."""
+        self._logged(swap(i, j, note=note))
         for z, x in zip(self.z, self.x):
             z[i], z[j] = z[j], z[i]
             x[i], x[j] = x[j], x[i]
@@ -418,7 +413,7 @@ def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) 
     e_engine = SmithEngine(e_mat)
     gammas, _ = e_engine.factors()
     c = len(gammas)
-    s = sum(1 for g in gammas if g == _L1)
+    s = sum(1 for g in gammas if g == ONE)
     # k = k1+k2-n+c >= 0 always: Sylvester's inequality gives
     # c = rank(H1 H2~) >= (n-k1) + (n-k2) - n
     f_massaged = f_ops = None
@@ -430,7 +425,7 @@ def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) 
         f_engine = SmithEngine(f_massaged)
         f_gammas, f_ops = f_engine.factors()[0], f_engine.ops
         # special: full row rank with every invariant factor a power of D
-        special = len(f_gammas) == n - k1 and all(g == _L1 for g in f_gammas)
+        special = len(f_gammas) == n - k1 and all(g == ONE for g in f_gammas)
         tag = CLASS2_SPECIAL if special else CLASS2
 
     return DecompositionRecord(
@@ -512,16 +507,16 @@ def _bare_state(n, c, ebit_cols, anc_a, anc_b, logical_cols):
     logical_cols carry one X/Z logical pair each.
     """
     total = c + n
-    zero = (_L0,) * total
+    zero = (ZERO,) * total
 
     def row(side, *cols):
         """The row with 1 in `cols` of its Z (side 0) or X (side 1) half."""
-        ones = tuple(_L1 if j in cols else _L0 for j in range(total))
+        ones = tuple(ONE if j in cols else ZERO for j in range(total))
         return (ones, zero) if side == 0 else (zero, ones)
 
     def matrix(rows, labels, info=None):
         zn, xn = tuple(z for z, _ in rows), tuple(x for _, x in rows)
-        return QuantumCheckMatrix.from_rows(zn, xn, (_L1,) * len(rows), total, c, labels, info)
+        return QuantumCheckMatrix.from_rows(zn, xn, (ONE,) * len(rows), total, c, labels, info)
 
     rows = ([row(0, b, c + col) for b, col in enumerate(ebit_cols)] + [row(0, c + col) for col in anc_a]
             + [row(1, b, c + col) for b, col in enumerate(ebit_cols)] + [row(0, c + col) for col in anc_b])
@@ -554,7 +549,7 @@ def _permute_rows(qcm: QuantumCheckMatrix, order) -> QuantumCheckMatrix:
 
 def _measurable(qcm: QuantumCheckMatrix):
     """Clear denominators row by row (type-3 scalings): the numerator rows, and the row denominators as multipliers."""
-    out = QuantumCheckMatrix.from_rows(qcm.zn, qcm.xn, (_L1,) * qcm.rows, qcm.cols, qcm.bob_cols, qcm.row_labels)
+    out = QuantumCheckMatrix.from_rows(qcm.zn, qcm.xn, (ONE,) * qcm.rows, qcm.cols, qcm.bob_cols, qcm.row_labels)
     return out, qcm.dens
 
 
@@ -562,7 +557,7 @@ def _monomial_offset(qcm: QuantumCheckMatrix, row: int, col: int, side: str):
     """If the row is exactly D^k at `col` on `side` (and zero elsewhere), return k."""
     m, other = (qcm.zn, qcm.xn) if side == "z" else (qcm.xn, qcm.zn)
     e = m[row][col]
-    if qcm.dens[row] != _L1 or e.weight() != 1:
+    if qcm.dens[row] != ONE or e.weight() != 1:
         return None
     if any(m[row][j] for j in range(qcm.cols) if j != col) or any(other[row]):
         return None
@@ -656,7 +651,7 @@ def _finish_class2(record: DecompositionRecord):
     for t in range(c):
         pivot = red.z[t][t]
         df, kexp = pivot.delay_free()
-        if df == _L1:
+        if df == ONE:
             gamma1.append(pivot)
         else:
             if kexp != 0:
@@ -827,13 +822,8 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
 def _assemble(record, bare, pair, encoder, decoder, info_fix, logical_cols, decoded_cols):
     red = record.reduction
     want_trace = red.want_trace
-
-    def recorder(trace):
-        """A Circuit.apply observer adding one trace step per gate, when tracing."""
-        return (lambda g, state: trace.append(TraceStep(format_gate(g), state))) if want_trace else None
-
     encode_trace = [TraceStep("unencoded stream", bare)] if want_trace else []
-    evolved = encoder.apply(bare, recorder(encode_trace))
+    evolved = encoder.apply(bare, _recorder(encode_trace) if want_trace else None)
 
     # undo the mental row scalings recorded during the reduction
     unscale = {pair[red.row_ids.index(rid)]: -kexp for rid, kexp in red.row_scales.items() if kexp}
@@ -846,7 +836,7 @@ def _assemble(record, bare, pair, encoder, decoder, info_fix, logical_cols, deco
     decoded = _permute_rows(evolved, pair)
     if want_trace and unscale:
         decode_trace.append(TraceStep("reduction row scalings reapplied", decoded))
-    decoded = decoder.apply(decoded, recorder(decode_trace))
+    decoded = decoder.apply(decoded, _recorder(decode_trace) if want_trace else None)
     if info_fix is not None and decoded.info is not None:
         fixed = info_fix(decoded, decoded.info)
         decoded = QuantumCheckMatrix.from_rows(

@@ -1,13 +1,13 @@
 """Differential test: the Smith reduction's column operations and decisions stay the same.
 
 The construction logs every Smith column operation as CNOTs and applies
-their column action to its Z and X grids.  With `want_trace` each CNOT's
-term is added on its own, because the trace holds the state after every
-gate; a plain build adds a column operation's terms at once and must reach
-the same gate log and the same grids, and the trace must take one step per
-logged gate, labelled as `format_gate` prints it.  Comparing the grids matters: a wrong
-X-side action in a column addition can leave every report equal while the
-grids differ.  As both builds run the same column addition, the logged
+their column action to its Z and X grids.  With `want_trace` it also
+replays each batch of logged gates by `Circuit.apply` for the trace; a
+traced build must reach the same gate log and the same grids as a plain
+one, and its trace must take one step per logged gate, labelled as
+`format_gate` prints it.  Comparing the grids matters: a wrong X-side
+action in a column addition can leave every report equal while the grids
+differ.  As both builds run the same column addition, the logged
 gates are also replayed by `Circuit.apply` on the column planes from
 [H1 | 0; 0 | H2]; the rows they end as must span the same row space as the
 final grid, which the reduction reached from there by row operations.
