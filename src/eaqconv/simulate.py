@@ -39,8 +39,11 @@ carry, and a flag covers its row as (flags << W) - flags.  Gates that move
 bits between frames shrink the target track's interval by the shifted image
 of the source track's unreliable region, and an infinite-depth operation on
 a track with head trouble invalidates the track outright (its feedback
-would need the missing history).  A run's bookkeeping is in closed form.
-Its sources are fixed, so a gate can flag new rows only when its delay is a
+would need the missing history).  A run of CPHASE_SELF gates on track a
+is bookkept gate by gate: a gate of |delay| K flags the rows that hold a
+bit of its source in edge(K), then lengthens every flagged row's interval
+on a by K.  A run of CNOT or CPHASE gates is bookkept in closed form.  Its
+sources are fixed, so a gate can flag new rows only when its delay is a
 new extreme of its sign.  A CNOT or CPHASE gate of |delay| K damages b
 from a, then a from b: it copies each track's flags to the other and sets
 v = max(v, u + K), then u = max(u, v + K), for a flagged row's invalid head
@@ -387,29 +390,15 @@ def _pair_bookkeeping(win: BinarySymplecticWindow, a: int, b: int, src_a: int, s
 
 
 def _self_bookkeeping(win: BinarySymplecticWindow, a: int, src: int, delays) -> None:
-    """Spill flags and intervals of a run of CPHASE_SELF gates on track a.
+    """Spill flags and intervals of a run of CPHASE_SELF gates on track a, gate by gate.
 
-    Each gate spills src off both sides and lengthens a flagged row's
-    intervals by its |delay|, so a row flagged before the run gains the sum
-    of them, and a row that gate j first flags the sum from gate j on.
+    A gate of |delay| k spills src off both sides, flagging the rows that
+    hold a bit in edge(k), then lengthens every flagged row's intervals by k.
     """
-    ks = [abs(d) for d in delays]
-    total = sum(ks)
-    if not total:
-        return
     for ends, lost, edge, sign in win._sides():
-        flagged, reach, rest = lost[a], 0, total
-        if flagged:
-            ends[a] |= win._grow(ends[a], total, sign, flagged)
-        for k in ks:
-            if k > reach:
-                reach = k
-                new = win._rows_holding(src & edge(k)) & ~flagged
-                if new:
-                    flagged |= new
-                    ends[a] |= win._grow(0, rest, sign, new)
-            rest -= k
-        lost[a] = flagged
+        for k in map(abs, delays):
+            lost[a] |= win._rows_holding(src & edge(k))
+            ends[a] |= win._grow(ends[a], k, sign, lost[a])
 
 
 def _apply_run(win: BinarySymplecticWindow, kind: str, a: int, b: int | None, moves) -> None:
