@@ -11,12 +11,8 @@ A rational function is a pair num/den of Laurent polynomials with den != 0,
 gcd(num, den) = 1 and den normalized to lowest exponent 0 with nonzero
 constant term; every unit D^k is pushed into the numerator.  This keeps
 denominators inside GF(2)[D] so the Euclidean algorithm stays ordinary.
-The form is unique, and two facts about it let arithmetic skip the gcd: a
-canonical denominator with ``bits == 1`` is exactly 1 (so a sum or product
-of two polynomials is already canonical, and so is num/D^k once D^k moves
-up), and multiplying the numerator by a unit D^k keeps gcd(num, den) = 1
-(so ``shift`` is too).  A sum over one shared denominator, a/d + b/d,
-still cancels, but only (a+b) against d.
+The form is unique.  Every operation forms its result's num/den and
+normalises it by `lowest_terms`, unless the denominator is exactly 1.
 
 Text grammar: terms joined by '+', each term '1', 'D' or 'D^k' with integer
 k (negative allowed), e.g. '1+D^2' or 'D^-1+1+D'.  Parsing and printing
@@ -192,6 +188,10 @@ class LaurentPoly:
 _set_bits = LaurentPoly.bits.__set__
 _set_low = LaurentPoly.low.__set__
 
+ZERO = LaurentPoly.zero()
+ONE = LaurentPoly.one()
+D = LaurentPoly.term(1)
+
 
 def divmod_shifted(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Divide a by b after factoring out the common shift: a = q*b + r.
@@ -303,33 +303,15 @@ class RationalPoly:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = LaurentPoly.one()):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if den.bits == 1:  # a unit D^k: nothing to cancel
-            if den.low:
-                num, den = num.shift(-den.low), LaurentPoly.one()
-        elif num.is_zero():
-            num, den = LaurentPoly.zero(), LaurentPoly.one()
-        else:
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = ONE):
+        if den.bits != 1 or den.low:  # a denominator of exactly 1 is canonical as it is
+            if den.is_zero():
+                raise ZeroDivisionError("rational function with zero denominator")
             # push the denominator's unit into the numerator, then cancel
-            den_df, dk = den.delay_free()
-            num = num.shift(-dk)
-            g = _bits_gcd(num.bits, den_df.bits)
-            if g != 1:
-                num = LaurentPoly(_bits_divmod(num.bits, g)[0], num.low)
-                den_df = LaurentPoly(_bits_divmod(den_df.bits, g)[0], 0)
-            den = den_df
+            den, k = den.delay_free()
+            den, (num,) = lowest_terms(den, (num.shift(-k),))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _canonical(cls, num: LaurentPoly, den: LaurentPoly) -> RationalPoly:
-        """Wrap a pair already in canonical form, skipping normalisation."""
-        r = object.__new__(cls)
-        object.__setattr__(r, "num", num)
-        object.__setattr__(r, "den", den)
-        return r
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPoly is immutable")
@@ -363,16 +345,9 @@ class RationalPoly:
         return self.num
 
     def __add__(self, other: RationalPoly) -> RationalPoly:
-        den = self.den
-        if den == other.den:
-            if den.bits == 1:
-                return RationalPoly._canonical(self.num + other.num, den)
-            return RationalPoly(self.num + other.num, den)
-        return RationalPoly(self.num * other.den + other.num * den, den * other.den)
+        return RationalPoly(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __mul__(self, other: RationalPoly) -> RationalPoly:
-        if self.den.bits == 1 and other.den.bits == 1:
-            return RationalPoly._canonical(self.num * other.num, self.den)
         return RationalPoly(self.num * other.num, self.den * other.den)
 
     def inverse(self) -> RationalPoly:
@@ -385,7 +360,7 @@ class RationalPoly:
 
     def shift(self, k: int) -> RationalPoly:
         """Multiply by D^k."""
-        return RationalPoly._canonical(self.num.shift(k), self.den)
+        return RationalPoly(self.num.shift(k), self.den)
 
     def reverse(self) -> RationalPoly:
         return RationalPoly(self.num.reverse(), self.den.reverse())
@@ -401,11 +376,6 @@ class RationalPoly:
 
     def __repr__(self) -> str:
         return f"RationalPoly({str(self)!r})"
-
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
-D = LaurentPoly.term(1)
 
 
 def _bits_reverse(a: int, n: int) -> int:
