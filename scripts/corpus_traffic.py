@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Print the lines of src/eaqconv/ that no benchmark op runs.
+
+Run from the repository root:
+
+    python3 scripts/corpus_traffic.py
+
+A line tracer (`sys.settrace`) watches `eaqconv.cli.main` run, in-process,
+every op of the benchmark corpora perfbench/corpus/seed-1.json and
+seed-2.json, then `eaqconv examples --format json`.  For each module of
+src/eaqconv/ it prints the executable lines that no op ran, as ranges under
+the function that holds them.  The package is imported under the tracer, so
+module-level code counts as run.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "eaqconv"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import corpus  # noqa: E402  (perfbench/corpus.py: the ops' command lines and the in-process runner)
+
+
+def executable_lines(path: Path) -> dict[int, str]:
+    """{line: qualified name of the innermost code object holding it} over the module's code objects."""
+    owner = {}
+    todo = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    while todo:  # a code object is visited after its parent, so the innermost owner wins
+        code = todo.pop()
+        name = getattr(code, "co_qualname", code.co_name)
+        for _, _, line in code.co_lines():
+            if line:  # None, or 0 for a module's own entry instruction
+                owner[line] = name
+        todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    return owner
+
+
+def ran_lines() -> set[tuple[str, int]]:
+    """(file, line) of every line of src/eaqconv/ that the ops ran."""
+    ran, prefix = set(), str(SRC)
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(prefix) else None
+
+    sys.settrace(calls)
+    try:
+        import eaqconv.cli
+
+        main = eaqconv.cli.main
+        for seed in (1, 2):
+            items = json.loads((ROOT / "perfbench" / "corpus" / f"seed-{seed}.json").read_text(encoding="utf-8"))
+            for workload in corpus.WORKLOADS:
+                for item in items[workload]:
+                    corpus.run_op(main, corpus.op_argv(workload, item))
+        corpus.run_op(main, ["examples", "--format", "json"])
+    finally:
+        sys.settrace(None)
+    return ran
+
+
+def main() -> int:
+    ran = ran_lines()
+    for path in sorted(SRC.glob("*.py")):
+        owner = executable_lines(path)
+        lines = sorted(owner)
+        spans = []  # [owner, first, last] per maximal stretch of unrun lines with one owner
+        for prev, line in zip([None] + lines, lines):
+            if (str(path), line) in ran:
+                continue
+            if spans and spans[-1][2] == prev and spans[-1][0] == owner[line]:
+                spans[-1][2] = line
+            else:
+                spans.append([owner[line], line, line])
+        unrun = sum(1 for line in lines if (str(path), line) not in ran)
+        print(f"{path.name}: {unrun} of {len(lines)} executable lines not run")
+        for name, first, last in spans:
+            print(f"  {name}  {first}" + (f"-{last}" if last != first else ""))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
