@@ -11,8 +11,8 @@ The echelon matrix and pivots, and every verdict, must be equal exactly;
 so must `shifted_symplectic` and `symplectic_gram`.  Checks (a)-(c) of
 `verify_code` are compared as (name, passed, detail) on both worked
 examples and the 12 pairs of tests/golden/random_codes.json, built as they
-are and spoiled: one encoder gate deleted, one final-stabilizer entry
-perturbed by D, and the decoded columns swapped.
+are and spoiled: one encoder or decoder gate deleted, one final-stabilizer
+entry perturbed by D, and the decoded columns swapped.
 """
 
 from __future__ import annotations
@@ -243,3 +243,8 @@ def test_code_checks_match_the_rational_checks(name, h1, h2):
         bare = spec.bare
         checks = assert_same_checks(_spoiled(spec, bare=QuantumCheckMatrix(bare.z, bare.x, bare.bob_cols, bare.row_labels, info)))
         assert "instead of a unit" in checks[2][2]
+
+    gates = spec.decoder.gates  # a replaced decoder is replayed, never read from the build
+    deleted = range(len(gates)) if name in EXAMPLES else sorted(rng.sample(range(len(gates)), min(6, len(gates))))
+    decoded = [assert_same_checks(_spoiled(spec, decoder=Circuit(gates[:i] + gates[i + 1:])))[2][1] for i in deleted]
+    assert not spec.k or not all(decoded)
