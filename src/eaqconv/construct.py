@@ -113,9 +113,9 @@ class TraceStep:
     state: QuantumCheckMatrix
 
 
-def _recorder(trace):
-    """A Circuit.apply observer adding one trace step per gate."""
-    return lambda g, state: trace.append(TraceStep(format_gate(g), state))
+def _recorder(trace, order=None):
+    """A Circuit.apply observer adding one trace step per gate, its rows in `order` when given."""
+    return lambda g, state: trace.append(TraceStep(format_gate(g), _permute_rows(state, order) if order else state))
 
 
 class _Reduction:
@@ -831,12 +831,15 @@ def _assemble(record, bare, pair, encoder, decoder, info_fix, logical_cols, deco
     if want_trace:
         encode_trace.append(TraceStep("final stabilizer", final))
 
-    # the decoder starts from the received stream with those scalings reapplied
+    # The decoder starts from the received stream with those scalings
+    # reapplied: `evolved`, its rows in `pair` order.  Every gate, INF
+    # included, acts row by row, so the decoder runs on evolved's own rows
+    # and its result, like each traced state, is permuted after.  The
+    # decoder then keeps the replay that verify_code's decode check asks for.
     decode_trace = [TraceStep("received stream", final)] if want_trace else []
-    decoded = _permute_rows(evolved, pair)
     if want_trace and unscale:
-        decode_trace.append(TraceStep("reduction row scalings reapplied", decoded))
-    decoded = decoder.apply(decoded, _recorder(decode_trace) if want_trace else None)
+        decode_trace.append(TraceStep("reduction row scalings reapplied", _permute_rows(evolved, pair)))
+    decoded = _permute_rows(decoder.apply(evolved, _recorder(decode_trace, pair) if want_trace else None), pair)
     if info_fix is not None and decoded.info is not None:
         fixed = info_fix(decoded, decoded.info)
         decoded = QuantumCheckMatrix.from_rows(

@@ -484,14 +484,17 @@ class VerificationReport:
 
 
 def _check_decode(spec, evolved: QuantumCheckMatrix) -> tuple[bool, str]:
-    """Decode the re-encoded state and test the logical operators.
+    """Decode the encoded state and test the logical operators.
 
-    `evolved` is the encoder replayed afresh on the bare stream; running the
-    decoder on it (rather than on stored results) catches a corrupted
-    circuit.  Requires: every decoded logical commutes with the decoded
-    stabilizer; the X/Z pairing is a unit D^k exactly on matching qubits;
-    and modulo the decoded stabilizer each logical localizes to its
-    designated column.
+    `evolved` is spec.encoder on spec.bare.  The decoder runs on it by
+    `Circuit.apply`, rather than the check reading `spec.decoded_state`, so
+    a replaced or corrupted decoder is judged by what it does.  A plain
+    build ran the same decoder on the same object, its rows unpermuted, so
+    this returns that stored replay; a decoder or state replaced since is
+    another object and is replayed.  Requires: every decoded logical
+    commutes with the decoded stabilizer; the X/Z pairing is a unit D^k
+    exactly on matching qubits; and modulo the decoded stabilizer each
+    logical localizes to its designated column.
 
     The stored rows are Laurent numerators over one GF(2)[D] denominator
     each.  A product is N / (d_a(D^-1) d_b(D)), so it vanishes exactly when
@@ -592,6 +595,13 @@ def verify_code(spec, window: int = 32, scratch: int | None = None) -> Verificat
     does; and a fully reduced echelon form is unique up to row scaling.
     The input check matrices are eliminated once, for both the stored and
     the re-encoded stabilizer.
+
+    Checks (b) and (c) run spec.encoder on spec.bare and spec.decoder on
+    the result by `Circuit.apply`.  The circuits of a spec built without a
+    trace keep the replays its build made on those very objects, so this
+    makes none of its own; a circuit or bare stream replaced since is
+    another object and is replayed, so every check judges the circuits it
+    is given.
     """
     if scratch is None:
         scratch = default_scratch(spec.encoder)

@@ -5,6 +5,8 @@
   forms in rational matrix arithmetic.
 - `numerator_rows(m)`: each row of a `PolyMatrix` as its Laurent numerators
   over its row denominator, the rows `row_space_equal` takes.
+- `golden_pairs()`: (id, H1 text, H2 text) of the 12 pairs of
+  tests/golden/random_codes.json, then of both worked examples.
 - `corpus_items()`: every op of both benchmark corpora (`perfbench/corpus/`
   seeds 1 and 2) as its JSON item: tier, H1 and H2 text, frozen outcome.
 - `alice_cols(qcm)`: the number of sender columns of a check matrix.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from eaqconv.cli import EXAMPLES
 from eaqconv.errors import PolyParseError
 from eaqconv.gates import Circuit, Gate, QuantumCheckMatrix
 from eaqconv.poly import common_denominator, parse_poly
@@ -35,6 +38,12 @@ def ebit_count(h1: PolyMatrix, h2: PolyMatrix) -> int:
 
 def numerator_rows(m: PolyMatrix) -> list:
     return [common_denominator(row)[1] for row in m.entries]
+
+
+def golden_pairs() -> list[tuple[str, str, str]]:
+    with open(Path(__file__).resolve().parent / "golden" / "random_codes.json", encoding="utf-8") as fh:
+        codes = json.load(fh)["codes"]
+    return [(c["id"], c["h1"], c["h2"]) for c in codes] + [(name, h1, h2) for name, (h1, h2) in sorted(EXAMPLES.items())]
 
 
 def corpus_items() -> list[dict]:

@@ -9,7 +9,10 @@ reduced or divided by width past those names would show here.  Likewise it
 wraps `simulate.run_circuit` and `simulate.expand` by module name, as the
 traced spans do, and pins one circuit run and two expansions per
 `verify --window 64`, so `simulate.run_circuit_s` keeps timing the window
-kernel.
+kernel.  It wraps `gates.Circuit.apply`, which `gates.circuit_apply_calls`
+counts, and the replay behind it: a `build` makes two calls and two
+replays, and a `verify` four calls (two for the build, two for its checks)
+but still only two replays, one per circuit.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import io
 import json
 from pathlib import Path
 
-from eaqconv import polymat, simulate
+import pytest
+
+from eaqconv import gates, polymat, simulate
 from eaqconv.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "seed-1.json"
@@ -67,3 +72,18 @@ def test_verify_w64_window_calls(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0
     assert sorted(calls) == ["expand", "expand", "run_circuit"]
+
+
+@pytest.mark.parametrize("command, applies", [("build", 2), ("verify", 4)])
+def test_circuit_applies_and_replays(monkeypatch, command, applies):
+    it = _corpus()["verify_w64"][WINDOW_PAIR]
+    calls = []
+    for name in ("apply", "_replay"):
+        fn = getattr(gates.Circuit, name)
+        monkeypatch.setattr(gates.Circuit, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    argv = [command, "--h1", it["h1"], "--h2", it["h2"], "--format", "json"]
+    if command == "verify":
+        argv += ["--window", "64"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    assert (calls.count("apply"), calls.count("_replay")) == (applies, 2)

@@ -21,19 +21,17 @@ observed one, the rest to the rational rows.
 
 from __future__ import annotations
 
-import json
 import random
-from pathlib import Path
 
 import pytest
 
 import circuit_oracle as oracle
-from eaqconv.cli import EXAMPLES
 from eaqconv import gates
 from eaqconv.construct import build_code
 from eaqconv.gates import Circuit, Gate, QuantumCheckMatrix, format_gate
 from eaqconv.poly import LaurentPoly, RationalPoly
 from eaqconv.polymat import PolyMatrix, parse_matrix
+from support import golden_pairs
 
 CASES = 400
 STRESS_CASES = 300
@@ -323,16 +321,10 @@ def test_a_last_gate_out_of_frame_raises(observe, last):
         Circuit((*run, Gate("H", 1), last)).apply(state, observe)
 
 
-def _pairs():
-    with open(Path(__file__).parent / "golden" / "random_codes.json", encoding="utf-8") as fh:
-        codes = json.load(fh)["codes"]
-    return [(c["id"], c["h1"], c["h2"]) for c in codes] + [(name, h1, h2) for name, (h1, h2) in sorted(EXAMPLES.items())]
-
-
-@pytest.mark.parametrize("name, h1, h2", _pairs(), ids=[p[0] for p in _pairs()])
+@pytest.mark.parametrize("name, h1, h2", golden_pairs(), ids=[p[0] for p in golden_pairs()])
 def test_code_replays_match_the_rational_rows(monkeypatch, name, h1, h2):
     """Every `Circuit.apply` a build makes: the encoder on the bare stream,
-    the decoder on the received one."""
+    the decoder on the encoder's result."""
     calls = []
     apply = Circuit.apply
 

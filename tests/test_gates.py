@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eaqconv.construct import build_code
 from eaqconv.errors import PolyParseError
 from eaqconv.gates import (
     Circuit,
@@ -27,7 +28,7 @@ from eaqconv.gates import (
 )
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly
 from eaqconv.polymat import PolyMatrix, format_matrix, format_rows, parse_matrix
-from support import alice_cols, parse_circuit, parse_gate
+from support import alice_cols, golden_pairs, parse_circuit, parse_gate
 
 
 def P(text):
@@ -252,6 +253,35 @@ def test_finite_depth_preserves_polynomials(seed):
     g = _random_gate(rng, m.cols)
     if g.kind != "INF":
         assert apply_gate(m, g).is_polynomial()
+
+
+@pytest.mark.parametrize("name, h1, h2", golden_pairs(), ids=[p[0] for p in golden_pairs()])
+def test_apply_keeps_its_last_replay(name, h1, h2):
+    """A repeated apply on the very same input returns the stored result; any other input is replayed."""
+    spec = build_code(*(parse_matrix(t.replace(";", "\n")) for t in (h1, h2)))
+    for c, qcm in ((spec.encoder, spec.bare), (spec.decoder, spec.encoder.apply(spec.bare))):
+        fresh = Circuit(c.gates)
+        out = c.apply(qcm)
+        assert c.apply(qcm) is out and out == fresh.apply(qcm)
+
+        twin = QuantumCheckMatrix.from_rows(qcm.zn, qcm.xn, qcm.dens, qcm.cols, qcm.bob_cols, qcm.row_labels, qcm.info)
+        again = c.apply(twin)
+        assert again is not out and again == out
+
+        other = QuantumCheckMatrix.from_rows(qcm.zn, qcm.xn, qcm.dens, qcm.cols, qcm.bob_cols, qcm.row_labels)
+        want = fresh.apply(other)
+        assert want != out
+        for _ in range(2):
+            assert c.apply(qcm) == out
+            assert c.apply(other) == want
+
+        stored = c.apply(qcm)  # the observer follows a stored replay, and keeps it
+        assert c.apply(qcm) is stored
+        seen, want = [], []
+        assert c.apply(qcm, lambda g, state: seen.append(state)) == out
+        fresh.apply(qcm, lambda g, state: want.append(state))
+        assert len(seen) == len(c) and seen == want
+        assert c.apply(qcm) is stored
 
 
 def test_inverse_rejects_infinite_depth():

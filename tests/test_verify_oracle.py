@@ -18,9 +18,7 @@ entry perturbed by D, and the decoded columns swapped.
 from __future__ import annotations
 
 import copy
-import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -33,7 +31,7 @@ from eaqconv.poly import LaurentPoly, RationalPoly
 from eaqconv.polymat import parse_matrix, row_space_equal, rref
 from eaqconv.simulate import verify_code
 from smith_oracle import PolyMatrix
-from support import numerator_rows
+from support import golden_pairs, numerator_rows
 
 CASES = 300
 ROW_KINDS = ("none", "shared", "distinct", "zero")
@@ -186,12 +184,6 @@ def test_symplectic_products_match_the_rational_sums():
         assert shifted_symplectic(a, b) == oracle.shifted_symplectic(a, b), seed
 
 
-def _pairs():
-    with open(Path(__file__).parent / "golden" / "random_codes.json", encoding="utf-8") as fh:
-        codes = json.load(fh)["codes"]
-    return [(c["id"], c["h1"], c["h2"]) for c in codes] + [(name, h1, h2) for name, (h1, h2) in sorted(EXAMPLES.items())]
-
-
 def _build(h1, h2):
     return build_code(*(parse_matrix(t.replace(";", "\n")) for t in (h1, h2)))
 
@@ -211,7 +203,7 @@ def _spoiled(spec, **changes):
     return out
 
 
-@pytest.mark.parametrize("name, h1, h2", _pairs(), ids=[p[0] for p in _pairs()])
+@pytest.mark.parametrize("name, h1, h2", golden_pairs(), ids=[p[0] for p in golden_pairs()])
 def test_code_checks_match_the_rational_checks(name, h1, h2):
     spec = _build(h1, h2)
     assert all(passed for _, passed, _ in assert_same_checks(spec))

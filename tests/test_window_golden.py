@@ -18,23 +18,16 @@ import hashlib
 import json
 from pathlib import Path
 
-from eaqconv.cli import EXAMPLES
 from eaqconv.construct import build_code
 from eaqconv.errors import WindowTooSmall
 from eaqconv.polymat import parse_matrix
 from eaqconv.simulate import default_scratch, expand, run_circuit
+from support import golden_pairs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "window_rows.json"
 WINDOWS = (64, 128)
 MARGINS = ((0, 0), (2, 3))
-
-
-def _pairs():
-    with open(GOLDEN_DIR / "random_codes.json", encoding="utf-8") as fh:
-        codes = json.load(fh)["codes"]
-    pairs = [(c["id"], c["h1"], c["h2"]) for c in codes]
-    return pairs + [(name, h1, h2) for name, (h1, h2) in sorted(EXAMPLES.items())]
 
 
 def digest(h1: str, h2: str, window: int) -> dict:
@@ -59,8 +52,8 @@ def _golden():
 
 def test_simulated_rows_match_golden():
     golden = _golden()
-    assert [c["id"] for c in golden] == [name for name, _, _ in _pairs()]
-    for case, (name, h1, h2) in zip(golden, _pairs()):
+    assert [c["id"] for c in golden] == [name for name, _, _ in golden_pairs()]
+    for case, (name, h1, h2) in zip(golden, golden_pairs()):
         for w in WINDOWS:
             assert digest(h1, h2, w) == case[str(w)], f"{name} W={w}"
 
@@ -70,7 +63,7 @@ def test_golden_simulates_rows_at_every_window():
 
 
 def _regenerate():
-    codes = [{"id": name, **{str(w): digest(h1, h2, w) for w in WINDOWS}} for name, h1, h2 in _pairs()]
+    codes = [{"id": name, **{str(w): digest(h1, h2, w) for w in WINDOWS}} for name, h1, h2 in golden_pairs()]
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump({"windows": list(WINDOWS), "codes": codes}, fh, indent=1)
         fh.write("\n")

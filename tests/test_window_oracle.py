@@ -37,6 +37,7 @@ from eaqconv.construct import build_code
 from eaqconv.gates import Circuit, Gate, QuantumCheckMatrix
 from eaqconv.poly import LaurentPoly, RationalPoly
 from eaqconv.polymat import PolyMatrix, parse_matrix
+from support import golden_pairs
 
 MARGINS = ((0, 0), (2, 3))
 CASES = 500
@@ -305,7 +306,7 @@ def test_spill_flags_cover_invalid_frames_on_seeded_cases():
 
 @pytest.mark.parametrize("window", golden.WINDOWS)
 def test_spill_flags_cover_invalid_frames_on_golden_codes(window):
-    for name, h1, h2 in golden._pairs():
+    for name, h1, h2 in golden_pairs():
         spec = build_code(*(parse_matrix(t.replace(";", "\n")) for t in (h1, h2)))
         scratch = min(simulate.default_scratch(spec.encoder), window // 3)
         for steps in (_gates, _run_gates):
