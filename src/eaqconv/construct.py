@@ -832,10 +832,9 @@ def _assemble(record, bare, pair, encoder, decoder, info_fix, logical_cols, deco
         encode_trace.append(TraceStep("final stabilizer", final))
 
     # The decoder starts from the received stream with those scalings
-    # reapplied: `evolved`, its rows in `pair` order.  Every gate, INF
-    # included, acts row by row, so the decoder runs on evolved's own rows
-    # and its result, like each traced state, is permuted after.  The
-    # decoder then keeps the replay that verify_code's decode check asks for.
+    # reapplied: `evolved` in `pair` row order.  Every gate, INF included,
+    # acts row by row, so it runs on evolved itself, the replay verify_code
+    # asks for, and its result and traced states are permuted after.
     decode_trace = [TraceStep("received stream", final)] if want_trace else []
     if want_trace and unscale:
         decode_trace.append(TraceStep("reduction row scalings reapplied", _permute_rows(evolved, pair)))

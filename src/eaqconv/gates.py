@@ -35,9 +35,9 @@ their own.  A plane that a step could shift out of its row is laid out
 again on the ints, each row's slice moved to the new stride and offset.
 An observer (the construction's trace) makes every gate a step, so it sees
 the state after each gate.  A circuit keeps its last replay without an
-observer: called again on that very input object, it returns the stored
-result.  Check matrices are immutable, so identity is a sound key; a build
-and its verification pass the same objects and share the replays.
+observer and returns it for that very input object, a key that costs
+nothing where comparing rows would read them all: a build and its
+verification pass the same objects, so they share each circuit's replay.
 
 Gate qubit indices address the sender's (Alice's) columns; the receiver-side
 columns sit to the left of them and only gates flagged full_frame (used by
@@ -438,15 +438,11 @@ class Circuit:
     def apply(self, qcm: QuantumCheckMatrix, observe=None) -> QuantumCheckMatrix:
         """The rows qcm's rows end as after the gates.
 
-        A circuit keeps its last replay without an observer, input and
-        result.  Called again without one on that very input object, it
-        returns the stored result: both are immutable, so a replay would give
-        equal rows.  The key is identity, not equality, so an equal but
-        distinct input is replayed, and so is any other circuit, a replaced
-        one included.  A build and its verification pass the same objects
-        (the bare stream to the encoder, the encoder's result to the
-        decoder), so they share each circuit's one replay.  With an observer
-        the gates always run, and the stored replay is kept.
+        Without an observer the circuit keeps its last input and result, and
+        a call on that very input object returns the stored result: check
+        matrices are immutable, so a replay would give equal rows.  An equal
+        but distinct input is replayed.  With an observer the gates always
+        run, and the stored replay is kept.
         """
         if observe is not None:
             return self._replay(qcm, observe)

@@ -487,14 +487,13 @@ def _check_decode(spec, evolved: QuantumCheckMatrix) -> tuple[bool, str]:
     """Decode the encoded state and test the logical operators.
 
     `evolved` is spec.encoder on spec.bare.  The decoder runs on it by
-    `Circuit.apply`, rather than the check reading `spec.decoded_state`, so
-    a replaced or corrupted decoder is judged by what it does.  A plain
-    build ran the same decoder on the same object, its rows unpermuted, so
-    this returns that stored replay; a decoder or state replaced since is
-    another object and is replayed.  Requires: every decoded logical
-    commutes with the decoded stabilizer; the X/Z pairing is a unit D^k
-    exactly on matching qubits; and modulo the decoded stabilizer each
-    logical localizes to its designated column.
+    `Circuit.apply` (the build's own replay, when both are the built
+    objects; see `verify_code`) rather than the check reading
+    `spec.decoded_state`, so a replaced or corrupted decoder is judged by
+    what it does.  Requires: every decoded logical commutes with the decoded
+    stabilizer; the X/Z pairing is a unit D^k exactly on matching qubits;
+    and modulo the decoded stabilizer each logical localizes to its
+    designated column.
 
     The stored rows are Laurent numerators over one GF(2)[D] denominator
     each.  A product is N / (d_a(D^-1) d_b(D)), so it vanishes exactly when
