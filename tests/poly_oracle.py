@@ -9,8 +9,9 @@ unit into the numerator, then cancel the gcd), `divmod_width` removes
 one quotient term at a time with a `LaurentPoly` add and multiply, and
 `series_expand` builds the inverse series of the denominator one
 coefficient at a time, then multiplies and clips per exponent.
-`parse_poly` adds one `LaurentPoly` per term, and `parse_rational` scans
-every cell for a top-level '/'.  It reuses `LaurentPoly` for storage,
+`parse_poly` adds one `LaurentPoly` per term, `parse_rational` scans
+every cell for a top-level '/', and `format_poly` writes each term's text
+afresh.  It reuses `LaurentPoly` for storage,
 addition, multiplication and shifts, and `_bits_mul` and `_strip_parens`,
 which the differential tests do not replace.
 """
@@ -184,6 +185,13 @@ def parse_poly(text: str) -> LaurentPoly:
         else:
             raise PolyParseError(f"bad term {term!r}")
     return p
+
+
+def format_poly(p: LaurentPoly) -> str:
+    """Terms joined by '+', each term's text formed on the spot."""
+    if p.is_zero():
+        return "0"
+    return "+".join(["1" if k == 0 else "D" if k == 1 else f"D^{k}" for k in p.exponents()])
 
 
 def parse_rational(text: str) -> RationalPoly:

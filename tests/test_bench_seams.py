@@ -13,11 +13,16 @@ kernel.  It wraps `gates.Circuit.apply`, which `gates.circuit_apply_calls`
 counts, and the replay behind it: a `build` makes two calls and two
 replays, and a `verify` four calls (two for the build, two for its checks)
 but still only two replays, one per circuit.
+
+It also pins one sha256 over the exit code, stdout and stderr of `build` in
+both formats on the seed-1 `build_l` pairs that print the widest reports:
+thousands of polynomial terms and over a thousand gates each.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -32,6 +37,8 @@ SCREEN_S_RUNS, SCREEN_S_WIDE_DIVS = 823, 14
 VERIFY_PAIR = 19
 VERIFY_RUNS, VERIFY_WIDE_DIVS = 4, 9
 WINDOW_PAIR = 0
+WIDE_BUILDS = (8, 12, 15)
+WIDE_BUILDS_SHA256 = "8daf5314ef00b4fa6f91e8c62e5afb417b05f1a88efe2c633460501745c3b07d"
 
 
 def _counted(monkeypatch, argvs):
@@ -87,3 +94,20 @@ def test_circuit_applies_and_replays(monkeypatch, command, applies):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0
     assert (calls.count("apply"), calls.count("_replay")) == (applies, 2)
+
+
+def _output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_widest_build_reports_match_pinned_digest():
+    items = _corpus()["build_l"]
+    digest = hashlib.sha256()
+    for i in WIDE_BUILDS:
+        for fmt in ("text", "json"):
+            argv = ["build", "--h1", items[i]["h1"], "--h2", items[i]["h2"], "--format", fmt]
+            digest.update(repr((i, fmt, *_output(argv))).encode())
+    assert digest.hexdigest() == WIDE_BUILDS_SHA256

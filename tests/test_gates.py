@@ -19,6 +19,7 @@ from eaqconv.gates import (
     cphase,
     cphase_self,
     format_circuit,
+    format_gate,
     hadamard,
     inf_depth,
     phase,
@@ -148,6 +149,75 @@ def test_gate_constructor_validation():
         inf_depth(0, LaurentPoly.zero())
     with pytest.raises(ValueError):
         Gate("BOGUS", 0)
+
+
+# Each gate kind as its constructor builds it, with its field values, repr and
+# printed line pinned as the frozen-dataclass Gate gave them.
+_GATE_FIELDS = ("kind", "i", "j", "delay", "f", "time_reversed", "full_frame", "note")
+GATE_CASES = [
+    (lambda: cnot(0, 1, 2), ("CNOT", 0, 1, 2, None, False, False, ""),
+     "Gate(kind='CNOT', i=0, j=1, delay=2, f=None, time_reversed=False, full_frame=False, note='')",
+     "CNOT 1 2 delay=2"),
+    (lambda: cnot(2, 0, -1, full_frame=True, note="x"), ("CNOT", 2, 0, -1, None, False, True, "x"),
+     "Gate(kind='CNOT', i=2, j=0, delay=-1, f=None, time_reversed=False, full_frame=True, note='x')",
+     "CNOT *3 *1 delay=-1"),
+    (lambda: hadamard(1), ("H", 1, None, 0, None, False, False, ""),
+     "Gate(kind='H', i=1, j=None, delay=0, f=None, time_reversed=False, full_frame=False, note='')",
+     "H 2"),
+    (lambda: phase(0, full_frame=True), ("P", 0, None, 0, None, False, True, ""),
+     "Gate(kind='P', i=0, j=None, delay=0, f=None, time_reversed=False, full_frame=True, note='')",
+     "P *1"),
+    (lambda: cphase(0, 1, -3), ("CPHASE", 0, 1, -3, None, False, False, ""),
+     "Gate(kind='CPHASE', i=0, j=1, delay=-3, f=None, time_reversed=False, full_frame=False, note='')",
+     "CPHASE 1 2 delay=-3"),
+    (lambda: cphase_self(1, 2), ("CPHASE_SELF", 1, None, 2, None, False, False, ""),
+     "Gate(kind='CPHASE_SELF', i=1, j=None, delay=2, f=None, time_reversed=False, full_frame=False, note='')",
+     "CPHASE_SELF 2 delay=2"),
+    (lambda: inf_depth(2, P("1+D+D^3")), ("INF", 2, None, 0, P("1+D+D^3"), False, False, ""),
+     "Gate(kind='INF', i=2, j=None, delay=0, f=LaurentPoly('1+D+D^3'), time_reversed=False, full_frame=False, note='')",
+     "INF 3 f=1+D+D^3"),
+    (lambda: inf_depth(0, P("D^-1+D"), time_reversed=True, full_frame=True),
+     ("INF", 0, None, 0, P("D^-1+D"), True, True, ""),
+     "Gate(kind='INF', i=0, j=None, delay=0, f=LaurentPoly('D^-1+D'), time_reversed=True, full_frame=True, note='')",
+     "INF *1 f=D^-1+D reversed"),
+]
+
+
+@pytest.mark.parametrize("make, fields, text, line", GATE_CASES, ids=[c[3] for c in GATE_CASES])
+def test_gate_record(make, fields, text, line):
+    """Every gate kind keeps its fields, repr, printed line, equality, hash and immutability."""
+    g = make()
+    assert tuple(getattr(g, name) for name in _GATE_FIELDS) == fields
+    assert repr(g) == text and format_gate(g) == line
+    for twin in (make(), Gate(*fields), Gate(**dict(zip(_GATE_FIELDS, fields)))):
+        assert twin == g and hash(twin) == hash(g)
+    assert Gate(*fields[:-1], "other") != g
+    for name in ("kind", "i", "delay", "note"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, getattr(g, name))
+    if g.kind == "INF":
+        with pytest.raises(ValueError, match="^infinite-depth operations have no finite-depth inverse$"):
+            g.inverse()
+    else:
+        assert g.inverse() is g
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Gate("BOGUS", 0), "unknown gate kind 'BOGUS'"),
+        (lambda: Gate("CNOT", 0), "CNOT needs a target qubit"),
+        (lambda: Gate("CPHASE", 1, delay=2), "CPHASE needs a target qubit"),
+        (lambda: cnot(1, 1, 0), "CNOT control and target coincide"),
+        (lambda: cphase(2, 2, 1), "CPHASE control and target coincide"),
+        (lambda: inf_depth(0, LaurentPoly.zero()), "infinite-depth gate needs a nonzero polynomial"),
+        (lambda: Gate("INF", 0), "infinite-depth gate needs a nonzero polynomial"),
+    ],
+)
+def test_gate_rejects(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 # -- invariance properties ---------------------------------------------------------

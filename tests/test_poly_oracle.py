@@ -15,6 +15,9 @@ cells, valid and malformed (empty, bad terms, bad exponents, repeated and
 negative exponents, parentheses, 'f/g' with zero denominators), go through
 `parse_poly` and `parse_rational` against the per-term parser: both must
 give the same result, or raise `PolyParseError` with the same message.
+Seeded Laurent polynomials with exponents from -400 to 400 and widths up to
+600 go through `format_poly` against the per-term formatter, and each text
+parses back to its polynomial.
 """
 
 from __future__ import annotations
@@ -243,3 +246,18 @@ def test_parser_matches_per_term_reference(seed):
         errors += _same_parse(poly.parse_poly, oracle.parse_poly, _sum(rng))
         errors += _same_parse(poly.parse_rational, oracle.parse_rational, _cell(rng))
     assert CASES // 10 <= errors <= CASES
+
+
+def test_format_matches_per_term_reference():
+    rng = random.Random("format")
+    fixed = [LaurentPoly.zero(), LaurentPoly.one(), LaurentPoly.term(1), LaurentPoly.term(-1)]
+    fixed += [LaurentPoly.term(k) for k in (-400, -10, 2, 10, 400)] + [LaurentPoly((1 << 601) - 1, -400)]
+    cases = list(fixed)
+    while len(cases) < 2000:
+        width = rng.randint(0, 600)
+        bits = (1 << width | rng.getrandbits(width) << 1 | 1) if width else 1
+        cases.append(LaurentPoly(bits, rng.randint(-400, 400 - width)))
+    for p in cases:
+        text = format_poly(p)
+        assert text == oracle.format_poly(p)
+        assert poly.parse_poly(text) == p
