@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DimensionMismatch
 from .poly import ONE, ZERO, LaurentPoly, RationalPoly, common_denominator, format_poly, lowest_terms
@@ -62,8 +63,7 @@ from .polymat import PolyMatrix
 _KINDS = ("CNOT", "H", "P", "CPHASE", "CPHASE_SELF", "INF")
 
 
-@dataclass(frozen=True)
-class Gate:
+class _GateFields(NamedTuple):
     kind: str
     i: int
     j: int | None = None
@@ -73,16 +73,30 @@ class Gate:
     full_frame: bool = False
     note: str = ""
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind in ("CNOT", "CPHASE"):
-            if self.j is None:
-                raise ValueError(f"{self.kind} needs a target qubit")
-            if self.j == self.i:
-                raise ValueError(f"{self.kind} control and target coincide")
-        if self.kind == "INF" and (self.f is None or self.f.is_zero()):
+
+class Gate(_GateFields):
+    """One gate: a tuple record of its eight fields, checked on construction.
+
+    A circuit logs one CNOT per term of each column multiplier, so a gate
+    costs one tuple and no instance dict.  Fields read by name and cannot be
+    assigned (AttributeError).  Like any tuple, a gate also compares equal
+    to a plain tuple of its fields and has len and iteration; nothing relies
+    on either, nor on `dataclasses.replace` or `fields`, which a gate lacks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind, i, j=None, delay=0, f=None, time_reversed=False, full_frame=False, note=""):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if kind == "CNOT" or kind == "CPHASE":
+            if j is None:
+                raise ValueError(f"{kind} needs a target qubit")
+            if j == i:
+                raise ValueError(f"{kind} control and target coincide")
+        elif kind == "INF" and (f is None or f.is_zero()):
             raise ValueError("infinite-depth gate needs a nonzero polynomial")
+        return tuple.__new__(cls, (kind, i, j, delay, f, time_reversed, full_frame, note))
 
     def inverse(self) -> Gate:
         """All finite-depth gates are involutions in the binary picture."""
@@ -362,12 +376,12 @@ class _Planes:
             mine[:] = new
 
     def column(self, s: int, c: int) -> list[LaurentPoly]:
-        """Plane (s, c) as one LaurentPoly per row."""
+        """Plane (s, c) as one LaurentPoly per row, the shared ZERO for a zero row."""
         v, stride = self.bits[s][c], self.stride
         if not v:
             return [ZERO] * self.nrows
         mask, low = (1 << stride) - 1, -self.offset
-        return [LaurentPoly((v >> (r * stride)) & mask, low) for r in range(self.nrows)]
+        return [LaurentPoly(e, low) if (e := (v >> (r * stride)) & mask) else ZERO for r in range(self.nrows)]
 
     def rows(self) -> list[tuple[list[LaurentPoly], list[LaurentPoly]]]:
         """The (Z row, X row) pairs."""

@@ -5,7 +5,10 @@ with the exponent of its lowest-order term: ``bits`` b_0..b_m with offset
 ``low`` encode b_0 D^low + b_1 D^(low+1) + ... + b_m D^(low+m).  Canonical
 form keeps bit 0 set (and Python ints have no leading zeros), so both ends
 are trimmed and equality/hashing are O(1).  The zero polynomial is the
-unique pair (0, 0).
+unique pair (0, 0); `LaurentPoly.zero()`, a product with a zero factor and
+the replay's unpacked rows all give the one shared object `ZERO`, so a
+zero entry costs no object of its own.  Sharing is exact, as a
+LaurentPoly is immutable and compares by value.
 
 A rational function is a pair num/den of Laurent polynomials with den != 0,
 gcd(num, den) = 1 and den normalized to lowest exponent 0 with nonzero
@@ -16,7 +19,8 @@ normalises it by `lowest_terms`, unless the denominator is exactly 1.
 
 Text grammar: terms joined by '+', each term '1', 'D' or 'D^k' with integer
 k (negative allowed), e.g. '1+D^2' or 'D^-1+1+D'.  Parsing and printing
-round-trip exactly.
+round-trip exactly.  Printing looks each term's text up in `_TERMS`, a
+process-wide table of the text of D^k by exponent k, made on first use.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ def _bits_mul(a: int, b: int) -> int:
 
 def _bits_divmod(a: int, b: int) -> tuple[int, int]:
     """Ordinary GF(2)[D] division of coefficient masks, b != 0; one shift-and-XOR per quotient term."""
+    if b == 1:
+        return a, 0
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
     n = b.bit_length()
@@ -84,7 +90,7 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> LaurentPoly:
-        return cls(0, 0)
+        return ZERO
 
     @classmethod
     def one(cls) -> LaurentPoly:
@@ -155,7 +161,7 @@ class LaurentPoly:
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if self.bits == 0 or other.bits == 0:
-            return LaurentPoly.zero()
+            return ZERO
         return LaurentPoly(_bits_mul(self.bits, other.bits), self.low + other.low)
 
     def shift(self, k: int) -> LaurentPoly:
@@ -188,7 +194,7 @@ class LaurentPoly:
 _set_bits = LaurentPoly.bits.__set__
 _set_low = LaurentPoly.low.__set__
 
-ZERO = LaurentPoly.zero()
+ZERO = LaurentPoly(0, 0)
 ONE = LaurentPoly.one()
 D = LaurentPoly.term(1)
 
@@ -443,10 +449,21 @@ def parse_poly(text: str) -> LaurentPoly:
     return LaurentPoly(bits, low)
 
 
+class _TermText(dict):
+    """The text of the term D^k by exponent k, each made on first use and kept for the process."""
+
+    def __missing__(self, k: int) -> str:
+        text = self[k] = "1" if k == 0 else "D" if k == 1 else f"D^{k}"
+        return text
+
+
+_TERMS = _TermText()
+
+
 def format_poly(p: LaurentPoly) -> str:
     if p.is_zero():
         return "0"
-    return "+".join(["1" if k == 0 else "D" if k == 1 else f"D^{k}" for k in p.exponents()])
+    return "+".join(map(_TERMS.__getitem__, p.exponents()))
 
 
 def parse_rational(text: str) -> RationalPoly:

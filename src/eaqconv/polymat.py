@@ -29,7 +29,8 @@ row by a nonzero polynomial does not change the row space.  `echelon` is a
 fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) that
 keeps every row a primitive part.  A fully reduced echelon form is unique up
 to row scaling, so its primitive rows are unique: `row_space_equal`
-compares them, and `rref` divides each row by its pivot once at the end.
+compares them, eliminating grids with equal sorted primitive rows once, and
+`rref` divides each row by its pivot once at the end.
 """
 
 from __future__ import annotations
@@ -359,7 +360,11 @@ def echelon(rows: list[list[LaurentPoly]]) -> tuple[list[list[LaurentPoly]], tup
     echelon form, so two matrices span the same row space exactly when
     their pivots and echelon rows are equal.
     """
-    rows = [primitive_part(list(row)) for row in rows]
+    return _eliminate([primitive_part(list(row)) for row in rows])
+
+
+def _eliminate(rows: list[list[LaurentPoly]]) -> tuple[list[list[LaurentPoly]], tuple[int, ...]]:
+    """`echelon` of rows that are already primitive parts; reorders and overwrites the list rows."""
     cols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
@@ -414,13 +419,25 @@ def row_space_equal(a: list[list[LaurentPoly]], *others: list[list[LaurentPoly]]
 
     The rows are Laurent rows, or the numerators of rational rows over
     their row denominators, which a row space ignores.  Grids whose rows
-    differ in length never match.  a is eliminated once, however many
-    grids it is compared with.
+    differ in length never match.  Each grid's rows are taken to their
+    primitive parts once, and grids with equal sorted primitive rows span
+    one space, so they share one elimination: a is eliminated once,
+    however many grids it is compared with, and so is a grid that only
+    reorders or rescales the rows of one already eliminated.
     """
     if len({len(row) for m in (a, *others) for row in m}) > 1:
         return False
-    ea = echelon(a)
-    return all(echelon(b) == ea for b in others)
+    forms = {}
+
+    def form(m):
+        rows = [primitive_part(list(row)) for row in m]
+        key = tuple(sorted(tuple((e.bits, e.low) for e in row) for row in rows))
+        if key not in forms:
+            forms[key] = _eliminate(rows)
+        return forms[key]
+
+    ea = form(a)
+    return all(form(b) == ea for b in others)
 
 
 # -- text format --------------------------------------------------------------

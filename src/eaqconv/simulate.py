@@ -593,7 +593,8 @@ def verify_code(spec, window: int = 32, scratch: int | None = None) -> Verificat
     N(D) / (d_i(D^-1) d_j(D)), so it vanishes exactly when its numerator N
     does; and a fully reduced echelon form is unique up to row scaling.
     The input check matrices are eliminated once, for both the stored and
-    the re-encoded stabilizer.
+    the re-encoded stabilizer, and those two share one elimination when
+    their primitive rows agree, as for a built spec.
 
     Checks (b) and (c) run spec.encoder on spec.bare and spec.decoder on
     the result by `Circuit.apply`.  The circuits of a spec built without a

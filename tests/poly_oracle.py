@@ -188,10 +188,10 @@ def parse_poly(text: str) -> LaurentPoly:
 
 
 def format_poly(p: LaurentPoly) -> str:
-    """Terms joined by '+', each term's text formed on the spot."""
+    """Terms joined by '+', each term's text formed on the spot, over the per-bit `exponents`."""
     if p.is_zero():
         return "0"
-    return "+".join(["1" if k == 0 else "D" if k == 1 else f"D^{k}" for k in p.exponents()])
+    return "+".join(["1" if k == 0 else "D" if k == 1 else f"D^{k}" for k in exponents(p)])
 
 
 def parse_rational(text: str) -> RationalPoly:

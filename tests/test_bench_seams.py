@@ -14,6 +14,13 @@ counts, and the replay behind it: a `build` makes two calls and two
 replays, and a `verify` four calls (two for the build, two for its checks)
 but still only two replays, one per circuit.
 
+It wraps `polymat._eliminate`, the elimination behind `echelon` and
+`row_space_equal`, and pins three per `verify` on a pair with k > 0: one for
+the check matrices, one that the stored stabilizer shares with the
+re-encoded one (the same rows, permuted and scaled by powers of D), and
+one for the decode check.  A stored stabilizer with other rows gets its
+own elimination.
+
 It also pins one sha256 over the exit code, stdout and stderr of `build` in
 both formats on the seed-1 `build_l` pairs that print the widest reports:
 thousands of polynomial terms and over a thousand gates each.
@@ -22,6 +29,7 @@ thousands of polynomial terms and over a thousand gates each.
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -31,12 +39,17 @@ import pytest
 
 from eaqconv import gates, polymat, simulate
 from eaqconv.cli import main
+from eaqconv.construct import build_code
+from eaqconv.gates import QuantumCheckMatrix
+from eaqconv.poly import LaurentPoly, RationalPoly
+from eaqconv.polymat import PolyMatrix, parse_matrix
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "seed-1.json"
 SCREEN_S_RUNS, SCREEN_S_WIDE_DIVS = 823, 14
 VERIFY_PAIR = 19
 VERIFY_RUNS, VERIFY_WIDE_DIVS = 4, 9
 WINDOW_PAIR = 0
+ELIMINATION_PAIR = 1
 WIDE_BUILDS = (8, 12, 15)
 WIDE_BUILDS_SHA256 = "8daf5314ef00b4fa6f91e8c62e5afb417b05f1a88efe2c633460501745c3b07d"
 
@@ -94,6 +107,56 @@ def test_circuit_applies_and_replays(monkeypatch, command, applies):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == 0
     assert (calls.count("apply"), calls.count("_replay")) == (applies, 2)
+
+
+def _eliminations(monkeypatch):
+    """The list that gets one entry per `polymat._eliminate` run from now on."""
+    runs, eliminate = [], polymat._eliminate
+    monkeypatch.setattr(polymat, "_eliminate", lambda rows: runs.append(1) or eliminate(rows))
+    return runs
+
+
+def test_verify_eliminations(monkeypatch):
+    it = _corpus()["verify_w64"][ELIMINATION_PAIR]
+    runs = _eliminations(monkeypatch)
+    argv = ["verify", "--h1", it["h1"], "--h2", it["h2"], "--window", "64", "--format", "json"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    assert len(runs) == 3
+
+
+def _restored(spec, change):
+    """spec with the Z and X grids of its final stabilizer passed through change(z, x)."""
+    fs = spec.final_stabilizer
+    z, x = ([list(row) for row in m.entries] for m in (fs.z, fs.x))
+    change(z, x)
+    out = copy.copy(spec)
+    grids = (PolyMatrix(g, cols=fs.cols) for g in (z, x))
+    out.final_stabilizer = QuantumCheckMatrix(*grids, fs.bob_cols, fs.row_labels, fs.info)
+    return out
+
+
+def test_other_stored_rows_get_their_own_elimination(monkeypatch):
+    """A stored stabilizer that is not the re-encoded one is eliminated apart, in the same span or not."""
+    it = _corpus()["verify_w64"][ELIMINATION_PAIR]
+    spec = build_code(*(parse_matrix(t.replace(";", "\n")) for t in (it["h1"], it["h2"])))
+    d, col = RationalPoly(LaurentPoly.term(1)), spec.final_stabilizer.bob_cols
+    runs = _eliminations(monkeypatch)
+
+    def mixed(z, x):  # row 0 += D * row 1: the same span, other rows
+        for g in (z, x):
+            g[0] = [a + d * b for a, b in zip(g[0], g[1])]
+
+    check = simulate.verify_code(_restored(spec, mixed), 64).checks[1]
+    assert check.passed and len(runs) == 4  # check matrices, stored, re-encoded; decode
+
+    def spoiled(z, x):  # a sender entry gains a term: another span
+        z[0][col] = z[0][col] + d
+
+    runs.clear()
+    check = simulate.verify_code(_restored(spec, spoiled), 64).checks[1]
+    assert not check.passed and check.detail.startswith("stored")
+    assert len(runs) == 5  # check matrices, stored; again for the detail; decode
 
 
 def _output(argv):

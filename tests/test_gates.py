@@ -27,7 +27,7 @@ from eaqconv.gates import (
     synthesize_infinite_depth,
     time_reversed_rule,
 )
-from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly
+from eaqconv.poly import ZERO, LaurentPoly, RationalPoly, parse_poly
 from eaqconv.polymat import PolyMatrix, format_matrix, format_rows, parse_matrix
 from support import alice_cols, golden_pairs, parse_circuit, parse_gate
 
@@ -352,6 +352,20 @@ def test_apply_keeps_its_last_replay(name, h1, h2):
         fresh.apply(qcm, lambda g, state: want.append(state))
         assert len(seen) == len(c) and seen == want
         assert c.apply(qcm) is stored
+
+
+@pytest.mark.parametrize("name, h1, h2", golden_pairs(), ids=[p[0] for p in golden_pairs()])
+def test_replayed_zero_entries_are_shared(name, h1, h2):
+    """Every zero entry a replay unpacks is the shared ZERO, not an object of its own."""
+    spec = build_code(*(parse_matrix(t.replace(";", "\n")) for t in (h1, h2)))
+    evolved = spec.encoder.apply(spec.bare)
+    zeros = 0
+    for m in (evolved, spec.decoder.apply(evolved)):
+        for grid in (m.zn, m.xn, m.info.zn, m.info.xn):
+            for e in (e for row in grid for e in row if not e):
+                assert e is ZERO
+                zeros += 1
+    assert zeros
 
 
 def test_inverse_rejects_infinite_depth():

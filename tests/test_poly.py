@@ -34,6 +34,13 @@ nonzero_laurents = laurents.filter(bool)
 # -- add / mul / reverse ----------------------------------------------------
 
 
+@settings(max_examples=60, deadline=None)
+@given(laurents)
+def test_zero_is_one_shared_object(p):
+    assert LaurentPoly.zero() is ZERO and ZERO == LaurentPoly(0, 7)
+    assert ZERO * p is ZERO and p * ZERO is ZERO
+
+
 def test_laurent_poly_is_immutable_and_canonical():
     p = LaurentPoly(6, 0)
     assert p == LaurentPoly(3, 1)
