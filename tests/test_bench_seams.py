@@ -125,7 +125,7 @@ def test_verify_eliminations(monkeypatch):
     assert len(runs) == 3
 
 
-def _restored(spec, change):
+def _with_stored(spec, change):
     """spec with the Z and X grids of its final stabilizer passed through change(z, x)."""
     fs = spec.final_stabilizer
     z, x = ([list(row) for row in m.entries] for m in (fs.z, fs.x))
@@ -147,14 +147,14 @@ def test_other_stored_rows_get_their_own_elimination(monkeypatch):
         for g in (z, x):
             g[0] = [a + d * b for a, b in zip(g[0], g[1])]
 
-    check = simulate.verify_code(_restored(spec, mixed), 64).checks[1]
+    check = simulate.verify_code(_with_stored(spec, mixed), 64).checks[1]
     assert check.passed and len(runs) == 4  # check matrices, stored, re-encoded; decode
 
     def spoiled(z, x):  # a sender entry gains a term: another span
         z[0][col] = z[0][col] + d
 
     runs.clear()
-    check = simulate.verify_code(_restored(spec, spoiled), 64).checks[1]
+    check = simulate.verify_code(_with_stored(spec, spoiled), 64).checks[1]
     assert not check.passed and check.detail.startswith("stored")
     assert len(runs) == 5  # check matrices, stored; again for the detail; decode
 
