@@ -25,6 +25,13 @@ state, the decoded state, the final and measurable stabilizers and the row
 multipliers; for the 24 tier-L pairs, built without it, one digest covers
 the decoded state.  A state is hashed as its formatted Z and X entries, its
 row labels, its receiver column count and, in the same form, its `info`.
+
+One more sha256 pins the decoded state and the decoded frame offsets of
+plain builds (no `want_trace`) of the 12 golden pairs, both worked examples
+and the 32 `build_l` pairs of both benchmark corpora.  A traced build of
+each golden pair and worked example must agree with its plain build on the
+decoded state, the decoded offsets and the final stabilizer, and its decode
+trace must hold one step per decoder gate, in the decoder's order.
 """
 
 from __future__ import annotations
@@ -39,7 +46,9 @@ from pathlib import Path
 
 from eaqconv.cli import EXAMPLES, main
 from eaqconv.construct import build_code
+from eaqconv.gates import format_gate
 from eaqconv.polymat import format_matrix, parse_matrix
+from support import corpus_items
 
 GOLDEN = Path(__file__).parent / "golden" / "random_codes.json"
 SEED = 7
@@ -49,6 +58,9 @@ TIER_L_SHA256 = "5631a22fb9e894fbd838e397da5f68c3ff1c3c02ae967bd1fa834a923471679
 TRACE_STATES_SHA256 = "524ddabcc56fc3bf7a1b4cb994d07f9356b8a6efc8f162f3d74fc50332c6dd10"
 TIER_L_DECODED_SHA256 = "362ffd83ee2f4c924455661a39e064e9fad1b06880dc55faed2eb2b6e291fefd"
 BUILD_REPORTS_SHA256 = "885709992b12a3777968bdaac85d201a776d5df5293adb08b7be07723a5e653c"
+DECODED_SHA256 = "b575b643f52a572096fdc8277636d499125637d3d2f6bdc277b9b9e7f12d373c"
+# decode trace steps that no decoder gate makes
+DECODE_TRACE_FRAMES = ("received stream", "reduction row scalings reapplied", "logical operators reduced by stabilizer rows")
 
 
 def _build_output(h1: str, h2: str, fmt: str) -> tuple[int, str, str]:
@@ -140,6 +152,26 @@ def test_tier_l_decoded_states_match_pinned_digest():
     for h1, h2 in _random_pairs(random.Random(TIER_L_STREAM), 8, 4, 24):
         digest.update(f"{h1}\n{h2}\n{_state_text(_build(h1, h2).decoded_state)}\n".encode())
     assert digest.hexdigest() == TIER_L_DECODED_SHA256
+
+
+def test_decoded_states_match_pinned_digest():
+    pairs = _golden_and_example_pairs() + [(it["h1"], it["h2"]) for it in corpus_items() if it["tier"] == "L"]
+    assert len(pairs) == 14 + 32
+    digest = hashlib.sha256()
+    for h1, h2 in pairs:
+        spec = _build(h1, h2)
+        digest.update(f"{h1}\n{h2}\n{_state_text(spec.decoded_state)}\n{spec.decoded_offsets}\n".encode())
+    assert digest.hexdigest() == DECODED_SHA256
+
+
+def test_traced_and_plain_builds_decode_alike():
+    for h1, h2 in _golden_and_example_pairs():
+        plain, traced = _build(h1, h2), _build(h1, h2, want_trace=True)
+        assert traced.decoded_state == plain.decoded_state
+        assert traced.decoded_offsets == plain.decoded_offsets
+        assert traced.final_stabilizer == plain.final_stabilizer
+        steps = [s.label for s in traced.decode_trace if s.label not in DECODE_TRACE_FRAMES]
+        assert steps == [format_gate(g) for g in traced.decoder]
 
 
 def _regenerate():
