@@ -468,7 +468,7 @@ class CodeSpec:
     logical_cols: tuple[int, ...]
     decoded_cols: tuple[int, ...]
     decoded_offsets: tuple
-    decoded_state: QuantumCheckMatrix
+    decoded_state: QuantumCheckMatrix  # the decoder on the encoder's result, run as the stage and tail gates
     encode_trace: list = field(default_factory=list)
     decode_trace: list = field(default_factory=list)
 
@@ -626,10 +626,8 @@ def build_class1(record: DecompositionRecord) -> CodeSpec:
     logical_cols = [n - k + q for q in range(k)]
     bare = _bare_state(n, c, ebit_cols, anc_a, anc_b, logical_cols)
 
-    decoder = Circuit(tuple(red.gates))
-    encoder = decoder.inverse()
-    # the X-frame ebit rows carry the Z-check structure
-    return _assemble(record, bare, _row_map(red, c, x_ebits_first=True), encoder, decoder, info_fix=None,
+    # no stage or tail gates; the X-frame ebit rows carry the Z-check structure
+    return _assemble(record, bare, _row_map(red, c, x_ebits_first=True), (), (), info_fix=None,
                      logical_cols=logical_cols, decoded_cols=logical_cols)
 
 
@@ -744,36 +742,21 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
     decoded_cols = [decoded_map[col] for col in logical_cols]
     bare = _bare_state(n, c, ebit_cols, anc_a, anc_b, logical_cols)
 
-    # the infinite-depth stage acting on the fresh ebits and information qubits
-    sub = []
+    # the infinite-depth stage acting on the fresh ebits and information qubits, and the decoding
+    # tail that unravels it once the finite-depth part is undone
+    stage, tail = [], []
     if special:
         g2p = blocks["Gamma2p"]
         for j in range(cs):
-            sub.append(hadamard(mid_cols[j], note="ebit-stage"))
+            stage.append(hadamard(mid_cols[j], note="ebit-stage"))
         for j in range(cs):
-            sub.append(cnot(mid_cols[j], last_cols[j], g2p[j].dell, note="ebit-stage"))
+            stage.append(cnot(mid_cols[j], last_cols[j], g2p[j].dell, note="ebit-stage"))
         for j in range(cs):
-            sub.append(inf_depth(last_cols[j], gamma2[j], note="ebit-stage"))
+            stage.append(inf_depth(last_cols[j], gamma2[j], note="ebit-stage"))
         for j in range(cs):
-            sub.append(hadamard(mid_cols[j], note="ebit-stage"))
+            stage.append(hadamard(mid_cols[j], note="ebit-stage"))
         for j in range(cs):
-            sub.append(hadamard(last_cols[j], note="ebit-stage"))
-    else:
-        lmat = blocks["L"]
-        for i in range(cs):
-            for j in range(cs):
-                for exp in lmat[i][j].exponents():
-                    sub.append(cnot(last_cols[j], mid_cols[i], -exp, note="ebit-stage"))
-        for i in range(cs):
-            sub.append(inf_depth(mid_cols[i], gamma2[i], time_reversed=True, note="ebit-stage"))
-
-    reduction = Circuit(tuple(red.gates))
-    encoder = Circuit(tuple(sub) + reduction.inverse().gates)
-
-    # decoding: undo the finite-depth part, then unravel the infinite-depth stage
-    tail = []
-    if special:
-        g2p = blocks["Gamma2p"]
+            stage.append(hadamard(last_cols[j], note="ebit-stage"))
         for j in range(cs):
             tail.append(cnot(s + j, c + mid_cols[j], 0, full_frame=True, note="ebit-unstage"))
         for j in range(cs):
@@ -785,6 +768,12 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
             tail.append(hadamard(last_cols[j], note="ebit-unstage"))
     else:
         lmat = blocks["L"]
+        for i in range(cs):
+            for j in range(cs):
+                for exp in lmat[i][j].exponents():
+                    stage.append(cnot(last_cols[j], mid_cols[i], -exp, note="ebit-stage"))
+        for i in range(cs):
+            stage.append(inf_depth(mid_cols[i], gamma2[i], time_reversed=True, note="ebit-stage"))
         sandwich = [hadamard(s + i, full_frame=True, note="ebit-unstage") for i in range(cs)]
         sandwich += [hadamard(last_cols[j], note="ebit-unstage") for j in range(cs)]
         tail.extend(sandwich)
@@ -794,16 +783,12 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
                     tail.append(cnot(s + i, c + last_cols[j], exp, full_frame=True, note="ebit-unstage"))
         tail.extend(sandwich)
 
-    decoder = Circuit(reduction.gates + tuple(tail))
-
     # decode-time logical fix-ups: add stabilizer rows to logical rows
     def info_fix(stab: QuantumCheckMatrix, info: QuantumCheckMatrix) -> QuantumCheckMatrix:
         if special:
-            g2p = blocks["Gamma2p"]
             # the reduced-position index s + j survives the final row ordering
             adds = [(2 * logical_cols.index(last_cols[j]), LaurentPoly.term(-g2p[j].dell), s + j) for j in range(cs)]
         else:
-            lmat = blocks["L"]
             adds = [(2 * logical_cols.index(last_cols[i]), lmat[j][i].reverse(), n - k1 + s + j)
                     for i in range(cs) for j in range(cs) if lmat[j][i]]
         zn, xn, dens = list(info.zn), list(info.xn), list(info.dens)
@@ -815,13 +800,19 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
         return QuantumCheckMatrix.from_rows(tuple(zn), tuple(xn), tuple(dens), info.cols, info.bob_cols, info.row_labels)
 
     # the Z-frame ebit rows (Gamma1 + Gamma2 rows) come first
-    return _assemble(record, bare, _row_map(red, c, x_ebits_first=False), encoder, decoder, info_fix=info_fix,
+    return _assemble(record, bare, _row_map(red, c, x_ebits_first=False), stage, tail, info_fix=info_fix,
                      logical_cols=logical_cols, decoded_cols=decoded_cols)
 
 
-def _assemble(record, bare, pair, encoder, decoder, info_fix, logical_cols, decoded_cols):
+def _assemble(record, bare, pair, stage, tail, info_fix, logical_cols, decoded_cols):
     red = record.reduction
     want_trace = red.want_trace
+    # encoder = stage + R^-1 and decoder = R + tail, R the reduction's gates.  Every
+    # finite-depth gate is its own inverse, R has no INF gate and a column move
+    # leaves denominators as they are, so R(R^-1(x)) is x bit for bit: on the
+    # encoder's result the decoder acts as tail after stage, a few gates on bare.
+    reduction = Circuit(tuple(red.gates))
+    encoder, decoder = Circuit((*stage, *reduction.inverse())), Circuit((*reduction, *tail))
     encode_trace = [TraceStep("unencoded stream", bare)] if want_trace else []
     evolved = encoder.apply(bare, _recorder(encode_trace) if want_trace else None)
 
@@ -833,12 +824,13 @@ def _assemble(record, bare, pair, encoder, decoder, info_fix, logical_cols, deco
 
     # The decoder starts from the received stream with those scalings
     # reapplied: `evolved` in `pair` row order.  Every gate, INF included,
-    # acts row by row, so it runs on evolved itself, the replay verify_code
-    # asks for, and its result and traced states are permuted after.
+    # acts row by row, so the decoded rows are permuted after.  Only a traced
+    # build replays the decoder, on evolved itself, for its per-gate states.
     decode_trace = [TraceStep("received stream", final)] if want_trace else []
     if want_trace and unscale:
         decode_trace.append(TraceStep("reduction row scalings reapplied", _permute_rows(evolved, pair)))
-    decoded = _permute_rows(decoder.apply(evolved, _recorder(decode_trace, pair) if want_trace else None), pair)
+    decoded = _permute_rows(decoder.apply(evolved, _recorder(decode_trace, pair)) if want_trace
+                            else Circuit((*stage, *tail)).apply(bare), pair)
     if info_fix is not None and decoded.info is not None:
         fixed = info_fix(decoded, decoded.info)
         decoded = QuantumCheckMatrix.from_rows(

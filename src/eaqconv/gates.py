@@ -450,7 +450,7 @@ class Circuit:
         return _steps(self.gates, join=True)
 
     def apply(self, qcm: QuantumCheckMatrix, observe=None) -> QuantumCheckMatrix:
-        """The rows qcm's rows end as after the gates.
+        """The rows qcm's rows end as after the gates: qcm itself when there are none.
 
         Without an observer the circuit keeps its last input and result, and
         a call on that very input object returns the stored result: check
@@ -458,6 +458,8 @@ class Circuit:
         but distinct input is replayed.  With an observer the gates always
         run, and the stored replay is kept.
         """
+        if not self.gates:
+            return qcm
         if observe is not None:
             return self._replay(qcm, observe)
         last = vars(self).get("_last")

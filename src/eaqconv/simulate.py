@@ -486,11 +486,10 @@ class VerificationReport:
 def _check_decode(spec, evolved: QuantumCheckMatrix) -> tuple[bool, str]:
     """Decode the encoded state and test the logical operators.
 
-    `evolved` is spec.encoder on spec.bare.  The decoder runs on it by
-    `Circuit.apply` (the build's own replay, when both are the built
-    objects; see `verify_code`) rather than the check reading
-    `spec.decoded_state`, so a replaced or corrupted decoder is judged by
-    what it does.  Requires: every decoded logical commutes with the decoded
+    `evolved` is spec.encoder on spec.bare.  The decoder is replayed on it
+    by `Circuit.apply` (see `verify_code`) rather than the check reading
+    `spec.decoded_state`, which the build takes from the stage and tail
+    gates, so a replaced or corrupted decoder is judged by what it does.  Requires: every decoded logical commutes with the decoded
     stabilizer; the X/Z pairing is a unit D^k exactly on matching qubits;
     and modulo the decoded stabilizer each logical localizes to its
     designated column.
@@ -597,11 +596,11 @@ def verify_code(spec, window: int = 32, scratch: int | None = None) -> Verificat
     their primitive rows agree, as for a built spec.
 
     Checks (b) and (c) run spec.encoder on spec.bare and spec.decoder on
-    the result by `Circuit.apply`.  The circuits of a spec built without a
-    trace keep the replays its build made on those very objects, so this
-    makes none of its own; a circuit or bare stream replaced since is
-    another object and is replayed, so every check judges the circuits it
-    is given.
+    the result by `Circuit.apply`.  A spec built without a trace keeps its
+    encoder's replay on that very bare stream, so the encoder runs no more;
+    its build never runs the decoder, so check (c) replays it once.  A
+    circuit or bare stream replaced since is another object and is
+    replayed, so every check judges the circuits it is given.
     """
     if scratch is None:
         scratch = default_scratch(spec.encoder)

@@ -10,9 +10,14 @@ wraps `simulate.run_circuit` and `simulate.expand` by module name, as the
 traced spans do, and pins one circuit run and two expansions per
 `verify --window 64`, so `simulate.run_circuit_s` keeps timing the window
 kernel.  It wraps `gates.Circuit.apply`, which `gates.circuit_apply_calls`
-counts, and the replay behind it: a `build` makes two calls and two
-replays, and a `verify` four calls (two for the build, two for its checks)
-but still only two replays, one per circuit.
+counts, and the replay behind it, and names the circuit of each replay.
+A `build` makes two calls: the encoder on the bare stream, and the stage
+circuit (the stage gates, then the decoder's tail gates) on the same stream
+for the decoded state.  It replays the encoder, and the stage circuit when
+it has gates (class 2; a class-1 code has none, and an empty circuit
+returns its input).  A `verify` makes four calls, two for the build and two
+for its checks, and replays the decoder once more, on the encoder's stored
+result; the encoder is not replayed again.
 
 It wraps `polymat._eliminate`, the elimination behind `echelon` and
 `row_space_equal`, and pins three per `verify` on a pair with k > 0: one for
@@ -49,7 +54,7 @@ SCREEN_S_RUNS, SCREEN_S_WIDE_DIVS = 823, 14
 VERIFY_PAIR = 19
 VERIFY_RUNS, VERIFY_WIDE_DIVS = 4, 9
 WINDOW_PAIR = 0
-ELIMINATION_PAIR = 1
+ELIMINATION_PAIR = CLASS1_PAIR = 1
 WIDE_BUILDS = (8, 12, 15)
 WIDE_BUILDS_SHA256 = "8daf5314ef00b4fa6f91e8c62e5afb417b05f1a88efe2c633460501745c3b07d"
 
@@ -94,19 +99,47 @@ def test_verify_w64_window_calls(monkeypatch):
     assert sorted(calls) == ["expand", "expand", "run_circuit"]
 
 
+def _spec(it):
+    return build_code(*(parse_matrix(t.replace(";", "\n")) for t in (it["h1"], it["h2"])))
+
+
+# verify_w64 pair -> the circuits its build replays; a verify replays the decoder after them
+BUILD_REPLAYS = {WINDOW_PAIR: ["encoder", "stage"], CLASS1_PAIR: ["encoder"]}  # class 2; class 1, no stage gates
+
+
 @pytest.mark.parametrize("command, applies", [("build", 2), ("verify", 4)])
 def test_circuit_applies_and_replays(monkeypatch, command, applies):
-    it = _corpus()["verify_w64"][WINDOW_PAIR]
-    calls = []
-    for name in ("apply", "_replay"):
-        fn = getattr(gates.Circuit, name)
-        monkeypatch.setattr(gates.Circuit, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
-    argv = [command, "--h1", it["h1"], "--h2", it["h2"], "--format", "json"]
-    if command == "verify":
-        argv += ["--window", "64"]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) == 0
-    assert (calls.count("apply"), calls.count("_replay")) == (applies, 2)
+    items = {pair: _corpus()["verify_w64"][pair] for pair in BUILD_REPLAYS}
+    specs = {pair: _spec(it) for pair, it in items.items()}
+    calls, replays = [], []
+    apply, replay = gates.Circuit.apply, gates.Circuit._replay
+
+    def replaying(circuit, qcm, observe):
+        out = replay(circuit, qcm, observe)
+        replays.append((circuit.gates, qcm, out))
+        return out
+
+    monkeypatch.setattr(gates.Circuit, "apply", lambda *a: calls.append(1) or apply(*a))
+    monkeypatch.setattr(gates.Circuit, "_replay", replaying)
+    for pair, built in BUILD_REPLAYS.items():
+        spec, it = specs[pair], items[pair]
+        stage = tuple(g for g in spec.encoder if g.note == "ebit-stage") + tuple(
+            g for g in spec.decoder if g.note == "ebit-unstage")
+        named = (("encoder", spec.encoder.gates), ("decoder", spec.decoder.gates), ("stage", stage))
+        calls.clear(), replays.clear()
+        argv = [command, "--h1", it["h1"], "--h2", it["h2"], "--format", "json"]
+        if command == "verify":
+            argv += ["--window", "64"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        assert len(calls) == applies
+        ran = {next(name for name, gs in named if gs == circuit): (qcm, out) for circuit, qcm, out in replays}
+        assert list(ran) == (built + ["decoder"] if command == "verify" else built) and len(ran) == len(replays)
+        assert ran["encoder"][0] == spec.bare
+        if "stage" in ran:
+            assert ran["stage"][0] is ran["encoder"][0]
+        if "decoder" in ran:
+            assert ran["decoder"][0] is ran["encoder"][1]
 
 
 def _eliminations(monkeypatch):
@@ -139,7 +172,7 @@ def _with_stored(spec, change):
 def test_other_stored_rows_get_their_own_elimination(monkeypatch):
     """A stored stabilizer that is not the re-encoded one is eliminated apart, in the same span or not."""
     it = _corpus()["verify_w64"][ELIMINATION_PAIR]
-    spec = build_code(*(parse_matrix(t.replace(";", "\n")) for t in (it["h1"], it["h2"])))
+    spec = _spec(it)
     d, col = RationalPoly(LaurentPoly.term(1)), spec.final_stabilizer.bob_cols
     runs = _eliminations(monkeypatch)
 

@@ -342,6 +342,15 @@ def test_apply_keeps_its_last_replay(name, h1, h2):
         assert c.apply(qcm) is stored
 
 
+def test_empty_circuit_returns_its_input():
+    """An empty circuit has nothing to replay: apply returns the input itself and shows no state."""
+    q = build_code(*(parse_matrix(t.replace(";", "\n")) for t in golden_pairs()[0][1:])).bare
+    seen = []
+    assert Circuit(()).apply(q) is q
+    assert Circuit(()).apply(q, lambda g, state: seen.append(state)) is q
+    assert seen == []
+
+
 @pytest.mark.parametrize("name, h1, h2", golden_pairs(), ids=[p[0] for p in golden_pairs()])
 def test_replayed_zero_entries_are_shared(name, h1, h2):
     """Every zero entry a replay unpacks is the shared ZERO, not an object of its own."""
