@@ -435,7 +435,7 @@ def parse_poly(text: str) -> LaurentPoly:
             exps.append(0)
         elif term == "D":
             exps.append(1)
-        elif term.startswith("D^"):
+        elif term.startswith("D^") and term.isascii() and "_" not in term:  # int() reads '1_0' and non-ASCII digits
             try:
                 exps.append(int(term[2:]))
             except ValueError:

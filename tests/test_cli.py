@@ -132,6 +132,13 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("h1", ["1, D^1_0", "1, D^\u0663"])
+def test_params_rejects_exponents_outside_the_grammar(capsys, h1):
+    code, out, err = run(capsys, "params", "--h1", h1, "--h2", "1, 1+D")
+    assert (code, out) == (2, "")
+    assert "bad term" in err
+
+
 def test_validation_error_names_factor(capsys):
     code, _, err = run(capsys, "build", "--h1", "1+D, 1+D", "--h2", "1, 1+D")
     assert code == 3

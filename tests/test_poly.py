@@ -245,6 +245,19 @@ def test_parse_rejects_garbage():
         parse_poly("D^x")
 
 
+@pytest.mark.parametrize("text", ["D^1_0", "1+D^1_0", "D^\u0663", "D^-\u0663", "D^", "D^-", "D^--1", "D^+1"])
+def test_parse_rejects_exponents_outside_the_grammar(text):
+    """An exponent is an optional '-' and ASCII digits, nothing else that int() reads."""
+    with pytest.raises(PolyParseError, match="bad (exponent|term)"):
+        parse_poly(text)
+
+
+def test_parse_accepts_signed_ascii_exponents():
+    assert parse_poly("D^-0") == parse_poly("1")
+    assert parse_poly("D^12") == LaurentPoly.term(12)
+    assert parse_poly("D^-12+D^007") == LaurentPoly.term(-12) + LaurentPoly.term(7)
+
+
 @given(laurents)
 def test_poly_text_round_trip(p):
     assert parse_poly(format_poly(p)) == p
