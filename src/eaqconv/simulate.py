@@ -489,10 +489,10 @@ def _check_decode(spec, evolved: QuantumCheckMatrix) -> tuple[bool, str]:
     `evolved` is spec.encoder on spec.bare.  The decoder is replayed on it
     by `Circuit.apply` (see `verify_code`) rather than the check reading
     `spec.decoded_state`, which the build takes from the stage and tail
-    gates, so a replaced or corrupted decoder is judged by what it does.  Requires: every decoded logical commutes with the decoded
-    stabilizer; the X/Z pairing is a unit D^k exactly on matching qubits;
-    and modulo the decoded stabilizer each logical localizes to its
-    designated column.
+    gates, so a replaced or corrupted decoder is judged by what it does.
+    Requires: every decoded logical commutes with the decoded stabilizer;
+    the X/Z pairing is a unit D^k exactly on matching qubits; and modulo
+    the decoded stabilizer each logical localizes to its designated column.
 
     The stored rows are Laurent numerators over one GF(2)[D] denominator
     each.  A product is N / (d_a(D^-1) d_b(D)), so it vanishes exactly when
