@@ -126,7 +126,8 @@ def test_circuit_applies_and_replays(monkeypatch, command, applies):
         stage = tuple(g for g in spec.encoder if g.note == "ebit-stage") + tuple(
             g for g in spec.decoder if g.note == "ebit-unstage")
         named = (("encoder", spec.encoder.gates), ("decoder", spec.decoder.gates), ("stage", stage))
-        calls.clear(), replays.clear()
+        calls.clear()
+        replays.clear()
         argv = [command, "--h1", it["h1"], "--h2", it["h2"], "--format", "json"]
         if command == "verify":
             argv += ["--window", "64"]
