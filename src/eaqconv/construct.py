@@ -46,6 +46,7 @@ from .gates import (
     Circuit,
     Gate,
     QuantumCheckMatrix,
+    apply_gate,
     cnot,
     format_gate,
     gate_columns,
@@ -113,9 +114,12 @@ class TraceStep:
     state: QuantumCheckMatrix
 
 
-def _recorder(trace, order=None):
-    """A Circuit.apply observer adding one trace step per gate, its rows in `order` when given."""
-    return lambda g, state: trace.append(TraceStep(format_gate(g), _permute_rows(state, order) if order else state))
+def _traced(trace, state: QuantumCheckMatrix, gates, order=None) -> QuantumCheckMatrix:
+    """Step state through gates by `apply_gate`, one trace step per gate with its rows in `order` when given; the last state."""
+    for g in gates:
+        state = apply_gate(state, g)
+        trace.append(TraceStep(format_gate(g), _permute_rows(state, order) if order else state))
+    return state
 
 
 class _Reduction:
@@ -123,9 +127,9 @@ class _Reduction:
 
     The grids hold LaurentPoly entries: the reduction issues no INF gate.
     A column addition logs its CNOTs and adds f times the source column at
-    once.  With want_trace, each batch of logged gates is also replayed by
-    Circuit.apply from the state before it, so the trace holds the state
-    after every gate while the grids change as in a plain reduction.
+    once.  With want_trace, each batch of logged gates is also stepped
+    through `apply_gate` from the state before it, so the trace holds the
+    state after every gate while the grids change as in a plain reduction.
     """
 
     def __init__(self, h1, h2, want_trace: bool = False):
@@ -155,11 +159,11 @@ class _Reduction:
         """Append gates to the log, before the grids take their action.
 
         Raises IndexError for qubits outside the frame.  A traced reduction
-        replays the gates from the current state, one trace step per gate.
+        steps the gates from the current state, one trace step per gate.
         """
         gate_columns(gates[0], self.n, 0)
         if self.want_trace:
-            Circuit(tuple(gates)).apply(self.state(), _recorder(self.trace))
+            _traced(self.trace, self.state(), gates)
         self.gates.extend(gates)
 
     def hadamard(self, col: int, note: str):
@@ -804,40 +808,47 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
                      logical_cols=logical_cols, decoded_cols=decoded_cols)
 
 
+def _with_info_fix(decoded: QuantumCheckMatrix, info_fix) -> QuantumCheckMatrix:
+    """decoded with its logical rows reduced by info_fix, when there is one."""
+    if info_fix is None or decoded.info is None:
+        return decoded
+    return QuantumCheckMatrix.from_rows(decoded.zn, decoded.xn, decoded.dens, decoded.cols, decoded.bob_cols,
+                                        decoded.row_labels, info_fix(decoded, decoded.info))
+
+
 def _assemble(record, bare, pair, stage, tail, info_fix, logical_cols, decoded_cols):
     red = record.reduction
-    want_trace = red.want_trace
     # encoder = stage + R^-1 and decoder = R + tail, R the reduction's gates.  Every
     # finite-depth gate is its own inverse, R has no INF gate and a column move
     # leaves denominators as they are, so R(R^-1(x)) is x bit for bit: on the
     # encoder's result the decoder acts as tail after stage, a few gates on bare.
     reduction = Circuit(tuple(red.gates))
     encoder, decoder = Circuit((*stage, *reduction.inverse())), Circuit((*reduction, *tail))
-    encode_trace = [TraceStep("unencoded stream", bare)] if want_trace else []
-    evolved = encoder.apply(bare, _recorder(encode_trace) if want_trace else None)
+    evolved = encoder.apply(bare)
 
     # undo the mental row scalings recorded during the reduction
     unscale = {pair[red.row_ids.index(rid)]: -kexp for rid, kexp in red.row_scales.items() if kexp}
     final = _permute_rows(_scale_rows(evolved, unscale) if unscale else evolved, pair)
-    if want_trace:
-        encode_trace.append(TraceStep("final stabilizer", final))
 
     # The decoder starts from the received stream with those scalings
     # reapplied: `evolved` in `pair` row order.  Every gate, INF included,
-    # acts row by row, so the decoded rows are permuted after.  Only a traced
-    # build replays the decoder, on evolved itself, for its per-gate states.
-    decode_trace = [TraceStep("received stream", final)] if want_trace else []
-    if want_trace and unscale:
-        decode_trace.append(TraceStep("reduction row scalings reapplied", _permute_rows(evolved, pair)))
-    decoded = _permute_rows(decoder.apply(evolved, _recorder(decode_trace, pair)) if want_trace
-                            else Circuit((*stage, *tail)).apply(bare), pair)
-    if info_fix is not None and decoded.info is not None:
-        fixed = info_fix(decoded, decoded.info)
-        decoded = QuantumCheckMatrix.from_rows(
-            decoded.zn, decoded.xn, decoded.dens, decoded.cols, decoded.bob_cols, decoded.row_labels, fixed
-        )
-        if want_trace:
-            decode_trace.append(TraceStep("logical operators reduced by stabilizer rows", decoded))
+    # acts row by row, so the decoded rows are permuted after.
+    decoded = _with_info_fix(_permute_rows(Circuit((*stage, *tail)).apply(bare), pair), info_fix)
+
+    # A traced build steps the encoder from bare and the decoder from evolved,
+    # gate by gate; its last decode step reduces the logical rows of its own
+    # last state.
+    encode_trace, decode_trace = [], []
+    if red.want_trace:
+        encode_trace.append(TraceStep("unencoded stream", bare))
+        _traced(encode_trace, bare, encoder)
+        encode_trace.append(TraceStep("final stabilizer", final))
+        decode_trace.append(TraceStep("received stream", final))
+        if unscale:
+            decode_trace.append(TraceStep("reduction row scalings reapplied", _permute_rows(evolved, pair)))
+        last = _permute_rows(_traced(decode_trace, evolved, decoder, pair), pair)
+        if info_fix is not None:
+            decode_trace.append(TraceStep("logical operators reduced by stabilizer rows", _with_info_fix(last, info_fix)))
 
     offsets = []
     if decoded.info is not None:

@@ -33,11 +33,11 @@ so the gates of a run commute and a run is one step, its moves adding the
 source shifted by each of the run's delays.  H and InfDepth are steps of
 their own.  A plane that a step could shift out of its row is laid out
 again on the ints, each row's slice moved to the new stride and offset.
-An observer (the construction's trace) makes every gate a step, so it sees
-the state after each gate.  A circuit keeps its last replay without an
-observer and returns it for that very input object, a key that costs
-nothing where comparing rows would read them all: a build and its
-verification pass the same objects, so they share each circuit's replay.
+A circuit keeps its last replay and returns it for that very input object,
+a key that costs nothing where comparing rows would read them all: a build
+and its verification pass the same objects, so they share each circuit's
+replay.  `apply_gate` runs one gate as a circuit of its own; the
+construction's trace steps its states through it, gate by gate.
 
 Gate qubit indices address the sender's (Alice's) columns; the receiver-side
 columns sit to the left of them and only gates flagged full_frame (used by
@@ -447,27 +447,24 @@ class Circuit:
     @cached_property
     def _runs(self) -> tuple:
         """The gates as steps, each maximal run of finite-depth gates on the same qubits one step."""
-        return _steps(self.gates, join=True)
+        return _steps(self.gates)
 
-    def apply(self, qcm: QuantumCheckMatrix, observe=None) -> QuantumCheckMatrix:
+    def apply(self, qcm: QuantumCheckMatrix) -> QuantumCheckMatrix:
         """The rows qcm's rows end as after the gates: qcm itself when there are none.
 
-        Without an observer the circuit keeps its last input and result, and
-        a call on that very input object returns the stored result: check
-        matrices are immutable, so a replay would give equal rows.  An equal
-        but distinct input is replayed.  With an observer the gates always
-        run, and the stored replay is kept.
+        The circuit keeps its last input and result, and a call on that very
+        input object returns the stored result: check matrices are
+        immutable, so a replay would give equal rows.  An equal but distinct
+        input is replayed.
         """
         if not self.gates:
             return qcm
-        if observe is not None:
-            return self._replay(qcm, observe)
         last = vars(self).get("_last")
         if last is None or last[0] is not qcm:
-            last = vars(self)["_last"] = qcm, self._replay(qcm, None)
+            last = vars(self)["_last"] = qcm, self._replay(qcm)
         return last[1]
 
-    def _replay(self, qcm: QuantumCheckMatrix, observe) -> QuantumCheckMatrix:
+    def _replay(self, qcm: QuantumCheckMatrix) -> QuantumCheckMatrix:
         """Run the gates on column planes of qcm's rows and return the rows they end as.
 
         The stabilizer and info numerators are held as `_Planes`: one int per
@@ -476,58 +473,38 @@ class Circuit:
         moves, each XORing its source shifted by every delay of the run (H
         swaps two planes); it leaves every denominator as it is.  INF unpacks
         the rows, updates them and their denominators, and packs them again.
-        observe(gate, state), when given, makes every gate a step of its own
-        and sees the state after each; only the planes the gate changed are
-        unpacked for it.
         """
         cols, split, bob_cols = qcm.cols, qcm.rows, qcm.bob_cols
         mats = (qcm,) if qcm.info is None else (qcm, qcm.info)
-        rows = [(list(z), list(x)) for m in mats for z, x in zip(m.zn, m.xn)]
         dens = [d for m in mats for d in m.dens]
-        planes = _Planes(rows, cols)
-
-        def state():
-            zn, xn, ds = tuple(tuple(z) for z, _ in rows), tuple(tuple(x) for _, x in rows), tuple(dens)
-            info = qcm.info
-            if info is not None:
-                info = QuantumCheckMatrix.from_rows(zn[split:], xn[split:], ds[split:], cols, bob_cols, info.row_labels)
-            return QuantumCheckMatrix.from_rows(
-                zn[:split], xn[:split], ds[:split], cols, bob_cols, qcm.row_labels, info
-            )
-
-        for g, moves in self._runs if observe is None else _steps(self.gates, join=False):
+        planes = _Planes([(z, x) for m in mats for z, x in zip(m.zn, m.xn)], cols)
+        for g, moves in self._runs:
             a, b = gate_columns(g, cols, bob_cols)  # the run shares g's qubits
             if g.kind == "INF":
                 rows = planes.rows()
                 _inf_rows(g, a, rows, dens, cols)
                 planes = _Planes(rows, cols)
-                changed = ()
             elif g.kind == "H":
                 planes.swap(a)
-                changed = ((0, a), (1, a))
             else:
-                changed = _on_columns(moves, a, b)
-                planes.run(changed)
-            if observe is not None:
-                for s, c, *_ in changed:  # the planes the gate wrote
-                    for row, e in zip(rows, planes.column(s, c)):
-                        row[s][c] = e
-                observe(g, state())
-        if observe is None:
-            rows = planes.rows()
-        return state()
+                planes.run(_on_columns(moves, a, b))
+        rows = planes.rows()
+        zn, xn, ds = tuple(tuple(z) for z, _ in rows), tuple(tuple(x) for _, x in rows), tuple(dens)
+        info = qcm.info
+        if info is not None:
+            info = QuantumCheckMatrix.from_rows(zn[split:], xn[split:], ds[split:], cols, bob_cols, info.row_labels)
+        return QuantumCheckMatrix.from_rows(zn[:split], xn[:split], ds[:split], cols, bob_cols, qcm.row_labels, info)
 
 
-def _steps(gates, join: bool) -> tuple:
+def _steps(gates) -> tuple:
     """(first gate, moves over qubit slots, None for H and INF) per step.
 
-    With join, each maximal run of finite-depth gates with the same kind,
-    qubits and frame flag is one step carrying the run's delays; without,
-    every gate is a step.
+    Each maximal run of finite-depth gates with the same kind, qubits and
+    frame flag is one step carrying the run's delays.
     """
     runs, prev = [], None
     for g in gates:
-        if join and prev and g.kind == prev.kind and g.i == prev.i and g.j == prev.j and g.full_frame == prev.full_frame:
+        if prev and g.kind == prev.kind and g.i == prev.i and g.j == prev.j and g.full_frame == prev.full_frame:
             delays.append(g.delay)
         else:
             delays = [g.delay]

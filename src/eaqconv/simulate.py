@@ -596,7 +596,7 @@ def verify_code(spec, window: int = 32, scratch: int | None = None) -> Verificat
     their primitive rows agree, as for a built spec.
 
     Checks (b) and (c) run spec.encoder on spec.bare and spec.decoder on
-    the result by `Circuit.apply`.  A spec built without a trace keeps its
+    the result by `Circuit.apply`.  A built spec, traced or not, keeps its
     encoder's replay on that very bare stream, so the encoder runs no more;
     its build never runs the decoder, so check (c) replays it once.  A
     circuit or bare stream replaced since is another object and is

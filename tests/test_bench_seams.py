@@ -114,8 +114,8 @@ def test_circuit_applies_and_replays(monkeypatch, command, applies):
     calls, replays = [], []
     apply, replay = gates.Circuit.apply, gates.Circuit._replay
 
-    def replaying(circuit, qcm, observe):
-        out = replay(circuit, qcm, observe)
+    def replaying(circuit, qcm):
+        out = replay(circuit, qcm)
         replays.append((circuit.gates, qcm, out))
         return out
 

@@ -6,8 +6,8 @@ rows whose entries have no denominator, one shared denominator other than
 1, or distinct denominators; an `info` matrix and receiver columns; circuits
 of all six gate kinds with delays from -5 to 5, `full_frame` gates, and INF
 in both orientations with delayed factors and pure units D^k.  The returned
-`z`, `x` and `info`, and every state an observer sees, in order, must be
-equal exactly.  A second seeded family stresses the storage layout: 0 to 6
+`z`, `x` and `info`, and the state after each gate, stepped through
+`apply_gate` one gate at a time, must be equal exactly.  A second seeded family stresses the storage layout: 0 to 6
 rows (a zero-row matrix included), all-zero columns, up to 60 gates with
 delays up to +-400 and INF gates between the finite ones, so entries grow
 far past any fixed padding.  Every encoder and decoder replay of the 12
@@ -15,8 +15,8 @@ pairs of tests/golden/random_codes.json and of both worked examples is
 compared the same way.  A third family is mostly runs of 2 to 12 gates of
 one finite kind on the same qubits and frame flag, with delays that repeat
 and cancel in pairs, broken by H, by INF or by a change of `full_frame`
-alone; its wide-delay cases hold the unobserved replay to the per-gate
-observed one, the rest to the rational rows.
+alone; its wide-delay cases hold the circuit's replay to the states
+stepped through `apply_gate`, the rest to the rational rows.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import pytest
 import circuit_oracle as oracle
 from eaqconv import gates
 from eaqconv.construct import build_code
-from eaqconv.gates import Circuit, Gate, QuantumCheckMatrix, format_gate
+from eaqconv.gates import Circuit, Gate, QuantumCheckMatrix, apply_gate, format_gate
 from eaqconv.poly import LaurentPoly, RationalPoly
 from eaqconv.polymat import PolyMatrix, parse_matrix
 from support import golden_pairs
@@ -126,23 +126,31 @@ def _stress_case(seed):
     return state, Circuit(tuple(gates))
 
 
+def stepped(circuit, state):
+    """The state after each gate of circuit, each gate run by `apply_gate` on the state before it."""
+    out = []
+    for g in circuit:
+        state = apply_gate(state, g)
+        out.append(state)
+    return out
+
+
 def assert_same_replay(circuit, state):
-    """Both replays agree on the result and on every observed state, in order.
+    """The circuit's replay and the reference agree on the result, and the states stepped gate by gate agree with the reference's.
 
     Returns the state before each gate, then the final state.
     """
-    seen = []
-    out = circuit.apply(state, lambda g, s: seen.append((g, s)))
+    out = circuit.apply(state)
     ref_seen = []
-    ref = oracle.apply(circuit, state, lambda g, s: ref_seen.append((g, s)))
+    ref = oracle.apply(circuit, state, lambda g, s: ref_seen.append(s))
     assert (out.z, out.x, out.info) == (ref.z, ref.x, ref.info)
     assert out == ref
     assert QuantumCheckMatrix(out.z, out.x, out.bob_cols, out.row_labels, out.info) == out  # rows in lowest terms
+    seen = stepped(circuit, state)
     assert len(seen) == len(ref_seen) == len(circuit)
     for step, (got, want) in enumerate(zip(seen, ref_seen)):
         assert got == want, f"after gate {step}"
-    assert circuit.apply(state) == ref
-    return [state] + [s for _, s in ref_seen]
+    return [state] + ref_seen
 
 
 def _features(states, circuit):
@@ -247,8 +255,8 @@ def _run_case(seed):
     return state, Circuit(tuple(seq)), max_delay
 
 
-def _observed_with_relayouts(circuit, state, monkeypatch):
-    """The states the observed replay shows, and whether each gate laid the planes out again."""
+def _stepped_with_relayouts(circuit, state, monkeypatch):
+    """The states stepped gate by gate through `apply_gate`, and whether each gate laid the planes out again."""
     seen, relaid = [], [False]
     run = gates._Planes.run
 
@@ -257,14 +265,13 @@ def _observed_with_relayouts(circuit, state, monkeypatch):
         run(planes, moves)
         relaid[0] |= (planes.stride, planes.offset) != before
 
-    def observe(g, s):
-        seen.append((s, relaid[0]))
-        relaid[0] = False
-
     monkeypatch.setattr(gates._Planes, "run", spy)
-    out = circuit.apply(state, observe)
+    for g in circuit:
+        state = apply_gate(state, g)
+        seen.append((state, relaid[0]))
+        relaid[0] = False
     monkeypatch.undo()
-    assert len(seen) == len(circuit) and out == seen[-1][0]
+    assert len(seen) == len(circuit)
     return [s for s, _ in seen], [r for _, r in seen]
 
 
@@ -299,7 +306,7 @@ def test_runs_of_same_qubit_gates_match_the_per_gate_replays(monkeypatch):
     covered = set()
     for seed in range(RUN_CASES):
         state, circuit, max_delay = _run_case(seed)
-        states, relaid = _observed_with_relayouts(circuit, state, monkeypatch)
+        states, relaid = _stepped_with_relayouts(circuit, state, monkeypatch)
         if max_delay <= 40:
             assert_same_replay(circuit, state)
         assert circuit.apply(state) == states[-1]
@@ -311,26 +318,26 @@ def test_runs_of_same_qubit_gates_match_the_per_gate_replays(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("observe", [None, lambda g, s: None], ids=["plain", "observed"])
+@pytest.mark.parametrize("replay", [lambda c, s: c.apply(s), stepped], ids=["plain", "stepped"])
 @pytest.mark.parametrize("last", [Gate("CNOT", 0, 2, 3), Gate("CPHASE", 3, 1, -2, full_frame=True)], ids=format_gate)
-def test_a_last_gate_out_of_frame_raises(observe, last):
+def test_a_last_gate_out_of_frame_raises(replay, last):
     """Three columns, one of them the receiver's: sender qubits 0-1, frame qubits 0-2."""
     state = QuantumCheckMatrix(parse_matrix("1, D, 0\n0, 1, 1+D"), parse_matrix("0, 1, D\nD^2, 0, 1"), bob_cols=1)
     run = [Gate(last.kind, 0, 1, d) for d in (1, 5, 1, -3)]
     with pytest.raises(IndexError):
-        Circuit((*run, Gate("H", 1), last)).apply(state, observe)
+        replay(Circuit((*run, Gate("H", 1), last)), state)
 
 
 @pytest.mark.parametrize("name, h1, h2", golden_pairs(), ids=[p[0] for p in golden_pairs()])
 def test_code_replays_match_the_rational_rows(monkeypatch, name, h1, h2):
     """Every `Circuit.apply` a build makes: the encoder on the bare stream,
-    the decoder on the encoder's result."""
+    and the stage and tail gates on the same stream."""
     calls = []
     apply = Circuit.apply
 
-    def recording(circuit, qcm, observe=None):
+    def recording(circuit, qcm):
         calls.append((circuit, qcm))
-        return apply(circuit, qcm, observe)
+        return apply(circuit, qcm)
 
     monkeypatch.setattr(Circuit, "apply", recording)
     build_code(*(parse_matrix(t.replace(";", "\n")) for t in (h1, h2)))
