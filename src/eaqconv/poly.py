@@ -18,7 +18,7 @@ The form is unique.  Every operation forms its result's num/den and
 normalises it by `lowest_terms`, unless the denominator is exactly 1.
 
 Text grammar: terms joined by '+', each term '1', 'D' or 'D^k' with integer
-k (negative allowed), e.g. '1+D^2' or 'D^-1+1+D'.  Parsing and printing
+k (negative allowed, |k| <= MAX_EXPONENT), e.g. '1+D^2' or 'D^-1+1+D'.  Parsing and printing
 round-trip exactly.  Printing looks each term's text up in `_TERMS`, a
 process-wide table of the text of D^k by exponent k, made on first use.
 """
@@ -418,11 +418,18 @@ def series_expand(r: RationalPoly | tuple[LaurentPoly, LaurentPoly], lo: int, hi
 # -- text grammar ----------------------------------------------------------
 
 
+# The bound on |k| of an input term D^k: a term's mask has |k| bits, and far past any
+# code eaqconv builds in reasonable time, a typo must not exhaust memory.
+MAX_EXPONENT = 10**6
+
+
 def parse_poly(text: str) -> LaurentPoly:
     """Parse the 'terms joined by +' grammar, e.g. '1+D^2' or 'D^-1+1+D'.
 
     Each term's exponent is read in order, and the terms' bits are XORed
-    into one mask, so a repeated term cancels ('1+1' is 0).
+    into one mask, so a repeated term cancels ('1+1' is 0).  An exponent
+    beyond MAX_EXPONENT in absolute value is rejected before any mask is
+    formed.
     """
     s = "".join(text.split())
     if not s:
@@ -437,9 +444,12 @@ def parse_poly(text: str) -> LaurentPoly:
             exps.append(1)
         elif term.startswith("D^") and term.isascii() and "_" not in term:  # int() reads '1_0' and non-ASCII digits
             try:
-                exps.append(int(term[2:]))
+                k = int(term[2:])
             except ValueError:
                 raise PolyParseError(f"bad exponent in term {term!r}") from None
+            if abs(k) > MAX_EXPONENT:
+                raise PolyParseError(f"exponent in term {term!r} is beyond the bound |k| <= {MAX_EXPONENT}")
+            exps.append(k)
         else:
             raise PolyParseError(f"bad term {term!r}")
     low = min(exps)

@@ -139,6 +139,26 @@ def test_params_rejects_exponents_outside_the_grammar(capsys, h1):
     assert "bad term" in err
 
 
+def test_params_rejects_an_exponent_beyond_the_bound():
+    """A typo of 10^13 ends in one parse error line and exit 2, not a MemoryError traceback.
+
+    The command runs in a process capped at 2 GB of address space, so a
+    parser that formed the term's mask would fail fast instead of paging.
+    """
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    argv = ["params", "--h1", "1, 1+D^10000000000000", "--h2", "1, 1"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "eaqconv.cli", *argv], capture_output=True, text=True, env=env,
+                          preexec_fn=cap)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("parse error:") and "|k| <= 1000000" in proc.stderr
+    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
 def test_validation_error_names_factor(capsys):
     code, _, err = run(capsys, "build", "--h1", "1+D, 1+D", "--h2", "1, 1+D")
     assert code == 3

@@ -10,6 +10,7 @@ from eaqconv.poly import (
     D,
     ONE,
     ZERO,
+    MAX_EXPONENT,
     LaurentPoly,
     RationalPoly,
     divmod_shifted,
@@ -250,6 +251,18 @@ def test_parse_rejects_exponents_outside_the_grammar(text):
     """An exponent is an optional '-' and ASCII digits, nothing else that int() reads."""
     with pytest.raises(PolyParseError, match="bad (exponent|term)"):
         parse_poly(text)
+
+
+@pytest.mark.parametrize("text", ["D^1000001", "1+D^-1000001", "1+D^10000000000000", "D^-10000000000000+D"])
+def test_parse_rejects_exponents_beyond_the_bound(text):
+    """|k| of a term D^k is at most MAX_EXPONENT; a larger one is named before any mask is formed."""
+    with pytest.raises(PolyParseError, match=r"beyond the bound \|k\| <= 1000000"):
+        parse_poly(text)
+
+
+def test_parse_accepts_exponents_at_the_bound():
+    assert MAX_EXPONENT == 10**6
+    assert parse_poly(f"D^{MAX_EXPONENT}+1+D^-{MAX_EXPONENT}").exponents() == [-MAX_EXPONENT, 0, MAX_EXPONENT]
 
 
 def test_parse_accepts_signed_ascii_exponents():
