@@ -31,15 +31,14 @@ from .errors import PolyParseError
 
 
 def _bits_mul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2)[D] coefficient masks."""
-    if a < b:
+    """Carry-less product of two GF(2)[D] coefficient masks: one shift and XOR per set bit of the sparser one."""
+    if a.bit_count() < b.bit_count():
         a, b = b, a
     c = 0
     while b:
-        if b & 1:
-            c ^= a
-        a <<= 1
-        b >>= 1
+        low = b & -b
+        c ^= a << (low.bit_length() - 1)
+        b ^= low
     return c
 
 

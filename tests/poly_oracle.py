@@ -1,8 +1,9 @@
 """The per-bit GF(2)[D] arithmetic, kept as the reference for `eaqconv.poly`.
 
-This is the arithmetic `poly.py` used before its word-level division and its
-`RationalPoly` fast paths: `bits_divmod` steps through every bit position of
-the dividend, `bits_gcd` runs the Euclidean algorithm with no shortcut,
+This is the arithmetic `poly.py` used before its word-level division, its
+set-bit multiplication and its `RationalPoly` fast paths: `bits_mul` steps
+through every bit position of the shorter factor, `bits_divmod` through every
+bit position of the dividend, `bits_gcd` runs the Euclidean algorithm with no shortcut,
 `reverse` and `exponents` visit every coefficient position, and
 `RationalPoly` normalises every result from scratch (push the denominator's
 unit into the numerator, then cancel the gcd), `divmod_width` removes
@@ -12,14 +13,28 @@ coefficient at a time, then multiplies and clips per exponent.
 `parse_poly` adds one `LaurentPoly` per term, `parse_rational` scans
 every cell for a top-level '/', and `format_poly` writes each term's text
 afresh.  It reuses `LaurentPoly` for storage,
-addition, multiplication and shifts, and `_bits_mul` and `_strip_parens`,
-which the differential tests do not replace.
+addition, multiplication and shifts, and `_strip_parens`, which the
+differential tests do not replace; `LaurentPoly` products run
+`poly._bits_mul`, which `bits_mul` is the reference for.
 """
 
 from __future__ import annotations
 
 from eaqconv.errors import PolyParseError
-from eaqconv.poly import LaurentPoly, _bits_mul, _strip_parens
+from eaqconv.poly import LaurentPoly, _strip_parens
+
+
+def bits_mul(a: int, b: int) -> int:
+    """Carry-less product of two GF(2)[D] coefficient masks."""
+    if a < b:
+        a, b = b, a
+    c = 0
+    while b:
+        if b & 1:
+            c ^= a
+        a <<= 1
+        b >>= 1
+    return c
 
 
 def bits_divmod(a: int, b: int) -> tuple[int, int]:
@@ -153,7 +168,7 @@ def series_expand(r: RationalPoly, lo: int, hi: int) -> LaurentPoly:
     for t, bit in enumerate(inv):
         if bit:
             inv_bits |= 1 << t
-    prod = _bits_mul(num.bits, inv_bits)
+    prod = bits_mul(num.bits, inv_bits)
     series = LaurentPoly(prod, start)
     # clip to [lo, hi]
     out = 0

@@ -1,8 +1,10 @@
 """Differential test: GF(2)(D) arithmetic against its per-bit reference.
 
 `tests/poly_oracle.py` keeps the per-bit division, gcd, `reverse` and
-`exponents`, the per-term Laurent `divmod_width` and the `RationalPoly`
-that normalises every result.  Seeded random masks up to 512 bits (and
+`exponents`, the per-position carry-less product, the per-term Laurent
+`divmod_width` and the `RationalPoly` that normalises every result.
+Seeded pairs of masks up to 300 bits, dense, sparse and one of each, go
+through both products.  Seeded random masks up to 512 bits (and
 pairs with a planted common factor) go through both divisions and gcds,
 Laurent polynomials on such masks through `reverse`, `exponents` and
 `format_poly`, seeded Laurent pairs through `divmod_width`, and seeded
@@ -108,6 +110,28 @@ def test_divmod_and_gcd_match_per_bit_reference(seed):
         assert poly._bits_divmod(a, 1) == (a, 0)
     with pytest.raises(ZeroDivisionError):
         poly._bits_divmod(5, 0)
+
+
+def _sparse(rng, max_bits):
+    """A mask of up to max_bits bits with at most four set."""
+    return sum(1 << rng.randrange(max_bits) for _ in range(rng.randint(0, 4)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_product_matches_per_position_reference(seed):
+    rng = random.Random(f"mul/{seed}")
+    for _ in range(3 * CASES):
+        a = _mask(rng, 300) if rng.random() < 0.7 else _sparse(rng, 300)
+        b = _mask(rng, 300) if rng.random() < 0.7 else _sparse(rng, 300)
+        assert poly._bits_mul(a, b) == poly._bits_mul(b, a) == oracle.bits_mul(a, b)
+    for a in (0, 1, 2, (1 << 299) | 1):
+        assert poly._bits_mul(a, 0) == 0 and poly._bits_mul(a, 1) == a
+
+
+def test_a_sparse_square_is_its_terms_squared():
+    """(1 + D^N)^2 = 1 + D^2N over GF(2); one shift per set bit makes it cheap at N = 10^5."""
+    n = 10**5
+    assert poly._bits_mul((1 << n) | 1, (1 << n) | 1) == (1 << 2 * n) | 1
 
 
 @pytest.mark.parametrize("seed", range(3))
