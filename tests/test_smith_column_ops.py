@@ -2,7 +2,7 @@
 
 The construction logs every Smith column operation as CNOTs and applies
 their column action to its Z and X grids.  With `want_trace` it also
-replays each batch of logged gates by `Circuit.apply` for the trace; a
+steps each logged gate through `apply_gate` for the trace; a
 traced build must reach the same gate log and the same grids as a plain
 one, and its trace must take one step per logged gate, labelled as
 `format_gate` prints it.  Comparing the grids matters: a wrong X-side
