@@ -115,7 +115,7 @@ class TraceStep:
 
 
 def _traced(trace, state: QuantumCheckMatrix, gates, order=None) -> QuantumCheckMatrix:
-    """Step state through gates by `apply_gate`, one trace step per gate with its rows in `order` when given; the last state."""
+    """The last state of gates stepped by `apply_gate`; each adds a trace step, its rows in `order` if given."""
     for g in gates:
         state = apply_gate(state, g)
         trace.append(TraceStep(format_gate(g), _permute_rows(state, order) if order else state))
@@ -848,7 +848,8 @@ def _assemble(record, bare, pair, stage, tail, info_fix, logical_cols, decoded_c
             decode_trace.append(TraceStep("reduction row scalings reapplied", _permute_rows(evolved, pair)))
         last = _permute_rows(_traced(decode_trace, evolved, decoder, pair), pair)
         if info_fix is not None:
-            decode_trace.append(TraceStep("logical operators reduced by stabilizer rows", _with_info_fix(last, info_fix)))
+            fixed = _with_info_fix(last, info_fix)
+            decode_trace.append(TraceStep("logical operators reduced by stabilizer rows", fixed))
 
     offsets = []
     if decoded.info is not None:

@@ -18,8 +18,8 @@ The form is unique.  Every operation forms its result's num/den and
 normalises it by `lowest_terms`, unless the denominator is exactly 1.
 
 Text grammar: terms joined by '+', each term '1', 'D' or 'D^k' with integer
-k (negative allowed, |k| <= MAX_EXPONENT), e.g. '1+D^2' or 'D^-1+1+D'.  Parsing and printing
-round-trip exactly.  Printing looks each term's text up in `_TERMS`, a
+k, negative allowed and |k| <= MAX_EXPONENT, e.g. '1+D^2' or 'D^-1+1+D'.
+Parsing and printing round-trip exactly.  Printing looks each term's text up in `_TERMS`, a
 process-wide table of the text of D^k by exponent k, made on first use.
 """
 
@@ -417,8 +417,8 @@ def series_expand(r: RationalPoly | tuple[LaurentPoly, LaurentPoly], lo: int, hi
 # -- text grammar ----------------------------------------------------------
 
 
-# The bound on |k| of an input term D^k: a term's mask has |k| bits, and far past any
-# code eaqconv builds in reasonable time, a typo must not exhaust memory.
+# |k| of an input term D^k is at most this.  A term's mask has |k| bits, so a
+# typo such as D^10000000000000 must be a parse error, not a MemoryError.
 MAX_EXPONENT = 10**6
 
 

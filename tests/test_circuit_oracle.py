@@ -136,7 +136,7 @@ def stepped(circuit, state):
 
 
 def assert_same_replay(circuit, state):
-    """The circuit's replay and the reference agree on the result, and the states stepped gate by gate agree with the reference's.
+    """The circuit's replay agrees with the reference on the result, and so does each state stepped gate by gate.
 
     Returns the state before each gate, then the final state.
     """
@@ -256,7 +256,7 @@ def _run_case(seed):
 
 
 def _stepped_with_relayouts(circuit, state, monkeypatch):
-    """The states stepped gate by gate through `apply_gate`, and whether each gate laid the planes out again."""
+    """The states stepped through `apply_gate` gate by gate, and whether each laid the planes out again."""
     seen, relaid = [], [False]
     run = gates._Planes.run
 
