@@ -145,15 +145,12 @@ def test_params_rejects_an_exponent_beyond_the_bound():
     The command runs in a process capped at 2 GB of address space, so a
     parser that formed the term's mask would fail fast instead of paging.
     """
-    resource = pytest.importorskip("resource")
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
-
+    pytest.importorskip("resource")
+    capped = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9)); "
+              "from eaqconv.cli import main; sys.exit(main(sys.argv[1:]))")
     argv = ["params", "--h1", "1, 1+D^10000000000000", "--h2", "1, 1"]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-m", "eaqconv.cli", *argv], capture_output=True, text=True, env=env,
-                          preexec_fn=cap)
+    proc = subprocess.run([sys.executable, "-c", capped, *argv], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("parse error:") and "|k| <= 1000000" in proc.stderr
     assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
