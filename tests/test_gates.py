@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -334,10 +335,7 @@ def test_apply_keeps_its_last_replay(name, h1, h2):
             assert c.apply(other) == want
 
         stored = c.apply(qcm)  # stepping the gates one at a time ends where the replay does, and keeps it
-        state = qcm
-        for g in c:
-            state = apply_gate(state, g)
-        assert state == out and state is not stored
+        assert reduce(apply_gate, c, qcm) == out
         assert c.apply(qcm) is stored
 
 
