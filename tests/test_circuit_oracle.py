@@ -7,12 +7,13 @@ rows whose entries have no denominator, one shared denominator other than
 of all six gate kinds with delays from -5 to 5, `full_frame` gates, and INF
 in both orientations with delayed factors and pure units D^k.  The returned
 `z`, `x` and `info`, and the state after each gate, stepped through
-`apply_gate` one gate at a time, must be equal exactly.  A second seeded family stresses the storage layout: 0 to 6
-rows (a zero-row matrix included), all-zero columns, up to 60 gates with
-delays up to +-400 and INF gates between the finite ones, so entries grow
-far past any fixed padding.  Every encoder and decoder replay of the 12
-pairs of tests/golden/random_codes.json and of both worked examples is
-compared the same way.  A third family is mostly runs of 2 to 12 gates of
+`apply_gate` one gate at a time, must be equal exactly.  A second seeded
+family stresses the storage layout: 0 to 6 rows (a zero-row matrix
+included), all-zero columns, up to 60 gates with delays up to +-400 and INF
+gates between the finite ones, so entries grow far past any fixed padding.
+Every circuit that a build of the 12 pairs of tests/golden/random_codes.json
+or of a worked example replays (the encoder, and the stage and tail gates)
+is compared the same way.  A third family is mostly runs of 2 to 12 gates of
 one finite kind on the same qubits and frame flag, with delays that repeat
 and cancel in pairs, broken by H, by INF or by a change of `full_frame`
 alone; its wide-delay cases hold the circuit's replay to the states
