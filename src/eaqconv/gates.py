@@ -57,7 +57,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DimensionMismatch
-from .poly import ONE, ZERO, LaurentPoly, RationalPoly, common_denominator, format_poly, lowest_terms
+from .poly import ONE, ZERO, LaurentPoly, canonical_pair, common_denominator, format_poly, lowest_terms
 from .polymat import PolyMatrix
 
 _KINDS = ("CNOT", "H", "P", "CPHASE", "CPHASE_SELF", "INF")
@@ -137,11 +137,6 @@ def swap(i: int, j: int, **kw) -> list[Gate]:
 # -- quantum check matrices ---------------------------------------------------
 
 
-def _split(rows, cols: int):
-    """(zn, xn, dens) of rows given as (den, Z numerators then X numerators)."""
-    return tuple(tuple(n[:cols]) for _, n in rows), tuple(tuple(n[cols:]) for _, n in rows), tuple(d for d, _ in rows)
-
-
 @dataclass(frozen=True, init=False)
 class QuantumCheckMatrix:
     """Paired (Z | X) rows over rational functions with a column split.
@@ -150,10 +145,9 @@ class QuantumCheckMatrix:
     xn[r] over one row denominator dens[r], a polynomial in GF(2)[D] with
     constant term 1 that shares no factor with all of the row's
     numerators.  dens[r] is then the lcm of the row's entry denominators,
-    the form is unique, and equality compares rows.  `z` and `x` are
-    PolyMatrix views of the canonical RationalPoly entries, formed on first
-    use by `row` and the tests; the reports print the rows themselves
-    (`polymat.format_rows`).
+    the form is unique, and equality compares rows.  `z` and `x` are the
+    halves as PolyMatrix rows, each reduced again, formed on first use by
+    `row` and the tests; the reports print the rows themselves.
 
     The leftmost bob_cols columns belong to the receiver (ebit halves); the
     remaining columns are the sender's.  `info` carries the parallel
@@ -172,8 +166,10 @@ class QuantumCheckMatrix:
         """The check matrix with Z entries z and X entries x; each row is written over its lcm denominator."""
         if (z.rows, z.cols) != (x.rows, x.cols):
             raise DimensionMismatch("Z and X halves differ in shape")
-        rows = [common_denominator(zr + xr) for zr, xr in zip(z.entries, x.entries)]
-        self._fill(*_split(rows, z.cols), z.cols, bob_cols, row_labels, info)
+        rows = [common_denominator([(e, zd) for e in zr] + [(e, xd) for e in xr])
+                for zr, zd, xr, xd in zip(z.nums, z.dens, x.nums, x.dens)]
+        zn, xn = (tuple(tuple(n[half]) for _, n in rows) for half in (slice(z.cols), slice(z.cols, None)))
+        self._fill(zn, xn, tuple(d for d, _ in rows), z.cols, bob_cols, row_labels, info)
         vars(self).update(z=z, x=x)  # the given entries are the views
 
     @classmethod
@@ -195,11 +191,11 @@ class QuantumCheckMatrix:
 
     @cached_property
     def z(self) -> PolyMatrix:
-        return PolyMatrix([[RationalPoly(e, d) for e in row] for row, d in zip(self.zn, self.dens)], cols=self.cols)
+        return PolyMatrix.from_rows([lowest_terms(d, row) for row, d in zip(self.zn, self.dens)], self.cols)
 
     @cached_property
     def x(self) -> PolyMatrix:
-        return PolyMatrix([[RationalPoly(e, d) for e in row] for row, d in zip(self.xn, self.dens)], cols=self.cols)
+        return PolyMatrix.from_rows([lowest_terms(d, row) for row, d in zip(self.xn, self.dens)], self.cols)
 
     @property
     def rows(self) -> int:
@@ -228,15 +224,9 @@ class QuantumCheckMatrix:
     def symplectic_gram(self) -> PolyMatrix:
         """All pairwise shifted symplectic products, over every column."""
         dens, num = self.symplectic_numerators()
-        if not dens:
-            return PolyMatrix.zero(0, 0)
-        return PolyMatrix([[RationalPoly(n, di.reverse() * dj) for n, dj in zip(row, dens)] for row, di in zip(num, dens)])
-
-    def alice_part(self) -> QuantumCheckMatrix:
-        """The sender's columns; a row reduces again, as dropping columns can shrink its lcm."""
-        b, cols = self.bob_cols, self.cols - self.bob_cols
-        rows = [lowest_terms(d, z[b:] + x[b:]) for z, x, d in zip(self.zn, self.xn, self.dens)]
-        return QuantumCheckMatrix.from_rows(*_split(rows, cols), cols, row_labels=self.row_labels)
+        rows = [common_denominator([canonical_pair(n, di.reverse() * dj) for n, dj in zip(row, dens)])
+                for row, di in zip(num, dens)]
+        return PolyMatrix.from_rows(rows, len(rows))
 
     def is_polynomial(self) -> bool:
         return all(d == ONE for d in self.dens)

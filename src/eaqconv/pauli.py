@@ -60,6 +60,6 @@ def shifted_symplectic(h1: CheckRow, h2: CheckRow) -> RationalPoly:
     """(h1 (.) h2)(D) = z1(D^-1).x2(D) + x1(D^-1).z2(D)."""
     if h1.n != h2.n:
         raise DimensionMismatch(f"rows over {h1.n} and {h2.n} qubits")
-    d1, a = common_denominator(h1.z + h1.x)
-    d2, b = common_denominator(h2.z + h2.x)
+    d1, a = common_denominator([(e.num, e.den) for e in h1.z + h1.x])
+    d2, b = common_denominator([(e.num, e.den) for e in h2.z + h2.x])
     return RationalPoly(symplectic_numerator(a, b), d1.reverse() * d2)

@@ -14,8 +14,8 @@ A rational function is a pair num/den of Laurent polynomials with den != 0,
 gcd(num, den) = 1 and den normalized to lowest exponent 0 with nonzero
 constant term; every unit D^k is pushed into the numerator.  This keeps
 denominators inside GF(2)[D] so the Euclidean algorithm stays ordinary.
-The form is unique.  Every operation forms its result's num/den and
-normalises it by `lowest_terms`, unless the denominator is exactly 1.
+The form is unique; `canonical_pair` brings a pair to it, as matrix text
+parses (`parse_fraction`) and after each operation of a RationalPoly.
 
 Text grammar: terms joined by '+', each term '1', 'D' or 'D^k' with integer
 k, negative allowed and |k| <= MAX_EXPONENT, e.g. '1+D^2' or 'D^-1+1+D'.
@@ -241,21 +241,21 @@ def gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(_bits_gcd(a.bits, b.bits), 0)
 
 
-def common_denominator(entries) -> tuple[LaurentPoly, list[LaurentPoly]]:
-    """Write rational entries over one denominator: (m, nums) with e = nums[i]/m.
+def common_denominator(pairs: list) -> tuple[LaurentPoly, list[LaurentPoly]]:
+    """Entries given as (num, den) pairs, each den in GF(2)[D] with constant term 1, over one denominator.
 
-    m is the lcm of the entries' canonical denominators, so it lies in GF(2)[D]
-    and is the least m that makes every m*e a Laurent polynomial.
+    Returns (m, nums) with num/den = nums[i]/m, m the lcm of the dens, the
+    least m that clears them all.  (m, nums) is in lowest terms when each pair is.
     """
     m = ONE
-    for e in entries:
-        if e.den != ONE:
-            g = gcd(m, e.den)
+    for _, d in pairs:
+        if d.bits != 1:
+            g = gcd(m, d)
             q, _ = divmod_shifted(m, g)
-            m = q * e.den
-    if m == ONE:
-        return m, [e.num for e in entries]
-    return m, [e.num * divmod_shifted(m, e.den)[0] for e in entries]
+            m = q * d
+    if m.bits == 1:
+        return m, [n for n, _ in pairs]
+    return m, [n * divmod_shifted(m, d)[0] for n, d in pairs]
 
 
 def lowest_terms(den: LaurentPoly, nums):
@@ -303,18 +303,23 @@ def divides(a: LaurentPoly, b: LaurentPoly) -> bool:
     return _bits_divmod(b.bits, a.bits)[1] == 0
 
 
+def canonical_pair(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """num/den in its unique form (num, den): den's unit D^k pushed into num, then the common factor cancelled."""
+    if den.bits != 1 or den.low:  # a denominator of exactly 1 is canonical as it is
+        if den.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        den, k = den.delay_free()
+        den, (num,) = lowest_terms(den, (num.shift(-k),))
+    return num, den
+
+
 class RationalPoly:
     """A rational function num/den of binary Laurent polynomials."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = ONE):
-        if den.bits != 1 or den.low:  # a denominator of exactly 1 is canonical as it is
-            if den.is_zero():
-                raise ZeroDivisionError("rational function with zero denominator")
-            # push the denominator's unit into the numerator, then cancel
-            den, k = den.delay_free()
-            den, (num,) = lowest_terms(den, (num.shift(-k),))
+        num, den = canonical_pair(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -343,11 +348,6 @@ class RationalPoly:
 
     def is_polynomial(self) -> bool:
         return self.den.bits == 1
-
-    def as_poly(self) -> LaurentPoly:
-        if not self.is_polynomial():
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num
 
     def __add__(self, other: RationalPoly) -> RationalPoly:
         return RationalPoly(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -475,28 +475,27 @@ def format_poly(p: LaurentPoly) -> str:
     return "+".join(map(_TERMS.__getitem__, p.exponents()))
 
 
-def parse_rational(text: str) -> RationalPoly:
-    """Parse 'f', 'f/g', or the same with parenthesized sides."""
+def parse_fraction(text: str) -> tuple[LaurentPoly, LaurentPoly]:
+    """Parse 'f', 'f/g', or the same with parenthesized sides, to its `canonical_pair` (num, den)."""
     s = "".join(text.split())
-    if "/" not in s:
-        return RationalPoly(parse_poly(_strip_parens(s)))
-    depth = 0
-    slash = -1
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            slash = i
-            break
-    if slash < 0:
-        return RationalPoly(parse_poly(_strip_parens(s)))
-    num = parse_poly(_strip_parens(s[:slash]))
-    den = parse_poly(_strip_parens(s[slash + 1:]))
-    if den.is_zero():
-        raise PolyParseError("zero denominator")
-    return RationalPoly(num, den)
+    if "/" in s:
+        depth = 0
+        for i, ch in enumerate(s):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            elif ch == "/" and depth == 0:
+                num, den = parse_poly(_strip_parens(s[:i])), parse_poly(_strip_parens(s[i + 1:]))
+                if den.is_zero():
+                    raise PolyParseError("zero denominator")
+                return canonical_pair(num, den)
+    return parse_poly(_strip_parens(s)), ONE
+
+
+def parse_rational(text: str) -> RationalPoly:
+    """`parse_fraction` as a RationalPoly."""
+    return RationalPoly(*parse_fraction(text))
 
 
 def _strip_parens(s: str) -> str:

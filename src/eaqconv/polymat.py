@@ -1,12 +1,11 @@
 """Laurent grids, the Smith engine and row spaces; PolyMatrix and rows for text.
 
 The algebra works on Laurent grids: lists of rows of LaurentPoly entries.
-A PolyMatrix is an immutable grid of RationalPoly entries, the form that
-`parse_matrix` reads and `format_matrix` prints; `laurent_grid` turns a
-polynomial one into a Laurent grid on entry to the algebra.  `format_rows`
-prints rows of Laurent numerators over their row denominators, the form a
-check matrix stores, line for line as `format_matrix` prints the same
-entries.
+A PolyMatrix stores a matrix over GF(2)(D) as a check matrix stores its
+rows: Laurent numerators over one GF(2)[D] row denominator each, in lowest
+terms.  `parse_matrix` reads each cell straight into that form,
+`format_matrix` prints it through `format_rows`, and `laurent_grid` hands
+the rows of a polynomial one to the algebra.
 
 The Smith engine is deliberately deterministic: among nonzero entries of the
 working block it always pivots on the one with minimal (deg - del), ties
@@ -22,10 +21,9 @@ to H1 (`row_image`) for its row basis.  The code construction `replay`s a log
 after the run to SmithHooks that turn column operations into circuit gates
 and row operations into row operations on its working check matrix.
 
-Row spaces over GF(2)(D) are computed on Laurent numerators, with no
-rational arithmetic.  Each row is written over one GF(2)[D] row denominator
-(`common_denominator`) and the denominator is dropped, because scaling a
-row by a nonzero polynomial does not change the row space.  `echelon` is a
+Row spaces over GF(2)(D) are computed on the rows' Laurent numerators, with
+no rational arithmetic: scaling a row by a nonzero polynomial does not
+change the row space.  `echelon` is a
 fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) that
 keeps every row a primitive part.  A fully reduced echelon form is unique up
 to row scaling, so its primitive rows are unique: `row_space_equal`
@@ -35,10 +33,13 @@ compares them, eliminating grids with equal sorted primitive rows once, and
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 
 from .errors import DimensionMismatch, InternalError, PolyParseError
 from .poly import (
+    ONE,
+    ZERO,
     LaurentPoly,
     RationalPoly,
     _bits_divmod,
@@ -46,61 +47,68 @@ from .poly import (
     common_denominator,
     divmod_width,
     format_rational,
-    parse_rational,
+    parse_fraction,
     primitive_part,
 )
 
-_RZERO = RationalPoly.zero()
-
 
 class PolyMatrix:
-    """A rows x cols grid of RationalPoly entries."""
+    """A rows x cols matrix over GF(2)(D), each row stored as a check matrix stores it.
 
-    __slots__ = ("rows", "cols", "entries")
+    Row r is Laurent numerators nums[r] over one row denominator dens[r] in
+    GF(2)[D] with constant term 1, in lowest terms (see
+    `gates.QuantumCheckMatrix`).  The form is unique, so equality and
+    hashing compare rows.  `entries`, the grid of canonical RationalPoly
+    entries, is formed on first read, or kept as given to the constructor.
+    """
 
     def __init__(self, entries, cols: int | None = None):
+        """The matrix of a grid of RationalPoly or LaurentPoly entries; each row is written over its lcm denominator."""
         grid = tuple(tuple(RationalPoly.of(e) for e in row) for row in entries)
-        rows = len(grid)
-        if rows:
+        if grid:
             cols = len(grid[0])
         elif cols is None:
             cols = 0
         if any(len(r) != cols for r in grid):
             raise DimensionMismatch("ragged rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", grid)
+        self._fill([common_denominator([(e.num, e.den) for e in row]) for row in grid], cols)
+        vars(self)["entries"] = grid
+
+    @classmethod
+    def from_rows(cls, rows, cols: int) -> PolyMatrix:
+        """The matrix of rows (den, nums) in lowest terms, as `common_denominator` and `lowest_terms` give them."""
+        m = object.__new__(cls)
+        m._fill(rows, cols)
+        return m
+
+    def _fill(self, rows, cols):
+        vars(self).update(dens=tuple(d for d, _ in rows), nums=tuple(tuple(n) for _, n in rows), rows=len(rows), cols=cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> PolyMatrix:
-        return cls([[_RZERO] * cols for _ in range(rows)], cols=cols)
-
-    # -- basic structure ---------------------------------------------------
+    @cached_property
+    def entries(self) -> tuple[tuple[RationalPoly, ...], ...]:
+        return tuple(tuple(RationalPoly(e, d) for e in row) for row, d in zip(self.nums, self.dens))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolyMatrix) and self.entries == other.entries
+        return isinstance(other, PolyMatrix) and self.nums == other.nums and self.dens == other.dens
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.nums, self.dens))
 
     def is_polynomial(self) -> bool:
-        return all(e.is_polynomial() for row in self.entries for e in row)
+        return all(d.bits == 1 for d in self.dens)
 
     def __repr__(self) -> str:
         return f"PolyMatrix({format_matrix(self)!r})"
 
 
 def laurent_grid(m: PolyMatrix) -> list[list[LaurentPoly]]:
-    """The entries of a polynomial matrix as Laurent rows, the form the algebra works on.
-
-    Raises ValueError on an entry that is not a Laurent polynomial.
-    """
-    return [[e.as_poly() for e in row] for row in m.entries]
+    """The rows of a polynomial matrix as Laurent rows, the form the algebra works on; ValueError on a rational row."""
+    if not m.is_polynomial():
+        raise ValueError(f"{m!r} is not a polynomial matrix")
+    return [list(row) for row in m.nums]
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -405,13 +413,14 @@ def residue(vec: list[LaurentPoly], rows: list[list[LaurentPoly]], pivots: tuple
 def rref(m: PolyMatrix) -> tuple[PolyMatrix, tuple[int, ...]]:
     """Reduced row echelon form over the rational function field GF(2)(D).
 
-    Each row is eliminated as its numerators over its row denominator,
-    which span the same row space.
+    Each row is eliminated as its numerators, which span the same row
+    space as the row.  An echelon row is primitive, so divided by its pivot
+    D^k p it is in lowest terms over p.
     """
-    rows, pivots = echelon([common_denominator(row)[1] for row in m.entries])
-    out = [[RationalPoly(e, row[c]) for e in row] for row, c in zip(rows, pivots)]
-    out += [[_RZERO] * m.cols for _ in range(m.rows - len(rows))]
-    return PolyMatrix(out), pivots
+    rows, pivots = echelon(m.nums)
+    out = [(row[c].delay_free()[0], [e.shift(-row[c].low) for e in row]) for row, c in zip(rows, pivots)]
+    out += [(ONE, (ZERO,) * m.cols)] * (m.rows - len(rows))
+    return PolyMatrix.from_rows(out, m.cols), pivots
 
 
 def row_space_equal(a: list[list[LaurentPoly]], *others: list[list[LaurentPoly]]) -> bool:
@@ -444,16 +453,16 @@ def row_space_equal(a: list[list[LaurentPoly]], *others: list[list[LaurentPoly]]
 
 
 def format_matrix(m: PolyMatrix) -> str:
-    return "\n".join(", ".join(format_rational(e.num, e.den) for e in row) for row in m.entries)
+    return "\n".join(format_rows(m.nums, m.dens))
 
 
 def format_rows(nums, dens) -> list[str]:
-    """Rows of Laurent numerators over their row denominators, one line per row as `format_matrix` prints it."""
+    """Rows of Laurent numerators over their row denominators, one line per row, each entry in lowest terms."""
     return [", ".join(format_rational(e, d) for e in row) for row, d in zip(nums, dens)]
 
 
 def parse_matrix(text: str) -> PolyMatrix:
-    """One row per line, entries comma-separated, '#' starts a comment."""
+    """One row per line, entries comma-separated, '#' starts a comment; each row is read into its row form."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -462,7 +471,7 @@ def parse_matrix(text: str) -> PolyMatrix:
         row = []
         for colno, cell in enumerate(line.split(","), start=1):
             try:
-                row.append(parse_rational(cell))
+                row.append(parse_fraction(cell))
             except PolyParseError as exc:
                 raise PolyParseError(f"bad entry {cell.strip()!r}: {exc}", line=lineno, column=colno) from None
         rows.append(row)
@@ -470,4 +479,4 @@ def parse_matrix(text: str) -> PolyMatrix:
         raise PolyParseError("empty matrix")
     if len({len(r) for r in rows}) != 1:
         raise PolyParseError("rows have differing lengths")
-    return PolyMatrix(rows)
+    return PolyMatrix.from_rows([common_denominator(row) for row in rows], len(rows[0]))

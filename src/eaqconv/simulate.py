@@ -571,9 +571,8 @@ def _interior_match(win_sim, win_alg):
 
 
 def _sender_numerators(qcm: QuantumCheckMatrix) -> list[list[LaurentPoly]]:
-    """The sender-side numerator rows of qcm (Z half then X half), which span its sender-side row space."""
-    alice = qcm.alice_part()
-    return [list(z + x) for z, x in zip(alice.zn, alice.xn)]
+    """The sender-side numerators of qcm's stored rows (Z half then X half), which span its sender-side row space."""
+    return [list(z[qcm.bob_cols:] + x[qcm.bob_cols:]) for z, x in zip(qcm.zn, qcm.xn)]
 
 
 def verify_code(spec, window: int = 32, scratch: int | None = None) -> VerificationReport:

@@ -14,7 +14,7 @@ second engine to check that engine against:
   takes the same pivots, quotients and cycle decisions as the package's.
 
 - `PolyMatrix`: the package's `PolyMatrix` with sums, products, transposes,
-  D -> D^-1, identities, entry indexing and the zero test.
+  D -> D^-1, zero and identity matrices, entry indexing and the zero test.
 - `invariant_factors(rows)`: the engine's factors of a Laurent grid, with
   no witnesses.
 - `smith_form(m)`: M = A diag(D^k gamma) B with the unimodular witnesses A
@@ -39,9 +39,11 @@ _RONE = RationalPoly.one()
 
 
 class PolyMatrix(polymat.PolyMatrix):
-    """A rows x cols grid of RationalPoly entries with matrix arithmetic."""
+    """A matrix over GF(2)(D) with arithmetic on its RationalPoly entries."""
 
-    __slots__ = ()
+    @classmethod
+    def zero(cls, rows: int, cols: int) -> PolyMatrix:
+        return cls([[_RZERO] * cols for _ in range(rows)], cols=cols)
 
     @classmethod
     def identity(cls, n: int) -> PolyMatrix:

@@ -5,6 +5,8 @@
   forms in rational matrix arithmetic.
 - `numerator_rows(m)`: each row of a `PolyMatrix` as its Laurent numerators
   over its row denominator, the rows `row_space_equal` takes.
+- `alice_part(qcm)`: the sender's columns of a check matrix, each row
+  reduced again, as dropping columns can shrink its lcm.
 - `golden_pairs()`: (id, H1 text, H2 text) of the 12 pairs of
   tests/golden/random_codes.json, then of both worked examples.
 - `corpus_items()`: every op of both benchmark corpora (`perfbench/corpus/`
@@ -26,7 +28,7 @@ from pathlib import Path
 from eaqconv.cli import EXAMPLES
 from eaqconv.errors import PolyParseError
 from eaqconv.gates import Circuit, Gate, QuantumCheckMatrix
-from eaqconv.poly import common_denominator, parse_poly
+from eaqconv.poly import lowest_terms, parse_poly
 from eaqconv.polymat import PolyMatrix
 from smith_oracle import product_factors
 
@@ -37,7 +39,14 @@ def ebit_count(h1: PolyMatrix, h2: PolyMatrix) -> int:
 
 
 def numerator_rows(m: PolyMatrix) -> list:
-    return [common_denominator(row)[1] for row in m.entries]
+    return [list(row) for row in m.nums]
+
+
+def alice_part(qcm: QuantumCheckMatrix) -> QuantumCheckMatrix:
+    b, cols = qcm.bob_cols, qcm.cols - qcm.bob_cols
+    rows = [lowest_terms(d, z[b:] + x[b:]) for z, x, d in zip(qcm.zn, qcm.xn, qcm.dens)]
+    zn, xn = (tuple(tuple(n[half]) for _, n in rows) for half in (slice(cols), slice(cols, None)))
+    return QuantumCheckMatrix.from_rows(zn, xn, tuple(d for d, _ in rows), cols, row_labels=qcm.row_labels)
 
 
 def golden_pairs() -> list[tuple[str, str, str]]:

@@ -39,7 +39,7 @@ from eaqconv.polymat import (
     replay,
 )
 from smith_oracle import GridHooks, invariant_factors, smith_form
-from support import corpus_items, ebit_count, submatrix, zx_concat
+from support import alice_part, corpus_items, ebit_count, submatrix, zx_concat
 from verify_oracle import is_commuting, rank, row_space_equal
 
 H_EX1 = parse_matrix("1+D^2, 1+D+D^2")
@@ -300,7 +300,7 @@ def test_example1_parameters_and_rates():
 def test_example1_commutes_and_matches_input_row_space():
     spec = build_code(H_EX1, H_EX1)
     assert is_commuting(spec.final_stabilizer)
-    assert row_space_equal(zx_concat(spec.final_stabilizer.alice_part()), stacked(H_EX1, H_EX1))
+    assert row_space_equal(zx_concat(alice_part(spec.final_stabilizer)), stacked(H_EX1, H_EX1))
 
 
 def test_example1_decoder_is_exact_inverse():
@@ -394,7 +394,7 @@ def test_example2_measurable_stabilizer():
 def test_example2_commutes_and_matches_input_row_space():
     spec = build_code(H_EX2, H_EX2)
     assert is_commuting(spec.final_stabilizer)
-    assert row_space_equal(zx_concat(spec.final_stabilizer.alice_part()), stacked(H_EX2, H_EX2))
+    assert row_space_equal(zx_concat(alice_part(spec.final_stabilizer)), stacked(H_EX2, H_EX2))
 
 
 # -- degenerate and general cases ---------------------------------------------------
@@ -418,7 +418,7 @@ def test_general_class2_build():
     infs = [g for g in spec.encoder.gates if g.kind == "INF"]
     assert len(infs) == 1 and infs[0].time_reversed
     assert is_commuting(spec.final_stabilizer)
-    assert row_space_equal(zx_concat(spec.final_stabilizer.alice_part()), stacked(H_GEN2, H_GEN2))
+    assert row_space_equal(zx_concat(alice_part(spec.final_stabilizer)), stacked(H_GEN2, H_GEN2))
     assert None not in spec.decoded_offsets
 
 
@@ -450,7 +450,7 @@ def test_parameter_law_random_pairs():
         assert spec.k >= 0  # guaranteed by the rank inequality
         assert len(spec.logical_cols) == spec.k
         assert is_commuting(spec.final_stabilizer)
-        assert row_space_equal(zx_concat(spec.final_stabilizer.alice_part()), stacked(h1, h2))
+        assert row_space_equal(zx_concat(alice_part(spec.final_stabilizer)), stacked(h1, h2))
         if spec.class_tag == CLASS1:
             assert spec.encoder.is_finite_depth()
         assert spec.decoder.is_finite_depth()

@@ -23,7 +23,7 @@ from eaqconv.errors import DimensionMismatch
 from eaqconv.poly import RationalPoly
 from eaqconv.polymat import PolyMatrix
 from eaqconv.simulate import CheckResult
-from support import submatrix, zx_concat
+from support import alice_part, submatrix, zx_concat
 
 _RZERO = RationalPoly.zero()
 _RONE = RationalPoly.one()
@@ -100,7 +100,7 @@ def shifted_symplectic(h1, h2) -> RationalPoly:
 def symplectic_gram(qcm) -> PolyMatrix:
     """All pairwise shifted symplectic products, over every column."""
     rows = [qcm.row(i) for i in range(qcm.rows)]
-    return PolyMatrix([[shifted_symplectic(a, b) for b in rows] for a in rows]) if rows else PolyMatrix.zero(0, 0)
+    return PolyMatrix([[shifted_symplectic(a, b) for b in rows] for a in rows]) if rows else PolyMatrix([], cols=0)
 
 
 def is_commuting(qcm) -> bool:
@@ -171,10 +171,10 @@ def algebra_checks(spec) -> list[CheckResult]:
     target = PolyMatrix(
         [list(r) + zero for r in spec.h1] + [zero + list(r) for r in spec.h2]
     )
-    alice = zx_concat(spec.final_stabilizer.alice_part())
+    alice = zx_concat(alice_part(spec.final_stabilizer))
     ok_stored = row_space_equal(alice, target)
     evolved = spec.encoder.apply(spec.bare)
-    ok_evolved = row_space_equal(zx_concat(evolved.alice_part()), target)
+    ok_evolved = row_space_equal(zx_concat(alice_part(evolved)), target)
     checks.append(CheckResult(
         "row-space equivalence",
         ok_stored and ok_evolved,
