@@ -16,7 +16,8 @@ from eaqconv import gates, polymat
 from eaqconv.cli import EXAMPLES, main
 from eaqconv.construct import build_code, code_params
 from eaqconv.errors import EaqconvError, InternalError, ValidationError
-from eaqconv.poly import LaurentPoly, RationalPoly
+from eaqconv.poly import ONE, LaurentPoly, RationalPoly
+from support import golden_pairs
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -186,6 +187,26 @@ def test_reports_print_rows_not_views(capsys, monkeypatch):
     for name in ("z", "x"):
         monkeypatch.setattr(gates.QuantumCheckMatrix, name, property(view))
     assert [run(capsys, *argv) for argv in calls] == want
+
+
+def test_the_pipeline_builds_no_rational_poly(capsys, monkeypatch):
+    """From the command line to the printed report no command forms a RationalPoly: each cell parses to
+    a (num, den) pair, and every matrix keeps its rows of numerators over row denominators."""
+    built = []
+    init = RationalPoly.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(RationalPoly, "__init__", counted)
+    calls = [[cmd, "--h1", h1, "--h2", h2] for _, h1, h2 in golden_pairs() for cmd in ("params", "build", "verify")]
+    calls = [[*argv, "--format", fmt] for argv in [*calls, ["examples"]] for fmt in ("json", "text")]
+    codes = [run(capsys, *argv)[0] for argv in calls]
+    assert len(calls) == 86 and set(codes) <= {0, 4}  # 4: a golden code wider than the default window
+    assert built == []
+    RationalPoly(ONE, ONE)  # the count is live
+    assert built == [(ONE, ONE)]
 
 
 def test_internal_error_is_typed_and_exits_5(capsys, monkeypatch):
