@@ -1,8 +1,11 @@
 """The printed code is the verified code: `build --format json` read back.
 
-For the 12 pairs of tests/golden/random_codes.json and both worked
-examples, the JSON build report is parsed back with the grammar the tests
-keep (`support.parse_gate`, `polymat.parse_matrix`, `poly.parse_poly`):
+For the 12 pairs of tests/golden/random_codes.json, both worked examples
+and every admitted op of both benchmark corpora (the `build_l` and
+`verify_w64` pairs and the `screen_s` pairs that pass admission, each
+distinct pair once), the JSON build report is parsed back with the grammar
+the tests keep (`support.parse_gate`, `polymat.parse_matrix`,
+`poly.parse_poly`):
 
 - every encoder and decoder line parses to the built gate, notes aside;
 - the final and measurable stabilizers parse to the stored rows, and the
@@ -29,7 +32,21 @@ from eaqconv.gates import Circuit, QuantumCheckMatrix
 from eaqconv.poly import parse_poly
 from eaqconv.polymat import parse_matrix
 from eaqconv.simulate import verify_code
-from support import golden_pairs, parse_gate
+from support import corpus_items, golden_pairs, parse_gate
+
+
+def _pairs() -> list[tuple[str, str, str]]:
+    """(id, H1 text, H2 text) of the golden pairs, then of each distinct admitted corpus op."""
+    pairs = golden_pairs()
+    seen = {(h1, h2) for _, h1, h2 in pairs}
+    for k, item in enumerate(corpus_items()):
+        if item["expect"]["exit"] != 3 and (item["h1"], item["h2"]) not in seen:
+            seen.add((item["h1"], item["h2"]))
+            pairs.append((f"corpus-{k}-{item['tier']}", item["h1"], item["h2"]))
+    return pairs
+
+
+PAIRS = _pairs()
 
 
 def _report(h1: str, h2: str) -> dict:
@@ -49,7 +66,7 @@ def _parsed(doc: dict) -> QuantumCheckMatrix:
     return QuantumCheckMatrix(z, x, doc["bob_cols"], doc["row_labels"])
 
 
-@pytest.mark.parametrize("name, h1, h2", golden_pairs(), ids=[p[0] for p in golden_pairs()])
+@pytest.mark.parametrize("name, h1, h2", PAIRS, ids=[p[0] for p in PAIRS])
 def test_build_report_parses_back_to_the_verified_code(name, h1, h2):
     h1, h2 = (t.replace(";", "\n") for t in (h1, h2))
     doc = _report(h1, h2)
