@@ -9,7 +9,8 @@ A line tracer (`sys.settrace`) watches `eaqconv.cli.main` run, in-process,
 every op of the benchmark corpora perfbench/corpus/seed-1.json and
 seed-2.json, then `eaqconv examples --format json`.  For each module of
 src/eaqconv/ it prints the executable lines that no op ran, as ranges under
-the function that holds them.  The package is imported under the tracer, so
+the function that holds them, and last the number of unrun lines summed over
+all modules.  The package is imported under the tracer, so
 module-level code counts as run.  Standard library only.
 """
 
@@ -70,6 +71,7 @@ def ran_lines() -> set[tuple[str, int]]:
 
 def main() -> int:
     ran = ran_lines()
+    total = 0
     for path in sorted(SRC.glob("*.py")):
         owner = executable_lines(path)
         lines = sorted(owner)
@@ -82,9 +84,11 @@ def main() -> int:
             else:
                 spans.append([owner[line], line, line])
         unrun = sum(1 for line in lines if (str(path), line) not in ran)
+        total += unrun
         print(f"{path.name}: {unrun} of {len(lines)} executable lines not run")
         for name, first, last in spans:
             print(f"  {name}  {first}" + (f"-{last}" if last != first else ""))
+    print(f"total: {total} executable lines not run")
     return 0
 
 
