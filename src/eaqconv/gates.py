@@ -166,8 +166,8 @@ class QuantumCheckMatrix:
         """The check matrix with Z entries z and X entries x; each row is written over its lcm denominator."""
         if (z.rows, z.cols) != (x.rows, x.cols):
             raise DimensionMismatch("Z and X halves differ in shape")
-        rows = [common_denominator([(e, zd) for e in zr] + [(e, xd) for e in xr])
-                for zr, zd, xr, xd in zip(z.nums, z.dens, x.nums, x.dens)]
+        lcms = [common_denominator([(ONE, zd), (ONE, xd)]) for zd, xd in zip(z.dens, x.dens)]  # (m, [m/zd, m/xd])
+        rows = [(m, [e * fz for e in zr] + [e * fx for e in xr]) for (m, (fz, fx)), zr, xr in zip(lcms, z.nums, x.nums)]
         zn, xn = (tuple(tuple(n[half]) for _, n in rows) for half in (slice(z.cols), slice(z.cols, None)))
         self._fill(zn, xn, tuple(d for d, _ in rows), z.cols, bob_cols, row_labels, info)
         vars(self).update(z=z, x=x)  # the given entries are the views

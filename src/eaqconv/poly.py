@@ -249,13 +249,13 @@ def common_denominator(pairs: list) -> tuple[LaurentPoly, list[LaurentPoly]]:
     """
     m = ONE
     for _, d in pairs:
-        if d.bits != 1:
+        if d.bits != 1 and d != m:
             g = gcd(m, d)
             q, _ = divmod_shifted(m, g)
             m = q * d
     if m.bits == 1:
         return m, [n for n, _ in pairs]
-    return m, [n * divmod_shifted(m, d)[0] for n, d in pairs]
+    return m, [n if d == m else n * divmod_shifted(m, d)[0] for n, d in pairs]
 
 
 def lowest_terms(den: LaurentPoly, nums):
