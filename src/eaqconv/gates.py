@@ -170,7 +170,7 @@ class QuantumCheckMatrix:
         rows = [(m, [e * fz for e in zr] + [e * fx for e in xr]) for (m, (fz, fx)), zr, xr in zip(lcms, z.nums, x.nums)]
         zn, xn = (tuple(tuple(n[half]) for _, n in rows) for half in (slice(z.cols), slice(z.cols, None)))
         self._fill(zn, xn, tuple(d for d, _ in rows), z.cols, bob_cols, row_labels, info)
-        vars(self).update(z=z, x=x)  # the given entries are the views
+        vars(self).update(z=z, x=x)  # the given halves are the views
 
     @classmethod
     def from_rows(cls, zn, xn, dens, cols: int, bob_cols: int = 0, row_labels=(), info=None) -> QuantumCheckMatrix:

@@ -100,7 +100,7 @@ def shifted_symplectic(h1, h2) -> RationalPoly:
 def symplectic_gram(qcm) -> PolyMatrix:
     """All pairwise shifted symplectic products, over every column."""
     rows = [qcm.row(i) for i in range(qcm.rows)]
-    return PolyMatrix([[shifted_symplectic(a, b) for b in rows] for a in rows]) if rows else PolyMatrix([], cols=0)
+    return PolyMatrix([[shifted_symplectic(a, b) for b in rows] for a in rows])
 
 
 def is_commuting(qcm) -> bool:
