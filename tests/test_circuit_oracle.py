@@ -17,7 +17,13 @@ is compared the same way.  A third family is mostly runs of 2 to 12 gates of
 one finite kind on the same qubits and frame flag, with delays that repeat
 and cancel in pairs, broken by H, by INF or by a change of `full_frame`
 alone; its wide-delay cases hold the circuit's replay to the states
-stepped through `apply_gate`, the rest to the rational rows.
+stepped through `apply_gate`, the rest to the rational rows.  A fourth
+family moves X entries from column to column, each move shifting them up,
+so that the planes are laid out again above their old range.  Every time
+the planes of these four families are laid out again, the rows must stay
+as they were and each plane's hull must be the exponent range of its
+entries; the re-layouts must include ones that move the offset down, ones
+that move it up, and ones after an INF step.
 """
 
 from __future__ import annotations
@@ -37,7 +43,10 @@ from support import golden_pairs
 CASES = 400
 STRESS_CASES = 300
 RUN_CASES = 200
+DRIFT_CASES = 60
 ROW_KINDS = ("none", "shared", "distinct")
+# re-layouts of the four families' replays with each feature, at least
+RELAYOUT_FLOORS = {"offset down": 20, "offset up": 150, "after an INF step": 50}
 
 
 def _laurent(rng):
@@ -317,6 +326,72 @@ def test_runs_of_same_qubit_gates_match_the_per_gate_replays(monkeypatch):
         "run ended by H", "run ended by INF", "run ended by another run", "plane back to zero",
         "CNOT run", "P run", "CPHASE run", "CPHASE_SELF run",
     }
+
+
+def _drift_case(seed):
+    """X entries in one column that CNOT pairs move to another, each move shifting them up by its delay.
+
+    With X col b zero, CNOT a->b by d then b->a by -d sets X col b to X col a
+    times D^d and X col a to zero.  There are no Z entries to drift down, so
+    every exponent rises until a move needs the planes laid out again above
+    the old range.
+    """
+    rng = random.Random(f"drift/{seed}")
+    rows, cols = rng.randint(1, 4), rng.randint(2, 3)
+    x = [[_row(rng, 1, rng.choice(ROW_KINDS))[0][0]] + [RationalPoly.zero()] * (cols - 1) for _ in range(rows)]
+    state = QuantumCheckMatrix(PolyMatrix([[RationalPoly.zero()] * cols] * rows, cols=cols), PolyMatrix(x, cols=cols))
+    seq, at = [], 0
+    for _ in range(rng.randint(10, 40)):
+        b, d = rng.choice([c for c in range(cols) if c != at]), rng.randint(1, 8)
+        seq += [Gate("CNOT", at, b, d), Gate("CNOT", b, at, -d)]
+        at = b
+        if rng.random() < 0.1:
+            seq.append(Gate("INF", at, f=_inf_factor(rng)))
+    return state, Circuit(tuple(seq))
+
+
+def _plane_ranges(planes):
+    """The exponent range (lo, hi) of the unpacked entries of each plane, None for a zero plane."""
+    mask, out = (1 << planes.stride) - 1, [[], []]
+    for ranges, side in zip(out, planes.bits):
+        for v in side:
+            ends = [((e & -e).bit_length() - 1, e.bit_length() - 1)
+                    for r in range(planes.nrows) if (e := (v >> (r * planes.stride)) & mask)]
+            lows, highs = zip(*ends) if ends else ((), ())
+            ranges.append((min(lows) - planes.offset, max(highs) - planes.offset) if ends else None)
+    return out
+
+
+def test_relayouts_keep_the_rows_with_exact_hulls(monkeypatch):
+    """After every re-layout in the seeded families, the rows are kept and each plane's hull is its entries' exponent range."""
+    relay, inf_rows = gates._Planes._relay, gates._inf_rows
+    after_inf, seen = [False], []
+
+    def spy_relay(planes, reach):
+        rows, offset = planes.rows(), planes.offset
+        relay(planes, reach)
+        assert planes.rows() == rows
+        assert planes.hull == _plane_ranges(planes)
+        seen.append((planes.offset - offset, after_inf[0]))
+
+    def spy_inf(*args):
+        after_inf[0] = True
+        inf_rows(*args)
+
+    monkeypatch.setattr(gates._Planes, "_relay", spy_relay)
+    monkeypatch.setattr(gates, "_inf_rows", spy_inf)
+    cases = [_case(seed) for seed in range(CASES)] + [_stress_case(seed) for seed in range(STRESS_CASES)]
+    cases += [_run_case(seed)[:2] for seed in range(RUN_CASES)]
+    for state, circuit in cases:
+        after_inf[0] = False
+        circuit.apply(state)
+    for seed in range(DRIFT_CASES):
+        after_inf[0] = False
+        state, circuit = _drift_case(seed)
+        assert_same_replay(circuit, state)
+    assert sum(d < 0 for d, _ in seen) >= RELAYOUT_FLOORS["offset down"]
+    assert sum(d > 0 for d, _ in seen) >= RELAYOUT_FLOORS["offset up"]
+    assert sum(inf for _, inf in seen) >= RELAYOUT_FLOORS["after an INF step"]
 
 
 @pytest.mark.parametrize("replay", [lambda c, s: c.apply(s), stepped], ids=["plain", "stepped"])
