@@ -55,7 +55,7 @@ from .gates import (
     swap,
 )
 from .poly import ONE, ZERO, LaurentPoly, divmod_shifted, lowest_terms
-from .polymat import PolyMatrix, SmithEngine, SmithHooks, laurent_grid, replay, row_image
+from .polymat import PolyMatrix, SmithEngine, SmithHooks, _axpy, laurent_grid, replay, row_image
 
 CLASS1 = "class1"
 CLASS2 = "class2"
@@ -122,14 +122,21 @@ def _traced(trace, state: QuantumCheckMatrix, gates, order=None) -> QuantumCheck
     return state
 
 
+def _axpy_entry(a: LaurentPoly, fb: int, fl: int, b: LaurentPoly) -> LaurentPoly:
+    """a + f*b for f given as its (bits, low) pair and b nonzero, with no object for the product."""
+    return LaurentPoly(*_axpy(a.bits, a.low, fb, fl, b.bits, b.low))
+
+
 class _Reduction:
     """Mutable quantum check matrix with a gate log and mental row operations.
 
     The grids hold LaurentPoly entries: the reduction issues no INF gate.
     A column addition logs its CNOTs and adds f times the source column at
-    once.  With want_trace, each batch of logged gates is also stepped
-    through `apply_gate` from the state before it, so the trace holds the
-    state after every gate while the grids change as in a plain reduction.
+    once; column and row additions compute each entry they change on
+    (bits, low) pairs by the Smith engine's `_axpy`.  With want_trace, each
+    batch of logged gates is also stepped through `apply_gate` from the
+    state before it, so the trace holds the state after every gate while
+    the grids change as in a plain reduction.
     """
 
     def __init__(self, h1, h2, want_trace: bool = False):
@@ -173,8 +180,9 @@ class _Reduction:
             z[col], x[col] = x[col], z[col]
 
     def row_add(self, src: int, dst: int, f: LaurentPoly):
-        self.z[dst] = [a + f * b for a, b in zip(self.z[dst], self.z[src])]
-        self.x[dst] = [a + f * b for a, b in zip(self.x[dst], self.x[src])]
+        fb, fl = f.bits, f.low
+        for grid in (self.z, self.x):
+            grid[dst] = [_axpy_entry(a, fb, fl, b) if b.bits else a for a, b in zip(grid[dst], grid[src])]
         self._snapshot(f"row {dst + 1} += ({f}) * row {src + 1}")
 
     def row_swap(self, i: int, j: int):
@@ -206,12 +214,13 @@ class _Reduction:
         if not gates:
             return
         self._logged(gates)
-        rev = f.reverse()
+        fb, fl, rev = f.bits, f.low, f.reverse()
+        rb, rl = rev.bits, rev.low
         for p, q in zip(fwd, back):
-            if p[src]:
-                p[dst] = p[dst] + f * p[src]
-            if q[dst]:
-                q[src] = q[src] + rev * q[dst]
+            if (b := p[src]).bits:
+                p[dst] = _axpy_entry(p[dst], fb, fl, b)
+            if (b := q[dst]).bits:
+                q[src] = _axpy_entry(q[src], rb, rl, b)
 
     def z_coladd(self, src: int, dst: int, f: LaurentPoly, note: str = ""):
         """Z col dst += f * Z col src via CNOTs (X side: col src += f(D^-1) col dst)."""

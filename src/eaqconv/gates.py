@@ -32,7 +32,8 @@ and frame flag.  No move of such a gate reads a column that another writes,
 so the gates of a run commute and a run is one step, its moves adding the
 source shifted by each of the run's delays.  H and InfDepth are steps of
 their own.  A plane that a step could shift out of its row is laid out
-again on the ints, each row's slice moved to the new stride and offset.
+again on the ints, each row's slice moved to the new stride and offset;
+only INF steps and the result unpack the planes into entries.
 A circuit keeps its last replay and returns it for that very input object,
 a key that costs nothing where comparing rows would read them all: a build
 and its verification pass the same objects, so they share each circuit's
@@ -326,44 +327,52 @@ class _Planes:
     c: exponent e of row r sits at bit r*stride + offset + e, so a move by d
     is one shift and one XOR over all rows, and stays exact while every
     exponent it writes lies in [-offset, stride - offset).  hull[s][c] is a
-    conservative (lo, hi) exponent range of the plane, None when it is zero.
+    conservative (lo, hi) exponent range of the plane, None when it is zero;
+    packing and re-laying make it exact.
     """
 
     __slots__ = ("nrows", "cols", "stride", "offset", "bits", "hull")
 
     def __init__(self, rows, cols: int, reach: int = 0):
-        """Pack (Z row, X row) pairs, with exact hulls.
+        """Pack (Z row, X row) pairs in one pass over their entries' bits and lows."""
+        self.nrows, self.cols = len(rows), cols
+        self.bits, self.hull = [[0] * cols, [0] * cols], [[None] * cols, [None] * cols]
+        terms = [[[] for _ in range(cols)] for _ in "zx"]
+        for r, row in enumerate(rows):
+            for side, entries in zip(terms, row):
+                for plane, e in zip(side, entries):
+                    if e.bits:
+                        plane.append((r, e.bits, e.low))
+        self._lay(terms, reach)
+
+    def _lay(self, terms, reach: int) -> None:
+        """Pack terms[s][c], the (row, bits, low) of each nonzero entry of plane (s, c), with exact hulls.
 
         The exponents [lo, hi] of all entries are padded by
         max(64, hi - lo, 2*reach) on each side, so moves by up to reach stay
-        exact.
-        """
-        self.nrows, self.cols = len(rows), cols
-        self.bits = [[0] * cols, [0] * cols]
-        self.hull = [[None] * cols, [None] * cols]
-        ends = [(e.low, e.deg) for row in rows for side in row for e in side if e]
-        lo, hi = (min(lo for lo, _ in ends), max(hi for _, hi in ends)) if ends else (0, 0)
-        pad = max(64, hi - lo, 2 * reach)
-        self.offset, self.stride = pad - lo, hi - lo + 1 + 2 * pad
-        for r, row in enumerate(rows):
-            base = r * self.stride + self.offset
-            for bits, hull, side in zip(self.bits, self.hull, row):
-                for c, e in enumerate(side):
-                    if e:
-                        bits[c] |= e.bits << (base + e.low)
-                        h = hull[c]
-                        hull[c] = (e.low, e.deg) if h is None else (min(h[0], e.low), max(h[1], e.deg))
-
-    def _relay(self, reach: int) -> None:
-        """Lay the planes out again for moves by up to reach, with exact hulls.
-
-        The rows are packed afresh and copied into this object's lists,
+        exact.  The planes and hulls are written into this object's lists,
         which `run` holds.
         """
-        planes = _Planes(self.rows(), self.cols, reach)
-        self.stride, self.offset = planes.stride, planes.offset
-        for mine, new in zip(self.bits + self.hull, planes.bits + planes.hull):
-            mine[:] = new
+        for hull, side in zip(self.hull, terms):
+            hull[:] = [(min(t[2] for t in ts), max(low + b.bit_length() for _, b, low in ts) - 1) if ts else None
+                       for ts in side]
+        ends = [h for side in self.hull for h in side if h]
+        lo, hi = (min(h[0] for h in ends), max(h[1] for h in ends)) if ends else (0, 0)
+        pad = max(64, hi - lo, 2 * reach)
+        self.offset, self.stride = offset, stride = pad - lo, hi - lo + 1 + 2 * pad
+        for bits, side in zip(self.bits, terms):
+            for c, ts in enumerate(side):
+                v = 0
+                for r, b, low in ts:
+                    v |= b << (r * stride + offset + low)
+                bits[c] = v
+
+    def _relay(self, reach: int) -> None:
+        """Lay the planes out again for moves by up to reach: each row's slice moves to the new stride and offset."""
+        stride, offset, mask, rows = self.stride, self.offset, (1 << self.stride) - 1, range(self.nrows)
+        terms = [[[(r, e >> (k := (e & -e).bit_length() - 1), k - offset)
+                   for r in rows if (e := (v >> (r * stride)) & mask)] if v else () for v in side] for side in self.bits]
+        self._lay(terms, reach)
 
     def column(self, s: int, c: int) -> list[LaurentPoly]:
         """Plane (s, c) as one LaurentPoly per row, the shared ZERO for a zero row."""
@@ -373,10 +382,13 @@ class _Planes:
         mask, low = (1 << stride) - 1, -self.offset
         return [LaurentPoly(e, low) if (e := (v >> (r * stride)) & mask) else ZERO for r in range(self.nrows)]
 
+    def sides(self) -> list[tuple[tuple[LaurentPoly, ...], ...]]:
+        """The Z rows and the X rows, each row a tuple of entries; a matrix with no columns keeps its empty rows."""
+        return [tuple(zip(*[self.column(s, c) for c in range(self.cols)])) or ((),) * self.nrows for s in (0, 1)]
+
     def rows(self) -> list[tuple[list[LaurentPoly], list[LaurentPoly]]]:
         """The (Z row, X row) pairs."""
-        z, x = ([self.column(s, c) for c in range(self.cols)] for s in (0, 1))
-        return [([col[r] for col in z], [col[r] for col in x]) for r in range(self.nrows)]
+        return [(list(z), list(x)) for z, x in zip(*self.sides())]
 
     def swap(self, c: int) -> None:
         """Exchange the Z and X planes of column c (the Hadamard)."""
@@ -463,6 +475,7 @@ class Circuit:
         moves, each XORing its source shifted by every delay of the run (H
         swaps two planes); it leaves every denominator as it is.  INF unpacks
         the rows, updates them and their denominators, and packs them again.
+        The result's rows are read off the planes column by column.
         """
         cols, split, bob_cols = qcm.cols, qcm.rows, qcm.bob_cols
         mats = (qcm,) if qcm.info is None else (qcm, qcm.info)
@@ -478,8 +491,8 @@ class Circuit:
                 planes.swap(a)
             else:
                 planes.run(_on_columns(moves, a, b))
-        rows = planes.rows()
-        zn, xn, ds = tuple(tuple(z) for z, _ in rows), tuple(tuple(x) for _, x in rows), tuple(dens)
+        zn, xn = planes.sides()
+        ds = tuple(dens)
         info = qcm.info
         if info is not None:
             info = QuantumCheckMatrix.from_rows(zn[split:], xn[split:], ds[split:], cols, bob_cols, info.row_labels)
