@@ -336,14 +336,9 @@ class _Planes:
     def __init__(self, rows, cols: int, reach: int = 0):
         """Pack (Z row, X row) pairs in one pass over their entries' bits and lows."""
         self.nrows, self.cols = len(rows), cols
-        self.bits, self.hull = [[0] * cols, [0] * cols], [[None] * cols, [None] * cols]
-        terms = [[[] for _ in range(cols)] for _ in "zx"]
-        for r, row in enumerate(rows):
-            for side, entries in zip(terms, row):
-                for plane, e in zip(side, entries):
-                    if e.bits:
-                        plane.append((r, e.bits, e.low))
-        self._lay(terms, reach)
+        self.bits, self.hull = [[0] * cols, [0] * cols], [[], []]
+        self._lay([[[(r, e.bits, e.low) for r, row in enumerate(rows) if (e := row[s][c]).bits] for c in range(cols)]
+                   for s in (0, 1)], reach)
 
     def _lay(self, terms, reach: int) -> None:
         """Pack terms[s][c], the (row, bits, low) of each nonzero entry of plane (s, c), with exact hulls.
@@ -354,7 +349,7 @@ class _Planes:
         which `run` holds.
         """
         for hull, side in zip(self.hull, terms):
-            hull[:] = [(min(t[2] for t in ts), max(low + b.bit_length() for _, b, low in ts) - 1) if ts else None
+            hull[:] = [(min(low for _, _, low in ts), max(low + b.bit_length() for _, b, low in ts) - 1) if ts else None
                        for ts in side]
         ends = [h for side in self.hull for h in side if h]
         lo, hi = (min(h[0] for h in ends), max(h[1] for h in ends)) if ends else (0, 0)
@@ -368,7 +363,10 @@ class _Planes:
                 bits[c] = v
 
     def _relay(self, reach: int) -> None:
-        """Lay the planes out again for moves by up to reach: each row's slice moves to the new stride and offset."""
+        """Lay the planes out again for moves by up to reach: each row's slice moves to the new stride and offset.
+
+        A slice e with k trailing zeros is the term (e >> k, k - offset).
+        """
         stride, offset, mask, rows = self.stride, self.offset, (1 << self.stride) - 1, range(self.nrows)
         terms = [[[(r, e >> (k := (e & -e).bit_length() - 1), k - offset)
                    for r in rows if (e := (v >> (r * stride)) & mask)] if v else () for v in side] for side in self.bits]
