@@ -489,8 +489,7 @@ class Circuit:
                 planes.swap(a)
             else:
                 planes.run(_on_columns(moves, a, b))
-        zn, xn = planes.sides()
-        ds = tuple(dens)
+        (zn, xn), ds = planes.sides(), tuple(dens)
         info = qcm.info
         if info is not None:
             info = QuantumCheckMatrix.from_rows(zn[split:], xn[split:], ds[split:], cols, bob_cols, info.row_labels)
