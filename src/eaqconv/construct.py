@@ -158,9 +158,10 @@ class _Reduction:
         zn, xn = tuple(map(tuple, self.z)), tuple(map(tuple, self.x))
         return QuantumCheckMatrix.from_rows(zn, xn, (ONE,) * self.rows, self.n)
 
-    def _snapshot(self, label):
+    def _snapshot(self, label, *args):
+        """Trace the state under label, formatted with args; a plain reduction formats nothing."""
         if self.want_trace:
-            self.trace.append(TraceStep(label, self.state()))
+            self.trace.append(TraceStep(label.format(*args), self.state()))
 
     def _logged(self, gates):
         """Append gates to the log, before the grids take their action.
@@ -183,7 +184,7 @@ class _Reduction:
         fb, fl = f.bits, f.low
         for grid in (self.z, self.x):
             grid[dst] = [_axpy_entry(a, fb, fl, b) if b.bits else a for a, b in zip(grid[dst], grid[src])]
-        self._snapshot(f"row {dst + 1} += ({f}) * row {src + 1}")
+        self._snapshot("row {} += ({}) * row {}", dst + 1, f, src + 1)
 
     def row_swap(self, i: int, j: int):
         if i == j:
@@ -191,7 +192,7 @@ class _Reduction:
         self.z[i], self.z[j] = self.z[j], self.z[i]
         self.x[i], self.x[j] = self.x[j], self.x[i]
         self.row_ids[i], self.row_ids[j] = self.row_ids[j], self.row_ids[i]
-        self._snapshot(f"swap rows {i + 1}, {j + 1}")
+        self._snapshot("swap rows {}, {}", i + 1, j + 1)
 
     def row_scale(self, pos: int, k: int):
         if k == 0:
@@ -200,7 +201,7 @@ class _Reduction:
         self.x[pos] = [a.shift(k) for a in self.x[pos]]
         rid = self.row_ids[pos]
         self.row_scales[rid] = self.row_scales.get(rid, 0) + k
-        self._snapshot(f"row {pos + 1} *= D^{k}")
+        self._snapshot("row {} *= D^{}", pos + 1, k)
 
     # column operation helpers realized as gates ------------------------------
 
@@ -336,7 +337,6 @@ class DecompositionRecord:
     f_massaged: list[list[LaurentPoly]] | None
     e_ops: list
     f_ops: list | None
-    blocks: dict = field(default_factory=dict)
     reduction: _Reduction | None = None
 
     @property
@@ -617,12 +617,10 @@ def _finish_class1(record: DecompositionRecord):
     got = _reduce_block(red, "x", c, n - k2, (r2, k2), note="F2-block")
     if got < r2:
         raise InternalError("ancilla cross block lost rank; the input should have been rejected")
-    gamma_f = _power_diagonal(red.x, c, n - k2, r2, InternalError, "ancilla cross factor {} is not a power of D")
+    _power_diagonal(red.x, c, n - k2, r2, InternalError, "ancilla cross factor {} is not a power of D")
     for t in range(r2):
         red.hadamard(n - k2 + t, "frame-swap")
     red._snapshot("reduced form")
-    record.blocks["Gamma"] = gamma
-    record.blocks["GammaF"] = gamma_f
 
 
 def build_class1(record: DecompositionRecord) -> CodeSpec:
@@ -671,19 +669,16 @@ def _finish_class2(record: DecompositionRecord):
     if len(gamma1) != s:
         raise InternalError(f"unit-factor count {len(gamma1)} disagrees with s={s}")
     red._snapshot("E diagonalized")
-    blocks = {"Gamma1": gamma1, "Gamma2": gamma2}
+    blocks = {"Gamma2": gamma2}
 
     if special:
         gp = _power_diagonal(red.z, 0, n - k2, n - k1, ClassMismatch, "special-case F diagonal lost its power-of-D form")
-        blocks["Gamma1p"] = gp[:s]
         blocks["Gamma2p"] = gp[s:c]
-        blocks["Gamma3p"] = gp[c:]
         for i in range(s):
             red.z_coladd(i, n - k2 + i, LaurentPoly.term(gp[i].dell - gamma1[i].dell), note="clear-G1p")
         red._snapshot("ebit cross entries cleared")
     else:
         r3 = n - k1 - c
-        gamma_f3 = []
         if r3 > 0:
             got = _reduce_block(red, "z", c, n - k2, (r3, k2), note="F3-block")
             if got < r3:
@@ -695,7 +690,6 @@ def _finish_class2(record: DecompositionRecord):
                     if not phi.is_zero():
                         red.row_add(c + j, r, phi.shift(-gamma_f3[j].dell))
             red._snapshot("ancilla cross block cleared")
-        blocks["GammaF3"] = gamma_f3
         for i in range(s):
             a = gamma1[i].dell
             for j in range(r3, k2):
@@ -720,7 +714,6 @@ def _finish_class2(record: DecompositionRecord):
     for col in range(c, n - k2):
         red.hadamard(col, "frame-swap")
     red._snapshot("reduced form")
-    record.blocks.update(blocks)
     return blocks
 
 

@@ -12,26 +12,27 @@ control a, target b and frame delay k:
   InfDepth'   X col a *= 1/f(D^-1);      Z col a *= f(D)    (time-reversed)
 
 Each finite-depth gate's column action is written once, in the move table
-`_MOVES`: moves (dst side, dst col, src side, src col, delay) that add a
-shifted source column into a destination column; H swaps the two sides of
-column a, and InfDepth updates the rows it touches.  One runner,
-`Circuit.apply`, reads the table.  It runs on the rows a
-`QuantumCheckMatrix` stores, Laurent numerators over one GF(2)[D] row
-denominator in lowest terms, and holds the numerators as column planes,
-one int per side and column with every row stacked in it, so a move is
-one shift and one XOR over all rows.
+`_MOVES`: moves (dst side, dst qubit, src side, src qubit, delay sign) that
+add a shifted source column into a destination column; H swaps the two
+sides of column a, and InfDepth updates the rows it touches.  Both runners,
+`Circuit.apply` and the window's `simulate.run_circuit`, read the table.
+`Circuit.apply` runs on the rows a `QuantumCheckMatrix` stores, Laurent
+numerators over one GF(2)[D] row denominator in lowest terms, and holds the
+numerators as column planes, one int per side and column with every row
+stacked in it, so a move is one shift and one XOR over all rows.
 Finite-depth gates act on a row's numerators by a column operation that
 is invertible over the Laurent ring, so a row stays in lowest terms and
 keeps its denominator; only InfDepth changes a denominator, and it
 reduces again the rows it touched.
 
-A circuit runs in steps, compiled once per `Circuit`.  A column operation by
-a polynomial f(D) is logged as one CNOT per exponent of f, so circuits are
-strings of runs: consecutive finite-depth gates with the same kind, qubits
-and frame flag.  No move of such a gate reads a column that another writes,
-so the gates of a run commute and a run is one step, its moves adding the
-source shifted by each of the run's delays.  H and InfDepth are steps of
-their own.  A plane that a step could shift out of its row is laid out
+A circuit runs in steps, grouped once per `Circuit`: a step is its first
+gate and its delays.  A column operation by a polynomial f(D) is logged as
+one CNOT per exponent of f, so circuits are strings of runs: consecutive
+finite-depth gates with the same kind, qubits and frame flag.  No move of
+such a gate reads a column that another writes, so the gates of a run
+commute and a run is one step, each move of its kind adding the source
+shifted by the move's sign times each delay.  H and InfDepth are steps of
+one gate.  A plane that a step could shift out of its row is laid out
 again on the ints, each row's slice moved to the new stride and offset;
 only INF steps and the result unpack the planes into entries.
 A circuit keeps its last replay and returns it for that very input object,
@@ -264,31 +265,6 @@ _MOVES = {
 }
 
 
-def _run_moves(kind: str, delays: list[int]) -> tuple:
-    """A run of kind gates with these delays as moves over qubit slots.
-
-    Each is (dst side, dst qubit, src side, src qubit, delays, least delay,
-    greatest delay), its delays the run's times the move's sign.
-    """
-    pos = tuple(delays)
-    lo, hi = min(pos), max(pos)
-    out = []
-    for ds, dq, ss, sq, sign in _MOVES[kind]:
-        if sign > 0:
-            out.append((ds, dq, ss, sq, pos, lo, hi))
-        elif sign < 0:
-            out.append((ds, dq, ss, sq, tuple([-d for d in pos]), -hi, -lo))
-        else:
-            out.append((ds, dq, ss, sq, (0,) * len(pos), 0, 0))
-    return tuple(out)
-
-
-def _on_columns(moves, a: int, b: int | None) -> list[tuple]:
-    """moves with the qubit slots resolved to frame columns a and b."""
-    ab = (a, b)
-    return [(ds, ab[dq], ss, ab[sq], *rest) for ds, dq, ss, sq, *rest in moves]
-
-
 def _inf_rows(g: Gate, a: int, rows, dens, cols: int) -> None:
     """Apply the InfDepth gate g on frame column a to (Z row, X row) numerator lists over dens.
 
@@ -394,24 +370,28 @@ class _Planes:
         z[c], x[c] = x[c], z[c]
         hz[c], hx[c] = hx[c], hz[c]
 
-    def run(self, moves) -> None:
-        """Apply moves (dst side, dst col, src side, src col, delays, least, greatest delay).
+    def run(self, kind: str, a: int, b: int | None, delays) -> None:
+        """Apply a run of kind gates on columns a and b with these delays.
 
-        Each sets dst ^= the XOR of src shifted by every delay.  No move
-        reads a plane that another move writes, so this is a run of gates
-        in any order.  The planes are first laid out again when a shift by
-        the least or greatest delay could leave a row.
+        Each move of `_MOVES[kind]` sets dst ^= the XOR of src shifted by
+        sign * d for every delay d.  No move reads a plane that another move
+        writes, so this is the run of gates in any order.  The planes are
+        first laid out again when a shift by the least or greatest signed
+        delay could leave a row.
         """
-        bits, hull = self.bits, self.hull
-        for ds, dc, ss, sc, delays, dlo, dhi in moves:
+        bits, hull, ab, least, most = self.bits, self.hull, (a, b), min(delays), max(delays)
+        for ds, dq, ss, sq, sign in _MOVES[kind]:
+            dc, sc = ab[dq], ab[sq]
             src = hull[ss][sc]
             if src is None:
                 continue
+            dlo, dhi = (-most, -least) if sign < 0 else (sign * least, sign * most)
             if src[0] + dlo < -self.offset or src[1] + dhi >= self.stride - self.offset:
                 self._relay(max(dhi, -dlo))
                 src = hull[ss][sc]
             v, w = bits[ss][sc], bits[ds][dc]
             for d in delays:
+                d *= sign
                 w ^= v << d if d >= 0 else v >> -d
             bits[ds][dc] = w
             dst, lo, hi = hull[ds][dc], src[0] + dlo, src[1] + dhi
@@ -446,7 +426,7 @@ class Circuit:
 
     @cached_property
     def _runs(self) -> tuple:
-        """The gates as steps, each maximal run of finite-depth gates on the same qubits one step."""
+        """The gates as (first gate, delays) steps, each maximal run of finite-depth gates on the same qubits one step."""
         return _steps(self.gates)
 
     def apply(self, qcm: QuantumCheckMatrix) -> QuantumCheckMatrix:
@@ -469,9 +449,10 @@ class Circuit:
 
         The stabilizer and info numerators are held as `_Planes`: one int per
         side and column holding every row.  A run of finite-depth gates with
-        the same kind, qubits and frame flag is one step: a few whole-plane
-        moves, each XORing its source shifted by every delay of the run (H
-        swaps two planes); it leaves every denominator as it is.  INF unpacks
+        the same kind, qubits and frame flag is one step, (first gate,
+        delays): `_Planes.run` makes the moves of its kind, each XORing its
+        source shifted by the move's sign times every delay (H swaps two
+        planes); it leaves every denominator as it is.  INF unpacks
         the rows, updates them and their denominators, and packs them again.
         The result's rows are read off the planes column by column.
         """
@@ -479,7 +460,7 @@ class Circuit:
         mats = (qcm,) if qcm.info is None else (qcm, qcm.info)
         dens = [d for m in mats for d in m.dens]
         planes = _Planes([(z, x) for m in mats for z, x in zip(m.zn, m.xn)], cols)
-        for g, moves in self._runs:
+        for g, delays in self._runs:
             a, b = gate_columns(g, cols, bob_cols)  # the run shares g's qubits
             if g.kind == "INF":
                 rows = planes.rows()
@@ -488,7 +469,7 @@ class Circuit:
             elif g.kind == "H":
                 planes.swap(a)
             else:
-                planes.run(_on_columns(moves, a, b))
+                planes.run(g.kind, a, b, delays)
         (zn, xn), ds = planes.sides(), tuple(dens)
         info = qcm.info
         if info is not None:
@@ -497,10 +478,10 @@ class Circuit:
 
 
 def _steps(gates) -> tuple:
-    """(first gate, moves over qubit slots, None for H and INF) per step.
+    """(first gate, delays) per step, the delays those of the step's gates in order.
 
     Each maximal run of finite-depth gates with the same kind, qubits and
-    frame flag is one step carrying the run's delays.
+    frame flag is one step; H and INF gates are steps of one gate.
     """
     runs, prev = [], None
     for g in gates:
@@ -510,7 +491,7 @@ def _steps(gates) -> tuple:
             delays = [g.delay]
             runs.append((g, delays))
             prev = g if g.kind in _MOVES else None
-    return tuple((g, _run_moves(g.kind, delays) if g.kind in _MOVES else None) for g, delays in runs)
+    return tuple(runs)
 
 
 def format_gate(g: Gate) -> str:

@@ -10,14 +10,16 @@ window; the copies of one generator form one contiguous block of rows.
 Rational entries are expanded as ascending series and truncated at the
 window edge.
 
-Circuits act on whole planes exactly as their column-operation semantics
-dictate, so running a circuit here is an independent check of the algebraic
-pipeline.  A circuit runs in the steps of `Circuit._runs`: each maximal run
+Circuits act on whole planes by the column actions of `gates._MOVES`, the
+move table that `Circuit.apply` runs too, so running a circuit here checks
+the algebraic pipeline's storage, truncation and infinite-depth steps
+independently, but not the table or the grouping into steps.  A circuit
+runs in the steps of `Circuit._runs`, (first gate, delays): each maximal run
 of CNOT, CPHASE, CPHASE_SELF or P gates on the same qubits is one step, as
 in `Circuit.apply`.  No gate of a run writes a plane that the run reads, so
-each of its moves masks its fixed source track to the frames that stay
-inside the window, shifts it by every delay k of the run and XORs the
-results onto the target track, for every row at once.  Moves never cross a
+each move of its kind masks its fixed source track to the frames that stay
+inside the window, shifts it by the move's sign times every delay k of the
+run and XORs the results onto the target track, for every row at once.  Moves never cross a
 row: the mask drops the bits that would leave their row before the shift,
 so no bit lands in another row or on a guard bit.  One mask table per
 window, H(k) for frames [0, k) of every row and T(k) = full ^ H(W - k) for
@@ -67,7 +69,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .errors import WindowTooSmall
-from .gates import Circuit, QuantumCheckMatrix, SlidingWindowRule, gate_columns, synthesize_infinite_depth, time_reversed_rule
+from .gates import _MOVES, Circuit, QuantumCheckMatrix, SlidingWindowRule, gate_columns, synthesize_infinite_depth, time_reversed_rule
 from .pauli import symplectic_numerator
 from .poly import ONE, ZERO, LaurentPoly, RationalPoly, divides, series_expand
 from .polymat import echelon, residue, row_space_equal
@@ -401,19 +403,21 @@ def _self_bookkeeping(win: BinarySymplecticWindow, a: int, src: int, delays) -> 
             ends[a] |= win._grow(ends[a], k, sign, lost[a])
 
 
-def _apply_run(win: BinarySymplecticWindow, kind: str, a: int, b: int | None, moves) -> None:
-    """One step of `Circuit._runs` of CNOT, CPHASE, CPHASE_SELF or P gates on tracks a and b."""
-    planes, ab = (win.z, win.x), (a, b)
-    # the run writes no plane that it reads, so each move adds its fixed
-    # source shifted by every delay of the run
-    sources = [planes[ss][ab[sq]] for _, _, ss, sq, *_ in moves]
-    for (ds, dq, _, _, delays, _, _), src in zip(moves, sources):
+def _apply_run(win: BinarySymplecticWindow, kind: str, a: int, b: int | None, delays) -> None:
+    """A step of `Circuit._runs`: kind gates (CNOT, CPHASE, CPHASE_SELF or P) on tracks a and b with these delays.
+
+    The run writes no plane that it reads, so each move of `_MOVES[kind]`
+    XORs its fixed source shifted by sign * k for every delay k; the
+    bookkeeping takes the gates' own delays.
+    """
+    planes, ab, moves = (win.z, win.x), (a, b), _MOVES[kind]
+    sources = [planes[ss][ab[sq]] for _, _, ss, sq, _ in moves]
+    for (ds, dq, _, _, sign), src in zip(moves, sources):
         if src:
             acc = 0
             for k in delays:
-                acc ^= win._shifted(src, k)
+                acc ^= win._shifted(src, sign * k)
             planes[ds][ab[dq]] ^= acc
-    delays = moves[0][4]  # the run's delays: every kind's first move has sign +1 (P's are 0)
     if kind == "CPHASE_SELF":
         _self_bookkeeping(win, a, sources[0], delays)
     elif kind != "P":
@@ -423,20 +427,21 @@ def _apply_run(win: BinarySymplecticWindow, kind: str, a: int, b: int | None, mo
 def run_circuit(win: BinarySymplecticWindow, circuit: Circuit) -> BinarySymplecticWindow:
     """Apply the shift-invariant circuit to every row of the window at once, one step per run.
 
-    The steps are `circuit._runs`: each maximal run of CNOT, CPHASE,
-    CPHASE_SELF or P gates with the same qubits and frame flag is one step,
-    H and INF gates are steps of their own.
+    The steps are `circuit._runs`, (first gate, delays): each maximal run of
+    CNOT, CPHASE, CPHASE_SELF or P gates with the same qubits and frame flag
+    is one step, run by `_apply_run` from `gates._MOVES`; H and INF gates are
+    steps of one gate.
     """
     out = replace(win, z=list(win.z), x=list(win.x), prefix=list(win.prefix), suffix=list(win.suffix),
                   head_lost=list(win.head_lost), tail_lost=list(win.tail_lost))
-    for g, moves in circuit._runs:
+    for g, delays in circuit._runs:
         a, b = gate_columns(g, win.n_per_frame, win.bob_cols)  # the run shares g's qubits
         if g.kind == "INF":
             _apply_inf(out, a, time_reversed_rule(g.f) if g.time_reversed else synthesize_infinite_depth(g.f))
         elif g.kind == "H":
             out.z[a], out.x[a] = out.x[a], out.z[a]
         else:
-            _apply_run(out, g.kind, a, b, moves)
+            _apply_run(out, g.kind, a, b, delays)
     return out
 
 

@@ -23,7 +23,11 @@ so that the planes are laid out again above their old range.  Every time
 the planes of these four families are laid out again, the rows must stay
 as they were and each plane's hull must be the exponent range of its
 entries; the re-layouts must include ones that move the offset down, ones
-that move it up, and ones after an INF step.
+that move it up, and ones after an INF step.  The steps of `Circuit._runs`,
+(first gate, delays), must be the maximal runs of the third family's
+circuits and of every golden pair's and worked example's encoder and
+decoder: their gates concatenate to the circuit, each step's delays are
+its gates', and no two adjacent finite-depth steps could merge.
 """
 
 from __future__ import annotations
@@ -270,9 +274,9 @@ def _stepped_with_relayouts(circuit, state, monkeypatch):
     seen, relaid = [], [False]
     run = gates._Planes.run
 
-    def spy(planes, moves):
+    def spy(planes, *step):
         before = planes.stride, planes.offset
-        run(planes, moves)
+        run(planes, *step)
         relaid[0] |= (planes.stride, planes.offset) != before
 
     monkeypatch.setattr(gates._Planes, "run", spy)
@@ -326,6 +330,37 @@ def test_runs_of_same_qubit_gates_match_the_per_gate_replays(monkeypatch):
         "run ended by H", "run ended by INF", "run ended by another run", "plane back to zero",
         "CNOT run", "P run", "CPHASE run", "CPHASE_SELF run",
     }
+
+
+def _assert_maximal_runs(circuit):
+    """`circuit._runs` is (first gate, delays) per maximal run of same-kind, same-qubit finite-depth gates."""
+    at, keys = 0, []
+    for g, delays in circuit._runs:
+        step = circuit.gates[at:at + len(delays)]
+        at += len(delays)
+        assert step and step[0] is g
+        assert list(delays) == [s.delay for s in step]
+        if g.kind in ("H", "INF"):
+            assert len(step) == 1
+        else:
+            assert g.kind in gates._MOVES
+            assert {(s.kind, s.i, s.j, s.full_frame) for s in step} == {(g.kind, g.i, g.j, g.full_frame)}
+        keys.append(g.kind in gates._MOVES and (g.kind, g.i, g.j, g.full_frame))
+    assert at == len(circuit.gates)
+    assert not any(k and k == nxt for k, nxt in zip(keys, keys[1:])), "two adjacent steps could merge"
+
+
+def test_steps_are_maximal_runs():
+    """The steps of the seeded run-heavy circuits and of every golden pair's and worked example's encoder and decoder."""
+    circuits = [_run_case(seed)[1] for seed in range(RUN_CASES)]
+    for _, h1, h2 in golden_pairs():
+        spec = build_code(*(parse_matrix(t.replace(";", "\n")) for t in (h1, h2)))
+        circuits += [spec.encoder, spec.decoder]
+    multi = 0
+    for circuit in circuits:
+        _assert_maximal_runs(circuit)
+        multi += sum(len(delays) > 1 for _, delays in circuit._runs)
+    assert multi > RUN_CASES
 
 
 def _drift_case(seed):

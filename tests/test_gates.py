@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eaqconv.construct import build_code
-from eaqconv.errors import PolyParseError
+from eaqconv.errors import DimensionMismatch, PolyParseError
 from eaqconv.gates import (
     Circuit,
     Gate,
@@ -359,6 +359,19 @@ def test_replayed_zero_entries_are_shared(name, h1, h2):
     assert zeros
 
 
+def test_check_matrix_layout_errors():
+    """Halves of two shapes, receiver columns out of range, a label per row missing, an info matrix of another layout."""
+    z, x = parse_matrix("1, D"), parse_matrix("0, 1")
+    for bad in (
+        lambda: QuantumCheckMatrix(z, parse_matrix("0, 1, 1")),
+        lambda: QuantumCheckMatrix(z, x, bob_cols=3),
+        lambda: QuantumCheckMatrix(z, x, row_labels=("a", "b")),
+        lambda: QuantumCheckMatrix(z, x, info=QuantumCheckMatrix(z, x, bob_cols=1)),
+    ):
+        with pytest.raises(DimensionMismatch):
+            bad()
+
+
 def test_inverse_rejects_infinite_depth():
     circ = Circuit((inf_depth(0, P("1+D")),))
     with pytest.raises(ValueError):
@@ -402,6 +415,12 @@ def test_time_reversed_golden():
 def test_rule_pattern_bounds_checked():
     with pytest.raises(ValueError):
         SlidingWindowRule(window=2, cnot_pattern=((1, 3),))
+
+
+@pytest.mark.parametrize("rule", [synthesize_infinite_depth, time_reversed_rule])
+def test_rules_reject_the_zero_polynomial(rule):
+    with pytest.raises(ValueError):
+        rule(ZERO)
 
 
 # -- serialization ----------------------------------------------------------------------

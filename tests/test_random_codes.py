@@ -36,6 +36,10 @@ with its logical rows reduced, must equal the decoded state; the traced
 build must agree with its plain build on the decoded offsets and the final
 stabilizer, and its decode trace must hold one step per decoder gate, in
 the decoder's order.
+
+A plain build of the 12 golden pairs, both worked examples and the 16
+seed-1 `build_l` pairs calls `eaqconv.poly.format_poly` not once: only a
+traced reduction forms its step labels.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import random
 import sys
 from pathlib import Path
 
+from eaqconv import gates, poly
 from eaqconv.cli import EXAMPLES, main
 from eaqconv.construct import build_code
 from eaqconv.gates import format_gate
@@ -176,6 +181,25 @@ def test_traced_and_plain_builds_decode_alike():
         assert traced.final_stabilizer == plain.final_stabilizer
         steps = [s.label for s in traced.decode_trace if s.label not in DECODE_TRACE_FRAMES]
         assert steps == [format_gate(g) for g in traced.decoder]
+
+
+def test_plain_builds_format_no_polynomial(monkeypatch):
+    """A build without want_trace forms no trace label, so it formats no polynomial."""
+    with open(Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "seed-1.json", encoding="utf-8") as fh:
+        build_l = [(it["h1"], it["h2"]) for it in json.load(fh)["build_l"]]
+    pairs = [[parse_matrix(t.replace(";", "\n")) for t in pair] for pair in _golden_and_example_pairs() + build_l]
+    assert len(pairs) == 14 + 16
+    calls, format_poly = [], poly.format_poly
+
+    def counted(p):
+        calls.append(p)
+        return format_poly(p)
+
+    for module in (poly, gates):  # gates imports it by name
+        monkeypatch.setattr(module, "format_poly", counted)
+    for h1, h2 in pairs:
+        build_code(h1, h2)
+    assert len(calls) == 0
 
 
 def _regenerate():

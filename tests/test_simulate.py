@@ -8,6 +8,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eaqconv import gates
+from eaqconv.cli import EXAMPLES
 from eaqconv.construct import build_code
 from eaqconv.errors import WindowTooSmall
 from eaqconv.gates import (
@@ -74,6 +76,11 @@ def test_expand_window_too_small():
     wide = qcm("1+D^5, 0", "0, 0")
     with pytest.raises(WindowTooSmall):
         expand(wide, window=3)
+
+
+def test_expand_needs_a_frame():
+    with pytest.raises(WindowTooSmall):
+        expand(RATE_THIRD, window=0)
 
 
 # -- circuits in the window ----------------------------------------------------------
@@ -344,6 +351,16 @@ def test_verify_catches_deleted_gate():
         report = verify_code(spoiled, window=16)
         decode_check = next(c for c in report.checks if c.name == "decoded logical operators")
         assert not decode_check.passed, f"deleting gate {i} went unnoticed"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: run_circuit reads gates._MOVES, the move table Circuit.apply runs")
+def test_a_move_table_mutant_fails_the_window_check(monkeypatch):
+    """CNOT's Z-side move with its delay sign flipped: the window simulation must FAIL on both worked examples."""
+    monkeypatch.setitem(gates._MOVES, "CNOT", ((1, 1, 1, 0, 1), (0, 0, 0, 1, 1)))
+    for h1, h2 in EXAMPLES.values():
+        report = verify_code(build_code(parse_matrix(h1), parse_matrix(h2)))
+        window = next(c for c in report.checks if c.name == "window simulation")
+        assert not window.passed, window.detail
 
 
 def test_verify_window_too_small():

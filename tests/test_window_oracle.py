@@ -197,7 +197,7 @@ def _run_case(seed):
 def _run_gates(circuit):
     """The gates of each step of `circuit._runs`, a run of same-qubit gates being one step."""
     gates = iter(circuit.gates)
-    return [[next(gates) for _ in range(len(moves[0][4]) if moves else 1)] for _, moves in circuit._runs]
+    return [[next(gates) for _ in delays] for _, delays in circuit._runs]
 
 
 def _flagged(win, tracks):
