@@ -17,7 +17,8 @@ scripts/unrun.txt explains functions, one a line: `module:qualified name`,
 its class (typed-error branch, acceptance API, or move or delete) and a test
 that reaches it, split by ` | `.  An unrun line is explained when the
 function that holds it, or a function it is nested in, has such a line; the
-script prints the number of the others last, as `unexplained: N`.
+script prints the number of the others on each module's line and, summed,
+last, as `unexplained: N`.
 """
 
 from __future__ import annotations
@@ -97,9 +98,10 @@ def main() -> int:
             else:
                 spans.append([owner[line], line, line])
         unrun = [line for line in lines if (str(path), line) not in ran]
+        left = sum(f"{path.name}:{owner[line].split('.<locals>.')[0]}" not in known for line in unrun)
         total += len(unrun)
-        unexplained += sum(f"{path.name}:{owner[line].split('.<locals>.')[0]}" not in known for line in unrun)
-        print(f"{path.name}: {len(unrun)} of {len(lines)} executable lines not run")
+        unexplained += left
+        print(f"{path.name}: {len(unrun)} of {len(lines)} executable lines not run, {left} unexplained")
         for name, first, last in spans:
             print(f"  {name}  {first}" + (f"-{last}" if last != first else ""))
     print(f"total: {total} executable lines not run")

@@ -25,8 +25,9 @@ from the E block of the standard form (see `DecompositionRecord`):
                    powers of D; the affected information qubits teleport to
                    fresh columns during decoding.
 
-The standard form, the class-1 finish and the special finish replay the Smith
-runs of admission (on H2) and the classification (on E, on the massaged F).
+`_Reduction.play` plays every Smith log: the standard form, the class-1
+finish and the special finish play the runs of admission (on H2) and the
+classification (on E, on the massaged F).  A record builds its code once.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .gates import (
     swap,
 )
 from .poly import ONE, ZERO, LaurentPoly, divmod_shifted, lowest_terms
-from .polymat import PolyMatrix, SmithEngine, SmithHooks, _axpy, laurent_grid, replay, row_image
+from .polymat import PolyMatrix, SmithEngine, _axpy, laurent_grid, row_image
 
 CLASS1 = "class1"
 CLASS2 = "class2"
@@ -136,7 +137,8 @@ class _Reduction:
     (bits, low) pairs by the Smith engine's `_axpy`.  With want_trace, each
     batch of logged gates is also stepped through `apply_gate` from the
     state before it, so the trace holds the state after every gate while
-    the grids change as in a plain reduction.
+    the grids change as in a plain reduction.  `play` plays a Smith log on a
+    block of the grids; `built` marks a reduction that a build has finished.
     """
 
     def __init__(self, h1, h2, want_trace: bool = False):
@@ -152,6 +154,7 @@ class _Reduction:
         self.row_scales: dict[int, int] = {}
         self.want_trace = want_trace
         self.trace: list[TraceStep] = []
+        self.built = False
         self._snapshot("initial quantum check matrix")
 
     def state(self) -> QuantumCheckMatrix:
@@ -187,16 +190,12 @@ class _Reduction:
         self._snapshot("row {} += ({}) * row {}", dst + 1, f, src + 1)
 
     def row_swap(self, i: int, j: int):
-        if i == j:
-            return
         self.z[i], self.z[j] = self.z[j], self.z[i]
         self.x[i], self.x[j] = self.x[j], self.x[i]
         self.row_ids[i], self.row_ids[j] = self.row_ids[j], self.row_ids[i]
         self._snapshot("swap rows {}, {}", i + 1, j + 1)
 
     def row_scale(self, pos: int, k: int):
-        if k == 0:
-            return
         self.z[pos] = [a.shift(k) for a in self.z[pos]]
         self.x[pos] = [a.shift(k) for a in self.x[pos]]
         rid = self.row_ids[pos]
@@ -209,11 +208,9 @@ class _Reduction:
         """fwd col dst += f * fwd col src and back col src += f(D^-1) * back col dst, logged as gates.
 
         The gates are CNOTs sharing control and target, one per exponent e
-        of f, so they commute and their joint action is the sum of theirs,
-        added at once.
+        of the nonzero f, so they commute and their joint action is the sum
+        of theirs, added at once.
         """
-        if not gates:
-            return
         self._logged(gates)
         fb, fl, rev = f.bits, f.low, f.reverse()
         rb, rl = rev.bits, rev.low
@@ -238,61 +235,49 @@ class _Reduction:
             z[i], z[j] = z[j], z[i]
             x[i], x[j] = x[j], x[i]
 
+    def play(self, ops, side, row0, col0, identity_rows=None, gamma_f_col0=None, note=""):
+        """Play the Smith log of the block at (row0, col0) of the Z (side "z") or X (side "x") grid.
 
-class _BlockHooks(SmithHooks):
-    """Hears the Smith of a block of the Z (side "z") or X (side "x") grid: column ops become gates, row ops stay mental.
+        Column operations become gates (one CNOT per term of f), row operations stay mental.
+        identity_rows maps a block column to the row position whose other side holds its identity
+        entry; row operations there undo the gates' side effects.  gamma_f_col0, when set, keeps
+        the F diagonal at (row position p, F column p) by compensating column gates.
+        """
+        grid, coladd = (self.z, self.z_coladd) if side == "z" else (self.x, self.x_coladd)
 
-    identity_rows maps a block column to the row position whose other side
-    holds that column's identity entry; gate side effects there are undone
-    by row operations.  gamma_f_col0, when set, keeps the F block's diagonal
-    at (row position p, F column p) intact under row operations by emitting
-    compensating column gates.  No side effect reaches the block itself.
-    """
+        def gamma_exp(p):
+            poly = grid[row0 + p][gamma_f_col0 + p]
+            if poly.weight() != 1:
+                raise InternalError("F-block diagonal lost its power-of-D form")
+            return poly.dell
 
-    def __init__(self, red, side, row0, col0, identity_rows=None, gamma_f_col0=None, note=""):
-        self.red = red
-        self.grid, self.coladd = (red.z, red.z_coladd) if side == "z" else (red.x, red.x_coladd)
-        self.row0, self.col0 = row0, col0
-        self.identity_rows = identity_rows
-        self.gamma_f_col0 = gamma_f_col0
-        self.note = note
-
-    def col_add(self, src, dst, f):
-        self.coladd(self.col0 + src, self.col0 + dst, f, note=self.note)
-        if self.identity_rows is not None:
-            self.red.row_add(self.identity_rows[src], self.identity_rows[dst], f.reverse())
-
-    def col_swap(self, i, j):
-        self.red.col_swap(self.col0 + i, self.col0 + j, note=self.note)
-        if self.identity_rows is not None:
-            self.red.row_swap(self.identity_rows[i], self.identity_rows[j])
-            self.identity_rows[i], self.identity_rows[j] = self.identity_rows[j], self.identity_rows[i]
-
-    def _gamma_exp(self, p):
-        poly = self.grid[self.row0 + p][self.gamma_f_col0 + p]
-        if poly.weight() != 1:
-            raise InternalError("F-block diagonal lost its power-of-D form")
-        return poly.dell
-
-    def row_add(self, src, dst, f):
-        self.red.row_add(self.row0 + src, self.row0 + dst, f)
-        if self.gamma_f_col0 is not None:
-            q = f.shift(self._gamma_exp(src) - self._gamma_exp(dst))
-            self.coladd(self.gamma_f_col0 + dst, self.gamma_f_col0 + src, q, note=self.note)
-
-    def row_swap(self, i, j):
-        self.red.row_swap(self.row0 + i, self.row0 + j)
-        if self.gamma_f_col0 is not None:
-            self.red.col_swap(self.gamma_f_col0 + i, self.gamma_f_col0 + j, note=self.note)
+        for kind, i, j, fb, fl in ops:
+            f = LaurentPoly(fb, fl)
+            if kind == "col_add":
+                coladd(col0 + i, col0 + j, f, note=note)
+                if identity_rows is not None:
+                    self.row_add(identity_rows[i], identity_rows[j], f.reverse())
+            elif kind == "col_swap":
+                self.col_swap(col0 + i, col0 + j, note=note)
+                if identity_rows is not None:
+                    self.row_swap(identity_rows[i], identity_rows[j])
+                    identity_rows[i], identity_rows[j] = identity_rows[j], identity_rows[i]
+            elif kind == "row_add":
+                self.row_add(row0 + i, row0 + j, f)
+                if gamma_f_col0 is not None:
+                    coladd(gamma_f_col0 + j, gamma_f_col0 + i, f.shift(gamma_exp(i) - gamma_exp(j)), note=note)
+            else:
+                self.row_swap(row0 + i, row0 + j)
+                if gamma_f_col0 is not None:
+                    self.col_swap(gamma_f_col0 + i, gamma_f_col0 + j, note=note)
 
 
-def _reduce_block(red, side, row0, col0, shape, **hooks) -> int:
-    """Smith of the shape block at (row0, col0) of red's Z or X grid, replayed to _BlockHooks; its rank."""
-    listener = _BlockHooks(red, side, row0, col0, **hooks)
+def _reduce_block(red, side, row0, col0, shape, **play) -> int:
+    """Smith of the shape block at (row0, col0) of red's Z or X grid, played by `_Reduction.play`; its rank."""
     rows, cols = shape
-    engine = SmithEngine([row[col0:col0 + cols] for row in listener.grid[row0:row0 + rows]])
+    engine = SmithEngine([row[col0:col0 + cols] for row in (red.z if side == "z" else red.x)[row0:row0 + rows]])
     rank = engine.run()
-    replay(engine.ops, listener)
+    red.play(engine.ops, side, row0, col0, **play)
     return rank
 
 
@@ -320,7 +305,8 @@ class DecompositionRecord:
     mental row operations are unimodular, and the standard form's rows are
     [E F | 0] over [0 | I 0], so E equals H1 H2~ up to unimodular row
     and column operations.  e_ops and f_ops (class 2) log the Smith runs on
-    e_mat and f_massaged; the class-1 and special finishes replay them as gates.
+    e_mat and f_massaged; the class-1 and special finishes play them.  A build
+    finishes `reduction` in place, and it stays readable after the build.
     """
 
     h1: list[list[LaurentPoly]]
@@ -348,14 +334,14 @@ def _standard_form_stage(red: _Reduction, h1_basis, h2_ops):
     """Row-reduce the top block to H1's row basis, then column-reduce the bottom block to [I 0].
 
     Both come from validation.  The bottom X block is H2, and admission's
-    Smith reduction of H2 ended in [I 0] exactly, so replaying its log
-    through _BlockHooks turns its column operations into gates and leaves
+    Smith reduction of H2 ended in [I 0] exactly, so playing its log by
+    `_Reduction.play` turns its column operations into gates and leaves
     that block at [I 0], with no row scaling.
     """
     n, k1 = red.n, red.k1
     # mental row operations bring the top block to the row basis of H1
     red.z[: n - k1] = h1_basis
-    replay(h2_ops, _BlockHooks(red, "x", n - k1, 0, note="standard-form"))
+    red.play(h2_ops, "x", n - k1, 0, note="standard-form")
     red._snapshot("standard form")
 
 
@@ -599,7 +585,7 @@ def _finish_class1(record: DecompositionRecord):
     n, k1, k2, c = red.n, red.k1, red.k2, record.c
     # diagonalize the E block in place by the classification's run (its factors are powers of D)
     identity_rows = {col: n - k1 + col for col in range(n - k2)}
-    replay(record.e_ops, _BlockHooks(red, "z", 0, 0, identity_rows=identity_rows, note="E-block"))
+    red.play(record.e_ops, "z", 0, 0, identity_rows=identity_rows, note="E-block")
     gamma = _power_diagonal(red.z, 0, 0, c, ClassMismatch, "invariant factor {} of E is not a power of D")
     red._snapshot("E diagonalized")
     # swap every column to the Hadamard frame, then clear the ebit rows' F entries
@@ -623,10 +609,19 @@ def _finish_class1(record: DecompositionRecord):
     red._snapshot("reduced form")
 
 
-def build_class1(record: DecompositionRecord) -> CodeSpec:
-    if record.class_tag != CLASS1:
-        raise ClassMismatch(f"build_class1 called on a {record.class_tag} record")
+def _finishing(record: DecompositionRecord, builder: str, *tags: str) -> _Reduction:
+    """The record's reduction, marked built; ClassMismatch for a record of another class or one built before."""
+    if record.class_tag not in tags:
+        raise ClassMismatch(f"{builder} called on a {record.class_tag} record")
     red = record.reduction
+    if red.built:
+        raise ClassMismatch(f"{builder} called on a record that was already built; classify the pair again")
+    red.built = True
+    return red
+
+
+def build_class1(record: DecompositionRecord) -> CodeSpec:
+    red = _finishing(record, "build_class1", CLASS1)
     n, k1, k2, c, k = record.n, record.k1, record.k2, record.c, record.k
     _finish_class1(record)
 
@@ -650,7 +645,7 @@ def _finish_class2(record: DecompositionRecord):
 
     if special:
         # the classification's Smith run on the cross block; its diagonal becomes powers of D
-        replay(record.f_ops, _BlockHooks(red, "z", 0, n - k2, note="F-block"))
+        red.play(record.f_ops, "z", 0, n - k2, note="F-block")
         _power_diagonal(red.z, 0, n - k2, n - k1, ClassMismatch, "special-case cross factor is not a power of D")
         red._snapshot("F diagonalized")
     _reduce_block(red, "z", 0, 0, (n - k1, n - k2), identity_rows=identity_rows,
@@ -699,8 +694,6 @@ def _finish_class2(record: DecompositionRecord):
         # column-only triangularization of the remaining cross rows
         for r in range(c - s):
             col0 = n - k2 + r3 + r
-            if n - col0 <= 0:
-                break
             _reduce_block(red, "z", s + r, col0, (1, n - col0), note="L-block")
         lmat = [[red.z[s + i][n - k2 + r3 + j] for j in range(c - s)] for i in range(c - s)]
         for i in range(c - s):
@@ -718,9 +711,7 @@ def _finish_class2(record: DecompositionRecord):
 
 
 def build_class2(record: DecompositionRecord) -> CodeSpec:
-    if record.class_tag not in (CLASS2, CLASS2_SPECIAL):
-        raise ClassMismatch(f"build_class2 called on a {record.class_tag} record")
-    red = record.reduction
+    red = _finishing(record, "build_class2", CLASS2, CLASS2_SPECIAL)
     n, k1, k2, c, s, k = record.n, record.k1, record.k2, record.c, record.s, record.k
     special = record.class_tag == CLASS2_SPECIAL
     blocks = _finish_class2(record)

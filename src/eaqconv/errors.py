@@ -52,7 +52,7 @@ class RankDeficient(ValidationError):
 
 
 class ClassMismatch(EaqconvError):
-    """A class-specific builder was handed a record of the wrong class."""
+    """A class-specific builder was handed a record it cannot build: one of another class, or one already built."""
 
 
 class WindowTooSmall(EaqconvError):

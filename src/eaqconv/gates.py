@@ -309,12 +309,12 @@ class _Planes:
 
     __slots__ = ("nrows", "cols", "stride", "offset", "bits", "hull")
 
-    def __init__(self, rows, cols: int, reach: int = 0):
-        """Pack (Z row, X row) pairs in one pass over their entries' bits and lows."""
+    def __init__(self, rows, cols: int):
+        """Pack (Z row, X row) pairs in one pass over their entries' bits and lows; `run` re-lays them for long moves."""
         self.nrows, self.cols = len(rows), cols
         self.bits, self.hull = [[0] * cols, [0] * cols], [[], []]
         self._lay([[[(r, e.bits, e.low) for r, row in enumerate(rows) if (e := row[s][c]).bits] for c in range(cols)]
-                   for s in (0, 1)], reach)
+                   for s in (0, 1)], 0)
 
     def _lay(self, terms, reach: int) -> None:
         """Pack terms[s][c], the (row, bits, low) of each nonzero entry of plane (s, c), with exact hulls.

@@ -17,9 +17,9 @@ divides and applies every operation on those ints, with no LaurentPoly per
 entry.  It logs each row or column addition or swap, and nothing outside
 it touches the block during the run.  `SmithEngine.factors` runs the
 engine and reads its diagonal; validation applies the log's row operations
-to H1 (`row_image`) for its row basis.  The code construction `replay`s a log
-after the run to SmithHooks that turn column operations into circuit gates
-and row operations into row operations on its working check matrix.
+to H1 (`row_image`) for its row basis.  The code construction plays a log
+after the run (`construct._Reduction.play`): column operations become
+circuit gates and row operations row operations on its working check matrix.
 
 Row spaces over GF(2)(D) are computed on the rows' Laurent numerators, with
 no rational arithmetic: scaling a row by a nonzero polynomial does not
@@ -116,26 +116,6 @@ def laurent_grid(m: PolyMatrix) -> list[list[LaurentPoly]]:
 _SMITH_CAP = 100_000
 
 
-class SmithHooks:
-    """Listens to the elementary operations of a finished Smith run, as `replay` plays its log.
-
-    A listener repeats each operation elsewhere, in the engine's order, with
-    the multiplier f as a LaurentPoly; the engine's block is already final.
-    """
-
-    def row_add(self, src: int, dst: int, f: LaurentPoly):
-        raise NotImplementedError
-
-    def row_swap(self, i: int, j: int):
-        raise NotImplementedError
-
-    def col_add(self, src: int, dst: int, f: LaurentPoly):
-        raise NotImplementedError
-
-    def col_swap(self, i: int, j: int):
-        raise NotImplementedError
-
-
 def _pairs(grid):
     """A Laurent grid as its grid of coefficient masks and its grid of lowest exponents."""
     return [[e.bits for e in row] for row in grid], [[e.low for e in row] for row in grid]
@@ -175,9 +155,10 @@ class SmithEngine:
     The engine reads the block once, into a grid of coefficient masks and a
     grid of lowest exponents, each entry kept canonical, and does every
     operation there.  It logs each operation in `ops` as
-    (kind, i, j, f_bits, f_low), kind naming the `SmithHooks` method and
-    (f_bits, f_low) the multiplier of an addition (0, 0 for a swap);
-    `replay` plays the log to a listener after the run.
+    (kind, i, j, f_bits, f_low), kind one of "row_add", "row_swap",
+    "col_add" and "col_swap", (i, j) the source and destination of an
+    addition or the two lines of a swap, and (f_bits, f_low) the multiplier
+    of an addition (0, 0 for a swap).
     """
 
     def __init__(self, block):
@@ -330,15 +311,6 @@ class SmithEngine:
         """Run the engine; its nonzero diagonal split as (delay-free parts, unit exponents)."""
         rank = self.run()
         return tuple(LaurentPoly(self.bits[i][i]) for i in range(rank)), tuple(self.lows[i][i] for i in range(rank))
-
-
-def replay(ops, hooks: SmithHooks):
-    """Play a Smith engine's operation log to a listener, in order, with each multiplier as a LaurentPoly."""
-    for kind, i, j, fb, fl in ops:
-        if kind.endswith("add"):
-            getattr(hooks, kind)(i, j, LaurentPoly(fb, fl))
-        else:
-            getattr(hooks, kind)(i, j)
 
 
 def row_image(ops, rows: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:

@@ -17,6 +17,11 @@ second engine to check that engine against:
   D -> D^-1, zero and identity matrices, entry indexing and the zero test.
 - `invariant_factors(rows)`: the engine's factors of a Laurent grid, with
   no witnesses.
+- `replay(ops, hooks)`: plays a package engine's log to a listener, one
+  call of the method named by each operation, with each multiplier f as a
+  `LaurentPoly`.  The package plays its logs itself
+  (`eaqconv.construct._Reduction.play`); the tests replay them to
+  `GridHooks`, `MatrixHooks` and their own recorders.
 - `smith_form(m)`: M = A diag(D^k gamma) B with the unimodular witnesses A
   and B, which `MatrixHooks` accumulates as it hears the package engine's
   log replayed.
@@ -243,7 +248,7 @@ class GridHooks(LaurentHooks):
         return LaurentSmithEngine((len(self.w), len(self.w[0]) if self.w else 0), self).run()
 
 
-class MatrixHooks(polymat.SmithHooks):
+class MatrixHooks:
     """Hears the package's Smith log and accumulates the unimodular witnesses A and B.
 
     A and B start as identities and stay sparse for a while, so each update
@@ -272,6 +277,15 @@ class MatrixHooks(polymat.SmithHooks):
     def scale_a_col(self, i, k):
         for r in self.a:
             r[i] = r[i].shift(k)
+
+
+def replay(ops, hooks):
+    """Play a Smith engine's operation log to a listener, in order, with each multiplier as a LaurentPoly."""
+    for kind, i, j, fb, fl in ops:
+        if kind.endswith("add"):
+            getattr(hooks, kind)(i, j, LaurentPoly(fb, fl))
+        else:
+            getattr(hooks, kind)(i, j)
 
 
 @dataclass(frozen=True)
@@ -317,7 +331,7 @@ def smith_form(m: polymat.PolyMatrix) -> SmithDecomposition:
     engine = polymat.SmithEngine(laurent_grid(m))
     gamma, units = engine.factors()
     hooks = MatrixHooks(m.rows, m.cols)
-    polymat.replay(engine.ops, hooks)
+    replay(engine.ops, hooks)
     for i, k in enumerate(units):
         if k:
             hooks.scale_a_col(i, k)  # fold the unit into A so gamma stays delay-free

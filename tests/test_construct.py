@@ -36,10 +36,10 @@ from eaqconv.polymat import (
     format_matrix,
     laurent_grid,
     parse_matrix,
-    replay,
 )
-from smith_oracle import GridHooks, invariant_factors, smith_form
-from support import alice_part, corpus_items, ebit_count, submatrix, zx_concat
+from smith_oracle import GridHooks, invariant_factors, replay, smith_form
+from eaqconv.simulate import verify_code
+from support import alice_part, corpus_items, ebit_count, golden_pairs, submatrix, zx_concat
 from verify_oracle import is_commuting, rank, row_space_equal
 
 H_EX1 = parse_matrix("1+D^2, 1+D+D^2")
@@ -157,6 +157,27 @@ def test_class_builders_reject_wrong_class():
     _, rec2 = classify(H_EX2, H_EX2)
     with pytest.raises(ClassMismatch):
         build_class1(rec2)
+
+
+@pytest.mark.parametrize("name, h1, h2", golden_pairs(), ids=[p[0] for p in golden_pairs()])
+def test_a_classified_record_builds_its_code_once(name, h1, h2):
+    """A build finishes the record's reduction in place, so a second build of the record is refused.
+
+    The refused build leaves the first spec as it was: it still verifies, and
+    its record's reduction, the standard form the build finished, stays
+    readable.  The other class's builder still names the record's class.
+    """
+    tag, record = classify(*(parse_matrix(t.replace(";", "\n")) for t in (h1, h2)))
+    build, other = (build_class1, build_class2) if tag == CLASS1 else (build_class2, build_class1)
+    spec = build(record)
+    gates = len(record.reduction.gates)
+    with pytest.raises(ClassMismatch, match="already built"):
+        build(record)
+    with pytest.raises(ClassMismatch, match=f"called on a {tag} record"):
+        other(record)
+    assert len(spec.record.reduction.gates) == gates
+    assert spec.record.reduction.trace == []
+    assert verify_code(spec, window=64).passed
 
 
 # -- general decomposition ------------------------------------------------------------

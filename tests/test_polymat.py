@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eaqconv import polymat
 from eaqconv.errors import DimensionMismatch
 from eaqconv.poly import LaurentPoly, RationalPoly, divides, gcd, parse_poly
 from eaqconv.polymat import format_matrix, parse_matrix, row_space_equal, rref
@@ -268,3 +269,18 @@ def test_matrix_text_round_trip():
 def test_matrix_text_comments():
     m = parse_matrix("# check matrix\n1, 1+D  # row 1\n")
     assert m == M("1, 1+D")
+
+
+def test_entry_constructor_shapes_and_immutability():
+    """The package's `PolyMatrix(entries)`: its shape from the grid or `cols`, ragged rows refused, rows compared and hashed, no attribute set."""
+    empty = polymat.PolyMatrix([])
+    assert (empty.rows, empty.cols) == (0, 0)
+    assert polymat.PolyMatrix([], cols=3).cols == 3
+    with pytest.raises(DimensionMismatch, match="ragged rows"):
+        polymat.PolyMatrix([[RationalPoly.one()], [RationalPoly.one(), RationalPoly.zero()]])
+    m = polymat.PolyMatrix([[RationalPoly(P("1"), P("1+D")), P("D")]])
+    parsed = parse_matrix("1/(1+D), D")
+    assert m == parsed and hash(m) == hash(parsed)
+    assert repr(m) == "PolyMatrix('1/(1+D), D')"
+    with pytest.raises(AttributeError, match="immutable"):
+        m.rows = 2

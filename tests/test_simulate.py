@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eaqconv import gates
+from eaqconv import gates, simulate
 from eaqconv.cli import EXAMPLES
 from eaqconv.construct import build_code
 from eaqconv.errors import WindowTooSmall
@@ -361,6 +361,28 @@ def test_a_move_table_mutant_fails_the_window_check(monkeypatch):
         report = verify_code(build_code(parse_matrix(h1), parse_matrix(h2)))
         window = next(c for c in report.checks if c.name == "window simulation")
         assert not window.passed, window.detail
+
+
+def test_a_window_only_mutant_fails_only_the_window_check(monkeypatch):
+    """INF feedback that lands one frame late in the window alone: checks 1-3 pass, check 4 names its mismatches.
+
+    Both runners share the move table, so the mutant acts where only the
+    window runs: it shifts the X track one frame after `_apply_inf`.
+    """
+    apply_inf = simulate._apply_inf
+
+    def late(win, q, rule):
+        apply_inf(win, q, rule)
+        win.x[q] = win._shifted(win.x[q], 1)
+
+    monkeypatch.setattr(simulate, "_apply_inf", late)
+    h1, h2 = EXAMPLES["infinite-depth"]
+    report = verify_code(build_code(parse_matrix(h1), parse_matrix(h2)), window=32)
+    assert [c.passed for c in report.checks] == [True, True, True, False]
+    assert report.checks[3].detail == (
+        "63 generator copies compared; first mismatches "
+        "[('ebit-Z1', -8), ('ebit-Z1', -7), ('ebit-Z1', -6), ('ebit-Z1', -5)]"
+    )
 
 
 def test_verify_window_too_small():

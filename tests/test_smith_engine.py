@@ -24,13 +24,13 @@ from eaqconv.construct import build_code
 from eaqconv.errors import EaqconvError
 from eaqconv.poly import LaurentPoly
 from eaqconv.polymat import parse_matrix
-from smith_oracle import GridHooks
+from smith_oracle import GridHooks, replay
 from support import corpus_items
 
 RANDOM_GRIDS = 1200
 
 
-class _Log(polymat.SmithHooks):
+class _Log:
     """Hears the package engine's log: records every operation as (kind, i, j, f)."""
 
     def __init__(self):
@@ -83,7 +83,7 @@ def _package_run(block):
     engine = polymat.SmithEngine(block)
     rank = engine.run()
     log = _Log()
-    polymat.replay(engine.ops, log)
+    replay(engine.ops, log)
     return log.ops, rank, _block(engine)
 
 

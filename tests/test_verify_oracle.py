@@ -12,12 +12,17 @@ so must `shifted_symplectic` and `symplectic_gram`.  Checks (a)-(c) of
 `verify_code` are compared as (name, passed, detail) on both worked
 examples and the 12 pairs of tests/golden/random_codes.json, built as they
 are and spoiled: one encoder or decoder gate deleted, one final-stabilizer
-entry perturbed by D, and the decoded columns swapped.
+entry perturbed by D, and the decoded columns swapped.  The bare stream's
+logical rows are also edited so that each early FAIL return of the decode
+check fires: a logical row that fails to commute with the stabilizer, two
+logical qubits that fail to be independent, and same-type logicals that
+anticommute.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -27,7 +32,7 @@ from eaqconv.cli import EXAMPLES
 from eaqconv.construct import build_code
 from eaqconv.gates import Circuit, QuantumCheckMatrix
 from eaqconv.pauli import CheckRow, shifted_symplectic
-from eaqconv.poly import LaurentPoly, RationalPoly
+from eaqconv.poly import ONE, LaurentPoly, RationalPoly
 from eaqconv.polymat import parse_matrix, row_space_equal, rref
 from eaqconv.simulate import verify_code
 from smith_oracle import PolyMatrix
@@ -240,3 +245,56 @@ def test_code_checks_match_the_rational_checks(name, h1, h2):
     deleted = range(len(gates)) if name in EXAMPLES else sorted(rng.sample(range(len(gates)), min(6, len(gates))))
     decoded = [assert_same_checks(_spoiled(spec, decoder=Circuit(gates[:i] + gates[i + 1:])))[2][1] for i in deleted]
     assert not spec.k or not all(decoded)
+
+
+TWO_LOGICALS = ("n4d2-1", "n4d2-4", "n4d2-7", "n6d3-9", "n6d3-10", "n6d3-11", "n6d3-12")
+
+
+def _logicals_edited(spec, edit):
+    """spec with the logical rows of its bare stream changed by edit(zn, xn, col), col(q) the column of qubit q.
+
+    No gate changes a shifted symplectic product, so no replaced encoder or
+    decoder can make the decode check's product tests fail; a bare stream
+    whose logical rows break them can.
+    """
+    bare, info = spec.bare, spec.bare.info
+    zn, xn = [list(row) for row in info.zn], [list(row) for row in info.xn]
+    edit(zn, xn, lambda q: next(j for j, e in enumerate(info.xn[2 * q]) if e))
+    info = QuantumCheckMatrix.from_rows(tuple(map(tuple, zn)), tuple(map(tuple, xn)), info.dens, info.cols,
+                                        info.bob_cols, info.row_labels)
+    return dataclasses.replace(spec, bare=QuantumCheckMatrix.from_rows(
+        bare.zn, bare.xn, bare.dens, bare.cols, bare.bob_cols, bare.row_labels, info))
+
+
+def _assert_decode_fails(spec, detail):
+    checks = assert_same_checks(spec)
+    assert checks[2] == ("decoded logical operators", False, detail)
+    assert checks[0][1] and checks[1][1]
+
+
+@pytest.mark.parametrize("name, h1, h2", golden_pairs(), ids=[p[0] for p in golden_pairs()])
+def test_a_logical_that_fails_to_commute_is_reported(name, h1, h2):
+    """X1 gains an X where the first stabilizer row has a Z."""
+    spec = _build(h1, h2)
+    j = max(j for j, e in enumerate(spec.bare.zn[0]) if e)
+
+    def edit(zn, xn, col):
+        xn[0][j] = ONE
+
+    _assert_decode_fails(_logicals_edited(spec, edit), "decoded logical row 1 fails to commute with the stabilizer")
+
+
+@pytest.mark.parametrize("name, h1, h2", [p for p in golden_pairs() if p[0] in TWO_LOGICALS], ids=TWO_LOGICALS)
+def test_logicals_that_fail_to_pair_are_reported(name, h1, h2):
+    """X1 gains X2's column: qubits 1 and 2 are not independent.  X2 gains Z1's column: X1 and X2 anticommute."""
+    spec = _build(h1, h2)
+    assert spec.k >= 2
+
+    def entangled(zn, xn, col):
+        xn[0][col(1)] = ONE
+
+    def crossed(zn, xn, col):
+        zn[2][col(0)] = ONE
+
+    _assert_decode_fails(_logicals_edited(spec, entangled), "logical qubits 1 and 2 fail to be independent")
+    _assert_decode_fails(_logicals_edited(spec, crossed), "same-type logicals 1, 2 anticommute")

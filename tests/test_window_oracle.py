@@ -10,7 +10,8 @@ stacks its rows: four to six source rows, windows of 1-40 frames, delays of up
 to two windows and infinite-depth factors wider than the window.  The encoders
 of both worked examples are compared at W=32, and the block-aligned
 comparison that `verify_code` runs is checked against a row-by-row one,
-with and without mismatches.  Finally, after every gate of the seeded cases
+with and without mismatches, and on hand-made windows where a source has
+no algebraic block.  Finally, after every gate of the seeded cases
 and of the encoders of the golden codes at W=64 and W=128, a track's
 head-invalid (tail-invalid) frames must come with its head (tail) spill
 flag, which lets the simulator decide damage from the flags alone; the
@@ -260,6 +261,23 @@ def test_interior_match_agrees_with_the_row_by_row_comparison():
             assert got == oracle.interior_match(sim, alg), f"seed {seed}"
             outcomes.add((got[0] > 0, bool(got[1])))
     assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("window, scratch", [(4, 1), (8, 0), (8, 2)])
+def test_interior_match_skips_a_source_with_no_algebraic_block(window, scratch):
+    """A source row that is zero on the algebraic side has no block there, so its copies are skipped.
+
+    Both sources fit the hand-made windows; the second is zero in the
+    algebraic state only, so none of its copies is compared or reported,
+    whichever window holds it, and the first source's copies all agree.
+    """
+    state = QuantumCheckMatrix(parse_matrix("1, 0\n0, 1+D"), parse_matrix("0, D\n1, 0"))
+    first_only = QuantumCheckMatrix(parse_matrix("1, 0\n0, 0"), parse_matrix("0, D\n0, 0"))
+    win, alg = simulate.expand(state, window, scratch), simulate.expand(first_only, window, scratch)
+    assert [blk.source for blk in win.blocks] == [0, 1] and [blk.source for blk in alg.blocks] == [0]
+    copies = alg.blocks[0].count
+    for sim, other in ((win, alg), (alg, win)):
+        assert simulate._interior_match(sim, other) == (copies, []) == oracle.interior_match(sim, other)
 
 
 def _assert_flags_cover_invalid_frames(win):
