@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the lines of src/eaqconv/ that no benchmark op runs.
+"""Print the lines of src/eaqconv/ that no benchmark op runs; exit 1 unless each is explained.
 
 Run from the repository root:
 
@@ -14,11 +14,13 @@ all modules.  The package is imported under the tracer, so
 module-level code counts as run.  Standard library only.
 
 scripts/unrun.txt explains functions, one a line: `module:qualified name`,
-its class (typed-error branch, acceptance API, or move or delete) and a test
-that reaches it, split by ` | `.  An unrun line is explained when the
-function that holds it, or a function it is nested in, has such a line; the
-script prints the number of the others on each module's line and, summed,
-last, as `unexplained: N`.
+its class (see the file's legend) and the tests that reach its unrun lines,
+split by ` | `.  An unrun line is explained when the function that holds it,
+or a function it is nested in, has such a line; the script prints the
+number of the others on each module's line and, summed, last, as
+`unexplained: N`.  An entry whose function holds no unrun line is stale,
+and each is printed as `stale: <entry>`.  The exit status is 1 when any
+line is unexplained or any entry stale, else 0.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ def explained() -> set[str]:
 def main() -> int:
     ran, known = ran_lines(), explained()
     total = unexplained = 0
+    used = set()  # the entries that explain an unrun line
     for path in sorted(SRC.glob("*.py")):
         owner = executable_lines(path)
         lines = sorted(owner)
@@ -98,7 +101,9 @@ def main() -> int:
             else:
                 spans.append([owner[line], line, line])
         unrun = [line for line in lines if (str(path), line) not in ran]
-        left = sum(f"{path.name}:{owner[line].split('.<locals>.')[0]}" not in known for line in unrun)
+        holders = [f"{path.name}:{owner[line].split('.<locals>.')[0]}" for line in unrun]
+        used.update(known.intersection(holders))
+        left = sum(name not in known for name in holders)
         total += len(unrun)
         unexplained += left
         print(f"{path.name}: {len(unrun)} of {len(lines)} executable lines not run, {left} unexplained")
@@ -106,7 +111,10 @@ def main() -> int:
             print(f"  {name}  {first}" + (f"-{last}" if last != first else ""))
     print(f"total: {total} executable lines not run")
     print(f"unexplained: {unexplained}")
-    return 0
+    stale = sorted(known - used)
+    for name in stale:
+        print(f"stale: {name}")
+    return 1 if unexplained or stale else 0
 
 
 if __name__ == "__main__":

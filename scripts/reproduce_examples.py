@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from eaqconv.construct import build_code
-from eaqconv.gates import format_circuit
+from eaqconv.gates import format_gate
 from eaqconv.polymat import format_rows, parse_matrix
 from eaqconv.simulate import verify_code
 
@@ -42,7 +42,8 @@ def run(name, h_text):
     for step in spec.decode_trace:
         show_state(step.label, step.state)
     print("encoder:")
-    print("  " + format_circuit(spec.encoder).replace("\n", "\n  "))
+    for g in spec.encoder:
+        print("  " + format_gate(g))
     report = verify_code(spec)
     print(report.to_text())
     print()

@@ -150,8 +150,7 @@ class _Reduction:
         self.z = [list(row) for row in h1] + [[ZERO] * self.n for _ in h2]
         self.x = [[ZERO] * self.n for _ in range(top)] + [list(row) for row in h2]
         self.gates: list[Gate] = []
-        self.row_ids = list(range(self.rows))
-        self.row_scales: dict[int, int] = {}
+        self.scales = [0] * self.rows  # the D^k each row position has been scaled by
         self.want_trace = want_trace
         self.trace: list[TraceStep] = []
         self.built = False
@@ -192,14 +191,13 @@ class _Reduction:
     def row_swap(self, i: int, j: int):
         self.z[i], self.z[j] = self.z[j], self.z[i]
         self.x[i], self.x[j] = self.x[j], self.x[i]
-        self.row_ids[i], self.row_ids[j] = self.row_ids[j], self.row_ids[i]
+        self.scales[i], self.scales[j] = self.scales[j], self.scales[i]
         self._snapshot("swap rows {}, {}", i + 1, j + 1)
 
     def row_scale(self, pos: int, k: int):
         self.z[pos] = [a.shift(k) for a in self.z[pos]]
         self.x[pos] = [a.shift(k) for a in self.x[pos]]
-        rid = self.row_ids[pos]
-        self.row_scales[rid] = self.row_scales.get(rid, 0) + k
+        self.scales[pos] += k
         self._snapshot("row {} *= D^{}", pos + 1, k)
 
     # column operation helpers realized as gates ------------------------------
@@ -820,7 +818,7 @@ def _assemble(record, bare, pair, stage, tail, info_fix, logical_cols, decoded_c
     evolved = encoder.apply(bare)
 
     # undo the mental row scalings recorded during the reduction
-    unscale = {pair[red.row_ids.index(rid)]: -kexp for rid, kexp in red.row_scales.items() if kexp}
+    unscale = {pair[pos]: -k for pos, k in enumerate(red.scales) if k}
     final = _permute_rows(_scale_rows(evolved, unscale) if unscale else evolved, pair)
 
     # The decoder starts from the received stream with those scalings

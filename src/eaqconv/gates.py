@@ -59,6 +59,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DimensionMismatch
+from .pauli import CheckRow, symplectic_numerator
 from .poly import ONE, ZERO, LaurentPoly, canonical_pair, common_denominator, format_poly, lowest_terms
 from .polymat import PolyMatrix
 
@@ -203,9 +204,7 @@ class QuantumCheckMatrix:
     def rows(self) -> int:
         return len(self.dens)
 
-    def row(self, i: int):
-        from .pauli import CheckRow
-
+    def row(self, i: int) -> CheckRow:
         return CheckRow(self.z.entries[i], self.x.entries[i])
 
     def symplectic_numerators(self) -> tuple[list[LaurentPoly], list[list[LaurentPoly]]]:
@@ -213,8 +212,6 @@ class QuantumCheckMatrix:
 
         Only i <= j is multiplied out; N[j][i] is N[i][j](D^-1).
         """
-        from .pauli import symplectic_numerator
-
         rows = [z + x for z, x in zip(self.zn, self.xn)]
         num = [[ZERO] * len(rows) for _ in rows]
         for i, a in enumerate(rows):
@@ -508,10 +505,6 @@ def format_gate(g: Gate) -> str:
         return f"CPHASE_SELF {star}{g.i + 1} delay={g.delay}"
     rev = " reversed" if g.time_reversed else ""
     return f"INF {star}{g.i + 1} f={format_poly(g.f)}{rev}"
-
-
-def format_circuit(c: Circuit) -> str:
-    return "\n".join(format_gate(g) for g in c.gates)
 
 
 # -- infinite-depth synthesis ----------------------------------------------------

@@ -144,8 +144,6 @@ class LaurentPoly:
 
     def delay_free(self) -> tuple[LaurentPoly, int]:
         """Split off the unit: self = D^k * p with del(p) = 0; returns (p, k)."""
-        if self.bits == 0:
-            return LaurentPoly.zero(), 0
         return LaurentPoly(self.bits, 0), self.low
 
     # -- arithmetic --------------------------------------------------------
@@ -204,11 +202,8 @@ def divmod_shifted(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, Laurent
     Both operands are shifted by D^-v with v = min(del a, del b) so the
     division happens in GF(2)[D]; deg r < deg b there.  The quotient is
     unchanged by the common shift and the remainder is shifted back.
+    A zero b raises ZeroDivisionError from `_bits_divmod`.
     """
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return LaurentPoly.zero(), LaurentPoly.zero()
     v = min(a.low, b.low)
     qb, rb = _bits_divmod(a.bits << (a.low - v), b.bits << (b.low - v))
     return LaurentPoly(qb, 0), LaurentPoly(rb, v)
@@ -298,8 +293,6 @@ def divides(a: LaurentPoly, b: LaurentPoly) -> bool:
     """a | b over the Laurent ring (powers of D are units)."""
     if a.is_zero():
         return b.is_zero()
-    if b.is_zero():
-        return True
     return _bits_divmod(b.bits, a.bits)[1] == 0
 
 

@@ -64,7 +64,6 @@ the provably-exact bits.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -152,12 +151,6 @@ class BinarySymplecticWindow:
     def bit(self, frame: int, qubit: int) -> int:
         return 1 << (frame * self.n_per_frame + qubit)
 
-    def letter(self, row: WindowRow, frame: int, qubit: int) -> str:
-        b = self.bit(frame, qubit)
-        z = 1 if row.z & b else 0
-        x = 1 if row.x & b else 0
-        return {(0, 0): "I", (0, 1): "X", (1, 1): "Y", (1, 0): "Z"}[(z, x)]
-
     # -- whole-window operations on planes ----------------------------------------
 
     def _head(self, k: int) -> int:
@@ -207,8 +200,8 @@ class BinarySymplecticWindow:
         return ((ends >> k) | self._tail(k)) & rows
 
 
-class _Rows(Sequence):
-    """The window's rows as `WindowRow`s; unpacked on first access, while len() stays cheap."""
+class _Rows:
+    """The window's rows as `WindowRow`s, to iterate; unpacked on first access, while len() stays cheap."""
 
     def __init__(self, win: BinarySymplecticWindow):
         self._win = win
@@ -222,14 +215,8 @@ class _Rows(Sequence):
             self._list = _unpack(self._win)
         return self._list
 
-    def __getitem__(self, i):
-        return self._unpacked()[i]
-
     def __iter__(self):
         return iter(self._unpacked())
-
-    def __eq__(self, other):
-        return isinstance(other, Sequence) and self._unpacked() == list(other)
 
 
 def _unpack(win: BinarySymplecticWindow) -> list[WindowRow]:

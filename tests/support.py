@@ -17,7 +17,7 @@
 - `submatrix(m, rows, cols)`: the entries of a `PolyMatrix` at the given
   rows and columns.
 - `parse_gate(line)` and `parse_circuit(text)`: read back the text that
-  `eaqconv.gates.format_gate` and `format_circuit` print.
+  `eaqconv.gates.format_gate` prints, one gate a line.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from eaqconv import gates, polymat
+from eaqconv import cli, gates, polymat
 from eaqconv.cli import EXAMPLES, main
 from eaqconv.construct import build_code, code_params
-from eaqconv.errors import EaqconvError, InternalError, ValidationError
+from eaqconv.errors import ClassMismatch, EaqconvError, InternalError, ValidationError
 from eaqconv.poly import ONE, LaurentPoly, RationalPoly
 from support import golden_pairs
 
@@ -220,6 +220,18 @@ def test_internal_error_is_typed_and_exits_5(capsys, monkeypatch):
     assert "--h1 '1+D^2, 1+D+D^2' --h2 'D, 1+D'" in err
 
 
+def test_any_other_typed_error_exits_1(capsys, monkeypatch):
+    """A typed error that is no parse, validation or internal error prints its message and exits 1."""
+
+    def mismatch(h1, h2):
+        raise ClassMismatch("a record of another class")
+
+    monkeypatch.setattr(cli, "build_code", mismatch)
+    for command in ("build", "verify"):
+        code, out, err = run(capsys, command, "--h1", "1, 1+D", "--h2", "1, 1+D")
+        assert (code, out, err) == (1, "", "error: a record of another class\n")
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--h1", "1+D^2, 1+D+D^2", "--h2", "1+D^2, 1+D+D^2", "--window", "12")
     assert code == 0
@@ -265,6 +277,15 @@ def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
+def test_the_module_exits_with_the_status_of_main():
+    """`python -m eaqconv.cli` passes main's return value to the process exit status."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = ["build", "--h1", "1+D, 1+D", "--h2", "1, 1+D"]
+    proc = subprocess.run([sys.executable, "-m", "eaqconv.cli", *argv], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "validation error: H1 is catastrophic: invariant factor 1+D != 1\n"
+
+
 def test_matrix_file_input(tmp_path, capsys):
     path = tmp_path / "h.mat"
     path.write_text("# one generator per frame\n1+D^2, 1+D+D^2\n", encoding="utf-8")
@@ -294,6 +315,18 @@ def test_examples_regenerate_golden_text(capsys):
     code, out, _ = run(capsys, "examples")
     assert code == 0
     assert out == (GOLDEN / "examples.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_examples_stop_at_the_first_failed_verification(capsys, fmt):
+    """At --window 1 the first example fails its verification: examples exits 4 without running the second."""
+    code, out, _ = run(capsys, "examples", "--window", "1", "--format", fmt)
+    assert code == 4
+    if fmt == "text":
+        assert out.startswith("=== example: finite-depth ===\n") and "FAIL" in out
+        assert "infinite-depth" not in out
+    else:
+        assert out == ""
 
 
 def test_examples_regenerate_golden_json(capsys):

@@ -28,7 +28,6 @@ from eaqconv.construct import (
     decompose_general,
     validate_inputs,
 )
-from eaqconv.gates import format_circuit
 from eaqconv.poly import LaurentPoly, RationalPoly, parse_poly
 from eaqconv.polymat import (
     PolyMatrix,

@@ -19,7 +19,6 @@ from eaqconv.gates import (
     cnot,
     cphase,
     cphase_self,
-    format_circuit,
     format_gate,
     hadamard,
     inf_depth,
@@ -439,7 +438,7 @@ def test_circuit_text_round_trip():
             phase(0),
         )
     )
-    text = format_circuit(circ)
+    text = "\n".join(map(format_gate, circ.gates))
     assert "CNOT 1 2 delay=1" in text
     assert "INF 3 f=1+D+D^3" in text
     assert "CNOT *1 *3 delay=0" in text

@@ -137,6 +137,7 @@ BAD_CELLS = (
     ("1/", "empty polynomial"),
     ("(1+D)/(Q)", "bad term 'Q'"),
     ("1+D)/(1", "bad term 'D)/(1'"),
+    ("(1)+(D)", "bad term '(1)'"),  # outer parentheses that do not enclose the whole cell stay
 )
 
 

@@ -93,6 +93,11 @@ def test_symplectic_single_qubit_anticommute():
     assert shifted_symplectic(h1, h2) == RationalPoly.one()
 
 
+def test_check_row_halves_must_match():
+    with pytest.raises(DimensionMismatch, match="z and x halves differ in length"):
+        CheckRow((RationalPoly(parse_poly("1")),), ())
+
+
 def test_symplectic_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         shifted_symplectic(row(["0"], ["1"]), ROW1)

@@ -120,6 +120,9 @@ def test_deg_del_zero_signal():
         ZERO.deg
     with pytest.raises(ValueError):
         ZERO.dell
+    assert P("D^-1+D^2").width == 3
+    with pytest.raises(ValueError, match="width is undefined"):
+        ZERO.width
 
 
 def test_gcd_self():
@@ -152,6 +155,18 @@ def test_divmod_shifted_identity(a, b):
         assert r.deg - va < b.deg - va + 1  # deg r < deg b in the common frame
 
 
+@pytest.mark.parametrize("a", ["0", "1", "D^-2+D"])
+def test_divmod_shifted_by_zero_raises(a):
+    with pytest.raises(ZeroDivisionError, match="division by zero polynomial"):
+        divmod_shifted(P(a), ZERO)
+
+
+def test_zero_divides_only_zero():
+    assert divides(ZERO, ZERO)
+    assert not divides(ZERO, ONE) and not divides(ZERO, P("D^-1+D"))
+    assert divides(P("1+D"), ZERO)
+
+
 # -- rational normalization --------------------------------------------------
 
 
@@ -164,6 +179,14 @@ def test_rational_normal_form():
 def test_rational_gcd_reduced():
     r = RationalPoly(P("1+D^2"), P("1+D"))  # (1+D)^2/(1+D)
     assert r.num == P("1+D") and r.den == ONE
+
+
+def test_rational_poly_is_immutable():
+    r = RationalPoly(P("1+D"), P("1+D+D^2"))
+    for name in ("num", "den"):
+        with pytest.raises(AttributeError, match="RationalPoly is immutable"):
+            setattr(r, name, ONE)
+    assert (r.num, r.den) == (P("1+D"), P("1+D+D^2"))
 
 
 def test_rational_zero_den_rejected():
@@ -288,6 +311,7 @@ def test_rational_format_goldens():
     assert format_rational(P("1+D"), P("1+D+D^2")) == "(1+D)/(1+D+D^2)"
     assert format_rational(P("1+D"), ONE) == "1+D"
     assert str(RationalPoly(P("1+D"), P("1+D+D^2"))) == "(1+D)/(1+D+D^2)"
+    assert repr(RationalPoly(ONE, P("1+D"))) == "RationalPoly('1/(1+D)')"
 
 
 def test_rational_format_reduces_the_pair():
