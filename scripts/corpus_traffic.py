@@ -19,13 +19,19 @@ split by ` | `.  An unrun line is explained when the function that holds it,
 or a function it is nested in, has such a line; the script prints the
 number of the others on each module's line and, summed, last, as
 `unexplained: N`.  An entry whose function holds no unrun line is stale,
-and each is printed as `stale: <entry>`.  The exit status is 1 when any
-line is unexplained or any entry stale, else 0.
+and each is printed as `stale: <entry>`.  Each test an entry names,
+`tests/<file>.py::<name>` with an optional `[<param>]`, must name a `def`
+of that file, found with `ast` (no test is run); each that does not is
+printed as `missing test: <test>`.  The exit status is 1 when any line is
+unexplained, any entry stale or any test missing, else 0.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -79,10 +85,25 @@ def ran_lines() -> set[tuple[str, int]]:
     return ran
 
 
-def explained() -> set[str]:
-    """The `module:qualified name` of every function that scripts/unrun.txt explains."""
+def explained() -> dict[str, list[str]]:
+    """{`module:qualified name`: the tests named for it} over every function that scripts/unrun.txt explains."""
     lines = EXPLAINED.read_text(encoding="utf-8").splitlines()
-    return {line.split(" | ")[0] for line in lines if line and not line.startswith("#")}
+    entries = (line.split(" | ") for line in lines if line and not line.startswith("#"))
+    return {name: re.split(r", (?=tests/)", tests) for name, _, tests in entries}
+
+
+@functools.cache
+def test_defs(path: str) -> set[str]:
+    """The names of the functions a test file defines, at any depth; none when the file does not exist."""
+    file = ROOT / path
+    tree = ast.parse(file.read_text(encoding="utf-8")) if file.is_file() else ast.Module(body=[], type_ignores=[])
+    return {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def missing_tests(named) -> list[str]:
+    """The named tests, `tests/<file>.py::<name>[<param>]`, whose file defines no function <name>."""
+    form = re.compile(r"(tests/[\w/]+\.py)::(\w+)(\[.*\])?")
+    return [test for test in named if not ((match := form.fullmatch(test)) and match[2] in test_defs(match[1]))]
 
 
 def main() -> int:
@@ -102,7 +123,7 @@ def main() -> int:
                 spans.append([owner[line], line, line])
         unrun = [line for line in lines if (str(path), line) not in ran]
         holders = [f"{path.name}:{owner[line].split('.<locals>.')[0]}" for line in unrun]
-        used.update(known.intersection(holders))
+        used.update(known.keys() & set(holders))
         left = sum(name not in known for name in holders)
         total += len(unrun)
         unexplained += left
@@ -111,10 +132,13 @@ def main() -> int:
             print(f"  {name}  {first}" + (f"-{last}" if last != first else ""))
     print(f"total: {total} executable lines not run")
     print(f"unexplained: {unexplained}")
-    stale = sorted(known - used)
+    stale = sorted(known.keys() - used)
     for name in stale:
         print(f"stale: {name}")
-    return 1 if unexplained or stale else 0
+    missing = missing_tests(test for tests in known.values() for test in tests)
+    for test in missing:
+        print(f"missing test: {test}")
+    return 1 if unexplained or stale or missing else 0
 
 
 if __name__ == "__main__":

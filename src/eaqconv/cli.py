@@ -17,6 +17,15 @@ entries).  Exit codes: 0 success, 1 any other typed error (such as
 validation error, 4 verification failure, 5 internal error (stderr also
 repeats --h1/--h2 as given, so the failing input can be reported; from
 `params` it can only come from the classification).
+
+Each subcommand forms one JSON record and renders its text report from it.
+The build report formats each gate and row once: the encoder ends in the
+reduction's gates reversed and the decoder starts with them, so both print
+the reduction's text wherever they hold its very gate objects, and the
+measurable stabilizer prints each row it shares with the final stabilizer,
+both over denominator 1, from the final's text.  JSON is printed as
+`json.dumps(record, indent=2)` would print it, with each list of only
+strings or only ints encoded and joined in C.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import os
 import sys
 
@@ -52,13 +62,19 @@ def _load_matrix(arg: str):
     return parse_matrix(arg.replace(";", "\n"))
 
 
-def _qcm_json(qcm):
-    return {
-        "bob_cols": qcm.bob_cols,
-        "z": format_rows(qcm.zn, qcm.dens),
-        "x": format_rows(qcm.xn, qcm.dens),
-        "row_labels": list(qcm.row_labels),
-    }
+def _qcm_json(qcm, printed=None):
+    """The matrix's record.  `printed` is the (matrix, record) pair of a matrix already formatted: a row that holds
+    the very row tuples of that matrix's row at its index, both over denominator 1, takes the text of that row."""
+    z, x = [], []
+    pm, pr = printed or (qcm, None)
+    for r, (zr, xr, d) in enumerate(zip(qcm.zn, qcm.xn, qcm.dens)):
+        if pr and r < pm.rows and zr is pm.zn[r] and xr is pm.xn[r] and d.bits == pm.dens[r].bits == 1:
+            z.append(pr["z"][r])
+            x.append(pr["x"][r])
+        else:
+            z += format_rows([zr], [d])
+            x += format_rows([xr], [d])
+    return {"bob_cols": qcm.bob_cols, "z": z, "x": x, "row_labels": list(qcm.row_labels)}
 
 
 def _qcm_lines(record):
@@ -85,23 +101,82 @@ def _params_json(code):
     }
 
 
+def _gate_lines(spec):
+    """The encoder's and the decoder's `format_gate` lines.  The encoder ends in the reduction's gates R reversed and
+    the decoder starts with R, so each takes R's text, formatted once, where it holds R's very Gate objects."""
+    red = spec.record.reduction.gates
+    text, n = list(map(format_gate, red)), len(red)
+    enc, dec = spec.encoder.gates, spec.decoder.gates
+    cut = len(enc) - n
+    ends_in_red = cut >= 0 and all(map(operator.is_, reversed(enc), red))
+    starts_with_red = len(dec) >= n and all(map(operator.is_, dec, red))
+    encoder = [*map(format_gate, enc[:cut]), *reversed(text)] if ends_in_red else list(map(format_gate, enc))
+    decoder = [*text, *map(format_gate, dec[n:])] if starts_with_red else list(map(format_gate, dec))
+    return encoder, decoder
+
+
 def _spec_report_json(spec):
     """The build report: the `_params_json` record, the invariant factors placed before its rates, then the code."""
     params = _params_json(spec)
     rates = params.pop("rates")
+    encoder, decoder = _gate_lines(spec)
+    final = _qcm_json(spec.final_stabilizer)
     return {
         **params,
         "invariant_factors": [str(g) for g in spec.record.product_factors],
         "rates": rates,
-        "encoder": [format_gate(g) for g in spec.encoder],
-        "decoder": [format_gate(g) for g in spec.decoder],
-        "final_stabilizer": _qcm_json(spec.final_stabilizer),
-        "measurable_stabilizer": _qcm_json(spec.measurable_stabilizer),
+        "encoder": encoder,
+        "decoder": decoder,
+        "final_stabilizer": final,
+        "measurable_stabilizer": _qcm_json(spec.measurable_stabilizer, (spec.final_stabilizer, final)),
         "measurement_multipliers": [str(m) for m in spec.measurement_multipliers],
         "logical_columns": [c + 1 for c in spec.logical_cols],
         "decoded_columns": [c + 1 for c in spec.decoded_cols],
         "decoded_offsets": list(spec.decoded_offsets),
     }
+
+
+_JOINED = {str: json.encoder.encode_basestring_ascii, int: int.__repr__}
+
+
+def _json(value) -> str:
+    """`json.dumps(value, indent=2)`, byte for byte.  A list (or tuple) of only strs or only ints is encoded and joined
+    in one C-level join; a dict key or scalar other than a str, int, bool or None falls back to `json.dumps`."""
+    out = []
+    _put(value, "\n", out)
+    return "".join(out)
+
+
+def _put(v, nl, out):
+    """Append the text of v, nested at the indent that nl (a newline and that indent) opens, to out."""
+    t, inner = type(v), nl + "  "
+    if t is str or t is int:
+        out.append(_JOINED[t](v))
+    elif v is None or t is bool:
+        out.append("null" if v is None else "true" if v else "false")
+    elif (t is list or t is tuple or t is dict) and not v:
+        out.append("{}" if t is dict else "[]")
+    elif t is list or t is tuple:
+        kinds = set(map(type, v))
+        enc = _JOINED.get(kinds.pop()) if len(kinds) == 1 else None
+        if enc:
+            out += "[", inner, ("," + inner).join(map(enc, v)), nl, "]"
+        else:
+            lead = "[" + inner
+            for x in v:
+                out.append(lead)
+                _put(x, inner, out)
+                lead = "," + inner
+            out += nl, "]"
+    elif t is dict and set(map(type, v)) == {str}:
+        lead = "{" + inner
+        for k, x in v.items():
+            out += lead, _JOINED[str](k), ": "
+            _put(x, inner, out)
+            lead = "," + inner
+        out += nl, "}"
+    else:
+        out.append(json.dumps(v, indent=2).replace("\n", nl))
 
 
 def _rates_line(rates):
@@ -140,7 +215,7 @@ def _spec_report_text(spec):
 
 def cmd_build(args) -> int:
     spec = build_code(_load_matrix(args.h1), _load_matrix(args.h2))
-    print(json.dumps(_spec_report_json(spec), indent=2) if args.format == "json" else _spec_report_text(spec))
+    print(_json(_spec_report_json(spec)) if args.format == "json" else _spec_report_text(spec))
     return 0
 
 
@@ -148,7 +223,7 @@ def cmd_params(args) -> int:
     _, record = classify(_load_matrix(args.h1), _load_matrix(args.h2))
     doc = _params_json(record)
     text = f"[[{doc['n']}, {doc['k']}; {doc['c']}]] class={doc['class']}\n{_rates_line(doc['rates'])}"
-    print(json.dumps(doc, indent=2) if args.format == "json" else text)
+    print(_json(doc) if args.format == "json" else text)
     return 0
 
 
@@ -157,7 +232,7 @@ def cmd_verify(args) -> int:
     report = verify_code(spec, window=args.window, scratch=args.scratch)
     if args.format == "json":
         payload = {"schema": SCHEMA_VERSION, "params": _params_json(spec), **report.to_json_dict()}
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         print(report.to_text())
     return 0 if report.passed else 4
@@ -187,7 +262,7 @@ def cmd_examples(args) -> int:
         if not report.passed:
             return 4
     if args.format == "json":
-        print(json.dumps({"schema": SCHEMA_VERSION, "examples": payloads}, indent=2))
+        print(_json({"schema": SCHEMA_VERSION, "examples": payloads}))
     return 0
 
 

@@ -57,7 +57,7 @@ flagged) or K (b only).  The cap commutes with max and +, and the tail side
 is the mirror image.  Comparisons against the exact algebra then use only
 the provably-exact bits.
 
-`BinarySymplecticWindow.rows` unpacks the planes, on first access, into one
+`BinarySymplecticWindow.rows` unpacks the planes, on first iteration, into one
 `WindowRow` per copy (bit frame*m + qubit of its z and x masks, and one
 `TrackState` per track).
 """
@@ -123,6 +123,23 @@ def _repeat(count: int, stride: int) -> int:
     return ((1 << count * stride) - 1) // ((1 << stride) - 1)
 
 
+class _Rows:
+    """A window's rows as `WindowRow`s, to iterate: the window unpacks them on first iteration and keeps them, while
+    len() reads its row count.  The view holds the window and the window holds no view, so neither forms a cycle."""
+
+    def __init__(self, win: BinarySymplecticWindow):
+        self._win = win
+
+    def __len__(self) -> int:
+        return self._win.count
+
+    def __iter__(self):
+        win = self._win
+        if win._unpacked is None:
+            win._unpacked = _unpack(win)
+        return iter(win._unpacked)
+
+
 @dataclass
 class BinarySymplecticWindow:
     """The stacked track planes of a window (layout in the module docstring)."""
@@ -146,7 +163,9 @@ class BinarySymplecticWindow:
         self._base = _repeat(self.count, self.window + 1)  # frame 0 of every row
         self._full = (self._base << self.window) - self._base  # every frame of every row
         self._heads, self._tails = {}, {}
-        self.rows = _Rows(self)
+        self._unpacked = None
+
+    rows = property(_Rows)
 
     def bit(self, frame: int, qubit: int) -> int:
         return 1 << (frame * self.n_per_frame + qubit)
@@ -198,25 +217,6 @@ class BinarySymplecticWindow:
         if sign < 0:
             return ((ends << k) | self._head(k)) & rows
         return ((ends >> k) | self._tail(k)) & rows
-
-
-class _Rows:
-    """The window's rows as `WindowRow`s, to iterate; unpacked on first access, while len() stays cheap."""
-
-    def __init__(self, win: BinarySymplecticWindow):
-        self._win = win
-        self._list = None
-
-    def __len__(self) -> int:
-        return self._win.count
-
-    def _unpacked(self) -> list[WindowRow]:
-        if self._list is None:
-            self._list = _unpack(self._win)
-        return self._list
-
-    def __iter__(self):
-        return iter(self._unpacked())
 
 
 def _unpack(win: BinarySymplecticWindow) -> list[WindowRow]:
