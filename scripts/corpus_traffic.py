@@ -57,9 +57,9 @@ def executable_lines(path: Path) -> dict[int, str]:
     return owner
 
 
-def ran_lines() -> set[tuple[str, int]]:
-    """(file, line) of every line of src/eaqconv/ that the ops ran."""
-    ran, prefix = set(), str(SRC)
+def tracer(ran: set):
+    """A `sys.settrace` function that adds (file, line) to ran for each line of src/eaqconv/ it sees run."""
+    prefix = str(SRC)
 
     def local(frame, event, arg):
         if event == "line":
@@ -69,7 +69,18 @@ def ran_lines() -> set[tuple[str, int]]:
     def calls(frame, event, arg):
         return local if frame.f_code.co_filename.startswith(prefix) else None
 
-    sys.settrace(calls)
+    return calls
+
+
+def holder(path: Path, name: str) -> str:
+    """The `module:qualified name` that explains a line whose innermost code object is name: its outermost function."""
+    return f"{path.name}:{name.split('.<locals>.')[0]}"
+
+
+def ran_lines() -> set[tuple[str, int]]:
+    """(file, line) of every line of src/eaqconv/ that the ops ran."""
+    ran = set()
+    sys.settrace(tracer(ran))
     try:
         import eaqconv.cli
 
@@ -122,7 +133,7 @@ def main() -> int:
             else:
                 spans.append([owner[line], line, line])
         unrun = [line for line in lines if (str(path), line) not in ran]
-        holders = [f"{path.name}:{owner[line].split('.<locals>.')[0]}" for line in unrun]
+        holders = [holder(path, owner[line]) for line in unrun]
         used.update(known.keys() & set(holders))
         left = sum(name not in known for name in holders)
         total += len(unrun)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from eaqconv.construct import build_code, classify, validate_inputs
+from eaqconv.construct import build_code, decompose_general, validate_inputs
 from eaqconv.errors import EaqconvError, ValidationError
 from eaqconv.poly import LaurentPoly, RationalPoly
 from eaqconv.polymat import PolyMatrix, format_matrix
@@ -77,7 +77,7 @@ def main():
         try:
             spec = build_code(h1, h2)
             report = verify_code(spec, window=args.window)
-            _, record = classify(h1, h2)
+            record = decompose_general(h1, h2)
         except EaqconvError as exc:  # admitted input must give a verified code
             failures += 1
             print(f"{i + 1:3d}. {type(exc).__name__}: {exc}  FAIL")
@@ -94,7 +94,7 @@ def main():
             failures += 1
             print_pair(h1, h2)
             if not same_params:
-                print(f"     classify gives (n, k, c, s, class) = {params(record)}, the build {params(spec)}")
+                print(f"     decompose_general gives (n, k, c, s, class) = {params(record)}, the build {params(spec)}")
             print("     " + report.to_text().replace("\n", "\n     "))
     print(f"\nclasses: {dict(tally)}  failures: {failures}  ({time.time() - t0:.1f}s)")
     return 1 if failures else 0

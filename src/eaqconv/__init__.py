@@ -13,11 +13,7 @@ from .construct import (
     CLASS2_SPECIAL,
     CodeSpec,
     DecompositionRecord,
-    build_class1,
-    build_class2,
     build_code,
-    classify,
-    code_params,
     decompose_general,
     validate_inputs,
 )

@@ -10,13 +10,12 @@ Subcommands:
 
 Check matrices are given with --h1/--h2 as either a file path or an inline
 matrix (rows separated by ';', entries by ',', polynomial grammar for the
-entries).  Exit codes: 0 success, 1 any other typed error (such as
-`ClassMismatch` from the circuit synthesis of `build`, `verify` or
-`examples`), 2 parse or usage error (including a --window below 1, a
---scratch below 0, or a matrix file that cannot be read as UTF-8 text), 3
-validation error, 4 verification failure, 5 internal error (stderr also
-repeats --h1/--h2 as given, so the failing input can be reported; from
-`params` it can only come from the classification).
+entries).  Exit codes: 0 success, 1 any other typed error (a backstop that
+no known input reaches), 2 parse or usage error (including a --window
+below 1, a --scratch below 0, or a matrix file that cannot be read as
+UTF-8 text), 3 validation error, 4 verification failure, 5 internal error
+(stderr also repeats --h1/--h2 as given, so the failing input can be
+reported; from `params` it can only come from the classification).
 
 Each subcommand forms one JSON record and renders its text report from it.
 The build report formats each gate and row once: the encoder ends in the
@@ -37,7 +36,7 @@ import operator
 import os
 import sys
 
-from .construct import build_code, classify, code_params
+from .construct import build_code, decompose_general
 from .errors import EaqconvError, InternalError, PolyParseError, ValidationError
 from .gates import format_gate
 from .polymat import format_rows, parse_matrix
@@ -85,18 +84,19 @@ def _qcm_lines(record):
 
 
 def _params_json(code):
-    p = code_params(code)
+    """The [[n, k; c]] parameters, class and rates of a `DecompositionRecord` or a `CodeSpec`."""
+    rates = code.rates
     return {
         "schema": SCHEMA_VERSION,
-        "n": p["n"],
-        "k": p["k"],
-        "c": p["c"],
-        "s": p["s"],
-        "class": p["class"],
+        "n": code.n,
+        "k": code.k,
+        "c": code.c,
+        "s": code.s,
+        "class": code.class_tag,
         "rates": {
-            "entanglement_assisted": str(p["entanglement_assisted_rate"]),
-            "tradeoff": [str(r) for r in p["tradeoff_rate"]],
-            "catalytic": str(p["catalytic_rate"]),
+            "entanglement_assisted": str(rates.entanglement_assisted),
+            "tradeoff": [str(r) for r in rates.tradeoff],
+            "catalytic": str(rates.catalytic),
         },
     }
 
@@ -220,8 +220,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_params(args) -> int:
-    _, record = classify(_load_matrix(args.h1), _load_matrix(args.h2))
-    doc = _params_json(record)
+    doc = _params_json(decompose_general(_load_matrix(args.h1), _load_matrix(args.h2)))
     text = f"[[{doc['n']}, {doc['k']}; {doc['c']}]] class={doc['class']}\n{_rates_line(doc['rates'])}"
     print(_json(doc) if args.format == "json" else text)
     return 0

@@ -27,7 +27,8 @@ from the E block of the standard form (see `DecompositionRecord`):
 
 `_Reduction.play` plays every Smith log: the standard form, the class-1
 finish and the special finish play the runs of admission (on H2) and the
-classification (on E, on the massaged F).  A record builds its code once.
+classification (on E, on the massaged F).  `build_code` classifies the pair
+by `decompose_general` and finishes the fresh record's reduction in place.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from fractions import Fraction
 
 from .errors import (
     CatastrophicInput,
-    ClassMismatch,
     InternalError,
     NotDelayFree,
     RankDeficient,
@@ -138,7 +138,7 @@ class _Reduction:
     batch of logged gates is also stepped through `apply_gate` from the
     state before it, so the trace holds the state after every gate while
     the grids change as in a plain reduction.  `play` plays a Smith log on a
-    block of the grids; `built` marks a reduction that a build has finished.
+    block of the grids.
     """
 
     def __init__(self, h1, h2, want_trace: bool = False):
@@ -153,7 +153,6 @@ class _Reduction:
         self.scales = [0] * self.rows  # the D^k each row position has been scaled by
         self.want_trace = want_trace
         self.trace: list[TraceStep] = []
-        self.built = False
         self._snapshot("initial quantum check matrix")
 
     def state(self) -> QuantumCheckMatrix:
@@ -279,12 +278,12 @@ def _reduce_block(red, side, row0, col0, shape, **play) -> int:
     return rank
 
 
-def _power_diagonal(grid, row0, col0, count, error, message):
-    """Entries (row0 + t, col0 + t), t < count, each a power of D; else raises error(message.format(entry))."""
+def _power_diagonal(grid, row0, col0, count, message):
+    """Entries (row0 + t, col0 + t), t < count, each a power of D; else raises InternalError(message.format(entry))."""
     diag = [grid[row0 + t][col0 + t] for t in range(count)]
     for e in diag:
         if e.weight() != 1:
-            raise error(message.format(e))
+            raise InternalError(message.format(e))
     return diag
 
 
@@ -321,11 +320,17 @@ class DecompositionRecord:
     f_massaged: list[list[LaurentPoly]] | None
     e_ops: list
     f_ops: list | None
-    reduction: _Reduction | None = None
+    reduction: _Reduction
 
     @property
     def k(self) -> int:
         return self.k1 + self.k2 - self.n + self.c
+
+    @property
+    def rates(self) -> Rates:
+        """The three rate interpretations, known once the pair is classified."""
+        n, k, c = self.n, self.k, self.c
+        return Rates(Fraction(k, n), (Fraction(k, n), Fraction(c, n)), Fraction(k - c, n))
 
 
 def _standard_form_stage(red: _Reduction, h1_basis, h2_ops):
@@ -432,11 +437,6 @@ def decompose_general(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) 
     )
 
 
-def classify(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False):
-    record = decompose_general(h1, h2, want_trace=want_trace)
-    return record.class_tag, record
-
-
 # -- code specification ------------------------------------------------------------
 
 
@@ -476,25 +476,6 @@ class CodeSpec:
     @property
     def h2(self) -> list[list[LaurentPoly]]:
         return self.record.h2
-
-
-def code_params(code: CodeSpec | DecompositionRecord) -> dict:
-    """The [[n, k; c]] parameters and the three rate interpretations, known once the code is classified."""
-    rates = _rates(code.n, code.k, code.c)
-    return {
-        "n": code.n,
-        "k": code.k,
-        "c": code.c,
-        "s": code.s,
-        "class": code.class_tag,
-        "entanglement_assisted_rate": rates.entanglement_assisted,
-        "tradeoff_rate": rates.tradeoff,
-        "catalytic_rate": rates.catalytic,
-    }
-
-
-def _rates(n, k, c) -> Rates:
-    return Rates(Fraction(k, n), (Fraction(k, n), Fraction(c, n)), Fraction(k - c, n))
 
 
 def _bare_state(n, c, ebit_cols, anc_a, anc_b, logical_cols):
@@ -584,7 +565,7 @@ def _finish_class1(record: DecompositionRecord):
     # diagonalize the E block in place by the classification's run (its factors are powers of D)
     identity_rows = {col: n - k1 + col for col in range(n - k2)}
     red.play(record.e_ops, "z", 0, 0, identity_rows=identity_rows, note="E-block")
-    gamma = _power_diagonal(red.z, 0, 0, c, ClassMismatch, "invariant factor {} of E is not a power of D")
+    gamma = _power_diagonal(red.z, 0, 0, c, "invariant factor {} of E is not a power of D")
     red._snapshot("E diagonalized")
     # swap every column to the Hadamard frame, then clear the ebit rows' F entries
     for col in range(n):
@@ -601,25 +582,14 @@ def _finish_class1(record: DecompositionRecord):
     got = _reduce_block(red, "x", c, n - k2, (r2, k2), note="F2-block")
     if got < r2:
         raise InternalError("ancilla cross block lost rank; the input should have been rejected")
-    _power_diagonal(red.x, c, n - k2, r2, InternalError, "ancilla cross factor {} is not a power of D")
+    _power_diagonal(red.x, c, n - k2, r2, "ancilla cross factor {} is not a power of D")
     for t in range(r2):
         red.hadamard(n - k2 + t, "frame-swap")
     red._snapshot("reduced form")
 
 
-def _finishing(record: DecompositionRecord, builder: str, *tags: str) -> _Reduction:
-    """The record's reduction, marked built; ClassMismatch for a record of another class or one built before."""
-    if record.class_tag not in tags:
-        raise ClassMismatch(f"{builder} called on a {record.class_tag} record")
+def _build_class1(record: DecompositionRecord) -> CodeSpec:
     red = record.reduction
-    if red.built:
-        raise ClassMismatch(f"{builder} called on a record that was already built; classify the pair again")
-    red.built = True
-    return red
-
-
-def build_class1(record: DecompositionRecord) -> CodeSpec:
-    red = _finishing(record, "build_class1", CLASS1)
     n, k1, k2, c, k = record.n, record.k1, record.k2, record.c, record.k
     _finish_class1(record)
 
@@ -636,6 +606,7 @@ def build_class1(record: DecompositionRecord) -> CodeSpec:
 
 
 def _finish_class2(record: DecompositionRecord):
+    """Finish a class-2 reduction: (Gamma2, the special F diagonal's Gamma2' or None, the L block or None)."""
     red = record.reduction
     n, k1, k2, c, s = red.n, red.k1, red.k2, record.c, record.s
     special = record.class_tag == CLASS2_SPECIAL
@@ -644,7 +615,7 @@ def _finish_class2(record: DecompositionRecord):
     if special:
         # the classification's Smith run on the cross block; its diagonal becomes powers of D
         red.play(record.f_ops, "z", 0, n - k2, note="F-block")
-        _power_diagonal(red.z, 0, n - k2, n - k1, ClassMismatch, "special-case cross factor is not a power of D")
+        _power_diagonal(red.z, 0, n - k2, n - k1, "special-case cross factor is not a power of D")
         red._snapshot("F diagonalized")
     _reduce_block(red, "z", 0, 0, (n - k1, n - k2), identity_rows=identity_rows,
                   gamma_f_col0=n - k2 if special else None, note="E-block")
@@ -662,11 +633,11 @@ def _finish_class2(record: DecompositionRecord):
     if len(gamma1) != s:
         raise InternalError(f"unit-factor count {len(gamma1)} disagrees with s={s}")
     red._snapshot("E diagonalized")
-    blocks = {"Gamma2": gamma2}
+    g2p = lmat = None
 
     if special:
-        gp = _power_diagonal(red.z, 0, n - k2, n - k1, ClassMismatch, "special-case F diagonal lost its power-of-D form")
-        blocks["Gamma2p"] = gp[s:c]
+        gp = _power_diagonal(red.z, 0, n - k2, n - k1, "special-case F diagonal lost its power-of-D form")
+        g2p = gp[s:c]
         for i in range(s):
             red.z_coladd(i, n - k2 + i, LaurentPoly.term(gp[i].dell - gamma1[i].dell), note="clear-G1p")
         red._snapshot("ebit cross entries cleared")
@@ -676,7 +647,7 @@ def _finish_class2(record: DecompositionRecord):
             got = _reduce_block(red, "z", c, n - k2, (r3, k2), note="F3-block")
             if got < r3:
                 raise InternalError("ancilla cross block lost rank; the input should have been rejected")
-            gamma_f3 = _power_diagonal(red.z, c, n - k2, r3, InternalError, "ancilla cross factor {} is not a power of D")
+            gamma_f3 = _power_diagonal(red.z, c, n - k2, r3, "ancilla cross factor {} is not a power of D")
             for r in range(c):
                 for j in range(r3):
                     phi = red.z[r][n - k2 + j]
@@ -698,22 +669,20 @@ def _finish_class2(record: DecompositionRecord):
             for j in range(i + 1, c - s):
                 if not lmat[i][j].is_zero():
                     raise InternalError("column-only reduction failed to reach lower-triangular form")
-        blocks["L"] = lmat
         red._snapshot("cross rows triangularized")
 
     # flip the plain-ancilla columns into the Z frame
     for col in range(c, n - k2):
         red.hadamard(col, "frame-swap")
     red._snapshot("reduced form")
-    return blocks
+    return gamma2, g2p, lmat
 
 
-def build_class2(record: DecompositionRecord) -> CodeSpec:
-    red = _finishing(record, "build_class2", CLASS2, CLASS2_SPECIAL)
-    n, k1, k2, c, s, k = record.n, record.k1, record.k2, record.c, record.s, record.k
+def _build_class2(record: DecompositionRecord) -> CodeSpec:
+    red = record.reduction
+    n, k1, k2, c, s = record.n, record.k1, record.k2, record.c, record.s
     special = record.class_tag == CLASS2_SPECIAL
-    blocks = _finish_class2(record)
-    gamma2 = blocks["Gamma2"]
+    gamma2, g2p, lmat = _finish_class2(record)
     cs = c - s
     f0 = n - k2
 
@@ -741,7 +710,6 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
     # tail that unravels it once the finite-depth part is undone
     stage, tail = [], []
     if special:
-        g2p = blocks["Gamma2p"]
         for j in range(cs):
             stage.append(hadamard(mid_cols[j], note="ebit-stage"))
         for j in range(cs):
@@ -762,7 +730,6 @@ def build_class2(record: DecompositionRecord) -> CodeSpec:
         for j in range(cs):
             tail.append(hadamard(last_cols[j], note="ebit-unstage"))
     else:
-        lmat = blocks["L"]
         for i in range(cs):
             for j in range(cs):
                 for exp in lmat[i][j].exponents():
@@ -862,7 +829,7 @@ def _assemble(record, bare, pair, stage, tail, info_fix, logical_cols, decoded_c
         final_stabilizer=final,
         measurable_stabilizer=measurable,
         measurement_multipliers=mults,
-        rates=_rates(record.n, record.k, record.c),
+        rates=record.rates,
         record=record,
         logical_cols=tuple(logical_cols),
         decoded_cols=tuple(decoded_cols),
@@ -874,8 +841,6 @@ def _assemble(record, bare, pair, stage, tail, info_fix, logical_cols, decoded_c
 
 
 def build_code(h1: PolyMatrix, h2: PolyMatrix, want_trace: bool = False) -> CodeSpec:
-    """The full pipeline: validate, classify, and synthesize the code."""
-    tag, record = classify(h1, h2, want_trace=want_trace)
-    if tag == CLASS1:
-        return build_class1(record)
-    return build_class2(record)
+    """The full pipeline: validate, classify by `decompose_general`, and synthesize the code."""
+    record = decompose_general(h1, h2, want_trace=want_trace)
+    return (_build_class1 if record.class_tag == CLASS1 else _build_class2)(record)

@@ -51,10 +51,6 @@ class RankDeficient(ValidationError):
         super().__init__(f"{which} is rank deficient: rank {rank} < {rows} rows")
 
 
-class ClassMismatch(EaqconvError):
-    """A class-specific builder was handed a record it cannot build: one of another class, or one already built."""
-
-
 class WindowTooSmall(EaqconvError):
     """The simulation window cannot hold the requested supports."""
 

@@ -101,12 +101,6 @@ class Gate(_GateFields):
             raise ValueError("infinite-depth gate needs a nonzero polynomial")
         return tuple.__new__(cls, (kind, i, j, delay, f, time_reversed, full_frame, note))
 
-    def inverse(self) -> Gate:
-        """All finite-depth gates are involutions in the binary picture."""
-        if self.kind == "INF":
-            raise ValueError("infinite-depth operations have no finite-depth inverse")
-        return self
-
 
 def cnot(i: int, j: int, delay: int = 0, **kw) -> Gate:
     return Gate("CNOT", i, j, delay, **kw)
@@ -417,9 +411,10 @@ class Circuit:
         return all(g.kind != "INF" for g in self.gates)
 
     def inverse(self) -> Circuit:
+        """The gates reversed: every finite-depth gate is an involution in the binary picture."""
         if not self.is_finite_depth():
             raise ValueError("cannot invert a circuit with infinite-depth operations")
-        return Circuit(tuple(g.inverse() for g in reversed(self.gates)))
+        return Circuit(self.gates[::-1])
 
     @cached_property
     def _runs(self) -> tuple:

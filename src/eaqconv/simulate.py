@@ -70,7 +70,7 @@ from typing import NamedTuple
 from .errors import WindowTooSmall
 from .gates import _MOVES, Circuit, QuantumCheckMatrix, SlidingWindowRule, gate_columns, synthesize_infinite_depth, time_reversed_rule
 from .pauli import symplectic_numerator
-from .poly import ONE, ZERO, LaurentPoly, RationalPoly, divides, series_expand
+from .poly import ONE, ZERO, LaurentPoly, canonical_pair, divides, format_rational, series_expand
 from .polymat import echelon, residue, row_space_equal
 
 
@@ -437,7 +437,7 @@ def run_circuit(win: BinarySymplecticWindow, circuit: Circuit) -> BinarySymplect
 
 def default_scratch(circuit: Circuit) -> int:
     """Head padding: four frames per infinite-depth degree, minimum four."""
-    pads = [4 * g.f.width for g in circuit if g.kind == "INF" and not g.f.is_zero()]
+    pads = [4 * g.f.width for g in circuit if g.kind == "INF"]
     neg = [-g.delay for g in circuit if g.kind in ("CNOT", "CPHASE") and g.delay < 0]
     return max(pads + neg + [4])
 
@@ -508,7 +508,7 @@ def _check_decode(spec, evolved: QuantumCheckMatrix) -> tuple[bool, str]:
                 if prod:
                     return False, f"logical qubits {qa + 1} and {qb + 1} fail to be independent"
             elif prod.bits != (unit := dx.reverse() * dz).bits:
-                return False, f"logical pair {qa + 1} has pairing {RationalPoly(prod, unit)} instead of a unit"
+                return False, f"logical pair {qa + 1} has pairing {format_rational(*canonical_pair(prod, unit))} instead of a unit"
             if qa < qb:
                 za, xb = info[2 * qa + 1][1], info[2 * qb][1]
                 if symplectic_numerator(xa, xb) or symplectic_numerator(za, zb):

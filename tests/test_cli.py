@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from eaqconv import cli, gates, polymat
+from eaqconv import cli, construct, gates, polymat
 from eaqconv.cli import EXAMPLES, main
-from eaqconv.construct import build_code, code_params
-from eaqconv.errors import ClassMismatch, EaqconvError, InternalError, ValidationError
+from eaqconv.construct import CLASS1, build_code
+from eaqconv.errors import DimensionMismatch, EaqconvError, InternalError, ValidationError
 from eaqconv.poly import ONE, LaurentPoly, RationalPoly
 from support import golden_pairs
 
@@ -79,10 +79,10 @@ def _unfiltered_pairs(tier):
 
 
 def _printed_params(h1, h2):
-    """{format: (exit code, stdout, stderr)} of printing code_params(build_code(h1, h2)),
+    """{format: (exit code, stdout, stderr)} of printing the parameters and rates of build_code(h1, h2),
     or of its typed error, and the class or error kind."""
     try:
-        p = code_params(build_code(*(polymat.parse_matrix(t.replace(";", "\n")) for t in (h1, h2))))
+        spec = build_code(*(polymat.parse_matrix(t.replace(";", "\n")) for t in (h1, h2)))
     except ValidationError as exc:
         failed, kind = (3, "", f"validation error: {exc}\n"), type(exc).__name__
     except InternalError as exc:
@@ -90,10 +90,11 @@ def _printed_params(h1, h2):
     except EaqconvError as exc:
         failed, kind = (1, "", f"error: {exc}\n"), type(exc).__name__
     else:
-        rates = (p["entanglement_assisted_rate"], *p["tradeoff_rate"], p["catalytic_rate"])
+        p = {"n": spec.n, "k": spec.k, "c": spec.c, "s": spec.s, "class": spec.class_tag}
+        rates = (spec.rates.entanglement_assisted, *spec.rates.tradeoff, spec.rates.catalytic)
         doc = {
             "schema": 1,
-            **{key: p[key] for key in ("n", "k", "c", "s", "class")},
+            **p,
             "rates": {
                 "entanglement_assisted": str(rates[0]),
                 "tradeoff": [str(rates[1]), str(rates[2])],
@@ -109,7 +110,7 @@ def _printed_params(h1, h2):
 
 
 def test_params_matches_the_full_build(capsys):
-    """`params` prints exactly what code_params(build_code(...)) gives, or the same typed error,
+    """`params` prints exactly the parameters and rates of build_code(...), or the same typed error,
     on unfiltered tier S, M and L pairs; one sha256 pins every output."""
     digest = hashlib.sha256()
     outcomes = set()
@@ -210,26 +211,46 @@ def test_the_pipeline_builds_no_rational_poly(capsys, monkeypatch):
 
 
 def test_internal_error_is_typed_and_exits_5(capsys, monkeypatch):
-    monkeypatch.setattr(polymat, "_SMITH_CAP", 1)
-    h = polymat.parse_matrix("1+D^2, 1+D+D^2")
-    with pytest.raises(InternalError, match="operation budget"):
-        build_code(h, h)
-    code, _, err = run(capsys, "build", "--h1", "1+D^2, 1+D+D^2", "--h2", "D, 1+D")
+    """A Smith run over its operation budget, and a finish whose E diagonal is no power of D, each exit 5.
+
+    `build_code` finishes the record it has just classified, so only a broken
+    construction invariant reaches a power-of-D guard: here a class-2 record
+    handed to the class-1 finish.  stderr echoes the input either way.
+    """
+    with monkeypatch.context() as patch:
+        patch.setattr(polymat, "_SMITH_CAP", 1)
+        h = polymat.parse_matrix("1+D^2, 1+D+D^2")
+        with pytest.raises(InternalError, match="operation budget"):
+            build_code(h, h)
+        code, _, err = run(capsys, "build", "--h1", "1+D^2, 1+D+D^2", "--h2", "D, 1+D")
     assert code == 5
     assert err.startswith("internal error: Smith reduction exceeded its operation budget")
     assert "--h1 '1+D^2, 1+D+D^2' --h2 'D, 1+D'" in err
+
+    decompose = construct.decompose_general
+
+    def misclassified(*args, **kw):
+        record = decompose(*args, **kw)
+        record.class_tag = CLASS1
+        return record
+
+    monkeypatch.setattr(construct, "decompose_general", misclassified)
+    assert run(capsys, "build", "--h1", "1, 1+D", "--h2", "1, 1+D") == (5, "", (
+        "internal error: invariant factor 1+D+D^2 of E is not a power of D\n"
+        "input: --h1 '1, 1+D' --h2 '1, 1+D'\n"
+    ))
 
 
 def test_any_other_typed_error_exits_1(capsys, monkeypatch):
     """A typed error that is no parse, validation or internal error prints its message and exits 1."""
 
     def mismatch(h1, h2):
-        raise ClassMismatch("a record of another class")
+        raise DimensionMismatch("ragged rows")
 
     monkeypatch.setattr(cli, "build_code", mismatch)
     for command in ("build", "verify"):
         code, out, err = run(capsys, command, "--h1", "1, 1+D", "--h2", "1, 1+D")
-        assert (code, out, err) == (1, "", "error: a record of another class\n")
+        assert (code, out, err) == (1, "", "error: ragged rows\n")
 
 
 def test_verify_pass(capsys):

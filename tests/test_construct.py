@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from eaqconv import construct
 from eaqconv.errors import (
     CatastrophicInput,
-    ClassMismatch,
     NotDelayFree,
     RankDeficient,
     ValidationError,
@@ -20,11 +20,7 @@ from eaqconv.construct import (
     CLASS1,
     CLASS2,
     CLASS2_SPECIAL,
-    build_class1,
-    build_class2,
     build_code,
-    classify,
-    code_params,
     decompose_general,
     validate_inputs,
 )
@@ -37,8 +33,7 @@ from eaqconv.polymat import (
     parse_matrix,
 )
 from smith_oracle import GridHooks, invariant_factors, replay, smith_form
-from eaqconv.simulate import verify_code
-from support import alice_part, corpus_items, ebit_count, golden_pairs, submatrix, zx_concat
+from support import alice_part, corpus_items, ebit_count, submatrix, zx_concat
 from verify_oracle import is_commuting, rank, row_space_equal
 
 H_EX1 = parse_matrix("1+D^2, 1+D+D^2")
@@ -129,54 +124,24 @@ def test_ebit_count_goldens():
 
 
 def test_classify_first_example():
-    tag, record = classify(H_EX1, H_EX1)
-    assert tag == CLASS1
+    record = decompose_general(H_EX1, H_EX1)
+    assert record.class_tag == CLASS1
     assert record.c == 1 and record.s == 1
     assert [str(g) for g in record.product_factors] == ["1"]
 
 
 def test_classify_second_example():
-    tag, record = classify(H_EX2, H_EX2)
-    assert tag == CLASS2_SPECIAL
+    record = decompose_general(H_EX2, H_EX2)
+    assert record.class_tag == CLASS2_SPECIAL
     assert record.c == 1 and record.s == 0
     assert [str(g) for g in record.product_factors] == ["1+D+D^2"]
     assert record.f_massaged == laurent_grid(parse_matrix("1"))
 
 
 def test_classify_general_second_class():
-    tag, record = classify(H_GEN2, H_GEN2)
-    assert tag == CLASS2
+    record = decompose_general(H_GEN2, H_GEN2)
+    assert record.class_tag == CLASS2
     assert [str(g) for g in record.product_factors] == ["1+D+D^2"]
-
-
-def test_class_builders_reject_wrong_class():
-    _, rec1 = classify(H_EX1, H_EX1)
-    with pytest.raises(ClassMismatch):
-        build_class2(rec1)
-    _, rec2 = classify(H_EX2, H_EX2)
-    with pytest.raises(ClassMismatch):
-        build_class1(rec2)
-
-
-@pytest.mark.parametrize("name, h1, h2", golden_pairs(), ids=[p[0] for p in golden_pairs()])
-def test_a_classified_record_builds_its_code_once(name, h1, h2):
-    """A build finishes the record's reduction in place, so a second build of the record is refused.
-
-    The refused build leaves the first spec as it was: it still verifies, and
-    its record's reduction, the standard form the build finished, stays
-    readable.  The other class's builder still names the record's class.
-    """
-    tag, record = classify(*(parse_matrix(t.replace(";", "\n")) for t in (h1, h2)))
-    build, other = (build_class1, build_class2) if tag == CLASS1 else (build_class2, build_class1)
-    spec = build(record)
-    gates = len(record.reduction.gates)
-    with pytest.raises(ClassMismatch, match="already built"):
-        build(record)
-    with pytest.raises(ClassMismatch, match=f"called on a {tag} record"):
-        other(record)
-    assert len(spec.record.reduction.gates) == gates
-    assert spec.record.reduction.trace == []
-    assert verify_code(spec, window=64).passed
 
 
 # -- general decomposition ------------------------------------------------------------
@@ -243,14 +208,20 @@ def test_the_finish_starts_no_smith_run_on_a_block_the_classification_reduced(mo
         init(self, block)
 
     monkeypatch.setattr(SmithEngine, "__init__", recorded)
+    decompose = construct.decompose_general
+
+    def classified(*args, **kw):
+        record = decompose(*args, **kw)
+        started.clear()  # the finish starts here
+        return record
+
+    monkeypatch.setattr(construct, "decompose_general", classified)
     repeats = []
     for h1, h2 in _corpus_pairs():
-        tag, record = classify(h1, h2)
-        reduced = {CLASS1: record.e_mat, CLASS2_SPECIAL: record.f_massaged}.get(tag)
-        started.clear()
-        (build_class1 if tag == CLASS1 else build_class2)(record)
+        record = build_code(h1, h2).record
+        reduced = {CLASS1: record.e_mat, CLASS2_SPECIAL: record.f_massaged}.get(record.class_tag)
         if reduced in started:
-            repeats.append((tag, format_matrix(h1), format_matrix(h2)))
+            repeats.append((record.class_tag, format_matrix(h1), format_matrix(h2)))
     assert repeats == []
 
 
@@ -310,11 +281,11 @@ def test_example1_full_reproduction():
 
 def test_example1_parameters_and_rates():
     spec = build_code(H_EX1, H_EX1)
-    params = code_params(spec)
-    assert (params["n"], params["k"], params["c"]) == (2, 1, 1)
-    assert str(params["entanglement_assisted_rate"]) == "1/2"
-    assert tuple(str(r) for r in params["tradeoff_rate"]) == ("1/2", "1/2")
-    assert str(params["catalytic_rate"]) == "0"
+    assert (spec.n, spec.k, spec.c) == (2, 1, 1)
+    assert spec.rates == spec.record.rates == decompose_general(H_EX1, H_EX1).rates
+    assert str(spec.rates.entanglement_assisted) == "1/2"
+    assert tuple(str(r) for r in spec.rates.tradeoff) == ("1/2", "1/2")
+    assert str(spec.rates.catalytic) == "0"
 
 
 def test_example1_commutes_and_matches_input_row_space():

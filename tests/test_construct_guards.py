@@ -3,7 +3,8 @@
 No admitted input reaches these lines (`scripts/corpus_traffic.py` lists
 them), so each test builds the state a guard refuses: a malformed input
 pair, a hand-made reduction or check matrix, or a classified record whose
-finish is broken by a patched block reduction or a wrong count.  A guard
+finish is broken by a patched block reduction, a wrong count or a wrong
+class tag, handed to the private class builder.  A guard
 must name what it found, as a typed `EaqconvError`, rather than let a
 later step fail with a bare exception or print a wrong code.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from eaqconv import construct
-from eaqconv.construct import _monomial_offset, _power_diagonal, _Reduction, build_class1, build_class2, classify
+from eaqconv.construct import CLASS1, CLASS2_SPECIAL, _monomial_offset, _power_diagonal, _Reduction, decompose_general
 from eaqconv.errors import InternalError, NotDelayFree, ValidationError
 from eaqconv.gates import QuantumCheckMatrix
 from eaqconv.poly import ONE, ZERO, LaurentPoly
@@ -25,7 +26,7 @@ ONE_PLUS_D = LaurentPoly(0b11)
 
 
 def _record(h1: str, h2: str):
-    return classify(*(parse_matrix(t.replace(";", "\n")) for t in (h1, h2)))[1]
+    return decompose_general(*(parse_matrix(t.replace(";", "\n")) for t in (h1, h2)))
 
 
 def _golden(name: str):
@@ -49,9 +50,9 @@ def test_validation_names_each_malformed_input():
 
 def test_power_diagonal_names_the_first_entry_that_is_no_power_of_d():
     grid = [[D, ZERO], [ZERO, ONE_PLUS_D]]
-    assert _power_diagonal(grid, 0, 0, 1, InternalError, "{}") == [D]
+    assert _power_diagonal(grid, 0, 0, 1, "{}") == [D]
     with pytest.raises(InternalError, match=r"^factor 1\+D is not a power of D$"):
-        _power_diagonal(grid, 0, 0, 2, InternalError, "factor {} is not a power of D")
+        _power_diagonal(grid, 0, 0, 2, "factor {} is not a power of D")
 
 
 def test_play_keeps_the_f_diagonal_by_gates_or_raises():
@@ -84,7 +85,7 @@ def test_class1_finish_raises_when_the_ancilla_cross_block_loses_rank(monkeypatc
     monkeypatch.setattr(construct, "_reduce_block", lambda *args, **play: reduce_block(*args, **play) - 1)
     record = _golden("n4d2-4")  # class 1 with one ancilla cross row
     with pytest.raises(InternalError, match="ancilla cross block lost rank"):
-        build_class1(record)
+        construct._build_class1(record)
 
 
 def test_class2_finish_guards_raise(monkeypatch):
@@ -92,7 +93,7 @@ def test_class2_finish_guards_raise(monkeypatch):
     record = _golden("n4d2-3")
     record.s += 1
     with pytest.raises(InternalError, match=r"^unit-factor count 1 disagrees with s=2$"):
-        build_class2(record)
+        construct._build_class2(record)
 
     reduce_block = construct._reduce_block
 
@@ -107,10 +108,38 @@ def test_class2_finish_guards_raise(monkeypatch):
         patch.setattr(construct, "_reduce_block", lossy)
         record = _record("D^2, 1, 0; 1+D, D+D^2, D^2", "D, D^2, 1+D+D^2")  # class 2 with one ancilla cross row
         with pytest.raises(InternalError, match="ancilla cross block lost rank"):
-            build_class2(record)
+            construct._build_class2(record)
     with monkeypatch.context() as patch:
         patch.setattr(construct, "_reduce_block", no_l)
         record = _record("0, 1, 0, D+D^2; 1+D^2, D, D^2, D+D^2",
                          "1+D, 0, 1+D, 1+D+D^2; 1+D+D^2, 1+D^2, D+D^2, D")  # class 2 with c - s = 2
         with pytest.raises(InternalError, match="failed to reach lower-triangular form"):
-            build_class2(record)
+            construct._build_class2(record)
+
+
+def test_power_of_d_guards_raise_internal_errors(monkeypatch):
+    """A finish whose diagonal is no power of D raises InternalError with the guard's message.
+
+    A fresh record reaches its own class's finish, where the diagonals are
+    powers of D; here a record of another class, or an F diagonal broken
+    after the E block's reduction, trips the guard.
+    """
+    record = _record("1, 1+D", "1, 1+D")  # special, with the invariant factor 1+D+D^2
+    record.class_tag = CLASS1
+    with pytest.raises(InternalError, match=r"^invariant factor 1\+D\+D\^2 of E is not a power of D$"):
+        construct._build_class1(record)
+    record = _record("1+D, 1+D^2, 1+D+D^2", "1+D, 1+D^2, 1+D+D^2")  # class 2, not special
+    record.class_tag = CLASS2_SPECIAL
+    with pytest.raises(InternalError, match="^special-case cross factor is not a power of D$"):
+        construct._build_class2(record)
+
+    reduce_block = construct._reduce_block
+
+    def broken_f(red, side, row0, col0, shape, **play):
+        rank = reduce_block(red, side, row0, col0, shape, **play)
+        red.z[row0][play["gamma_f_col0"]] = ONE_PLUS_D
+        return rank
+
+    monkeypatch.setattr(construct, "_reduce_block", broken_f)
+    with pytest.raises(InternalError, match="^special-case F diagonal lost its power-of-D form$"):
+        construct._build_class2(_record("1, 1+D", "1, 1+D"))

@@ -201,11 +201,8 @@ def test_gate_record(make, fields, text, line):
     for name in ("kind", "i", "delay", "note"):
         with pytest.raises(AttributeError):
             setattr(g, name, getattr(g, name))
-    if g.kind == "INF":
-        with pytest.raises(ValueError, match="^infinite-depth operations have no finite-depth inverse$"):
-            g.inverse()
-    else:
-        assert g.inverse() is g
+    if g.kind != "INF":
+        assert Circuit((g,)).inverse().gates[0] is g
 
 
 # -- invariance properties ---------------------------------------------------------

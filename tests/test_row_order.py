@@ -28,7 +28,7 @@ from math import factorial
 
 import pytest
 
-from eaqconv.construct import CLASS2, CLASS2_SPECIAL, classify
+from eaqconv.construct import CLASS2, CLASS2_SPECIAL, decompose_general
 from eaqconv.errors import EaqconvError
 from eaqconv.poly import LaurentPoly
 from eaqconv.polymat import laurent_grid, parse_matrix
@@ -66,7 +66,7 @@ def _mix(rng, rows):
 def _params(rows1, rows2):
     """(class tag, (n, k, c, s, printed invariant factors)); a typed rejection is ("rejected", its message)."""
     try:
-        record = classify(parse_matrix("\n".join(rows1)), parse_matrix("\n".join(rows2)))[1]
+        record = decompose_general(parse_matrix("\n".join(rows1)), parse_matrix("\n".join(rows2)))
     except EaqconvError as exc:
         return "rejected", f"{type(exc).__name__}: {exc}"
     return record.class_tag, (record.n, record.k, record.c, record.s, tuple(map(str, record.product_factors)))
