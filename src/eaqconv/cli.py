@@ -18,9 +18,10 @@ UTF-8 text), 3 validation error, 4 verification failure, 5 internal error
 reported; from `params` it can only come from the classification).
 
 Each subcommand forms one JSON record and renders its text report from it.
-The build report formats each gate and row once: the encoder ends in the
-reduction's gates reversed and the decoder starts with them, so both print
-the reduction's text wherever they hold its very gate objects, and the
+The build report formats each gate and row once: it prints each term's line
+from its gate string, the encoder ends in the reduction's strings inverted
+and the decoder starts with them, so both print the reduction's text
+wherever they hold its very strings, and the
 measurable stabilizer prints each row it shares with the final stabilizer,
 both over denominator 1, from the final's text.  JSON is printed as
 `json.dumps(record, indent=2)` would print it, with each list of only
@@ -38,7 +39,7 @@ import sys
 
 from .construct import build_code, decompose_general
 from .errors import EaqconvError, InternalError, PolyParseError, ValidationError
-from .gates import format_gate
+from .gates import format_string
 from .polymat import format_rows, parse_matrix
 from .simulate import verify_code
 
@@ -102,16 +103,18 @@ def _params_json(code):
 
 
 def _gate_lines(spec):
-    """The encoder's and the decoder's `format_gate` lines.  The encoder ends in the reduction's gates R reversed and
-    the decoder starts with R, so each takes R's text, formatted once, where it holds R's very Gate objects."""
-    red = spec.record.reduction.gates
-    text, n = list(map(format_gate, red)), len(red)
-    enc, dec = spec.encoder.gates, spec.decoder.gates
+    """The encoder's and the decoder's `format_gate` lines, one per term.  The encoder ends in the reduction's strings
+    R inverted and the decoder starts with R, so each takes R's text, formatted once, where it holds R's strings: the
+    decoder R's very strings, the encoder each R string's very gate with its delays reversed."""
+    _lines = lambda strings: [line for s in strings for line in format_string(*s)]
+    red = spec.record.reduction.strings
+    text, n = _lines(red), len(red)
+    enc, dec = spec.encoder.strings, spec.decoder.strings
     cut = len(enc) - n
-    ends_in_red = cut >= 0 and all(map(operator.is_, reversed(enc), red))
+    ends_in_red = cut >= 0 and all(g is h and d[::-1] == e for (g, d), (h, e) in zip(reversed(enc), red))
     starts_with_red = len(dec) >= n and all(map(operator.is_, dec, red))
-    encoder = [*map(format_gate, enc[:cut]), *reversed(text)] if ends_in_red else list(map(format_gate, enc))
-    decoder = [*text, *map(format_gate, dec[n:])] if starts_with_red else list(map(format_gate, dec))
+    encoder = [*_lines(enc[:cut]), *reversed(text)] if ends_in_red else _lines(enc)
+    decoder = [*text, *_lines(dec[n:])] if starts_with_red else _lines(dec)
     return encoder, decoder
 
 

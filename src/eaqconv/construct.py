@@ -33,8 +33,10 @@ by `decompose_general` and finishes the fresh record's reduction in place.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     CatastrophicInput,
@@ -123,6 +125,16 @@ def _traced(trace, state: QuantumCheckMatrix, gates, order=None) -> QuantumCheck
     return state
 
 
+def _cnots(i: int, j: int, delays, note: str, full_frame: bool = False):
+    """The CNOT string from i to j with these delays, one or more: its first gate and the delays."""
+    return cnot(i, j, delays[0], full_frame=full_frame, note=note), delays
+
+
+def _alone(g: Gate):
+    """The string of g alone."""
+    return g, (g.delay,)
+
+
 def _axpy_entry(a: LaurentPoly, fb: int, fl: int, b: LaurentPoly) -> LaurentPoly:
     """a + f*b for f given as its (bits, low) pair and b nonzero, with no object for the product."""
     return LaurentPoly(*_axpy(a.bits, a.low, fb, fl, b.bits, b.low))
@@ -132,13 +144,13 @@ class _Reduction:
     """Mutable quantum check matrix with a gate log and mental row operations.
 
     The grids hold LaurentPoly entries: the reduction issues no INF gate.
-    A column addition logs its CNOTs and adds f times the source column at
-    once; column and row additions compute each entry they change on
+    `strings` logs one gate string per column operation; a column addition
+    by f logs the CNOT string of f's terms and adds f times the source
+    column at once, and row additions too compute each entry they change on
     (bits, low) pairs by the Smith engine's `_axpy`.  With want_trace, each
-    batch of logged gates is also stepped through `apply_gate` from the
-    state before it, so the trace holds the state after every gate while
-    the grids change as in a plain reduction.  `play` plays a Smith log on a
-    block of the grids.
+    string's gates are also stepped through `apply_gate` from the state
+    before it, so the trace holds the state after every gate while the grids
+    change as in a plain reduction.  `play` plays a Smith log on a block.
     """
 
     def __init__(self, h1, h2, want_trace: bool = False):
@@ -149,7 +161,7 @@ class _Reduction:
         self.rows = top + len(h2)
         self.z = [list(row) for row in h1] + [[ZERO] * self.n for _ in h2]
         self.x = [[ZERO] * self.n for _ in range(top)] + [list(row) for row in h2]
-        self.gates: list[Gate] = []
+        self.strings: list[tuple[Gate, list[int]]] = []
         self.scales = [0] * self.rows  # the D^k each row position has been scaled by
         self.want_trace = want_trace
         self.trace: list[TraceStep] = []
@@ -164,20 +176,20 @@ class _Reduction:
         if self.want_trace:
             self.trace.append(TraceStep(label.format(*args), self.state()))
 
-    def _logged(self, gates):
-        """Append gates to the log, before the grids take their action.
+    def _logged(self, *strings):
+        """Append the strings, (gate, delays) each, to the log, before the grids take their action.
 
         Raises IndexError for qubits outside the frame.  A traced reduction
-        steps the gates from the current state, one trace step per gate.
+        steps their gates from the current state, one trace step per gate.
         """
-        gate_columns(gates[0], self.n, 0)
+        gate_columns(strings[0][0], self.n, 0)
         if self.want_trace:
-            _traced(self.trace, self.state(), gates)
-        self.gates.extend(gates)
+            _traced(self.trace, self.state(), Circuit.from_strings(strings))
+        self.strings += strings
 
     def hadamard(self, col: int, note: str):
         """Exchange the Z and X entries of column col via a Hadamard."""
-        self._logged([hadamard(col, note=note)])
+        self._logged(_alone(hadamard(col, note=note)))
         for z, x in zip(self.z, self.x):
             z[col], x[col] = x[col], z[col]
 
@@ -201,14 +213,14 @@ class _Reduction:
 
     # column operation helpers realized as gates ------------------------------
 
-    def _coladd(self, fwd, back, src: int, dst: int, f: LaurentPoly, gates: list[Gate]):
-        """fwd col dst += f * fwd col src and back col src += f(D^-1) * back col dst, logged as gates.
+    def _coladd(self, fwd, back, src: int, dst: int, f: LaurentPoly, string):
+        """fwd col dst += f * fwd col src and back col src += f(D^-1) * back col dst, logged as a CNOT string.
 
-        The gates are CNOTs sharing control and target, one per exponent e
-        of the nonzero f, so they commute and their joint action is the sum
-        of theirs, added at once.
+        Its CNOTs share control and target, one per exponent e of the
+        nonzero f, so they commute and their joint action is the sum of
+        theirs, added at once.
         """
-        self._logged(gates)
+        self._logged(string)
         fb, fl, rev = f.bits, f.low, f.reverse()
         rb, rl = rev.bits, rev.low
         for p, q in zip(fwd, back):
@@ -219,15 +231,15 @@ class _Reduction:
 
     def z_coladd(self, src: int, dst: int, f: LaurentPoly, note: str = ""):
         """Z col dst += f * Z col src via CNOTs (X side: col src += f(D^-1) col dst)."""
-        self._coladd(self.z, self.x, src, dst, f, [cnot(dst, src, -e, note=note) for e in f.exponents()])
+        self._coladd(self.z, self.x, src, dst, f, _cnots(dst, src, [-e for e in f.exponents()], note))
 
     def x_coladd(self, src: int, dst: int, f: LaurentPoly, note: str = ""):
         """X col dst += f * X col src via CNOTs (Z side: col src += f(D^-1) col dst)."""
-        self._coladd(self.x, self.z, src, dst, f, [cnot(src, dst, e, note=note) for e in f.exponents()])
+        self._coladd(self.x, self.z, src, dst, f, _cnots(src, dst, f.exponents(), note))
 
     def col_swap(self, i: int, j: int, note: str = ""):
         """Exchange columns i and j on both sides via three CNOTs."""
-        self._logged(swap(i, j, note=note))
+        self._logged(*[_alone(g) for g in swap(i, j, note=note)])
         for z, x in zip(self.z, self.x):
             z[i], z[j] = z[j], z[i]
             x[i], x[j] = x[j], x[i]
@@ -235,7 +247,8 @@ class _Reduction:
     def play(self, ops, side, row0, col0, identity_rows=None, gamma_f_col0=None, note=""):
         """Play the Smith log of the block at (row0, col0) of the Z (side "z") or X (side "x") grid.
 
-        Column operations become gates (one CNOT per term of f), row operations stay mental.
+        Column operations become gate strings (a CNOT string whose delays are the terms of f), row
+        operations stay mental.
         identity_rows maps a block column to the row position whose other side holds its identity
         entry; row operations there undo the gates' side effects.  gamma_f_col0, when set, keeps
         the F diagonal at (row position p, F column p) by compensating column gates.
@@ -464,10 +477,25 @@ class CodeSpec:
     record: DecompositionRecord
     logical_cols: tuple[int, ...]
     decoded_cols: tuple[int, ...]
-    decoded_offsets: tuple
-    decoded_state: QuantumCheckMatrix  # the decoder on the encoder's result, run as the stage and tail gates
+    decode_bare: Callable[[], QuantumCheckMatrix] = field(repr=False)  # forms `decoded_state`
     encode_trace: list = field(default_factory=list)
     decode_trace: list = field(default_factory=list)
+
+    @cached_property
+    def decoded_state(self) -> QuantumCheckMatrix:
+        """The decoder on the encoder's result, run as the stage and tail strings on bare; formed on first read."""
+        return self.decode_bare()
+
+    @cached_property
+    def decoded_offsets(self) -> tuple:
+        """Per logical qubit, k when its decoded X and Z rows are both D^k at its decoded column, else None."""
+        info = self.decoded_state.info  # the bare stream's logical rows, decoded
+        offsets = []
+        for q, col in enumerate(self.decoded_cols):
+            kx = _monomial_offset(info, 2 * q, self.c + col, "x")
+            kz = _monomial_offset(info, 2 * q + 1, self.c + col, "z")
+            offsets.append(kx if kx is not None and kx == kz else None)
+        return tuple(offsets)
 
     @property
     def h1(self) -> list[list[LaurentPoly]]:
@@ -489,11 +517,11 @@ def _bare_state(n, c, ebit_cols, anc_a, anc_b, logical_cols):
 
     def row(side, *cols):
         """The row with 1 in `cols` of its Z (side 0) or X (side 1) half."""
-        ones = tuple(ONE if j in cols else ZERO for j in range(total))
+        ones = (*(ONE if j in cols else ZERO for j in range(total)),)
         return (ones, zero) if side == 0 else (zero, ones)
 
     def matrix(rows, labels, info=None):
-        zn, xn = tuple(z for z, _ in rows), tuple(x for _, x in rows)
+        zn, xn = (*(z for z, _ in rows),), (*(x for _, x in rows),)
         return QuantumCheckMatrix.from_rows(zn, xn, (ONE,) * len(rows), total, c, labels, info)
 
     rows = ([row(0, b, c + col) for b, col in enumerate(ebit_cols)] + [row(0, c + col) for col in anc_a]
@@ -508,8 +536,8 @@ def _bare_state(n, c, ebit_cols, anc_a, anc_b, logical_cols):
 def _scale_rows(qcm: QuantumCheckMatrix, scale_by_row) -> QuantumCheckMatrix:
     zn, xn = list(qcm.zn), list(qcm.xn)
     for r, kexp in scale_by_row.items():
-        zn[r] = tuple(e.shift(kexp) for e in zn[r])
-        xn[r] = tuple(e.shift(kexp) for e in xn[r])
+        zn[r] = (*(e.shift(kexp) for e in zn[r]),)
+        xn[r] = (*(e.shift(kexp) for e in xn[r]),)
     return QuantumCheckMatrix.from_rows(
         tuple(zn), tuple(xn), qcm.dens, qcm.cols, qcm.bob_cols, qcm.row_labels, qcm.info
     )
@@ -517,7 +545,7 @@ def _scale_rows(qcm: QuantumCheckMatrix, scale_by_row) -> QuantumCheckMatrix:
 
 def _permute_rows(qcm: QuantumCheckMatrix, order) -> QuantumCheckMatrix:
     def pick(seq):
-        return tuple(seq[i] for i in order)
+        return (*(seq[i] for i in order),)
 
     labels = pick(qcm.row_labels) if qcm.row_labels else ()
     return QuantumCheckMatrix.from_rows(
@@ -707,43 +735,29 @@ def _build_class2(record: DecompositionRecord) -> CodeSpec:
     bare = _bare_state(n, c, ebit_cols, anc_a, anc_b, logical_cols)
 
     # the infinite-depth stage acting on the fresh ebits and information qubits, and the decoding
-    # tail that unravels it once the finite-depth part is undone
+    # tail that unravels it once the finite-depth part is undone, as gate strings
     stage, tail = [], []
     if special:
-        for j in range(cs):
-            stage.append(hadamard(mid_cols[j], note="ebit-stage"))
-        for j in range(cs):
-            stage.append(cnot(mid_cols[j], last_cols[j], g2p[j].dell, note="ebit-stage"))
-        for j in range(cs):
-            stage.append(inf_depth(last_cols[j], gamma2[j], note="ebit-stage"))
-        for j in range(cs):
-            stage.append(hadamard(mid_cols[j], note="ebit-stage"))
-        for j in range(cs):
-            stage.append(hadamard(last_cols[j], note="ebit-stage"))
-        for j in range(cs):
-            tail.append(cnot(s + j, c + mid_cols[j], 0, full_frame=True, note="ebit-unstage"))
-        for j in range(cs):
-            for exp in gamma2[j].shift(-g2p[j].dell).exponents():
-                tail.append(cnot(mid_cols[j], last_cols[j], -exp, note="ebit-unstage"))
-        for j in range(cs):
-            tail.append(hadamard(mid_cols[j], note="ebit-unstage"))
-        for j in range(cs):
-            tail.append(hadamard(last_cols[j], note="ebit-unstage"))
+        stage += [_alone(hadamard(mid_cols[j], note="ebit-stage")) for j in range(cs)]
+        stage += [_cnots(mid_cols[j], last_cols[j], (g2p[j].dell,), "ebit-stage") for j in range(cs)]
+        stage += [_alone(inf_depth(last_cols[j], gamma2[j], note="ebit-stage")) for j in range(cs)]
+        stage += [_alone(hadamard(mid_cols[j], note="ebit-stage")) for j in range(cs)]
+        stage += [_alone(hadamard(last_cols[j], note="ebit-stage")) for j in range(cs)]
+        tail += [_cnots(s + j, c + mid_cols[j], (0,), "ebit-unstage", full_frame=True) for j in range(cs)]
+        tail += [_cnots(mid_cols[j], last_cols[j], [-e for e in gamma2[j].shift(-g2p[j].dell).exponents()],
+                        "ebit-unstage") for j in range(cs)]
+        tail += [_alone(hadamard(mid_cols[j], note="ebit-unstage")) for j in range(cs)]
+        tail += [_alone(hadamard(last_cols[j], note="ebit-unstage")) for j in range(cs)]
     else:
-        for i in range(cs):
-            for j in range(cs):
-                for exp in lmat[i][j].exponents():
-                    stage.append(cnot(last_cols[j], mid_cols[i], -exp, note="ebit-stage"))
-        for i in range(cs):
-            stage.append(inf_depth(mid_cols[i], gamma2[i], time_reversed=True, note="ebit-stage"))
-        sandwich = [hadamard(s + i, full_frame=True, note="ebit-unstage") for i in range(cs)]
-        sandwich += [hadamard(last_cols[j], note="ebit-unstage") for j in range(cs)]
-        tail.extend(sandwich)
-        for i in range(cs):
-            for j in range(cs):
-                for exp in lmat[i][j].exponents():
-                    tail.append(cnot(s + i, c + last_cols[j], exp, full_frame=True, note="ebit-unstage"))
-        tail.extend(sandwich)
+        stage += [_cnots(last_cols[j], mid_cols[i], [-e for e in lmat[i][j].exponents()], "ebit-stage")
+                  for i in range(cs) for j in range(cs) if lmat[i][j]]
+        stage += [_alone(inf_depth(mid_cols[i], gamma2[i], time_reversed=True, note="ebit-stage")) for i in range(cs)]
+        sandwich = [_alone(hadamard(s + i, full_frame=True, note="ebit-unstage")) for i in range(cs)]
+        sandwich += [_alone(hadamard(last_cols[j], note="ebit-unstage")) for j in range(cs)]
+        tail += sandwich
+        tail += [_cnots(s + i, c + last_cols[j], lmat[i][j].exponents(), "ebit-unstage", full_frame=True)
+                 for i in range(cs) for j in range(cs) if lmat[i][j]]
+        tail += sandwich
 
     # decode-time logical fix-ups: add stabilizer rows to logical rows
     def info_fix(stab: QuantumCheckMatrix, info: QuantumCheckMatrix) -> QuantumCheckMatrix:
@@ -776,12 +790,13 @@ def _with_info_fix(decoded: QuantumCheckMatrix, info_fix) -> QuantumCheckMatrix:
 
 def _assemble(record, bare, pair, stage, tail, info_fix, logical_cols, decoded_cols):
     red = record.reduction
-    # encoder = stage + R^-1 and decoder = R + tail, R the reduction's gates.  Every
+    # encoder = stage + R^-1 and decoder = R + tail, R the reduction's strings.  Every
     # finite-depth gate is its own inverse, R has no INF gate and a column move
     # leaves denominators as they are, so R(R^-1(x)) is x bit for bit: on the
     # encoder's result the decoder acts as tail after stage, a few gates on bare.
-    reduction = Circuit(tuple(red.gates))
-    encoder, decoder = Circuit((*stage, *reduction.inverse())), Circuit((*reduction, *tail))
+    inverse = Circuit.from_strings(red.strings).inverse()
+    encoder = Circuit.from_strings((*stage, *inverse.strings))
+    decoder = Circuit.from_strings((*red.strings, *tail))
     evolved = encoder.apply(bare)
 
     # undo the mental row scalings recorded during the reduction
@@ -790,8 +805,10 @@ def _assemble(record, bare, pair, stage, tail, info_fix, logical_cols, decoded_c
 
     # The decoder starts from the received stream with those scalings
     # reapplied: `evolved` in `pair` row order.  Every gate, INF included,
-    # acts row by row, so the decoded rows are permuted after.
-    decoded = _with_info_fix(_permute_rows(Circuit((*stage, *tail)).apply(bare), pair), info_fix)
+    # acts row by row, so the decoded rows are permuted after.  The spec
+    # forms them on first read.
+    def decode_bare():
+        return _with_info_fix(_permute_rows(Circuit.from_strings((*stage, *tail)).apply(bare), pair), info_fix)
 
     # A traced build steps the encoder from bare and the decoder from evolved,
     # gate by gate; its last decode step reduces the logical rows of its own
@@ -808,13 +825,6 @@ def _assemble(record, bare, pair, stage, tail, info_fix, logical_cols, decoded_c
         if info_fix is not None:
             fixed = _with_info_fix(last, info_fix)
             decode_trace.append(TraceStep("logical operators reduced by stabilizer rows", fixed))
-
-    offsets = []
-    if decoded.info is not None:
-        for q, col in enumerate(decoded_cols):
-            kx = _monomial_offset(decoded.info, 2 * q, record.c + col, "x")
-            kz = _monomial_offset(decoded.info, 2 * q + 1, record.c + col, "z")
-            offsets.append(kx if kx is not None and kx == kz else None)
 
     measurable, mults = _measurable(final)
     return CodeSpec(
@@ -833,8 +843,7 @@ def _assemble(record, bare, pair, stage, tail, info_fix, logical_cols, decoded_c
         record=record,
         logical_cols=tuple(logical_cols),
         decoded_cols=tuple(decoded_cols),
-        decoded_offsets=tuple(offsets),
-        decoded_state=decoded,
+        decode_bare=decode_bare,
         encode_trace=encode_trace,
         decode_trace=decode_trace,
     )

@@ -25,16 +25,20 @@ is invertible over the Laurent ring, so a row stays in lowest terms and
 keeps its denominator; only InfDepth changes a denominator, and it
 reduces again the rows it touched.
 
-A circuit runs in steps, grouped once per `Circuit`: a step is its first
-gate and its delays.  A column operation by a polynomial f(D) is logged as
-one CNOT per exponent of f, so circuits are strings of runs: consecutive
-finite-depth gates with the same kind, qubits and frame flag.  No move of
-such a gate reads a column that another writes, so the gates of a run
-commute and a run is one step, each move of its kind adding the source
-shifted by the move's sign times each delay.  H and InfDepth are steps of
-one gate.  A plane that a step could shift out of its row is laid out
-again on the ints, each row's slice moved to the new stride and offset;
-only INF steps and the result unpack the planes into entries.
+A circuit holds gate strings, as the paper writes its operations: a column
+operation by f(D) is one string (gate, delays), a CNOT from qubit i to j
+whose delays are the terms of f in logged order, the gate carrying the
+fields the terms share (its own delay is that of one term).  A column swap
+is three one-term strings, and H and InfDepth are strings of their own.
+`Circuit.gates` is a view with one `Gate` per term, formed on first read.
+A circuit runs in (first gate, delays) steps, merged once per `Circuit`:
+adjacent strings of one finite-depth kind with the same qubits and frame
+flag, whatever their notes, are one step.  No move of such a gate reads a
+column that another writes, so the gates of a step commute, and each move
+adds the source shifted by the move's sign times each delay.  H and
+InfDepth are steps of one gate.  A plane that a step could shift out of
+its row is laid out again on the ints, each row's slice moved to the new
+stride and offset; only INF steps and the result unpack the planes.
 A circuit keeps its last replay and returns it for that very input object,
 a key that costs nothing where comparing rows would read them all: a build
 and its verification pass the same objects, so they share each circuit's
@@ -80,8 +84,9 @@ class _GateFields(NamedTuple):
 class Gate(_GateFields):
     """One gate: a tuple record of its eight fields, checked on construction.
 
-    A circuit logs one CNOT per term of each column multiplier, so a gate
-    costs one tuple and no instance dict.  Fields read by name and cannot be
+    A circuit's string holds one gate for all its terms, and the view
+    `Circuit.gates` copies it with each other delay; a gate costs one
+    tuple and no instance dict.  Fields read by name and cannot be
     assigned (AttributeError).  Like any tuple, a gate also compares equal
     to a plain tuple of its fields and has len and iteration; nothing relies
     on either, nor on `dataclasses.replace` or `fields`, which a gate lacks.
@@ -349,7 +354,7 @@ class _Planes:
 
     def sides(self) -> list[tuple[tuple[LaurentPoly, ...], ...]]:
         """The Z rows and the X rows, each row a tuple of entries; a matrix with no columns keeps its empty rows."""
-        return [tuple(zip(*[self.column(s, c) for c in range(self.cols)])) or ((),) * self.nrows for s in (0, 1)]
+        return [(*zip(*[self.column(s, c) for c in range(self.cols)]),) or ((),) * self.nrows for s in (0, 1)]
 
     def rows(self) -> list[tuple[list[LaurentPoly], list[LaurentPoly]]]:
         """The (Z row, X row) pairs."""
@@ -397,29 +402,64 @@ class _Planes:
 # -- circuits -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Circuit:
-    gates: tuple[Gate, ...] = ()
+    """Gate strings in order, each (gate, delays) as the module docstring says; len() counts their terms."""
+
+    def __init__(self, gates=()):
+        """The circuit of these gates, grouped once into strings: adjacent finite-depth gates equal in all but delay."""
+        strings, prev = [], None
+        for g in gates:
+            if prev is not None and g[:3] == prev[:3] and g[4:] == prev[4:]:
+                delays.append(g.delay)
+            else:
+                delays = [g.delay]
+                strings.append((g, delays))
+                prev = g if g.kind in _MOVES else None
+        self.strings = tuple(strings)
+
+    @classmethod
+    def from_strings(cls, strings) -> Circuit:
+        """The circuit of these (gate, delays) strings, each with at least one delay."""
+        circuit = object.__new__(cls)
+        circuit.strings = tuple(strings)
+        return circuit
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return sum(len(delays) for _, delays in self.strings)
 
     def __iter__(self):
         return iter(self.gates)
 
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        """One gate per term: a string's gate where the term has its delay, else a copy of it with the term's delay."""
+        return tuple(g if d == g.delay else g._replace(delay=d) for g, delays in self.strings for d in delays)
+
     def is_finite_depth(self) -> bool:
-        return all(g.kind != "INF" for g in self.gates)
+        return all(g.kind != "INF" for g, _ in self.strings)
 
     def inverse(self) -> Circuit:
-        """The gates reversed: every finite-depth gate is an involution in the binary picture."""
+        """Strings and their delays reversed: every finite-depth gate is an involution in the binary picture."""
         if not self.is_finite_depth():
             raise ValueError("cannot invert a circuit with infinite-depth operations")
-        return Circuit(self.gates[::-1])
+        return Circuit.from_strings([(g, delays[::-1]) for g, delays in reversed(self.strings)])
 
     @cached_property
     def _runs(self) -> tuple:
-        """The gates as (first gate, delays) steps, each maximal run of finite-depth gates on the same qubits one step."""
-        return _steps(self.gates)
+        """The replay steps, (first gate, delays): adjacent strings of one finite-depth kind on the same qubits and
+        frame flag merge into one step, whatever their notes.  A string that merges with none is its own step."""
+        runs, prev = [], None
+        for s in self.strings:
+            g = s[0]
+            if prev and g.kind == prev.kind and g.i == prev.i and g.j == prev.j and g.full_frame == prev.full_frame:
+                if merged is None:
+                    merged = list(runs[-1][1])
+                    runs[-1] = prev, merged
+                merged += s[1]
+            else:
+                runs.append(s)
+                prev, merged = (g if g.kind in _MOVES else None), None
+        return tuple(runs)
 
     def apply(self, qcm: QuantumCheckMatrix) -> QuantumCheckMatrix:
         """The rows qcm's rows end as after the gates: qcm itself when there are none.
@@ -429,7 +469,7 @@ class Circuit:
         immutable, so a replay would give equal rows.  An equal but distinct
         input is replayed.
         """
-        if not self.gates:
+        if not self.strings:
             return qcm
         last = vars(self).get("_last")
         if last is None or last[0] is not qcm:
@@ -440,9 +480,9 @@ class Circuit:
         """Run the gates on column planes of qcm's rows and return the rows they end as.
 
         The stabilizer and info numerators are held as `_Planes`: one int per
-        side and column holding every row.  A run of finite-depth gates with
-        the same kind, qubits and frame flag is one step, (first gate,
-        delays): `_Planes.run` makes the moves of its kind, each XORing its
+        side and column holding every row.  Each step of `_runs`, (first
+        gate, delays), is a run of finite-depth gates with the same kind,
+        qubits and frame flag: `_Planes.run` makes the moves of its kind, each XORing its
         source shifted by the move's sign times every delay (H swaps two
         planes); it leaves every denominator as it is.  INF unpacks
         the rows, updates them and their denominators, and packs them again.
@@ -469,37 +509,23 @@ class Circuit:
         return QuantumCheckMatrix.from_rows(zn[:split], xn[:split], ds[:split], cols, bob_cols, qcm.row_labels, info)
 
 
-def _steps(gates) -> tuple:
-    """(first gate, delays) per step, the delays those of the step's gates in order.
-
-    Each maximal run of finite-depth gates with the same kind, qubits and
-    frame flag is one step; H and INF gates are steps of one gate.
-    """
-    runs, prev = [], None
-    for g in gates:
-        if prev and g.kind == prev.kind and g.i == prev.i and g.j == prev.j and g.full_frame == prev.full_frame:
-            delays.append(g.delay)
-        else:
-            delays = [g.delay]
-            runs.append((g, delays))
-            prev = g if g.kind in _MOVES else None
-    return tuple(runs)
+def format_string(g: Gate, delays) -> list[str]:
+    """The `format_gate` line of each term of the string (g, delays); the text before the delay is formed once."""
+    star = "*" if g.full_frame else ""
+    if g.kind == "INF":
+        rev = " reversed" if g.time_reversed else ""
+        return [f"INF {star}{g.i + 1} f={format_poly(g.f)}{rev}"] * len(delays)
+    stem = f"{g.kind} {star}{g.i + 1}"
+    if g.kind == "H" or g.kind == "P":
+        return [stem] * len(delays)
+    if g.j is not None:
+        stem += f" {star}{g.j + 1}"
+    stem += " delay="
+    return [stem + d for d in map(str, delays)]
 
 
 def format_gate(g: Gate) -> str:
-    star = "*" if g.full_frame else ""
-    if g.kind == "CNOT":
-        return f"CNOT {star}{g.i + 1} {star}{g.j + 1} delay={g.delay}"
-    if g.kind == "H":
-        return f"H {star}{g.i + 1}"
-    if g.kind == "P":
-        return f"P {star}{g.i + 1}"
-    if g.kind == "CPHASE":
-        return f"CPHASE {star}{g.i + 1} {star}{g.j + 1} delay={g.delay}"
-    if g.kind == "CPHASE_SELF":
-        return f"CPHASE_SELF {star}{g.i + 1} delay={g.delay}"
-    rev = " reversed" if g.time_reversed else ""
-    return f"INF {star}{g.i + 1} f={format_poly(g.f)}{rev}"
+    return format_string(g, (g.delay,))[0]
 
 
 # -- infinite-depth synthesis ----------------------------------------------------

@@ -82,7 +82,7 @@ class PolyMatrix:
         return m
 
     def _fill(self, rows, cols):
-        vars(self).update(dens=tuple(d for d, _ in rows), nums=tuple(tuple(n) for _, n in rows), rows=len(rows), cols=cols)
+        vars(self).update(dens=(*(d for d, _ in rows),), nums=(*(tuple(n) for _, n in rows),), rows=len(rows), cols=cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -310,7 +310,7 @@ class SmithEngine:
     def factors(self) -> tuple[tuple[LaurentPoly, ...], tuple[int, ...]]:
         """Run the engine; its nonzero diagonal split as (delay-free parts, unit exponents)."""
         rank = self.run()
-        return tuple(LaurentPoly(self.bits[i][i]) for i in range(rank)), tuple(self.lows[i][i] for i in range(rank))
+        return (*(LaurentPoly(self.bits[i][i]) for i in range(rank)),), (*(self.lows[i][i] for i in range(rank)),)
 
 
 def row_image(ops, rows: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:

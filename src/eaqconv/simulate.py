@@ -14,9 +14,10 @@ Circuits act on whole planes by the column actions of `gates._MOVES`, the
 move table that `Circuit.apply` runs too, so running a circuit here checks
 the algebraic pipeline's storage, truncation and infinite-depth steps
 independently, but not the table or the grouping into steps.  A circuit
-runs in the steps of `Circuit._runs`, (first gate, delays): each maximal run
-of CNOT, CPHASE, CPHASE_SELF or P gates on the same qubits is one step, as
-in `Circuit.apply`.  No gate of a run writes a plane that the run reads, so
+runs in the steps of `Circuit._runs`, (first gate, delays), as in
+`Circuit.apply`: its gate strings, with adjacent strings of CNOT, CPHASE,
+CPHASE_SELF or P gates on the same qubits and frame flag merged into one
+step, which is then a maximal run.  No gate of a run writes a plane that the run reads, so
 each move of its kind masks its fixed source track to the frames that stay
 inside the window, shifts it by the move's sign times every delay k of the
 run and XORs the results onto the target track, for every row at once.  Moves never cross a
@@ -414,10 +415,10 @@ def _apply_run(win: BinarySymplecticWindow, kind: str, a: int, b: int | None, de
 def run_circuit(win: BinarySymplecticWindow, circuit: Circuit) -> BinarySymplecticWindow:
     """Apply the shift-invariant circuit to every row of the window at once, one step per run.
 
-    The steps are `circuit._runs`, (first gate, delays): each maximal run of
-    CNOT, CPHASE, CPHASE_SELF or P gates with the same qubits and frame flag
-    is one step, run by `_apply_run` from `gates._MOVES`; H and INF gates are
-    steps of one gate.
+    The steps are `circuit._runs`, (first gate, delays): its strings, each
+    maximal run of CNOT, CPHASE, CPHASE_SELF or P gates with the same qubits
+    and frame flag merged into one step, run by `_apply_run` from
+    `gates._MOVES`; H and INF gates are steps of one gate.
     """
     out = replace(win, z=list(win.z), x=list(win.x), prefix=list(win.prefix), suffix=list(win.suffix),
                   head_lost=list(win.head_lost), tail_lost=list(win.tail_lost))
@@ -436,10 +437,11 @@ def run_circuit(win: BinarySymplecticWindow, circuit: Circuit) -> BinarySymplect
 
 
 def default_scratch(circuit: Circuit) -> int:
-    """Head padding: four frames per infinite-depth degree, minimum four."""
-    pads = [4 * g.f.width for g in circuit if g.kind == "INF"]
-    neg = [-g.delay for g in circuit if g.kind in ("CNOT", "CPHASE") and g.delay < 0]
-    return max(pads + neg + [4])
+    """Head padding: four frames per infinite-depth degree and the greatest CNOT or CPHASE advance, minimum four."""
+    steps = circuit._runs
+    pads = [4 * g.f.width for g, _ in steps if g.kind == "INF"]
+    advances = [-min(delays) for g, delays in steps if g.kind in ("CNOT", "CPHASE")]
+    return max(pads + advances + [4])
 
 
 @dataclass

@@ -7,11 +7,15 @@ a gcd, and INF multiplies column a by `1/f` and `f(D^-1)` as `RationalPoly`
 multipliers.  They are copied verbatim; `apply` is the method body, taking
 the circuit first, except that its `freeze` builds each state with the
 `QuantumCheckMatrix` constructor and it copies rows from `entries`.
+
+`steps` is the grouping of a gate list into replay steps that `gates.py`
+used while a circuit held one `Gate` per term, copied verbatim from its
+`_steps`, the reference for the steps `Circuit._runs` merges from strings.
 """
 
 from __future__ import annotations
 
-from eaqconv.gates import QuantumCheckMatrix, gate_columns
+from eaqconv.gates import _MOVES, QuantumCheckMatrix, gate_columns
 from eaqconv.poly import LaurentPoly, RationalPoly
 from eaqconv.polymat import PolyMatrix
 
@@ -81,3 +85,20 @@ def apply(circuit, qcm, observe=None):
         if observe is not None:
             observe(g, freeze())
     return freeze()
+
+
+def steps(gates) -> tuple:
+    """(first gate, delays) per step, the delays those of the step's gates in order.
+
+    Each maximal run of finite-depth gates with the same kind, qubits and
+    frame flag is one step; H and INF gates are steps of one gate.
+    """
+    runs, prev = [], None
+    for g in gates:
+        if prev and g.kind == prev.kind and g.i == prev.i and g.j == prev.j and g.full_frame == prev.full_frame:
+            delays.append(g.delay)
+        else:
+            delays = [g.delay]
+            runs.append((g, delays))
+            prev = g if g.kind in _MOVES else None
+    return tuple(runs)

@@ -13,11 +13,12 @@ kernel.  It wraps `gates.Circuit.apply`, which `gates.circuit_apply_calls`
 counts, and the replay behind it, and names the circuit of each replay.
 A `build` makes two calls: the encoder on the bare stream, and the stage
 circuit (the stage gates, then the decoder's tail gates) on the same stream
-for the decoded state.  It replays the encoder, and the stage circuit when
-it has gates (class 2; a class-1 code has none, and an empty circuit
-returns its input).  A `verify` makes four calls, two for the build and two
-for its checks, and replays the decoder once more, on the encoder's stored
-result; the encoder is not replayed again.
+for the decoded state, which its report's frame offsets read.  It replays
+the encoder, and the stage circuit when it has gates (class 2; a class-1
+code has none, and an empty circuit returns its input).  A `verify` reads
+no decoded state, so it makes three calls, the encoder in the build and the
+encoder and the decoder for its checks, and replays the decoder once, on
+the encoder's stored result; the encoder is not replayed again.
 
 It wraps `polymat._eliminate`, the elimination behind `echelon` and
 `row_space_equal`, and pins three per `verify` on a pair with k > 0: one for
@@ -103,11 +104,11 @@ def _spec(it):
     return build_code(*(parse_matrix(t.replace(";", "\n")) for t in (it["h1"], it["h2"])))
 
 
-# verify_w64 pair -> the circuits its build replays; a verify replays the decoder after them
+# verify_w64 pair -> the circuits its build replays; a verify replays the encoder and the decoder alone
 BUILD_REPLAYS = {WINDOW_PAIR: ["encoder", "stage"], CLASS1_PAIR: ["encoder"]}  # class 2; class 1, no stage gates
 
 
-@pytest.mark.parametrize("command, applies", [("build", 2), ("verify", 4)])
+@pytest.mark.parametrize("command, applies", [("build", 2), ("verify", 3)])
 def test_circuit_applies_and_replays(monkeypatch, command, applies):
     items = {pair: _corpus()["verify_w64"][pair] for pair in BUILD_REPLAYS}
     specs = {pair: _spec(it) for pair, it in items.items()}
@@ -135,7 +136,7 @@ def test_circuit_applies_and_replays(monkeypatch, command, applies):
             assert main(argv) == 0
         assert len(calls) == applies
         ran = {next(name for name, gs in named if gs == circuit): (qcm, out) for circuit, qcm, out in replays}
-        assert list(ran) == (built + ["decoder"] if command == "verify" else built) and len(ran) == len(replays)
+        assert list(ran) == (["encoder", "decoder"] if command == "verify" else built) and len(ran) == len(replays)
         assert ran["encoder"][0] == spec.bare
         if "stage" in ran:
             assert ran["stage"][0] is ran["encoder"][0]

@@ -333,12 +333,16 @@ def test_runs_of_same_qubit_gates_match_the_per_gate_replays(monkeypatch):
 
 
 def _assert_maximal_runs(circuit):
-    """`circuit._runs` is (first gate, delays) per maximal run of same-kind, same-qubit finite-depth gates."""
+    """`circuit._runs` is (first gate, delays) per maximal run of same-kind, same-qubit finite-depth gates.
+
+    A step's gate is that of its first string, whose own delay is the term it
+    was made for, so the step's first gate is it with the step's first delay.
+    """
     at, keys = 0, []
     for g, delays in circuit._runs:
         step = circuit.gates[at:at + len(delays)]
         at += len(delays)
-        assert step and step[0] is g
+        assert step and step[0] == g._replace(delay=delays[0])
         assert list(delays) == [s.delay for s in step]
         if g.kind in ("H", "INF"):
             assert len(step) == 1
@@ -441,8 +445,8 @@ def test_a_last_gate_out_of_frame_raises(replay, last):
 
 @pytest.mark.parametrize("name, h1, h2", golden_pairs(), ids=[p[0] for p in golden_pairs()])
 def test_code_replays_match_the_rational_rows(monkeypatch, name, h1, h2):
-    """Every `Circuit.apply` a build makes: the encoder on the bare stream,
-    and the stage and tail gates on the same stream."""
+    """Every `Circuit.apply` a build and its decoded state make: the encoder
+    on the bare stream, and the stage and tail gates on the same stream."""
     calls = []
     apply = Circuit.apply
 
@@ -451,7 +455,7 @@ def test_code_replays_match_the_rational_rows(monkeypatch, name, h1, h2):
         return apply(circuit, qcm)
 
     monkeypatch.setattr(Circuit, "apply", recording)
-    build_code(*(parse_matrix(t.replace(";", "\n")) for t in (h1, h2)))
+    build_code(*(parse_matrix(t.replace(";", "\n")) for t in (h1, h2))).decoded_state
     monkeypatch.undo()
     assert len(calls) == 2
     for circuit, qcm in calls:

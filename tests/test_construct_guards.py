@@ -16,7 +16,7 @@ import pytest
 from eaqconv import construct
 from eaqconv.construct import CLASS1, CLASS2_SPECIAL, _monomial_offset, _power_diagonal, _Reduction, decompose_general
 from eaqconv.errors import InternalError, NotDelayFree, ValidationError
-from eaqconv.gates import QuantumCheckMatrix
+from eaqconv.gates import Circuit, QuantumCheckMatrix
 from eaqconv.poly import ONE, ZERO, LaurentPoly
 from eaqconv.polymat import parse_matrix
 from support import golden_pairs
@@ -66,7 +66,7 @@ def test_play_keeps_the_f_diagonal_by_gates_or_raises():
     red = _Reduction([[ONE, D, ZERO], [ZERO, ZERO, ONE]], [[ONE, ONE, ONE]])
     red.play([("row_add", 1, 0, 1, 0)], "z", 0, 0, gamma_f_col0=1, note="kept")
     assert red.z[:2] == [[ONE, D, ZERO], [ZERO, ZERO, ONE]]
-    assert [(g.kind, g.note) for g in red.gates] == [("CNOT", "kept")]
+    assert [(g.kind, g.note) for g in Circuit.from_strings(red.strings)] == [("CNOT", "kept")]
     red.z[0][1] = ONE_PLUS_D
     with pytest.raises(InternalError, match="F-block diagonal lost its power-of-D form"):
         red.play([("row_add", 1, 0, 1, 0)], "z", 0, 0, gamma_f_col0=1)

@@ -7,8 +7,9 @@ equal what the `LaurentPoly` operators give: a Z column addition of f from
 src into dst sets Z col dst to `a + f * b` and X col src to
 `a + f.reverse() * b` (an X column addition swaps the sides), and a row
 addition sets both sides of row dst to `a + f * b`.  Every entry must be a
-canonical `LaurentPoly`, and the gate log must gain one CNOT per exponent
-of f.  The cases must include zero source entries, entries that cancel to
+canonical `LaurentPoly`, and the string log must gain one string for a
+column addition and none for a row addition, its gates one CNOT per
+exponent of f.  The cases must include zero source entries, entries that cancel to
 zero, negative exponents and multipliers of 8 terms or more.
 """
 
@@ -18,7 +19,7 @@ import random
 from collections import Counter
 
 from eaqconv.construct import _Reduction
-from eaqconv.gates import cnot
+from eaqconv.gates import Circuit, cnot
 from eaqconv.poly import ZERO, LaurentPoly
 
 CASES = 300
@@ -89,7 +90,7 @@ def test_additions_match_the_laurent_operators():
                 sources = [p[src] for p in fwd] + [q[dst] for q in back]
             old = [e for row in red.z + red.x for e in row]
             want = _expected(red, op, src, dst, f)
-            before = len(red.gates)
+            before = len(red.strings)
             if op == "row":
                 red.row_add(src, dst, f)
             else:
@@ -97,7 +98,8 @@ def test_additions_match_the_laurent_operators():
             assert (red.z, red.x) == want, (seed, op, src, dst, f)
             assert _canonical(red.z) and _canonical(red.x)
             cnots = [] if op == "row" else [cnot(dst, src, -e) if op == "z" else cnot(src, dst, e) for e in f.exponents()]
-            assert red.gates[before:] == cnots
+            assert len(red.strings) - before == (op != "row")
+            assert list(Circuit.from_strings(red.strings[before:]).gates) == cnots
             new = [e for row in red.z + red.x for e in row]
             covered[f"{op} addition"] += 1
             if any(not s.bits for s in sources):

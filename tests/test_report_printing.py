@@ -1,7 +1,7 @@
 """How the CLI prints its records: shared gate and row text, the JSON printer, and no cyclic garbage.
 
-The build report formats each reduction gate once, for the encoder's tail
-and the decoder's head, and takes the measurable stabilizer's rows over
+The build report formats each reduction string once, for the encoder's
+tail and the decoder's head, and takes the measurable stabilizer's rows over
 denominator 1 from the final stabilizer's text.  It may do so only where
 the circuit or matrix holds the very objects that were formatted, so these
 tests hand the report specs whose circuits and rows were replaced and
@@ -89,10 +89,10 @@ def test_built_reports_print_each_circuit_and_matrix_from_its_own_objects():
 def test_replaced_circuits_print_their_own_gates(edit):
     """Each circuit loses one reduction gate, or has it swapped for another at the same place."""
     spec = _spec()
-    red = spec.record.reduction.gates
+    red = Circuit.from_strings(spec.record.reduction.strings).gates
     enc, dec = list(spec.encoder.gates), list(spec.decoder.gates)
     at_enc, at_dec = len(enc) - 1 - len(red) // 2, len(red) // 2
-    assert enc[at_enc] is dec[at_dec] is red[len(red) // 2]
+    assert enc[at_enc] == dec[at_dec] == red[len(red) // 2]
     other = cnot(0, 1, delay=7)
     for gates, at in ((enc, at_enc), (dec, at_dec)):
         if edit == "drop":

@@ -1,9 +1,9 @@
 """Differential test: the Smith reduction's column operations and decisions stay the same.
 
-The construction logs every Smith column operation as CNOTs and applies
-their column action to its Z and X grids.  With `want_trace` it also
-steps each logged gate through `apply_gate` for the trace; a
-traced build must reach the same gate log and the same grids as a plain
+The construction logs every Smith column operation as a CNOT string and
+applies its column action to its Z and X grids.  With `want_trace` it also
+steps each logged string's gates through `apply_gate` for the trace; a
+traced build must reach the same string log and the same grids as a plain
 one, and its trace must take one step per logged gate, labelled as
 `format_gate` prints it.  Comparing the grids matters: a wrong X-side
 action in a column addition can leave every report equal while the grids
@@ -89,13 +89,14 @@ def test_traced_and_plain_reductions_agree(start):
         traced = build_code(m1, m2, want_trace=True)
         plain = build_code(m1, m2)
         rt, rp = traced.record.reduction, plain.record.reduction
-        assert rp.gates == rt.gates, (h1, h2)
+        assert rp.strings == rt.strings, (h1, h2)
+        logged = Circuit.from_strings(rp.strings)
         steps = [s.label for s in rt.trace if s.label.startswith(("CNOT ", "H "))]
-        assert steps == [format_gate(g) for g in rp.gates], (h1, h2)  # one trace step per logged gate
+        assert steps == [format_gate(g) for g in logged], (h1, h2)  # one trace step per logged gate
         assert rp.z == rt.z, (h1, h2)
         assert rp.x == rt.x, (h1, h2)
         assert _spec_report_json(plain) == _spec_report_json(traced), (h1, h2)
-        replayed = Circuit(tuple(rp.gates)).apply(_stacked(m1, m2))
+        replayed = logged.apply(_stacked(m1, m2))
         rows = [list(z + x) for z, x in zip(replayed.zn, replayed.xn)]
         assert row_space_equal(rows, [z + x for z, x in zip(rp.z, rp.x)]), (h1, h2)
 
@@ -156,7 +157,7 @@ def test_width_fallback_reduction_matches_pinned_gates(monkeypatch):
     calls = []
     divide = polymat.divmod_width
     monkeypatch.setattr(polymat, "divmod_width", lambda a, b: calls.append(1) or divide(a, b))
-    gates = build_code(_matrix(item["h1"]), _matrix(item["h2"])).record.reduction.gates
+    gates = Circuit.from_strings(build_code(_matrix(item["h1"]), _matrix(item["h2"])).record.reduction.strings).gates
     assert calls, "the width fallback no longer fires on this pair"
     assert len(gates) == WIDE_GATES
     assert hashlib.sha256("\n".join(f"{format_gate(g)} {g.note}" for g in gates).encode()).hexdigest() == WIDE_GATES_SHA256
