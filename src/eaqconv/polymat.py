@@ -412,7 +412,7 @@ def row_space_equal(a: list[list[LaurentPoly]], *others: list[list[LaurentPoly]]
 
     def form(m):
         rows = [primitive_part(list(row)) for row in m]
-        key = tuple(sorted(tuple((e.bits, e.low) for e in row) for row in rows))
+        key = (*sorted((*((e.bits, e.low) for e in row),) for row in rows),)
         if key not in forms:
             forms[key] = _eliminate(rows)
         return forms[key]

@@ -65,11 +65,12 @@ the provably-exact bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import WindowTooSmall
-from .gates import _MOVES, Circuit, QuantumCheckMatrix, SlidingWindowRule, gate_columns, synthesize_infinite_depth, time_reversed_rule
+from .gates import Circuit, QuantumCheckMatrix, SlidingWindowRule, gate_columns, synthesize_infinite_depth, time_reversed_rule
 from .pauli import symplectic_numerator
 from .poly import ONE, ZERO, LaurentPoly, canonical_pair, divides, format_rational, series_expand
 from .polymat import echelon, residue, row_space_equal
@@ -162,7 +163,8 @@ class BinarySymplecticWindow:
         last = self.blocks[-1] if self.blocks else None
         self.count = last.first + last.count if last else 0
         self._base = _repeat(self.count, self.window + 1)  # frame 0 of every row
-        self._full = (self._base << self.window) - self._base  # every frame of every row
+        self._guard = self._base << self.window  # the guard bit of every row
+        self._full = self._guard - self._base  # every frame of every row
         self._heads, self._tails = {}, {}
         self._unpacked = None
 
@@ -196,8 +198,11 @@ class BinarySymplecticWindow:
         return (bits & self._tail(self.window + k)) >> -k
 
     def _rows_holding(self, bits: int) -> int:
-        """The frame-0 flag of every row with a bit in `bits` (bits inside the window only)."""
-        return ((bits + self._full) >> self.window) & self._base
+        """Every frame of every row with a bit in `bits` (bits inside the window only): the flags of those rows."""
+        if not bits:
+            return 0
+        g = (bits + self._full) & self._guard  # a row's guard bit catches the carry of any bit in it
+        return g - (g >> self.window)
 
     def _sides(self):
         """(intervals, flags, edge, sign) of the head side, then the tail side; a move
@@ -208,16 +213,18 @@ class BinarySymplecticWindow:
         """A side's intervals `ends`, each k frames longer (capped at W), on the rows in `flags`.
 
         A row's invalid frames on a side come only with its flag there, so
-        the flags alone say which rows carry damage.  The shift needs no
-        mask: what it carries past a row's end lands in the edge(k) frames
-        of the next row, or on a guard bit.
+        the flags alone say which rows carry damage, and they mask the
+        result as they are.  The shift needs no mask: what it carries past a
+        row's end lands in the edge(k) frames of the next row, or on a guard
+        bit.
         """
-        rows = (flags << self.window) - flags
         if k >= self.window:
-            return rows
+            return flags
+        if not k:
+            return ends & flags
         if sign < 0:
-            return ((ends << k) | self._head(k)) & rows
-        return ((ends >> k) | self._tail(k)) & rows
+            return ((ends << k) | self._head(k)) & flags
+        return ((ends >> k) | self._tail(k)) & flags
 
 
 def _unpack(win: BinarySymplecticWindow) -> list[WindowRow]:
@@ -268,7 +275,7 @@ def expand(qcm: QuantumCheckMatrix, window: int, scratch: int = 0) -> BinarySymp
     if window < 1:
         raise WindowTooSmall("window must hold at least one frame")
     m, w, stride = qcm.cols, window, window + 1
-    labels = qcm.row_labels or tuple(f"row{r + 1}" for r in range(qcm.rows))
+    labels = qcm.row_labels or (*(f"row{r + 1}" for r in range(qcm.rows)),)
     z, x, tail_lost = [0] * m, [0] * m, [0] * m
     truncated = 0
     blocks = []
@@ -292,11 +299,12 @@ def expand(qcm: QuantumCheckMatrix, window: int, scratch: int = 0) -> BinarySymp
         for q in range(m):
             nums = (qcm.zn[r][q], qcm.xn[r][q])
             for planes, num in zip((z, x), nums):
-                series = series_expand((num, den), lo, lo + w - 1)
+                # a polynomial row fits the window whole, so its series is its numerator
+                series = series_expand((num, den), lo, lo + w - 1) if rational else num
                 if series.bits:
                     planes[q] |= ((series.bits << series.low - lo) * stair & keep) << at
             if rational and not all(divides(den, num) for num in nums):
-                tail_lost[q] |= base << at
+                tail_lost[q] |= ((base << w) - base) << at
         if rational:
             truncated |= base << at
         blocks.append(Block(r, labels[r], first, count, -scratch - lo))
@@ -328,7 +336,7 @@ def _apply_inf(win: BinarySymplecticWindow, q: int, rule: SlidingWindowRule) -> 
     win.prefix[q] |= win._grow(0, w, -1, win.head_lost[q])
     if width:
         win.suffix[q] |= win._grow(win.suffix[q], width, 1, win.tail_lost[q])
-    win.tail_lost[q] = win._base  # the expansion continues past the window
+    win.tail_lost[q] = win._full  # the expansion continues past the window
     win.z[q], win.x[q] = nz, nx
     win.truncated = win._base
 
@@ -391,21 +399,48 @@ def _self_bookkeeping(win: BinarySymplecticWindow, a: int, src: int, delays) -> 
             ends[a] |= win._grow(ends[a], k, sign, lost[a])
 
 
+# Each finite-depth kind's column action, written from the gate definitions
+# (control a, target b, delay k) apart from `gates._MOVES`, so that check (d)
+# witnesses the gate semantics too: moves (dst side, dst track, src side, src
+# track, sign), each adding D^(sign*k) times src into dst.  A CNOT or CPHASE
+# writes b first, then a.
+_MOVES = {
+    "CNOT": (("X", "b", "X", "a", 1), ("Z", "a", "Z", "b", -1)),  # X_b += D^k X_a;  Z_a += D^-k Z_b
+    "CPHASE": (("Z", "b", "X", "a", 1), ("Z", "a", "X", "b", -1)),  # Z_b += D^k X_a;  Z_a += D^-k X_b
+    "CPHASE_SELF": (("Z", "a", "X", "a", 1), ("Z", "a", "X", "a", -1)),  # Z_a += (D^k + D^-k) X_a
+    "P": (("Z", "a", "X", "a", 0),),  # Z_a += X_a
+}
+
+
+def _steps(circuit: Circuit) -> list:
+    """(first gate, delays) per step: adjacent strings of one finite-depth kind with the same qubits and frame flag
+    merge into one maximal run, and every other string is a step of its own."""
+    steps, last = [], None
+    for g, delays in circuit.strings:
+        key = (g.kind, g.i, g.j, g.full_frame) if g.kind in _MOVES else None
+        if key is not None and key == last:
+            steps[-1] = steps[-1][0], [*steps[-1][1], *delays]
+        else:
+            steps.append((g, delays))
+        last = key
+    return steps
+
+
 def _apply_run(win: BinarySymplecticWindow, kind: str, a: int, b: int | None, delays) -> None:
-    """A step of `Circuit._runs`: kind gates (CNOT, CPHASE, CPHASE_SELF or P) on tracks a and b with these delays.
+    """A step: kind gates (CNOT, CPHASE, CPHASE_SELF or P) on tracks a and b with these delays.
 
     The run writes no plane that it reads, so each move of `_MOVES[kind]`
     XORs its fixed source shifted by sign * k for every delay k; the
     bookkeeping takes the gates' own delays.
     """
-    planes, ab, moves = (win.z, win.x), (a, b), _MOVES[kind]
-    sources = [planes[ss][ab[sq]] for _, _, ss, sq, _ in moves]
+    planes, tracks, moves = {"Z": win.z, "X": win.x}, {"a": a, "b": b}, _MOVES[kind]
+    sources = [planes[ss][tracks[sq]] for _, _, ss, sq, _ in moves]
     for (ds, dq, _, _, sign), src in zip(moves, sources):
         if src:
             acc = 0
             for k in delays:
                 acc ^= win._shifted(src, sign * k)
-            planes[ds][ab[dq]] ^= acc
+            planes[ds][tracks[dq]] ^= acc
     if kind == "CPHASE_SELF":
         _self_bookkeeping(win, a, sources[0], delays)
     elif kind != "P":
@@ -415,14 +450,16 @@ def _apply_run(win: BinarySymplecticWindow, kind: str, a: int, b: int | None, de
 def run_circuit(win: BinarySymplecticWindow, circuit: Circuit) -> BinarySymplecticWindow:
     """Apply the shift-invariant circuit to every row of the window at once, one step per run.
 
-    The steps are `circuit._runs`, (first gate, delays): its strings, each
-    maximal run of CNOT, CPHASE, CPHASE_SELF or P gates with the same qubits
-    and frame flag merged into one step, run by `_apply_run` from
-    `gates._MOVES`; H and INF gates are steps of one gate.
+    The steps are `_steps(circuit)`: its strings, each maximal run of CNOT,
+    CPHASE, CPHASE_SELF or P strings with the same qubits and frame flag
+    merged into one step, run by `_apply_run` from this module's `_MOVES`;
+    H and INF gates are steps of one gate.  The result shares the mask
+    tables of `win`, whose geometry it has.
     """
-    out = replace(win, z=list(win.z), x=list(win.x), prefix=list(win.prefix), suffix=list(win.suffix),
-                  head_lost=list(win.head_lost), tail_lost=list(win.tail_lost))
-    for g, delays in circuit._runs:
+    out = copy.copy(win)
+    out.z, out.x, out.prefix, out.suffix = list(win.z), list(win.x), list(win.prefix), list(win.suffix)
+    out.head_lost, out.tail_lost, out._unpacked = list(win.head_lost), list(win.tail_lost), None
+    for g, delays in _steps(circuit):
         a, b = gate_columns(g, win.n_per_frame, win.bob_cols)  # the run shares g's qubits
         if g.kind == "INF":
             _apply_inf(out, a, time_reversed_rule(g.f) if g.time_reversed else synthesize_infinite_depth(g.f))
@@ -438,9 +475,9 @@ def run_circuit(win: BinarySymplecticWindow, circuit: Circuit) -> BinarySymplect
 
 def default_scratch(circuit: Circuit) -> int:
     """Head padding: four frames per infinite-depth degree and the greatest CNOT or CPHASE advance, minimum four."""
-    steps = circuit._runs
-    pads = [4 * g.f.width for g, _ in steps if g.kind == "INF"]
-    advances = [-min(delays) for g, delays in steps if g.kind in ("CNOT", "CPHASE")]
+    strings = circuit.strings  # a run's greatest advance is one of its strings'
+    pads = [4 * g.f.width for g, _ in strings if g.kind == "INF"]
+    advances = [-min(delays) for g, delays in strings if g.kind in ("CNOT", "CPHASE")]
     return max(pads + advances + [4])
 
 

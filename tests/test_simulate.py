@@ -360,21 +360,83 @@ def test_verify_catches_deleted_gate():
         assert not decode_check.passed, f"deleting gate {i} went unnoticed"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: run_circuit reads gates._MOVES, the move table Circuit.apply runs")
-def test_a_move_table_mutant_fails_the_window_check(monkeypatch):
-    """CNOT's Z-side move with its delay sign flipped: the window simulation must FAIL on both worked examples."""
-    monkeypatch.setitem(gates._MOVES, "CNOT", ((1, 1, 1, 0, 1), (0, 0, 0, 1, 1)))
+def _table_mutants():
+    """(id, kind, moves) per mutant of `gates._MOVES`: for each move of each kind, its delay sign flipped, both its
+    sides swapped (Z for X), and its source and destination qubits swapped, wherever that changes the move."""
+    mutants = []
+    for kind, moves in gates._MOVES.items():
+        for i, (ds, dq, ss, sq, sign) in enumerate(moves):
+            for what, move in (("sign", (ds, dq, ss, sq, -sign)), ("side", (1 - ds, dq, 1 - ss, sq, sign)),
+                               ("qubits", (ds, sq, ss, dq, sign))):
+                if move != moves[i]:
+                    mutants.append((f"{kind}-move{i}-{what}", kind, moves[:i] + (move,) + moves[i + 1:]))
+    return mutants
+
+
+def _with_a_string_of(spec, kind):
+    """spec, or a copy whose encoder ends with one string of `kind` when spec's encoder has none: no construction
+    emits CPHASE, CPHASE_SELF or P for the worked examples, so a mutant of those could not act there otherwise."""
+    if any(g.kind == kind for g, _ in spec.encoder.strings):
+        return spec
+    extra = {"CNOT": cnot(0, 1, 1), "CPHASE": cphase(0, 1, 1), "CPHASE_SELF": cphase_self(0, 1), "P": phase(0)}[kind]
+    out = copy.copy(spec)
+    out.encoder = Circuit.from_strings([*spec.encoder.strings, (extra, [extra.delay])])
+    return out
+
+
+def _window_check(spec):
+    return next(c for c in verify_code(spec).checks if c.name == "window simulation")
+
+
+@pytest.mark.parametrize("kind", list(gates._MOVES))
+def test_a_string_of_each_kind_keeps_the_window_check(kind):
+    """The control for the move-table mutants: the worked examples, their encoders ending with a string of each
+    finite-depth kind, pass check 4 with the table as it is."""
     for h1, h2 in EXAMPLES.values():
-        report = verify_code(build_code(parse_matrix(h1), parse_matrix(h2)))
-        window = next(c for c in report.checks if c.name == "window simulation")
-        assert not window.passed, window.detail
+        check = _window_check(_with_a_string_of(build_code(parse_matrix(h1), parse_matrix(h2)), kind))
+        assert check.passed, check.detail
+
+
+@pytest.mark.parametrize("kind, moves", [m[1:] for m in _table_mutants()], ids=[m[0] for m in _table_mutants()])
+def test_a_move_table_mutant_fails_the_window_check(monkeypatch, kind, moves):
+    """A mutant of `gates._MOVES`, the table `Circuit.apply` runs: the window, which states its own moves, must FAIL
+    check 4 on both worked examples."""
+    monkeypatch.setitem(gates._MOVES, kind, moves)
+    for h1, h2 in EXAMPLES.values():
+        check = _window_check(_with_a_string_of(build_code(parse_matrix(h1), parse_matrix(h2)), kind))
+        assert not check.passed, check.detail
+
+
+def test_a_run_grouping_mutant_fails_the_window_check(monkeypatch):
+    """A `Circuit._runs` that merges a run with the next one of its kind and qubits across H steps: the window,
+    which groups the strings itself, must FAIL check 4 on both worked examples."""
+    runs = gates.Circuit._runs.func
+
+    def across_h(circuit):
+        merged = []
+        for g, delays in runs(circuit):
+            hs = 0  # the H steps that end the steps so far
+            while hs < len(merged) and merged[-1 - hs][0].kind == "H":
+                hs += 1
+            before = merged[-1 - hs][0] if hs and hs < len(merged) else None
+            if before and g.kind in gates._MOVES and (before.kind, before.i, before.j) == (g.kind, g.i, g.j):
+                merged[-1 - hs] = before, [*merged[-1 - hs][1], *delays]
+            else:
+                merged.append((g, delays))
+        return tuple(merged)
+
+    monkeypatch.setattr(gates.Circuit, "_runs", property(across_h))
+    for h1, h2 in EXAMPLES.values():
+        check = _window_check(build_code(parse_matrix(h1), parse_matrix(h2)))
+        assert not check.passed, check.detail
 
 
 def test_a_window_only_mutant_fails_only_the_window_check(monkeypatch):
     """INF feedback that lands one frame late in the window alone: checks 1-3 pass, check 4 names its mismatches.
 
-    Both runners share the move table, so the mutant acts where only the
-    window runs: it shifts the X track one frame after `_apply_inf`.
+    The window states its own moves and groups its own steps.  This mutant
+    acts in code that only the window runs: it shifts the X track one frame
+    after `_apply_inf`, the window's sliding-window rule.
     """
     apply_inf = simulate._apply_inf
 
