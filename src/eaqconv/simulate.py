@@ -10,53 +10,53 @@ window; the copies of one generator form one contiguous block of rows.
 Rational entries are expanded as ascending series and truncated at the
 window edge.
 
-Circuits act on whole planes by the column actions of `gates._MOVES`, the
-move table that `Circuit.apply` runs too, so running a circuit here checks
-the algebraic pipeline's storage, truncation and infinite-depth steps
-independently, but not the table or the grouping into steps.  A circuit
-runs in the steps of `Circuit._runs`, (first gate, delays), as in
-`Circuit.apply`: its gate strings, with adjacent strings of CNOT, CPHASE,
-CPHASE_SELF or P gates on the same qubits and frame flag merged into one
-step, which is then a maximal run.  No gate of a run writes a plane that the run reads, so
-each move of its kind masks its fixed source track to the frames that stay
-inside the window, shifts it by the move's sign times every delay k of the
-run and XORs the results onto the target track, for every row at once.  Moves never cross a
-row: the mask drops the bits that would leave their row before the shift,
-so no bit lands in another row or on a guard bit.  One mask table per
-window, H(k) for frames [0, k) of every row and T(k) = full ^ H(W - k) for
-frames [W - k, W), serves every mask.  Infinite-depth operations run as
-their sliding-window CNOT rules: ascending application order makes the
-target-frame updates feed back (the 1/f expansion on the X side) while
-source-frame updates do not (the plain f(D^-1) product on the Z side).
+Circuits act on whole planes by the window's own moves, `_MOVES`, written
+from the gate definitions apart from `gates._MOVES`, in steps (first gate,
+delays) that `_steps` groups: adjacent strings of CNOT, CPHASE, CPHASE_SELF
+or P gates on the same qubits and frame flag merge into a maximal run.  So
+running a circuit here checks the algebraic pipeline's move table, step
+grouping, storage, truncation and infinite-depth steps independently.  No gate of a run writes a plane that the
+run reads, so each move of its kind masks its fixed source track to the
+frames that stay inside the window, shifts it by the move's sign times every
+delay k of the run and XORs the results onto the target track, for every row
+at once.  Moves never cross a row: the mask drops the bits that would leave
+their row before the shift, so no bit lands in another row or on a guard
+bit.  One mask table per window, H(k) for frames [0, k) of every row and
+T(k) = full ^ H(W - k) for frames [W - k, W), serves every mask.  Infinite-depth
+operations run as their sliding-window CNOT rules: ascending application
+order makes the target-frame updates feed back (the 1/f expansion on the X
+side) while source-frame updates do not (the plain f(D^-1) product on the Z
+side).
 
 Truncation bookkeeping uses the same layout.  Every row has, per track, the
 frame interval [vf, vu) on which its window bits provably equal the ideal
 infinite stream, plus flags recording that the ideal stream extends past the
 head or tail of the window.  `prefix[q]` (P) holds the head-invalid frames
 [0, vf) of every row, `suffix[q]` (U) the tail-invalid frames [vu, W), and
-`head_lost[q]` (HL) and `tail_lost[q]` (TL) the spill flags, at each row's
-frame 0.  One rule sets the flags: a move that carries bits off the head or
-tail flags the destination track of those rows.  "Any bit in this row" is
-((bits + window mask) >> W) & frame-0 bits, the guard bit catching the
-carry, and a flag covers its row as (flags << W) - flags.  Gates that move
-bits between frames shrink the target track's interval by the shifted image
-of the source track's unreliable region, and an infinite-depth operation on
-a track with head trouble invalidates the track outright (its feedback
-would need the missing history).  A run of CPHASE_SELF gates on track a
-is bookkept gate by gate: a gate of |delay| K flags the rows that hold a
-bit of its source in edge(K), then lengthens every flagged row's interval
-on a by K.  A run of CNOT or CPHASE gates is bookkept in closed form.  Its
-sources are fixed, so a gate can flag new rows only when its delay is a
-new extreme of its sign.  A CNOT or CPHASE gate of |delay| K damages b
-from a, then a from b: it copies each track's flags to the other and sets
-v = max(v, u + K), then u = max(u, v + K), for a flagged row's invalid head
-u on track a and v on track b.  So after a run's first gate the flags agree
-and u >= v, and every later gate sets v = u + K and u = u + 2K (capped at
-W): the run ends at u + 2S and u + 2S - K_last, with S the sum of K after
-the first gate.  A row that a later gate first flags starts from u = 2K (a
-flagged) or K (b only).  The cap commutes with max and +, and the tail side
-is the mirror image.  Comparisons against the exact algebra then use only
-the provably-exact bits.
+`head_lost[q]` (HL) and `tail_lost[q]` (TL) the spill flags, each the mask
+of every frame [0, W) of a flagged row, so a flag masks its row as it is.
+One rule sets the flags: a move that carries bits off the head or tail flags
+the destination track of those rows.  The rows with a bit in `bits` are
+g - (g >> W) for g = (bits + window mask) & guard bits, a row's guard bit
+catching the carry of any bit in it.  Gates that move bits between frames
+shrink the target track's interval by the shifted image of the source
+track's unreliable region, and an infinite-depth operation on a track with
+head trouble invalidates the track outright (its feedback would need the
+missing history).  A run of CPHASE_SELF gates on track a is bookkept gate by
+gate: a gate of |delay| K flags the rows that hold a bit of its source in
+edge(K), then lengthens every flagged row's interval on a by K.  A run of
+CNOT or CPHASE gates is bookkept in closed form.  Its sources are fixed, so a
+gate can flag new rows only when its delay is a new extreme of its sign.  A
+CNOT or CPHASE gate of |delay| K damages b from a, then a from b: it copies
+each track's flags to the other and sets v = max(v, u + K), then
+u = max(u, v + K), for a flagged row's invalid head u on track a and v on
+track b.  So
+after a run's first gate the flags agree and u >= v, and every later gate
+sets v = u + K and u = u + 2K (capped at W): the run ends at u + 2S and
+u + 2S - K_last, with S the sum of K after the first gate.  A row that a later
+gate first flags starts from u = 2K (a flagged) or K (b only).  The cap
+commutes with max and +, and the tail side is the mirror image.  Comparisons
+against the exact algebra then use only the provably-exact bits.
 
 `BinarySymplecticWindow.rows` unpacks the planes, on first iteration, into one
 `WindowRow` per copy (bit frame*m + qubit of its z and x masks, and one
@@ -213,10 +213,9 @@ class BinarySymplecticWindow:
         """A side's intervals `ends`, each k frames longer (capped at W), on the rows in `flags`.
 
         A row's invalid frames on a side come only with its flag there, so
-        the flags alone say which rows carry damage, and they mask the
-        result as they are.  The shift needs no mask: what it carries past a
-        row's end lands in the edge(k) frames of the next row, or on a guard
-        bit.
+        the flags, as they are, mask the result.  The shift needs no mask:
+        what it carries past a row's end lands in the edge(k) frames of the
+        next row, or on a guard bit.
         """
         if k >= self.window:
             return flags
@@ -299,8 +298,7 @@ def expand(qcm: QuantumCheckMatrix, window: int, scratch: int = 0) -> BinarySymp
         for q in range(m):
             nums = (qcm.zn[r][q], qcm.xn[r][q])
             for planes, num in zip((z, x), nums):
-                # a polynomial row fits the window whole, so its series is its numerator
-                series = series_expand((num, den), lo, lo + w - 1) if rational else num
+                series = series_expand((num, den), lo, lo + w - 1) if rational else num  # a polynomial row fits whole
                 if series.bits:
                     planes[q] |= ((series.bits << series.low - lo) * stair & keep) << at
             if rational and not all(divides(den, num) for num in nums):
@@ -399,11 +397,8 @@ def _self_bookkeeping(win: BinarySymplecticWindow, a: int, src: int, delays) -> 
             ends[a] |= win._grow(ends[a], k, sign, lost[a])
 
 
-# Each finite-depth kind's column action, written from the gate definitions
-# (control a, target b, delay k) apart from `gates._MOVES`, so that check (d)
-# witnesses the gate semantics too: moves (dst side, dst track, src side, src
-# track, sign), each adding D^(sign*k) times src into dst.  A CNOT or CPHASE
-# writes b first, then a.
+# Each finite-depth kind's moves (dst side, dst track, src side, src track, sign), from the gate definitions (control
+# a, target b, delay k) and apart from `gates._MOVES`: dst += D^(sign*k) src; a CNOT or CPHASE writes b, then a.
 _MOVES = {
     "CNOT": (("X", "b", "X", "a", 1), ("Z", "a", "Z", "b", -1)),  # X_b += D^k X_a;  Z_a += D^-k Z_b
     "CPHASE": (("Z", "b", "X", "a", 1), ("Z", "a", "X", "b", -1)),  # Z_b += D^k X_a;  Z_a += D^-k X_b
@@ -413,8 +408,7 @@ _MOVES = {
 
 
 def _steps(circuit: Circuit) -> list:
-    """(first gate, delays) per step: adjacent strings of one finite-depth kind with the same qubits and frame flag
-    merge into one maximal run, and every other string is a step of its own."""
+    """(first gate, delays) per step: adjacent strings of one finite-depth kind, qubits and frame flag are one run."""
     steps, last = [], None
     for g, delays in circuit.strings:
         key = (g.kind, g.i, g.j, g.full_frame) if g.kind in _MOVES else None
@@ -450,11 +444,9 @@ def _apply_run(win: BinarySymplecticWindow, kind: str, a: int, b: int | None, de
 def run_circuit(win: BinarySymplecticWindow, circuit: Circuit) -> BinarySymplecticWindow:
     """Apply the shift-invariant circuit to every row of the window at once, one step per run.
 
-    The steps are `_steps(circuit)`: its strings, each maximal run of CNOT,
-    CPHASE, CPHASE_SELF or P strings with the same qubits and frame flag
-    merged into one step, run by `_apply_run` from this module's `_MOVES`;
-    H and INF gates are steps of one gate.  The result shares the mask
-    tables of `win`, whose geometry it has.
+    The steps are `_steps(circuit)`, a finite-depth run run by `_apply_run`
+    from this module's `_MOVES`, and H and INF gates steps of one gate.  The
+    result shares the mask tables of `win`, whose geometry it has.
     """
     out = copy.copy(win)
     out.z, out.x, out.prefix, out.suffix = list(win.z), list(win.x), list(win.prefix), list(win.suffix)
