@@ -3,7 +3,7 @@
 
     python3 scripts/bench_pairs.py --parent REV --change REV --name NAME
                                    [--pairs 10] [--workload W ...] [--corpus-seed C ...]
-                                   [--seconds S] [--python PYTHON] [--out-dir DIR]
+                                   [--seconds S] [--python PYTHON]
 
 Each commit is checked out with `git worktree` under a temporary directory,
 which is removed afterwards.  For each workload and corpus seed the script
@@ -25,9 +25,9 @@ range, the pairs the change won and two verdicts:
   and its median beats the parent's by more than the parent's
   interquartile range.
 
-It writes BENCH_<NAME>.json with the keys change, parent, command, order,
-host, summary and runs.  Quartiles are those of
-`statistics.quantiles(values, n=4, method="inclusive")`.
+It writes BENCH_<NAME>.json at the root of the checkout, with the keys
+change, parent, command, order, host, summary and runs.  Quartiles are
+those of `statistics.quantiles(values, n=4, method="inclusive")`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import contextlib
 import json
 import math
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -170,13 +171,13 @@ def main(argv=None) -> int:
     parser.add_argument("--corpus-seed", type=int, action="append", choices=(1, 2), help="repeat for both; default 1")
     parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--python", default=bench["command"][0], help="the interpreter of every run")
-    parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args(argv)
 
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seeds = args.corpus_seed or [1]
     command = [args.python, *bench["command"][1:]]
     revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit("terminated"))  # so the worktrees and the running child go too
     with worktrees(revs) as checkouts:
         runs = run_pairs(runner(checkouts, command, args.seconds), workloads, seeds, args.pairs)
     rows = summary(runs, bench["end_to_end"])
@@ -191,7 +192,7 @@ def main(argv=None) -> int:
         "summary": rows,
         "runs": runs,
     }
-    out = args.out_dir / f"BENCH_{args.name}.json"
+    out = ROOT / f"BENCH_{args.name}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0

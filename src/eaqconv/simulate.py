@@ -15,18 +15,18 @@ from the gate definitions apart from `gates._MOVES`, in steps (first gate,
 delays) that `_steps` groups: adjacent strings of CNOT, CPHASE, CPHASE_SELF
 or P gates on the same qubits and frame flag merge into a maximal run.  So
 running a circuit here checks the algebraic pipeline's move table, step
-grouping, storage, truncation and infinite-depth steps independently.  No gate of a run writes a plane that the
-run reads, so each move of its kind masks its fixed source track to the
-frames that stay inside the window, shifts it by the move's sign times every
-delay k of the run and XORs the results onto the target track, for every row
-at once.  Moves never cross a row: the mask drops the bits that would leave
-their row before the shift, so no bit lands in another row or on a guard
-bit.  One mask table per window, H(k) for frames [0, k) of every row and
-T(k) = full ^ H(W - k) for frames [W - k, W), serves every mask.  Infinite-depth
-operations run as their sliding-window CNOT rules: ascending application
-order makes the target-frame updates feed back (the 1/f expansion on the X
-side) while source-frame updates do not (the plain f(D^-1) product on the Z
-side).
+grouping, storage, truncation and infinite-depth steps independently.  No
+gate of a run writes a plane that the run reads, so each move of its kind
+masks its fixed source track to the frames that stay inside the window,
+shifts it by the move's sign times every delay k of the run and XORs the
+results onto the target track, for every row at once.  Moves never cross a
+row: the mask drops the bits that would leave their row before the shift, so
+no bit lands in another row or on a guard bit.  One mask table per window,
+H(k) for frames [0, k) of every row and T(k) = full ^ H(W - k) for frames
+[W - k, W), serves every mask.  Infinite-depth operations run as their
+sliding-window CNOT rules: ascending application order makes the
+target-frame updates feed back (the 1/f expansion on the X side) while
+source-frame updates do not (the plain f(D^-1) product on the Z side).
 
 Truncation bookkeeping uses the same layout.  Every row has, per track, the
 frame interval [vf, vu) on which its window bits provably equal the ideal
@@ -45,18 +45,18 @@ head trouble invalidates the track outright (its feedback would need the
 missing history).  A run of CPHASE_SELF gates on track a is bookkept gate by
 gate: a gate of |delay| K flags the rows that hold a bit of its source in
 edge(K), then lengthens every flagged row's interval on a by K.  A run of
-CNOT or CPHASE gates is bookkept in closed form.  Its sources are fixed, so a
-gate can flag new rows only when its delay is a new extreme of its sign.  A
-CNOT or CPHASE gate of |delay| K damages b from a, then a from b: it copies
-each track's flags to the other and sets v = max(v, u + K), then
+CNOT or CPHASE gates is bookkept in closed form.  Its sources are fixed, so
+a gate can flag new rows only when its delay is a new extreme of its sign.
+A CNOT or CPHASE gate of |delay| K damages b from a, then a from b: it
+copies each track's flags to the other and sets v = max(v, u + K), then
 u = max(u, v + K), for a flagged row's invalid head u on track a and v on
-track b.  So
-after a run's first gate the flags agree and u >= v, and every later gate
-sets v = u + K and u = u + 2K (capped at W): the run ends at u + 2S and
-u + 2S - K_last, with S the sum of K after the first gate.  A row that a later
-gate first flags starts from u = 2K (a flagged) or K (b only).  The cap
-commutes with max and +, and the tail side is the mirror image.  Comparisons
-against the exact algebra then use only the provably-exact bits.
+track b.  So after a run's first gate the flags agree and u >= v, and every
+later gate sets v = u + K and u = u + 2K (capped at W): the run ends at
+u + 2S and u + 2S - K_last, with S the sum of K after the first gate.  A
+row that a later gate first flags starts from u = 2K (a flagged) or K (b
+only).  The cap commutes with max and +, and the tail side is the mirror
+image.  Comparisons against the exact algebra then use only the
+provably-exact bits.
 
 `BinarySymplecticWindow.rows` unpacks the planes, on first iteration, into one
 `WindowRow` per copy (bit frame*m + qubit of its z and x masks, and one

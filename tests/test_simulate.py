@@ -373,12 +373,15 @@ def _table_mutants():
     return mutants
 
 
+TABLE_MUTANTS = _table_mutants()
+
+
 def _with_a_string_of(spec, kind):
     """spec, or a copy whose encoder ends with one string of `kind` when spec's encoder has none: no construction
     emits CPHASE, CPHASE_SELF or P for the worked examples, so a mutant of those could not act there otherwise."""
     if any(g.kind == kind for g, _ in spec.encoder.strings):
         return spec
-    extra = {"CNOT": cnot(0, 1, 1), "CPHASE": cphase(0, 1, 1), "CPHASE_SELF": cphase_self(0, 1), "P": phase(0)}[kind]
+    extra = {"CPHASE": cphase(0, 1, 1), "CPHASE_SELF": cphase_self(0, 1), "P": phase(0)}[kind]
     out = copy.copy(spec)
     out.encoder = Circuit.from_strings([*spec.encoder.strings, (extra, [extra.delay])])
     return out
@@ -397,7 +400,7 @@ def test_a_string_of_each_kind_keeps_the_window_check(kind):
         assert check.passed, check.detail
 
 
-@pytest.mark.parametrize("kind, moves", [m[1:] for m in _table_mutants()], ids=[m[0] for m in _table_mutants()])
+@pytest.mark.parametrize("kind, moves", [m[1:] for m in TABLE_MUTANTS], ids=[m[0] for m in TABLE_MUTANTS])
 def test_a_move_table_mutant_fails_the_window_check(monkeypatch, kind, moves):
     """A mutant of `gates._MOVES`, the table `Circuit.apply` runs: the window, which states its own moves, must FAIL
     check 4 on both worked examples."""
