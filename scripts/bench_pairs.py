@@ -3,16 +3,17 @@
 
     python3 scripts/bench_pairs.py --parent REV --change REV --name NAME
                                    [--pairs 10] [--workload W ...] [--corpus-seed C ...]
-                                   [--seconds S] [--python PYTHON]
+                                   [--python PYTHON]
 
 Each commit is checked out with `git worktree` under a temporary directory,
 which is removed afterwards.  For each workload and corpus seed the script
 runs `PYTHON perfbench/run.py --workload W --seconds S --trace 0
---corpus-seed C` in both checkouts, one pair at a time: odd pairs run the
-parent first, even pairs the change first, so a drift of the host's speed
-falls on both sides alike.  Every run must exit 0 with `"correct": true`.
-The runs get PYTHONDONTWRITEBYTECODE=1, so each compiles its sources, as a
-fresh checkout does.
+--corpus-seed C`, S being the `run_seconds` of BENCHMARK.json, in both
+checkouts, one pair at a time: odd pairs run the parent first, even pairs
+the change first, so a drift of the host's speed falls on both sides alike.
+Every run must exit 0 with `"correct": true`.  The runs get
+PYTHONDONTWRITEBYTECODE=1, so each compiles its sources, as a fresh
+checkout does.
 
 For each end-to-end metric of BENCHMARK.json, and for the failed share of
 ops, it prints the medians, the quartiles, the parent's interquartile
@@ -21,9 +22,9 @@ range, the pairs the change won and two verdicts:
 - `bound`: "ok" unless the change's median is worse than the parent's by
   more than the metric's bound ("WORSE"; the failed share has no bound, so
   any rise is WORSE);
-- `gain`: "yes" when the change is better in at least nine pairs of ten
-  and its median beats the parent's by more than the parent's
-  interquartile range.
+- `gain`: "yes" when the change is better in at least nine pairs of ten,
+  its median beats the parent's by more than the parent's interquartile
+  range, and the failed share of that workload and seed is not WORSE.
 
 It writes BENCH_<NAME>.json at the root of the checkout, with the keys
 change, parent, command, order, host, summary and runs.  Quartiles are
@@ -100,6 +101,9 @@ def summary(runs, end_to_end) -> list[dict]:
             rows.append(summarize(workload, seed, m["name"], m["better"], m["bound"], *values))
         shares = [[r["result"]["failed"] / r["result"]["attempted"] for r in side[s]] for s in ("parent", "change")]
         rows.append(summarize(workload, seed, FAILED_SHARE, "lower", None, *shares))
+        if not rows[-1]["within_bound"]:  # more failed ops void every gain of this workload and seed
+            for row in rows[-1 - len(end_to_end):]:
+                row["gain"] = False
     return rows
 
 
@@ -169,7 +173,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=[w["name"] for w in bench["workloads"]],
                         help="repeat for several; default every workload of BENCHMARK.json")
     parser.add_argument("--corpus-seed", type=int, action="append", choices=(1, 2), help="repeat for both; default 1")
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--python", default=bench["command"][0], help="the interpreter of every run")
     args = parser.parse_args(argv)
 
@@ -179,13 +182,13 @@ def main(argv=None) -> int:
     revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     signal.signal(signal.SIGTERM, lambda *_: sys.exit("terminated"))  # so the worktrees and the running child go too
     with worktrees(revs) as checkouts:
-        runs = run_pairs(runner(checkouts, command, args.seconds), workloads, seeds, args.pairs)
+        runs = run_pairs(runner(checkouts, command, bench["run_seconds"]), workloads, seeds, args.pairs)
     rows = summary(runs, bench["end_to_end"])
     print_summary(rows)
     record = {
         "change": {"commit": revs["change"], "subject": git("log", "-1", "--format=%s", revs["change"])},
         "parent": {"commit": revs["parent"], "subject": git("log", "-1", "--format=%s", revs["parent"])},
-        "command": " ".join(command) + f" --workload W --seconds {args.seconds:g} --trace 0 --corpus-seed C, "
+        "command": " ".join(command) + f" --workload W --seconds {bench['run_seconds']:g} --trace 0 --corpus-seed C, "
                    "with PYTHONDONTWRITEBYTECODE=1, in a worktree of each commit",
         "order": ORDER,
         "host": host(args.python),

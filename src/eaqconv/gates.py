@@ -11,14 +11,13 @@ control a, target b and frame delay k:
   InfDepth    X col a *= 1/f(D);         Z col a *= f(D^-1)
   InfDepth'   X col a *= 1/f(D^-1);      Z col a *= f(D)    (time-reversed)
 
-Here each finite-depth gate's column action is written once, in the move
-table `_MOVES`: moves (dst side, dst qubit, src side, src qubit, delay
-sign) that add a shifted source column into a destination column; H swaps
-the two sides of column a, and InfDepth updates the rows it touches.  The
-window of `simulate` states its own moves and steps, so `verify_code`'s
-check (d) witnesses this table and `Circuit._runs`.  `Circuit.apply` runs
-on the rows a `QuantumCheckMatrix` stores, Laurent numerators over one
-GF(2)[D] row denominator in lowest terms, and holds the numerators as
+Each finite-depth gate's column action is written once, in the move table
+`_MOVES`: moves (dst side, dst qubit, src side, src qubit, delay sign) that
+add a shifted source column into a destination column; H swaps the two
+sides of column a, and InfDepth updates the rows it touches.  The window of
+`simulate` has its own moves and steps, so it tests this table and the
+steps.  `Circuit.apply` runs on the rows a `QuantumCheckMatrix` stores,
+Laurent numerators over one GF(2)[D] row denominator in lowest terms, as
 column planes, one int per side and column with every row stacked in it,
 so a move is one shift and one XOR over all rows.
 Finite-depth gates act on a row's numerators by a column operation that

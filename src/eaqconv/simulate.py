@@ -65,8 +65,7 @@ provably-exact bits.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .errors import WindowTooSmall
@@ -199,8 +198,6 @@ class BinarySymplecticWindow:
 
     def _rows_holding(self, bits: int) -> int:
         """Every frame of every row with a bit in `bits` (bits inside the window only): the flags of those rows."""
-        if not bits:
-            return 0
         g = (bits + self._full) & self._guard  # a row's guard bit catches the carry of any bit in it
         return g - (g >> self.window)
 
@@ -219,8 +216,6 @@ class BinarySymplecticWindow:
         """
         if k >= self.window:
             return flags
-        if not k:
-            return ends & flags
         if sign < 0:
             return ((ends << k) | self._head(k)) & flags
         return ((ends >> k) | self._tail(k)) & flags
@@ -413,9 +408,9 @@ def _steps(circuit: Circuit) -> list:
     for g, delays in circuit.strings:
         key = (g.kind, g.i, g.j, g.full_frame) if g.kind in _MOVES else None
         if key is not None and key == last:
-            steps[-1] = steps[-1][0], [*steps[-1][1], *delays]
+            steps[-1][1].extend(delays)
         else:
-            steps.append((g, delays))
+            steps.append((g, [*delays]))
         last = key
     return steps
 
@@ -445,12 +440,10 @@ def run_circuit(win: BinarySymplecticWindow, circuit: Circuit) -> BinarySymplect
     """Apply the shift-invariant circuit to every row of the window at once, one step per run.
 
     The steps are `_steps(circuit)`, a finite-depth run run by `_apply_run`
-    from this module's `_MOVES`, and H and INF gates steps of one gate.  The
-    result shares the mask tables of `win`, whose geometry it has.
+    from this module's `_MOVES`, and H and INF gates steps of one gate.
     """
-    out = copy.copy(win)
-    out.z, out.x, out.prefix, out.suffix = list(win.z), list(win.x), list(win.prefix), list(win.suffix)
-    out.head_lost, out.tail_lost, out._unpacked = list(win.head_lost), list(win.tail_lost), None
+    out = replace(win, z=list(win.z), x=list(win.x), prefix=list(win.prefix), suffix=list(win.suffix),
+                  head_lost=list(win.head_lost), tail_lost=list(win.tail_lost))
     for g, delays in _steps(circuit):
         a, b = gate_columns(g, win.n_per_frame, win.bob_cols)  # the run shares g's qubits
         if g.kind == "INF":

@@ -30,19 +30,19 @@ SCRIPTED = {
     },
     "change": {
         "verify_w64": [(110, 0.013, 21, 0.2, 1), (112, 0.013, 21, 0.2, 1), (109, 0.013, 21, 0.2, 1), (111, 0.013, 21, 0.2, 1)],
-        "build_l": [(50, 0.020, 20, 0.2, 2)] * 4,
+        "build_l": [(60, 0.020, 20, 0.2, 2)] * 4,
     },
 }
 
 FAKE_RUN = """\
 import json, os, sys
 args = sys.argv[1:]
-workload, seed = args[args.index("--workload") + 1], args[args.index("--corpus-seed") + 1]
+workload, seed, seconds = (args[args.index(flag) + 1] for flag in ("--workload", "--corpus-seed", "--seconds"))
 log = os.environ["BENCH_PAIRS_TEST_LOG"]
 with open(log, "a") as fh:
-    fh.write(f"{SIDE} {workload} {seed}\\n")
+    fh.write(f"{SIDE} {workload} {seed} {seconds}\\n")
 with open(log) as fh:
-    n = sum(line.split() == [SIDE, workload, seed] for line in fh)
+    n = sum(line.split()[:3] == [SIDE, workload, seed] for line in fh)
 *values, failed = SCRIPTED[SIDE][workload][n - 1]
 print("workload", workload)
 metrics = {name: {"value": v, "unit": "-"} for name, v in zip(METRICS, values)}
@@ -83,8 +83,7 @@ def record(tmp_path_factory):
     log = repo.parent / f"{repo.name}.log"
     out = subprocess.run(
         [sys.executable, "scripts/bench_pairs.py", "--parent", "HEAD~1", "--change", "HEAD", "--name", "fake",
-         "--pairs", "4", "--workload", "verify_w64", "--workload", "build_l", "--seconds", "1",
-         "--python", sys.executable],
+         "--pairs", "4", "--workload", "verify_w64", "--workload", "build_l", "--python", sys.executable],
         cwd=repo, env=dict(os.environ, BENCH_PAIRS_TEST_LOG=str(log)), check=True, capture_output=True, text=True)
     worktrees = subprocess.run(["git", "worktree", "list"], cwd=repo, capture_output=True, text=True).stdout
     assert len(worktrees.strip().splitlines()) == 1, "the temporary worktrees are removed"
@@ -99,9 +98,16 @@ def _row(record, workload, metric):
 def test_odd_pairs_run_the_parent_first(record):
     _, calls, _ = record
     pairs = ["parent", "change", "change", "parent"] * 2  # pairs 1 to 4
-    assert [side for side, _, _ in calls] == pairs * 2
-    assert [w for _, w, _ in calls] == ["verify_w64"] * 8 + ["build_l"] * 8
-    assert {seed for _, _, seed in calls} == {"1"}
+    assert [side for side, _, _, _ in calls] == pairs * 2
+    assert [w for _, w, _, _ in calls] == ["verify_w64"] * 8 + ["build_l"] * 8
+    assert {seed for _, _, seed, _ in calls} == {"1"}
+
+
+def test_every_run_lasts_the_benchmarks_run_seconds(record):
+    rec, calls, _ = record
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert {float(s) for _, _, _, s in calls} == {seconds}
+    assert f"--seconds {seconds:g} " in rec["command"]
 
 
 def test_the_record_has_one_schema(record):
@@ -136,6 +142,9 @@ def test_bound_and_gain_verdicts(record):
     assert verdicts[("verify_w64", "setup_s")] == (True, False)  # no change
     assert verdicts[("verify_w64", "fail_share")] == (True, False)
     assert verdicts[("build_l", "fail_share")] == (False, False)  # 2 of 24 ops failed where 1 did
+    # 4 of 4 pairs faster by more than the IQR of 0, but one more op failed: no gain
+    assert verdicts[("build_l", "ops_per_s")] == (True, False)
+    assert _row(rec, "build_l", "ops_per_s")["change_better_pairs"] == 4
 
 
 def test_quartiles_of_few_values():
