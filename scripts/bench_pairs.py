@@ -175,6 +175,8 @@ def main(argv=None) -> int:
     parser.add_argument("--corpus-seed", type=int, action="append", choices=(1, 2), help="repeat for both; default 1")
     parser.add_argument("--python", default=bench["command"][0], help="the interpreter of every run")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seeds = args.corpus_seed or [1]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Print the lines of src/eaqconv/ that no benchmark op runs; exit 1 unless each is explained.
+"""Print the lines of src/eaqconv/ that no benchmark op runs; exit 1 unless each is explained and reached.
 
-Run from the repository root:
+Run from the repository root (it needs pytest):
 
     python3 scripts/corpus_traffic.py
 
@@ -11,29 +11,37 @@ seed-2.json, then `eaqconv examples --format json`.  For each module of
 src/eaqconv/ it prints the executable lines that no op ran, as ranges under
 the function that holds them, and last the number of unrun lines summed over
 all modules.  The package is imported under the tracer, so
-module-level code counts as run.  Standard library only.
+module-level code counts as run.
 
 scripts/unrun.txt explains functions, one a line: `module:qualified name`,
 its class (see the file's legend) and the tests that reach its unrun lines,
 split by ` | `.  An unrun line is explained when the function that holds it,
-or a function it is nested in, has such a line; the script prints the
-number of the others on each module's line and, summed, last, as
-`unexplained: N`.  An entry whose function holds no unrun line is stale,
-and each is printed as `stale: <entry>`.  Each test an entry names,
-`tests/<file>.py::<name>` with an optional `[<param>]`, must name a `def`
-of that file, found with `ast` (no test is run); each that does not is
-printed as `missing test: <test>`.  The exit status is 1 when any line is
-unexplained, any entry stale or any test missing, else 0.
+or a function it is nested in, has such a line.  The script then runs the
+named tests in-process through `pytest.main`, line-tracing src/eaqconv/
+during each test's call; a name with no `[<param>]` stands for every
+parametrization of its test.  Last it prints its verdicts:
+
+- `unexplained: N`, the unrun lines no entry explains;
+- `stale: <entry>` for each entry whose function holds no unrun line;
+- `excused: <entry> <lines> (<why>)` for the lines EXCEPTIONS excuses;
+- `not reached: <entry> <lines>` for the unrun lines of an entry that its
+  tests, together, did not run, then `reached: N of M entries`;
+- `stale exception: <entry>` for each exception that excuses no line;
+- `missing test: <test>` for each named test that matches no test that ran.
+
+The exit status is 1 when a line is unexplained, an entry is stale or not
+reached, an exception is stale, or a named test is missing or fails; else 0.
 """
 
 from __future__ import annotations
 
-import ast
-import functools
 import json
 import re
 import sys
+from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "eaqconv"
@@ -41,6 +49,15 @@ EXPLAINED = ROOT / "scripts" / "unrun.txt"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import corpus  # noqa: E402  (perfbench/corpus.py: the ops' command lines and the in-process runner)
+
+# entry: (text found in each line it excuses, "" for all its lines; why no in-process test reaches them)
+EXCEPTIONS = {
+    "cli.py:<module>": ("", "runs only when the module is the program; its test runs it in a subprocess"),
+    "simulate.py:verify_code": (
+        "window too small to compare any generator copy",
+        "the zero-copies detail: no input found reaches it, and no test forces it (scripts/unrun.txt)",
+    ),
+}
 
 
 def executable_lines(path: Path) -> dict[int, str]:
@@ -103,53 +120,97 @@ def explained() -> dict[str, list[str]]:
     return {name: re.split(r", (?=tests/)", tests) for name, _, tests in entries}
 
 
-@functools.cache
-def test_defs(path: str) -> set[str]:
-    """The names of the functions a test file defines, at any depth; none when the file does not exist."""
-    file = ROOT / path
-    tree = ast.parse(file.read_text(encoding="utf-8")) if file.is_file() else ast.Module(body=[], type_ignores=[])
-    return {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-
-
-def missing_tests(named) -> list[str]:
-    """The named tests, `tests/<file>.py::<name>[<param>]`, whose file defines no function <name>."""
-    form = re.compile(r"(tests/[\w/]+\.py)::(\w+)(\[.*\])?")
-    return [test for test in named if not ((match := form.fullmatch(test)) and match[2] in test_defs(match[1]))]
-
-
-def main() -> int:
-    ran, known = ran_lines(), explained()
-    total = unexplained = 0
-    used = set()  # the entries that explain an unrun line
+def survey(ran, known) -> dict[str, dict[tuple[str, int], str]]:
+    """Print each module's unrun lines under the functions holding them, then their total; return
+    {`module:qualified name`: {(file, line): its text}} of the unrun lines of each outermost function."""
+    unrun, total = defaultdict(dict), 0
     for path in sorted(SRC.glob("*.py")):
-        owner = executable_lines(path)
+        owner, text = executable_lines(path), path.read_text(encoding="utf-8").splitlines()
         lines = sorted(owner)
         spans = []  # [owner, first, last] per maximal stretch of unrun lines with one owner
+        holders = []  # the outermost function of each unrun line
         for prev, line in zip([None] + lines, lines):
             if (str(path), line) in ran:
                 continue
+            holders.append(holder(path, owner[line]))
+            unrun[holders[-1]][str(path), line] = text[line - 1]
             if spans and spans[-1][2] == prev and spans[-1][0] == owner[line]:
                 spans[-1][2] = line
             else:
                 spans.append([owner[line], line, line])
-        unrun = [line for line in lines if (str(path), line) not in ran]
-        holders = [holder(path, owner[line]) for line in unrun]
-        used.update(known.keys() & set(holders))
+        total += len(holders)
         left = sum(name not in known for name in holders)
-        total += len(unrun)
-        unexplained += left
-        print(f"{path.name}: {len(unrun)} of {len(lines)} executable lines not run, {left} unexplained")
+        print(f"{path.name}: {len(holders)} of {len(lines)} executable lines not run, {left} unexplained")
         for name, first, last in spans:
             print(f"  {name}  {first}" + (f"-{last}" if last != first else ""))
     print(f"total: {total} executable lines not run")
-    print(f"unexplained: {unexplained}")
-    stale = sorted(known.keys() - used)
-    for name in stale:
-        print(f"stale: {name}")
-    missing = missing_tests(test for tests in known.values() for test in tests)
-    for test in missing:
-        print(f"missing test: {test}")
-    return 1 if unexplained or stale or missing else 0
+    return unrun
+
+
+def runs(node: str, test: str) -> bool:
+    """Whether the pytest node id is the named test or one of its parametrizations."""
+    return node == test or node.startswith(test + "[")
+
+
+class Reach:
+    """A pytest plugin that runs only the named tests: {node id: the (file, line)s of src/eaqconv/ its call ran}."""
+
+    def __init__(self, named):
+        self.named, self.ran = named, defaultdict(set)
+
+    def pytest_collection_modifyitems(self, items):
+        items[:] = [item for item in items if any(runs(item.nodeid, test) for test in self.named)]
+
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_runtest_call(self, item):
+        previous = sys.gettrace()
+        sys.settrace(tracer(self.ran[item.nodeid]))
+        try:
+            yield
+        finally:
+            sys.settrace(previous)
+
+
+def verdicts(unrun, known, reached, exceptions) -> tuple[list[str], bool]:
+    """The verdict lines, and whether they all pass.
+
+    unrun is `survey`'s result, known `explained()`'s, reached {node id: the
+    (file, line)s its call ran} and exceptions has the form of EXCEPTIONS.
+    """
+    unexplained = sum(len(lines) for entry, lines in unrun.items() if entry not in known)
+    stale = sorted(known.keys() - unrun.keys())
+    out = [f"unexplained: {unexplained}", *(f"stale: {entry}" for entry in stale)]
+    failed, used = 0, set()
+    for entry, tests in known.items():
+        hit = set().union(*(lines for node, lines in reached.items() if any(runs(node, t) for t in tests)))
+        spared, rest = [], []
+        for (file, line), text in unrun.get(entry, {}).items():
+            if (file, line) not in hit:
+                (spared if entry in exceptions and exceptions[entry][0] in text else rest).append(str(line))
+        if spared:
+            used.add(entry)
+            out.append(f"excused: {entry} {', '.join(spared)} ({exceptions[entry][1]})")
+        if rest:
+            failed += 1
+            out.append(f"not reached: {entry} {', '.join(rest)}")
+    out.append(f"reached: {len(known) - failed} of {len(known)} entries")
+    unused = sorted(exceptions.keys() - used)
+    out += [f"stale exception: {entry}" for entry in unused]
+    named = sorted({test for tests in known.values() for test in tests})
+    missing = [test for test in named if not any(runs(node, test) for node in reached)]
+    out += [f"missing test: {test}" for test in missing]
+    return out, not (unexplained or stale or failed or unused or missing)
+
+
+def main() -> int:
+    known = explained()
+    unrun = survey(ran_lines(), known)
+    reach = Reach({test for tests in known.values() for test in tests})
+    files = sorted({str(ROOT / test.split("::")[0]) for test in reach.named})
+    status = pytest.main(["-q", "-p", "no:cacheprovider", *files], plugins=[reach])
+    out, passed = verdicts(unrun, known, reach.ran, EXCEPTIONS)
+    print(*out, sep="\n")
+    return 0 if passed and status == 0 else 1
 
 
 if __name__ == "__main__":

@@ -406,16 +406,8 @@ class Circuit:
     """Gate strings in order, each (gate, delays) as the module docstring says; len() counts their terms."""
 
     def __init__(self, gates=()):
-        """The circuit of these gates, grouped once into strings: adjacent finite-depth gates equal in all but delay."""
-        strings, prev = [], None
-        for g in gates:
-            if prev is not None and g[:3] == prev[:3] and g[4:] == prev[4:]:
-                delays.append(g.delay)
-            else:
-                delays = [g.delay]
-                strings.append((g, delays))
-                prev = g if g.kind in _MOVES else None
-        self.strings = tuple(strings)
+        """The circuit of these gates, one string each; `_runs` merges them into steps."""
+        self.strings = tuple((g, (g.delay,)) for g in gates)
 
     @classmethod
     def from_strings(cls, strings) -> Circuit:

@@ -9,6 +9,8 @@
   reduced again, as dropping columns can shrink its lcm.
 - `golden_pairs()`: (id, H1 text, H2 text) of the 12 pairs of
   tests/golden/random_codes.json, then of both worked examples.
+- `matrix(text)`: the `PolyMatrix` of a matrix written on one line, its
+  rows split by "; " as the corpora and golden files write them.
 - `corpus_items()`: every op of both benchmark corpora (`perfbench/corpus/`
   seeds 1 and 2) as its JSON item: tier, H1 and H2 text, frozen outcome.
 - `alice_cols(qcm)`: the number of sender columns of a check matrix.
@@ -29,7 +31,7 @@ from eaqconv.cli import EXAMPLES
 from eaqconv.errors import PolyParseError
 from eaqconv.gates import Circuit, Gate, QuantumCheckMatrix
 from eaqconv.poly import lowest_terms, parse_poly
-from eaqconv.polymat import PolyMatrix
+from eaqconv.polymat import PolyMatrix, parse_matrix
 from smith_oracle import product_factors
 
 
@@ -53,6 +55,10 @@ def golden_pairs() -> list[tuple[str, str, str]]:
     with open(Path(__file__).resolve().parent / "golden" / "random_codes.json", encoding="utf-8") as fh:
         codes = json.load(fh)["codes"]
     return [(c["id"], c["h1"], c["h2"]) for c in codes] + [(name, h1, h2) for name, (h1, h2) in sorted(EXAMPLES.items())]
+
+
+def matrix(text: str) -> PolyMatrix:
+    return parse_matrix(text.replace("; ", "\n"))
 
 
 def corpus_items() -> list[dict]:

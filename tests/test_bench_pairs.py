@@ -153,3 +153,12 @@ def test_quartiles_of_few_values():
     assert bench_pairs.quartiles([1, 2, 3, 4, 5]) == (2, 4)
     row = bench_pairs.summarize("w", 1, "op_s.p50", "lower", 0.25, [1.0, 1.0], [0.5, 1.5])
     assert row["change_better_pairs"] == 1 and row["within_bound"] and not row["gain"]
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_fewer_than_one_pair_is_a_usage_error(monkeypatch, capsys, pairs):
+    bench_pairs = _load()
+    monkeypatch.setattr(bench_pairs, "git", lambda *args, **kw: pytest.fail(f"git {args} ran"))
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--parent", "HEAD~1", "--change", "HEAD", "--name", "fake", "--pairs", pairs])
+    assert exit_.value.code == 2 and "--pairs must be at least 1" in capsys.readouterr().err

@@ -5,9 +5,9 @@ makes one `Gate` per term.  `tests/circuit_oracle.py` keeps `steps`, the
 grouping into replay steps that ran over per-term gate lists.  Seeded gate
 lists mix all six kinds and both frame flags, change the note inside a run
 of gates on the same qubits, and follow a run by one that differs in its
-frame flag alone.  For each, `Circuit(gates)` must give the
-gates back as its view, its `_runs` must be the oracle's steps of the same
-gates, and its `inverse()` must hold the gates of `Circuit(gates[::-1])` in
+frame flag alone.  For each, `Circuit(gates)` must hold one string per
+gate and give the gates back as its view, its `_runs` must be the oracle's
+steps of the same gates, and its `inverse()` must hold the gates of `Circuit(gates[::-1])` in
 the same steps.  Seeded string lists, adjacent strings often equal in all
 but their delays, must view as their terms in order and run in the
 oracle's steps of that view.
@@ -76,12 +76,12 @@ def _step_keys(steps):
     return [(g.kind, g.i, g.j, g.full_frame, list(delays)) for g, delays in steps]
 
 
-def test_gate_lists_group_into_strings_that_view_and_run_as_before():
+def test_gate_lists_are_one_string_each_that_view_and_run_as_before():
     merged = noted = 0
     for seed in range(CASES):
         gates = _gates(random.Random(f"strings/{seed}"))
         circuit = Circuit(gates)
-        assert circuit.gates == tuple(gates) and len(circuit) == len(gates)
+        assert circuit.gates == tuple(gates) and len(circuit) == len(circuit.strings) == len(gates)
         want = oracle.steps(gates)
         assert _step_keys(circuit._runs) == _step_keys(want)
         assert [g for g, _ in circuit._runs] == [g for g, _ in want]

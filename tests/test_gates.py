@@ -28,12 +28,9 @@ from eaqconv.gates import (
     time_reversed_rule,
 )
 from eaqconv.poly import ZERO, LaurentPoly, RationalPoly, parse_poly
+from eaqconv.poly import parse_poly as P
 from eaqconv.polymat import PolyMatrix, format_matrix, format_rows, parse_matrix
 from support import alice_cols, golden_pairs, parse_circuit, parse_gate
-
-
-def P(text):
-    return parse_poly(text)
 
 
 def qcm(ztext, xtext, bob_cols=0, info=None):

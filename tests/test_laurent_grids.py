@@ -22,15 +22,11 @@ from pathlib import Path
 
 from eaqconv.construct import decompose_general, validate_inputs
 from eaqconv.errors import ValidationError
-from eaqconv.polymat import format_matrix, parse_matrix
+from eaqconv.polymat import format_matrix
 from smith_oracle import product_factors, smith_form
-from support import corpus_items
+from support import corpus_items, matrix
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _matrix(text):
-    return parse_matrix(text.replace("; ", "\n"))
 
 
 def _admitted(pairs):
@@ -45,7 +41,7 @@ def _admitted(pairs):
 
 
 def _corpus_pairs():
-    return _admitted([(_matrix(it["h1"]), _matrix(it["h2"])) for it in corpus_items()])
+    return _admitted([(matrix(it["h1"]), matrix(it["h2"])) for it in corpus_items()])
 
 
 def _sample_pairs(seed, counts):

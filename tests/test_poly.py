@@ -21,11 +21,8 @@ from eaqconv.poly import (
     parse_rational,
     series_expand,
 )
+from eaqconv.poly import parse_poly as P
 from eaqconv.errors import PolyParseError
-
-
-def P(text):
-    return parse_poly(text)
 
 
 laurents = st.builds(LaurentPoly, st.integers(min_value=0, max_value=0xFFFF), st.integers(min_value=-6, max_value=6))

@@ -10,15 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from eaqconv import polymat
 from eaqconv.errors import DimensionMismatch
-from eaqconv.poly import LaurentPoly, RationalPoly, divides, gcd, parse_poly
+from eaqconv.poly import LaurentPoly, RationalPoly, divides, gcd
+from eaqconv.poly import parse_poly as P
 from eaqconv.polymat import format_matrix, parse_matrix, row_space_equal, rref
 from smith_oracle import PolyMatrix, smith_form
 from support import numerator_rows, submatrix
 from verify_oracle import det
-
-
-def P(text):
-    return parse_poly(text)
 
 
 def M(text):

@@ -39,8 +39,9 @@ from eaqconv.cli import _spec_report_json
 from eaqconv.construct import build_code
 from eaqconv.gates import Circuit, QuantumCheckMatrix, format_gate
 from eaqconv.poly import LaurentPoly, RationalPoly
-from eaqconv.polymat import PolyMatrix, format_matrix, laurent_grid, parse_matrix, row_space_equal
+from eaqconv.polymat import PolyMatrix, format_matrix, laurent_grid, row_space_equal
 from smith_oracle import invariant_factors, smith_form
+from support import matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "perfbench" / "corpus" / "seed-1.json"
@@ -50,10 +51,6 @@ SMITH_SHA256 = "530cc4e1a2c8de80aac950375f1adcc5cb663e5803662f5a1b78807be3eaca46
 WIDE_PAIR = 19
 WIDE_GATES = 429
 WIDE_GATES_SHA256 = "e5cbabd42ddb6810163302214d76216c80f0fc0d745d09fbadba8ac1adeef932"
-
-
-def _matrix(text):
-    return parse_matrix(text.replace("; ", "\n"))
 
 
 def _corpus_pairs():
@@ -85,7 +82,7 @@ def _stacked(h1, h2):
 @pytest.mark.parametrize("start", range(0, len(PAIRS), 10))
 def test_traced_and_plain_reductions_agree(start):
     for h1, h2 in PAIRS[start:start + 10]:
-        m1, m2 = _matrix(h1), _matrix(h2)
+        m1, m2 = matrix(h1), matrix(h2)
         traced = build_code(m1, m2, want_trace=True)
         plain = build_code(m1, m2)
         rt, rp = traced.record.reduction, plain.record.reduction
@@ -157,7 +154,7 @@ def test_width_fallback_reduction_matches_pinned_gates(monkeypatch):
     calls = []
     divide = polymat.divmod_width
     monkeypatch.setattr(polymat, "divmod_width", lambda a, b: calls.append(1) or divide(a, b))
-    gates = Circuit.from_strings(build_code(_matrix(item["h1"]), _matrix(item["h2"])).record.reduction.strings).gates
+    gates = Circuit.from_strings(build_code(matrix(item["h1"]), matrix(item["h2"])).record.reduction.strings).gates
     assert calls, "the width fallback no longer fires on this pair"
     assert len(gates) == WIDE_GATES
     assert hashlib.sha256("\n".join(f"{format_gate(g)} {g.note}" for g in gates).encode()).hexdigest() == WIDE_GATES_SHA256

@@ -23,9 +23,8 @@ from eaqconv import polymat
 from eaqconv.construct import build_code
 from eaqconv.errors import EaqconvError
 from eaqconv.poly import LaurentPoly
-from eaqconv.polymat import parse_matrix
 from smith_oracle import GridHooks, replay
-from support import corpus_items
+from support import corpus_items, matrix
 
 RANDOM_GRIDS = 1200
 
@@ -145,10 +144,6 @@ def test_random_grids_take_the_same_operations(monkeypatch):
     assert fired >= 50, "the width fallback no longer fires on enough of the random grids"
 
 
-def _matrix(text):
-    return parse_matrix(text.replace("; ", "\n"))
-
-
 @functools.cache
 def _corpus_blocks():
     """Every distinct block the package's engine starts from on both corpora."""
@@ -163,7 +158,7 @@ def _corpus_blocks():
         mp.setattr(polymat.SmithEngine, "run", capturing)
         for item in corpus_items():
             try:
-                build_code(_matrix(item["h1"]), _matrix(item["h2"]))
+                build_code(matrix(item["h1"]), matrix(item["h2"]))
             except EaqconvError:
                 pass
     return list(blocks)
