@@ -4,8 +4,10 @@
 block through a hook on every pass and did all its arithmetic on
 `LaurentPoly` entries.  Both engines run on the same blocks and must take
 the same operations, in the same order (kind, indices and multiplier f),
-reach the same rank and end with the same block; the package engine's
-operations are its log, replayed to a listener.  The blocks are 1200
+reach the same rank, end with the same block and spend the same budget:
+each engine ticks once per pass, so they make the same number of passes
+and an over-budget block raises `InternalError` in both.  The package
+engine's operations are its log, replayed to a listener.  The blocks are 1200
 seeded Laurent grids up to 5 x 5 (zero lines, dependent rows, common
 factors and D^k row units planted in some), on which the width-division
 fallback fires in some; and every block the package's Smith engine starts
@@ -23,7 +25,8 @@ from eaqconv import polymat
 from eaqconv.construct import build_code
 from eaqconv.errors import EaqconvError
 from eaqconv.poly import LaurentPoly
-from smith_oracle import GridHooks, replay
+from smith_oracle import _SMITH_CAP as ORACLE_CAP
+from smith_oracle import GridHooks, LaurentSmithEngine, replay
 from support import corpus_items, matrix
 
 RANDOM_GRIDS = 1200
@@ -78,26 +81,28 @@ def _block(engine):
 
 
 def _package_run(block):
-    """(operations, rank, final block) of the package's engine on a Laurent block."""
+    """(operations, rank, final block, ticks spent) of the package's engine on a Laurent block."""
     engine = polymat.SmithEngine(block)
     rank = engine.run()
     log = _Log()
     replay(engine.ops, log)
-    return log.ops, rank, _block(engine)
+    return log.ops, rank, _block(engine), polymat._SMITH_CAP - engine._budget
 
 
 def _oracle_run(block):
     hooks = _OracleLog(block)
-    rank = hooks.reduce()
-    return hooks.log.ops, rank, hooks.w
+    engine = LaurentSmithEngine((len(block), len(block[0]) if block else 0), hooks)
+    rank = engine.run()
+    return hooks.log.ops, rank, hooks.w, ORACLE_CAP - engine._budget
 
 
 def _assert_same_run(block):
-    ops, rank, final = _package_run(block)
-    want_ops, want_rank, want_final = _oracle_run(block)
+    ops, rank, final, spent = _package_run(block)
+    want_ops, want_rank, want_final, want_spent = _oracle_run(block)
     assert ops == want_ops, block
     assert rank == want_rank, block
     assert final == want_final, block
+    assert spent == want_spent, block
 
 
 def _laurent(rng, max_bits):
