@@ -11,24 +11,25 @@ The Smith engine is deliberately deterministic: among nonzero entries of the
 working block it always pivots on the one with minimal (deg - del), ties
 broken row-major, and divides with common-shift GF(2)[D] division until a
 pass revisits a block state, then with `divmod_width`; it always ends with
-each diagonal entry dividing the next.  The engine owns its block: it reads
-the Laurent rows once into (bits, low) integer pairs, and scans, snapshots,
-divides and applies every operation on those ints, with no LaurentPoly per
-entry.  It logs each row or column addition or swap, and nothing outside
-it touches the block during the run.  `SmithEngine.factors` runs the
-engine and reads its diagonal; validation applies the log's row operations
-to H1 (`row_image`) for its row basis.  The code construction plays a log
-after the run (`construct._Reduction.play`): column operations become
-circuit gates and row operations row operations on its working check matrix.
+each diagonal entry dividing the next.  Only a pass that divides snapshots
+the block: a stage's last pass finds it zero or diagonal at t, and no later
+pass is left to compare that state, so the width switch falls on the same
+pass as when every pass took a snapshot.  The engine owns its block: it
+reads the Laurent rows once into (bits, low) integer pairs, and scans,
+snapshots, divides and applies every operation on those ints.  It logs each
+row or column addition or swap; nothing else touches the block.
+`SmithEngine.factors` runs the engine and reads its diagonal; validation
+applies the log's row operations to H1 (`row_image`) for its row basis.  The
+construction plays a log after the run (`construct._Reduction.play`):
+column operations become gates and row operations act on its check matrix.
 
 Row spaces over GF(2)(D) are computed on the rows' Laurent numerators, with
 no rational arithmetic: scaling a row by a nonzero polynomial does not
-change the row space.  `echelon` is a
-fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968) that
-keeps every row a primitive part.  A fully reduced echelon form is unique up
-to row scaling, so its primitive rows are unique: `row_space_equal`
-compares them, eliminating grids with equal sorted primitive rows once, and
-`rref` divides each row by its pivot once at the end.
+change the row space.  `echelon` is a fraction-free Gauss-Jordan elimination
+(Bareiss, Math. Comp. 1968) that keeps every row a primitive part.  A fully
+reduced echelon form is unique up to row scaling, so its primitive rows are
+unique: `row_space_equal` compares them, eliminating grids with equal sorted
+primitive rows once, and `rref` divides each row by its pivot at the end.
 """
 
 from __future__ import annotations
@@ -192,13 +193,8 @@ class SmithEngine:
             row[i], row[j] = row[j], row[i]
         self.ops.append(("col_swap", i, j, 0, 0))
 
-    def _scan(self, t, snap):
-        """One walk of block t: its pivot, and its state as a flat tuple of ints when snap is set.
-
-        The pivot is the nonzero entry of least width, the row-major first
-        among equals; it is None when the block is zero.  The state lists
-        the masks row by row, then the lowest exponents.
-        """
+    def _scan(self, t):
+        """The pivot of block t: its nonzero entry of least width, the row-major first among equals; None when the block is zero."""
         best, least = None, None
         for i in range(t, self.rows):
             row = self.bits[i]
@@ -208,14 +204,14 @@ class SmithEngine:
                     w = b.bit_length()
                     if least is None or w < least:
                         best, least = (i, j), w
-        if not snap:
-            return best, None
+        return best
+
+    def _snapshot(self, t):
+        """Block t's state as a flat tuple of ints: the masks row by row, then the lowest exponents."""
         bits, lows = self.bits, self.lows
         if t:
             bits, lows = [row[t:] for row in bits[t:]], [row[t:] for row in lows[t:]]
-        # (*it,) allocates the tuple at its final size; tuple(it) would grow it
-        # by resizing, so freed snapshots would pile up in the tuple free list
-        return best, (*chain(*bits, *lows),)
+        return (*chain(*bits, *lows),)  # made at its final size: tuple(it) would resize it
 
     def _quotient(self, eb, el, pb, pl, wide):
         """Reduction quotient (bits, low) for e against pivot; zero means 'flip roles'."""
@@ -233,8 +229,9 @@ class SmithEngine:
         """Diagonalize position t; returns False when the block is all zero.
 
         Plain common-shift division is tried first (it yields the gate
-        sequences the worked constructions print); if the chase ever revisits
-        a state it switches to width-reducing Laurent division, for which
+        sequences the worked constructions print); once a pass about to
+        divide adds a snapshot the stage's set already holds (the set does
+        not grow), it switches to width-reducing Laurent division, for which
         (deg - del) is a strictly decreasing Euclidean measure.
         """
         bits = self.bits
@@ -242,11 +239,7 @@ class SmithEngine:
         wide = False
         while True:
             self._tick()
-            pos, snap = self._scan(t, not wide)
-            if not wide:
-                if snap in seen:
-                    wide = True
-                seen.add(snap)
+            pos = self._scan(t)
             if pos is None:
                 return False
             pi, pj = pos
@@ -255,19 +248,26 @@ class SmithEngine:
             # cleared by column operations first, then its column by row
             # operations.
             prow = bits[pi]
-            k = next((j for j in range(t, self.cols) if prow[j] and j != pj), None)
-            if k is not None:
-                self._reduce(pi, k, pi, pj, wide)
-                continue
-            k = next((i for i in range(t, self.rows) if bits[i][pj] and i != pi), None)
-            if k is not None:
-                self._reduce(k, pj, pi, pj, wide)
-                continue
-            if pi != t:
-                self._row_swap(t, pi)
-            if pj != t:
-                self._col_swap(t, pj)
-            return True
+            for j in range(t, self.cols):
+                if prow[j] and j != pj:
+                    i = pi
+                    break
+            else:
+                j = pj
+                for i in range(t, self.rows):
+                    if bits[i][pj] and i != pi:
+                        break
+                else:
+                    if pi != t:
+                        self._row_swap(t, pi)
+                    if pj != t:
+                        self._col_swap(t, pj)
+                    return True
+            if not wide:
+                size = len(seen)
+                seen.add(self._snapshot(t))
+                wide = len(seen) == size
+            self._reduce(i, j, pi, pj, wide)
 
     def _reduce(self, i, j, pi, pj, wide):
         """One operation that reduces entry (i, j) against the pivot (pi, pj), in its row or its column.

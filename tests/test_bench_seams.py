@@ -5,7 +5,11 @@
 `polymat.divmod_width`.  This test wraps the same two names while the CLI
 runs every seed-1 `screen_s` op (`params`) and `verify_w64` pair 19 (where
 the width fallback fires), and pins both counts, so a Smith engine that
-reduced or divided by width past those names would show here.  Likewise it
+reduced or divided by width past those names would show here.  Over the
+`screen_s` ops it also pins the engine's passes (`SmithEngine._scan`, one
+per pass) and its block snapshots (`SmithEngine._snapshot`): only a pass
+that divides takes one, so an engine that snapshot every pass again would
+show here.  Likewise it
 wraps `simulate.run_circuit` and `simulate.expand` by module name, as the
 traced spans do, and pins one circuit run and two expansions per
 `verify --window 64`, so `simulate.run_circuit_s` keeps timing the window
@@ -52,6 +56,7 @@ from eaqconv.polymat import PolyMatrix, parse_matrix
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "seed-1.json"
 SCREEN_S_RUNS, SCREEN_S_WIDE_DIVS = 823, 14
+SCREEN_S_PASSES, SCREEN_S_SNAPSHOTS = 4408, 3190
 VERIFY_PAIR = 19
 VERIFY_RUNS, VERIFY_WIDE_DIVS = 4, 9
 WINDOW_PAIR = 0
@@ -61,15 +66,18 @@ WIDE_BUILDS_SHA256 = "8daf5314ef00b4fa6f91e8c62e5afb417b05f1a88efe2c633460501745
 
 
 def _counted(monkeypatch, argvs):
-    """(SmithEngine.run calls, divmod_width calls) while the CLI runs each argv."""
-    runs, divs = [], []
-    run, divide = polymat.SmithEngine.run, polymat.divmod_width
-    monkeypatch.setattr(polymat.SmithEngine, "run", lambda self: runs.append(1) or run(self))
+    """(SmithEngine.run calls, divmod_width calls, passes, snapshots) while the CLI runs each argv."""
+    runs, divs, passes, snaps = [], [], [], []
+    engine = polymat.SmithEngine
+    run, divide, scan, snapshot = engine.run, polymat.divmod_width, engine._scan, engine._snapshot
+    monkeypatch.setattr(engine, "run", lambda self: runs.append(1) or run(self))
     monkeypatch.setattr(polymat, "divmod_width", lambda a, b: divs.append(1) or divide(a, b))
+    monkeypatch.setattr(engine, "_scan", lambda self, t: passes.append(1) or scan(self, t))
+    monkeypatch.setattr(engine, "_snapshot", lambda self, t: snaps.append(1) or snapshot(self, t))
     for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             main(argv)
-    return len(runs), len(divs)
+    return len(runs), len(divs), len(passes), len(snaps)
 
 
 def _corpus():
@@ -79,13 +87,13 @@ def _corpus():
 
 def test_screen_s_smith_counts(monkeypatch):
     argvs = [["params", "--h1", it["h1"], "--h2", it["h2"], "--format", "json"] for it in _corpus()["screen_s"]]
-    assert _counted(monkeypatch, argvs) == (SCREEN_S_RUNS, SCREEN_S_WIDE_DIVS)
+    assert _counted(monkeypatch, argvs) == (SCREEN_S_RUNS, SCREEN_S_WIDE_DIVS, SCREEN_S_PASSES, SCREEN_S_SNAPSHOTS)
 
 
 def test_verify_w64_width_fallback_counts(monkeypatch):
     it = _corpus()["verify_w64"][VERIFY_PAIR]
     argv = ["verify", "--h1", it["h1"], "--h2", it["h2"], "--window", "64", "--format", "json"]
-    assert _counted(monkeypatch, [argv]) == (VERIFY_RUNS, VERIFY_WIDE_DIVS)
+    assert _counted(monkeypatch, [argv])[:2] == (VERIFY_RUNS, VERIFY_WIDE_DIVS)
 
 
 def test_verify_w64_window_calls(monkeypatch):
