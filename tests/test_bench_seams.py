@@ -8,12 +8,11 @@ the width fallback fires), and pins both counts, so a Smith engine that
 reduced or divided by width past those names would show here.  Over the
 `screen_s` ops it also pins the engine's passes (`SmithEngine._scan`, one
 per pass) and its block snapshots (`SmithEngine._snapshot`): only a pass
-that divides takes one, so an engine that snapshot every pass again would
-show here.  Likewise it
-wraps `simulate.run_circuit` and `simulate.expand` by module name, as the
-traced spans do, and pins one circuit run and two expansions per
-`verify --window 64`, so `simulate.run_circuit_s` keeps timing the window
-kernel.  It wraps `gates.Circuit.apply`, which `gates.circuit_apply_calls`
+that divides takes one, so an engine that took one on every pass again
+would show here.  Likewise it wraps `simulate.run_circuit` and
+`simulate.expand` by module name, as the traced spans do, and pins one
+circuit run and two expansions per `verify --window 64`, so
+`simulate.run_circuit_s` keeps timing the window kernel.  It wraps `gates.Circuit.apply`, which `gates.circuit_apply_calls`
 counts, and the replay behind it, and names the circuit of each replay.
 A `build` makes two calls: the encoder on the bare stream, and the stage
 circuit (the stage gates, then the decoder's tail gates) on the same stream

@@ -5,10 +5,11 @@ block through a hook on every pass and did all its arithmetic on
 `LaurentPoly` entries.  Both engines run on the same blocks and must take
 the same operations, in the same order (kind, indices and multiplier f),
 reach the same rank, end with the same block and spend the same budget:
-each engine ticks once per pass, so they make the same number of passes
-and an over-budget block raises `InternalError` in both.  The package
-engine's operations are its log, replayed to a listener.  The blocks are 1200
-seeded Laurent grids up to 5 x 5 (zero lines, dependent rows, common
+each engine ticks once per pass and per step of the divisibility chain,
+so they make the same passes and an over-budget block raises
+`InternalError` in both.  The package
+engine's operations are its log, replayed to a listener.  The blocks are
+1200 seeded Laurent grids up to 5 x 5 (zero lines, dependent rows, common
 factors and D^k row units planted in some), on which the width-division
 fallback fires in some; and every block the package's Smith engine starts
 from while it builds every op of both benchmark corpora, or rejects it.
