@@ -2,8 +2,11 @@
 """Paired benchmark runs of two commits, summarised against the bounds of BENCHMARK.json.
 
     python3 scripts/bench_pairs.py --parent REV --change REV --name NAME
-                                   [--pairs 10] [--workload W ...] [--corpus-seed C ...]
+                                   [--pairs 10] [--workload W]... [--corpus-seed C]...
                                    [--python PYTHON]
+
+--workload and --corpus-seed take one value each and may be repeated:
+`--workload build_l --workload verify_w64 --corpus-seed 1 --corpus-seed 2`.
 
 Each commit is checked out with `git worktree` under a temporary directory,
 which is removed afterwards.  For each workload and corpus seed the script

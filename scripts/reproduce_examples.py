@@ -23,7 +23,8 @@ def show_state(label, state):
     print(f"  -- {label}")
     for qcm, tag in ((state, ""), (state.info, "logical: ")):
         if qcm is not None:
-            for zr, xr in zip(format_rows(qcm.zn, qcm.dens), format_rows(qcm.xn, qcm.dens)):
+            for row, d in zip(qcm.nums, qcm.dens):
+                zr, xr = format_rows([row[:qcm.cols], row[qcm.cols:]], [d, d])
                 print(f"     {tag}( {zr} | {xr} )")
 
 

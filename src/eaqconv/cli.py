@@ -63,17 +63,17 @@ def _load_matrix(arg: str):
 
 
 def _qcm_json(qcm, printed=None):
-    """The matrix's record.  `printed` is the (matrix, record) pair of a matrix already formatted: a row that holds
-    the very row tuples of that matrix's row at its index, both over denominator 1, takes the text of that row."""
-    z, x = [], []
+    """The matrix's record.  `printed` is the (matrix, record) pair of a matrix already formatted: a row that is
+    the very row tuple of that matrix's row at its index, both over denominator 1, takes the text of that row."""
+    z, x, cols = [], [], qcm.cols
     pm, pr = printed or (qcm, None)
-    for r, (zr, xr, d) in enumerate(zip(qcm.zn, qcm.xn, qcm.dens)):
-        if pr and r < pm.rows and zr is pm.zn[r] and xr is pm.xn[r] and d.bits == pm.dens[r].bits == 1:
+    for r, (row, d) in enumerate(zip(qcm.nums, qcm.dens)):
+        if pr and r < pm.rows and row is pm.nums[r] and d.bits == pm.dens[r].bits == 1:
             z.append(pr["z"][r])
             x.append(pr["x"][r])
         else:
-            z += format_rows([zr], [d])
-            x += format_rows([xr], [d])
+            z += format_rows([row[:cols]], [d])
+            x += format_rows([row[cols:]], [d])
     return {"bob_cols": qcm.bob_cols, "z": z, "x": x, "row_labels": list(qcm.row_labels)}
 
 

@@ -168,8 +168,8 @@ class _Reduction:
         self._snapshot("initial quantum check matrix")
 
     def state(self) -> QuantumCheckMatrix:
-        zn, xn = tuple(map(tuple, self.z)), tuple(map(tuple, self.x))
-        return QuantumCheckMatrix.from_rows(zn, xn, (ONE,) * self.rows, self.n)
+        nums = (*((*z, *x) for z, x in zip(self.z, self.x)),)
+        return QuantumCheckMatrix.from_rows(nums, (ONE,) * self.rows, self.n)
 
     def _snapshot(self, label, *args):
         """Trace the state under label, formatted with args; a plain reduction formats nothing."""
@@ -518,11 +518,10 @@ def _bare_state(n, c, ebit_cols, anc_a, anc_b, logical_cols):
     def row(side, *cols):
         """The row with 1 in `cols` of its Z (side 0) or X (side 1) half."""
         ones = (*(ONE if j in cols else ZERO for j in range(total)),)
-        return (ones, zero) if side == 0 else (zero, ones)
+        return ones + zero if side == 0 else zero + ones
 
     def matrix(rows, labels, info=None):
-        zn, xn = (*(z for z, _ in rows),), (*(x for _, x in rows),)
-        return QuantumCheckMatrix.from_rows(zn, xn, (ONE,) * len(rows), total, c, labels, info)
+        return QuantumCheckMatrix.from_rows((*rows,), (ONE,) * len(rows), total, c, labels, info)
 
     rows = ([row(0, b, c + col) for b, col in enumerate(ebit_cols)] + [row(0, c + col) for col in anc_a]
             + [row(1, b, c + col) for b, col in enumerate(ebit_cols)] + [row(0, c + col) for col in anc_b])
@@ -534,13 +533,10 @@ def _bare_state(n, c, ebit_cols, anc_a, anc_b, logical_cols):
 
 
 def _scale_rows(qcm: QuantumCheckMatrix, scale_by_row) -> QuantumCheckMatrix:
-    zn, xn = list(qcm.zn), list(qcm.xn)
+    nums = list(qcm.nums)
     for r, kexp in scale_by_row.items():
-        zn[r] = (*(e.shift(kexp) for e in zn[r]),)
-        xn[r] = (*(e.shift(kexp) for e in xn[r]),)
-    return QuantumCheckMatrix.from_rows(
-        tuple(zn), tuple(xn), qcm.dens, qcm.cols, qcm.bob_cols, qcm.row_labels, qcm.info
-    )
+        nums[r] = (*(e.shift(kexp) for e in nums[r]),)
+    return QuantumCheckMatrix.from_rows((*nums,), qcm.dens, qcm.cols, qcm.bob_cols, qcm.row_labels, qcm.info)
 
 
 def _permute_rows(qcm: QuantumCheckMatrix, order) -> QuantumCheckMatrix:
@@ -548,24 +544,20 @@ def _permute_rows(qcm: QuantumCheckMatrix, order) -> QuantumCheckMatrix:
         return (*(seq[i] for i in order),)
 
     labels = pick(qcm.row_labels) if qcm.row_labels else ()
-    return QuantumCheckMatrix.from_rows(
-        pick(qcm.zn), pick(qcm.xn), pick(qcm.dens), qcm.cols, qcm.bob_cols, labels, qcm.info
-    )
+    return QuantumCheckMatrix.from_rows(pick(qcm.nums), pick(qcm.dens), qcm.cols, qcm.bob_cols, labels, qcm.info)
 
 
 def _measurable(qcm: QuantumCheckMatrix):
     """Clear denominators row by row (type-3 scalings): the numerator rows, and the row denominators as multipliers."""
-    out = QuantumCheckMatrix.from_rows(qcm.zn, qcm.xn, (ONE,) * qcm.rows, qcm.cols, qcm.bob_cols, qcm.row_labels)
+    out = QuantumCheckMatrix.from_rows(qcm.nums, (ONE,) * qcm.rows, qcm.cols, qcm.bob_cols, qcm.row_labels)
     return out, qcm.dens
 
 
 def _monomial_offset(qcm: QuantumCheckMatrix, row: int, col: int, side: str):
     """If the row is exactly D^k at `col` on `side` (and zero elsewhere), return k."""
-    m, other = (qcm.zn, qcm.xn) if side == "z" else (qcm.xn, qcm.zn)
-    e = m[row][col]
-    if qcm.dens[row] != ONE or e.weight() != 1:
-        return None
-    if any(m[row][j] for j in range(qcm.cols) if j != col) or any(other[row]):
+    nums, at = qcm.nums[row], col if side == "z" else qcm.cols + col
+    e = nums[at]
+    if qcm.dens[row] != ONE or e.weight() != 1 or any(f for j, f in enumerate(nums) if j != at):
         return None
     return e.dell
 
@@ -767,13 +759,12 @@ def _build_class2(record: DecompositionRecord) -> CodeSpec:
         else:
             adds = [(2 * logical_cols.index(last_cols[i]), lmat[j][i].reverse(), n - k1 + s + j)
                     for i in range(cs) for j in range(cs) if lmat[j][i]]
-        zn, xn, dens = list(info.zn), list(info.xn), list(info.dens)
+        nums, dens = list(info.nums), list(info.dens)
         for r, f, srow in adds:  # info row r += f * stabilizer row srow, over the product of their denominators
             di, ds = dens[r], stab.dens[srow]
-            sums = [a * ds + f * b * di for a, b in zip(zn[r] + xn[r], stab.zn[srow] + stab.xn[srow])]
-            dens[r], sums = lowest_terms(di * ds, sums)
-            zn[r], xn[r] = tuple(sums[:info.cols]), tuple(sums[info.cols:])
-        return QuantumCheckMatrix.from_rows(tuple(zn), tuple(xn), tuple(dens), info.cols, info.bob_cols, info.row_labels)
+            dens[r], sums = lowest_terms(di * ds, [a * ds + f * b * di for a, b in zip(nums[r], stab.nums[srow])])
+            nums[r] = (*sums,)
+        return QuantumCheckMatrix.from_rows((*nums,), (*dens,), info.cols, info.bob_cols, info.row_labels)
 
     # the Z-frame ebit rows (Gamma1 + Gamma2 rows) come first
     return _assemble(record, bare, _row_map(red, c, x_ebits_first=False), stage, tail, info_fix=info_fix,
@@ -784,7 +775,7 @@ def _with_info_fix(decoded: QuantumCheckMatrix, info_fix) -> QuantumCheckMatrix:
     """decoded with its logical rows reduced by info_fix, when there is one."""
     if info_fix is None or decoded.info is None:
         return decoded
-    return QuantumCheckMatrix.from_rows(decoded.zn, decoded.xn, decoded.dens, decoded.cols, decoded.bob_cols,
+    return QuantumCheckMatrix.from_rows(decoded.nums, decoded.dens, decoded.cols, decoded.bob_cols,
                                         decoded.row_labels, info_fix(decoded, decoded.info))
 
 

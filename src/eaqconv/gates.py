@@ -17,9 +17,9 @@ add a shifted source column into a destination column; H swaps the two
 sides of column a, and InfDepth updates the rows it touches.  The window of
 `simulate` has its own moves and steps, so it tests this table and the
 steps.  `Circuit.apply` runs on the rows a `QuantumCheckMatrix` stores,
-Laurent numerators over one GF(2)[D] row denominator in lowest terms, as
-column planes, one int per side and column with every row stacked in it,
-so a move is one shift and one XOR over all rows.
+Laurent numerators (Z entries, then X entries) over one GF(2)[D] row
+denominator in lowest terms, as planes, one int per row position with every
+row stacked in it, so a move is one shift and one XOR over all rows.
 Finite-depth gates act on a row's numerators by a column operation that
 is invertible over the Laurent ring, so a row stays in lowest terms and
 keeps its denominator; only InfDepth changes a denominator, and it
@@ -143,21 +143,21 @@ def swap(i: int, j: int, **kw) -> list[Gate]:
 class QuantumCheckMatrix:
     """Paired (Z | X) rows over rational functions with a column split.
 
-    Each row is stored once, in lowest terms: Laurent numerators zn[r] and
-    xn[r] over one row denominator dens[r], a polynomial in GF(2)[D] with
-    constant term 1 that shares no factor with all of the row's
-    numerators.  dens[r] is then the lcm of the row's entry denominators,
-    the form is unique, and equality compares rows.  `z` and `x` are the
-    halves as PolyMatrix rows, each reduced again, formed on first use by
-    `row` and the tests; the reports print the rows themselves.
+    Each row [Z(D) | X(D)] is stored once, in lowest terms: nums[r] holds
+    the Laurent numerators of its cols Z entries and then its cols X entries
+    over one row denominator dens[r], a polynomial in GF(2)[D] with constant
+    term 1 that shares no factor with all of the row's numerators.  dens[r]
+    is then the lcm of the row's entry denominators, the form is unique, and
+    equality compares rows.  `z` and `x` are the halves as PolyMatrix rows,
+    each reduced again, formed on first use by `row` and the tests; the
+    reports print the rows themselves.
 
     The leftmost bob_cols columns belong to the receiver (ebit halves); the
     remaining columns are the sender's.  `info` carries the parallel
     logical-operator matrix with the same column layout.
     """
 
-    zn: tuple[tuple[LaurentPoly, ...], ...]
-    xn: tuple[tuple[LaurentPoly, ...], ...]
+    nums: tuple[tuple[LaurentPoly, ...], ...]
     dens: tuple[LaurentPoly, ...]
     cols: int
     bob_cols: int = 0
@@ -169,19 +169,18 @@ class QuantumCheckMatrix:
         if (z.rows, z.cols) != (x.rows, x.cols):
             raise DimensionMismatch("Z and X halves differ in shape")
         lcms = [common_denominator([(ONE, zd), (ONE, xd)]) for zd, xd in zip(z.dens, x.dens)]  # (m, [m/zd, m/xd])
-        rows = [(m, [e * fz for e in zr] + [e * fx for e in xr]) for (m, (fz, fx)), zr, xr in zip(lcms, z.nums, x.nums)]
-        zn, xn = (tuple(tuple(n[half]) for _, n in rows) for half in (slice(z.cols), slice(z.cols, None)))
-        self._fill(zn, xn, tuple(d for d, _ in rows), z.cols, bob_cols, row_labels, info)
+        nums = (*((*(e * fz for e in zr), *(e * fx for e in xr)) for (_, (fz, fx)), zr, xr in zip(lcms, z.nums, x.nums)),)
+        self._fill(nums, (*(m for m, _ in lcms),), z.cols, bob_cols, row_labels, info)
         vars(self).update(z=z, x=x)  # the given halves are the views
 
     @classmethod
-    def from_rows(cls, zn, xn, dens, cols: int, bob_cols: int = 0, row_labels=(), info=None) -> QuantumCheckMatrix:
-        """The check matrix of rows already in lowest terms."""
+    def from_rows(cls, nums, dens, cols: int, bob_cols: int = 0, row_labels=(), info=None) -> QuantumCheckMatrix:
+        """The check matrix of rows already in lowest terms, each row's Z numerators then its X numerators."""
         qcm = object.__new__(cls)
-        qcm._fill(zn, xn, dens, cols, bob_cols, row_labels, info)
+        qcm._fill(nums, dens, cols, bob_cols, row_labels, info)
         return qcm
 
-    def _fill(self, zn, xn, dens, cols, bob_cols, row_labels, info):
+    def _fill(self, nums, dens, cols, bob_cols, row_labels, info):
         if not 0 <= bob_cols <= cols:
             raise DimensionMismatch("bob_cols out of range")
         if row_labels and len(row_labels) != len(dens):
@@ -189,15 +188,15 @@ class QuantumCheckMatrix:
         if info is not None and (info.cols != cols or info.bob_cols != bob_cols):
             raise DimensionMismatch("info matrix must share the column layout")
         row_labels = tuple(row_labels)
-        vars(self).update(zn=zn, xn=xn, dens=dens, cols=cols, bob_cols=bob_cols, row_labels=row_labels, info=info)
+        vars(self).update(nums=nums, dens=dens, cols=cols, bob_cols=bob_cols, row_labels=row_labels, info=info)
 
     @cached_property
     def z(self) -> PolyMatrix:
-        return PolyMatrix.from_rows([lowest_terms(d, row) for row, d in zip(self.zn, self.dens)], self.cols)
+        return PolyMatrix.from_rows([lowest_terms(d, n[:self.cols]) for n, d in zip(self.nums, self.dens)], self.cols)
 
     @cached_property
     def x(self) -> PolyMatrix:
-        return PolyMatrix.from_rows([lowest_terms(d, row) for row, d in zip(self.xn, self.dens)], self.cols)
+        return PolyMatrix.from_rows([lowest_terms(d, n[self.cols:]) for n, d in zip(self.nums, self.dens)], self.cols)
 
     @property
     def rows(self) -> int:
@@ -211,7 +210,7 @@ class QuantumCheckMatrix:
 
         Only i <= j is multiplied out; N[j][i] is N[i][j](D^-1).
         """
-        rows = [z + x for z, x in zip(self.zn, self.xn)]
+        rows = self.nums
         num = [[ZERO] * len(rows) for _ in rows]
         for i, a in enumerate(rows):
             for j in range(i, len(rows)):
@@ -252,7 +251,8 @@ def gate_columns(g: Gate, cols: int, bob_cols: int) -> tuple[int, int | None]:
 # A finite-depth gate's column action as moves (dst side, dst qubit, src side,
 # src qubit, delay sign): side 0 is Z and 1 is X, qubit 0 is a and 1 is b, and
 # each move adds D^(sign*delay) times the source column into the destination
-# column.  No move reads a column that another move of the same gate writes.
+# column; in `_Planes` a move addresses plane side*cols + column.  No move
+# reads a column that another move of the same gate writes.
 _MOVES = {
     "CNOT": ((1, 1, 1, 0, 1), (0, 0, 0, 1, -1)),
     "P": ((0, 0, 1, 0, 0),),
@@ -262,29 +262,27 @@ _MOVES = {
 
 
 def _inf_rows(g: Gate, a: int, rows, dens, cols: int) -> None:
-    """Apply the InfDepth gate g on frame column a to (Z row, X row) numerator lists over dens.
+    """Apply the InfDepth gate g on frame column a to numerator rows (Z entries, then X entries) over dens.
 
-    With f = f0 D^k and f0 delay-free, a row with x[a] != 0 moves to
-    denominator den*f0, its other entries take the factor f0 and x[a] the
-    factor D^-k; z[a] takes the factor f(D^-1).  Each row it changes is
-    then brought to lowest terms.
+    With f = f0 D^k and f0 delay-free, a row with a nonzero X entry at a
+    moves to denominator den*f0, its other entries take the factor f0 and
+    that X entry the factor D^-k; its Z entry at a takes the factor
+    f(D^-1).  Each row it changes is then brought to lowest terms.
     """
     fwd = g.f.reverse() if g.time_reversed else g.f
     f0, k = fwd.delay_free()
-    zmul = fwd.reverse()
-    for r, (z, x) in enumerate(rows):
-        if not (x[a] or z[a]):
+    zmul, xa = fwd.reverse(), cols + a
+    for r, row in enumerate(rows):
+        if not (row[xa] or row[a]):
             continue
-        if x[a]:
-            xa = x[a].shift(-k)
-            z[:] = [e * f0 for e in z]
-            x[:] = [e * f0 for e in x]
-            x[a] = xa
+        if row[xa]:
+            x = row[xa].shift(-k)
+            row[:] = [e * f0 for e in row]
+            row[xa] = x
             dens[r] = dens[r] * f0
-        if z[a]:
-            z[a] = z[a] * zmul
-        dens[r], nums = lowest_terms(dens[r], z + x)
-        z[:], x[:] = nums[:cols], nums[cols:]
+        if row[a]:
+            row[a] = row[a] * zmul
+        dens[r], row[:] = lowest_terms(dens[r], row)
 
 
 def apply_gate(qcm: QuantumCheckMatrix, g: Gate) -> QuantumCheckMatrix:
@@ -293,46 +291,45 @@ def apply_gate(qcm: QuantumCheckMatrix, g: Gate) -> QuantumCheckMatrix:
 
 
 class _Planes:
-    """Laurent numerator rows held as one int per (side, column), for whole-column gates.
+    """Laurent numerator rows held as one int per row position, for whole-column gates.
 
-    bits[s][c] stacks every row's entry of side s (0 is Z, 1 is X) and column
-    c: exponent e of row r sits at bit r*stride + offset + e, so a move by d
-    is one shift and one XOR over all rows, and stays exact while every
-    exponent it writes lies in [-offset, stride - offset).  hull[s][c] is a
-    conservative (lo, hi) exponent range of the plane, None when it is zero;
-    packing and re-laying make it exact.
+    bits[p] stacks every row's entry at position p, plane c for Z column c
+    and plane cols + c for X column c: exponent e of row r sits at bit
+    r*stride + offset + e, so a move by d is one shift and one XOR over all
+    rows, and stays exact while every exponent it writes lies in
+    [-offset, stride - offset).  hull[p] is a conservative (lo, hi)
+    exponent range of plane p, None when it is zero; packing and re-laying
+    make it exact.
     """
 
     __slots__ = ("nrows", "cols", "stride", "offset", "bits", "hull")
 
     def __init__(self, rows, cols: int):
-        """Pack (Z row, X row) pairs in one pass over their entries' bits and lows; `run` re-lays them for long moves."""
+        """Pack numerator rows in one pass over their entries' bits and lows; `run` re-lays them for long moves."""
         self.nrows, self.cols = len(rows), cols
-        self.bits, self.hull = [[0] * cols, [0] * cols], [[], []]
-        self._lay([[[(r, e.bits, e.low) for r, row in enumerate(rows) if (e := row[s][c]).bits] for c in range(cols)]
-                   for s in (0, 1)], 0)
+        self.bits, self.hull = [0] * (2 * cols), []
+        self._lay([[(r, e.bits, e.low) for r, row in enumerate(rows) if (e := row[p]).bits] for p in range(2 * cols)], 0)
 
     def _lay(self, terms, reach: int) -> None:
-        """Pack terms[s][c], the (row, bits, low) of each nonzero entry of plane (s, c), with exact hulls.
+        """Pack terms[p], the (row, bits, low) of each nonzero entry of plane p, with exact hulls.
 
         The exponents [lo, hi] of all entries are padded by
         max(64, hi - lo, 2*reach) on each side, so moves by up to reach stay
         exact.  The planes and hulls are written into this object's lists,
         which `run` holds.
         """
-        for hull, side in zip(self.hull, terms):
-            hull[:] = [(min(low for _, _, low in ts), max(low + b.bit_length() for _, b, low in ts) - 1) if ts else None
-                       for ts in side]
-        ends = [h for side in self.hull for h in side if h]
+        self.hull[:] = [(min(low for _, _, low in ts), max(low + b.bit_length() for _, b, low in ts) - 1) if ts else None
+                        for ts in terms]
+        ends = [h for h in self.hull if h]
         lo, hi = (min(h[0] for h in ends), max(h[1] for h in ends)) if ends else (0, 0)
         pad = max(64, hi - lo, 2 * reach)
         self.offset, self.stride = offset, stride = pad - lo, hi - lo + 1 + 2 * pad
-        for bits, side in zip(self.bits, terms):
-            for c, ts in enumerate(side):
-                v = 0
-                for r, b, low in ts:
-                    v |= b << (r * stride + offset + low)
-                bits[c] = v
+        bits = self.bits
+        for p, ts in enumerate(terms):
+            v = 0
+            for r, b, low in ts:
+                v |= b << (r * stride + offset + low)
+            bits[p] = v
 
     def _relay(self, reach: int) -> None:
         """Lay the planes out again for moves by up to reach: each row's slice moves to the new stride and offset.
@@ -340,31 +337,27 @@ class _Planes:
         A slice e with k trailing zeros is the term (e >> k, k - offset).
         """
         stride, offset, mask, rows = self.stride, self.offset, (1 << self.stride) - 1, range(self.nrows)
-        terms = [[[(r, e >> (k := (e & -e).bit_length() - 1), k - offset)
-                   for r in rows if (e := (v >> (r * stride)) & mask)] if v else () for v in side] for side in self.bits]
+        terms = [[(r, e >> (k := (e & -e).bit_length() - 1), k - offset)
+                  for r in rows if (e := (v >> (r * stride)) & mask)] if v else () for v in self.bits]
         self._lay(terms, reach)
 
-    def column(self, s: int, c: int) -> list[LaurentPoly]:
-        """Plane (s, c) as one LaurentPoly per row, the shared ZERO for a zero row."""
-        v, stride = self.bits[s][c], self.stride
+    def column(self, p: int) -> list[LaurentPoly]:
+        """Plane p as one LaurentPoly per row, the shared ZERO for a zero row."""
+        v, stride = self.bits[p], self.stride
         if not v:
             return [ZERO] * self.nrows
         mask, low = (1 << stride) - 1, -self.offset
         return [LaurentPoly(e, low) if (e := (v >> (r * stride)) & mask) else ZERO for r in range(self.nrows)]
 
-    def sides(self) -> list[tuple[tuple[LaurentPoly, ...], ...]]:
-        """The Z rows and the X rows, each row a tuple of entries; a matrix with no columns keeps its empty rows."""
-        return [(*zip(*[self.column(s, c) for c in range(self.cols)]),) or ((),) * self.nrows for s in (0, 1)]
-
-    def rows(self) -> list[tuple[list[LaurentPoly], list[LaurentPoly]]]:
-        """The (Z row, X row) pairs."""
-        return [(list(z), list(x)) for z, x in zip(*self.sides())]
+    def rows(self) -> list[tuple[LaurentPoly, ...]]:
+        """The numerator rows, Z entries then X entries; a matrix with no columns keeps its empty rows."""
+        return [*zip(*map(self.column, range(2 * self.cols)))] or [()] * self.nrows
 
     def swap(self, c: int) -> None:
         """Exchange the Z and X planes of column c (the Hadamard)."""
-        (z, x), (hz, hx) = self.bits, self.hull
-        z[c], x[c] = x[c], z[c]
-        hz[c], hx[c] = hx[c], hz[c]
+        bits, hull, x = self.bits, self.hull, self.cols + c
+        bits[c], bits[x] = bits[x], bits[c]
+        hull[c], hull[x] = hull[x], hull[c]
 
     def run(self, kind: str, a: int, b: int | None, delays) -> None:
         """Apply a run of kind gates on columns a and b with these delays.
@@ -375,28 +368,28 @@ class _Planes:
         first laid out again when a shift by the least or greatest signed
         delay could leave a row.
         """
-        bits, hull, ab, least, most = self.bits, self.hull, (a, b), min(delays), max(delays)
+        bits, hull, cols, ab, least, most = self.bits, self.hull, self.cols, (a, b), min(delays), max(delays)
         for ds, dq, ss, sq, sign in _MOVES[kind]:
-            dc, sc = ab[dq], ab[sq]
-            src = hull[ss][sc]
+            dp, sp = ds * cols + ab[dq], ss * cols + ab[sq]
+            src = hull[sp]
             if src is None:
                 continue
             dlo, dhi = (-most, -least) if sign < 0 else (sign * least, sign * most)
             if src[0] + dlo < -self.offset or src[1] + dhi >= self.stride - self.offset:
                 self._relay(max(dhi, -dlo))
-                src = hull[ss][sc]
-            v, w = bits[ss][sc], bits[ds][dc]
+                src = hull[sp]
+            v, w = bits[sp], bits[dp]
             for d in delays:
                 d *= sign
                 w ^= v << d if d >= 0 else v >> -d
-            bits[ds][dc] = w
-            dst, lo, hi = hull[ds][dc], src[0] + dlo, src[1] + dhi
+            bits[dp] = w
+            dst, lo, hi = hull[dp], src[0] + dlo, src[1] + dhi
             if not w:
-                hull[ds][dc] = None
+                hull[dp] = None
             elif dst is None:
-                hull[ds][dc] = lo, hi
+                hull[dp] = lo, hi
             else:
-                hull[ds][dc] = dst[0] if dst[0] < lo else lo, dst[1] if dst[1] > hi else hi
+                hull[dp] = dst[0] if dst[0] < lo else lo, dst[1] if dst[1] > hi else hi
 
 
 # -- circuits -------------------------------------------------------------------
@@ -472,7 +465,7 @@ class Circuit:
         """Run the gates on column planes of qcm's rows and return the rows they end as.
 
         The stabilizer and info numerators are held as `_Planes`: one int per
-        side and column holding every row.  Each step of `_runs`, (first
+        row position holding every row.  Each step of `_runs`, (first
         gate, delays), is a run of finite-depth gates with the same kind,
         qubits and frame flag: `_Planes.run` makes the moves of its kind, each XORing its
         source shifted by the move's sign times every delay (H swaps two
@@ -483,22 +476,22 @@ class Circuit:
         cols, split, bob_cols = qcm.cols, qcm.rows, qcm.bob_cols
         mats = (qcm,) if qcm.info is None else (qcm, qcm.info)
         dens = [d for m in mats for d in m.dens]
-        planes = _Planes([(z, x) for m in mats for z, x in zip(m.zn, m.xn)], cols)
+        planes = _Planes([row for m in mats for row in m.nums], cols)
         for g, delays in self._runs:
             a, b = gate_columns(g, cols, bob_cols)  # the run shares g's qubits
             if g.kind == "INF":
-                rows = planes.rows()
+                rows = [*map(list, planes.rows())]
                 _inf_rows(g, a, rows, dens, cols)
                 planes = _Planes(rows, cols)
             elif g.kind == "H":
                 planes.swap(a)
             else:
                 planes.run(g.kind, a, b, delays)
-        (zn, xn), ds = planes.sides(), tuple(dens)
+        nums, ds = tuple(planes.rows()), tuple(dens)
         info = qcm.info
         if info is not None:
-            info = QuantumCheckMatrix.from_rows(zn[split:], xn[split:], ds[split:], cols, bob_cols, info.row_labels)
-        return QuantumCheckMatrix.from_rows(zn[:split], xn[:split], ds[:split], cols, bob_cols, qcm.row_labels, info)
+            info = QuantumCheckMatrix.from_rows(nums[split:], ds[split:], cols, bob_cols, info.row_labels)
+        return QuantumCheckMatrix.from_rows(nums[:split], ds[:split], cols, bob_cols, qcm.row_labels, info)
 
 
 def format_string(g: Gate, delays) -> list[str]:

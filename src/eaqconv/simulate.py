@@ -253,7 +253,7 @@ def _unpack(win: BinarySymplecticWindow) -> list[WindowRow]:
 
 def _row_support(qcm: QuantumCheckMatrix, r: int):
     """(lo, hi, rational) of row r; a rational row (denominator not 1) has no last exponent, hi None."""
-    nums = [e for e in qcm.zn[r] + qcm.xn[r] if e]
+    nums = [e for e in qcm.nums[r] if e]
     if not nums:
         return None, None, False
     rational = qcm.dens[r] != ONE
@@ -289,9 +289,9 @@ def expand(qcm: QuantumCheckMatrix, window: int, scratch: int = 0) -> BinarySymp
         stair = _repeat(count, stride + 1)
         keep = (base << w) - stair
         at = first * stride
-        den = qcm.dens[r]
+        den, row = qcm.dens[r], qcm.nums[r]
         for q in range(m):
-            nums = (qcm.zn[r][q], qcm.xn[r][q])
+            nums = (row[q], row[m + q])
             for planes, num in zip((z, x), nums):
                 series = series_expand((num, den), lo, lo + w - 1) if rational else num  # a polynomial row fits whole
                 if series.bits:
@@ -519,8 +519,8 @@ def _check_decode(spec, evolved: QuantumCheckMatrix) -> tuple[bool, str]:
     decoded = spec.decoder.apply(evolved)
     if decoded.info is None or spec.k == 0:
         return True, "no information qubits"
-    stab = [z + x for z, x in zip(decoded.zn, decoded.xn)]
-    info = [(d, z + x) for z, x, d in zip(decoded.info.zn, decoded.info.xn, decoded.info.dens)]
+    stab = decoded.nums
+    info = [*zip(decoded.info.dens, decoded.info.nums)]
     for i, (_, a) in enumerate(info):
         if any(symplectic_numerator(a, b) for b in stab):
             return False, f"decoded logical row {i + 1} fails to commute with the stabilizer"
@@ -588,7 +588,8 @@ def _interior_match(win_sim, win_alg):
 
 def _sender_numerators(qcm: QuantumCheckMatrix) -> list[list[LaurentPoly]]:
     """The sender-side numerators of qcm's stored rows (Z half then X half), which span its sender-side row space."""
-    return [list(z[qcm.bob_cols:] + x[qcm.bob_cols:]) for z, x in zip(qcm.zn, qcm.xn)]
+    b, m = qcm.bob_cols, qcm.cols
+    return [[*row[b:m], *row[m + b:]] for row in qcm.nums]
 
 
 def verify_code(spec, window: int = 32, scratch: int | None = None) -> VerificationReport:

@@ -243,10 +243,6 @@ class GridHooks(LaurentHooks):
         for r in self.w:
             r[i], r[j] = r[j], r[i]
 
-    def reduce(self) -> int:
-        """Run `LaurentSmithEngine` on the grid; its rank."""
-        return LaurentSmithEngine((len(self.w), len(self.w[0]) if self.w else 0), self).run()
-
 
 class MatrixHooks:
     """Hears the package's Smith log and accumulates the unimodular witnesses A and B.

@@ -45,10 +45,10 @@ def numerator_rows(m: PolyMatrix) -> list:
 
 
 def alice_part(qcm: QuantumCheckMatrix) -> QuantumCheckMatrix:
-    b, cols = qcm.bob_cols, qcm.cols - qcm.bob_cols
-    rows = [lowest_terms(d, z[b:] + x[b:]) for z, x, d in zip(qcm.zn, qcm.xn, qcm.dens)]
-    zn, xn = (tuple(tuple(n[half]) for _, n in rows) for half in (slice(cols), slice(cols, None)))
-    return QuantumCheckMatrix.from_rows(zn, xn, tuple(d for d, _ in rows), cols, row_labels=qcm.row_labels)
+    b, m = qcm.bob_cols, qcm.cols
+    rows = [lowest_terms(d, row[b:m] + row[m + b:]) for row, d in zip(qcm.nums, qcm.dens)]
+    nums, dens = tuple(tuple(n) for _, n in rows), tuple(d for d, _ in rows)
+    return QuantumCheckMatrix.from_rows(nums, dens, m - b, row_labels=qcm.row_labels)
 
 
 def golden_pairs() -> list[tuple[str, str, str]]:

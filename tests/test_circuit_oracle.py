@@ -309,8 +309,7 @@ def _run_features(circuit, states, relaid):
             elif t < len(steps):
                 out.add(f"run ended by {circuit.gates[t].kind}" if not steps[t] else "run ended by another run")
         start = t
-    zero = [{(s, c) for s, side in enumerate((m.zn, m.xn)) for c in range(m.cols) if not any(r[c] for r in side)}
-            for m in states]
+    zero = [{p for p in range(2 * m.cols) if not any(r[p] for r in m.nums)} for m in states]
     if any(p in zero[t] and p not in zero[t - 1] for t in range(1, len(zero)) for p in zero[0]):
         out.add("plane back to zero")
     return out
@@ -391,13 +390,12 @@ def _drift_case(seed):
 
 def _plane_ranges(planes):
     """The exponent range (lo, hi) of the unpacked entries of each plane, None for a zero plane."""
-    mask, out = (1 << planes.stride) - 1, [[], []]
-    for ranges, side in zip(out, planes.bits):
-        for v in side:
-            ends = [((e & -e).bit_length() - 1, e.bit_length() - 1)
-                    for r in range(planes.nrows) if (e := (v >> (r * planes.stride)) & mask)]
-            lows, highs = zip(*ends) if ends else ((), ())
-            ranges.append((min(lows) - planes.offset, max(highs) - planes.offset) if ends else None)
+    mask, out = (1 << planes.stride) - 1, []
+    for v in planes.bits:
+        ends = [((e & -e).bit_length() - 1, e.bit_length() - 1)
+                for r in range(planes.nrows) if (e := (v >> (r * planes.stride)) & mask)]
+        lows, highs = zip(*ends) if ends else ((), ())
+        out.append((min(lows) - planes.offset, max(highs) - planes.offset) if ends else None)
     return out
 
 

@@ -366,7 +366,7 @@ def test_example2_decode_displays():
     # published display prints a zero row, but gates cannot annihilate a row)
     final = states[-1]
     assert final.x == _strip("0, 0, 1/(1+D+D^2)\n1, 0, 0")
-    assert not any(e for row in final.zn for e in row)
+    assert not any(e for row in final.nums for e in row[:final.cols])
     assert final.info.x == _strip("0, 1, 0\n0, 0, 0")
     assert final.info.z == _strip("0, 0, 0\n0, 1, 0")
     assert spec.decoded_cols == (0,)

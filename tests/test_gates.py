@@ -243,8 +243,8 @@ def test_format_rows_prints_the_entries_line_for_line():
         grid = [row() for _ in range(rows)]
         z, x = (PolyMatrix([r[half] for r in grid], cols=cols) for half in (slice(cols), slice(cols, None)))
         m = QuantumCheckMatrix(z, x)
-        assert format_rows(m.zn, m.dens) == format_matrix(z).splitlines()
-        assert format_rows(m.xn, m.dens) == format_matrix(x).splitlines()
+        assert format_rows([n[:cols] for n in m.nums], m.dens) == format_matrix(z).splitlines()
+        assert format_rows([n[cols:] for n in m.nums], m.dens) == format_matrix(x).splitlines()
         for zr, xr, d in zip(z.entries, x.entries, m.dens):
             entry_dens = {e.den for e in zr + xr if e}
             seen["zero"] += not entry_dens
@@ -316,11 +316,11 @@ def test_apply_keeps_its_last_replay(name, h1, h2):
         out = c.apply(qcm)
         assert c.apply(qcm) is out and out == fresh.apply(qcm)
 
-        twin = QuantumCheckMatrix.from_rows(qcm.zn, qcm.xn, qcm.dens, qcm.cols, qcm.bob_cols, qcm.row_labels, qcm.info)
+        twin = QuantumCheckMatrix.from_rows(qcm.nums, qcm.dens, qcm.cols, qcm.bob_cols, qcm.row_labels, qcm.info)
         again = c.apply(twin)
         assert again is not out and again == out
 
-        other = QuantumCheckMatrix.from_rows(qcm.zn, qcm.xn, qcm.dens, qcm.cols, qcm.bob_cols, qcm.row_labels)
+        other = QuantumCheckMatrix.from_rows(qcm.nums, qcm.dens, qcm.cols, qcm.bob_cols, qcm.row_labels)
         want = fresh.apply(other)
         assert want != out
         for _ in range(2):
@@ -345,7 +345,7 @@ def test_replayed_zero_entries_are_shared(name, h1, h2):
     evolved = spec.encoder.apply(spec.bare)
     zeros = 0
     for m in (evolved, spec.decoder.apply(evolved)):
-        for grid in (m.zn, m.xn, m.info.zn, m.info.xn):
+        for grid in (m.nums, m.info.nums):
             for e in (e for row in grid for e in row if not e):
                 assert e is ZERO
                 zeros += 1

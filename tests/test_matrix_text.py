@@ -110,7 +110,7 @@ def test_parsed_rows_match_the_per_term_parser(seed):
             grid = PolyMatrix([[RationalPoly(e.num, e.den) for e in row] for row in want])
             assert grid == m and hash(grid) == hash(m), text
         qcm = QuantumCheckMatrix(z, x)
-        view = QuantumCheckMatrix.from_rows(qcm.zn, qcm.xn, qcm.dens, qcm.cols)
+        view = QuantumCheckMatrix.from_rows(qcm.nums, qcm.dens, qcm.cols)
         assert (view.z, view.x) == (z, x), (text_z, text_x)
         assert (hash(view.z), hash(view.x)) == (hash(z), hash(x))
 

@@ -58,7 +58,7 @@ def _report(h1: str, h2: str) -> dict:
 
 def _rows(qcm: QuantumCheckMatrix) -> tuple:
     """What a report prints of a check matrix: its stored rows, receiver columns and row labels."""
-    return qcm.zn, qcm.xn, qcm.dens, qcm.cols, qcm.bob_cols, qcm.row_labels
+    return qcm.nums, qcm.dens, qcm.cols, qcm.bob_cols, qcm.row_labels
 
 
 def _parsed(doc: dict) -> QuantumCheckMatrix:

@@ -94,7 +94,7 @@ def test_traced_and_plain_reductions_agree(start):
         assert rp.x == rt.x, (h1, h2)
         assert _spec_report_json(plain) == _spec_report_json(traced), (h1, h2)
         replayed = logged.apply(_stacked(m1, m2))
-        rows = [list(z + x) for z, x in zip(replayed.zn, replayed.xn)]
+        rows = [list(row) for row in replayed.nums]
         assert row_space_equal(rows, [z + x for z, x in zip(rp.z, rp.x)]), (h1, h2)
 
 

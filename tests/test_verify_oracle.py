@@ -251,19 +251,18 @@ TWO_LOGICALS = ("n4d2-1", "n4d2-4", "n4d2-7", "n6d3-9", "n6d3-10", "n6d3-11", "n
 
 
 def _logicals_edited(spec, edit):
-    """spec with the logical rows of its bare stream changed by edit(zn, xn, col), col(q) the column of qubit q.
+    """spec with the logical rows of its bare stream changed by edit(rows, col), col(q) the column of qubit q.
 
     No gate changes a shifted symplectic product, so no replaced encoder or
     decoder can make the decode check's product tests fail; a bare stream
     whose logical rows break them can.
     """
     bare, info = spec.bare, spec.bare.info
-    zn, xn = [list(row) for row in info.zn], [list(row) for row in info.xn]
-    edit(zn, xn, lambda q: next(j for j, e in enumerate(info.xn[2 * q]) if e))
-    info = QuantumCheckMatrix.from_rows(tuple(map(tuple, zn)), tuple(map(tuple, xn)), info.dens, info.cols,
-                                        info.bob_cols, info.row_labels)
+    rows = [list(row) for row in info.nums]
+    edit(rows, lambda q: next(j for j, e in enumerate(info.nums[2 * q][info.cols:]) if e))
+    info = QuantumCheckMatrix.from_rows(tuple(map(tuple, rows)), info.dens, info.cols, info.bob_cols, info.row_labels)
     return dataclasses.replace(spec, bare=QuantumCheckMatrix.from_rows(
-        bare.zn, bare.xn, bare.dens, bare.cols, bare.bob_cols, bare.row_labels, info))
+        bare.nums, bare.dens, bare.cols, bare.bob_cols, bare.row_labels, info))
 
 
 def _assert_decode_fails(spec, detail):
@@ -276,10 +275,11 @@ def _assert_decode_fails(spec, detail):
 def test_a_logical_that_fails_to_commute_is_reported(name, h1, h2):
     """X1 gains an X where the first stabilizer row has a Z."""
     spec = _build(h1, h2)
-    j = max(j for j, e in enumerate(spec.bare.zn[0]) if e)
+    n = spec.bare.cols
+    j = max(j for j, e in enumerate(spec.bare.nums[0][:n]) if e)
 
-    def edit(zn, xn, col):
-        xn[0][j] = ONE
+    def edit(rows, col):
+        rows[0][n + j] = ONE
 
     _assert_decode_fails(_logicals_edited(spec, edit), "decoded logical row 1 fails to commute with the stabilizer")
 
@@ -289,12 +289,13 @@ def test_logicals_that_fail_to_pair_are_reported(name, h1, h2):
     """X1 gains X2's column: qubits 1 and 2 are not independent.  X2 gains Z1's column: X1 and X2 anticommute."""
     spec = _build(h1, h2)
     assert spec.k >= 2
+    n = spec.bare.cols
 
-    def entangled(zn, xn, col):
-        xn[0][col(1)] = ONE
+    def entangled(rows, col):
+        rows[0][n + col(1)] = ONE
 
-    def crossed(zn, xn, col):
-        zn[2][col(0)] = ONE
+    def crossed(rows, col):
+        rows[2][col(0)] = ONE
 
     _assert_decode_fails(_logicals_edited(spec, entangled), "logical qubits 1 and 2 fail to be independent")
     _assert_decode_fails(_logicals_edited(spec, crossed), "same-type logicals 1, 2 anticommute")
